@@ -121,7 +121,7 @@ pub fn prepare_tables_traced(
     let match_results = match_star_par(tables, &config.matcher, config.parallelism);
     timings.matching = t0.elapsed();
     span.count("tables", tables.len() as u64);
-    span.count("correspondences", total_correspondences(&match_results));
+    count_matching(&mut span, &match_results);
     span.count("degree", config.parallelism.get() as u64);
     drop(span);
 
@@ -157,12 +157,19 @@ pub fn prepare_tables_traced(
     })
 }
 
-/// Correspondences across all match results (a span counter).
-fn total_correspondences(results: &[MatchResult]) -> u64 {
-    results
-        .iter()
-        .map(|m| m.correspondence_count() as u64)
-        .sum()
+/// Attach matching counters to the `match` span, summed over the star's
+/// table pairs: correspondences found, and what sniffing the duplicates
+/// behind them cost (see [`hummer_matching::SniffStats`]).
+fn count_matching(span: &mut Span, results: &[MatchResult]) {
+    let sum = |of: fn(&MatchResult) -> u64| results.iter().map(of).sum::<u64>();
+    span.count("correspondences", sum(|m| m.correspondence_count() as u64));
+    span.count("sniff_postings_visited", sum(|m| m.sniff.postings_visited));
+    span.count(
+        "sniff_candidates_scored",
+        sum(|m| m.sniff.candidates_scored),
+    );
+    span.count("sniff_rows_expanded", sum(|m| m.sniff.rows_expanded));
+    span.count("sniff_rounds", sum(|m| m.sniff.rounds));
 }
 
 /// Attach detection counters to the `detect` span: blocking-window hits
@@ -246,7 +253,7 @@ impl PreparedSources {
         let match_results = match_star_par(new_tables, &config.matcher, config.parallelism);
         timings.matching = t0.elapsed();
         span.count("tables", new_tables.len() as u64);
-        span.count("correspondences", total_correspondences(&match_results));
+        count_matching(&mut span, &match_results);
         drop(span);
 
         // 2. Transformation: recomputed (linear). If matching changed the
@@ -819,6 +826,42 @@ mod tests {
         let from_scratch = fuse_prepared(&scratch, &[], &registry).unwrap();
         assert_eq!(from_upgraded.result.rows(), from_scratch.result.rows());
         assert_eq!(from_upgraded.conflict_count, from_scratch.conflict_count);
+    }
+
+    #[test]
+    fn match_spans_carry_the_sniff_counters() {
+        let h = hummer();
+        let config = HummerConfig {
+            obs: hummer_obs::ObsConfig::enabled(64),
+            ..h.config().clone()
+        };
+        let ee = h.repository().get("EE_Student").unwrap();
+        let cs = h.repository().get("CS_Students").unwrap();
+        let prepared = prepare_tables(&[ee, cs], &config).unwrap();
+        let unchanged = RowMapping::identity(prepared.integrated.len());
+        prepared
+            .apply_delta(&[ee, cs], &unchanged, &config)
+            .unwrap();
+
+        let sniff = prepared.match_results[0].sniff;
+        assert!(
+            sniff.rounds >= 1 && sniff.candidates_scored >= 1,
+            "{sniff:?}"
+        );
+        let spans = config.obs.tracer.drain();
+        let matches: Vec<_> = spans.iter().filter(|s| s.name == "match").collect();
+        assert_eq!(matches.len(), 2, "one from prepare, one from the delta");
+        for span in matches {
+            for (name, value) in [
+                ("sniff_postings_visited", sniff.postings_visited),
+                ("sniff_candidates_scored", sniff.candidates_scored),
+                ("sniff_rows_expanded", sniff.rows_expanded),
+                ("sniff_rounds", sniff.rounds),
+            ] {
+                let counter = span.counters.iter().find(|(n, _)| n == name);
+                assert_eq!(counter.map(|(_, v)| *v), Some(value), "{name}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Attribute correspondences — the output of schema matching.
 
-use crate::dumas::TupleMatch;
+use crate::dumas::{SniffStats, TupleMatch};
 use crate::matrix::SimilarityMatrix;
 use std::collections::HashMap;
 use std::fmt;
@@ -42,6 +42,8 @@ pub struct MatchResult {
     pub correspondences: Vec<Correspondence>,
     /// The duplicate tuple pairs the correspondences were derived from.
     pub duplicates_used: Vec<TupleMatch>,
+    /// How much work sniffing those pairs took.
+    pub sniff: SniffStats,
     /// The averaged attribute-similarity matrix (for inspection / GUI).
     pub matrix: SimilarityMatrix,
 }
@@ -120,6 +122,7 @@ mod tests {
                 },
             ],
             duplicates_used: vec![],
+            sniff: SniffStats::default(),
             matrix: SimilarityMatrix::zeros(2, 2),
         }
     }

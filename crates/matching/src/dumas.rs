@@ -7,15 +7,54 @@
 //! applies a string similarity measure to extract the most similar tuple
 //! pairs." (paper §2.2)
 //!
-//! Tuples become TF-IDF weight vectors over word tokens; pairs are ranked by
-//! cosine similarity using an inverted index so only token-sharing pairs are
-//! scored (never the full n×m cross product).
+//! Tuples become unit TF-IDF vectors over word tokens and pairs are ranked
+//! by cosine. The answer is *defined* by the full join — every
+//! token-sharing pair at or above `min_similarity`, sorted by (similarity
+//! descending, left row, right row), greedily filtered to 1:1, cut to
+//! `top_k` — but it is *computed* without it:
+//!
+//! * **Index.** Tokens are interned to ids in string order
+//!   ([`hummer_textsim::interned`]); the right table's vectors are inverted
+//!   into one posting array per token, with the largest weight any right
+//!   row gives the token.
+//! * **Bounded scan of a left row at a threshold θ.** The row's tokens are
+//!   walked from the shortest posting list to the longest. Every right row
+//!   met for the first time is scored, by a merge-join of the two id-sorted
+//!   vectors. A right row *not* met shares only unwalked tokens `U` with
+//!   the row, so its similarity is at most `Σ_{t∈U} w(t)·maxw(t)` and at
+//!   most `‖w|U‖` (its own vector has unit length); the walk stops when
+//!   that bound, with slack for float rounding, is below θ. Per row only
+//!   the best `top_k` pairs are kept: the 1:1 filter reaches a row's
+//!   `(k+1)`-th partner only after `k` pairs were accepted.
+//! * **Rounds.** Rows are scanned at θ = 1, the highest similarity there
+//!   is, in row order — the first 1024, then four times as many — and the
+//!   kept pairs are sorted and filtered like the full join. Pairs that tie
+//!   at 1 are ordered by left row, so `top_k` survivors among the rows
+//!   scanned so far are the answer. Once every row is scanned and fewer
+//!   survive, θ drops to the `top_k`-th surviving similarity among *all*
+//!   pairs found so far, rows whose unwalked bound reaches the new θ are
+//!   scanned again, and if that still falls short θ drops to
+//!   `min_similarity` for a last round.
+//!
+//! **Why the answer is the full join's, bit for bit.** After a round at θ
+//! every pair at or above θ is known, and those pairs are a prefix of the
+//! full join's sorted list; the greedy filter reads a list front to back,
+//! so its first `top_k` acceptances on a complete prefix are its first
+//! `top_k` acceptances on the whole list. And a merge-join adds the
+//! products of the shared tokens in token order, starting from zero, which
+//! is the order and the start the full join's per-pair accumulator had.
+//!
+//! **Cost.** With a few near-duplicates in the data the first round walks
+//! each row's rarest tokens only, which is linear in the rows. The worst
+//! case — every row shares its tokens with every other, or fewer than
+//! `top_k` pairs exist — is the last round's: the full join, one
+//! merge-join per token-sharing pair.
 
+use crate::tokens::{Side, TokenizedPair};
 use hummer_engine::Table;
 use hummer_par::{par_chunks, Parallelism};
-use hummer_textsim::tfidf::{Corpus, TfIdfVector};
-use hummer_textsim::tokenize::word_tokens;
-use std::collections::HashMap;
+use hummer_textsim::interned::{IdVectors, InternedCorpus};
+use std::cmp::Ordering;
 
 /// A candidate duplicate pair across two tables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,12 +90,18 @@ impl Default for SniffConfig {
     }
 }
 
-/// The tuple-as-document view of every row of a table.
-fn row_documents(t: &Table) -> Vec<Vec<String>> {
-    t.rows()
-        .iter()
-        .map(|r| word_tokens(&r.as_document()))
-        .collect()
+/// How much work one sniffing took. The counts depend on the tables and the
+/// configuration only, not on the degree of parallelism.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SniffStats {
+    /// Posting-list entries read.
+    pub postings_visited: u64,
+    /// Tuple pairs scored (one merge-join each).
+    pub candidates_scored: u64,
+    /// Left rows scanned again in a later round, at a lower threshold.
+    pub rows_expanded: u64,
+    /// Rounds run: 1 when the first scan settled the answer.
+    pub rounds: u64,
 }
 
 /// Find the most similar tuple pairs between two unaligned tables.
@@ -70,42 +115,348 @@ pub fn sniff_duplicates(left: &Table, right: &Table, cfg: &SniffConfig) -> Vec<T
     sniff_duplicates_par(left, right, cfg, Parallelism::sequential())
 }
 
-/// [`sniff_duplicates`] with up to `par.get()` threads scoring left rows
+/// [`sniff_duplicates`] with up to `par.get()` threads scanning left rows
 /// concurrently against a shared inverted index over the right table.
 ///
-/// Each left row's accumulation is independent, and the final total order
-/// (similarity desc, then row indices) makes the result deterministic
-/// regardless of degree — the output is bit-identical to the sequential
-/// path.
+/// A row's scan depends on the row and the round's threshold only, and the
+/// final total order (similarity desc, then row indices) makes the result
+/// deterministic regardless of degree — the output is bit-identical to the
+/// sequential path.
 pub fn sniff_duplicates_par(
     left: &Table,
     right: &Table,
     cfg: &SniffConfig,
     par: Parallelism,
 ) -> Vec<TupleMatch> {
-    let left_docs = row_documents(left);
-    let right_docs = row_documents(right);
-    let corpus = Corpus::from_documents(left_docs.iter().chain(right_docs.iter()));
+    sniff_tokenized(&TokenizedPair::new(left, right), cfg, par).0
+}
 
-    let left_vecs: Vec<TfIdfVector> = left_docs.iter().map(|d| corpus.weight_vector(d)).collect();
-    let right_vecs: Vec<TfIdfVector> = right_docs.iter().map(|d| corpus.weight_vector(d)).collect();
+/// [`sniff_duplicates_par`] over tables already tokenized.
+pub(crate) fn sniff_tokenized(
+    tokens: &TokenizedPair,
+    cfg: &SniffConfig,
+    par: Parallelism,
+) -> (Vec<TupleMatch>, SniffStats) {
+    sniff_from(tokens, cfg, par, FIRST_ROWS)
+}
 
-    // Inverted index over the right table: token -> [(row, weight)].
-    let mut index: HashMap<&str, Vec<(usize, f64)>> = HashMap::new();
-    for (j, v) in right_vecs.iter().enumerate() {
-        for (tok, w) in v.iter() {
-            index.entry(tok).or_default().push((j, w));
+/// How many left rows the first round scans. While the threshold is 1, the
+/// highest similarity there is, rows are taken in order, a few times more
+/// each round: pairs that tie at 1 are ordered by left row, so `top_k`
+/// survivors among the first rows end the search (exact copies are common
+/// in sources worth fusing).
+const FIRST_ROWS: usize = 1024;
+
+/// [`sniff_tokenized`] with the first round's row count given (any count
+/// gives the same answer; tests pass small ones).
+fn sniff_from(
+    tokens: &TokenizedPair,
+    cfg: &SniffConfig,
+    par: Parallelism,
+    first_rows: usize,
+) -> (Vec<TupleMatch>, SniffStats) {
+    let mut stats = SniffStats::default();
+    let (n_l, n_r) = (tokens.rows(Side::Left), tokens.rows(Side::Right));
+    // No similarity is above 1 (or comparable with NaN).
+    let satisfiable = cfg.top_k > 0 && cfg.min_similarity <= 1.0;
+    if !satisfiable || n_l == 0 || n_r == 0 {
+        return (Vec::new(), stats);
+    }
+
+    let mut corpus = InternedCorpus::new(tokens.vocabulary.len());
+    for side in [Side::Left, Side::Right] {
+        for row in 0..tokens.rows(side) {
+            corpus.add_document(tokens.row(side, row));
+        }
+    }
+    let idf = corpus.idf_table();
+    let vectors = |side| {
+        let mut vectors = IdVectors::new();
+        for row in 0..tokens.rows(side) {
+            vectors.push(tokens.row(side, row), &idf);
+        }
+        vectors
+    };
+    let (left, right) = (vectors(Side::Left), vectors(Side::Right));
+    let scanner = Scanner {
+        index: RightIndex::new(&right, tokens.vocabulary.len()),
+        left: &left,
+        right: &right,
+        cfg,
+    };
+
+    // `unseen[i]`: no right row that row `i` has not been scored against is
+    // more similar to it than this (`+∞` before the row's first scan).
+    let mut unseen = vec![f64::INFINITY; n_l];
+    let mut pairs: Vec<TupleMatch> = Vec::new();
+    let mut threshold = 1.0f64;
+    let mut prefix = first_rows.clamp(1, n_l);
+    loop {
+        stats.rounds += 1;
+        let rows: Vec<usize> = (0..prefix).filter(|&i| unseen[i] >= threshold).collect();
+        let scanned_before = rows.iter().filter(|&&i| unseen[i] < f64::INFINITY);
+        stats.rows_expanded += scanned_before.count() as u64;
+        pairs.retain(|p| unseen[p.left] < threshold);
+        let mut scanned_rows = rows.iter();
+        for chunk in par_chunks(par, &rows, |_, chunk| scanner.scan(chunk, threshold)) {
+            pairs.extend(chunk.pairs);
+            for bound in chunk.unseen {
+                unseen[*scanned_rows.next().expect("one bound per scanned row")] = bound;
+            }
+            stats.postings_visited += chunk.postings_visited;
+            stats.candidates_scored += chunk.candidates_scored;
+        }
+        pairs.sort_by(full_join_order);
+
+        let selected = select(&pairs, threshold, cfg, n_l, n_r);
+        if selected.len() == cfg.top_k {
+            return (selected, stats);
+        }
+        if prefix < n_l {
+            prefix = (4 * prefix).min(n_l);
+        } else if threshold <= cfg.min_similarity {
+            return (selected, stats);
+        } else if threshold == 1.0 {
+            // First drop: to what the pairs found so far promise.
+            let reachable = select(&pairs, cfg.min_similarity, cfg, n_l, n_r);
+            threshold = match reachable.get(cfg.top_k - 1) {
+                Some(last) => last.similarity,
+                None => cfg.min_similarity,
+            };
+        } else {
+            threshold = cfg.min_similarity;
+        }
+    }
+}
+
+/// The full join's total order: similarity descending, then row indices.
+fn full_join_order(a: &TupleMatch, b: &TupleMatch) -> Ordering {
+    b.similarity
+        .total_cmp(&a.similarity)
+        .then(a.left.cmp(&b.left))
+        .then(a.right.cmp(&b.right))
+}
+
+/// The first `top_k` pairs of `sorted` that survive the 1:1 filter (when it
+/// is on), reading no pair below `floor`.
+fn select(
+    sorted: &[TupleMatch],
+    floor: f64,
+    cfg: &SniffConfig,
+    n_l: usize,
+    n_r: usize,
+) -> Vec<TupleMatch> {
+    let readable = sorted.iter().take_while(|p| p.similarity >= floor);
+    if !cfg.one_to_one {
+        return readable.take(cfg.top_k).copied().collect();
+    }
+    let mut used_l = vec![false; n_l];
+    let mut used_r = vec![false; n_r];
+    readable
+        .filter(|p| {
+            let free = !used_l[p.left] && !used_r[p.right];
+            if free {
+                used_l[p.left] = true;
+                used_r[p.right] = true;
+            }
+            free
+        })
+        .take(cfg.top_k)
+        .copied()
+        .collect()
+}
+
+/// The right table's vectors inverted: which rows hold a token, and the
+/// largest weight any of them gives it.
+struct RightIndex {
+    /// Token `t`'s rows are `rows[starts[t]..starts[t + 1]]`, ascending.
+    starts: Vec<usize>,
+    rows: Vec<u32>,
+    max_weight: Vec<f64>,
+    /// Factor that lifts a bound computed in floats above every similarity
+    /// computed in floats that the exact bound dominates. Sums of `m`
+    /// products and a vector's unit norm are each off by a relative
+    /// `m · ε` at most; `m` is the longest vector's length.
+    slack: f64,
+}
+
+impl RightIndex {
+    fn new(right: &IdVectors, vocabulary_len: usize) -> Self {
+        assert!(
+            u32::try_from(right.len()).is_ok(),
+            "posting lists hold row numbers as u32"
+        );
+        let mut starts = vec![0usize; vocabulary_len + 1];
+        let mut longest = 0;
+        for row in 0..right.len() {
+            let ids = right.get(row).ids;
+            longest = longest.max(ids.len());
+            for &id in ids {
+                starts[id as usize + 1] += 1;
+            }
+        }
+        for t in 0..vocabulary_len {
+            starts[t + 1] += starts[t];
+        }
+        let mut rows = vec![0u32; starts[vocabulary_len]];
+        let mut max_weight = vec![0.0f64; vocabulary_len];
+        let mut next = starts.clone();
+        for row in 0..right.len() {
+            let vector = right.get(row);
+            for (&id, &weight) in vector.ids.iter().zip(vector.weights) {
+                let t = id as usize;
+                rows[next[t]] = row as u32;
+                next[t] += 1;
+                max_weight[t] = max_weight[t].max(weight);
+            }
+        }
+        RightIndex {
+            starts,
+            rows,
+            max_weight,
+            slack: 1.0 + 4.0 * (longest + 2) as f64 * f64::EPSILON,
         }
     }
 
-    // Accumulate dot products per left row, visiting only shared tokens.
-    // Chunks of left rows score in parallel (the index is shared
-    // read-only); each chunk reuses one accumulator map across its rows.
-    let mut pairs: Vec<TupleMatch> = par_chunks(par, &left_vecs, |offset, chunk| {
-        let mut out: Vec<TupleMatch> = Vec::new();
+    fn posting(&self, id: u32) -> &[u32] {
+        &self.rows[self.starts[id as usize]..self.starts[id as usize + 1]]
+    }
+}
+
+/// What scanning a chunk of left rows found.
+struct Scanned {
+    /// Per scanned row, its best `top_k` pairs at or above
+    /// `min_similarity`.
+    pairs: Vec<TupleMatch>,
+    /// Per scanned row, the bound on the right rows it was not scored
+    /// against (`-∞` when there is none).
+    unseen: Vec<f64>,
+    postings_visited: u64,
+    candidates_scored: u64,
+}
+
+struct Scanner<'a> {
+    index: RightIndex,
+    left: &'a IdVectors,
+    right: &'a IdVectors,
+    cfg: &'a SniffConfig,
+}
+
+impl Scanner<'_> {
+    /// Score each of `rows` against every right row that could be at least
+    /// `threshold` similar to it (and whatever else the walk meets).
+    fn scan(&self, rows: &[usize], threshold: f64) -> Scanned {
+        let mut out = Scanned {
+            pairs: Vec::new(),
+            unseen: Vec::with_capacity(rows.len()),
+            postings_visited: 0,
+            candidates_scored: 0,
+        };
+        // `met[j] == mark`: right row `j` was scored against the current
+        // left row. Marks are positions in `rows`, from 1.
+        let mut met = vec![0usize; self.right.len()];
+        // The current row's tokens that some right row holds: (posting
+        // length, id, weight), shortest posting first.
+        let mut walk: Vec<(usize, u32, f64)> = Vec::new();
+        // `bounds[p]`: no right row that shares only `walk[p..]` with the
+        // current row is more similar to it than this.
+        let mut bounds: Vec<f64> = Vec::new();
+        let mut found: Vec<(usize, f64)> = Vec::new();
+        let best_first =
+            |a: &(usize, f64), b: &(usize, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+
+        for (position, &i) in rows.iter().enumerate() {
+            let mark = position + 1;
+            let vector = self.left.get(i);
+            walk.clear();
+            for (&id, &weight) in vector.ids.iter().zip(vector.weights) {
+                let len = self.index.posting(id).len();
+                if len > 0 {
+                    walk.push((len, id, weight));
+                }
+            }
+            walk.sort_unstable_by_key(|&(len, id, _)| (len, id));
+
+            bounds.clear();
+            bounds.resize(walk.len() + 1, f64::NEG_INFINITY);
+            let (mut by_max_weight, mut squares) = (0.0f64, 0.0f64);
+            for (p, &(_, id, weight)) in walk.iter().enumerate().rev() {
+                by_max_weight += weight * self.index.max_weight[id as usize];
+                squares += weight * weight;
+                bounds[p] = by_max_weight.min(squares.sqrt()) * self.index.slack;
+            }
+
+            let mut walked = 0;
+            while walked < walk.len() && bounds[walked] >= threshold {
+                let posting = self.index.posting(walk[walked].1);
+                out.postings_visited += posting.len() as u64;
+                for &j in posting {
+                    let j = j as usize;
+                    if met[j] == mark {
+                        continue;
+                    }
+                    met[j] = mark;
+                    out.candidates_scored += 1;
+                    let similarity = vector.dot(&self.right.get(j)).clamp(0.0, 1.0);
+                    if similarity >= self.cfg.min_similarity {
+                        found.push((j, similarity));
+                    }
+                }
+                walked += 1;
+            }
+            out.unseen.push(bounds[walked]);
+
+            if found.len() > self.cfg.top_k {
+                found.select_nth_unstable_by(self.cfg.top_k - 1, best_first);
+                found.truncate(self.cfg.top_k);
+            }
+            out.pairs
+                .extend(found.drain(..).map(|(j, similarity)| TupleMatch {
+                    left: i,
+                    right: j,
+                    similarity,
+                }));
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hummer_engine::{table, Row, Value};
+    use hummer_textsim::tfidf::{Corpus, TfIdfVector};
+    use hummer_textsim::tokenize::word_tokens;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The definition of the answer: the full token-sharing join this
+    /// module used to run, kept as the reference the bounded scan is
+    /// compared against.
+    fn full_join_oracle(left: &Table, right: &Table, cfg: &SniffConfig) -> Vec<TupleMatch> {
+        let documents = |t: &Table| -> Vec<Vec<String>> {
+            t.rows()
+                .iter()
+                .map(|r| word_tokens(&r.as_document()))
+                .collect()
+        };
+        let left_docs = documents(left);
+        let right_docs = documents(right);
+        let corpus = Corpus::from_documents(left_docs.iter().chain(right_docs.iter()));
+        let left_vecs: Vec<TfIdfVector> =
+            left_docs.iter().map(|d| corpus.weight_vector(d)).collect();
+        let right_vecs: Vec<TfIdfVector> =
+            right_docs.iter().map(|d| corpus.weight_vector(d)).collect();
+
+        let mut index: HashMap<&str, Vec<(usize, f64)>> = HashMap::new();
+        for (j, v) in right_vecs.iter().enumerate() {
+            for (tok, w) in v.iter() {
+                index.entry(tok).or_default().push((j, w));
+            }
+        }
+        let mut pairs: Vec<TupleMatch> = Vec::new();
         let mut acc: HashMap<usize, f64> = HashMap::new();
-        for (k, v) in chunk.iter().enumerate() {
-            let i = offset + k;
+        for (i, v) in left_vecs.iter().enumerate() {
             acc.clear();
             for (tok, w) in v.iter() {
                 if let Some(posting) = index.get(tok) {
@@ -117,7 +468,7 @@ pub fn sniff_duplicates_par(
             for (&j, &dot) in &acc {
                 let sim = dot.clamp(0.0, 1.0);
                 if sim >= cfg.min_similarity {
-                    out.push(TupleMatch {
+                    pairs.push(TupleMatch {
                         left: i,
                         right: j,
                         similarity: sim,
@@ -125,40 +476,229 @@ pub fn sniff_duplicates_par(
                 }
             }
         }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-
-    pairs.sort_by(|a, b| {
-        b.similarity
-            .total_cmp(&a.similarity)
-            .then(a.left.cmp(&b.left))
-            .then(a.right.cmp(&b.right))
-    });
-
-    if cfg.one_to_one {
-        let mut used_l = vec![false; left.len()];
-        let mut used_r = vec![false; right.len()];
-        pairs.retain(|p| {
-            if used_l[p.left] || used_r[p.right] {
-                false
-            } else {
-                used_l[p.left] = true;
-                used_r[p.right] = true;
-                true
-            }
-        });
+        pairs.sort_by(full_join_order);
+        if cfg.one_to_one {
+            let mut used_l = vec![false; left.len()];
+            let mut used_r = vec![false; right.len()];
+            pairs.retain(|p| {
+                let free = !used_l[p.left] && !used_r[p.right];
+                if free {
+                    used_l[p.left] = true;
+                    used_r[p.right] = true;
+                }
+                free
+            });
+        }
+        pairs.truncate(cfg.top_k);
+        pairs
     }
-    pairs.truncate(cfg.top_k);
-    pairs
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hummer_engine::table;
+    /// Rows and similarity bits, for comparison.
+    fn bits(pairs: &[TupleMatch]) -> Vec<(usize, usize, u64)> {
+        pairs
+            .iter()
+            .map(|p| (p.left, p.right, p.similarity.to_bits()))
+            .collect()
+    }
+
+    /// Sniffing equals the oracle at degrees 1–4, and does the same work
+    /// at each, and equals it from a small first round too. Returns the
+    /// work at the real first round.
+    fn assert_equals_oracle(left: &Table, right: &Table, cfg: &SniffConfig) -> SniffStats {
+        let expected = bits(&full_join_oracle(left, right, cfg));
+        let tokens = TokenizedPair::new(left, right);
+        for first_rows in [1, 5] {
+            let (found, _) = sniff_from(&tokens, cfg, Parallelism::degree(2), first_rows);
+            assert_eq!(bits(&found), expected, "{cfg:?} from {first_rows} rows");
+        }
+        let (sequential, stats) = sniff_tokenized(&tokens, cfg, Parallelism::sequential());
+        assert_eq!(bits(&sequential), expected, "{cfg:?}");
+        for degree in 2..=4 {
+            let (parallel, parallel_stats) =
+                sniff_tokenized(&tokens, cfg, Parallelism::degree(degree));
+            assert_eq!(bits(&parallel), expected, "{cfg:?} at degree {degree}");
+            assert_eq!(parallel_stats, stats, "{cfg:?} at degree {degree}");
+        }
+        stats
+    }
+
+    /// Every `top_k` × `min_similarity` × `one_to_one` worth trying on a
+    /// small table pair.
+    fn small_table_configs() -> Vec<SniffConfig> {
+        let mut configs = Vec::new();
+        for top_k in [0, 1, 2, 10, 10_000] {
+            for min_similarity in [0.0, 0.2, 0.5, 0.9] {
+                for one_to_one in [true, false] {
+                    configs.push(SniffConfig {
+                        top_k,
+                        min_similarity,
+                        one_to_one,
+                    });
+                }
+            }
+        }
+        configs
+    }
+
+    /// A one-column table of the given documents (`None` is a NULL cell).
+    fn documents_table(name: &str, docs: &[Option<&str>]) -> Table {
+        let rows = docs
+            .iter()
+            .map(|d| Row::from_values(vec![d.map_or(Value::Null, Value::text)]))
+            .collect();
+        Table::from_rows(name, &["doc"], rows).expect("one column, one value per row")
+    }
+
+    #[test]
+    fn equals_oracle_when_every_row_shares_every_token() {
+        // No rare token to start from: the bound cannot cut anything.
+        let docs = [
+            "a b c",
+            "a a b c",
+            "a b b c",
+            "a b c c",
+            "c b a",
+            "a a a b c",
+            "a b c",
+            "b c a a",
+        ];
+        let left: Vec<Option<&str>> = docs.iter().copied().map(Some).collect();
+        let right: Vec<Option<&str>> = docs.iter().rev().copied().map(Some).collect();
+        let (l, r) = (documents_table("L", &left), documents_table("R", &right));
+        for cfg in small_table_configs() {
+            assert_equals_oracle(&l, &r, &cfg);
+        }
+    }
+
+    #[test]
+    fn equals_oracle_when_all_rows_are_identical() {
+        // Every pair scores 1.0: the row ids alone decide the order.
+        let docs = [Some("john smith chicago"); 7];
+        let (l, r) = (
+            documents_table("L", &docs),
+            documents_table("R", &docs[..5]),
+        );
+        for cfg in small_table_configs() {
+            let stats = assert_equals_oracle(&l, &r, &cfg);
+            if cfg.top_k > 0 && cfg.top_k <= 5 {
+                assert_eq!(stats.rounds, 1, "ties at 1.0 are settled at once: {cfg:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn equals_oracle_when_a_hub_row_forces_the_last_round() {
+        // The pairs the first round meets promise two 1:1 survivors; the
+        // round completed at their similarity then meets a better partner
+        // for a row both relied on, one survivor is left, and only the
+        // round at `min_similarity` finds the second.
+        let l = documents_table(
+            "L",
+            &[Some("t2 t0"), Some("t2 t3 t0 t0"), Some("t0 t1 t3 t2")],
+        );
+        let r = documents_table(
+            "R",
+            &[
+                Some("t2"),
+                Some("t0"),
+                Some("t2 t2"),
+                Some("t1 t1 t3"),
+                Some("t1 t2 t0 t0"),
+            ],
+        );
+        let cfg = SniffConfig {
+            top_k: 2,
+            min_similarity: 0.1,
+            one_to_one: true,
+        };
+        let stats = assert_equals_oracle(&l, &r, &cfg);
+        assert_eq!(stats.rounds, 3);
+        assert!(stats.rows_expanded > 0);
+        for cfg in small_table_configs() {
+            assert_equals_oracle(&l, &r, &cfg);
+        }
+    }
+
+    #[test]
+    fn equals_oracle_with_empty_and_null_rows() {
+        let left = [None, Some(""), Some("john smith"), Some(" - "), None];
+        let right = [Some("john smith"), None, Some("..."), Some("mary jones")];
+        let (l, r) = (documents_table("L", &left), documents_table("R", &right));
+        let nulls = documents_table("N", &[None, None, None]);
+        for cfg in small_table_configs() {
+            assert_equals_oracle(&l, &r, &cfg);
+            assert_equals_oracle(&l, &nulls, &cfg);
+            assert_equals_oracle(&nulls, &r, &cfg);
+            assert_equals_oracle(&nulls, &nulls, &cfg);
+        }
+    }
+
+    #[test]
+    fn equals_oracle_on_the_scenario_worlds() {
+        use hummer_datagen::scenarios::{
+            cd_shopping, disaster_registry, person_scale, student_rosters,
+        };
+        for world in [
+            cd_shopping(300, 5),
+            disaster_registry(300, 6),
+            student_rosters(300, 7),
+            person_scale(300, 8),
+        ] {
+            let (l, r) = (&world.sources[0].table, &world.sources[1].table);
+            for top_k in [10, 300, 2000] {
+                for min_similarity in [0.2, 0.3, 0.5] {
+                    for one_to_one in [true, false] {
+                        assert_equals_oracle(
+                            l,
+                            r,
+                            &SniffConfig {
+                                top_k,
+                                min_similarity,
+                                one_to_one,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A cell of a generated table: NULL, or up to three tokens of a small
+    /// alphabet (so rows share tokens and similarities tie).
+    fn generated_table(name: &str, cells: &[Vec<u32>], alphabet: u32) -> Table {
+        let value = |cell: &Vec<u32>| match cell.as_slice() {
+            [only] if only % 4 == 0 => Value::Null,
+            tokens => Value::text(
+                tokens
+                    .iter()
+                    .map(|t| format!("t{}", t % alphabet))
+                    .collect::<Vec<_>>()
+                    .join(" "),
+            ),
+        };
+        let rows = cells
+            .chunks_exact(2)
+            .map(|pair| Row::from_values(pair.iter().map(value).collect()))
+            .collect();
+        Table::from_rows(name, &["a", "b"], rows).expect("two columns, two values per row")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn equals_oracle_on_generated_tables(
+            left in prop::collection::vec(prop::collection::vec(0u32..1000, 0..4), 0..40),
+            right in prop::collection::vec(prop::collection::vec(0u32..1000, 0..4), 0..40),
+            alphabet in 2u32..12,
+        ) {
+            let l = generated_table("L", &left, alphabet);
+            let r = generated_table("R", &right, alphabet);
+            for cfg in small_table_configs() {
+                assert_equals_oracle(&l, &r, &cfg);
+            }
+        }
+    }
 
     fn left() -> Table {
         table! {

@@ -55,10 +55,11 @@ pub mod dumas;
 pub mod hungarian;
 pub mod matcher;
 pub mod matrix;
+mod tokens;
 pub mod transform;
 
 pub use correspondence::{Correspondence, MatchResult};
-pub use dumas::{sniff_duplicates, sniff_duplicates_par, SniffConfig, TupleMatch};
+pub use dumas::{sniff_duplicates, sniff_duplicates_par, SniffConfig, SniffStats, TupleMatch};
 pub use hummer_par::Parallelism;
 pub use hungarian::{max_weight_matching, Assignment};
 pub use matcher::{match_star, match_star_par, match_tables, match_tables_par, MatcherConfig};

@@ -2,15 +2,16 @@
 //! attribute correspondences.
 
 use crate::correspondence::{Correspondence, MatchResult};
-use crate::dumas::{sniff_duplicates_par, SniffConfig};
+use crate::dumas::{sniff_tokenized, SniffConfig, TupleMatch};
 use crate::hungarian::max_weight_matching;
 use crate::matrix::SimilarityMatrix;
-use hummer_engine::{Table, Value};
+use crate::tokens::{Side, TokenizedPair};
+use hummer_engine::Table;
 use hummer_par::{par_map, Parallelism};
+use hummer_textsim::interned::{IdVectors, InternedCorpus};
 use hummer_textsim::jaro::jaro_winkler;
-use hummer_textsim::softtfidf::SoftTfIdf;
-use hummer_textsim::tfidf::Corpus;
-use hummer_textsim::tokenize::word_tokens;
+use hummer_textsim::softtfidf::similarity_of_weighted;
+use hummer_textsim::tfidf::TfIdfVector;
 
 /// Configuration of the schema matcher.
 #[derive(Debug, Clone)]
@@ -41,20 +42,47 @@ impl Default for MatcherConfig {
     }
 }
 
-/// Tokenized view of every cell of a table, plus NULL flags.
-fn tokenized_cells(t: &Table) -> Vec<Vec<Option<Vec<String>>>> {
-    t.rows()
-        .iter()
-        .map(|r| {
-            r.values()
-                .iter()
-                .map(|v| match v {
-                    Value::Null => None,
-                    other => Some(word_tokens(&other.to_string())),
-                })
-                .collect()
+/// The averaged field-similarity matrix of the sniffed duplicates: each
+/// pair's fields compared with SoftTFIDF, one matrix per pair — computed in
+/// parallel, the tokens and the corpus are shared read-only — then the
+/// mean.
+fn field_matrix(
+    tokens: &TokenizedPair,
+    duplicates: &[TupleMatch],
+    soft_theta: f64,
+    par: Parallelism,
+) -> SimilarityMatrix {
+    // Field corpus: every non-null cell of either table is one document, so
+    // SoftTFIDF weights reflect how identifying a field value is.
+    let mut corpus = InternedCorpus::new(tokens.vocabulary.len());
+    for cell in tokens.non_null_cells() {
+        corpus.add_document(cell);
+    }
+    let idf = corpus.idf_table();
+    // One tuple's cells as SoftTFIDF takes them: tokens and unit vector.
+    let weighted_row = |side, row| -> Vec<(Vec<String>, TfIdfVector)> {
+        let mut vectors = IdVectors::new();
+        (0..tokens.cols(side))
+            .map(|col| {
+                let cell = tokens.cell(side, row, col);
+                vectors.push(cell, &idf);
+                (
+                    tokens.vocabulary.tokens_of(cell),
+                    vectors.get(col).to_tfidf(&tokens.vocabulary),
+                )
+            })
+            .collect()
+    };
+    let per_pair: Vec<SimilarityMatrix> = par_map(par, duplicates, |d| {
+        let lrow = weighted_row(Side::Left, d.left);
+        let rrow = weighted_row(Side::Right, d.right);
+        // A NULL cell has no tokens and scores 0 against everything.
+        SimilarityMatrix::from_fn(lrow.len(), rrow.len(), |i, j| {
+            let ((s, vs), (t, vt)) = (&lrow[i], &rrow[j]);
+            similarity_of_weighted(soft_theta, s, vs, t, vt)
         })
-        .collect()
+    });
+    SimilarityMatrix::mean(&per_pair).expect("at least one duplicate pair")
 }
 
 /// Match two tables' schemas by comparing the fields of sniffed duplicates.
@@ -111,36 +139,22 @@ pub fn match_tables_par(
     cfg: &MatcherConfig,
     par: Parallelism,
 ) -> MatchResult {
-    let duplicates = sniff_duplicates_par(left, right, &cfg.sniff, par);
+    assert!(
+        (0.0..=1.0).contains(&cfg.soft_theta),
+        "theta must be in [0,1]"
+    );
+    let tokens = TokenizedPair::new(left, right);
+    let (duplicates, sniff) = sniff_tokenized(&tokens, &cfg.sniff, par);
 
     let n_l = left.schema().len();
     let n_r = right.schema().len();
-
-    // Field corpus: every non-null cell of either table is one document, so
-    // SoftTFIDF weights reflect how identifying a field value is.
-    let left_cells = tokenized_cells(left);
-    let right_cells = tokenized_cells(right);
-    let corpus = Corpus::from_documents(
-        left_cells
-            .iter()
-            .chain(right_cells.iter())
-            .flatten()
-            .flatten(),
-    );
-    let soft = SoftTfIdf::with_theta(&corpus, cfg.soft_theta);
-
-    // One similarity matrix per duplicate pair — computed in parallel (the
-    // corpus and cell caches are shared read-only) — then averaged.
-    let per_pair: Vec<SimilarityMatrix> = par_map(par, &duplicates, |d| {
-        let lrow = &left_cells[d.left];
-        let rrow = &right_cells[d.right];
-        SimilarityMatrix::from_fn(n_l, n_r, |i, j| match (&lrow[i], &rrow[j]) {
-            (Some(a), Some(b)) => soft.similarity(a, b),
-            _ => 0.0,
-        })
-    });
-    let mut matrix =
-        SimilarityMatrix::mean(&per_pair).unwrap_or_else(|| SimilarityMatrix::zeros(n_l, n_r));
+    // Without duplicates there is nothing to compare field-wise: no field
+    // corpus is built.
+    let mut matrix = if duplicates.is_empty() {
+        SimilarityMatrix::zeros(n_l, n_r)
+    } else {
+        field_matrix(&tokens, &duplicates, cfg.soft_theta, par)
+    };
 
     // Optional label-similarity blend (ablation knob; default off).
     if cfg.label_weight > 0.0 {
@@ -172,6 +186,7 @@ pub fn match_tables_par(
         right_table: right.name().to_string(),
         correspondences,
         duplicates_used: duplicates,
+        sniff,
         matrix,
     }
 }
@@ -276,6 +291,92 @@ mod tests {
         let r = match_tables(&a, &b, &MatcherConfig::default());
         assert!(r.duplicates_used.is_empty());
         assert!(r.correspondences.is_empty());
+    }
+
+    #[test]
+    fn disjoint_tables_give_the_empty_result() {
+        // No token in common: nothing is sniffed, so no field is compared
+        // and the matrix is the zero matrix of the schemas' shape.
+        let a = table! {
+            "A" => ["x", "y", "z"];
+            ["aaa bbb", 1, ()],
+            ["ccc", 2, "ddd"],
+        };
+        let b = table! {
+            "B" => ["u", "v"];
+            ["eee fff", 30],
+            ["ggg", 40],
+            [(), 50],
+        };
+        let r = match_tables(&a, &b, &MatcherConfig::default());
+        assert!(r.duplicates_used.is_empty());
+        assert!(r.correspondences.is_empty());
+        assert_eq!(r.sniff.candidates_scored, 0);
+        assert_eq!((r.matrix.rows(), r.matrix.cols()), (3, 2));
+        assert!(r.matrix.to_nested().iter().flatten().all(|&v| v == 0.0));
+    }
+
+    /// The averaged matrix as the string path computes it: every cell
+    /// tokenized to `String`s, a hash-map corpus, `SoftTfIdf` per field pair.
+    fn string_path_matrix(left: &Table, right: &Table, result: &MatchResult) -> SimilarityMatrix {
+        use hummer_textsim::{word_tokens, Corpus, SoftTfIdf};
+        let cells = |t: &Table| -> Vec<Vec<Option<Vec<String>>>> {
+            t.rows()
+                .iter()
+                .map(|r| {
+                    let tokens = |v: &hummer_engine::Value| v.as_text().map(|s| word_tokens(&s));
+                    r.values().iter().map(tokens).collect()
+                })
+                .collect()
+        };
+        let (left_cells, right_cells) = (cells(left), cells(right));
+        let corpus = Corpus::from_documents(
+            left_cells
+                .iter()
+                .chain(right_cells.iter())
+                .flatten()
+                .flatten(),
+        );
+        let soft = SoftTfIdf::with_theta(&corpus, MatcherConfig::default().soft_theta);
+        let per_pair: Vec<SimilarityMatrix> = result
+            .duplicates_used
+            .iter()
+            .map(|d| {
+                let (lrow, rrow) = (&left_cells[d.left], &right_cells[d.right]);
+                SimilarityMatrix::from_fn(lrow.len(), rrow.len(), |i, j| {
+                    match (&lrow[i], &rrow[j]) {
+                        (Some(a), Some(b)) => soft.similarity(a, b),
+                        _ => 0.0,
+                    }
+                })
+            })
+            .collect();
+        SimilarityMatrix::mean(&per_pair).expect("duplicates were sniffed")
+    }
+
+    #[test]
+    fn field_matrix_equals_the_string_path_bit_for_bit() {
+        use hummer_datagen::scenarios::{cd_shopping, person_scale, student_rosters};
+        for world in [
+            cd_shopping(120, 1),
+            student_rosters(120, 2),
+            person_scale(120, 3),
+        ] {
+            let (l, r) = (&world.sources[0].table, &world.sources[1].table);
+            let result = match_tables(l, r, &MatcherConfig::default());
+            assert!(!result.duplicates_used.is_empty());
+            let bits = |m: &SimilarityMatrix| -> Vec<u64> {
+                m.to_nested()
+                    .iter()
+                    .flatten()
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            assert_eq!(
+                bits(&result.matrix),
+                bits(&string_path_matrix(l, r, &result))
+            );
+        }
     }
 
     #[test]

@@ -1,0 +1,324 @@
+//! Interned tokens: the TF-IDF machinery of [`crate::tfidf`] over dense
+//! `u32` token ids instead of `String`s.
+//!
+//! A caller that weighs the same text more than once (DUMAS sniffing weighs
+//! every tuple as one document, then every cell as one) tokenizes it once
+//! through an [`Interner`]. [`Interner::finish`] numbers the tokens **in
+//! string order**, so sorting ids is sorting tokens: an [`IdVectors`] entry
+//! lists its weights in the order a [`TfIdfVector`] does, its norm adds the
+//! same squares in the same order, and [`IdVector::dot`] adds the same
+//! products in the same order as [`TfIdfVector::cosine`]. Every float that
+//! comes out of this module is bit-identical to the string path's.
+
+use crate::tfidf::{l2_normalize, merge_dot, smoothed_idf, TfIdfVector};
+use crate::tokenize::for_each_word;
+use std::collections::HashMap;
+
+/// Tokenizes text into token ids, numbering tokens as it first sees them.
+///
+/// The ids handed out while tokenizing are provisional; [`Interner::finish`]
+/// replaces them with the final, string-ordered ones.
+#[derive(Debug, Default)]
+pub struct Interner {
+    ids: HashMap<String, u32>,
+    word: String,
+}
+
+impl Interner {
+    /// An interner that has seen no token.
+    pub fn new() -> Self {
+        Interner::default()
+    }
+
+    /// Append the provisional ids of `text`'s word tokens (the tokens of
+    /// [`crate::tokenize::word_tokens`], in order) to `out`.
+    pub fn tokenize_into(&mut self, text: &str, out: &mut Vec<u32>) {
+        let ids = &mut self.ids;
+        for_each_word(text, &mut self.word, |word| {
+            let id = match ids.get(word) {
+                Some(&id) => id,
+                None => {
+                    let id = u32::try_from(ids.len()).expect("fewer than 2^32 distinct tokens");
+                    ids.insert(word.to_string(), id);
+                    id
+                }
+            };
+            out.push(id);
+        });
+    }
+
+    /// Number the tokens in string order and rewrite `ids` — every id this
+    /// interner handed out that the caller still holds — to the final
+    /// numbering.
+    pub fn finish(self, ids: &mut [u32]) -> Vocabulary {
+        let mut by_token: Vec<(String, u32)> = self.ids.into_iter().collect();
+        by_token.sort_unstable();
+        let mut rank = vec![0u32; by_token.len()];
+        let tokens = by_token
+            .into_iter()
+            .enumerate()
+            .map(|(r, (token, provisional))| {
+                rank[provisional as usize] = r as u32;
+                token
+            })
+            .collect();
+        for id in ids {
+            *id = rank[*id as usize];
+        }
+        Vocabulary { tokens }
+    }
+}
+
+/// The distinct tokens of an [`Interner`], sorted; a token's id is its
+/// position.
+#[derive(Debug, Clone, Default)]
+pub struct Vocabulary {
+    tokens: Vec<String>,
+}
+
+impl Vocabulary {
+    /// Number of distinct tokens (ids are `0..len`).
+    pub fn len(&self) -> usize {
+        self.tokens.len()
+    }
+
+    /// True when no token was interned.
+    pub fn is_empty(&self) -> bool {
+        self.tokens.is_empty()
+    }
+
+    /// The token with this id.
+    pub fn token(&self, id: u32) -> &str {
+        &self.tokens[id as usize]
+    }
+
+    /// The tokens of a document given as ids.
+    pub fn tokens_of(&self, ids: &[u32]) -> Vec<String> {
+        ids.iter().map(|&id| self.token(id).to_string()).collect()
+    }
+}
+
+/// Document frequencies per token id — [`crate::tfidf::Corpus`] with a
+/// `Vec` where that has a hash map.
+#[derive(Debug, Clone)]
+pub struct InternedCorpus {
+    doc_count: usize,
+    df: Vec<u32>,
+    scratch: Vec<u32>,
+}
+
+impl InternedCorpus {
+    /// An empty corpus over a vocabulary of `vocabulary_len` tokens.
+    pub fn new(vocabulary_len: usize) -> Self {
+        InternedCorpus {
+            doc_count: 0,
+            df: vec![0; vocabulary_len],
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Count one document: each distinct id's document frequency grows by
+    /// one.
+    pub fn add_document(&mut self, ids: &[u32]) {
+        self.doc_count += 1;
+        self.scratch.clear();
+        self.scratch.extend_from_slice(ids);
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
+        for &id in &self.scratch {
+            self.df[id as usize] += 1;
+        }
+    }
+
+    /// Number of documents added.
+    pub fn doc_count(&self) -> usize {
+        self.doc_count
+    }
+
+    /// Document frequency of a token id.
+    pub fn df(&self, id: u32) -> usize {
+        self.df[id as usize] as usize
+    }
+
+    /// Smoothed inverse document frequency, as [`crate::tfidf::Corpus::idf`].
+    pub fn idf(&self, id: u32) -> f64 {
+        smoothed_idf(self.doc_count, self.df(id))
+    }
+
+    /// The IDF of every token id, for callers that weigh many documents.
+    pub fn idf_table(&self) -> Vec<f64> {
+        (0..self.df.len() as u32).map(|id| self.idf(id)).collect()
+    }
+}
+
+/// Unit TF-IDF vectors of many documents in one allocation: the distinct
+/// ids of all documents back to back (sorted within a document), their
+/// weights alongside.
+#[derive(Debug, Clone, Default)]
+pub struct IdVectors {
+    /// Document `d` occupies `ends[d - 1]..ends[d]` (from 0 for the first).
+    ends: Vec<usize>,
+    ids: Vec<u32>,
+    weights: Vec<f64>,
+}
+
+impl IdVectors {
+    /// No vectors yet.
+    pub fn new() -> Self {
+        IdVectors::default()
+    }
+
+    /// Append the unit vector of document `ids` (token ids in any order,
+    /// repeats counted): `v(w) = ln(1 + tf(w)) · idf[w]`, L2-normalized, as
+    /// [`crate::tfidf::Corpus::weight_vector`] computes it.
+    pub fn push(&mut self, ids: &[u32], idf: &[f64]) {
+        let start = self.ids.len();
+        self.ids.extend_from_slice(ids);
+        self.ids[start..].sort_unstable();
+        // Compact each run of equal ids to one entry, in place.
+        let (mut read, mut write) = (start, start);
+        while read < self.ids.len() {
+            let id = self.ids[read];
+            let run = self.ids[read..].iter().take_while(|&&x| x == id).count();
+            read += run;
+            self.ids[write] = id;
+            write += 1;
+            self.weights
+                .push((1.0 + run as f64).ln() * idf[id as usize]);
+        }
+        self.ids.truncate(write);
+        l2_normalize(&mut self.weights[start..]);
+        self.ends.push(write);
+    }
+
+    /// Number of vectors.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when no vector was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The `d`-th vector pushed.
+    pub fn get(&self, d: usize) -> IdVector<'_> {
+        let start = if d == 0 { 0 } else { self.ends[d - 1] };
+        let end = self.ends[d];
+        IdVector {
+            ids: &self.ids[start..end],
+            weights: &self.weights[start..end],
+        }
+    }
+}
+
+/// One unit TF-IDF vector of an [`IdVectors`]: distinct token ids, sorted,
+/// and the weight of each.
+#[derive(Debug, Clone, Copy)]
+pub struct IdVector<'a> {
+    /// Distinct token ids, ascending.
+    pub ids: &'a [u32],
+    /// `weights[i]` is the weight of `ids[i]`.
+    pub weights: &'a [f64],
+}
+
+impl IdVector<'_> {
+    /// Dot product with `other`, the matched products added in id order —
+    /// [`TfIdfVector::cosine`] before its clamp.
+    pub fn dot(&self, other: &IdVector<'_>) -> f64 {
+        merge_dot(self.ids, self.weights, other.ids, other.weights)
+    }
+
+    /// The same vector over the tokens themselves.
+    pub fn to_tfidf(&self, vocabulary: &Vocabulary) -> TfIdfVector {
+        TfIdfVector::from_sorted(vocabulary.tokens_of(self.ids), self.weights.to_vec())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tfidf::Corpus;
+    use crate::tokenize::word_tokens;
+
+    const DOCS: [&str; 5] = [
+        "The Beatles - Abbey Road (1969)",
+        "the beatles: let it be, let it be",
+        "Pink Floyd — The Wall",
+        "",
+        "Käse-Straße 12, the the the",
+    ];
+
+    /// Intern `DOCS`; returns the vocabulary and each document's final ids.
+    fn interned() -> (Vocabulary, Vec<Vec<u32>>) {
+        let mut interner = Interner::new();
+        let mut flat = Vec::new();
+        let mut ends = Vec::new();
+        for doc in DOCS {
+            interner.tokenize_into(doc, &mut flat);
+            ends.push(flat.len());
+        }
+        let vocabulary = interner.finish(&mut flat);
+        let mut start = 0;
+        let docs = ends
+            .into_iter()
+            .map(|end| {
+                let doc = flat[start..end].to_vec();
+                start = end;
+                doc
+            })
+            .collect();
+        (vocabulary, docs)
+    }
+
+    #[test]
+    fn ids_follow_string_order_and_round_trip() {
+        let (vocabulary, docs) = interned();
+        for id in 1..vocabulary.len() as u32 {
+            assert!(vocabulary.token(id - 1) < vocabulary.token(id));
+        }
+        for (doc, ids) in DOCS.iter().zip(&docs) {
+            assert_eq!(vocabulary.tokens_of(ids), word_tokens(doc));
+        }
+    }
+
+    #[test]
+    fn statistics_and_vectors_equal_the_string_corpus_bit_for_bit() {
+        let (vocabulary, docs) = interned();
+        let strings: Vec<Vec<String>> = DOCS.iter().map(|d| word_tokens(d)).collect();
+        let reference = Corpus::from_documents(strings.iter());
+        let mut corpus = InternedCorpus::new(vocabulary.len());
+        for ids in &docs {
+            corpus.add_document(ids);
+        }
+        assert_eq!(corpus.doc_count(), reference.doc_count());
+        for id in 0..vocabulary.len() as u32 {
+            let token = vocabulary.token(id);
+            assert_eq!(corpus.df(id), reference.df(token), "{token}");
+            assert_eq!(corpus.idf(id).to_bits(), reference.idf(token).to_bits());
+        }
+
+        let idf = corpus.idf_table();
+        let mut vectors = IdVectors::new();
+        for ids in &docs {
+            vectors.push(ids, &idf);
+        }
+        assert_eq!(vectors.len(), DOCS.len());
+        let expected: Vec<TfIdfVector> =
+            strings.iter().map(|d| reference.weight_vector(d)).collect();
+        for (a, want_a) in expected.iter().enumerate() {
+            let got_a = vectors.get(a).to_tfidf(&vocabulary);
+            assert_eq!(got_a.tokens(), want_a.tokens());
+            let bits =
+                |v: &TfIdfVector| v.weights().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got_a), bits(want_a));
+            for (b, want_b) in expected.iter().enumerate() {
+                let dot = vectors.get(a).dot(&vectors.get(b));
+                assert_eq!(
+                    dot.clamp(0.0, 1.0).to_bits(),
+                    want_a.cosine(want_b).to_bits()
+                );
+            }
+        }
+    }
+}

@@ -10,6 +10,8 @@
 //! * [`tfidf`] — corpus statistics, TF-IDF weight vectors, cosine
 //!   similarity (DUMAS's tuple-as-string ranking) and the *soft IDF* that
 //!   weighs a data item's identifying power,
+//! * [`interned`] — the same statistics and vectors over dense token ids,
+//!   for callers that tokenize once and weigh the text several times,
 //! * [`softtfidf`] — SoftTFIDF (Cohen, Ravikumar & Fienberg 2003), the
 //!   hybrid measure DUMAS uses for field-wise comparison of duplicates,
 //! * [`numeric`] — relative and range-scaled numeric similarity.
@@ -35,6 +37,7 @@
 #![forbid(unsafe_code)]
 
 pub mod edit;
+pub mod interned;
 pub mod jaro;
 pub mod numeric;
 pub mod softtfidf;
@@ -45,6 +48,7 @@ pub use edit::{
     damerau_levenshtein, levenshtein, levenshtein_chars, levenshtein_similarity,
     levenshtein_similarity_chars, EditScratch,
 };
+pub use interned::{IdVector, IdVectors, InternedCorpus, Interner, Vocabulary};
 pub use jaro::{jaro, jaro_winkler};
 pub use numeric::{relative_similarity, scaled_similarity};
 pub use softtfidf::SoftTfIdf;

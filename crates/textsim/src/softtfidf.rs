@@ -50,48 +50,59 @@ impl<'c> SoftTfIdf<'c> {
     pub fn directed(&self, s: &[String], t: &[String]) -> f64 {
         let vs = self.corpus.weight_vector(s);
         let vt = self.corpus.weight_vector(t);
-        self.directed_vec(&vs, &vt, s, t)
-    }
-
-    fn directed_vec(&self, vs: &TfIdfVector, vt: &TfIdfVector, s: &[String], t: &[String]) -> f64 {
-        if s.is_empty() || t.is_empty() {
-            return 0.0;
-        }
-        // Distinct tokens of S (weights already aggregate repeats).
-        let mut seen: Vec<&String> = Vec::new();
-        let mut score = 0.0;
-        for w in s {
-            if seen.contains(&w) {
-                continue;
-            }
-            seen.push(w);
-            // Best secondary match in T.
-            let mut best_sim = 0.0;
-            let mut best_tok: Option<&String> = None;
-            for v in t {
-                let sim = if w == v { 1.0 } else { jaro_winkler(w, v) };
-                if sim > best_sim {
-                    best_sim = sim;
-                    best_tok = Some(v);
-                }
-            }
-            if best_sim >= self.theta {
-                if let Some(v) = best_tok {
-                    score += vs.weight(w) * vt.weight(v) * best_sim;
-                }
-            }
-        }
-        score.clamp(0.0, 1.0)
+        directed(self.theta, &vs, &vt, s, t)
     }
 
     /// Symmetric SoftTFIDF similarity: the mean of both directed scores.
     pub fn similarity(&self, s: &[String], t: &[String]) -> f64 {
         let vs = self.corpus.weight_vector(s);
         let vt = self.corpus.weight_vector(t);
-        let st = self.directed_vec(&vs, &vt, s, t);
-        let ts = self.directed_vec(&vt, &vs, t, s);
-        (st + ts) / 2.0
+        similarity_of_weighted(self.theta, s, &vs, t, &vt)
     }
+}
+
+/// [`SoftTfIdf::similarity`] for token lists whose unit TF-IDF vectors the
+/// caller already holds (`vs` for `s`, `vt` for `t`) — the entry point for
+/// weights that come from an [`crate::interned::InternedCorpus`].
+pub fn similarity_of_weighted(
+    theta: f64,
+    s: &[String],
+    vs: &TfIdfVector,
+    t: &[String],
+    vt: &TfIdfVector,
+) -> f64 {
+    (directed(theta, vs, vt, s, t) + directed(theta, vt, vs, t, s)) / 2.0
+}
+
+fn directed(theta: f64, vs: &TfIdfVector, vt: &TfIdfVector, s: &[String], t: &[String]) -> f64 {
+    if s.is_empty() || t.is_empty() {
+        return 0.0;
+    }
+    // Distinct tokens of S (weights already aggregate repeats).
+    let mut seen: Vec<&String> = Vec::new();
+    let mut score = 0.0;
+    for w in s {
+        if seen.contains(&w) {
+            continue;
+        }
+        seen.push(w);
+        // Best secondary match in T.
+        let mut best_sim = 0.0;
+        let mut best_tok: Option<&String> = None;
+        for v in t {
+            let sim = if w == v { 1.0 } else { jaro_winkler(w, v) };
+            if sim > best_sim {
+                best_sim = sim;
+                best_tok = Some(v);
+            }
+        }
+        if best_sim >= theta {
+            if let Some(v) = best_tok {
+                score += vs.weight(w) * vt.weight(v) * best_sim;
+            }
+        }
+    }
+    score.clamp(0.0, 1.0)
 }
 
 #[cfg(test)]

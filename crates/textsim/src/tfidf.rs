@@ -17,6 +17,9 @@ use std::collections::HashMap;
 pub struct Corpus {
     doc_count: usize,
     df: HashMap<String, usize>,
+    /// Token positions of the document being counted, reused across
+    /// [`Corpus::add_document`] calls.
+    scratch: Vec<usize>,
 }
 
 impl Corpus {
@@ -40,12 +43,32 @@ impl Corpus {
 
     /// Count one document: each *distinct* token's document frequency grows
     /// by one.
+    ///
+    /// Distinct tokens are found by sorting the token positions in a buffer
+    /// the corpus keeps, and a token is copied only the first time the
+    /// corpus sees it.
     pub fn add_document(&mut self, tokens: &[String]) {
-        self.doc_count += 1;
-        let mut seen: HashMap<&String, ()> = HashMap::with_capacity(tokens.len());
-        for t in tokens {
-            if seen.insert(t, ()).is_none() {
-                *self.df.entry(t.clone()).or_insert(0) += 1;
+        let Corpus {
+            doc_count,
+            df,
+            scratch: order,
+        } = self;
+        *doc_count += 1;
+        order.clear();
+        order.extend(0..tokens.len());
+        order.sort_unstable_by(|&a, &b| tokens[a].cmp(&tokens[b]));
+        let mut previous: Option<&String> = None;
+        for &i in order.iter() {
+            let token = &tokens[i];
+            if previous == Some(token) {
+                continue;
+            }
+            previous = Some(token);
+            match df.get_mut(token.as_str()) {
+                Some(count) => *count += 1,
+                None => {
+                    df.insert(token.clone(), 1);
+                }
             }
         }
     }
@@ -66,8 +89,7 @@ impl Corpus {
     /// highest weight in the corpus, as an unseen token is maximally
     /// identifying).
     pub fn idf(&self, token: &str) -> f64 {
-        let n = self.doc_count as f64;
-        (1.0 + n / (self.df(token) as f64 + 1.0)).ln()
+        smoothed_idf(self.doc_count, self.df(token))
     }
 
     /// IDF squashed into `(0, 1]`: `idf(token) / ln(1 + N)`.
@@ -107,12 +129,7 @@ impl Corpus {
             out_tokens.push(token.clone());
             weights.push((1.0 + run as f64).ln() * self.idf(token));
         }
-        let norm: f64 = weights.iter().map(|w| w * w).sum::<f64>().sqrt();
-        if norm > 0.0 {
-            for w in &mut weights {
-                *w /= norm;
-            }
-        }
+        l2_normalize(&mut weights);
         TfIdfVector {
             tokens: out_tokens,
             weights,
@@ -123,6 +140,43 @@ impl Corpus {
     pub fn tfidf_cosine(&self, a: &[String], b: &[String]) -> f64 {
         self.weight_vector(a).cosine(&self.weight_vector(b))
     }
+}
+
+/// `ln(1 + N / (df + 1))` — the one IDF formula, shared by [`Corpus`] and
+/// the interned corpus so both produce the same bits.
+pub(crate) fn smoothed_idf(doc_count: usize, df: usize) -> f64 {
+    let n = doc_count as f64;
+    (1.0 + n / (df as f64 + 1.0)).ln()
+}
+
+/// Scale `weights` to unit L2 length (all-zero input is left alone). The
+/// squares are summed in slice order.
+pub(crate) fn l2_normalize(weights: &mut [f64]) {
+    let norm: f64 = weights.iter().map(|w| w * w).sum::<f64>().sqrt();
+    if norm > 0.0 {
+        for w in weights {
+            *w /= norm;
+        }
+    }
+}
+
+/// Dot product of two sparse vectors given as parallel key/weight arrays
+/// sorted by key: a merge-join that adds the matched products in key order.
+pub(crate) fn merge_dot<K: Ord>(a: &[K], aw: &[f64], b: &[K], bw: &[f64]) -> f64 {
+    let mut dot = 0.0f64;
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                dot += aw[i] * bw[j];
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    dot
 }
 
 /// A unit-normalized sparse TF-IDF vector in columnar (SoA) form.
@@ -145,6 +199,12 @@ pub struct TfIdfVector {
 }
 
 impl TfIdfVector {
+    /// A vector from parallel arrays already sorted by token.
+    pub(crate) fn from_sorted(tokens: Vec<String>, weights: Vec<f64>) -> Self {
+        debug_assert_eq!(tokens.len(), weights.len());
+        TfIdfVector { tokens, weights }
+    }
+
     /// The weight of a token (0 when absent).
     pub fn weight(&self, token: &str) -> f64 {
         self.tokens
@@ -191,20 +251,7 @@ impl TfIdfVector {
     /// contributed `+0.0`, and both sides' weights are non-negative, so
     /// skipping the misses never changes a bit of the sum).
     pub fn cosine(&self, other: &TfIdfVector) -> f64 {
-        let mut dot = 0.0f64;
-        let (mut i, mut j) = (0, 0);
-        while i < self.tokens.len() && j < other.tokens.len() {
-            match self.tokens[i].cmp(&other.tokens[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    dot += self.weights[i] * other.weights[j];
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        dot.clamp(0.0, 1.0)
+        merge_dot(&self.tokens, &self.weights, &other.tokens, &other.weights).clamp(0.0, 1.0)
     }
 }
 

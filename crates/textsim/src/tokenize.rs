@@ -9,6 +9,28 @@ pub fn normalize(s: &str) -> String {
     s.to_lowercase()
 }
 
+/// Feed every lowercase alphanumeric word of `s` to `f`, in order.
+///
+/// `word` is the buffer the words are built in; callers that tokenize many
+/// strings pass the same one, so tokenizing allocates nothing of its own.
+/// This is the one definition of "word token": [`word_tokens`] and the
+/// interning tokenizer ([`crate::interned::Interner`]) both run it.
+pub(crate) fn for_each_word(s: &str, word: &mut String, mut f: impl FnMut(&str)) {
+    word.clear();
+    for c in s.chars() {
+        if c.is_alphanumeric() {
+            word.extend(c.to_lowercase());
+        } else if !word.is_empty() {
+            f(word);
+            word.clear();
+        }
+    }
+    if !word.is_empty() {
+        f(word);
+        word.clear();
+    }
+}
+
 /// Split into lowercase alphanumeric word tokens.
 ///
 /// ```
@@ -18,17 +40,7 @@ pub fn normalize(s: &str) -> String {
 /// ```
 pub fn word_tokens(s: &str) -> Vec<String> {
     let mut out = Vec::new();
-    let mut cur = String::new();
-    for c in s.chars() {
-        if c.is_alphanumeric() {
-            cur.extend(c.to_lowercase());
-        } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
+    for_each_word(s, &mut String::new(), |w| out.push(w.to_string()));
     out
 }
 

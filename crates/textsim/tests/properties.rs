@@ -126,4 +126,48 @@ proptest! {
         let s = corpus.soft_idf(&token);
         prop_assert!((0.0..=1.0).contains(&s));
     }
+
+    /// A document counts once per distinct token, whatever the order and
+    /// the repeats: the counts equal a hash-set count per document, and an
+    /// interned corpus over the same documents holds the same numbers.
+    #[test]
+    fn document_frequencies_equal_a_set_count(
+        docs in prop::collection::vec("[a-d ]{0,12}", 0..12),
+    ) {
+        let docs: Vec<Vec<String>> = docs.iter().map(|d| word_tokens(d)).collect();
+        let mut expected: std::collections::HashMap<&str, usize> = Default::default();
+        for doc in &docs {
+            let distinct: std::collections::HashSet<&str> = doc.iter().map(String::as_str).collect();
+            for token in distinct {
+                *expected.entry(token).or_default() += 1;
+            }
+        }
+        let corpus = Corpus::from_documents(docs.iter());
+        prop_assert_eq!(corpus.doc_count(), docs.len());
+        for token in ["a", "b", "c", "d", "aa", "ab", "dd", "abcd", "zzz"] {
+            prop_assert_eq!(corpus.df(token), expected.get(token).copied().unwrap_or(0));
+        }
+        for (token, &df) in &expected {
+            prop_assert_eq!(corpus.df(token), df);
+        }
+
+        let mut interner = Interner::new();
+        let (mut ids, mut ends) = (Vec::new(), Vec::new());
+        for doc in &docs {
+            interner.tokenize_into(&doc.join(" "), &mut ids);
+            ends.push(ids.len());
+        }
+        let vocabulary = interner.finish(&mut ids);
+        let mut interned = InternedCorpus::new(vocabulary.len());
+        let mut start = 0;
+        for end in ends {
+            interned.add_document(&ids[start..end]);
+            start = end;
+        }
+        prop_assert_eq!(vocabulary.len(), expected.len());
+        for id in 0..vocabulary.len() as u32 {
+            prop_assert_eq!(interned.df(id), expected[vocabulary.token(id)]);
+            prop_assert_eq!(interned.idf(id).to_bits(), corpus.idf(vocabulary.token(id)).to_bits());
+        }
+    }
 }

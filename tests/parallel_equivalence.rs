@@ -10,7 +10,7 @@
 
 use hummer::core::{fuse_prepared_par, prepare_tables, HummerConfig, Parallelism, PipelineOutcome};
 use hummer::datagen::scenarios::{
-    cd_shopping, cleansing_service, disaster_registry, student_rosters,
+    cd_shopping, cleansing_service, disaster_registry, person_scale, student_rosters,
 };
 use hummer::datagen::GeneratedWorld;
 use hummer::engine::Table;
@@ -103,5 +103,89 @@ proptest! {
         let a = run(&world, Parallelism::degree(4));
         let b = run(&world, Parallelism::degree(4));
         prop_assert_eq!(fingerprint(&a), fingerprint(&b));
+    }
+}
+
+/// The answer sniffing is defined by: every pair of tuples scored by the
+/// cosine of their TF-IDF vectors, pairs at or above `min_similarity`
+/// sorted by (similarity descending, left row, right row), filtered to 1:1,
+/// cut to `top_k`. (With `min_similarity > 0` a pair that shares no token
+/// scores 0 and drops out, so all pairs stand in for the token-sharing
+/// join.)
+fn full_join(left: &Table, right: &Table, cfg: &SniffConfig) -> Vec<(usize, usize, u64)> {
+    use hummer::textsim::{word_tokens, Corpus};
+    let documents = |t: &Table| -> Vec<Vec<String>> {
+        t.rows()
+            .iter()
+            .map(|r| word_tokens(&r.as_document()))
+            .collect()
+    };
+    let (left_docs, right_docs) = (documents(left), documents(right));
+    let corpus = Corpus::from_documents(left_docs.iter().chain(right_docs.iter()));
+    let vectors = |docs: &[Vec<String>]| {
+        docs.iter()
+            .map(|d| corpus.weight_vector(d))
+            .collect::<Vec<_>>()
+    };
+    let (left_vecs, right_vecs) = (vectors(&left_docs), vectors(&right_docs));
+    let mut pairs = Vec::new();
+    for (i, a) in left_vecs.iter().enumerate() {
+        for (j, b) in right_vecs.iter().enumerate() {
+            let similarity = a.cosine(b);
+            if similarity >= cfg.min_similarity {
+                pairs.push((i, j, similarity));
+            }
+        }
+    }
+    pairs.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+    let (mut used_l, mut used_r) = (vec![false; left.len()], vec![false; right.len()]);
+    pairs.retain(|&(i, j, _)| {
+        let free = !cfg.one_to_one || (!used_l[i] && !used_r[j]);
+        if free {
+            (used_l[i], used_r[j]) = (true, true);
+        }
+        free
+    });
+    pairs.truncate(cfg.top_k);
+    pairs
+        .into_iter()
+        .map(|(i, j, s)| (i, j, s.to_bits()))
+        .collect()
+}
+
+/// Bounded top-k sniffing returns the full join's pairs — rows and
+/// similarity bits — at degrees 1–4, on the scenario worlds.
+#[test]
+fn sniffing_equals_the_full_join_at_every_degree() {
+    use hummer::matching::sniff_duplicates_par;
+    let worlds = [
+        cd_shopping(300, 21),
+        disaster_registry(300, 22),
+        student_rosters(300, 23),
+        person_scale(300, 24),
+    ];
+    for world in &worlds {
+        let (left, right) = (&world.sources[0].table, &world.sources[1].table);
+        for (top_k, min_similarity, one_to_one) in [
+            (10, 0.3, true),
+            (10, 0.5, false),
+            (300, 0.2, true),
+            (5000, 0.3, true),
+        ] {
+            let cfg = SniffConfig {
+                top_k,
+                min_similarity,
+                one_to_one,
+            };
+            let expected = full_join(left, right, &cfg);
+            for degree in 1..=4 {
+                let sniffed: Vec<(usize, usize, u64)> =
+                    sniff_duplicates_par(left, right, &cfg, Parallelism::degree(degree))
+                        .iter()
+                        .map(|p| (p.left, p.right, p.similarity.to_bits()))
+                        .collect();
+                assert_eq!(sniffed, expected, "{cfg:?} at degree {degree}");
+            }
+        }
     }
 }
