@@ -10,9 +10,11 @@
 //!    A mismatch aborts the experiment.
 //! 2. **Scoring throughput** (hard gate): on the ≈ 10k-row `person_scale`
 //!    union, single-thread candidate-pair scoring through the columnar
-//!    kernel must be ≥ 1.5× the row path, *including* the one-off cost of
-//!    transposing the measure. The two scorings must also agree bit for
-//!    bit (pairs, unsure, counters).
+//!    kernel must be ≥ 1.5× the row path. Both read the same measure (the
+//!    columnar view copies nothing), so the gap is the kernel's staged
+//!    bound: about one edit distance per compared pair where the row path
+//!    runs one per text attribute. The two scorings must also agree bit
+//!    for bit (pairs, unsure, counters).
 //! 3. **Transform / annotation** (reported, no gate): wall time of the
 //!    per-cell-clone row transform vs. the column-splicing transform, and
 //!    of the old clone-then-push `objectID` annotation vs. the current
@@ -54,6 +56,8 @@ const WINDOW: usize = 15;
 const SPEEDUP_BAR: f64 = 1.5;
 /// Timing repetitions; the minimum is reported.
 const REPS: usize = 3;
+/// Alternating row/columnar repetitions of the gated scoring measurement.
+const SCORING_REPS: usize = 7;
 
 fn config(layout: ExecutionLayout, par: Parallelism) -> HummerConfig {
     HummerConfig {
@@ -246,23 +250,33 @@ fn main() -> ExitCode {
     let det_cfg = DetectorConfig::default();
     let seq = Parallelism::degree(1);
 
-    let (row_scored, score_row_ms) = time_min_ms(|| {
-        score_candidate_pairs(
-            &PairScorer::Rows {
-                table: union,
-                measure: &measure,
-            },
+    // The two scorers take turns, so a slow spell on a shared host slows
+    // both; the minimum of each is reported. The measure's columns are the
+    // columnar view (`from_measure` copies nothing).
+    let cm = ColumnarMeasure::from_measure(&measure);
+    let rows = PairScorer::Rows {
+        table: union,
+        measure: &measure,
+    };
+    let (mut score_row_ms, mut score_col_ms) = (f64::INFINITY, f64::INFINITY);
+    let (mut row_scored, mut col_scored) = (None, None);
+    for _ in 0..SCORING_REPS {
+        let t0 = Instant::now();
+        row_scored = Some(score_candidate_pairs(&rows, &det_cfg, &candidates, seq));
+        score_row_ms = score_row_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        let t0 = Instant::now();
+        col_scored = Some(score_candidate_pairs(
+            &PairScorer::Columnar(&cm),
             &det_cfg,
             &candidates,
             seq,
-        )
-    });
-    // The columnar timing includes the one-off transpose: that is the real
-    // cost a detection run pays.
-    let (col_scored, score_col_ms) = time_min_ms(|| {
-        let cm = ColumnarMeasure::from_measure(&measure);
-        score_candidate_pairs(&PairScorer::Columnar(&cm), &det_cfg, &candidates, seq)
-    });
+        ));
+        score_col_ms = score_col_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    let (row_scored, col_scored) = (
+        row_scored.expect("SCORING_REPS >= 1"),
+        col_scored.expect("SCORING_REPS >= 1"),
+    );
 
     let identical = row_scored.filtered_out == col_scored.filtered_out
         && row_scored.compared == col_scored.compared

@@ -1,336 +1,268 @@
-//! Columnar pair scoring: the vectorized twin of
+//! Block-wise pair scoring: the vectorized, *staged* twin of
 //! [`TupleSimilarity::similarity`] / [`TupleSimilarity::upper_bound`].
 //!
-//! [`ColumnarMeasure`] transposes a [`TupleSimilarity`]'s row-major cell
-//! caches into per-attribute struct-of-arrays columns (weights, numeric
-//! views, interned text), and [`score_candidate_pairs`] sweeps candidate
-//! blocks attribute-by-attribute over those contiguous arrays instead of
-//! dispatching per cell.
+//! ## Layout
 //!
-//! ## Byte-identity contract
+//! There is one cell cache, the per-attribute columns [`TupleSimilarity`]
+//! builds (presence, weights, numeric view, and a `u32` id into the
+//! attribute's pooled distinct texts). [`ColumnarMeasure`] is a borrowed
+//! view of it — nothing is copied or transposed — and
+//! [`score_candidate_pairs`] sweeps blocks of [`PAIR_BLOCK`] candidates
+//! attribute by attribute over those arrays.
 //!
-//! The columnar path produces **bit-identical** scores, classifications,
-//! and stats to the row path, by construction:
+//! ## The staged bound
 //!
-//! * it is built *from* the row measure's caches, so every weight, numeric
-//!   view, text rendering, and quantized corpus statistic is the exact
-//!   same bit pattern (the incremental detector's carry-over test is
-//!   untouched);
-//! * each pair's numerator/denominator accumulators receive their
-//!   per-attribute contributions in increasing attribute order — the same
-//!   sequence of float additions the row loop performs, merely interleaved
-//!   across the pairs of a block;
-//! * the text kernel's fast paths are bit-neutral: equal interned ids
-//!   return the literal `1.0` that `levenshtein_similarity(x, x)` computes
-//!   exactly, and the per-attribute memo caches a pure, symmetric function
-//!   under a canonical `(min, max)` key.
+//! A pair's similarity is `Σ_k w_k·s_k / (Σ_k w_k + λ)` over its matched
+//! attributes `k`, in attribute order. The kernel keeps the terms
+//! `w_k·s_k` of a block in a pair × attribute matrix and fills it in
+//! stages:
 //!
-//! `tests/columnar_properties.rs` and `exp13_columnar` enforce the
-//! contract end to end.
-
-use std::collections::HashMap;
+//! 1. *Filter sweep.* Weights and numeric similarities are exact from the
+//!    start; a text term starts as the `O(1)` optimistic `w_k·ŝ_k`
+//!    (`ŝ_k ≥ s_k`: length and histogram bounds on the edit distance). The
+//!    in-order sum of that row is exactly [`TupleSimilarity::upper_bound`];
+//!    pairs whose bound is below `unsure_threshold` are `filtered_out`,
+//!    the rest are `compared`.
+//! 2. *Resolution.* Text attributes are resolved one at a time, the one
+//!    carrying the most optimistic mass `Σ w_k·ŝ_k` over the block's live,
+//!    unresolved pairs first (ties by attribute index) — data decides the
+//!    order, no knob. Resolving runs the edit distance (batched per run
+//!    of pairs sharing their left text, as candidates arrive grouped by
+//!    left row), overwrites the term with `w_k·s_k`, re-sums the pair's
+//!    row **in attribute order**, and drops the pair as soon as that
+//!    tighter bound falls below `unsure_threshold` (`cut_short`).
+//! 3. *Classification.* A pair that survives has every term exact; its
+//!    similarity is the in-order sum of its row.
+//!
+//! Why no answer moves — the bound is admissible *in floating point*:
+//!
+//! * each optimistic term is `≥` its exact term (integer `dist_lb ≤ dist`,
+//!   then monotone `÷`, `−`, `×` by a non-negative weight);
+//! * IEEE `+` and `÷` round monotonically, so an in-order sum of terms that
+//!   are each `≥` is `≥`, and so is its quotient by the same denominator;
+//! * hence every staged bound is `≥` the final similarity, bit for bit: a
+//!   dropped pair would have scored below `unsure_threshold` and was never
+//!   going to be emitted, and a surviving pair's similarity is the same
+//!   additions of the same terms the row loop performs.
+//!
+//! So `pairs`, `unsure` (rows and similarity bits), `filtered_out` and
+//! `compared` equal the row path's; only the work counters `cut_short` and
+//! `edit_evals` are the kernel's own. With `use_filter` off nothing is
+//! bounded or dropped. Equal text ids short-cut to the literal `1.0` that
+//! `levenshtein_similarity(x, x)` computes. There is no pair memo: with a
+//! bit-parallel edit distance a hash lookup costs about what the call does
+//! (`memo_hits` is kept at 0 for the wire format's sake).
+//!
+//! The unit tests here, `tests/columnar_properties.rs` and `exp13_columnar`
+//! enforce the contract end to end.
 
 use crate::detector::{DetectorConfig, DuplicatePair, ScoredCandidates};
 use crate::measure::{numeric_field_similarity, TupleSimilarity, EVIDENCE_PRIOR};
 use hummer_engine::Table;
 use hummer_par::{par_chunks, Parallelism};
-use hummer_textsim::edit::{levenshtein_similarity_chars, EditScratch};
+use hummer_textsim::edit::{levenshtein_similarity_chars_many, EditScratch};
 
-/// Pairs per kernel block: accumulators for one block stay cache-resident
-/// while the attribute sweep runs over them.
-/// Candidate pairs per vectorized scoring block — the unit the `detect`
-/// span's `columnar_blocks` counter reports.
+/// Candidate pairs per scoring block — the unit the `detect` span's
+/// `columnar_blocks` counter reports. The block's term matrix stays
+/// cache-resident while the attribute sweeps run over it.
 pub const PAIR_BLOCK: usize = 512;
 
-/// One participating attribute in struct-of-arrays form. Per-row arrays are
-/// indexed by row; text payloads are interned, so per-row storage is a
-/// `u32` id into the pooled `chars`/`lens`/`hists` arrays.
-#[derive(Debug, Clone, Default)]
-struct AttrColumn {
-    /// `true` where the row has a (non-null) cell for this attribute.
-    present: Vec<bool>,
-    /// Identifying power of exact agreement.
-    weight: Vec<f64>,
-    /// Identifying power of mere closeness (numeric); equals `weight` for
-    /// text.
-    near_weight: Vec<f64>,
-    /// `true` where the cell has a numeric view.
-    has_num: Vec<bool>,
-    /// The numeric view (placeholder `0.0` where absent).
-    num: Vec<f64>,
-    /// Interned id of the cell's lowercased text rendering.
-    text_id: Vec<u32>,
-    /// Per interned text: its chars (the edit-distance input).
-    chars: Vec<Vec<char>>,
-    /// Per interned text: its char count (the O(1) length bound).
-    lens: Vec<usize>,
-    /// Per interned text: its bucketed character histogram.
-    hists: Vec<[u16; 28]>,
+/// The block kernel's view of a [`TupleSimilarity`]: the same columns,
+/// borrowed.
+#[derive(Debug, Clone, Copy)]
+pub struct ColumnarMeasure<'a> {
+    measure: &'a TupleSimilarity,
 }
 
-/// A [`TupleSimilarity`] transposed into per-attribute columns, ready for
-/// block-wise candidate scoring.
-///
-/// Built *from* the row measure, so all cached statistics are bit-for-bit
-/// the row measure's — see the module docs for the identity argument.
-#[derive(Debug, Clone)]
-pub struct ColumnarMeasure {
-    cols: Vec<AttrColumn>,
-    ranges: Vec<Option<f64>>,
-    row_count: usize,
-}
-
-impl ColumnarMeasure {
-    /// Transpose `measure`'s row-major cell caches into columns.
-    pub fn from_measure(measure: &TupleSimilarity) -> ColumnarMeasure {
-        let rows = measure.cells();
-        let n_attrs = measure.attrs().len();
-        let mut cols: Vec<AttrColumn> = Vec::with_capacity(n_attrs);
-        for k in 0..n_attrs {
-            let mut col = AttrColumn::default();
-            let mut intern: HashMap<String, u32> = HashMap::new();
-            for row in rows {
-                match &row[k] {
-                    Some(c) => {
-                        col.present.push(true);
-                        col.weight.push(c.weight);
-                        col.near_weight.push(c.near_weight);
-                        col.has_num.push(c.num.is_some());
-                        col.num.push(c.num.unwrap_or(0.0));
-                        let next = intern.len() as u32;
-                        let id = *intern.entry(c.text.clone()).or_insert(next);
-                        if id == next {
-                            col.chars.push(c.text.chars().collect());
-                            col.lens.push(c.len);
-                            col.hists.push(c.hist);
-                        }
-                        col.text_id.push(id);
-                    }
-                    None => {
-                        col.present.push(false);
-                        col.weight.push(0.0);
-                        col.near_weight.push(0.0);
-                        col.has_num.push(false);
-                        col.num.push(0.0);
-                        col.text_id.push(0);
-                    }
-                }
-            }
-            cols.push(col);
-        }
-        ColumnarMeasure {
-            cols,
-            ranges: measure.ranges().to_vec(),
-            row_count: rows.len(),
-        }
-    }
-
-    /// Number of rows the measure is bound to.
-    pub fn row_count(&self) -> usize {
-        self.row_count
-    }
-
-    /// Number of participating attributes.
-    pub fn attr_count(&self) -> usize {
-        self.cols.len()
+impl<'a> ColumnarMeasure<'a> {
+    /// View `measure`'s columns. Free: nothing is copied.
+    pub fn from_measure(measure: &'a TupleSimilarity) -> Self {
+        ColumnarMeasure { measure }
     }
 }
 
-/// Per-worker scratch for the block kernel: accumulators, the edit-distance
-/// DP rows, and one memo per attribute for interned-text pair similarities
-/// (a pure symmetric function, cached under its canonical `(min, max)`
-/// key — deterministic no matter the lookup order).
+/// Per-worker scratch for the block kernel.
+#[derive(Default)]
 struct KernelScratch {
-    ub_num: Vec<f64>,
-    ub_den: Vec<f64>,
-    sim_num: Vec<f64>,
-    sim_den: Vec<f64>,
+    /// Pair-major term matrix: `terms[p * attrs + k]` is pair `p`'s
+    /// `w_k·s_k` (optimistic while `open`, `0.0` where unmatched — adding
+    /// it changes no bit of a non-negative sum).
+    terms: Vec<f64>,
+    /// Same shape: the term is still the optimistic bound.
+    open: Vec<bool>,
+    /// Per pair: `Σ_k w_k`, exact after the filter sweep.
+    den: Vec<f64>,
+    /// Per pair: open terms left.
+    pending: Vec<u32>,
     alive: Vec<bool>,
+    /// Resolution order: `(optimistic mass, attribute)`.
+    order: Vec<(f64, usize)>,
+    /// The attribute being resolved: `(pair, left text, right text)` of
+    /// every live pair with that term open, and the similarities of a run.
+    work: Vec<(usize, u32, u32)>,
+    similarities: Vec<f64>,
     edit: EditScratch,
-    memo: Vec<HashMap<(u32, u32), f64>>,
 }
 
-impl KernelScratch {
-    fn new(n_attrs: usize) -> Self {
-        KernelScratch {
-            ub_num: Vec::new(),
-            ub_den: Vec::new(),
-            sim_num: Vec::new(),
-            sim_den: Vec::new(),
-            alive: Vec::new(),
-            edit: EditScratch::new(),
-            memo: (0..n_attrs).map(|_| HashMap::new()).collect(),
-        }
+/// The in-order sum of one pair's term row over its evidence mass: the
+/// pair's current upper bound, and its similarity once no term is open.
+fn row_quotient(terms: &[f64], den: f64) -> f64 {
+    if den == 0.0 {
+        return 0.0;
     }
+    terms.iter().fold(0.0, |num, t| num + t) / (den + EVIDENCE_PRIOR)
 }
 
-/// Per-chunk scoring output, merged in chunk (= candidate) order.
-struct ScoredChunk {
-    pairs: Vec<DuplicatePair>,
-    unsure: Vec<DuplicatePair>,
-    filtered_out: usize,
-    compared: usize,
-    memo_hits: usize,
-}
-
-/// Score one block of candidate pairs: an upper-bound filter sweep, then a
-/// full-similarity sweep over the survivors, both attribute-outer /
-/// pair-inner so each pair's accumulation order matches the row loop's
-/// attribute order exactly.
+/// Score one block of candidate pairs in stages (see the module docs),
+/// appending to `out` in candidate order.
 fn score_block(
-    cm: &ColumnarMeasure,
+    cm: &ColumnarMeasure<'_>,
     cfg: &DetectorConfig,
     block: &[(usize, usize)],
     scratch: &mut KernelScratch,
-    out: &mut ScoredChunk,
+    out: &mut ScoredCandidates,
 ) {
+    let measure = cm.measure;
     let n = block.len();
-    scratch.alive.clear();
-    scratch.alive.resize(n, true);
-
-    // Phase A — the admissible upper-bound filter (mirrors
-    // `TupleSimilarity::upper_bound` term for term).
-    if cfg.use_filter {
-        scratch.ub_num.clear();
-        scratch.ub_num.resize(n, 0.0);
-        scratch.ub_den.clear();
-        scratch.ub_den.resize(n, 0.0);
-        for (k, col) in cm.cols.iter().enumerate() {
-            let range = cm.ranges[k];
-            for (p, &(i, j)) in block.iter().enumerate() {
-                if !(col.present[i] && col.present[j]) {
-                    continue;
-                }
-                let w = if col.has_num[i] && col.has_num[j] && col.num[i] != col.num[j] {
-                    (col.near_weight[i] + col.near_weight[j]) / 2.0
-                } else {
-                    (col.weight[i] + col.weight[j]) / 2.0
-                };
-                let s = if col.has_num[i] && col.has_num[j] {
-                    numeric_field_similarity(col.num[i], col.num[j], range)
-                } else {
-                    let (a, b) = (col.text_id[i] as usize, col.text_id[j] as usize);
-                    let (la, lb) = (col.lens[a], col.lens[b]);
-                    let max = la.max(lb);
-                    if max == 0 {
-                        1.0
-                    } else {
-                        let l1: u32 = col.hists[a]
-                            .iter()
-                            .zip(&col.hists[b])
-                            .map(|(x, y)| x.abs_diff(*y) as u32)
-                            .sum();
-                        let dist_lb = (l1 as f64 / 2.0).max(la.abs_diff(lb) as f64);
-                        1.0 - dist_lb / max as f64
-                    }
-                };
-                scratch.ub_num[p] += w * s;
-                scratch.ub_den[p] += w;
-            }
-        }
-        for p in 0..n {
-            let ub = if scratch.ub_den[p] == 0.0 {
-                0.0
-            } else {
-                (scratch.ub_num[p] / (scratch.ub_den[p] + EVIDENCE_PRIOR)).min(1.0)
-            };
-            scratch.alive[p] = ub >= cfg.unsure_threshold;
-        }
-    }
-
-    // Phase B — the full measure over surviving pairs (mirrors
-    // `TupleSimilarity::similarity` term for term).
-    scratch.sim_num.clear();
-    scratch.sim_num.resize(n, 0.0);
-    scratch.sim_den.clear();
-    scratch.sim_den.resize(n, 0.0);
+    let attrs = measure.cols.len();
     let KernelScratch {
-        sim_num,
-        sim_den,
+        terms,
+        open,
+        den,
+        pending,
         alive,
+        order,
+        work,
+        similarities,
         edit,
-        memo,
-        ..
     } = scratch;
-    for (k, col) in cm.cols.iter().enumerate() {
-        let range = cm.ranges[k];
-        let memo_k = &mut memo[k];
+    terms.clear();
+    terms.resize(n * attrs, 0.0);
+    open.clear();
+    open.resize(n * attrs, false);
+    den.clear();
+    den.resize(n, 0.0);
+    pending.clear();
+    pending.resize(n, 0);
+    alive.clear();
+    alive.resize(n, true);
+
+    // Stage 1 — exact weights and numeric terms, optimistic text terms.
+    for (k, (col, range)) in measure.cols.iter().zip(&measure.ranges).enumerate() {
         for (p, &(i, j)) in block.iter().enumerate() {
-            if !(alive[p] && col.present[i] && col.present[j]) {
+            if !col.matched(i, j) {
                 continue;
             }
-            let (w, s) = if col.has_num[i] && col.has_num[j] {
-                let (x, y) = (col.num[i], col.num[j]);
-                let w = if x == y {
-                    (col.weight[i] + col.weight[j]) / 2.0
-                } else {
-                    (col.near_weight[i] + col.near_weight[j]) / 2.0
-                };
-                (w, numeric_field_similarity(x, y, range))
+            let w = col.pair_weight(i, j);
+            let s = if col.numeric(i, j) {
+                numeric_field_similarity(col.num[i], col.num[j], *range)
             } else {
-                let w = (col.weight[i] + col.weight[j]) / 2.0;
                 let (a, b) = (col.text_id[i], col.text_id[j]);
-                let s = if a == b {
-                    // levenshtein_similarity(x, x) is exactly 1.0 (distance
-                    // 0, and the both-empty case returns the literal), so
-                    // this fast path changes no bits.
+                if a == b {
                     1.0
                 } else {
-                    let key = (a.min(b), a.max(b));
-                    match memo_k.get(&key) {
-                        Some(&s) => {
-                            out.memo_hits += 1;
-                            s
-                        }
-                        None => {
-                            let s = levenshtein_similarity_chars(
-                                &col.chars[a as usize],
-                                &col.chars[b as usize],
-                                edit,
-                            );
-                            memo_k.insert(key, s);
-                            s
-                        }
+                    open[p * attrs + k] = true;
+                    pending[p] += 1;
+                    if cfg.use_filter {
+                        col.text_similarity_bound(a, b)
+                    } else {
+                        1.0
                     }
-                };
-                (w, s)
+                }
             };
-            sim_num[p] += w * s;
-            sim_den[p] += w;
+            terms[p * attrs + k] = w * s;
+            den[p] += w;
+        }
+    }
+    let bound = |terms: &[f64], den: &[f64], p: usize| {
+        row_quotient(&terms[p * attrs..(p + 1) * attrs], den[p]).min(1.0)
+    };
+    if cfg.use_filter {
+        for (p, live) in alive.iter_mut().enumerate() {
+            if bound(terms, den, p) < cfg.unsure_threshold {
+                *live = false;
+                out.filtered_out += 1;
+            } else {
+                out.compared += 1;
+            }
+        }
+    } else {
+        out.compared += n;
+    }
+
+    // Stage 2 — resolve text attributes, loosest first.
+    order.clear();
+    for k in 0..attrs {
+        let mut live = (0..n)
+            .filter(|&p| alive[p] && open[p * attrs + k])
+            .map(|p| terms[p * attrs + k])
+            .peekable();
+        if live.peek().is_some() {
+            order.push((live.sum(), k));
+        }
+    }
+    order.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
+    for &(_, k) in order.iter() {
+        let col = &measure.cols[k];
+        work.clear();
+        work.extend(
+            (0..n)
+                .filter(|&p| alive[p] && open[p * attrs + k])
+                .map(|p| (p, col.text_id[block[p].0], col.text_id[block[p].1])),
+        );
+        // Candidates arrive grouped by their left row: one batched call per
+        // run of pairs that share their left text.
+        for run in work.chunk_by(|x, y| x.1 == y.1) {
+            similarities.clear();
+            levenshtein_similarity_chars_many(
+                col.text(run[0].1),
+                run.iter().map(|&(_, _, b)| col.text(b)),
+                edit,
+                similarities,
+            );
+            out.edit_evals += run.len();
+            for (&(p, _, _), &s) in run.iter().zip(similarities.iter()) {
+                let (i, j) = block[p];
+                let at = p * attrs + k;
+                terms[at] = col.pair_weight(i, j) * s;
+                open[at] = false;
+                pending[p] -= 1;
+                if cfg.use_filter && pending[p] > 0 && bound(terms, den, p) < cfg.unsure_threshold {
+                    alive[p] = false;
+                    out.cut_short += 1;
+                }
+            }
         }
     }
 
-    // Phase C — classification, in candidate order.
+    // Stage 3 — classification, in candidate order.
     for (p, &(i, j)) in block.iter().enumerate() {
         if !alive[p] {
-            out.filtered_out += 1;
             continue;
         }
-        out.compared += 1;
-        let s = if sim_den[p] == 0.0 {
-            0.0
-        } else {
-            (sim_num[p] / (sim_den[p] + EVIDENCE_PRIOR)).clamp(0.0, 1.0)
-        };
-        if s >= cfg.threshold {
-            out.pairs.push(DuplicatePair {
-                left: i,
-                right: j,
-                similarity: s,
-            });
-        } else if s >= cfg.unsure_threshold {
-            out.unsure.push(DuplicatePair {
-                left: i,
-                right: j,
-                similarity: s,
-            });
-        }
+        let s = row_quotient(&terms[p * attrs..(p + 1) * attrs], den[p]).clamp(0.0, 1.0);
+        classify(i, j, s, cfg, out);
+    }
+}
+
+/// File a scored pair under `pairs`, `unsure`, or nowhere.
+fn classify(i: usize, j: usize, s: f64, cfg: &DetectorConfig, out: &mut ScoredCandidates) {
+    let pair = DuplicatePair {
+        left: i,
+        right: j,
+        similarity: s,
+    };
+    if s >= cfg.threshold {
+        out.pairs.push(pair);
+    } else if s >= cfg.unsure_threshold {
+        out.unsure.push(pair);
     }
 }
 
 /// Which scorer backs [`score_candidate_pairs`]: the row-at-a-time
-/// reference measure or its columnar transposition. Both produce
-/// bit-identical [`ScoredCandidates`].
+/// reference or the staged block kernel, over the same
+/// [`TupleSimilarity`]. Both produce the same `pairs`, `unsure`,
+/// `filtered_out` and `compared`, bit for bit.
 #[derive(Debug, Clone, Copy)]
 pub enum PairScorer<'a> {
     /// The row path: per-pair calls into [`TupleSimilarity`].
@@ -341,18 +273,18 @@ pub enum PairScorer<'a> {
         /// The row measure.
         measure: &'a TupleSimilarity,
     },
-    /// The columnar path: block sweeps over a [`ColumnarMeasure`].
+    /// The columnar path: staged block sweeps over a [`ColumnarMeasure`].
     Columnar(
-        /// The transposed measure.
-        &'a ColumnarMeasure,
+        /// The measure's columns.
+        &'a ColumnarMeasure<'a>,
     ),
 }
 
 /// Score a candidate-pair list on up to `par.get()` threads, merging chunk
 /// results in candidate order. The returned pair lists are **unsorted**
 /// (candidate order); callers apply the canonical similarity-descending
-/// stable sort. Row and columnar scorers agree bit for bit — pairs, stats,
-/// and similarity values alike.
+/// stable sort. Row and columnar scorers agree bit for bit — pairs,
+/// similarity values, `filtered_out` and `compared` alike.
 pub fn score_candidate_pairs(
     scorer: &PairScorer<'_>,
     cfg: &DetectorConfig,
@@ -360,13 +292,7 @@ pub fn score_candidate_pairs(
     par: Parallelism,
 ) -> ScoredCandidates {
     let chunks = par_chunks(par, candidates, |_, chunk| {
-        let mut out = ScoredChunk {
-            pairs: Vec::new(),
-            unsure: Vec::new(),
-            filtered_out: 0,
-            compared: 0,
-            memo_hits: 0,
-        };
+        let mut out = ScoredCandidates::default();
         match scorer {
             PairScorer::Rows { table, measure } => {
                 for &(i, j) in chunk {
@@ -375,24 +301,11 @@ pub fn score_candidate_pairs(
                         continue;
                     }
                     out.compared += 1;
-                    let s = measure.similarity(table, i, j);
-                    if s >= cfg.threshold {
-                        out.pairs.push(DuplicatePair {
-                            left: i,
-                            right: j,
-                            similarity: s,
-                        });
-                    } else if s >= cfg.unsure_threshold {
-                        out.unsure.push(DuplicatePair {
-                            left: i,
-                            right: j,
-                            similarity: s,
-                        });
-                    }
+                    classify(i, j, measure.similarity(table, i, j), cfg, &mut out);
                 }
             }
             PairScorer::Columnar(cm) => {
-                let mut scratch = KernelScratch::new(cm.attr_count());
+                let mut scratch = KernelScratch::default();
                 for block in chunk.chunks(PAIR_BLOCK) {
                     score_block(cm, cfg, block, &mut scratch, &mut out);
                 }
@@ -404,7 +317,8 @@ pub fn score_candidate_pairs(
     for chunk in chunks {
         merged.filtered_out += chunk.filtered_out;
         merged.compared += chunk.compared;
-        merged.memo_hits += chunk.memo_hits;
+        merged.cut_short += chunk.cut_short;
+        merged.edit_evals += chunk.edit_evals;
         merged.pairs.extend(chunk.pairs);
         merged.unsure.extend(chunk.unsure);
     }
@@ -416,31 +330,68 @@ mod tests {
     use super::*;
     use crate::blocking::{candidate_pairs, CandidateStrategy};
     use crate::detector::resolve_attributes;
+    use crate::testworlds;
     use hummer_engine::table;
 
-    fn scorers_agree(t: &Table, cfg: &DetectorConfig) {
-        let attrs = resolve_attributes(t, cfg).unwrap();
-        let measure = TupleSimilarity::new(t, attrs);
-        let cm = ColumnarMeasure::from_measure(&measure);
-        let candidates = candidate_pairs(t, &CandidateStrategy::AllPairs);
-        for degree in [1, 2, 4] {
+    fn bits(pairs: &[DuplicatePair]) -> Vec<(usize, usize, u64)> {
+        pairs
+            .iter()
+            .map(|p| (p.left, p.right, p.similarity.to_bits()))
+            .collect()
+    }
+
+    /// The staged kernel against the row path: pair lists (rows and
+    /// similarity bits) and both filter counters, at degrees 1–4.
+    fn scorers_agree_on(
+        t: &Table,
+        measure: &TupleSimilarity,
+        cfg: &DetectorConfig,
+        candidates: &[(usize, usize)],
+        what: &str,
+    ) {
+        let cm = ColumnarMeasure::from_measure(measure);
+        for degree in 1..=4 {
             let par = Parallelism::degree(degree);
             let rows = score_candidate_pairs(
-                &PairScorer::Rows {
-                    table: t,
-                    measure: &measure,
-                },
+                &PairScorer::Rows { table: t, measure },
                 cfg,
-                &candidates,
+                candidates,
                 par,
             );
-            let cols = score_candidate_pairs(&PairScorer::Columnar(&cm), cfg, &candidates, par);
-            assert_eq!(rows.filtered_out, cols.filtered_out, "degree {degree}");
-            assert_eq!(rows.compared, cols.compared, "degree {degree}");
-            assert_eq!(rows.pairs, cols.pairs, "degree {degree}");
-            assert_eq!(rows.unsure, cols.unsure, "degree {degree}");
-            for (a, b) in rows.pairs.iter().zip(&cols.pairs) {
-                assert_eq!(a.similarity.to_bits(), b.similarity.to_bits());
+            let cols = score_candidate_pairs(&PairScorer::Columnar(&cm), cfg, candidates, par);
+            let at = format!("{what}, degree {degree}");
+            assert_eq!(rows.filtered_out, cols.filtered_out, "{at}");
+            assert_eq!(rows.compared, cols.compared, "{at}");
+            assert_eq!(bits(&rows.pairs), bits(&cols.pairs), "{at}");
+            assert_eq!(bits(&rows.unsure), bits(&cols.unsure), "{at}");
+            assert_eq!(rows.filtered_out + rows.compared, candidates.len(), "{at}");
+            if !cfg.use_filter {
+                assert_eq!((cols.filtered_out, cols.cut_short), (0, 0), "{at}");
+            }
+        }
+    }
+
+    /// Filter on and off, over all pairs and over a sorted neighbourhood
+    /// keyed on the first compared attribute.
+    fn scorers_agree(t: &Table, cfg: &DetectorConfig, what: &str) {
+        let attrs = resolve_attributes(t, cfg).unwrap();
+        let strategies = [
+            CandidateStrategy::AllPairs,
+            CandidateStrategy::SortedNeighborhood {
+                key_attrs: vec![attrs[0]],
+                window: 15,
+            },
+        ];
+        let measure = TupleSimilarity::new(t, attrs);
+        for strategy in &strategies {
+            let candidates = candidate_pairs(t, strategy);
+            for use_filter in [true, false] {
+                let cfg = DetectorConfig {
+                    use_filter,
+                    ..cfg.clone()
+                };
+                let what = format!("{what}, {strategy:?}, filter {use_filter}");
+                scorers_agree_on(t, &measure, &cfg, &candidates, &what);
             }
         }
     }
@@ -457,23 +408,12 @@ mod tests {
             ["Peter Miller", "Munich", 45],
             ["", "Berlin", ()],
         };
-        scorers_agree(
-            &t,
-            &DetectorConfig {
-                threshold: 0.75,
-                unsure_threshold: 0.55,
-                ..Default::default()
-            },
-        );
-        scorers_agree(
-            &t,
-            &DetectorConfig {
-                threshold: 0.75,
-                unsure_threshold: 0.55,
-                use_filter: false,
-                ..Default::default()
-            },
-        );
+        let cfg = DetectorConfig {
+            threshold: 0.75,
+            unsure_threshold: 0.55,
+            ..Default::default()
+        };
+        scorers_agree(&t, &cfg, "mixed");
     }
 
     #[test]
@@ -488,14 +428,121 @@ mod tests {
             })
             .collect();
         let t = Table::from_rows("Catalog", &["Name", "Price", "Year"], rows).unwrap();
-        scorers_agree(
-            &t,
-            &DetectorConfig {
-                attributes: Some(vec!["Name".into(), "Price".into(), "Year".into()]),
-                threshold: 0.7,
-                unsure_threshold: 0.5,
+        let cfg = DetectorConfig {
+            attributes: Some(vec!["Name".into(), "Price".into(), "Year".into()]),
+            threshold: 0.7,
+            unsure_threshold: 0.5,
+            ..Default::default()
+        };
+        scorers_agree(&t, &cfg, "numeric-heavy");
+    }
+
+    #[test]
+    fn columnar_matches_rows_on_the_scenario_worlds() {
+        for (name, t) in testworlds::worlds() {
+            scorers_agree(&t, &DetectorConfig::default(), name);
+            // Every column, so numeric, date and sparse attributes take part.
+            let all = t.schema().names()[..t.schema().len() - 1]
+                .iter()
+                .map(|n| n.to_string())
+                .collect();
+            let cfg = DetectorConfig {
+                attributes: Some(all),
                 ..Default::default()
-            },
+            };
+            scorers_agree(&t, &cfg, name);
+        }
+    }
+
+    #[test]
+    fn columnar_matches_rows_on_awkward_cells() {
+        let t = testworlds::awkward();
+        let cfg = DetectorConfig {
+            attributes: Some(vec![
+                "Name".into(),
+                "Place".into(),
+                "Count".into(),
+                "Flag".into(),
+            ]),
+            threshold: 0.7,
+            unsure_threshold: 0.3,
+            ..Default::default()
+        };
+        scorers_agree(&t, &cfg, "awkward");
+    }
+
+    /// Thresholds placed *exactly* on a pair's O(1) bound and on its final
+    /// similarity. Where the second text attribute's bound is tight
+    /// ("abcd" → "abce": one substitution, histogram gap 2), the staged
+    /// bound after the first attribute equals the final similarity too, so
+    /// the drop test runs at equality.
+    #[test]
+    fn thresholds_exactly_on_a_bound_or_a_similarity() {
+        let t = table! {
+            "T" => ["Name", "Code"];
+            ["jonathan smithers", "abcd"],
+            ["jonathan smithert", "abce"],
+            ["jonathon smothers", "abcd"],
+            ["mary jones", "wxyz"],
+            ["mary jonas", "wxya"],
+            ["marc jones", "abce"],
+        };
+        let measure = TupleSimilarity::new(&t, vec![0, 1]);
+        let candidates = candidate_pairs(&t, &CandidateStrategy::AllPairs);
+        let mut edges = 0;
+        for &(i, j) in &candidates {
+            for edge in [measure.upper_bound(&t, i, j), measure.similarity(&t, i, j)] {
+                let next = f64::from_bits(edge.to_bits() + 1);
+                for unsure_threshold in [edge, next] {
+                    let cfg = DetectorConfig {
+                        threshold: unsure_threshold.max(0.9),
+                        unsure_threshold,
+                        ..Default::default()
+                    };
+                    let what = format!("edge of ({i}, {j}) at {unsure_threshold}");
+                    scorers_agree_on(&t, &measure, &cfg, &candidates, &what);
+                    edges += 1;
+                }
+            }
+        }
+        assert_eq!(edges, 15 * 4);
+    }
+
+    /// A guard in counts, not timings: on the all-pairs sweep of a 2 × 1000
+    /// row person world the staged bound must do the work it is there for.
+    /// A refactor that disables the early exit leaves every answer right
+    /// and fails here.
+    #[test]
+    fn staged_bound_cuts_most_pairs_short() {
+        let world = hummer_datagen::scenarios::person_scale(1430, 2005);
+        let t = testworlds::gold_union(&world);
+        assert!((1900..2100).contains(&t.len()), "{} rows", t.len());
+        let cfg = DetectorConfig::default();
+        let attrs = resolve_attributes(&t, &cfg).unwrap();
+        let measure = TupleSimilarity::new(&t, attrs);
+        let text_attrs = measure.ranges.iter().filter(|r| r.is_none()).count();
+        assert!(
+            text_attrs >= 2,
+            "nothing to stage with {text_attrs} text attribute"
+        );
+        let candidates = candidate_pairs(&t, &CandidateStrategy::AllPairs);
+        let scored = score_candidate_pairs(
+            &PairScorer::Columnar(&ColumnarMeasure::from_measure(&measure)),
+            &cfg,
+            &candidates,
+            Parallelism::sequential(),
+        );
+        assert!(
+            2 * scored.cut_short >= scored.compared,
+            "{} of {} compared pairs cut short",
+            scored.cut_short,
+            scored.compared
+        );
+        assert!(
+            10 * scored.edit_evals <= 6 * scored.compared * text_attrs,
+            "{} edit distances for {} compared pairs x {text_attrs} text attributes",
+            scored.edit_evals,
+            scored.compared
         );
     }
 }

@@ -129,11 +129,10 @@ pub struct DetectionStats {
     pub filtered_out: usize,
     /// Full similarity evaluations performed.
     pub compared: usize,
-    /// Edit-distance memo hits on the columnar scorer's per-worker text
-    /// caches. Informational only: always 0 on the row path and dependent
-    /// on chunking at higher degrees, so it is *excluded* from the
-    /// layout/parallelism bit-identity contract (which covers pairs,
-    /// similarities, and clusters — not work accounting).
+    /// Always 0. The columnar scorer used to memoize edit distances per
+    /// worker and report its hits here; the memo is gone (a bit-parallel
+    /// edit distance costs about what the lookup did), but the shard wire
+    /// frame and the `detect` span still carry the field.
     pub memo_hits: usize,
 }
 
@@ -245,8 +244,8 @@ pub fn resolve_attributes(table: &Table, cfg: &DetectorConfig) -> Result<Vec<usi
 
 /// Score a candidate-pair list against `measure` on up to `par.get()`
 /// threads, dispatching on `cfg.layout`: the row path calls the measure
-/// per pair, the columnar path transposes it once and runs the block
-/// kernel. Both are bit-identical; the returned pair lists are
+/// per pair, the columnar path runs the staged block kernel over the same
+/// columns. Both are bit-identical; the returned pair lists are
 /// **unsorted** (candidate order). Shared by [`detect_duplicates_par`],
 /// the incremental detector, and the shard workers so a pair scores
 /// identically on every path.
@@ -280,9 +279,17 @@ pub struct ScoredCandidates {
     pub filtered_out: usize,
     /// Full similarity evaluations performed.
     pub compared: usize,
-    /// Edit-distance memo hits (columnar scorer only; see
-    /// [`DetectionStats::memo_hits`]).
+    /// Always 0 (see [`DetectionStats::memo_hits`]).
     pub memo_hits: usize,
+    /// Pairs the block kernel's staged bound dropped while they still had a
+    /// text attribute unresolved — each one skipped at least one edit
+    /// distance. A work counter of the columnar scorer: 0 on the row path,
+    /// dependent on chunking at higher degrees, and outside the identity
+    /// contract.
+    pub cut_short: usize,
+    /// Edit distances the block kernel evaluated (same caveats as
+    /// `cut_short`).
+    pub edit_evals: usize,
 }
 
 /// The canonical order of the detector's pair lists: similarity descending,
@@ -343,7 +350,6 @@ pub fn detect_duplicates_par(
     let scored = score_candidates(table, &measure, cfg, &candidates, par);
     stats.filtered_out = scored.filtered_out;
     stats.compared = scored.compared;
-    stats.memo_hits = scored.memo_hits;
     let mut pairs = scored.pairs;
     let mut unsure = scored.unsure;
     // Canonical order: similarity descending, ties in candidate order —
@@ -623,10 +629,9 @@ mod tests {
 
     /// The parallel scorer is bit-identical to the sequential one at every
     /// degree: same pairs (values *and* order), same stats, same clusters.
-    /// `memo_hits` is deliberately excluded — the columnar edit-distance
-    /// memo is per-chunk, so its hit count depends on how candidates were
-    /// partitioned across threads (a cache-effectiveness counter, not an
-    /// output).
+    /// The kernel's work counters (`cut_short`, `edit_evals`) are
+    /// deliberately excluded — resolution order is per block, so they
+    /// depend on how candidates were partitioned across threads.
     #[test]
     fn parallel_detection_matches_sequential() {
         let t = people();

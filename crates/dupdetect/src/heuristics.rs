@@ -11,8 +11,8 @@
 //! how diverse the values are. Bookkeeping columns (`sourceID`, `objectID`)
 //! are excluded by name.
 
+use crate::renderings::Renderings;
 use hummer_engine::Table;
-use std::collections::HashSet;
 
 /// Columns never used for comparison: pipeline bookkeeping.
 pub const BOOKKEEPING_COLUMNS: [&str; 2] = ["sourceID", "objectID"];
@@ -54,7 +54,7 @@ impl Default for HeuristicConfig {
     }
 }
 
-/// Score every column of `table`.
+/// Score every column of `table`. Distinct values are distinct renderings.
 pub fn score_attributes(table: &Table) -> Vec<AttributeScore> {
     let n = table.len().max(1) as f64;
     table
@@ -64,12 +64,10 @@ pub fn score_attributes(table: &Table) -> Vec<AttributeScore> {
         .enumerate()
         .map(|(idx, col)| {
             let mut non_null = 0usize;
-            let mut distinct: HashSet<String> = HashSet::new();
-            for v in table.column_values(idx) {
-                if !v.is_null() {
-                    non_null += 1;
-                    distinct.insert(v.to_string());
-                }
+            let mut distinct = Renderings::with_capacity(0);
+            for v in table.column_values(idx).filter(|v| !v.is_null()) {
+                non_null += 1;
+                distinct.intern(v);
             }
             let coverage = non_null as f64 / n;
             let distinctness = if non_null == 0 {
@@ -115,6 +113,7 @@ pub fn select_attributes(table: &Table, cfg: &HeuristicConfig) -> Vec<usize> {
 mod tests {
     use super::*;
     use hummer_engine::table;
+    use std::collections::HashSet;
 
     fn t() -> Table {
         table! {
@@ -175,5 +174,46 @@ mod tests {
         let mut sorted = selected.clone();
         sorted.sort_unstable();
         assert_eq!(selected, sorted);
+    }
+
+    /// Distinct values counted the plain way: one `String` per cell.
+    fn distinct_renderings(table: &Table, idx: usize) -> (usize, usize) {
+        let rendered: Vec<String> = table
+            .column_values(idx)
+            .filter(|v| !v.is_null())
+            .map(|v| v.to_string())
+            .collect();
+        let distinct: HashSet<&String> = rendered.iter().collect();
+        (rendered.len(), distinct.len())
+    }
+
+    /// Coverage and distinctness are ratios of integer counts, so counting
+    /// without allocating must reproduce every score exactly.
+    #[test]
+    fn scores_equal_per_cell_string_counting() {
+        let mut tables = crate::testworlds::worlds();
+        tables.push(("awkward", crate::testworlds::awkward()));
+        for (name, table) in tables {
+            let n = table.len().max(1) as f64;
+            for s in score_attributes(&table) {
+                let (non_null, distinct) = distinct_renderings(&table, s.index);
+                let at = format!("{name}.{}", s.name);
+                assert_eq!(
+                    s.coverage.to_bits(),
+                    (non_null as f64 / n).to_bits(),
+                    "{at}"
+                );
+                let distinctness = match non_null {
+                    0 => 0.0,
+                    _ => distinct as f64 / non_null as f64,
+                };
+                assert_eq!(s.distinctness.to_bits(), distinctness.to_bits(), "{at}");
+                assert_eq!(
+                    s.score.to_bits(),
+                    (s.coverage * distinctness).to_bits(),
+                    "{at}"
+                );
+            }
+        }
     }
 }

@@ -58,6 +58,9 @@ pub mod detector;
 pub mod heuristics;
 pub mod incremental;
 pub mod measure;
+mod renderings;
+#[cfg(test)]
+mod testworlds;
 pub mod unionfind;
 
 pub use blocking::{candidate_pairs, render_key, CandidateStrategy};

@@ -31,12 +31,46 @@
 //! denominator — but confidence now grows with the amount of agreeing
 //! evidence. The flip side is that even identical tuples score slightly
 //! below 1 (`Σw / (Σw + λ)`); thresholds account for this.
+//!
+//! ## Layout
+//!
+//! [`TupleSimilarity::new`] builds the one cell cache every scoring path
+//! reads — the row reference here, the block kernel in [`crate::columnar`],
+//! and the incremental detector's carry-over test. Per participating
+//! attribute it holds struct-of-arrays columns indexed by row (presence,
+//! weight, near-weight, numeric view, text id) and the attribute's
+//! *distinct* lower-cased renderings pooled once: their chars back to back
+//! in one arena, with start offsets and a character histogram per distinct
+//! text. A row's text is a `u32` id, and equal ids mean equal text.
+//!
+//! Construction renders each cell once (text is read in place, other values
+//! through one reused buffer) and looks the rendering up; lower-casing,
+//! tokenizing, the histogram and the soft-IDF weight are computed per
+//! distinct value, not per row. Document frequencies stay exact integers —
+//! a value's distinct tokens count once per row holding it — and each
+//! weight is the same token-order sum over the same [`quantize_count`]ed
+//! statistics a per-row computation adds up, so every cached float is the
+//! one a `String`-keyed corpus over the column's rows would produce (the
+//! unit tests keep that per-row construction as their oracle).
+//!
+//! ## The bound
+//!
+//! [`TupleSimilarity::upper_bound`] is the filter of §2.3 ("an upper bound
+//! to the similarity measure"). It is admissible *in floating point*, with
+//! no epsilon: each text term is bounded through integer lower bounds on
+//! the edit distance, and IEEE `+ − × ÷` round monotonically, so a sum of
+//! terms that are each `≥` is `≥`. Everything that skips work downstream —
+//! the filter, and the kernel's staged re-testing of the bound — rests on
+//! this one property, which `tests/measure_properties.rs` checks on
+//! case-expanding, non-ASCII, empty and long cells.
 
+use crate::renderings::Renderings;
 use hummer_engine::{Table, Value};
-use hummer_textsim::edit::levenshtein_similarity;
+use hummer_textsim::edit::{levenshtein_similarity, levenshtein_similarity_chars, EditScratch};
+use hummer_textsim::interned::Interner;
 use hummer_textsim::numeric::relative_similarity;
-use hummer_textsim::tfidf::Corpus;
-use hummer_textsim::tokenize::word_tokens;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// How many standard deviations of gap drive a numeric similarity to zero
 /// (the scale handed to [`field_similarity_with_range`] is
@@ -100,20 +134,6 @@ pub fn quantize_scale(scale: f64) -> f64 {
     ((scale.log2() * 32.0).floor() / 32.0).exp2()
 }
 
-/// Soft IDF over quantized corpus statistics — the identifying-power weight
-/// the measure actually uses. Matches [`Corpus::soft_idf`]'s formula with
-/// [`quantize_count`] applied to both the document count and the document
-/// frequency.
-fn stable_soft_idf(corpus: &Corpus, token: &str) -> f64 {
-    let n = quantize_count(corpus.doc_count());
-    if n == 0 {
-        return 1.0;
-    }
-    let df = quantize_count(corpus.df(token));
-    let idf = (1.0 + n as f64 / (df as f64 + 1.0)).ln();
-    (idf / (1.0 + n as f64).ln()).min(1.0)
-}
-
 /// Per-field similarity between two non-null values: numeric pairs compare
 /// by distance against `scale` (the gap at which similarity reaches zero;
 /// dates via their day ordinal), everything else by normalized Levenshtein
@@ -160,56 +180,11 @@ pub fn numeric_field_similarity(x: f64, y: f64, scale: Option<f64>) -> f64 {
     }
 }
 
-/// A cheap *upper bound* on [`field_similarity_with_range`], used by the
-/// comparison filter: `O(1)` instead of `O(len²)`.
-///
-/// For text the bound is the length bound of normalized edit similarity
-/// (`dist ≥ |len(a) − len(b)|`); numeric comparison is already cheap, so
-/// the bound is exact there.
-pub fn field_similarity_upper_bound(a: &Value, b: &Value, range: Option<f64>) -> f64 {
-    debug_assert!(!a.is_null() && !b.is_null());
-    match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) => numeric_field_similarity(x, y, range),
-        _ => {
-            let la = a.to_string().chars().count();
-            let lb = b.to_string().chars().count();
-            let max = la.max(lb);
-            if max == 0 {
-                return 1.0;
-            }
-            1.0 - la.abs_diff(lb) as f64 / max as f64
-        }
-    }
-}
+/// Buckets of the per-value character histogram: a–z, digits, other.
+const HIST_BUCKETS: usize = 28;
 
-/// Precomputed per-cell comparison data: weight, numeric view, and the
-/// lowercased text rendering (so neither the measure nor its upper bound
-/// allocates during pairwise comparison).
-#[derive(Debug, Clone)]
-pub(crate) struct CellData {
-    /// Identifying power (mean soft IDF of the value's tokens; for σ-scaled
-    /// numeric attributes, soft IDF of the *exact* value) — applied to text
-    /// comparisons and to exact numeric agreement.
-    pub(crate) weight: f64,
-    /// Identifying power of mere *closeness* for σ-scaled numeric
-    /// attributes: soft IDF of the value's noise-resolution bucket. Two
-    /// different-but-close continuous values share a bucket easily, so this
-    /// is deliberately weaker than `weight`. Equals `weight` for text.
-    pub(crate) near_weight: f64,
-    /// Numeric view, when the value has one.
-    pub(crate) num: Option<f64>,
-    /// Lowercased text rendering (for edit-distance comparison).
-    pub(crate) text: String,
-    /// Character count of `text` (the O(1) length bound).
-    pub(crate) len: usize,
-    /// Bucketed character histogram of `text` (a–z, digits, other): each
-    /// edit operation changes the L1 distance between histograms by at most
-    /// 2, so `levenshtein ≥ L1/2` — a second admissible bound.
-    pub(crate) hist: [u16; 28],
-}
-
-fn char_histogram(text: &str) -> [u16; 28] {
-    let mut h = [0u16; 28];
+fn char_histogram(text: &str) -> [u16; HIST_BUCKETS] {
+    let mut h = [0u16; HIST_BUCKETS];
     for c in text.chars() {
         let bucket = match c {
             'a'..='z' => (c as u8 - b'a') as usize,
@@ -221,24 +196,319 @@ fn char_histogram(text: &str) -> [u16; 28] {
     h
 }
 
-/// A tuple-similarity scorer bound to one table: it precomputes per-attribute
-/// corpora (for soft-IDF weights), per-attribute numeric dispersion scales,
-/// and per-cell text/numeric caches, so pairwise comparison allocates
-/// nothing.
+/// One participating attribute: per-row arrays indexed by row, and the
+/// attribute's *distinct* lower-cased renderings pooled once, so a row
+/// stores a `u32` id and everything derived from the text (chars, length,
+/// histogram) exists once per distinct value.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AttrColumn {
+    /// `true` where the row has a (non-null) cell for this attribute.
+    pub(crate) present: Vec<bool>,
+    /// Identifying power (mean soft IDF of the value's tokens; for σ-scaled
+    /// numeric attributes, soft IDF of the *exact* value) — applied to text
+    /// comparisons and to exact numeric agreement.
+    pub(crate) weight: Vec<f64>,
+    /// Identifying power of mere *closeness* for σ-scaled numeric
+    /// attributes: soft IDF of the value's noise-resolution bucket. Two
+    /// different-but-close continuous values share a bucket easily, so this
+    /// is deliberately weaker than `weight`. Equals `weight` for text.
+    pub(crate) near_weight: Vec<f64>,
+    /// `true` where the cell has a numeric view.
+    pub(crate) has_num: Vec<bool>,
+    /// The numeric view (placeholder `0.0` where absent).
+    pub(crate) num: Vec<f64>,
+    /// Id of the cell's lower-cased rendering among the attribute's
+    /// distinct ones (placeholder `0` where the cell is null). Equal ids
+    /// mean equal text.
+    pub(crate) text_id: Vec<u32>,
+    /// Text `t` is `chars[text_starts[t]..text_starts[t + 1]]`.
+    text_starts: Vec<u32>,
+    /// The chars of every distinct text, back to back.
+    chars: Vec<char>,
+    /// Per distinct text: its bucketed character histogram (a–z, digits,
+    /// other). Each edit operation changes the L1 distance between two
+    /// histograms by at most 2, so `levenshtein ≥ L1 / 2`.
+    hists: Vec<[u16; HIST_BUCKETS]>,
+}
+
+impl AttrColumn {
+    /// The chars of distinct text `t` (the edit-distance input).
+    pub(crate) fn text(&self, t: u32) -> &[char] {
+        let t = t as usize;
+        &self.chars[self.text_starts[t] as usize..self.text_starts[t + 1] as usize]
+    }
+
+    /// Both rows carry a value here ("matched"); anything else has no
+    /// influence on the measure.
+    pub(crate) fn matched(&self, i: usize, j: usize) -> bool {
+        self.present[i] && self.present[j]
+    }
+
+    /// Both cells compare as numbers.
+    pub(crate) fn numeric(&self, i: usize, j: usize) -> bool {
+        self.has_num[i] && self.has_num[j]
+    }
+
+    /// Weight of a matched pair: exact numeric agreement and text carry the
+    /// values' own rarity, mere numeric closeness only the buckets'.
+    pub(crate) fn pair_weight(&self, i: usize, j: usize) -> f64 {
+        if self.numeric(i, j) && self.num[i] != self.num[j] {
+            (self.near_weight[i] + self.near_weight[j]) / 2.0
+        } else {
+            (self.weight[i] + self.weight[j]) / 2.0
+        }
+    }
+
+    /// `O(1)` upper bound on the edit similarity of distinct texts `a` and
+    /// `b`, from two lower bounds on their distance: the length difference
+    /// and half the histogram L1 gap.
+    ///
+    /// Admissible *in floating point*: `dist_lb ≤ dist` as integers, and
+    /// rounded `÷` and `−` are monotone, so this is `≥` the value
+    /// [`levenshtein_similarity_chars`] returns, bit for bit.
+    pub(crate) fn text_similarity_bound(&self, a: u32, b: u32) -> f64 {
+        let (la, lb) = (self.text(a).len(), self.text(b).len());
+        let max = la.max(lb);
+        if max == 0 {
+            return 1.0;
+        }
+        let l1: u32 = self.hists[a as usize]
+            .iter()
+            .zip(&self.hists[b as usize])
+            .map(|(x, y)| x.abs_diff(*y) as u32)
+            .sum();
+        let dist_lb = (l1 as f64 / 2.0).max(la.abs_diff(lb) as f64);
+        1.0 - dist_lb / max as f64
+    }
+}
+
+/// Soft IDF of a token found in `df` of `doc_count` documents, over
+/// quantized counts — the identifying-power weight the measure uses.
+/// [`hummer_textsim::tfidf::Corpus::soft_idf`]'s formula with
+/// [`quantize_count`] applied to both counts.
+fn stable_soft_idf(doc_count: usize, df: usize) -> f64 {
+    let n = quantize_count(doc_count);
+    if n == 0 {
+        return 1.0;
+    }
+    let df = quantize_count(df);
+    let idf = (1.0 + n as f64 / (df as f64 + 1.0)).ln();
+    (idf / (1.0 + n as f64).ln()).min(1.0)
+}
+
+/// Floor on every cell weight, so matched-but-common values still
+/// participate.
+const MIN_WEIGHT: f64 = 0.05;
+
+/// Noise-resolution bucket of a σ-scaled numeric value: `scale` is
+/// `NUMERIC_SIGMA_SCALE · σ`, so the bucket width is `σ/2` — values a noise
+/// gap apart usually share a bucket, unrelated values rarely do. The
+/// bucket is named by the bits of its (integral) index.
+fn numeric_bucket(x: f64, scale: f64) -> u64 {
+    let width = (scale / (2.0 * NUMERIC_SIGMA_SCALE)).max(f64::MIN_POSITIVE);
+    let index = (x / width).floor();
+    debug_assert!(!index.is_nan(), "a scaled attribute holds finite values");
+    index.to_bits()
+}
+
+/// The comparison scale of one attribute: `NUMERIC_SIGMA_SCALE · σ`,
+/// widened for small samples and quantized, when every non-null value has
+/// a numeric view (ints, floats, dates, numeric text) and the dispersion is
+/// non-zero; else `None`.
+fn comparison_scale(col: &AttrColumn) -> Option<f64> {
+    let rows = 0..col.present.len();
+    if rows.clone().any(|i| col.present[i] && !col.has_num[i]) {
+        return None; // mixed/textual attribute
+    }
+    let values = || rows.clone().filter(|&i| col.present[i]).map(|i| col.num[i]);
+    let count = values().count();
+    if count < 2 {
+        return None;
+    }
+    let n = count as f64;
+    let mean = values().sum::<f64>() / n;
+    let var = values().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+    let sigma = var.sqrt();
+    let inflation = 1.0 + SIGMA_SMALL_SAMPLE_INFLATION / n;
+    (sigma > 0.0).then(|| quantize_scale(NUMERIC_SIGMA_SCALE * sigma * inflation))
+}
+
+/// The distinct renderings of a textual attribute with their word tokens,
+/// for weighing by token.
+#[derive(Default)]
+struct TokenizedRenderings {
+    interner: Interner,
+    /// Token ids of every rendering, back to back.
+    tokens: Vec<u32>,
+    /// Rendering `r`'s tokens end at `ends[r]` (and start where `r - 1`'s end).
+    ends: Vec<usize>,
+}
+
+impl TokenizedRenderings {
+    fn push(&mut self, rendering: &str) {
+        self.interner.tokenize_into(rendering, &mut self.tokens);
+        self.ends.push(self.tokens.len());
+    }
+
+    fn tokens_of(&self, r: usize) -> &[u32] {
+        let start = if r == 0 { 0 } else { self.ends[r - 1] };
+        &self.tokens[start..self.ends[r]]
+    }
+
+    /// Each rendering's weight: the mean soft IDF of its tokens, where a
+    /// rendering held by `rows[r]` of the attribute's `docs` non-null rows
+    /// counts that often towards its distinct tokens' document frequency.
+    ///
+    /// Document frequencies are exact integers and each weight is the
+    /// token-order sum a per-row computation adds up, so the floats are
+    /// the ones a `Corpus` over the column's rows gives.
+    fn weights(&self, rows: &[usize], docs: usize) -> Vec<f64> {
+        let vocabulary = self.tokens.iter().max().map_or(0, |&t| t as usize + 1);
+        let mut df = vec![0usize; vocabulary];
+        let mut distinct: Vec<u32> = Vec::new();
+        for (r, &rows_of_r) in rows.iter().enumerate() {
+            distinct.clear();
+            distinct.extend_from_slice(self.tokens_of(r));
+            distinct.sort_unstable();
+            distinct.dedup();
+            for &t in &distinct {
+                df[t as usize] += rows_of_r;
+            }
+        }
+        let soft_idf: Vec<f64> = df.iter().map(|&df| stable_soft_idf(docs, df)).collect();
+        (0..rows.len())
+            .map(|r| {
+                let tokens = self.tokens_of(r);
+                if tokens.is_empty() {
+                    return MIN_WEIGHT;
+                }
+                let sum: f64 = tokens.iter().map(|&t| soft_idf[t as usize]).sum();
+                (sum / tokens.len() as f64).max(MIN_WEIGHT)
+            })
+            .collect()
+    }
+}
+
+/// Build one attribute's column and comparison scale.
+fn build_column(table: &Table, attr: usize) -> (AttrColumn, Option<f64>) {
+    let rows = table.len();
+    let mut col = AttrColumn {
+        present: Vec::with_capacity(rows),
+        has_num: Vec::with_capacity(rows),
+        num: Vec::with_capacity(rows),
+        text_id: Vec::with_capacity(rows),
+        weight: vec![0.0; rows],
+        near_weight: vec![0.0; rows],
+        text_starts: vec![0],
+        ..Default::default()
+    };
+    for v in table.column_values(attr) {
+        let num = v.as_f64();
+        col.present.push(!v.is_null());
+        col.has_num.push(num.is_some());
+        col.num.push(num.unwrap_or(0.0));
+    }
+    let scale = comparison_scale(&col);
+    let present: Vec<usize> = (0..rows).filter(|&i| col.present[i]).collect();
+    let docs = present.len();
+
+    // Intern. A *rendering* is a cell's canonical string; its word tokens
+    // (and so a text cell's weight) are a function of it. A *text* is a
+    // rendering lower-cased — what the edit distance compares. Several
+    // renderings can share a text ("Berlin", "BERLIN"), never the reverse.
+    // Rows look their rendering up; lower-casing, tokenizing and the
+    // histogram happen once per distinct rendering or text.
+    let mut renderings = Renderings::with_capacity(docs);
+    let mut text_ids: HashMap<String, u32> = HashMap::with_capacity(docs);
+    let mut rendering_of_row: Vec<u32> = Vec::with_capacity(rows);
+    let mut rendering_rows: Vec<usize> = Vec::new();
+    let mut rendering_text: Vec<u32> = Vec::new();
+    let mut text_rows: Vec<usize> = Vec::new();
+    // Only textual attributes weigh by token.
+    let mut tokenized = TokenizedRenderings::default();
+    for v in table.column_values(attr) {
+        if v.is_null() {
+            rendering_of_row.push(0);
+            col.text_id.push(0);
+            continue;
+        }
+        let (r, new) = renderings.intern(v);
+        if let Some(rendering) = new {
+            let t = match text_ids.entry(rendering.to_lowercase()) {
+                Entry::Occupied(known) => *known.get(),
+                Entry::Vacant(new) => {
+                    // No more texts than renderings, whose count fits.
+                    let t = text_rows.len() as u32;
+                    col.chars.extend(new.key().chars());
+                    let end = u32::try_from(col.chars.len())
+                        .expect("fewer than 2^32 chars of distinct text per attribute");
+                    col.text_starts.push(end);
+                    col.hists.push(char_histogram(new.key()));
+                    text_rows.push(0);
+                    *new.insert(t)
+                }
+            };
+            rendering_text.push(t);
+            rendering_rows.push(0);
+            if scale.is_none() {
+                tokenized.push(rendering);
+            }
+        }
+        let t = rendering_text[r as usize];
+        rendering_rows[r as usize] += 1;
+        text_rows[t as usize] += 1;
+        rendering_of_row.push(r);
+        col.text_id.push(t);
+    }
+
+    // Identifying power. Textual attributes document each value's word
+    // tokens. σ-scaled numeric attributes document the value's
+    // noise-resolution bucket instead: continuous values are near-unique as
+    // strings, so token IDF would award every price or date maximal
+    // identifying power, when what matters is how rare
+    // agreement-within-noise is in this attribute — and, separately, the
+    // *exact* value, because exact agreement on a rare value (an
+    // unconflicted duplicate's price) is strong evidence even though
+    // closeness alone is weak.
+    match scale {
+        None => {
+            let rendering_weight = tokenized.weights(&rendering_rows, docs);
+            for &i in &present {
+                col.weight[i] = rendering_weight[rendering_of_row[i] as usize];
+                col.near_weight[i] = col.weight[i];
+            }
+        }
+        Some(scale) => {
+            let mut bucket_rows: HashMap<u64, usize> = HashMap::new();
+            for &i in &present {
+                *bucket_rows
+                    .entry(numeric_bucket(col.num[i], scale))
+                    .or_default() += 1;
+            }
+            for &i in &present {
+                let exact = text_rows[col.text_id[i] as usize];
+                let near = bucket_rows[&numeric_bucket(col.num[i], scale)];
+                col.weight[i] = stable_soft_idf(docs, exact).max(MIN_WEIGHT);
+                col.near_weight[i] = stable_soft_idf(docs, near).max(MIN_WEIGHT);
+            }
+        }
+    }
+    (col, scale)
+}
+
+/// A tuple-similarity scorer bound to one table — the one cell cache every
+/// scoring path reads (see the module docs for the layout).
 #[derive(Debug, Clone)]
 pub struct TupleSimilarity {
     /// Indices of the attributes participating in comparison.
     attrs: Vec<usize>,
-    /// One token corpus per participating attribute (documents = that
-    /// attribute's non-null values).
-    corpora: Vec<Corpus>,
-    /// Per row and participating attribute: the cell cache, or `None` for
-    /// `NULL`.
-    cells: Vec<Vec<Option<CellData>>>,
+    /// One column per participating attribute.
+    pub(crate) cols: Vec<AttrColumn>,
     /// Per participating attribute: the numeric comparison scale
     /// (`NUMERIC_SIGMA_SCALE · σ`, quantized by [`quantize_scale`]) when
     /// the attribute is fully numeric, else `None`.
-    ranges: Vec<Option<f64>>,
+    pub(crate) ranges: Vec<Option<f64>>,
+    row_count: usize,
 }
 
 impl TupleSimilarity {
@@ -246,114 +516,12 @@ impl TupleSimilarity {
     /// indices) — typically the output of the attribute-selection
     /// heuristics.
     pub fn new(table: &Table, attrs: Vec<usize>) -> Self {
-        // Numeric dispersion statistics: an attribute gets a comparison
-        // scale (2σ) when every non-null value has a numeric view (ints,
-        // floats, dates, numeric text) and the dispersion is non-zero.
-        let ranges: Vec<Option<f64>> = attrs
-            .iter()
-            .map(|&a| {
-                let mut xs: Vec<f64> = Vec::new();
-                for v in table.column_values(a) {
-                    if v.is_null() {
-                        continue;
-                    }
-                    match v.as_f64() {
-                        Some(x) => xs.push(x),
-                        None => return None, // mixed/textual attribute
-                    }
-                }
-                if xs.len() < 2 {
-                    return None;
-                }
-                let n = xs.len() as f64;
-                let mean = xs.iter().sum::<f64>() / n;
-                let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-                let sigma = var.sqrt();
-                let inflation = 1.0 + SIGMA_SMALL_SAMPLE_INFLATION / n;
-                (sigma > 0.0).then(|| quantize_scale(NUMERIC_SIGMA_SCALE * sigma * inflation))
-            })
-            .collect();
-        // Identifying-power corpora. Textual attributes document each value's
-        // word tokens. σ-scaled numeric attributes document the value's
-        // *noise-resolution bucket* (width σ/2) instead: continuous values
-        // are near-unique as strings, so token IDF would award every price
-        // or date maximal identifying power, when what matters is how rare
-        // agreement-within-noise is in this attribute.
-        let mut corpora = Vec::with_capacity(attrs.len());
-        // For σ-scaled numeric attributes, a second corpus over the *exact*
-        // rendered values: exact agreement on a rare value (an unconflicted
-        // duplicate's price) is strong evidence even though closeness alone
-        // is weak. Dropped after weight precomputation; `None` for text.
-        let mut exact_corpora: Vec<Option<Corpus>> = Vec::with_capacity(attrs.len());
-        for (&a, range) in attrs.iter().zip(&ranges) {
-            let docs: Vec<Vec<String>> = table
-                .column_values(a)
-                .filter(|v| !v.is_null())
-                .map(|v| match (range, v.as_f64()) {
-                    (Some(scale), Some(x)) => vec![numeric_bucket_token(x, *scale)],
-                    _ => word_tokens(&v.to_string()),
-                })
-                .collect();
-            corpora.push(Corpus::from_documents(docs));
-            exact_corpora.push(range.map(|_| {
-                Corpus::from_documents(
-                    table
-                        .column_values(a)
-                        .filter(|v| !v.is_null())
-                        .map(|v| vec![v.to_string().to_lowercase()]),
-                )
-            }));
-        }
-        let cells: Vec<Vec<Option<CellData>>> = table
-            .rows()
-            .iter()
-            .map(|row| {
-                attrs
-                    .iter()
-                    .zip(corpora.iter().zip(exact_corpora.iter().zip(&ranges)))
-                    .map(|(&a, (corpus, (exact_corpus, range)))| {
-                        let v = &row[a];
-                        if v.is_null() {
-                            None
-                        } else {
-                            let text = v.to_string().to_lowercase();
-                            let (weight, near_weight) = match (range, v.as_f64()) {
-                                (Some(scale), Some(x)) => {
-                                    let exact = stable_soft_idf(
-                                        exact_corpus
-                                            .as_ref()
-                                            .expect("exact corpus exists for ranged attrs"),
-                                        &text,
-                                    )
-                                    .max(0.05);
-                                    let near =
-                                        stable_soft_idf(corpus, &numeric_bucket_token(x, *scale))
-                                            .max(0.05);
-                                    (exact, near)
-                                }
-                                _ => {
-                                    let w = value_weight(corpus, v);
-                                    (w, w)
-                                }
-                            };
-                            Some(CellData {
-                                weight,
-                                near_weight,
-                                num: v.as_f64(),
-                                len: text.chars().count(),
-                                hist: char_histogram(&text),
-                                text,
-                            })
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        let (cols, ranges) = attrs.iter().map(|&a| build_column(table, a)).unzip();
         TupleSimilarity {
             attrs,
-            corpora,
-            cells,
+            cols,
             ranges,
+            row_count: table.len(),
         }
     }
 
@@ -362,52 +530,45 @@ impl TupleSimilarity {
         &self.attrs
     }
 
-    /// The per-attribute corpora (exposed for diagnostics and benches).
-    pub fn corpora(&self) -> &[Corpus] {
-        &self.corpora
-    }
-
-    /// The per-row cell caches (row-major), for the columnar scorer's
-    /// transposition.
-    pub(crate) fn cells(&self) -> &[Vec<Option<CellData>>] {
-        &self.cells
-    }
-
-    /// The per-attribute comparison scales.
-    pub(crate) fn ranges(&self) -> &[Option<f64>] {
-        &self.ranges
+    /// `Σ w·s` and `Σ w` over the attributes rows `i` and `j` match on, in
+    /// attribute order; `text_similarity` scores two distinct texts of a
+    /// column. Numeric comparisons are exact and cheap, so the measure and
+    /// its bound share them.
+    fn evidence(
+        &self,
+        i: usize,
+        j: usize,
+        mut text_similarity: impl FnMut(&AttrColumn, u32, u32) -> f64,
+    ) -> (f64, f64) {
+        let (mut num, mut den) = (0.0, 0.0);
+        for (col, range) in self.cols.iter().zip(&self.ranges) {
+            if !col.matched(i, j) {
+                continue; // missing data: no influence
+            }
+            let w = col.pair_weight(i, j);
+            let s = if col.numeric(i, j) {
+                numeric_field_similarity(col.num[i], col.num[j], *range)
+            } else {
+                text_similarity(col, col.text_id[i], col.text_id[j])
+            };
+            num += w * s;
+            den += w;
+        }
+        (num, den)
     }
 
     /// Similarity of rows `i` and `j` of the bound table, in `[0, 1]`.
     /// Pairs with no matched attribute score 0. The `table` parameter is
     /// kept for API symmetry; all data comes from the caches.
+    ///
+    /// This is the row-at-a-time reference: one pair, every attribute in
+    /// order, no shortcut. The block kernel in [`crate::columnar`] must
+    /// reproduce its result bit for bit.
     pub fn similarity(&self, _table: &Table, i: usize, j: usize) -> f64 {
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for k in 0..self.attrs.len() {
-            let (u, v) = match (&self.cells[i][k], &self.cells[j][k]) {
-                (Some(u), Some(v)) => (u, v),
-                _ => continue, // missing data: no influence
-            };
-            let (w, s) = match (u.num, v.num) {
-                (Some(x), Some(y)) => {
-                    // Exact numeric agreement carries the value's own rarity;
-                    // mere closeness only the bucket's.
-                    let w = if x == y {
-                        (u.weight + v.weight) / 2.0
-                    } else {
-                        (u.near_weight + v.near_weight) / 2.0
-                    };
-                    (w, numeric_field_similarity(x, y, self.ranges[k]))
-                }
-                _ => (
-                    (u.weight + v.weight) / 2.0,
-                    levenshtein_similarity(&u.text, &v.text),
-                ),
-            };
-            num += w * s;
-            den += w;
-        }
+        let mut scratch = EditScratch::new();
+        let (num, den) = self.evidence(i, j, |col, a, b| {
+            levenshtein_similarity_chars(col.text(a), col.text(b), &mut scratch)
+        });
         if den == 0.0 {
             0.0
         } else {
@@ -415,46 +576,14 @@ impl TupleSimilarity {
         }
     }
 
-    /// Admissible upper bound on [`TupleSimilarity::similarity`]: per-field
-    /// `O(1)` bounds over the caches (no allocation, no edit distance), so
-    /// `upper_bound ≥ similarity` always holds — the filter is lossless.
+    /// Admissible upper bound on [`TupleSimilarity::similarity`]: the same
+    /// sum with every text comparison replaced by its `O(1)` bound (no
+    /// edit distance; numeric comparisons are already exact). Every term is
+    /// `≥` its exact counterpart and rounded `+ × ÷` are monotone, so
+    /// `upper_bound ≥ similarity` holds with no epsilon — the filter is
+    /// lossless.
     pub fn upper_bound(&self, _table: &Table, i: usize, j: usize) -> f64 {
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for k in 0..self.attrs.len() {
-            let (u, v) = match (&self.cells[i][k], &self.cells[j][k]) {
-                (Some(u), Some(v)) => (u, v),
-                _ => continue,
-            };
-            // Numeric fields are computed exactly, so the same weight choice
-            // as the full measure keeps the bound admissible.
-            let w = match (u.num, v.num) {
-                (Some(x), Some(y)) if x != y => (u.near_weight + v.near_weight) / 2.0,
-                _ => (u.weight + v.weight) / 2.0,
-            };
-            let s = match (u.num, v.num) {
-                (Some(x), Some(y)) => numeric_field_similarity(x, y, self.ranges[k]),
-                _ => {
-                    let max = u.len.max(v.len);
-                    if max == 0 {
-                        1.0
-                    } else {
-                        // Two admissible lower bounds on the edit distance:
-                        // length difference, and half the histogram L1 gap.
-                        let l1: u32 = u
-                            .hist
-                            .iter()
-                            .zip(&v.hist)
-                            .map(|(x, y)| x.abs_diff(*y) as u32)
-                            .sum();
-                        let dist_lb = (l1 as f64 / 2.0).max(u.len.abs_diff(v.len) as f64);
-                        1.0 - dist_lb / max as f64
-                    }
-                }
-            };
-            num += w * s;
-            den += w;
-        }
+        let (num, den) = self.evidence(i, j, AttrColumn::text_similarity_bound);
         if den == 0.0 {
             0.0
         } else {
@@ -464,7 +593,7 @@ impl TupleSimilarity {
 
     /// Number of rows the scorer is bound to.
     pub fn row_count(&self) -> usize {
-        self.cells.len()
+        self.row_count
     }
 
     /// The per-attribute comparison scales as exact bit patterns (`None`
@@ -478,7 +607,7 @@ impl TupleSimilarity {
     /// and carries a numeric view (the only cells whose comparison reads
     /// the attribute's range).
     pub fn cell_is_numeric(&self, i: usize, k: usize) -> bool {
-        self.cells[i][k].as_ref().is_some_and(|c| c.num.is_some())
+        self.cols[k].present[i] && self.cols[k].has_num[i]
     }
 
     /// Bit-exact equality of one row's cell caches against a row of another
@@ -487,45 +616,22 @@ impl TupleSimilarity {
     /// This is the carry-over test of the incremental detector: a pair of
     /// rows whose cells are bit-identical under the old and new scorer —
     /// and whose attribute ranges are bit-identical — scores bit-identically,
-    /// because [`TupleSimilarity::similarity`] reads nothing else.
+    /// because [`TupleSimilarity::similarity`] reads nothing else. Text
+    /// compares by content (ids are private to a scorer); length and
+    /// histogram are functions of it.
     pub fn row_cells_identical(&self, i: usize, other: &TupleSimilarity, j: usize) -> bool {
         debug_assert_eq!(self.attrs.len(), other.attrs.len());
-        self.cells[i]
-            .iter()
-            .zip(&other.cells[j])
-            .all(|(a, b)| match (a, b) {
-                (None, None) => true,
-                (Some(a), Some(b)) => {
-                    a.weight.to_bits() == b.weight.to_bits()
-                        && a.near_weight.to_bits() == b.near_weight.to_bits()
-                        && a.num.map(f64::to_bits) == b.num.map(f64::to_bits)
-                        && a.len == b.len
-                        && a.text == b.text
-                        && a.hist == b.hist
-                }
-                _ => false,
-            })
+        self.cols.iter().zip(&other.cols).all(|(a, b)| {
+            if !(a.present[i] && b.present[j]) {
+                return a.present[i] == b.present[j];
+            }
+            a.weight[i].to_bits() == b.weight[j].to_bits()
+                && a.near_weight[i].to_bits() == b.near_weight[j].to_bits()
+                && a.has_num[i] == b.has_num[j]
+                && a.num[i].to_bits() == b.num[j].to_bits()
+                && a.text(a.text_id[i]) == b.text(b.text_id[j])
+        })
     }
-}
-
-/// Noise-resolution bucket label for a σ-scaled numeric value: `scale` is
-/// `NUMERIC_SIGMA_SCALE · σ`, so the bucket width is `σ/2` — values a noise
-/// gap apart usually share a bucket, unrelated values rarely do.
-fn numeric_bucket_token(x: f64, scale: f64) -> String {
-    let width = (scale / (2.0 * NUMERIC_SIGMA_SCALE)).max(f64::MIN_POSITIVE);
-    format!("b{:.0}", (x / width).floor())
-}
-
-/// Identifying power of one value: the mean soft IDF (over quantized corpus
-/// statistics) of its tokens in the attribute's corpus, floored at a small
-/// ε so matched-but-common values still participate.
-fn value_weight(corpus: &Corpus, v: &Value) -> f64 {
-    let tokens = word_tokens(&v.to_string());
-    if tokens.is_empty() {
-        return 0.05;
-    }
-    let sum: f64 = tokens.iter().map(|t| stable_soft_idf(corpus, t)).sum();
-    (sum / tokens.len() as f64).max(0.05)
 }
 
 #[cfg(test)]
@@ -625,7 +731,7 @@ mod tests {
         for i in 0..t.len() {
             for j in 0..t.len() {
                 assert!(
-                    s.upper_bound(&t, i, j) + 1e-12 >= s.similarity(&t, i, j),
+                    s.upper_bound(&t, i, j) >= s.similarity(&t, i, j),
                     "bound violated for ({i},{j})"
                 );
             }
@@ -780,25 +886,282 @@ mod tests {
         assert_eq!(a.range_bits(), b.range_bits());
     }
 
-    #[test]
-    fn field_bound_dominates_similarity() {
-        let vals = [
-            Value::text("John Smith"),
-            Value::text("Jon Smyth"),
-            Value::text("x"),
-            Value::Int(42),
-            Value::Float(41.5),
-        ];
-        for a in &vals {
-            for b in &vals {
-                for range in [None, Some(10.0)] {
-                    assert!(
-                        field_similarity_upper_bound(a, b, range) + 1e-12
-                            >= field_similarity_with_range(a, b, range),
-                        "{a:?} vs {b:?} range {range:?}"
-                    );
-                }
+    /// The measure as it was computed per row before the columns existed:
+    /// a `String`-keyed corpus per attribute, every cell rendered,
+    /// lower-cased, tokenized and weighed on its own. The columns must hold
+    /// exactly these floats and this text.
+    mod reference {
+        use super::super::*;
+        use hummer_textsim::tfidf::Corpus;
+        use hummer_textsim::tokenize::word_tokens;
+
+        pub struct CellData {
+            pub weight: f64,
+            pub near_weight: f64,
+            pub num: Option<f64>,
+            pub text: String,
+            pub len: usize,
+            pub hist: [u16; 28],
+        }
+
+        fn stable_soft_idf(corpus: &Corpus, token: &str) -> f64 {
+            let n = quantize_count(corpus.doc_count());
+            if n == 0 {
+                return 1.0;
+            }
+            let df = quantize_count(corpus.df(token));
+            let idf = (1.0 + n as f64 / (df as f64 + 1.0)).ln();
+            (idf / (1.0 + n as f64).ln()).min(1.0)
+        }
+
+        fn numeric_bucket_token(x: f64, scale: f64) -> String {
+            let width = (scale / (2.0 * NUMERIC_SIGMA_SCALE)).max(f64::MIN_POSITIVE);
+            format!("b{:.0}", (x / width).floor())
+        }
+
+        fn value_weight(corpus: &Corpus, v: &Value) -> f64 {
+            let tokens = word_tokens(&v.to_string());
+            if tokens.is_empty() {
+                return 0.05;
+            }
+            let sum: f64 = tokens.iter().map(|t| stable_soft_idf(corpus, t)).sum();
+            (sum / tokens.len() as f64).max(0.05)
+        }
+
+        pub type Cells = Vec<Vec<Option<CellData>>>;
+
+        pub fn build(table: &Table, attrs: &[usize]) -> (Cells, Vec<Option<f64>>) {
+            let ranges: Vec<Option<f64>> = attrs
+                .iter()
+                .map(|&a| {
+                    let mut xs: Vec<f64> = Vec::new();
+                    for v in table.column_values(a) {
+                        if v.is_null() {
+                            continue;
+                        }
+                        match v.as_f64() {
+                            Some(x) => xs.push(x),
+                            None => return None,
+                        }
+                    }
+                    if xs.len() < 2 {
+                        return None;
+                    }
+                    let n = xs.len() as f64;
+                    let mean = xs.iter().sum::<f64>() / n;
+                    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+                    let sigma = var.sqrt();
+                    let inflation = 1.0 + SIGMA_SMALL_SAMPLE_INFLATION / n;
+                    (sigma > 0.0).then(|| quantize_scale(NUMERIC_SIGMA_SCALE * sigma * inflation))
+                })
+                .collect();
+            let mut corpora = Vec::new();
+            let mut exact_corpora: Vec<Option<Corpus>> = Vec::new();
+            for (&a, range) in attrs.iter().zip(&ranges) {
+                let docs: Vec<Vec<String>> = table
+                    .column_values(a)
+                    .filter(|v| !v.is_null())
+                    .map(|v| match (range, v.as_f64()) {
+                        (Some(scale), Some(x)) => vec![numeric_bucket_token(x, *scale)],
+                        _ => word_tokens(&v.to_string()),
+                    })
+                    .collect();
+                corpora.push(Corpus::from_documents(docs));
+                exact_corpora.push(range.map(|_| {
+                    Corpus::from_documents(
+                        table
+                            .column_values(a)
+                            .filter(|v| !v.is_null())
+                            .map(|v| vec![v.to_string().to_lowercase()]),
+                    )
+                }));
+            }
+            let cells = table
+                .rows()
+                .iter()
+                .map(|row| {
+                    attrs
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &a)| {
+                            let v = &row[a];
+                            if v.is_null() {
+                                return None;
+                            }
+                            let text = v.to_string().to_lowercase();
+                            let (weight, near_weight) = match (ranges[k], v.as_f64()) {
+                                (Some(scale), Some(x)) => (
+                                    stable_soft_idf(exact_corpora[k].as_ref().unwrap(), &text)
+                                        .max(0.05),
+                                    stable_soft_idf(&corpora[k], &numeric_bucket_token(x, scale))
+                                        .max(0.05),
+                                ),
+                                _ => {
+                                    let w = value_weight(&corpora[k], v);
+                                    (w, w)
+                                }
+                            };
+                            Some(CellData {
+                                weight,
+                                near_weight,
+                                num: v.as_f64(),
+                                len: text.chars().count(),
+                                hist: char_histogram(&text),
+                                text,
+                            })
+                        })
+                        .collect()
+                })
+                .collect();
+            (cells, ranges)
+        }
+
+        pub fn similarity(cells: &Cells, ranges: &[Option<f64>], i: usize, j: usize) -> f64 {
+            let mut num = 0.0;
+            let mut den = 0.0;
+            for (k, range) in ranges.iter().enumerate() {
+                let (u, v) = match (&cells[i][k], &cells[j][k]) {
+                    (Some(u), Some(v)) => (u, v),
+                    _ => continue,
+                };
+                let (w, s) = match (u.num, v.num) {
+                    (Some(x), Some(y)) => {
+                        let w = if x == y {
+                            (u.weight + v.weight) / 2.0
+                        } else {
+                            (u.near_weight + v.near_weight) / 2.0
+                        };
+                        (w, numeric_field_similarity(x, y, *range))
+                    }
+                    _ => (
+                        (u.weight + v.weight) / 2.0,
+                        levenshtein_similarity(&u.text, &v.text),
+                    ),
+                };
+                num += w * s;
+                den += w;
+            }
+            if den == 0.0 {
+                0.0
+            } else {
+                (num / (den + EVIDENCE_PRIOR)).clamp(0.0, 1.0)
             }
         }
+
+        pub fn upper_bound(cells: &Cells, ranges: &[Option<f64>], i: usize, j: usize) -> f64 {
+            let mut num = 0.0;
+            let mut den = 0.0;
+            for (k, range) in ranges.iter().enumerate() {
+                let (u, v) = match (&cells[i][k], &cells[j][k]) {
+                    (Some(u), Some(v)) => (u, v),
+                    _ => continue,
+                };
+                let w = match (u.num, v.num) {
+                    (Some(x), Some(y)) if x != y => (u.near_weight + v.near_weight) / 2.0,
+                    _ => (u.weight + v.weight) / 2.0,
+                };
+                let s = match (u.num, v.num) {
+                    (Some(x), Some(y)) => numeric_field_similarity(x, y, *range),
+                    _ => {
+                        let max = u.len.max(v.len);
+                        if max == 0 {
+                            1.0
+                        } else {
+                            let l1: u32 = u
+                                .hist
+                                .iter()
+                                .zip(&v.hist)
+                                .map(|(x, y)| x.abs_diff(*y) as u32)
+                                .sum();
+                            let dist_lb = (l1 as f64 / 2.0).max(u.len.abs_diff(v.len) as f64);
+                            1.0 - dist_lb / max as f64
+                        }
+                    }
+                };
+                num += w * s;
+                den += w;
+            }
+            if den == 0.0 {
+                0.0
+            } else {
+                (num / (den + EVIDENCE_PRIOR)).min(1.0)
+            }
+        }
+    }
+
+    /// Every cached float and text of the columns equals the per-row
+    /// reference, bit for bit, and so do the two scores built on them.
+    fn assert_equals_reference(name: &str, table: &Table, attrs: Vec<usize>) {
+        let (cells, ranges) = reference::build(table, &attrs);
+        let measure = TupleSimilarity::new(table, attrs);
+        assert_eq!(
+            measure.range_bits(),
+            ranges
+                .iter()
+                .map(|r| r.map(f64::to_bits))
+                .collect::<Vec<_>>(),
+            "{name}: ranges"
+        );
+        for (i, row) in cells.iter().enumerate() {
+            for (k, cell) in row.iter().enumerate() {
+                let col = &measure.cols[k];
+                let at = format!("{name}: row {i} attr {k}");
+                assert_eq!(col.present[i], cell.is_some(), "{at}");
+                let Some(cell) = cell else { continue };
+                assert_eq!(col.weight[i].to_bits(), cell.weight.to_bits(), "{at}");
+                assert_eq!(
+                    col.near_weight[i].to_bits(),
+                    cell.near_weight.to_bits(),
+                    "{at}"
+                );
+                assert_eq!(col.has_num[i], cell.num.is_some(), "{at}");
+                if let Some(x) = cell.num {
+                    assert_eq!(col.num[i].to_bits(), x.to_bits(), "{at}");
+                }
+                let text = col.text(col.text_id[i]);
+                assert_eq!(text, cell.text.chars().collect::<Vec<_>>(), "{at}");
+                assert_eq!(text.len(), cell.len, "{at}");
+                assert_eq!(col.hists[col.text_id[i] as usize], cell.hist, "{at}");
+            }
+        }
+        // A band of pairs around the diagonal plus a stride across the table.
+        let n = table.len();
+        for i in 0..n {
+            for j in (i + 1..n.min(i + 12)).chain((i + 12..n).step_by(37)) {
+                assert_eq!(
+                    measure.similarity(table, i, j).to_bits(),
+                    reference::similarity(&cells, &ranges, i, j).to_bits(),
+                    "{name}: similarity({i}, {j})"
+                );
+                assert_eq!(
+                    measure.upper_bound(table, i, j).to_bits(),
+                    reference::upper_bound(&cells, &ranges, i, j).to_bits(),
+                    "{name}: upper_bound({i}, {j})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn columns_equal_the_per_row_reference_on_the_scenario_worlds() {
+        for (name, table) in crate::testworlds::worlds() {
+            // Every column but the bookkeeping one: text, numeric, dates.
+            let all: Vec<usize> = (0..table.schema().len() - 1).collect();
+            assert_equals_reference(name, &table, all);
+            let selected = crate::select_attributes(&table, &Default::default());
+            assert_equals_reference(name, &table, selected);
+        }
+    }
+
+    #[test]
+    fn columns_equal_the_per_row_reference_on_awkward_cells() {
+        let table = crate::testworlds::awkward();
+        assert_equals_reference("awkward", &table, vec![0, 1, 2, 3]);
+        assert_equals_reference("awkward", &table, vec![2]);
+        // Renderings that differ only in case share one text.
+        let measure = TupleSimilarity::new(&table, vec![1]);
+        let place = &measure.cols[0];
+        assert_eq!(place.text_id[9], place.text_id[10]);
+        assert_eq!(place.text_id[8], place.text_id[9]);
     }
 }

@@ -143,6 +143,7 @@ pub fn run_shard(
     span.count("candidates", shard.candidates.len() as u64);
     span.count("compared", scored.compared as u64);
     span.count("filtered_out", scored.filtered_out as u64);
+    span.count("cut_short", scored.cut_short as u64);
     span.count("pairs", pairs.len() as u64);
     drop(span);
 

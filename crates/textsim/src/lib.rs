@@ -46,7 +46,7 @@ pub mod tokenize;
 
 pub use edit::{
     damerau_levenshtein, levenshtein, levenshtein_chars, levenshtein_similarity,
-    levenshtein_similarity_chars, EditScratch,
+    levenshtein_similarity_chars, levenshtein_similarity_chars_many, EditScratch,
 };
 pub use interned::{IdVector, IdVectors, InternedCorpus, Interner, Vocabulary};
 pub use jaro::{jaro, jaro_winkler};

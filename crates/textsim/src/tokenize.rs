@@ -18,7 +18,11 @@ pub fn normalize(s: &str) -> String {
 pub(crate) fn for_each_word(s: &str, word: &mut String, mut f: impl FnMut(&str)) {
     word.clear();
     for c in s.chars() {
-        if c.is_alphanumeric() {
+        if c.is_ascii_alphanumeric() {
+            // What the general branch does for ASCII, without the
+            // case-mapping iterator.
+            word.push(c.to_ascii_lowercase());
+        } else if c.is_alphanumeric() {
             word.extend(c.to_lowercase());
         } else if !word.is_empty() {
             f(word);
@@ -87,6 +91,24 @@ mod tests {
     #[test]
     fn words_handle_unicode() {
         assert_eq!(word_tokens("Käse-Straße"), vec!["käse", "straße"]);
+    }
+
+    /// The ASCII branch is a shortcut, not a second definition: every char,
+    /// ASCII or not, yields what `is_alphanumeric` + `to_lowercase` say.
+    #[test]
+    fn ascii_shortcut_agrees_with_the_general_rule() {
+        let chars = (0u32..0x250).chain([0x3a3, 0x4e2d, 0x1f600]);
+        let text: String = chars.filter_map(char::from_u32).collect();
+        let mut expected = vec![String::new()];
+        for c in text.chars() {
+            if c.is_alphanumeric() {
+                expected.last_mut().unwrap().extend(c.to_lowercase());
+            } else if !expected.last().unwrap().is_empty() {
+                expected.push(String::new());
+            }
+        }
+        expected.retain(|w| !w.is_empty());
+        assert_eq!(word_tokens(&text), expected);
     }
 
     #[test]

@@ -5,7 +5,134 @@
 use hummer_textsim::*;
 use proptest::prelude::*;
 
+/// The textbook full-matrix Levenshtein recurrence: the oracle for the
+/// library's length-selected paths, sharing no code with either.
+fn levenshtein_oracle(a: &[char], b: &[char]) -> usize {
+    let mut d = vec![vec![0usize; b.len() + 1]; a.len() + 1];
+    for (i, row) in d.iter_mut().enumerate() {
+        row[0] = i;
+    }
+    for (j, cell) in d[0].iter_mut().enumerate() {
+        *cell = j;
+    }
+    for i in 1..=a.len() {
+        for j in 1..=b.len() {
+            let substitute = d[i - 1][j - 1] + usize::from(a[i - 1] != b[j - 1]);
+            d[i][j] = substitute.min(d[i - 1][j] + 1).min(d[i][j - 1] + 1);
+        }
+    }
+    d[a.len()][b.len()]
+}
+
+/// Distance and similarity of `a` and `b` against the oracle, in both
+/// argument orders and through one reused scratch.
+fn assert_edit_matches_oracle(a: &str, b: &str) -> Result<(), TestCaseError> {
+    let (ca, cb): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+    let want = levenshtein_oracle(&ca, &cb);
+    let mut scratch = EditScratch::new();
+    prop_assert_eq!(levenshtein_chars(&ca, &cb, &mut scratch), want);
+    prop_assert_eq!(levenshtein_chars(&cb, &ca, &mut scratch), want);
+    prop_assert_eq!(levenshtein(a, b), want);
+    let max = ca.len().max(cb.len());
+    let sim = if max == 0 {
+        1.0
+    } else {
+        1.0 - want as f64 / max as f64
+    };
+    prop_assert_eq!(levenshtein_similarity(a, b).to_bits(), sim.to_bits());
+    prop_assert_eq!(
+        levenshtein_similarity_chars(&cb, &ca, &mut scratch).to_bits(),
+        sim.to_bits()
+    );
+    Ok(())
+}
+
+/// `base` after the edits `codes` spell: each code picks a position, an
+/// operation (delete, insert, substitute) and a char, non-BMP included.
+fn mutate(base: &str, codes: &[usize]) -> String {
+    const INSERTS: [char; 5] = ['a', 'z', 'é', '中', '😀'];
+    let mut chars: Vec<char> = base.chars().collect();
+    for &code in codes {
+        let c = INSERTS[code % 5];
+        let at = (code / 15) % (chars.len() + 1);
+        match (code / 5) % 3 {
+            0 if at < chars.len() => {
+                chars.remove(at);
+            }
+            1 if at < chars.len() => chars[at] = c,
+            _ => chars.insert(at, c),
+        }
+    }
+    chars.into_iter().collect()
+}
+
 proptest! {
+    /// Lengths 0…130 straddle the 64-char switch between the bit-vector
+    /// path and the DP on either side of the pair.
+    #[test]
+    fn edit_distance_matches_oracle_on_unrelated_strings(a in ".{0,130}", b in ".{0,130}") {
+        assert_edit_matches_oracle(&a, &b)?;
+        assert_edit_matches_oracle(&a, &a)?;
+    }
+
+    #[test]
+    fn edit_distance_matches_oracle_on_repeated_chars(a in "[ab]{0,130}", b in "[ab]{0,130}") {
+        assert_edit_matches_oracle(&a, &b)?;
+    }
+
+    #[test]
+    fn edit_distance_matches_oracle_on_disjoint_alphabets(a in "[a-m😀]{0,130}", b in "[n-z中]{0,130}") {
+        assert_edit_matches_oracle(&a, &b)?;
+        prop_assert_eq!(levenshtein(&a, &b), a.chars().count().max(b.chars().count()));
+    }
+
+    #[test]
+    fn edit_distance_matches_oracle_on_near_copies(
+        a in ".{0,130}",
+        codes in prop::collection::vec(0usize..100_000, 0..12),
+    ) {
+        assert_edit_matches_oracle(&a, &mutate(&a, &codes))?;
+    }
+
+    /// Around the switch exactly: the shorter side has 63, 64 or 65 chars.
+    #[test]
+    fn edit_distance_matches_oracle_at_the_switch(
+        a in "[a-c]{63,65}",
+        b in "[a-cé]{63,80}",
+        codes in prop::collection::vec(0usize..100_000, 0..6),
+    ) {
+        assert_edit_matches_oracle(&a, &b)?;
+        assert_edit_matches_oracle(&a, &mutate(&a, &codes))?;
+    }
+
+    /// One string against many at once — odd and even counts, lengths on
+    /// both sides of the switch and of the pattern's own length, empties —
+    /// gives each pair the bits a call of its own gives.
+    #[test]
+    fn one_against_many_equals_pair_by_pair(
+        a in "[a-cé]{0,70}",
+        others in prop::collection::vec("[a-cé😀]{0,90}", 0..7),
+        codes in prop::collection::vec(0usize..100_000, 0..5),
+    ) {
+        let chars = |s: &str| s.chars().collect::<Vec<char>>();
+        let a = chars(&a);
+        let mut others: Vec<Vec<char>> = others.iter().map(|s| chars(s)).collect();
+        others.push(chars(&mutate(&a.iter().collect::<String>(), &codes)));
+        others.push(Vec::new());
+        let mut scratch = EditScratch::new();
+        let mut many = Vec::new();
+        levenshtein_similarity_chars_many(&a, others.iter().map(Vec::as_slice), &mut scratch, &mut many);
+        prop_assert_eq!(many.len(), others.len());
+        for (b, got) in others.iter().zip(&many) {
+            let want = levenshtein_similarity_chars(&a, b, &mut EditScratch::new());
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+            let dist = levenshtein_oracle(&a, b);
+            let max = a.len().max(b.len());
+            let sim = if max == 0 { 1.0 } else { 1.0 - dist as f64 / max as f64 };
+            prop_assert_eq!(got.to_bits(), sim.to_bits());
+        }
+    }
+
     #[test]
     fn levenshtein_symmetric(a in ".{0,30}", b in ".{0,30}") {
         prop_assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));
