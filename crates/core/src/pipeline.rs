@@ -159,8 +159,10 @@ pub fn prepare_tables_traced(
 
 /// Attach matching counters to the `match` span, summed over the star's
 /// table pairs: correspondences found, and what sniffing the duplicates
-/// behind them cost (see [`hummer_matching::SniffStats`]).
-fn count_matching(span: &mut Span, results: &[MatchResult]) {
+/// behind them cost (see [`hummer_matching::SniffStats`]). Public so that
+/// every caller of `match_star_par` that opens a `match` span — the shard
+/// coordinator does — records the same counters.
+pub fn count_matching(span: &mut Span, results: &[MatchResult]) {
     let sum = |of: fn(&MatchResult) -> u64| results.iter().map(of).sum::<u64>();
     span.count("correspondences", sum(|m| m.correspondence_count() as u64));
     span.count("sniff_postings_visited", sum(|m| m.sniff.postings_visited));

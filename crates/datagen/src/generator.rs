@@ -9,7 +9,8 @@
 
 use crate::entities::EntityKind;
 use crate::noise::dirty_value;
-use hummer_engine::{Row, Table, Value};
+use hummer_engine::ops::{outer_union, rename_column};
+use hummer_engine::{Column, ColumnType, Row, Table, Value};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -151,6 +152,41 @@ impl GeneratedWorld {
             .iter()
             .flat_map(|s| s.entity_ids.iter().copied())
             .collect()
+    }
+
+    /// The table a perfect matcher and a perfect detector would hand to
+    /// fusion: every source's labels renamed to their canonical names,
+    /// tagged with `sourceID` (the source's name), outer-unioned in source
+    /// order, and annotated with `objectID` = the row's gold entity id.
+    pub fn gold_annotated_union(&self) -> Table {
+        let tagged: Vec<Table> = self
+            .sources
+            .iter()
+            .zip(&self.gold_renames)
+            .map(|(source, renames)| {
+                let mut t = source.table.clone();
+                for (label, canonical) in renames {
+                    if label != canonical {
+                        t = rename_column(&t, label, canonical).expect("gold renames are 1:1");
+                    }
+                }
+                let alias = t.name().to_string();
+                t.add_column(Column::new("sourceID", ColumnType::Text), |_, _| {
+                    Value::text(alias.clone())
+                })
+                .expect("sources carry no sourceID of their own");
+                t
+            })
+            .collect();
+        let refs: Vec<&Table> = tagged.iter().collect();
+        let mut union = outer_union(&refs, "Integrated").expect("canonical schemas align");
+        let gold = self.gold_union_entity_ids();
+        union
+            .add_column(Column::new("objectID", ColumnType::Int), |i, _| {
+                Value::Int(gold[i] as i64)
+            })
+            .expect("sources carry no objectID of their own");
+        union
     }
 }
 

@@ -6,12 +6,16 @@
 //! values themselves, but also of the corresponding tuples, all the
 //! remaining column values, and other metadata, such as column name or table
 //! name."
+//!
+//! The context owns nothing: `rows` and `source_ids` borrow scratch that the
+//! fusion loop refills once per cluster, and the accessors are iterators, so
+//! looking at a cell allocates nothing.
 
 use hummer_engine::{Row, Schema, Value};
 
 /// Everything a resolution function may consult when merging one column of
 /// one duplicate cluster.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct ConflictContext<'a> {
     /// Name of the table being fused.
     pub table_name: &'a str,
@@ -22,37 +26,31 @@ pub struct ConflictContext<'a> {
     /// Index of that column.
     pub column_index: usize,
     /// The cluster's full tuples, in input order.
-    pub rows: Vec<&'a Row>,
+    pub rows: &'a [&'a Row],
     /// Source alias per tuple (from the `sourceID` column), when present.
-    pub source_ids: Vec<Option<String>>,
+    pub source_ids: &'a [Option<&'a str>],
 }
 
 impl<'a> ConflictContext<'a> {
     /// The conflicting values themselves (this column of every tuple,
     /// `NULL`s included), in input order.
-    pub fn values(&self) -> Vec<&'a Value> {
-        self.rows.iter().map(|r| &r[self.column_index]).collect()
+    pub fn values(&self) -> impl Iterator<Item = &'a Value> + 'a {
+        let col = self.column_index;
+        self.rows.iter().map(move |r| &r[col])
     }
 
     /// The non-`NULL` values with the index of the tuple that supplied each.
-    pub fn non_null_values(&self) -> Vec<(usize, &'a Value)> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                let v = &r[self.column_index];
-                (!v.is_null()).then_some((i, v))
-            })
-            .collect()
+    pub fn non_null_values(&self) -> impl Iterator<Item = (usize, &'a Value)> + 'a {
+        self.values().enumerate().filter(|(_, v)| !v.is_null())
     }
 
     /// Whether this column is in *conflict*: more than one distinct
     /// non-null value across the cluster.
     pub fn is_conflict(&self) -> bool {
-        let non_null = self.non_null_values();
-        match non_null.split_first() {
+        let mut non_null = self.non_null_values();
+        match non_null.next() {
             None => false,
-            Some(((_, first), rest)) => rest.iter().any(|(_, v)| !v.group_eq(first)),
+            Some((_, first)) => non_null.any(|(_, v)| !v.group_eq(first)),
         }
     }
 
@@ -64,16 +62,15 @@ impl<'a> ConflictContext<'a> {
     }
 
     /// Tuple indices supplied by the given source alias.
-    pub fn rows_from_source(&self, source: &str) -> Vec<usize> {
+    pub fn rows_from_source<'s>(&self, source: &'s str) -> impl Iterator<Item = usize> + 's
+    where
+        'a: 's,
+    {
         self.source_ids
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| {
-                s.as_deref()
-                    .is_some_and(|alias| alias.eq_ignore_ascii_case(source))
-                    .then_some(i)
-            })
-            .collect()
+            .filter(move |(_, s)| s.is_some_and(|alias| alias.eq_ignore_ascii_case(source)))
+            .map(|(i, _)| i)
     }
 
     /// Number of tuples in the cluster.
@@ -85,6 +82,42 @@ impl<'a> ConflictContext<'a> {
     /// keeps the API total).
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+}
+
+/// Owned rows and sources a test context borrows from.
+#[cfg(test)]
+pub(crate) struct TestCluster<'a> {
+    pub(crate) rows: Vec<&'a Row>,
+    pub(crate) sources: Vec<Option<&'a str>>,
+}
+
+#[cfg(test)]
+impl<'a> TestCluster<'a> {
+    /// The cluster made of all of `rows`, sources read from `source_col`.
+    pub(crate) fn new(rows: &'a [Row], source_col: usize) -> Self {
+        TestCluster {
+            rows: rows.iter().collect(),
+            sources: rows
+                .iter()
+                .map(|r| match &r[source_col] {
+                    Value::Text(s) => Some(s.as_str()),
+                    _ => None,
+                })
+                .collect(),
+        }
+    }
+
+    /// The context of column `col`.
+    pub(crate) fn ctx(&'a self, schema: &'a Schema, col: usize) -> ConflictContext<'a> {
+        ConflictContext {
+            table_name: "T",
+            schema,
+            column: schema.column(col).name.as_str(),
+            column_index: col,
+            rows: &self.rows,
+            source_ids: &self.sources,
+        }
     }
 }
 
@@ -105,23 +138,12 @@ mod tests {
         ]
     }
 
-    fn ctx<'a>(schema: &'a Schema, rows: &'a [Row], col: usize) -> ConflictContext<'a> {
-        ConflictContext {
-            table_name: "T",
-            schema,
-            column: schema.column(col).name.as_str(),
-            column_index: col,
-            rows: rows.iter().collect(),
-            source_ids: rows.iter().map(|r| r[2].as_text()).collect(),
-        }
-    }
-
     #[test]
     fn values_preserve_order_and_nulls() {
         let s = schema();
         let r = rows();
-        let c = ctx(&s, &r, 1);
-        let vals = c.values();
+        let cluster = TestCluster::new(&r, 2);
+        let vals: Vec<&Value> = cluster.ctx(&s, 1).values().collect();
         assert_eq!(vals.len(), 3);
         assert!(vals[2].is_null());
     }
@@ -130,8 +152,8 @@ mod tests {
     fn non_null_values_carry_row_indices() {
         let s = schema();
         let r = rows();
-        let c = ctx(&s, &r, 1);
-        let nn = c.non_null_values();
+        let cluster = TestCluster::new(&r, 2);
+        let nn: Vec<(usize, &Value)> = cluster.ctx(&s, 1).non_null_values().collect();
         assert_eq!(nn.len(), 2);
         assert_eq!(nn[0].0, 0);
         assert_eq!(nn[1].0, 1);
@@ -141,25 +163,28 @@ mod tests {
     fn conflict_detection() {
         let s = schema();
         let r = rows();
-        assert!(ctx(&s, &r, 1).is_conflict()); // 33 vs 34
-        assert!(!ctx(&s, &r, 0).is_conflict()); // all "John"
+        let cluster = TestCluster::new(&r, 2);
+        assert!(cluster.ctx(&s, 1).is_conflict()); // 33 vs 34
+        assert!(!cluster.ctx(&s, 0).is_conflict()); // all "John"
     }
 
     #[test]
     fn null_against_value_is_not_conflict() {
         let s = schema();
         let r = vec![row!["John", 33, "A"], row!["John", (), "B"]];
-        assert!(!ctx(&s, &r, 1).is_conflict()); // subsumption, not conflict
+        let cluster = TestCluster::new(&r, 2);
+        assert!(!cluster.ctx(&s, 1).is_conflict()); // subsumption, not conflict
     }
 
     #[test]
     fn companion_and_source_lookup() {
         let s = schema();
         let r = rows();
-        let c = ctx(&s, &r, 1);
+        let cluster = TestCluster::new(&r, 2);
+        let c = cluster.ctx(&s, 1);
         assert_eq!(c.companion_value(1, "Name"), Some(&Value::text("John")));
         assert_eq!(c.companion_value(1, "nope"), None);
-        assert_eq!(c.rows_from_source("b"), vec![1]);
-        assert!(c.rows_from_source("zz").is_empty());
+        assert_eq!(c.rows_from_source("b").collect::<Vec<_>>(), vec![1]);
+        assert_eq!(c.rows_from_source("zz").count(), 0);
     }
 }

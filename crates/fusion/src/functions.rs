@@ -8,31 +8,103 @@
 //! aggregates it mentions): `CHOOSE(source)`, `COALESCE`, `FIRST`, `LAST`,
 //! `VOTE`, `GROUP`, `CONCAT`, annotated `CONCAT`, `SHORTEST`, `LONGEST`,
 //! `MOST RECENT`, `MIN`, `MAX`, `SUM`, `AVG`, `MEDIAN`, `COUNT`.
+//!
+//! A function that picks one tuple's value allocates nothing beyond the
+//! value it returns: the context's accessors are iterators and a single
+//! contributor travels inline (see [`Contributors`]).
 
 use crate::context::ConflictContext;
 use crate::error::FusionError;
 use hummer_engine::Value;
+use std::fmt::Write as _;
 
 /// Result alias for resolution functions.
 pub type Result<T> = std::result::Result<T, FusionError>;
 
+/// The cluster-tuple indices that supplied a resolved value. Almost every
+/// cell has none (all `NULL`) or one (a picked value), and those two cases
+/// carry no heap allocation.
+#[derive(Debug, Clone, Default)]
+pub enum Contributors {
+    /// No tuple contributed (a `NULL` cell, or a value made from nothing).
+    #[default]
+    None,
+    /// Exactly one tuple contributed.
+    One(usize),
+    /// Several tuples contributed (votes, aggregates, concatenations).
+    Many(Vec<usize>),
+}
+
+impl Contributors {
+    /// The indices, in the order the function reported them.
+    pub fn as_slice(&self) -> &[usize] {
+        match self {
+            Contributors::None => &[],
+            Contributors::One(i) => std::slice::from_ref(i),
+            Contributors::Many(v) => v,
+        }
+    }
+}
+
+impl PartialEq for Contributors {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl From<Vec<usize>> for Contributors {
+    fn from(v: Vec<usize>) -> Self {
+        match v.as_slice() {
+            [] => Contributors::None,
+            [i] => Contributors::One(*i),
+            _ => Contributors::Many(v),
+        }
+    }
+}
+
+impl FromIterator<usize> for Contributors {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        match (iter.next(), iter.next()) {
+            (None, _) => Contributors::None,
+            (Some(i), None) => Contributors::One(i),
+            (Some(i), Some(j)) => Contributors::Many([i, j].into_iter().chain(iter).collect()),
+        }
+    }
+}
+
 /// A resolved cell: the merged value and the cluster-tuple indices that
-/// supplied it (empty when the value was synthesized, e.g. a `SUM`).
+/// supplied it (empty when the value was synthesized from nothing).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Resolved {
     /// The merged value.
     pub value: Value,
     /// Indices (within the cluster) of contributing tuples.
-    pub contributors: Vec<usize>,
+    pub contributors: Contributors,
 }
 
 impl Resolved {
-    /// A resolved value with contributors.
-    pub fn new(value: Value, contributors: Vec<usize>) -> Self {
+    /// A resolved value with contributors (`vec![..]` converts).
+    pub fn new(value: Value, contributors: impl Into<Contributors>) -> Self {
         Resolved {
             value,
-            contributors,
+            contributors: contributors.into(),
         }
+    }
+
+    /// `NULL`, contributed by nobody.
+    pub fn null() -> Self {
+        Resolved::new(Value::Null, Contributors::None)
+    }
+
+    /// Tuple `index`'s own value, picked unchanged.
+    pub fn picked(index: usize, value: &Value) -> Self {
+        Resolved::new(value.clone(), Contributors::One(index))
+    }
+
+    /// The outcome of a pick that may have found nothing.
+    fn picked_or_null(pick: Option<(usize, &Value)>) -> Self {
+        pick.map_or_else(Resolved::null, |(i, v)| Resolved::picked(i, v))
     }
 
     /// A synthesized value: derived from all tuples rather than taken from
@@ -40,7 +112,7 @@ impl Resolved {
     pub fn synthesized(value: Value, ctx: &ConflictContext<'_>) -> Self {
         Resolved {
             value,
-            contributors: ctx.non_null_values().iter().map(|(i, _)| *i).collect(),
+            contributors: ctx.non_null_values().map(|(i, _)| i).collect(),
         }
     }
 }
@@ -85,10 +157,7 @@ impl ResolutionFunction for Coalesce {
         "coalesce"
     }
     fn resolve(&self, ctx: &ConflictContext<'_>) -> Result<Resolved> {
-        match ctx.non_null_values().first() {
-            Some(&(i, v)) => Ok(Resolved::new(v.clone(), vec![i])),
-            None => Ok(Resolved::new(Value::Null, vec![])),
-        }
+        Ok(Resolved::picked_or_null(ctx.non_null_values().next()))
     }
 }
 
@@ -101,10 +170,7 @@ impl ResolutionFunction for First {
         "first"
     }
     fn resolve(&self, ctx: &ConflictContext<'_>) -> Result<Resolved> {
-        match ctx.values().first() {
-            Some(v) => Ok(Resolved::new((*v).clone(), vec![0])),
-            None => Ok(Resolved::new(Value::Null, vec![])),
-        }
+        Ok(Resolved::picked_or_null(ctx.values().enumerate().next()))
     }
 }
 
@@ -117,11 +183,10 @@ impl ResolutionFunction for Last {
         "last"
     }
     fn resolve(&self, ctx: &ConflictContext<'_>) -> Result<Resolved> {
-        let vals = ctx.values();
-        match vals.last() {
-            Some(v) => Ok(Resolved::new((*v).clone(), vec![vals.len() - 1])),
-            None => Ok(Resolved::new(Value::Null, vec![])),
-        }
+        let last = ctx.len().checked_sub(1);
+        Ok(Resolved::picked_or_null(
+            last.map(|i| (i, &ctx.rows[i][ctx.column_index])),
+        ))
     }
 }
 
@@ -137,16 +202,13 @@ impl ResolutionFunction for Choose {
         "choose"
     }
     fn resolve(&self, ctx: &ConflictContext<'_>) -> Result<Resolved> {
-        let rows = ctx.rows_from_source(&self.source);
         // First non-null value from the chosen source; NULL when the source
         // contributed nothing.
-        for i in rows {
-            let v = &ctx.rows[i][ctx.column_index];
-            if !v.is_null() {
-                return Ok(Resolved::new(v.clone(), vec![i]));
-            }
-        }
-        Ok(Resolved::new(Value::Null, vec![]))
+        let pick = ctx
+            .rows_from_source(&self.source)
+            .map(|i| (i, &ctx.rows[i][ctx.column_index]))
+            .find(|(_, v)| !v.is_null());
+        Ok(Resolved::picked_or_null(pick))
     }
 }
 
@@ -162,35 +224,44 @@ impl ResolutionFunction for Vote {
         "vote"
     }
     fn resolve(&self, ctx: &ConflictContext<'_>) -> Result<Resolved> {
-        let non_null = ctx.non_null_values();
-        if non_null.is_empty() {
-            return Ok(Resolved::new(Value::Null, vec![]));
-        }
-        // Count occurrences of each distinct value, tracking contributors.
-        let mut groups: Vec<(&Value, Vec<usize>)> = Vec::new();
-        for (i, v) in &non_null {
+        // Count occurrences of each distinct value, in first-seen order.
+        let mut groups: Vec<(&Value, usize)> = Vec::new();
+        for (_, v) in ctx.non_null_values() {
             match groups.iter_mut().find(|(g, _)| g.group_eq(v)) {
-                Some((_, members)) => members.push(*i),
-                None => groups.push((v, vec![*i])),
+                Some((_, count)) => *count += 1,
+                None => groups.push((v, 1)),
             }
         }
-        let max_count = groups.iter().map(|(_, m)| m.len()).max().unwrap_or(0);
-        let tied: Vec<&(&Value, Vec<usize>)> = groups
-            .iter()
-            .filter(|(_, m)| m.len() == max_count)
-            .collect();
+        let max_count = groups.iter().map(|&(_, n)| n).max().unwrap_or(0);
+        let mut tied = groups.iter().filter(|&&(_, n)| n == max_count);
         let winner = match self.tie_break {
-            TieBreak::FirstSeen => tied[0],
-            TieBreak::Least => tied
-                .iter()
-                .min_by(|a, b| a.0.cmp_total(b.0))
-                .expect("tied is non-empty"),
-            TieBreak::Greatest => tied
-                .iter()
-                .max_by(|a, b| a.0.cmp_total(b.0))
-                .expect("tied is non-empty"),
+            TieBreak::FirstSeen => tied.next(),
+            TieBreak::Least => tied.min_by(|a, b| a.0.cmp_total(b.0)),
+            TieBreak::Greatest => tied.max_by(|a, b| a.0.cmp_total(b.0)),
         };
-        Ok(Resolved::new(winner.0.clone(), winner.1.clone()))
+        let Some(&(value, _)) = winner else {
+            return Ok(Resolved::null());
+        };
+        // A value votes for the first group it equals, as it was counted.
+        let voters = ctx
+            .non_null_values()
+            .filter(|(_, v)| {
+                let joined = groups.iter().find(|(g, _)| g.group_eq(v));
+                joined.is_some_and(|&(g, _)| std::ptr::eq(g, value))
+            })
+            .map(|(i, _)| i);
+        Ok(Resolved::new(
+            value.clone(),
+            voters.collect::<Contributors>(),
+        ))
+    }
+}
+
+/// Characters in a value's rendered form (text needs no rendering).
+fn rendered_chars(v: &Value) -> usize {
+    match v {
+        Value::Text(s) => s.chars().count(),
+        other => other.to_string().chars().count(),
     }
 }
 
@@ -211,21 +282,23 @@ impl ResolutionFunction for ByLength {
         }
     }
     fn resolve(&self, ctx: &ConflictContext<'_>) -> Result<Resolved> {
-        let non_null = ctx.non_null_values();
-        let best = non_null.iter().reduce(|acc, cur| {
-            let la = acc.1.to_string().chars().count();
-            let lc = cur.1.to_string().chars().count();
-            let better = if self.longest { lc > la } else { lc < la };
-            if better {
-                cur
-            } else {
-                acc
-            }
-        });
-        match best {
-            Some(&(i, v)) => Ok(Resolved::new(v.clone(), vec![i])),
-            None => Ok(Resolved::new(Value::Null, vec![])),
-        }
+        // The first value of strictly best length wins.
+        let best = ctx
+            .non_null_values()
+            .map(|(i, v)| (i, v, rendered_chars(v)))
+            .reduce(|acc, cur| {
+                let better = if self.longest {
+                    cur.2 > acc.2
+                } else {
+                    cur.2 < acc.2
+                };
+                if better {
+                    cur
+                } else {
+                    acc
+                }
+            });
+        Ok(Resolved::picked_or_null(best.map(|(i, v, _)| (i, v))))
     }
 }
 
@@ -244,22 +317,15 @@ impl ResolutionFunction for MostRecent {
         "mostrecent"
     }
     fn resolve(&self, ctx: &ConflictContext<'_>) -> Result<Resolved> {
-        if ctx.schema.index_of(&self.recency_column).is_none() {
+        let Some(recency) = ctx.schema.index_of(&self.recency_column) else {
             return Err(FusionError::BadArgument(format!(
                 "MOST RECENT: no such recency column `{}`",
                 self.recency_column
             )));
-        }
-        let non_null = ctx.non_null_values();
-        let best = non_null
-            .iter()
-            .map(|&(i, v)| {
-                let rec = ctx
-                    .companion_value(i, &self.recency_column)
-                    .cloned()
-                    .unwrap_or(Value::Null);
-                (i, v, rec)
-            })
+        };
+        let best = ctx
+            .non_null_values()
+            .map(|(i, v)| (i, v, &ctx.rows[i][recency]))
             .max_by(|a, b| {
                 // NULL recency sorts lowest; then engine order; earlier
                 // tuple wins ties (max_by keeps the last maximal → compare
@@ -268,14 +334,11 @@ impl ResolutionFunction for MostRecent {
                     (true, true) => std::cmp::Ordering::Equal,
                     (true, false) => std::cmp::Ordering::Less,
                     (false, true) => std::cmp::Ordering::Greater,
-                    (false, false) => a.2.cmp_total(&b.2),
+                    (false, false) => a.2.cmp_total(b.2),
                 };
                 rec_ord.then(b.0.cmp(&a.0))
             });
-        match best {
-            Some((i, v, _)) => Ok(Resolved::new(v.clone(), vec![i])),
-            None => Ok(Resolved::new(Value::Null, vec![])),
-        }
+        Ok(Resolved::picked_or_null(best.map(|(i, v, _)| (i, v))))
     }
 }
 
@@ -294,29 +357,28 @@ impl ResolutionFunction for Group {
         "group"
     }
     fn resolve(&self, ctx: &ConflictContext<'_>) -> Result<Resolved> {
-        let non_null = ctx.non_null_values();
-        if non_null.is_empty() {
-            return Ok(Resolved::new(Value::Null, vec![]));
-        }
+        let Some(first) = ctx.non_null_values().next() else {
+            return Ok(Resolved::null());
+        };
         let mut distinct: Vec<&Value> = Vec::new();
-        for (_, v) in &non_null {
+        for (_, v) in ctx.non_null_values() {
             if !distinct.iter().any(|d| d.group_eq(v)) {
                 distinct.push(v);
             }
         }
         if distinct.len() == 1 {
             // No conflict: hand back the single value unchanged.
-            return Ok(Resolved::new(distinct[0].clone(), vec![non_null[0].0]));
+            return Ok(Resolved::picked(first.0, first.1));
         }
-        let body = distinct
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        Ok(Resolved::synthesized(
-            Value::Text(format!("{{{body}}}")),
-            ctx,
-        ))
+        let mut set = String::from("{");
+        for (k, v) in distinct.iter().enumerate() {
+            if k > 0 {
+                set.push_str(", ");
+            }
+            let _ = write!(set, "{v}");
+        }
+        set.push('}');
+        Ok(Resolved::synthesized(Value::Text(set), ctx))
     }
 }
 
@@ -349,25 +411,22 @@ impl ResolutionFunction for Concat {
         }
     }
     fn resolve(&self, ctx: &ConflictContext<'_>) -> Result<Resolved> {
-        let non_null = ctx.non_null_values();
-        if non_null.is_empty() {
-            return Ok(Resolved::new(Value::Null, vec![]));
+        let mut joined = String::new();
+        let mut any = false;
+        for (i, v) in ctx.non_null_values() {
+            if any {
+                joined.push_str(&self.separator);
+            }
+            any = true;
+            let _ = write!(joined, "{v}");
+            if self.annotated {
+                let _ = write!(joined, " [{}]", ctx.source_ids[i].unwrap_or("?"));
+            }
         }
-        let parts: Vec<String> = non_null
-            .iter()
-            .map(|&(i, v)| {
-                if self.annotated {
-                    let src = ctx.source_ids[i].as_deref().unwrap_or("?");
-                    format!("{v} [{src}]")
-                } else {
-                    v.to_string()
-                }
-            })
-            .collect();
-        Ok(Resolved::synthesized(
-            Value::Text(parts.join(&self.separator)),
-            ctx,
-        ))
+        if !any {
+            return Ok(Resolved::null());
+        }
+        Ok(Resolved::synthesized(Value::Text(joined), ctx))
     }
 }
 
@@ -405,27 +464,21 @@ impl ResolutionFunction for NumericAggregate {
         let non_null = ctx.non_null_values();
         match self {
             NumericAggregate::Count => Ok(Resolved::synthesized(
-                Value::Int(non_null.len() as i64),
+                Value::Int(non_null.count() as i64),
                 ctx,
             )),
-            NumericAggregate::Min | NumericAggregate::Max => {
-                let best = if *self == NumericAggregate::Min {
-                    non_null.iter().min_by(|a, b| a.1.cmp_total(b.1))
-                } else {
-                    non_null.iter().max_by(|a, b| a.1.cmp_total(b.1))
-                };
-                match best {
-                    Some(&(i, v)) => Ok(Resolved::new(v.clone(), vec![i])),
-                    None => Ok(Resolved::new(Value::Null, vec![])),
-                }
-            }
+            // Among equal values `min_by` keeps the first and `max_by` the
+            // last, as they always have here.
+            NumericAggregate::Min => Ok(Resolved::picked_or_null(
+                non_null.min_by(|a, b| a.1.cmp_total(b.1)),
+            )),
+            NumericAggregate::Max => Ok(Resolved::picked_or_null(
+                non_null.max_by(|a, b| a.1.cmp_total(b.1)),
+            )),
             NumericAggregate::Sum | NumericAggregate::Avg | NumericAggregate::Median => {
-                if non_null.is_empty() {
-                    return Ok(Resolved::new(Value::Null, vec![]));
-                }
-                let mut nums = Vec::with_capacity(non_null.len());
+                let mut nums = Vec::with_capacity(ctx.len());
                 let mut all_int = true;
-                for (_, v) in &non_null {
+                for (_, v) in non_null {
                     match v {
                         Value::Int(i) => nums.push(*i as f64),
                         Value::Float(f) => {
@@ -440,6 +493,9 @@ impl ResolutionFunction for NumericAggregate {
                             )))
                         }
                     }
+                }
+                if nums.is_empty() {
+                    return Ok(Resolved::null());
                 }
                 let value = match self {
                     NumericAggregate::Sum => {
@@ -478,6 +534,7 @@ impl ResolutionFunction for NumericAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::TestCluster;
     use hummer_engine::{row, Row, Schema};
 
     fn schema() -> Schema {
@@ -502,68 +559,61 @@ mod tests {
         ]
     }
 
-    fn ctx<'a>(schema: &'a Schema, rows: &'a [Row], col: usize) -> ConflictContext<'a> {
-        ConflictContext {
-            table_name: "T",
-            schema,
-            column: schema.column(col).name.as_str(),
-            column_index: col,
-            rows: rows.iter().collect(),
-            source_ids: rows.iter().map(|r| r[3].as_text()).collect(),
+    /// Resolve a column of the cluster made of all the given rows.
+    trait ResolveOn: ResolutionFunction {
+        fn resolve_on(&self, schema: &Schema, rows: &[Row], col: usize) -> Result<Resolved> {
+            self.resolve(&TestCluster::new(rows, 3).ctx(schema, col))
         }
     }
+    impl<F: ResolutionFunction> ResolveOn for F {}
 
     #[test]
     fn coalesce_takes_first_non_null() {
         let s = schema();
         let r = rows();
-        let out = Coalesce.resolve(&ctx(&s, &r, 0)).unwrap();
+        let out = Coalesce.resolve_on(&s, &r, 0).unwrap();
         assert_eq!(out.value, Value::text("Jon Smith"));
-        assert_eq!(out.contributors, vec![0]);
+        assert_eq!(out.contributors.as_slice(), [0]);
     }
 
     #[test]
     fn coalesce_all_null_is_null() {
         let s = schema();
         let r = vec![row![(), (), (), "A"]];
-        let out = Coalesce.resolve(&ctx(&s, &r, 0)).unwrap();
+        let out = Coalesce.resolve_on(&s, &r, 0).unwrap();
         assert!(out.value.is_null());
-        assert!(out.contributors.is_empty());
+        assert!(out.contributors.as_slice().is_empty());
     }
 
     #[test]
     fn first_takes_null_too() {
         let s = schema();
         let r = vec![row![(), 1, (), "A"], row!["x", 2, (), "B"]];
-        let out = First.resolve(&ctx(&s, &r, 0)).unwrap();
+        let out = First.resolve_on(&s, &r, 0).unwrap();
         assert!(
             out.value.is_null(),
             "FIRST must take the first value even if NULL"
         );
-        let last = Last.resolve(&ctx(&s, &r, 0)).unwrap();
+        let last = Last.resolve_on(&s, &r, 0).unwrap();
         assert_eq!(last.value, Value::text("x"));
-        assert_eq!(last.contributors, vec![1]);
+        assert_eq!(last.contributors.as_slice(), [1]);
     }
 
     #[test]
     fn choose_prefers_named_source() {
         let s = schema();
         let r = rows();
-        let out = Choose { source: "B".into() }
-            .resolve(&ctx(&s, &r, 1))
-            .unwrap();
+        let out = Choose { source: "B".into() }.resolve_on(&s, &r, 1).unwrap();
         assert_eq!(out.value, Value::Int(34));
-        assert_eq!(out.contributors, vec![1]);
+        assert_eq!(out.contributors.as_slice(), [1]);
         // Source with only a NULL in this column → NULL.
-        let none = Choose { source: "C".into() }
-            .resolve(&ctx(&s, &r, 0))
-            .unwrap();
+        let none = Choose { source: "C".into() }.resolve_on(&s, &r, 0).unwrap();
         assert!(none.value.is_null());
         // Unknown source → NULL.
         let unk = Choose {
             source: "ZZ".into(),
         }
-        .resolve(&ctx(&s, &r, 0))
+        .resolve_on(&s, &r, 0)
         .unwrap();
         assert!(unk.value.is_null());
     }
@@ -572,28 +622,28 @@ mod tests {
     fn vote_majority_and_ties() {
         let s = schema();
         let r = rows();
-        let out = Vote::default().resolve(&ctx(&s, &r, 1)).unwrap();
+        let out = Vote::default().resolve_on(&s, &r, 1).unwrap();
         assert_eq!(out.value, Value::Int(34)); // 34 appears twice
-        assert_eq!(out.contributors, vec![1, 2]);
+        assert_eq!(out.contributors.as_slice(), [1, 2]);
 
         // Tie: 33 and 34 once each → FirstSeen picks 33, Greatest picks 34.
         let r2 = vec![row!["a", 33, (), "A"], row!["b", 34, (), "B"]];
         let first = Vote {
             tie_break: TieBreak::FirstSeen,
         }
-        .resolve(&ctx(&s, &r2, 1))
+        .resolve_on(&s, &r2, 1)
         .unwrap();
         assert_eq!(first.value, Value::Int(33));
         let hi = Vote {
             tie_break: TieBreak::Greatest,
         }
-        .resolve(&ctx(&s, &r2, 1))
+        .resolve_on(&s, &r2, 1)
         .unwrap();
         assert_eq!(hi.value, Value::Int(34));
         let lo = Vote {
             tie_break: TieBreak::Least,
         }
-        .resolve(&ctx(&s, &r2, 1))
+        .resolve_on(&s, &r2, 1)
         .unwrap();
         assert_eq!(lo.value, Value::Int(33));
     }
@@ -602,11 +652,9 @@ mod tests {
     fn shortest_longest() {
         let s = schema();
         let r = rows();
-        let sh = ByLength { longest: false }
-            .resolve(&ctx(&s, &r, 0))
-            .unwrap();
+        let sh = ByLength { longest: false }.resolve_on(&s, &r, 0).unwrap();
         assert_eq!(sh.value, Value::text("Jon Smith"));
-        let lo = ByLength { longest: true }.resolve(&ctx(&s, &r, 0)).unwrap();
+        let lo = ByLength { longest: true }.resolve_on(&s, &r, 0).unwrap();
         assert_eq!(lo.value, Value::text("John Smith"));
     }
 
@@ -617,10 +665,10 @@ mod tests {
         let f = MostRecent {
             recency_column: "Updated".into(),
         };
-        let out = f.resolve(&ctx(&s, &r, 1)).unwrap();
+        let out = f.resolve_on(&s, &r, 1).unwrap();
         // Row 1 has the latest Updated and Age 34.
         assert_eq!(out.value, Value::Int(34));
-        assert_eq!(out.contributors, vec![1]);
+        assert_eq!(out.contributors.as_slice(), [1]);
     }
 
     #[test]
@@ -638,7 +686,7 @@ mod tests {
         let f = MostRecent {
             recency_column: "Updated".into(),
         };
-        let out = f.resolve(&ctx(&s, &r, 0)).unwrap();
+        let out = f.resolve_on(&s, &r, 0).unwrap();
         assert_eq!(out.value, Value::text("old"));
     }
 
@@ -649,18 +697,18 @@ mod tests {
         let f = MostRecent {
             recency_column: "zz".into(),
         };
-        assert!(f.resolve(&ctx(&s, &r, 0)).is_err());
+        assert!(f.resolve_on(&s, &r, 0).is_err());
     }
 
     #[test]
     fn group_renders_distinct_set() {
         let s = schema();
         let r = rows();
-        let out = Group.resolve(&ctx(&s, &r, 1)).unwrap();
+        let out = Group.resolve_on(&s, &r, 1).unwrap();
         assert_eq!(out.value, Value::text("{33, 34}"));
         // Single distinct value passes through un-bracketed.
         let single = vec![row!["x", 7, (), "A"], row!["y", 7, (), "B"]];
-        let out1 = Group.resolve(&ctx(&s, &single, 1)).unwrap();
+        let out1 = Group.resolve_on(&s, &single, 1).unwrap();
         assert_eq!(out1.value, Value::Int(7));
     }
 
@@ -668,13 +716,13 @@ mod tests {
     fn concat_plain_and_annotated() {
         let s = schema();
         let r = rows();
-        let plain = Concat::default().resolve(&ctx(&s, &r, 1)).unwrap();
+        let plain = Concat::default().resolve_on(&s, &r, 1).unwrap();
         assert_eq!(plain.value, Value::text("33 | 34 | 34"));
         let ann = Concat {
             separator: "; ".into(),
             annotated: true,
         }
-        .resolve(&ctx(&s, &r, 1))
+        .resolve_on(&s, &r, 1)
         .unwrap();
         assert_eq!(ann.value, Value::text("33 [A]; 34 [B]; 34 [C]"));
     }
@@ -683,7 +731,8 @@ mod tests {
     fn numeric_aggregates() {
         let s = schema();
         let r = rows();
-        let c = ctx(&s, &r, 1);
+        let cluster = TestCluster::new(&r, 3);
+        let c = cluster.ctx(&s, 1);
         assert_eq!(
             NumericAggregate::Min.resolve(&c).unwrap().value,
             Value::Int(33)
@@ -714,7 +763,7 @@ mod tests {
     fn median_even_count_averages() {
         let s = schema();
         let r = vec![row!["a", 1, (), "A"], row!["b", 4, (), "B"]];
-        let out = NumericAggregate::Median.resolve(&ctx(&s, &r, 1)).unwrap();
+        let out = NumericAggregate::Median.resolve_on(&s, &r, 1).unwrap();
         assert_eq!(out.value, Value::Float(2.5));
     }
 
@@ -722,23 +771,15 @@ mod tests {
     fn sum_over_text_errors() {
         let s = schema();
         let r = rows();
-        let e = NumericAggregate::Sum.resolve(&ctx(&s, &r, 0));
+        let e = NumericAggregate::Sum.resolve_on(&s, &r, 0);
         assert!(e.is_err());
     }
 
     #[test]
     fn aggregates_of_empty_cluster_are_null() {
         let s = schema();
-        let r: Vec<Row> = vec![];
-        let c = ConflictContext {
-            table_name: "T",
-            schema: &s,
-            column: "Age",
-            column_index: 1,
-            rows: vec![],
-            source_ids: vec![],
-        };
-        drop(r);
+        let cluster = TestCluster::new(&[], 3);
+        let c = cluster.ctx(&s, 1);
         assert!(NumericAggregate::Sum.resolve(&c).unwrap().value.is_null());
         assert!(NumericAggregate::Min.resolve(&c).unwrap().value.is_null());
         assert_eq!(

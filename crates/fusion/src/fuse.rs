@@ -3,16 +3,36 @@
 //!
 //! "Tuples with same objectID are fused into a single tuple and conflicts
 //! among them are resolved according to the query specification" (paper §3).
+//!
+//! ## One resolve loop
+//!
+//! [`fuse`], [`crate::fuse_memo`] and [`crate::fuse_incremental`] all run
+//! `FusionSetup::fuse`, which allocates per *table* and per output *row*,
+//! not per cell:
+//!
+//! * key groups are CSR member lists over row indices — no `Row` is cloned
+//!   to serve as a hash key, and a dense one-column integer key such as
+//!   `objectID` is grouped by direct addressing, without hashing at all;
+//! * `sourceID` is interned once per table into small ids;
+//! * the [`ConflictContext`] borrows two scratch vectors refilled per
+//!   cluster, its accessors are iterators, and a picked value reports its
+//!   one contributor inline;
+//! * lineage goes straight into the flat [`Lineage`] store.
+//!
+//! What remains per cell is the resolved value itself (a `String` clone for
+//! text). `tests/alloc_budget.rs` holds that line.
 
 use crate::context::ConflictContext;
 use crate::error::FusionError;
 use crate::functions::ResolutionFunction;
-use crate::lineage::{CellLineage, Lineage};
+use crate::lineage::{Cells, Lineage, NO_SOURCE};
 use crate::registry::{FunctionRegistry, ResolutionSpec};
 use hummer_engine::{Row, Table, Value};
-use hummer_par::{par_map_indexed, Parallelism};
-use std::collections::BTreeSet;
-use std::collections::HashMap;
+use hummer_par::{chunk_ranges, par_map, Parallelism};
+use std::borrow::Cow;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Name of the provenance column consulted for source annotations (added by
@@ -110,105 +130,6 @@ pub struct FusedTable {
 /// Cap on collected [`SampleConflict`]s.
 pub const MAX_SAMPLE_CONFLICTS: usize = 25;
 
-/// One cluster's fused row plus its by-products, computed independently of
-/// every other cluster (the unit of parallelism in [`fuse`], and the unit
-/// of caching in [`crate::incremental`]).
-#[derive(Debug, Clone)]
-pub(crate) struct ResolvedCluster {
-    pub(crate) values: Vec<Value>,
-    pub(crate) cell_lineages: Vec<CellLineage>,
-    /// Conflict samples in column order, capped at [`MAX_SAMPLE_CONFLICTS`]
-    /// (the global merge keeps the first `MAX_SAMPLE_CONFLICTS` across
-    /// clusters in order, so a per-cluster cap loses nothing).
-    pub(crate) samples: Vec<SampleConflict>,
-    pub(crate) conflicts: usize,
-    /// Input rows this cluster fused.
-    pub(crate) members: usize,
-}
-
-/// Fuse the cluster whose member row indices are `members` into one tuple.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn resolve_cluster(
-    cluster_idx: usize,
-    members: &[usize],
-    input: &Table,
-    out_cols: &[usize],
-    row_sources: &[Option<String>],
-    explicit: &HashMap<usize, Arc<dyn ResolutionFunction>>,
-    default_fn: &Arc<dyn ResolutionFunction>,
-) -> Result<ResolvedCluster, FusionError> {
-    let member_rows: Vec<&Row> = members.iter().map(|&i| &input.rows()[i]).collect();
-    let member_sources: Vec<Option<String>> =
-        members.iter().map(|&i| row_sources[i].clone()).collect();
-
-    let mut values: Vec<Value> = Vec::with_capacity(out_cols.len());
-    let mut cell_lineages: Vec<CellLineage> = Vec::with_capacity(out_cols.len());
-    let mut samples: Vec<SampleConflict> = Vec::new();
-    let mut conflicts = 0usize;
-    // One context per cluster, re-aimed per column: the member rows/sources
-    // are shared by every column, and cloning them per column would put
-    // O(members) String allocations inside the hottest fusion loop.
-    let mut ctx = ConflictContext {
-        table_name: input.name(),
-        schema: input.schema(),
-        column: "",
-        column_index: 0,
-        rows: member_rows,
-        source_ids: member_sources,
-    };
-    for &col in out_cols {
-        ctx.column = &input.schema().column(col).name;
-        ctx.column_index = col;
-        let is_data_column = !NON_DATA_COLUMNS
-            .iter()
-            .any(|b| b.eq_ignore_ascii_case(ctx.column));
-        let had_conflict = is_data_column && ctx.is_conflict();
-        let func = explicit.get(&col).unwrap_or(default_fn);
-        let resolved = func.resolve(&ctx)?;
-
-        if had_conflict {
-            conflicts += 1;
-            if samples.len() < MAX_SAMPLE_CONFLICTS {
-                let mut distinct: Vec<String> = Vec::new();
-                for (_, v) in ctx.non_null_values() {
-                    let s = v.to_string();
-                    if !distinct.contains(&s) {
-                        distinct.push(s);
-                    }
-                }
-                samples.push(SampleConflict {
-                    cluster: cluster_idx,
-                    column: ctx.column.to_string(),
-                    values: distinct,
-                    resolved: resolved.value.to_string(),
-                });
-            }
-        }
-
-        let mut sources: Vec<String> = resolved
-            .contributors
-            .iter()
-            .filter_map(|&local| ctx.source_ids[local].clone())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        sources.sort();
-        cell_lineages.push(CellLineage {
-            row_indices: resolved.contributors.iter().map(|&l| members[l]).collect(),
-            sources,
-            had_conflict,
-        });
-        values.push(resolved.value);
-    }
-    Ok(ResolvedCluster {
-        values,
-        cell_lineages,
-        samples,
-        conflicts,
-        members: members.len(),
-    })
-}
-
 /// Run fusion over `input` according to `spec`, instantiating resolution
 /// functions from `registry`.
 ///
@@ -222,30 +143,205 @@ pub fn fuse(
     spec: &FusionSpec,
     registry: &FunctionRegistry,
 ) -> Result<FusedTable, FusionError> {
-    let setup = FusionSetup::new(input, spec, registry)?;
-    let resolved = setup.resolve_all(input, spec, |_| None)?;
-    setup.assemble(input, resolved)
+    FusionSetup::new(input, spec, registry)?.fuse(|_, _, _| false)
+}
+
+/// The key groups of a table in first-appearance order, as CSR member
+/// lists: group `g` holds rows `members[starts[g]..starts[g + 1]]`,
+/// ascending.
+struct KeyGroups {
+    starts: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl KeyGroups {
+    fn build(input: &Table, key_idx: &[usize]) -> KeyGroups {
+        let (group_of_row, groups) = match key_idx {
+            [col] => dense_int_groups(input, *col),
+            _ => None,
+        }
+        .unwrap_or_else(|| hashed_groups(input, key_idx));
+
+        let mut starts = vec![0u32; groups + 1];
+        for &g in &group_of_row {
+            starts[g as usize + 1] += 1;
+        }
+        for g in 0..groups {
+            starts[g + 1] += starts[g];
+        }
+        let mut next = starts.clone();
+        let mut members = vec![0u32; group_of_row.len()];
+        for (row, &g) in group_of_row.iter().enumerate() {
+            members[next[g as usize] as usize] = row as u32;
+            next[g as usize] += 1;
+        }
+        KeyGroups { starts, members }
+    }
+
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn members(&self, group: usize) -> &[u32] {
+        &self.members[self.starts[group] as usize..self.starts[group + 1] as usize]
+    }
+}
+
+/// Group ids (first-appearance order) for a one-column key whose cells are
+/// all integers or `NULL` and span a range not much wider than the table —
+/// `objectID` — by direct addressing. `None` when the column is anything
+/// else.
+fn dense_int_groups(input: &Table, col: usize) -> Option<(Vec<u32>, usize)> {
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    for v in input.column_values(col) {
+        match v {
+            Value::Int(i) => (lo, hi) = (lo.min(*i), hi.max(*i)),
+            Value::Null => {}
+            _ => return None,
+        }
+    }
+    let span = if lo > hi {
+        0
+    } else {
+        usize::try_from(hi.checked_sub(lo)?).ok()? + 1
+    };
+    if span > 4 * input.len() + 1024 {
+        return None;
+    }
+    // One slot per integer in range, one more for NULL.
+    let mut group_of_slot = vec![u32::MAX; span + 1];
+    let mut groups = 0u32;
+    let group_of_row = input
+        .column_values(col)
+        .map(|v| {
+            let slot = match v {
+                Value::Int(i) => (i - lo) as usize,
+                _ => span,
+            };
+            if group_of_slot[slot] == u32::MAX {
+                group_of_slot[slot] = groups;
+                groups += 1;
+            }
+            group_of_slot[slot]
+        })
+        .collect();
+    Some((group_of_row, groups as usize))
+}
+
+/// A row's key cells, hashed and compared in place (as the projected `Row`
+/// would be: `NULL` equals `NULL`, `2` equals `2.0`).
+struct KeyRef<'a> {
+    row: &'a Row,
+    cols: &'a [usize],
+}
+
+impl Hash for KeyRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &c in self.cols {
+            self.row[c].hash(state);
+        }
+    }
+}
+
+impl PartialEq for KeyRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols.iter().all(|&c| self.row[c] == other.row[c])
+    }
+}
+
+impl Eq for KeyRef<'_> {}
+
+/// Group ids (first-appearance order) for any key.
+fn hashed_groups(input: &Table, key_idx: &[usize]) -> (Vec<u32>, usize) {
+    let mut ids: HashMap<KeyRef<'_>, u32> = HashMap::new();
+    let group_of_row = input
+        .rows()
+        .iter()
+        .map(|row| {
+            let next = ids.len() as u32;
+            *ids.entry(KeyRef { row, cols: key_idx }).or_insert(next)
+        })
+        .collect();
+    (group_of_row, ids.len())
+}
+
+/// The `sourceID` column interned: the distinct aliases in first-appearance
+/// order and each row's index into them ([`NO_SOURCE`] for `NULL`, or when
+/// the table has no such column).
+struct RowSources {
+    aliases: Vec<String>,
+    of_row: Vec<u32>,
+}
+
+impl RowSources {
+    fn intern(input: &Table) -> RowSources {
+        let Some(col) = input.schema().index_of(SOURCE_ID_COLUMN) else {
+            return RowSources {
+                aliases: Vec::new(),
+                of_row: vec![NO_SOURCE; input.len()],
+            };
+        };
+        let mut aliases: Vec<String> = Vec::new();
+        let mut ids: HashMap<Cow<'_, str>, u32> = HashMap::new();
+        // A union lists one source after the other: try the previous row's.
+        let mut previous = NO_SOURCE;
+        let of_row = input
+            .column_values(col)
+            .map(|v| {
+                let alias: Cow<'_, str> = match v {
+                    Value::Null => return NO_SOURCE,
+                    Value::Text(s) => Cow::Borrowed(s.as_str()),
+                    other => Cow::Owned(other.to_string()),
+                };
+                if previous == NO_SOURCE || aliases[previous as usize] != alias {
+                    previous = *ids.entry(alias).or_insert_with_key(|alias| {
+                        aliases.push(alias.to_string());
+                        (aliases.len() - 1) as u32
+                    });
+                }
+                previous
+            })
+            .collect();
+        RowSources { aliases, of_row }
+    }
+
+    fn alias_of_row(&self, row: u32) -> Option<&str> {
+        match self.of_row[row as usize] {
+            NO_SOURCE => None,
+            id => Some(&self.aliases[id as usize]),
+        }
+    }
+}
+
+/// The fused rows and lineage cells of a run of consecutive clusters.
+struct Block {
+    rows: Vec<Row>,
+    cells: Cells,
 }
 
 /// Everything [`fuse`] derives from the spec before touching clusters:
-/// resolved columns, instantiated functions, per-row source ids, and the
-/// key groups in first-appearance order. Shared with [`crate::incremental`]
-/// so the incremental path groups, resolves, and assembles byte-identically.
-pub(crate) struct FusionSetup {
-    pub(crate) out_cols: Vec<usize>,
-    pub(crate) order: Vec<Row>,
-    pub(crate) groups: HashMap<Row, Vec<usize>>,
-    row_sources: Vec<Option<String>>,
-    explicit: HashMap<usize, Arc<dyn ResolutionFunction>>,
-    default_fn: Arc<dyn ResolutionFunction>,
+/// output columns with their instantiated functions, interned sources, and
+/// the key groups in first-appearance order. Shared with
+/// [`crate::incremental`] so the incremental path groups, resolves, and
+/// assembles byte-identically.
+pub(crate) struct FusionSetup<'a> {
+    input: &'a Table,
+    out_cols: Vec<usize>,
+    /// Per output column: its resolution function, and whether differing
+    /// values there count as a data conflict.
+    funcs: Vec<Arc<dyn ResolutionFunction>>,
+    is_data: Vec<bool>,
+    groups: KeyGroups,
+    sources: RowSources,
+    parallelism: Parallelism,
 }
 
-impl FusionSetup {
+impl<'a> FusionSetup<'a> {
     pub(crate) fn new(
-        input: &Table,
+        input: &'a Table,
         spec: &FusionSpec,
         registry: &FunctionRegistry,
-    ) -> Result<FusionSetup, FusionError> {
+    ) -> Result<FusionSetup<'a>, FusionError> {
         // Resolve key and output columns.
         let key_idx: Vec<usize> = spec
             .key_columns
@@ -266,131 +362,192 @@ impl FusionSetup {
             .filter(|i| !dropped.contains(i))
             .collect();
 
-        // Instantiate one function per output column.
+        // Instantiate one function per output column (the last `RESOLVE`
+        // of a column wins).
         let default_fn = registry.build(&spec.default_function)?;
         let mut explicit: HashMap<usize, Arc<dyn ResolutionFunction>> = HashMap::new();
         for (col, rspec) in &spec.resolutions {
             let idx = input.resolve(col).map_err(FusionError::from)?;
             explicit.insert(idx, registry.build(rspec)?);
         }
-
-        // Source ids per input row, if the provenance column exists.
-        let source_idx = input.schema().index_of(SOURCE_ID_COLUMN);
-        let row_sources: Vec<Option<String>> = input
-            .rows()
+        let funcs = out_cols
             .iter()
-            .map(|r| source_idx.and_then(|i| r[i].as_text()))
+            .map(|col| explicit.remove(col).unwrap_or_else(|| default_fn.clone()))
+            .collect();
+        let is_data = out_cols
+            .iter()
+            .map(|&col| {
+                let name = &input.schema().column(col).name;
+                !NON_DATA_COLUMNS
+                    .iter()
+                    .any(|b| b.eq_ignore_ascii_case(name))
+            })
             .collect();
 
-        // Group rows by key, preserving first-appearance order.
-        let mut order: Vec<Row> = Vec::new();
-        let mut groups: HashMap<Row, Vec<usize>> = HashMap::new();
-        for (i, row) in input.rows().iter().enumerate() {
-            let key = row.project(&key_idx);
-            groups
-                .entry(key.clone())
-                .or_insert_with(|| {
-                    order.push(key);
-                    Vec::new()
-                })
-                .push(i);
+        // Group members and lineage store row indices as `u32`.
+        if u32::try_from(input.len()).is_err() {
+            return Err(FusionError::BadArgument(format!(
+                "fusion input has {} rows; at most 2^32 - 1 are supported",
+                input.len()
+            )));
         }
-
         Ok(FusionSetup {
+            input,
             out_cols,
-            order,
-            groups,
-            row_sources,
-            explicit,
-            default_fn,
+            funcs,
+            is_data,
+            groups: KeyGroups::build(input, &key_idx),
+            sources: RowSources::intern(input),
+            parallelism: spec.parallelism,
         })
     }
 
-    /// Resolve every cluster, either through `shortcut` (the incremental
-    /// path's cache) or by running the resolution functions. Clusters are
-    /// independent, so they run on up to `spec.parallelism` threads and
-    /// merge in first-appearance order — the output is the same at every
-    /// degree.
-    pub(crate) fn resolve_all(
-        &self,
-        input: &Table,
-        spec: &FusionSpec,
-        shortcut: impl Fn(usize) -> Option<ResolvedCluster> + Sync,
-    ) -> Result<Vec<ResolvedCluster>, FusionError> {
-        let one_cluster = |cluster_idx: usize, key: &Row| match shortcut(cluster_idx) {
-            Some(cached) => Ok(cached),
-            None => resolve_cluster(
-                cluster_idx,
-                &self.groups[key],
-                input,
-                &self.out_cols,
-                &self.row_sources,
-                &self.explicit,
-                &self.default_fn,
-            ),
-        };
-        let resolved: Vec<Result<ResolvedCluster, FusionError>> =
-            if spec.parallelism.is_sequential() {
-                // Inline, stopping at the first error (a parallel run
-                // finishes in-flight clusters before the merge surfaces the
-                // same error).
-                let mut acc = Vec::with_capacity(self.order.len());
-                for (cluster_idx, key) in self.order.iter().enumerate() {
-                    let result = one_cluster(cluster_idx, key);
-                    let failed = result.is_err();
-                    acc.push(result);
-                    if failed {
-                        break;
-                    }
-                }
-                acc
-            } else {
-                par_map_indexed(spec.parallelism, &self.order, |cluster_idx, key| {
-                    one_cluster(cluster_idx, key)
-                })
-            };
-        resolved.into_iter().collect()
+    /// Output clusters (key groups).
+    pub(crate) fn clusters(&self) -> usize {
+        self.groups.len()
     }
 
-    /// Merge resolved clusters (in first-appearance order) into the fused
-    /// table, its lineage, and the global conflict sample/count.
-    pub(crate) fn assemble(
-        &self,
-        input: &Table,
-        resolved: Vec<ResolvedCluster>,
+    /// Output columns.
+    pub(crate) fn width(&self) -> usize {
+        self.out_cols.len()
+    }
+
+    /// The source list this run's lineage ids index.
+    pub(crate) fn sources(&self) -> &[String] {
+        &self.sources.aliases
+    }
+
+    /// Resolve every cluster and assemble the fused table, its lineage, and
+    /// the conflict sample/count.
+    ///
+    /// `reuse(cluster, rows, cells)` may append a cluster's fused row and
+    /// its `width()` lineage cells itself and return `true` (the
+    /// incremental path's memo); otherwise the resolution functions run.
+    /// Clusters are independent, so runs of them resolve on up to
+    /// `spec.parallelism` threads and concatenate in first-appearance order
+    /// — the output is the same at every degree.
+    pub(crate) fn fuse(
+        self,
+        reuse: impl Fn(usize, &mut Vec<Row>, &mut Cells) -> bool + Sync,
     ) -> Result<FusedTable, FusionError> {
+        let ranges = chunk_ranges(self.clusters(), self.parallelism.get());
+        let blocks = par_map(self.parallelism, &ranges, |range| {
+            self.resolve_range(range.clone(), &reuse)
+        });
+        // The first failing cluster in cluster order reports, whichever
+        // thread met it.
+        let mut rows: Vec<Row> = Vec::new();
+        let mut cells = Cells::with_capacity(self.sources().len(), 0);
+        for block in blocks {
+            let block = block?;
+            if rows.is_empty() {
+                rows = block.rows;
+            } else {
+                rows.extend(block.rows);
+            }
+            cells.append(block.cells);
+        }
+
+        let input = self.input;
         let out_schema = input
             .schema()
             .project(&self.out_cols)
             .map_err(FusionError::from)?;
         let out_names: Vec<String> = out_schema.names().iter().map(|s| s.to_string()).collect();
-        let mut out = Table::empty(input.name(), out_schema);
-        let mut lineage = Lineage::new(out_names);
-        let mut samples: Vec<SampleConflict> = Vec::new();
-        let mut conflict_count = 0usize;
-        let mut merged_clusters = 0usize;
-        for cluster in resolved {
-            conflict_count += cluster.conflicts;
-            if cluster.members > 1 {
-                merged_clusters += 1;
-            }
-            for sample in cluster.samples {
-                if samples.len() >= MAX_SAMPLE_CONFLICTS {
-                    break;
-                }
-                samples.push(sample);
-            }
-            out.push(Row::from_values(cluster.values))
-                .map_err(FusionError::from)?;
-            lineage.push_row(cluster.cell_lineages);
-        }
+        let table = Table::new(input.name(), out_schema, rows).map_err(FusionError::from)?;
+        let sample_conflicts = self.sample_conflicts(&table, &cells);
+        let merged_clusters = (0..self.clusters())
+            .filter(|&g| self.groups.members(g).len() > 1)
+            .count();
+        let lineage = Lineage::from_cells(out_names, self.sources.aliases, cells, table.len());
         Ok(FusedTable {
-            table: out,
+            table,
+            conflict_count: lineage.conflict_count(),
             lineage,
-            sample_conflicts: samples,
-            conflict_count,
+            sample_conflicts,
             merged_clusters,
         })
+    }
+
+    /// Fuse clusters `range`, one output row each.
+    fn resolve_range(
+        &self,
+        range: Range<usize>,
+        reuse: &(impl Fn(usize, &mut Vec<Row>, &mut Cells) -> bool + Sync),
+    ) -> Result<Block, FusionError> {
+        let input = self.input;
+        let schema = input.schema();
+        let mut rows: Vec<Row> = Vec::with_capacity(range.len());
+        let mut cells = Cells::with_capacity(self.sources().len(), range.len() * self.width());
+        // The context's view of the current cluster, refilled per cluster.
+        let mut member_rows: Vec<&Row> = Vec::new();
+        let mut member_sources: Vec<Option<&str>> = Vec::new();
+        for cluster in range {
+            if reuse(cluster, &mut rows, &mut cells) {
+                continue;
+            }
+            let members = self.groups.members(cluster);
+            member_rows.clear();
+            member_rows.extend(members.iter().map(|&m| &input.rows()[m as usize]));
+            member_sources.clear();
+            member_sources.extend(members.iter().map(|&m| self.sources.alias_of_row(m)));
+
+            let mut values: Vec<Value> = Vec::with_capacity(self.width());
+            for (k, &col) in self.out_cols.iter().enumerate() {
+                let ctx = ConflictContext {
+                    table_name: input.name(),
+                    schema,
+                    column: &schema.column(col).name,
+                    column_index: col,
+                    rows: &member_rows,
+                    source_ids: &member_sources,
+                };
+                let had_conflict = self.is_data[k] && ctx.is_conflict();
+                let resolved = self.funcs[k].resolve(&ctx)?;
+                let contributors = resolved.contributors.as_slice();
+                cells.push(
+                    had_conflict,
+                    contributors.iter().map(|&local| members[local]),
+                    contributors
+                        .iter()
+                        .map(|&local| self.sources.of_row[members[local] as usize]),
+                );
+                values.push(resolved.value);
+            }
+            rows.push(Row::from_values(values));
+        }
+        Ok(Block { rows, cells })
+    }
+
+    /// The first [`MAX_SAMPLE_CONFLICTS`] conflict cells in (cluster,
+    /// column) order, rendered from the cluster's member rows and the fused
+    /// value — after the fact, so neither the resolve loop nor the memo
+    /// carries strings for conflicts nobody will look at.
+    fn sample_conflicts(&self, table: &Table, cells: &Cells) -> Vec<SampleConflict> {
+        let conflict_cells = (0..cells.len()).filter(|&cell| cells.had_conflict(cell));
+        conflict_cells
+            .take(MAX_SAMPLE_CONFLICTS)
+            .map(|cell| {
+                let (cluster, k) = (cell / self.width(), cell % self.width());
+                let col = self.out_cols[k];
+                let mut distinct: Vec<String> = Vec::new();
+                for &m in self.groups.members(cluster) {
+                    let v = &self.input.rows()[m as usize][col];
+                    if !v.is_null() {
+                        let s = v.to_string();
+                        if !distinct.contains(&s) {
+                            distinct.push(s);
+                        }
+                    }
+                }
+                SampleConflict {
+                    cluster,
+                    column: self.input.schema().column(col).name.clone(),
+                    values: distinct,
+                    resolved: table.cell(cluster, k).to_string(),
+                }
+            })
+            .collect()
     }
 }
 

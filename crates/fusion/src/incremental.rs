@@ -10,9 +10,10 @@
 //!
 //! * reused values/conflict flags depend only on member-row contents, which
 //!   are unchanged by assumption;
-//! * lineage row indices are remapped through the delta's row mapping;
-//! * a sample conflict's cluster index is rewritten to the cluster's new
-//!   position.
+//! * lineage row indices are remapped through the delta's row mapping, and
+//!   source ids through the two runs' source lists;
+//! * conflict samples are not memoized at all: every run renders the first
+//!   few conflict cells from its own input and fused values.
 //!
 //! The caller (the delta subsystem) decides which clusters are reusable —
 //! see `hummer_delta::FusedView` for the sound plan construction — and this
@@ -21,26 +22,35 @@
 //! with it.
 
 use crate::error::FusionError;
-use crate::fuse::{FusedTable, FusionSetup, FusionSpec, ResolvedCluster};
+use crate::fuse::{FusedTable, FusionSetup, FusionSpec};
+use crate::lineage::{arena_row, Lineage, NO_SOURCE};
 use crate::registry::FunctionRegistry;
-use hummer_engine::Table;
+use hummer_engine::{Row, Table};
 
-/// Per-cluster cached fusion output, reusable across deltas while the
-/// cluster stays untouched.
+/// Per-cluster cached fusion output — the fused rows and their lineage —
+/// reusable across deltas while the cluster stays untouched.
 #[derive(Debug, Clone)]
 pub struct FusionMemo {
-    clusters: Vec<ResolvedCluster>,
+    rows: Vec<Row>,
+    lineage: Lineage,
 }
 
 impl FusionMemo {
+    fn of(fused: &FusedTable) -> FusionMemo {
+        FusionMemo {
+            rows: fused.table.rows().to_vec(),
+            lineage: fused.lineage.clone(),
+        }
+    }
+
     /// Number of memoized clusters.
     pub fn len(&self) -> usize {
-        self.clusters.len()
+        self.rows.len()
     }
 
     /// True when nothing is memoized.
     pub fn is_empty(&self) -> bool {
-        self.clusters.is_empty()
+        self.rows.is_empty()
     }
 }
 
@@ -76,12 +86,8 @@ pub fn fuse_memo(
     spec: &FusionSpec,
     registry: &FunctionRegistry,
 ) -> Result<(FusedTable, FusionMemo), FusionError> {
-    let setup = FusionSetup::new(input, spec, registry)?;
-    let resolved = setup.resolve_all(input, spec, |_| None)?;
-    let memo = FusionMemo {
-        clusters: resolved.clone(),
-    };
-    let fused = setup.assemble(input, resolved)?;
+    let fused = crate::fuse(input, spec, registry)?;
+    let memo = FusionMemo::of(&fused);
     Ok((fused, memo))
 }
 
@@ -103,65 +109,82 @@ pub fn fuse_incremental(
     old_to_new: &[Option<usize>],
 ) -> Result<(FusedTable, FusionMemo, IncrementalFusionStats), FusionError> {
     let setup = FusionSetup::new(input, spec, registry)?;
-    if plans.len() != setup.order.len() {
+    if plans.len() != setup.clusters() {
         return Err(FusionError::BadArgument(format!(
             "incremental fusion got {} cluster plans for {} clusters",
             plans.len(),
-            setup.order.len()
+            setup.clusters()
         )));
     }
+    let width = setup.width();
+    let (old_cells, old_sources) = memo.lineage.cells();
+    let reuses = plans.iter().filter_map(|plan| match plan {
+        ClusterPlan::Reuse { old } => Some(*old),
+        ClusterPlan::Recompute => None,
+    });
     // Validate reuse targets up front so the parallel resolve can treat
     // them as infallible.
-    for plan in plans {
-        if let ClusterPlan::Reuse { old } = plan {
-            if *old >= memo.clusters.len() {
-                return Err(FusionError::BadArgument(format!(
-                    "reuse target {old} out of bounds (memo has {})",
-                    memo.clusters.len()
-                )));
-            }
-            for lineage in &memo.clusters[*old].cell_lineages {
-                for &r in &lineage.row_indices {
-                    if old_to_new.get(r).copied().flatten().is_none() {
-                        return Err(FusionError::BadArgument(format!(
-                            "reused cluster {old} cites deleted input row {r}"
-                        )));
-                    }
+    if reuses.clone().next().is_some() && memo.lineage.columns().len() != width {
+        return Err(FusionError::BadArgument(format!(
+            "memoized clusters have {} columns, this fusion {width}",
+            memo.lineage.columns().len()
+        )));
+    }
+    for old in reuses.clone() {
+        if old >= memo.len() {
+            return Err(FusionError::BadArgument(format!(
+                "reuse target {old} out of bounds (memo has {})",
+                memo.len()
+            )));
+        }
+        for cell in old * width..(old + 1) * width {
+            for &r in old_cells.rows_of(cell) {
+                if old_to_new.get(r as usize).copied().flatten().is_none() {
+                    return Err(FusionError::BadArgument(format!(
+                        "reused cluster {old} cites deleted input row {r}"
+                    )));
                 }
             }
         }
     }
+    // The memo's source ids in this run's numbering. A reused cluster's
+    // rows are in `input` unchanged, so are the sources it cites.
+    let source_map: Vec<u32> = old_sources
+        .iter()
+        .map(|alias| {
+            let id = setup.sources().iter().position(|s| s == alias);
+            id.map_or(NO_SOURCE, |id| id as u32)
+        })
+        .collect();
 
-    let resolved = setup.resolve_all(input, spec, |cluster_idx| match plans[cluster_idx] {
-        ClusterPlan::Recompute => None,
-        ClusterPlan::Reuse { old } => {
-            let mut cached = memo.clusters[old].clone();
-            for lineage in &mut cached.cell_lineages {
-                for r in &mut lineage.row_indices {
-                    *r = old_to_new[*r].expect("validated above");
-                }
-            }
-            for sample in &mut cached.samples {
-                sample.cluster = cluster_idx;
-            }
-            Some(cached)
-        }
-    })?;
     let stats = IncrementalFusionStats {
         clusters: plans.len(),
-        reused: plans
-            .iter()
-            .filter(|p| matches!(p, ClusterPlan::Reuse { .. }))
-            .count(),
+        reused: reuses.count(),
         recomputed: plans
             .iter()
             .filter(|p| matches!(p, ClusterPlan::Recompute))
             .count(),
     };
-    let memo = FusionMemo {
-        clusters: resolved.clone(),
-    };
-    let fused = setup.assemble(input, resolved)?;
+    let fused = setup.fuse(|cluster, rows, cells| {
+        let ClusterPlan::Reuse { old } = plans[cluster] else {
+            return false;
+        };
+        rows.push(memo.rows[old].clone());
+        for cell in old * width..(old + 1) * width {
+            let remapped = old_cells
+                .rows_of(cell)
+                .iter()
+                .map(|&r| arena_row(old_to_new[r as usize].expect("validated above")));
+            let sources = old_cells.sources_of(cell);
+            cells.push(
+                old_cells.had_conflict(cell),
+                remapped,
+                sources.map(|id| source_map[id as usize]),
+            );
+        }
+        true
+    })?;
+    let memo = FusionMemo::of(&fused);
     Ok((fused, memo, stats))
 }
 

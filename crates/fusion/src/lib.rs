@@ -49,13 +49,15 @@ pub mod functions;
 pub mod fuse;
 pub mod incremental;
 pub mod lineage;
+#[cfg(test)]
+mod reference;
 pub mod registry;
 
 pub use context::ConflictContext;
 pub use error::FusionError;
 pub use functions::{
-    ByLength, Choose, Coalesce, Concat, First, Group, Last, MostRecent, NumericAggregate,
-    ResolutionFunction, Resolved, TieBreak, Vote,
+    ByLength, Choose, Coalesce, Concat, Contributors, First, Group, Last, MostRecent,
+    NumericAggregate, ResolutionFunction, Resolved, TieBreak, Vote,
 };
 pub use fuse::{fuse, FusedTable, FusionSpec, SampleConflict, MAX_SAMPLE_CONFLICTS};
 pub use hummer_par::Parallelism;

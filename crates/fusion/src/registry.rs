@@ -306,8 +306,8 @@ mod tests {
             schema: &schema,
             column: "x",
             column_index: 0,
-            rows: rows.iter().collect(),
-            source_ids: vec![None],
+            rows: &[&rows[0]],
+            source_ids: &[None],
         };
         assert_eq!(f.resolve(&ctx).unwrap().value, Value::Int(42));
     }

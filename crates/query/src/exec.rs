@@ -23,11 +23,12 @@ use crate::parser::parse;
 use hummer_engine::ops::{
     cross_product, group_by, outer_union, select as filter_rows, sort, AggFunc, Aggregate, SortKey,
 };
-use hummer_engine::{Column, ColumnType, Expr, Table, Value};
+use hummer_engine::{Column, ColumnType, Expr, Schema, Table, Value};
 use hummer_fusion::{
-    fuse as run_fusion, FunctionRegistry, FusionSpec, Lineage, Parallelism, ResolutionSpec,
-    SampleConflict,
+    fuse as run_fusion, FunctionRegistry, FusedTable, FusionSpec, Lineage, Parallelism,
+    ResolutionSpec, SampleConflict,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Bookkeeping columns excluded from `*` expansion in fusion queries.
@@ -165,10 +166,11 @@ pub fn execute_combined_par(
     // ORDER BY references).
     let alias_map = build_alias_map(query);
 
-    // 4. FUSE BY or GROUP BY.
-    let mut fusion_info: Option<FusionInfo> = None;
-    let mut current: Table;
-    if let Some(keys) = &query.fuse_by {
+    // 4. FUSE BY or GROUP BY. Every later step reads `current`; only steps
+    // that make a new table own one, so a fused table is projected from a
+    // borrow and then moved into the `FusionInfo` whole.
+    let mut fused: Option<FusedTable> = None;
+    let mut current: Cow<'_, Table> = if let Some(keys) = &query.fuse_by {
         let mut spec = FusionSpec::by_key(keys.clone()).with_parallelism(par);
         let mut resolved_cols: Vec<String> = Vec::new();
         for (col, rspec) in query.resolutions() {
@@ -185,18 +187,11 @@ pub fn execute_combined_par(
                 .unwrap_or_else(|| ResolutionSpec::named("coalesce"));
             spec = spec.resolve(col, rs);
         }
-        let fused = run_fusion(combined, &spec, registry)?;
-        fusion_info = Some(FusionInfo {
-            fused_table: fused.table.clone(),
-            lineage: fused.lineage,
-            sample_conflicts: fused.sample_conflicts,
-            conflict_count: fused.conflict_count,
-        });
-        current = fused.table;
+        Cow::Borrowed(&fused.insert(run_fusion(combined, &spec, registry)?).table)
     } else if !query.group_by.is_empty() {
         let aggs = collect_aggregates(query)?;
         let keys: Vec<&str> = query.group_by.iter().map(String::as_str).collect();
-        current = group_by(combined, &keys, &aggs)?;
+        Cow::Owned(group_by(combined, &keys, &aggs)?)
     } else if query
         .select
         .iter()
@@ -204,17 +199,17 @@ pub fn execute_combined_par(
     {
         // Global aggregation without GROUP BY.
         let aggs = collect_aggregates(query)?;
-        current = group_by(combined, &[], &aggs)?;
+        Cow::Owned(group_by(combined, &[], &aggs)?)
     } else {
         // Plain pass-through (incl. FUSE FROM without FUSE BY: the aligned
-        // outer union itself); `HAVING`/`ORDER BY` below need ownership.
-        current = combined.clone();
-    }
+        // outer union itself).
+        Cow::Borrowed(combined)
+    };
 
     // 5. HAVING, then ORDER BY (aliases resolved against the select list).
     if let Some(having) = &query.having {
         let rewritten = rewrite_aliases(having, &alias_map, &current);
-        current = filter_rows(&current, &rewritten)?;
+        current = Cow::Owned(filter_rows(&current, &rewritten)?);
     }
     if !query.order_by.is_empty() {
         let keys: Vec<SortKey> = query
@@ -228,14 +223,19 @@ pub fn execute_combined_par(
                 }
             })
             .collect();
-        current = sort(&current, &keys)?;
+        current = Cow::Owned(sort(&current, &keys)?);
     }
 
     // 6. Projection.
-    let table = project_select(query, &current)?;
+    let table = project_select(query, current)?;
     Ok(QueryOutput {
         table,
-        fusion: fusion_info,
+        fusion: fused.map(|fused| FusionInfo {
+            fused_table: fused.table,
+            lineage: fused.lineage,
+            sample_conflicts: fused.sample_conflicts,
+            conflict_count: fused.conflict_count,
+        }),
     })
 }
 
@@ -372,15 +372,17 @@ fn collect_aggregates(query: &FuseQuery) -> Result<Vec<Aggregate>> {
 }
 
 /// Apply the select list to the post-fusion/grouping table.
-fn project_select(query: &FuseQuery, table: &Table) -> Result<Table> {
+fn project_select(query: &FuseQuery, table: Cow<'_, Table>) -> Result<Table> {
     // Pure wildcard on a plain query: keep everything.
     if query.select.len() == 1
         && matches!(query.select[0], SelectItem::Wildcard)
         && !query.is_fusion()
     {
-        return Ok(table.clone());
+        return Ok(table.into_owned());
     }
-    let mut columns: Vec<(String, Expr)> = Vec::new();
+    // Every select item picks one column of `table`: (output name, source
+    // column).
+    let mut columns: Vec<(String, String)> = Vec::new();
     // `*` skips columns already selected explicitly (SQL would emit
     // duplicate column names; our schemas require uniqueness).
     let explicit: Vec<String> = query
@@ -412,16 +414,16 @@ fn project_select(query: &FuseQuery, table: &Table) -> Result<Table> {
                     if explicit.contains(&name.to_ascii_lowercase()) {
                         continue;
                     }
-                    columns.push((name.to_string(), Expr::col(name)));
+                    columns.push((name.to_string(), name.to_string()));
                 }
             }
             SelectItem::Column { name, alias } => {
                 let out_name = alias.clone().unwrap_or_else(|| short_name(name));
-                columns.push((out_name, Expr::col(name.clone())));
+                columns.push((out_name, name.clone()));
             }
             SelectItem::Resolve { column, alias, .. } => {
                 let out_name = alias.clone().unwrap_or_else(|| short_name(column));
-                columns.push((out_name, Expr::col(column.clone())));
+                columns.push((out_name, column.clone()));
             }
             SelectItem::Aggregate {
                 function,
@@ -431,11 +433,37 @@ fn project_select(query: &FuseQuery, table: &Table) -> Result<Table> {
                 let name = alias
                     .clone()
                     .unwrap_or_else(|| default_agg_name(function, column.as_deref()));
-                columns.push((name.clone(), Expr::col(name)));
+                columns.push((name.clone(), name));
             }
         }
     }
-    hummer_engine::ops::project(table, &columns).map_err(QueryError::from)
+    project_columns(&table, &columns)
+}
+
+/// The projection `hummer_engine::ops::project` computes for plain column
+/// references — same schema (untyped aliases, then inferred), same values,
+/// same error — with each column resolved once, not once per cell.
+fn project_columns(table: &Table, columns: &[(String, String)]) -> Result<Table> {
+    let schema = Schema::new(
+        columns
+            .iter()
+            .map(|(alias, _)| Column::any(alias.clone()))
+            .collect(),
+    )?;
+    // An expression is only evaluated against a row: over an empty table a
+    // select list naming an unknown column is not an error, and stays none.
+    let indices: Vec<usize> = if table.is_empty() {
+        Vec::new()
+    } else {
+        columns
+            .iter()
+            .map(|(_, source)| table.schema().resolve(source, "<expr>"))
+            .collect::<std::result::Result<_, _>>()?
+    };
+    let rows = table.rows().iter().map(|r| r.project(&indices)).collect();
+    let mut out = Table::new(table.name(), schema, rows)?;
+    out.infer_types();
+    Ok(out)
 }
 
 /// Strip a table qualifier for output naming (`A.Name` → `Name`).
@@ -667,6 +695,47 @@ mod tests {
         assert_eq!(out.table.len(), 4);
         // objectID stays out of the projection.
         assert_eq!(out.table.schema().names(), vec!["Name", "Age"]);
+    }
+
+    #[test]
+    fn index_projection_equals_expression_projection() {
+        let full = table! {
+            "T" => ["Name", "Age", "Score"];
+            ["Alice", 22, 1.5],
+            ["Bob", (), 2],
+            [(), 24, ()],
+        };
+        let empty = table! { "T" => ["Name", "Age", "Score"]; };
+        let picks: [&[(&str, &str)]; 5] = [
+            &[("n", "name"), ("Age", "Age")],
+            &[("Score", "SCORE"), ("again", "Score"), ("Name", "Name")],
+            &[],
+            &[("x", "Name"), ("y", "Nope"), ("z", "AlsoNope")],
+            &[("dup", "Name"), ("DUP", "Age")],
+        ];
+        for t in [&full, &empty] {
+            for pick in picks {
+                let columns: Vec<(String, String)> = pick
+                    .iter()
+                    .map(|(alias, source)| (alias.to_string(), source.to_string()))
+                    .collect();
+                let exprs: Vec<(String, Expr)> = columns
+                    .iter()
+                    .map(|(alias, source)| (alias.clone(), Expr::col(source.clone())))
+                    .collect();
+                let old = hummer_engine::ops::project(t, &exprs).map_err(QueryError::from);
+                let new = project_columns(t, &columns);
+                match (new, old) {
+                    (Ok(new), Ok(old)) => {
+                        assert_eq!(new.name(), old.name());
+                        assert_eq!(new.schema().columns(), old.schema().columns());
+                        assert_eq!(format!("{:?}", new.rows()), format!("{:?}", old.rows()));
+                    }
+                    (Err(new), Err(old)) => assert_eq!(new.to_string(), old.to_string()),
+                    (new, old) => panic!("{pick:?}: {new:?} vs {old:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,37 @@
 //! The nonblocking event-loop serving path.
 //!
-//! `std`-only readiness handling: the listener and every accepted socket
-//! run in nonblocking mode, and each worker thread sweeps its own set of
-//! per-connection state machines — accept a burst, pump every connection
-//! one step, sleep ~1 ms only when nothing moved. With no `epoll` binding
-//! available (this workspace forbids non-`std` dependencies), the sweep
-//! *is* the readiness mechanism; at the north-star scale of hundreds of
-//! connections per worker the sweep cost is dwarfed by request execution.
+//! The listener and every accepted socket run in nonblocking mode, and each
+//! worker thread owns a set of per-connection state machines. A worker
+//! sweeps — accept a burst, pump every connection one step — for as long as
+//! something moves, and when a sweep moves nothing it **blocks in
+//! `poll(2)`** (`sys::wait`) over the listener and its own
+//! sockets until one of them is ready or the nearest deadline passes. A
+//! request that arrives while the worker is idle is picked up when the
+//! kernel says so, not when a nap ends.
+//!
+//! ## Readiness
+//!
+//! * The listener is watched for readability (a pending connection) until
+//!   shutdown begins. Every worker watches it, so a new connection wakes
+//!   them all; one accepts, the rest find nothing and go back to waiting.
+//! * A connection that is *reading* is watched for readability — request
+//!   bytes or the peer's close; one that is *writing* for writability.
+//! * The wait's timeout is the time to the nearest connection deadline
+//!   (read, idle or write), so 408s, idle reclaims and stalled-writer
+//!   closes happen on time without polling the clock.
+//! * Nothing else needs a wake-up: a sweep that moved nothing has, by
+//!   construction, left every connection waiting on exactly its socket or
+//!   its deadline. Bytes already buffered (a pipelined request, a half
+//!   close) are consumed by sweeps that report progress, which re-sweep
+//!   without waiting.
+//! * Shutdown sets a flag and connects to the listener once
+//!   ([`crate::server::ShutdownHandle::shutdown`]), which wakes every
+//!   waiting worker. A worker that read the flag just before it was set and
+//!   lost the race for that connection would otherwise sleep to its next
+//!   deadline, so no wait lasts longer than `MAX_WAIT`.
+//!
+//! `hummer_event_loop_wakeups_total` counts returns from the wait: a few a
+//! second per idle worker, one or two per request under load.
 //!
 //! ## Per-connection state machine
 //!
@@ -30,12 +55,23 @@
 //!   same `execute_request` as the blocking path (panic
 //!   containment included: a panicked handler yields `500` + close and the
 //!   slot is recycled).
-//! * **writing** — the serialized response drains through nonblocking
-//!   writes; on completion the connection returns to reading (keep-alive)
-//!   or closes.
+//! * **writing** — the response head and body drain through nonblocking
+//!   vectored writes (one `writev` when the socket takes it all, and no
+//!   copy of the body behind the head); on completion the connection
+//!   returns to reading (keep-alive) or closes.
 //!
 //! One request is served per connection per sweep, so a pipelining client
 //! cannot starve its neighbors.
+//!
+//! ## Buffers
+//!
+//! A connection keeps three buffers for its lifetime: request bytes, the
+//! response head, and the response body. The body buffer travels: it is
+//! lent to `execute_request`, comes back inside the response (a `/query`
+//! answer is written straight into it), is sent from where it lies, and is
+//! lent again. After a message larger than `BUFFER_KEEP` the request and
+//! body buffers shrink back to it, so one large upload or answer does not
+//! pin its size for as long as the client keeps the connection open.
 //!
 //! ## Admission control
 //!
@@ -51,10 +87,11 @@
 //! empty.
 
 use crate::error::ServerError;
-use crate::http::{try_parse_request, write_response, Response};
+use crate::http::{try_parse_request, write_head, write_response, Response};
 use crate::server::{execute_request, HummerServer, ShutdownHandle};
 use crate::service::FusionService;
-use std::io::{ErrorKind, Read, Write};
+use crate::sys::{self, PollFd};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -65,8 +102,14 @@ use std::time::{Duration, Instant};
 /// established connections.
 const ACCEPT_BURST: usize = 32;
 
-/// How long a worker parks when a full sweep made no progress.
-const PARK: Duration = Duration::from_millis(1);
+/// The longest a worker waits for readiness before it looks at the
+/// shutdown flag again (see the module docs: the shutdown wake-up can be
+/// missed, the flag cannot).
+const MAX_WAIT: Duration = Duration::from_millis(250);
+
+/// Capacity a connection's request and body buffers shrink back to after a
+/// larger message.
+const BUFFER_KEEP: usize = 64 * 1024;
 
 /// Read chunk size per pump step.
 const READ_CHUNK: usize = 16 * 1024;
@@ -126,8 +169,8 @@ pub(crate) fn run(server: HummerServer) -> std::io::Result<()> {
     Ok(())
 }
 
-/// One worker: accept a burst, pump every owned connection, park briefly
-/// when idle.
+/// One worker: accept a burst, pump every owned connection, and when
+/// nothing moved wait for the listener, a socket or a deadline.
 fn worker_loop(
     listener: &TcpListener,
     service: &Arc<FusionService>,
@@ -139,6 +182,7 @@ fn worker_loop(
     let handle = ShutdownHandle::from_parts(local_addr, Arc::clone(shutdown));
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
+    let mut watched: Vec<PollFd> = Vec::new();
     loop {
         let shutting_down = shutdown.load(Ordering::SeqCst);
         let mut progress = false;
@@ -187,9 +231,25 @@ fn worker_loop(
         if shutting_down && conns.is_empty() {
             return;
         }
-        if !progress {
-            std::thread::sleep(PARK);
+        if progress {
+            continue;
         }
+        watched.clear();
+        if !shutting_down {
+            watched.push(PollFd::new(listener, sys::READABLE));
+        }
+        let now = Instant::now();
+        let mut timeout = MAX_WAIT;
+        for conn in &conns {
+            watched.push(conn.watch());
+            timeout = timeout.min(conn.deadline.saturating_duration_since(now));
+        }
+        if sys::wait(&mut watched, Some(timeout)).is_err() {
+            // Out of kernel memory is all poll(2) can fail with here; the
+            // sweep is the fallback until it recovers.
+            std::thread::yield_now();
+        }
+        service.metrics().record_event_loop_wakeup();
     }
 }
 
@@ -221,7 +281,7 @@ fn reject_overloaded(stream: TcpStream, service: &FusionService) {
 /// What the sweep should do with a connection after one pump.
 enum Pump {
     /// Keep the connection; `moved` reports whether any byte or state
-    /// transition happened (drives the park heuristic).
+    /// transition happened (a sweep in which nothing moved ends in a wait).
     Keep { moved: bool },
     /// Remove and drop the connection, releasing its slot.
     Close,
@@ -241,7 +301,11 @@ enum ConnState {
 struct Conn {
     stream: TcpStream,
     inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
+    /// The response being drained: `head` then `body`, `out_pos` bytes of
+    /// the two already sent. Between responses `body` is the spare buffer
+    /// the next one is built in.
+    head: Vec<u8>,
+    body: Vec<u8>,
     out_pos: usize,
     state: ConnState,
     /// When the current activity expires: read deadline while a request is
@@ -250,7 +314,7 @@ struct Conn {
     deadline: Instant,
     /// A request has started arriving (first byte seen, not yet answered).
     in_request: bool,
-    /// Close once `outbuf` drains.
+    /// Close once the response drains.
     close_after_write: bool,
     /// Peer EOF observed (half-close): serve what is buffered, then close.
     eof: bool,
@@ -272,7 +336,8 @@ impl Conn {
         Some(Conn {
             stream,
             inbuf: Vec::new(),
-            outbuf: Vec::new(),
+            head: Vec::new(),
+            body: Vec::new(),
             out_pos: 0,
             state: ConnState::Reading,
             deadline: now + options.idle_timeout,
@@ -314,6 +379,15 @@ impl Conn {
     fn finish(mut self, service: &FusionService) {
         let now = Instant::now();
         self.set_phase(service, "closed", now);
+    }
+
+    /// What this connection waits for when a sweep could not move it.
+    fn watch(&self) -> PollFd {
+        let events = match self.state {
+            ConnState::Reading => sys::READABLE,
+            ConnState::Writing => sys::WRITABLE,
+        };
+        PollFd::new(&self.stream, events)
     }
 
     /// One step of the state machine.
@@ -368,22 +442,24 @@ impl Conn {
             match try_parse_request(&self.inbuf) {
                 Ok(Some((request, consumed))) => {
                     self.inbuf.drain(..consumed);
+                    self.inbuf.shrink_to(BUFFER_KEEP);
                     self.set_phase(service, "executing", now);
-                    let mut response = execute_request(&request, service, shutdown);
+                    let spare = std::mem::take(&mut self.body);
+                    let mut response = execute_request(&request, service, shutdown, spare);
                     response.close = response.close
                         || request.wants_close()
                         || self.eof
                         || shutdown.is_requested();
                     // `start_write`'s transition out of "executing" records
                     // the handler's residency in the conn-state histogram.
-                    return self.start_write(service, &response, Instant::now());
+                    return self.start_write(service, response, Instant::now());
                 }
                 Ok(None) => {} // valid prefix: keep reading
                 Err(e) => {
                     // Protocol junk can never become a request: 400, close.
                     let r = crate::server::error_response(&e, true);
                     let r = self.reject(service, r, now);
-                    return self.start_write(service, &r, now);
+                    return self.start_write(service, r, now);
                 }
             }
         }
@@ -396,7 +472,7 @@ impl Conn {
             let e = ServerError::BadRequest("connection half-closed mid-request".into());
             let r = crate::server::error_response(&e, true);
             let r = self.reject(service, r, now);
-            return self.start_write(service, &r, now);
+            return self.start_write(service, r, now);
         }
 
         if now >= self.deadline {
@@ -409,7 +485,7 @@ impl Conn {
                 );
                 r.close = true;
                 let r = self.reject(service, r, now);
-                return self.start_write(service, &r, now);
+                return self.start_write(service, r, now);
             }
             service.metrics().record_idle_reclaim();
             return Pump::Close; // silent idle reclamation
@@ -422,10 +498,12 @@ impl Conn {
         Pump::Keep { moved }
     }
 
-    /// Serialize `response` and enter the writing state (flushing what the
+    /// Take `response` over and enter the writing state (flushing what the
     /// socket will take right away).
-    fn start_write(&mut self, service: &FusionService, response: &Response, now: Instant) -> Pump {
-        self.outbuf = response.to_bytes();
+    fn start_write(&mut self, service: &FusionService, response: Response, now: Instant) -> Pump {
+        self.head.clear();
+        write_head(&mut self.head, &response);
+        self.body = response.body;
         self.out_pos = 0;
         self.close_after_write = response.close;
         self.in_request = false;
@@ -437,8 +515,13 @@ impl Conn {
 
     fn pump_write(&mut self, service: &FusionService, now: Instant) -> Pump {
         let mut moved = false;
-        while self.out_pos < self.outbuf.len() {
-            match self.stream.write(&self.outbuf[self.out_pos..]) {
+        while self.out_pos < self.head.len() + self.body.len() {
+            let head = self.head.get(self.out_pos..).unwrap_or_default();
+            let body = &self.body[self.out_pos.saturating_sub(self.head.len())..];
+            match self
+                .stream
+                .write_vectored(&[IoSlice::new(head), IoSlice::new(body)])
+            {
                 Ok(0) => return Pump::Close,
                 Ok(n) => {
                     self.out_pos += n;
@@ -459,7 +542,8 @@ impl Conn {
         }
         // Back to keep-alive; pipelined bytes already buffered count as a
         // started request for deadline purposes.
-        self.outbuf.clear();
+        self.body.clear();
+        self.body.shrink_to(BUFFER_KEEP);
         self.out_pos = 0;
         self.state = ConnState::Reading;
         self.in_request = !self.inbuf.is_empty();
@@ -475,5 +559,84 @@ impl Conn {
             now,
         );
         Pump::Keep { moved: true }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::loadgen::Client;
+    use crate::service::ServiceConfig;
+    use std::sync::mpsc;
+
+    /// A connection's buffers after a 1 MB upload and a 1 MB answer, then
+    /// after a small exchange: grown while needed, back under the cap after.
+    #[test]
+    fn buffers_shrink_back_after_a_large_message() {
+        let service = Arc::new(FusionService::new(ServiceConfig::narrow_schema()));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = ShutdownHandle::from_parts(addr, Arc::new(AtomicBool::new(false)));
+        let options = Options {
+            max_connections: 1,
+            read_timeout: Duration::from_secs(30),
+            idle_timeout: Duration::from_secs(60),
+        };
+
+        // The client: a big PUT, a big SELECT, a small GET, one at a time;
+        // it reports each answer's size as it completes.
+        let (answered, answers) = mpsc::channel::<usize>();
+        let (release, released) = mpsc::channel::<()>();
+        let client = std::thread::spawn(move || {
+            let mut csv = String::from("id,text\n");
+            for i in 0..10_000 {
+                csv.push_str(&format!("{i},{}\n", "x".repeat(100)));
+            }
+            assert!(csv.len() > 1_000_000);
+            let mut client = Client::connect(&addr.to_string()).unwrap();
+            for (method, path, body) in [
+                ("PUT", "/tables/Big", csv.as_str()),
+                ("POST", "/query", "SELECT * FROM Big"),
+                ("GET", "/healthz", ""),
+            ] {
+                let (status, answer) = client
+                    .request(method, path, "text/plain", body.as_bytes())
+                    .unwrap();
+                assert_eq!(status, 200, "{method} {path}: {answer}");
+                answered.send(answer.len()).unwrap();
+            }
+            // Keep the connection open until the buffers have been looked at.
+            let _ = released.recv();
+        });
+
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = Conn::adopt(stream, options, &service).unwrap();
+        let mut scratch = vec![0u8; READ_CHUNK];
+        let mut largest_request_buffer = 0;
+        let mut sizes = Vec::new();
+        while sizes.len() < 3 {
+            match conn.pump(&service, &shutdown, Instant::now(), &mut scratch, false) {
+                Pump::Keep { moved: true } => {}
+                Pump::Keep { moved: false } => {
+                    sys::wait(&mut [conn.watch()], Some(Duration::from_secs(5))).unwrap();
+                }
+                Pump::Close => panic!("connection closed after {} answers", sizes.len()),
+            }
+            largest_request_buffer = largest_request_buffer.max(conn.inbuf.capacity());
+            sizes.extend(answers.try_iter());
+        }
+        release.send(()).unwrap();
+        client.join().unwrap();
+
+        // Both buffers held a megabyte: the upload was parsed out of one,
+        // the answer (sent from where it was written) filled the other.
+        assert!(largest_request_buffer > 1_000_000);
+        assert!(sizes[1] > 1_000_000, "answer sizes {sizes:?}");
+        assert!(
+            conn.inbuf.capacity() <= BUFFER_KEEP && conn.body.capacity() <= BUFFER_KEEP,
+            "request buffer {} B, body buffer {} B",
+            conn.inbuf.capacity(),
+            conn.body.capacity()
+        );
     }
 }

@@ -337,21 +337,15 @@ impl Response {
             _ => "Internal Server Error",
         }
     }
-
-    /// Serialize this response to wire bytes (head + body in one buffer).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        // Writing to a Vec cannot fail.
-        write_response(&mut out, self).expect("serializing into memory");
-        out
-    }
 }
 
-/// Serialize a response onto the stream. Head and body go out in a single
-/// write: two small segments would trip Nagle + delayed-ACK stalls
-/// (~40–200 ms per request) on keep-alive connections.
-pub fn write_response<W: Write>(stream: &mut W, response: &Response) -> std::io::Result<()> {
-    let mut head = format!(
+/// Append the response's head — status line, headers, blank line — to `out`.
+/// The event loop sends it and the body with one vectored write, so the
+/// body is never copied behind it.
+pub(crate) fn write_head(out: &mut Vec<u8>, response: &Response) {
+    // Writing to a `Vec` cannot fail.
+    let _ = write!(
+        out,
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
         response.status,
         Response::reason(response.status),
@@ -364,14 +358,17 @@ pub fn write_response<W: Write>(stream: &mut W, response: &Response) -> std::io:
         },
     );
     for (name, value) in &response.extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-    head.push_str("\r\n");
-    let mut message = Vec::with_capacity(head.len() + response.body.len());
-    message.extend_from_slice(head.as_bytes());
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Serialize a response onto the stream. Head and body go out in a single
+/// write: two small segments would trip Nagle + delayed-ACK stalls
+/// (~40–200 ms per request) on keep-alive connections.
+pub fn write_response<W: Write>(stream: &mut W, response: &Response) -> std::io::Result<()> {
+    let mut message = Vec::with_capacity(256 + response.body.len());
+    write_head(&mut message, response);
     message.extend_from_slice(&response.body);
     stream.write_all(&message)?;
     stream.flush()
@@ -557,8 +554,10 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 408 Request Timeout\r\n"));
         assert!(text.contains("connection: close"));
-        let bytes = Response::json(503, "{}").to_bytes();
-        assert!(bytes.starts_with(b"HTTP/1.1 503 Service Unavailable\r\n"));
+        let mut head = Vec::new();
+        write_head(&mut head, &Response::json(503, "{}"));
+        assert!(head.starts_with(b"HTTP/1.1 503 Service Unavailable\r\n"));
+        assert!(head.ends_with(b"content-length: 2\r\nconnection: keep-alive\r\n\r\n"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Integers and floats are kept apart so row values survive the round trip
 //! exactly (`i64` does not fit `f64` above 2^53).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,7 +113,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
             Json::Float(f) => write_f64(*f, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
@@ -184,14 +186,13 @@ fn indent(out: &mut String, depth: usize) {
 
 /// Non-finite floats have no JSON representation; emit `null` like every
 /// mainstream serializer.
-fn write_f64(f: f64, out: &mut String) {
+pub(crate) fn write_f64(f: f64, out: &mut String) {
     if f.is_finite() {
-        let s = format!("{f}");
-        let stays_float = s.contains(['.', 'e', 'E']);
-        out.push_str(&s);
+        let start = out.len();
+        let _ = write!(out, "{f}");
         // `{}` on a whole float prints no ".0"; add it so the number parses
         // back as a float.
-        if !stays_float {
+        if !out[start..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
     } else {
@@ -199,23 +200,34 @@ fn write_f64(f: f64, out: &mut String) {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// `s` as a JSON string literal. Runs of characters that need no escape —
+/// in practice the whole string — are copied as slices.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        // Only ASCII is ever escaped, so `i` is a character boundary here.
+        // ("" stands for the control characters' generic `\u00XX` form.)
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        copied = i + 1;
     }
+    out.push_str(&s[copied..]);
     out.push('"');
 }
 
@@ -546,6 +558,81 @@ mod tests {
         // Multibyte chars pass through raw (JSON is UTF-8).
         assert!(text.contains('北'));
         assert_eq!(Json::parse(&text).unwrap(), j);
+    }
+
+    /// The character-at-a-time escaper `write_escaped` replaced.
+    fn escaped_by_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn run_copying_escaper_equals_the_char_escaper() {
+        let every_ascii: String = (0u8..=0x7f).map(char::from).collect();
+        let cases = [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "\"\"\\\\",
+            "ends with a quote\"",
+            "\u{1f}starts with a control",
+            "é漢字𝄞🎼 between \"quotes\" and\ttabs\u{0}",
+            "\u{7f}\u{80}\u{7ff}\u{800}\u{ffff}\u{10000}\u{10ffff}",
+            every_ascii.as_str(),
+        ];
+        for s in cases {
+            let mut out = String::from("kept:");
+            write_escaped(s, &mut out);
+            assert_eq!(out, format!("kept:{}", escaped_by_char(s)), "{s:?}");
+            assert_eq!(Json::parse(&out[5..]).unwrap(), Json::Str(s.to_string()));
+        }
+    }
+
+    #[test]
+    fn floats_write_in_place_as_they_formatted() {
+        for f in [
+            0.0,
+            -0.0,
+            1.0,
+            -2.0,
+            1.5,
+            1e15,
+            1e16,
+            1e300,
+            1.5e-7,
+            123456789.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let expected = if !f.is_finite() {
+                "null".to_string()
+            } else if format!("{f}").contains(['.', 'e', 'E']) {
+                format!("{f}")
+            } else {
+                format!("{f}.0")
+            };
+            let mut out = String::from("1e5,");
+            write_f64(f, &mut out);
+            assert_eq!(out, format!("1e5,{expected}"), "{f:?}");
+        }
     }
 
     #[test]

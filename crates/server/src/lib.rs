@@ -2,7 +2,7 @@
 //!
 //! The paper's HumMer is a library plus one-shot experiment binaries; this
 //! crate is the production shape the ROADMAP asks for: a multi-threaded
-//! HTTP/1.1 server (`std::net` only — no external dependencies) owning a
+//! HTTP/1.1 server (`std::net` and one libc call — no external dependencies) owning a
 //! shared, versioned table catalog and serving Fuse By SQL over a small
 //! JSON wire protocol.
 //!
@@ -18,8 +18,9 @@
 //! * [`server`] — listener, routing, graceful shutdown, and the serving
 //!   mode switch ([`ServingMode`]);
 //! * [`event`] — the default nonblocking event-loop serving path:
-//!   per-connection state machines, read/idle timeouts, 503 admission
-//!   control (the blocking worker-[`pool`] path stays selectable);
+//!   per-connection state machines that wait in `poll(2)`, read/idle
+//!   timeouts, 503 admission control (the blocking worker-[`pool`] path
+//!   stays selectable);
 //! * [`http`] — minimal HTTP/1.1 request/response framing;
 //! * [`json`] — the hand-rolled JSON writer/parser the wire protocol uses;
 //! * [`error`] — [`ServerError`] with HTTP status mapping;
@@ -60,7 +61,10 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the event loop's wait is a foreign call (poll(2)),
+// and `sys` is the one module allowed to make it. CI holds the line that
+// `forbid` held until then: one file, one `allow`.
+#![deny(unsafe_code)]
 
 pub mod cache;
 pub mod error;
@@ -73,6 +77,8 @@ pub mod pool;
 pub mod promlint;
 pub mod server;
 pub mod service;
+#[allow(unsafe_code)]
+mod sys;
 
 pub use cache::{CacheStats, PreparedCache, PreparedKey};
 pub use error::{Result, ServerError};

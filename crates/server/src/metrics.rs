@@ -120,6 +120,10 @@ pub struct ServingSnapshot {
     pub idle_reclaims: u64,
     /// Requests whose handler panicked (answered 500, connection closed).
     pub worker_panics: u64,
+    /// Returns of event-loop workers from their readiness wait. An idle
+    /// server wakes a few times a second per worker; a count that climbs
+    /// by hundreds a second without traffic means a worker is spinning.
+    pub event_loop_wakeups: u64,
 }
 
 /// A point-in-time view of the whole metrics registry.
@@ -161,6 +165,7 @@ pub struct Metrics {
     read_timeouts: AtomicU64,
     idle_reclaims: AtomicU64,
     worker_panics: AtomicU64,
+    event_loop_wakeups: AtomicU64,
 }
 
 /// Nearest-rank percentile over a sample set; `p` in [0, 100]. The single
@@ -330,6 +335,11 @@ impl Metrics {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count one return of an event-loop worker from its readiness wait.
+    pub fn record_event_loop_wakeup(&self) {
+        self.event_loop_wakeups.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Serving-path counters only (cheaper than a full [`Metrics::snapshot`]).
     pub fn serving_snapshot(&self) -> ServingSnapshot {
         ServingSnapshot {
@@ -337,6 +347,7 @@ impl Metrics {
             read_timeouts: self.read_timeouts.load(Ordering::Relaxed),
             idle_reclaims: self.idle_reclaims.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
+            event_loop_wakeups: self.event_loop_wakeups.load(Ordering::Relaxed),
         }
     }
 

@@ -36,8 +36,8 @@ use crate::http::{read_request, write_response, Request, Response};
 use crate::json::Json;
 use crate::pool::ThreadPool;
 use crate::service::{
-    delta_result_to_json, metrics_to_json, metrics_to_prometheus, parse_delta,
-    query_result_to_json, FusionService, ServiceConfig, TableInfo,
+    delta_result_to_json, metrics_to_json, metrics_to_prometheus, parse_delta, write_query_result,
+    FusionService, ServiceConfig, TableInfo,
 };
 use hummer_obs::{EventRecord, Span, TraceNode, TraceTree};
 use hummer_store::{CatalogStore, StoreOptions};
@@ -296,7 +296,7 @@ fn handle_connection(stream: TcpStream, service: &FusionService, shutdown: &Shut
             }
         };
         let wants_close = request.wants_close();
-        let mut response = execute_request(&request, service, shutdown);
+        let mut response = execute_request(&request, service, shutdown, Vec::new());
         response.close = response.close || wants_close || shutdown.is_requested();
         if write_response(&mut writer, &response).is_err() || response.close {
             return;
@@ -310,10 +310,16 @@ fn handle_connection(stream: TcpStream, service: &FusionService, shutdown: &Shut
 /// funnel through here; transport concerns (keep-alive, when to close the
 /// socket) stay with the caller — except that a panicked handler always
 /// demands a close, which the returned response carries.
+///
+/// `recycled` is a spent buffer whose capacity a large response may take
+/// for its body: a `/query` answer is written into it directly, so an event
+/// loop that hands each sent body back in here serves its next answer
+/// without allocating for it. Its contents are discarded.
 pub(crate) fn execute_request(
     request: &Request,
     service: &FusionService,
     shutdown: &ShutdownHandle,
+    recycled: Vec<u8>,
 ) -> Response {
     let endpoint = endpoint_label(request);
     let started = Instant::now();
@@ -324,7 +330,7 @@ pub(crate) fn execute_request(
     let root = service.tracer().trace(endpoint.clone());
     let trace_id = root.trace_id();
     let routed = catch_unwind(AssertUnwindSafe(|| {
-        route(request, service, shutdown, &root)
+        route(request, service, shutdown, &root, recycled)
     }));
     drop(root);
     let mut response = match routed {
@@ -473,6 +479,7 @@ fn route(
     service: &FusionService,
     shutdown: &ShutdownHandle,
     parent: &Span,
+    mut recycled: Vec<u8>,
 ) -> Result<Response> {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Ok(Response::json(
@@ -511,7 +518,9 @@ fn route(
             let sql = extract_sql(body, request.header("content-type"))?;
             let result = service.query_traced(&sql, parent)?;
             let mut serialize_span = parent.child("serialize");
-            let body = query_result_to_json(&result).to_string_compact();
+            recycled.clear();
+            let mut body = String::from_utf8(recycled).expect("an empty buffer is valid UTF-8");
+            write_query_result(&result, &mut body);
             serialize_span.count("bytes", body.len() as u64);
             drop(serialize_span);
             let mut response = Response::json(200, body);
@@ -624,6 +633,16 @@ fn extract_sql(body: &str, content_type: Option<&str>) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`super::route`] without a buffer to recycle.
+    fn route(
+        request: &Request,
+        service: &FusionService,
+        shutdown: &ShutdownHandle,
+        parent: &Span,
+    ) -> Result<Response> {
+        super::route(request, service, shutdown, parent, Vec::new())
+    }
 
     #[test]
     fn extract_sql_variants() {
@@ -807,6 +826,14 @@ mod tests {
         assert!(names.contains(&"prepare"), "{names:?}");
         assert!(names.contains(&"fuse"), "{names:?}");
         assert!(names.contains(&"serialize"), "{names:?}");
+        // The serialize span accounts for every byte of the served body.
+        let serialize = roots[0].get("children").unwrap().as_array().unwrap();
+        let serialize = serialize
+            .iter()
+            .find(|c| c.get("name").unwrap().as_str() == Some("serialize"))
+            .unwrap();
+        let bytes = serialize.get("counters").unwrap().get("bytes");
+        assert_eq!(bytes.and_then(Json::as_i64), Some(r.body.len() as i64));
 
         // Unknown and malformed trace ids.
         let e = route(

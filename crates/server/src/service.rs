@@ -15,7 +15,7 @@
 
 use crate::cache::{CacheStats, PreparedCache, PreparedKey};
 use crate::error::{Result, ServerError};
-use crate::json::Json;
+use crate::json::{write_escaped, write_f64, Json};
 use crate::metrics::Metrics;
 use hummer_core::{
     prepare_tables_traced, ExecutionLayout, HummerConfig, PreparedSources, RowMapping, StageTimings,
@@ -29,6 +29,7 @@ use hummer_query::{
 };
 use hummer_shard::{execute_sharded_with, handle_shard_request, CoordinatorConfig, RemoteBackend};
 use hummer_store::{CatalogStore, Recovery, SnapshotEntry, StoreStats, WalCommitter, WalTicket};
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -990,6 +991,92 @@ pub fn query_result_to_json(r: &QueryResult) -> Json {
     doc
 }
 
+/// [`query_result_to_json`]`(r).to_string_compact()`, byte for byte, written
+/// straight into `out`: the served `/query` body never exists as a [`Json`]
+/// tree (one heap node per cell) or as a second string. The tree builder
+/// above stays as the readable definition of the document and as this
+/// writer's test oracle.
+pub(crate) fn write_query_result(r: &QueryResult, out: &mut String) {
+    let table = &r.output.table;
+    out.push_str("{\"result\":{\"columns\":[");
+    for (i, name) in table.schema().names().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_escaped(name, out);
+    }
+    out.push_str("],\"rows\":[");
+    for (i, row) in table.rows().iter().enumerate() {
+        out.push_str(if i > 0 { ",[" } else { "[" });
+        for (k, value) in row.values().iter().enumerate() {
+            if k > 0 {
+                out.push(',');
+            }
+            match value {
+                Value::Null => out.push_str("null"),
+                Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Value::Int(i) => {
+                    let _ = write!(out, "{i}");
+                }
+                Value::Float(f) => write_f64(*f, out),
+                Value::Text(s) => write_escaped(s, out),
+                // Dates render as digits and dashes: nothing to escape.
+                Value::Date(d) => {
+                    let _ = write!(out, "\"{d}\"");
+                }
+            }
+        }
+        out.push(']');
+    }
+    let _ = write!(
+        out,
+        "]}},\"row_count\":{},\"fused\":{}",
+        table.len(),
+        r.output.fusion.is_some()
+    );
+    if let Some(info) = &r.output.fusion {
+        let _ = write!(
+            out,
+            ",\"fusion\":{{\"conflict_count\":{},\"fused_rows\":{},\"sources\":[",
+            info.conflict_count,
+            info.fused_table.len()
+        );
+        for (i, source) in info.lineage.all_sources().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_escaped(source, out);
+        }
+        out.push_str("]}");
+    }
+    out.push_str(match r.cache_hit {
+        Some(true) => ",\"cache\":\"hit\"",
+        Some(false) => ",\"cache\":\"miss\"",
+        None => ",\"cache\":\"n/a\"",
+    });
+    out.push_str(",\"timings_ms\":{");
+    for (i, (stage, took)) in [
+        ("matching", r.prepare_timings.matching),
+        ("transformation", r.prepare_timings.transformation),
+        ("detection", r.prepare_timings.detection),
+        ("execute", r.execute_time),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{stage}\":");
+        write_f64(ms(took), out);
+    }
+    out.push('}');
+    if let Some(k) = r.shards {
+        let _ = write!(out, ",\"shards\":{k}");
+    }
+    out.push('}');
+}
+
 /// The `POST /tables/{name}/delta` response document.
 pub fn delta_result_to_json(r: &DeltaApplyResult) -> Json {
     Json::object()
@@ -1069,7 +1156,8 @@ pub fn metrics_to_json(service: &FusionService) -> Json {
                 .with("overload_rejects", snap.serving.overload_rejects)
                 .with("read_timeouts", snap.serving.read_timeouts)
                 .with("idle_reclaims", snap.serving.idle_reclaims)
-                .with("worker_panics", snap.serving.worker_panics),
+                .with("worker_panics", snap.serving.worker_panics)
+                .with("event_loop_wakeups", snap.serving.event_loop_wakeups),
         );
     let workers: Vec<Json> = service
         .metrics()
@@ -1214,6 +1302,11 @@ pub fn metrics_to_prometheus(service: &FusionService) -> String {
             "hummer_worker_panics_total",
             "Requests whose handler panicked (answered 500, socket closed).",
             snap.serving.worker_panics as f64,
+        ),
+        (
+            "hummer_event_loop_wakeups_total",
+            "Returns of event-loop workers from their readiness wait.",
+            snap.serving.event_loop_wakeups as f64,
         ),
         (
             "hummer_prepared_cache_hits_total",
@@ -1862,6 +1955,85 @@ mod tests {
         assert_eq!(store.get("snapshots_written").unwrap().as_i64(), Some(0));
         assert!(store.get("recovery_ms").unwrap().as_f64().is_some());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The served body against the tree it replaced.
+    fn assert_streams_equal(result: &QueryResult, what: &str) {
+        let expected = query_result_to_json(result).to_string_compact();
+        // Into a buffer with history: the writer appends, callers clear.
+        let mut streamed = String::with_capacity(7);
+        write_query_result(result, &mut streamed);
+        assert_eq!(streamed, expected, "{what}");
+        // And it is the document a client parses.
+        let doc = Json::parse(&streamed).unwrap();
+        assert_eq!(
+            doc.get("row_count").and_then(Json::as_i64),
+            Some(result.output.table.len() as i64),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn streamed_query_body_equals_the_json_tree() {
+        use hummer_engine::Date;
+        let s = service();
+        for sql in [
+            // Full, selective, HAVING / ORDER BY, aliases, explicit
+            // resolutions, plain FROM, aggregates, empty results.
+            "SELECT * FUSE FROM EE_Student, CS_Students FUSE BY (objectID)",
+            "SELECT Name, RESOLVE(Age, max) AS oldest FUSE FROM EE_Student, CS_Students \
+             FUSE BY (objectID) HAVING oldest > 20 ORDER BY oldest DESC",
+            "SELECT Name FUSE FROM EE_Student, CS_Students WHERE Age > 23 FUSE BY (objectID)",
+            "SELECT Name FUSE FROM EE_Student, CS_Students WHERE Age > 99 FUSE BY (objectID)",
+            "SELECT * FUSE FROM EE_Student, CS_Students",
+            "SELECT * FROM EE_Student",
+            "SELECT Name FROM EE_Student WHERE Age > 99",
+            "SELECT count(*) AS n, avg(Years) FROM CS_Students",
+        ] {
+            let first = s.query(sql).unwrap();
+            assert_streams_equal(&first, sql);
+            // Again as a cache hit, and as a coordinator would report it.
+            let mut again = s.query(sql).unwrap();
+            assert_streams_equal(&again, sql);
+            again.shards = Some(3);
+            assert_streams_equal(&again, sql);
+        }
+
+        // Every value the writer has a branch for, and every string the
+        // escaper does: quotes, backslashes, all control characters, DEL,
+        // two-, three- and four-byte characters, in cells and in column
+        // names.
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let awkward = hummer_engine::table! {
+            "T" => ["plain", "say \"hi\"\\\n", "ünï\u{7f}"];
+            [f64::NAN, f64::INFINITY, f64::NEG_INFINITY],
+            [2.0, -0.0, 1e300],
+            [1.5e-7, i64::MIN, i64::MAX],
+            [(), true, false],
+            [Date::new(2005, 8, 30).unwrap(), Date::new(1, 1, 1).unwrap(), ""],
+            ["\"", "\\", "a\"b\\c\"\""],
+            [controls.as_str(), "tab\there", "\r\n"],
+            ["é", "漢字", "𝄞 non-BMP 🎼"],
+            ["trailing\u{1f}", "\u{0}leading", "mid\u{8}\u{c}dle"],
+        };
+        let with_values = |cache_hit, shards| QueryResult {
+            output: QueryOutput {
+                table: awkward.clone(),
+                fusion: None,
+            },
+            cache_hit,
+            prepare_timings: StageTimings {
+                matching: Duration::from_micros(1500),
+                transformation: Duration::from_secs(2),
+                detection: Duration::from_nanos(1),
+                fusion: Duration::ZERO,
+            },
+            execute_time: Duration::from_micros(333),
+            shards,
+        };
+        assert_streams_equal(&with_values(None, None), "awkward values, plain");
+        assert_streams_equal(&with_values(Some(false), Some(0)), "awkward values, miss");
+        assert_streams_equal(&with_values(Some(true), Some(12)), "awkward values, hit");
     }
 
     #[test]

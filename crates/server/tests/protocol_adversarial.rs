@@ -302,6 +302,103 @@ fn pipelined_requests_answer_in_order_on_one_connection() {
     stop();
 }
 
+/// The two ways a worker that blocks while idle could strand a connection:
+/// bytes it already buffered (the second of a pipelined pair, which no
+/// socket event will announce again) and bytes that arrive while it waits
+/// (the second half of a split request). Each starts from a worker that has
+/// gone to sleep.
+#[test]
+fn a_waiting_worker_strands_neither_pipelined_nor_split_requests() {
+    let (addr, stop) = start(ServerConfig {
+        read_timeout: Duration::from_secs(30),
+        idle_timeout: Duration::from_secs(60),
+        ..tight_config()
+    });
+    http_request(&addr, "PUT", "/tables/People", "text/csv", CSV).unwrap();
+    let query = format!(
+        "POST /query HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}",
+        QUERY.len(),
+        String::from_utf8_lossy(QUERY)
+    );
+
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut residual = Vec::new();
+    thread::sleep(Duration::from_millis(100));
+
+    // A pipelined pair in one send.
+    stream
+        .write_all(format!("{query}{query}").as_bytes())
+        .unwrap();
+    for _ in 0..2 {
+        let (status, _, body) = read_response_buffered(&mut stream, &mut residual).unwrap();
+        assert_eq!(status, 200);
+        assert!(String::from_utf8_lossy(&body).contains("\"row_count\""));
+    }
+    assert!(residual.is_empty(), "trailing bytes: {residual:?}");
+
+    // One request in two sends, 50 ms apart, cut inside the body.
+    thread::sleep(Duration::from_millis(100));
+    let (first, second) = query.as_bytes().split_at(query.len() - 10);
+    stream.write_all(first).unwrap();
+    thread::sleep(Duration::from_millis(50));
+    stream.write_all(second).unwrap();
+    let (status, _, body) = read_response_buffered(&mut stream, &mut residual).unwrap();
+    assert_eq!(status, 200);
+    assert!(String::from_utf8_lossy(&body).contains("\"row_count\""));
+    stop();
+}
+
+/// An idle server blocks; it does not nap and look again. With the 1 ms
+/// nap the event loop used to take, two workers woke some 600 times in
+/// this test's 300 ms.
+#[test]
+fn an_idle_server_wakes_a_few_times_not_hundreds() {
+    let config = ServerConfig {
+        read_timeout: Duration::from_secs(30),
+        idle_timeout: Duration::from_secs(60),
+        ..tight_config()
+    };
+    let workers = config.threads as i64;
+    let (addr, stop) = start(config);
+
+    // One keep-alive connection, open throughout; the counter is read over
+    // it, so that reading wakes nobody but its own worker.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let mut residual = Vec::new();
+    let mut wakeups = || {
+        stream
+            .write_all(b"GET /metrics.json HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let (status, _, body) = read_response_buffered(&mut stream, &mut residual).unwrap();
+        assert_eq!(status, 200);
+        Json::parse(&String::from_utf8(body).unwrap())
+            .unwrap()
+            .get("serving")
+            .and_then(|s| s.get("event_loop_wakeups"))
+            .and_then(Json::as_i64)
+            .expect("serving.event_loop_wakeups in /metrics.json")
+    };
+    let before = wakeups();
+    thread::sleep(Duration::from_millis(300));
+    let woken = wakeups() - before;
+    assert!(
+        (1..=5 * workers).contains(&woken),
+        "{woken} wake-ups of {workers} workers in 300 idle ms"
+    );
+
+    // The counter is on /metrics too, and the exposition still lints.
+    let (status, text) = http_request(&addr, "GET", "/metrics", "text/plain", b"").unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        text.contains("\nhummer_event_loop_wakeups_total "),
+        "{text}"
+    );
+    let report = hummer_server::promlint::lint(&text);
+    assert!(report.ok(), "lint errors: {:#?}", report.errors);
+    stop();
+}
+
 #[test]
 fn idle_connections_are_reclaimed() {
     let (addr, stop) = start(tight_config());

@@ -21,7 +21,7 @@
 use crate::combine::combine_partials;
 use crate::error::{Result, ShardError};
 use crate::plan::{plan_shards, Shard};
-use hummer_core::{HummerConfig, PipelineOutcome, PreparedSources, StageTimings};
+use hummer_core::{count_matching, HummerConfig, PipelineOutcome, PreparedSources, StageTimings};
 use hummer_dupdetect::{
     annotate_object_ids, score_candidates, sort_pairs_canonical, CandidateSpec, DetectionResult,
     DetectorConfig, DuplicatePair, HeuristicConfig, TupleSimilarity, UnionFind, OBJECT_ID_COLUMN,
@@ -205,8 +205,10 @@ pub fn run_shard(
         .map(|(ci, row)| {
             let cells = (0..ncols)
                 .map(|c| {
-                    let mut cell = fused.lineage.cell(ci, c).clone();
-                    cell.row_indices = cell.row_indices.iter().map(|&l| shard.rows[l]).collect();
+                    let mut cell = fused.lineage.cell(ci, c);
+                    for row in &mut cell.row_indices {
+                        *row = shard.rows[*row];
+                    }
                     cell
                 })
                 .collect();
@@ -399,6 +401,7 @@ pub fn execute_sharded_with(
     let match_results = match_star_par(tables, &config.matcher, config.parallelism);
     timings.matching = t0.elapsed();
     span.count("tables", tables.len() as u64);
+    count_matching(&mut span, &match_results);
     drop(span);
 
     let mut span = parent.child("transform");
@@ -539,6 +542,44 @@ mod tests {
     }
 
     #[test]
+    fn coordinator_match_span_carries_the_matching_counters() {
+        let world = person_scale(30, 7);
+        let tables: Vec<&Table> = world.sources.iter().map(|s| &s.table).collect();
+        let mut config = HummerConfig::default();
+        config.detector.candidates = key_equality_spec("Name");
+        let registry = FunctionRegistry::standard();
+
+        let tracer = hummer_obs::ObsConfig::enabled(256).tracer;
+        let root = tracer.trace("prepare");
+        let sharded =
+            execute_sharded_with(&tables, &config, 2, &[], &registry, &LocalBackend, &root)
+                .unwrap();
+        drop(root);
+
+        let spans = tracer.drain();
+        let matches: Vec<_> = spans.iter().filter(|s| s.name == "match").collect();
+        assert_eq!(matches.len(), 1);
+        let results = &sharded.outcome.match_results;
+        let sum =
+            |of: fn(&hummer_matching::MatchResult) -> u64| -> u64 { results.iter().map(of).sum() };
+        assert!(sum(|m| m.sniff.rounds) >= 1 && sum(|m| m.correspondence_count() as u64) >= 1);
+        for (name, value) in [
+            ("tables", tables.len() as u64),
+            ("correspondences", sum(|m| m.correspondence_count() as u64)),
+            ("sniff_postings_visited", sum(|m| m.sniff.postings_visited)),
+            (
+                "sniff_candidates_scored",
+                sum(|m| m.sniff.candidates_scored),
+            ),
+            ("sniff_rows_expanded", sum(|m| m.sniff.rows_expanded)),
+            ("sniff_rounds", sum(|m| m.sniff.rounds)),
+        ] {
+            let counter = matches[0].counters.iter().find(|(n, _)| n == name);
+            assert_eq!(counter.map(|(_, v)| *v), Some(value), "{name}");
+        }
+    }
+
+    #[test]
     fn local_backend_reports_shard_count() {
         let world = person_scale(12, 3);
         let tables: Vec<&Table> = world.sources.iter().map(|s| &s.table).collect();
@@ -549,5 +590,65 @@ mod tests {
         assert_eq!(sharded.stats.shards, sharded.shards);
         assert_eq!(sharded.stats.requests, 0);
         assert_eq!(sharded.stats.fallbacks, 0);
+    }
+
+    /// FNV-1a over the frame: the golden values below were printed by this
+    /// very test at the commit before fusion's lineage went flat.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn golden_response_frame_is_unchanged() {
+        let world = person_scale(30, 7);
+        let tables: Vec<&Table> = world.sources.iter().map(|s| &s.table).collect();
+        let mut config = HummerConfig::default();
+        config.detector.candidates = key_equality_spec("Name");
+        let prepared = prepare_tables(&tables, &config).unwrap();
+        let cfg = config.detector_config();
+        let plan = plan_shards(&prepared.integrated, &cfg, 3).unwrap();
+        let spec = JobSpec {
+            attributes: prepared.detection.attributes_used.clone(),
+            threshold: cfg.threshold,
+            unsure_threshold: cfg.unsure_threshold,
+            use_filter: cfg.use_filter,
+            layout: cfg.layout,
+            resolutions: vec![
+                ("Name".to_string(), ResolutionSpec::named("longest")),
+                ("City".to_string(), ResolutionSpec::named("vote")),
+                ("Age".to_string(), ResolutionSpec::named("avg")),
+            ],
+        };
+        let mut partials = run_shards_local(
+            &prepared.integrated,
+            &spec,
+            &plan.shards,
+            &FunctionRegistry::standard(),
+            Parallelism::degree(2),
+            &Span::noop(),
+        )
+        .unwrap();
+        // Work counters the identity contract leaves out.
+        for p in &mut partials {
+            p.memo_hits = 0;
+        }
+        let frame = crate::wire::encode_response(&partials, &[]);
+        let cells: usize = partials
+            .iter()
+            .flat_map(|p| &p.clusters)
+            .map(|c| c.cells.len())
+            .sum();
+        assert!(
+            partials.len() > 1 && cells > 100,
+            "{} shards, {cells} cells",
+            partials.len()
+        );
+        assert_eq!(
+            (frame.len(), fnv(&frame)),
+            (5630, 13_603_032_144_052_462_987),
+            "HmSh response bytes moved"
+        );
     }
 }
