@@ -80,7 +80,7 @@ pub use hummer_textsim as textsim;
 pub use hummer_store::{CatalogStore, StoreOptions, StoreStats};
 
 // The most-used types, at the top level.
-pub use hummer_dupdetect::{DetectionResult, DetectorConfig, RowMapping};
+pub use hummer_dupdetect::{DetectionIndex, DetectionResult, DetectorConfig, RowMapping};
 pub use hummer_engine::ExecutionLayout;
 pub use hummer_fusion::Parallelism;
 pub use hummer_fusion::{FunctionRegistry, ResolutionSpec};

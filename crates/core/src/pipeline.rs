@@ -16,8 +16,8 @@
 use crate::error::Result;
 use crate::repository::MetadataRepository;
 use hummer_dupdetect::{
-    annotate_object_ids, detect_delta, detect_duplicates_par, DeltaDetectionStats, DetectionResult,
-    DetectorConfig, RowMapping, OBJECT_ID_COLUMN,
+    annotate_object_ids, detect_duplicates_par, DeltaDetectionStats, DetectionIndex,
+    DetectionResult, DetectorConfig, RowMapping, OBJECT_ID_COLUMN,
 };
 use hummer_engine::{ExecutionLayout, Table};
 use hummer_fusion::{
@@ -224,6 +224,10 @@ impl PreparedSources {
     /// touching dirty rows are re-scored, and only affected connected
     /// components re-cluster.
     ///
+    /// This builds the detection index of `self` and drops it afterwards;
+    /// a caller that refreshes the same artifacts again and again keeps it
+    /// through [`PreparedSources::apply_delta_traced`].
+    ///
     /// `config` must be the configuration that produced `self`.
     pub fn apply_delta(
         &self,
@@ -232,17 +236,22 @@ impl PreparedSources {
         config: &HummerConfig,
     ) -> Result<(PreparedSources, DeltaReport)> {
         let root = config.obs.tracer.trace("delta");
-        self.apply_delta_traced(new_tables, mapping, config, &root)
+        self.apply_delta_traced(new_tables, mapping, config, &mut None, &root)
     }
 
-    /// [`PreparedSources::apply_delta`] recording its stage spans under
-    /// `parent` (the server's per-request span). With a no-op `parent`
-    /// this is exactly `apply_delta`.
+    /// [`PreparedSources::apply_delta`] carrying the detection index and
+    /// recording its stage spans under `parent` (the server's per-request
+    /// span).
+    ///
+    /// `index` is the [`DetectionIndex`] of `self`, or `None` to build it
+    /// from these artifacts. On success it holds the index of the returned
+    /// artifacts, ready for the next delta; on error it is `None`.
     pub fn apply_delta_traced(
         &self,
         new_tables: &[&Table],
         mapping: &RowMapping,
         config: &HummerConfig,
+        index: &mut Option<DetectionIndex>,
         parent: &Span,
     ) -> Result<(PreparedSources, DeltaReport)> {
         let mut timings = StageTimings::default();
@@ -259,8 +268,8 @@ impl PreparedSources {
         drop(span);
 
         // 2. Transformation: recomputed (linear). If matching changed the
-        //    union schema, the incremental detector notices through its
-        //    cell comparison and degrades gracefully.
+        //    union schema, the detection index notices the changed columns
+        //    and re-indexes.
         let mut span = parent.child("transform");
         let t0 = Instant::now();
         let integrated =
@@ -269,18 +278,26 @@ impl PreparedSources {
         span.count("union_rows", integrated.len() as u64);
         drop(span);
 
-        // 3. Duplicate detection: incremental against the old artifacts.
+        // 3. Duplicate detection: the old artifacts' index, carried.
         let t0 = Instant::now();
         let mut span = parent.child("detect");
-        let (detection, delta_stats) = detect_delta(
+        let index_reused = index.is_some();
+        let mut carried = match index.take() {
+            Some(carried) => carried,
+            None => DetectionIndex::build(&self.integrated, &config.detector_config())?,
+        };
+        let (detection, delta_stats) = carried.apply_delta(
             &self.integrated,
             &self.detection,
             &integrated,
             mapping,
-            &config.detector_config(),
             config.parallelism,
         )?;
+        *index = Some(carried);
         if span.is_recording() {
+            span.count("index_reused", u64::from(index_reused));
+            span.count("rows_rerendered", delta_stats.rows_rerendered as u64);
+            span.count("rows_reweighted", delta_stats.rows_reweighted as u64);
             span.count("dirty_rows", delta_stats.dirty_rows as u64);
             span.count("candidates", delta_stats.candidates as u64);
             span.count("compared", delta_stats.compared as u64);

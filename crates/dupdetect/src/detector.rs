@@ -188,8 +188,7 @@ impl DetectionResult {
         for p in &self.pairs {
             uf.union(p.left, p.right);
         }
-        self.cluster_ids = uf.cluster_ids();
-        self.clusters = uf.clusters();
+        (self.cluster_ids, self.clusters) = uf.cluster_views();
     }
 
     /// Number of detected real-world objects (clusters).
@@ -227,12 +226,22 @@ pub fn detect_duplicates(table: &Table, cfg: &DetectorConfig) -> Result<Detectio
 /// names, or the selection heuristics. Shared by the full detector, the
 /// incremental path, and the shard executor so all three always agree.
 pub fn resolve_attributes(table: &Table, cfg: &DetectorConfig) -> Result<Vec<usize>> {
+    attributes_from(table, cfg, || select_attributes(table, &cfg.heuristics))
+}
+
+/// [`resolve_attributes`] with the heuristics' answer supplied by `select`
+/// (the incremental detector answers it from kept counts).
+pub(crate) fn attributes_from(
+    table: &Table,
+    cfg: &DetectorConfig,
+    select: impl FnOnce() -> Vec<usize>,
+) -> Result<Vec<usize>> {
     let attrs: Vec<usize> = match &cfg.attributes {
         Some(names) => names
             .iter()
             .map(|n| table.resolve(n))
             .collect::<Result<_>>()?,
-        None => select_attributes(table, &cfg.heuristics),
+        None => select(),
     };
     if attrs.is_empty() {
         return Err(EngineError::Expression(
@@ -323,33 +332,54 @@ pub fn detect_duplicates_par(
     cfg: &DetectorConfig,
     par: Parallelism,
 ) -> Result<DetectionResult> {
+    check_thresholds(cfg)?;
+    let attrs = resolve_attributes(table, cfg)?;
+    let strategy = resolve_candidate_strategy(table, &cfg.candidates)?;
+    let measure = TupleSimilarity::new(table, attrs);
+    let candidates = candidate_pairs(table, &strategy);
+    Ok(detect_candidates(table, &measure, &candidates, cfg, par))
+}
+
+/// `unsure_threshold` must not exceed `threshold`.
+pub(crate) fn check_thresholds(cfg: &DetectorConfig) -> Result<()> {
     if cfg.unsure_threshold > cfg.threshold {
         return Err(EngineError::Expression(format!(
             "unsure_threshold {} exceeds threshold {}",
             cfg.unsure_threshold, cfg.threshold
         )));
     }
-    let attrs = resolve_attributes(table, cfg)?;
-    let attributes_used: Vec<String> = attrs
+    Ok(())
+}
+
+/// The names of `measure`'s attributes in `table`.
+pub(crate) fn attribute_names(table: &Table, measure: &TupleSimilarity) -> Vec<String> {
+    measure
+        .attrs()
         .iter()
         .map(|&i| table.schema().column(i).name.clone())
-        .collect();
+        .collect()
+}
 
-    let strategy = resolve_candidate_strategy(table, &cfg.candidates)?;
-
-    let measure = TupleSimilarity::new(table, attrs);
-    let candidates = candidate_pairs(table, &strategy);
-    let mut stats = DetectionStats {
-        candidates: candidates.len(),
-        ..Default::default()
-    };
-
+/// Score every candidate, classify, and close transitively: the detector
+/// after candidate generation, shared by the full detector and the
+/// incremental one's full rescore.
+pub(crate) fn detect_candidates(
+    table: &Table,
+    measure: &TupleSimilarity,
+    candidates: &[(usize, usize)],
+    cfg: &DetectorConfig,
+    par: Parallelism,
+) -> DetectionResult {
     // Score candidate chunks on up to `par` threads; the similarity caches
     // are shared read-only. Chunk results merge in candidate order, so the
     // pair lists match the sequential loop element for element.
-    let scored = score_candidates(table, &measure, cfg, &candidates, par);
-    stats.filtered_out = scored.filtered_out;
-    stats.compared = scored.compared;
+    let scored = score_candidates(table, measure, cfg, candidates, par);
+    let stats = DetectionStats {
+        candidates: candidates.len(),
+        filtered_out: scored.filtered_out,
+        compared: scored.compared,
+        memo_hits: 0,
+    };
     let mut pairs = scored.pairs;
     let mut unsure = scored.unsure;
     // Canonical order: similarity descending, ties in candidate order —
@@ -363,10 +393,10 @@ pub fn detect_duplicates_par(
         cluster_ids: vec![0; table.len()],
         clusters: Vec::new(),
         stats,
-        attributes_used,
+        attributes_used: attribute_names(table, measure),
     };
     result.recluster();
-    Ok(result)
+    result
 }
 
 /// Append the `objectID` column carrying each row's cluster id.

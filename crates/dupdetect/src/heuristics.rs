@@ -11,8 +11,9 @@
 //! how diverse the values are. Bookkeeping columns (`sourceID`, `objectID`)
 //! are excluded by name.
 
+use crate::incremental::RowChanges;
 use crate::renderings::Renderings;
-use hummer_engine::Table;
+use hummer_engine::{Table, Value};
 
 /// Columns never used for comparison: pipeline bookkeeping.
 pub const BOOKKEEPING_COLUMNS: [&str; 2] = ["sourceID", "objectID"];
@@ -54,9 +55,35 @@ impl Default for HeuristicConfig {
     }
 }
 
+/// One column's score from its counts: `non_null` of `rows` cells present,
+/// `distinct` renderings among them.
+fn attribute_score(
+    index: usize,
+    name: &str,
+    non_null: usize,
+    distinct: usize,
+    rows: usize,
+) -> AttributeScore {
+    let coverage = non_null as f64 / rows.max(1) as f64;
+    let distinctness = if non_null == 0 {
+        0.0
+    } else {
+        distinct as f64 / non_null as f64
+    };
+    // Harmonic-style blend: an attribute must both be present and
+    // distinguish. Perfectly constant columns score 0... but a column with
+    // a couple of distinct values still helps a bit.
+    AttributeScore {
+        index,
+        name: name.to_string(),
+        coverage,
+        distinctness,
+        score: coverage * distinctness,
+    }
+}
+
 /// Score every column of `table`. Distinct values are distinct renderings.
 pub fn score_attributes(table: &Table) -> Vec<AttributeScore> {
-    let n = table.len().max(1) as f64;
     table
         .schema()
         .columns()
@@ -69,23 +96,7 @@ pub fn score_attributes(table: &Table) -> Vec<AttributeScore> {
                 non_null += 1;
                 distinct.intern(v);
             }
-            let coverage = non_null as f64 / n;
-            let distinctness = if non_null == 0 {
-                0.0
-            } else {
-                distinct.len() as f64 / non_null as f64
-            };
-            // Harmonic-style blend: an attribute must both be present and
-            // distinguish. Perfectly constant columns score 0... but a
-            // column with a couple of distinct values still helps a bit.
-            let score = coverage * distinctness;
-            AttributeScore {
-                index: idx,
-                name: col.name.clone(),
-                coverage,
-                distinctness,
-                score,
-            }
+            attribute_score(idx, &col.name, non_null, distinct.len(), table.len())
         })
         .collect()
 }
@@ -93,7 +104,12 @@ pub fn score_attributes(table: &Table) -> Vec<AttributeScore> {
 /// Select interesting attribute indices by the heuristics, best-first.
 /// Bookkeeping columns are always excluded.
 pub fn select_attributes(table: &Table, cfg: &HeuristicConfig) -> Vec<usize> {
-    let mut scored: Vec<AttributeScore> = score_attributes(table)
+    select_from_scores(score_attributes(table), cfg)
+}
+
+/// The selection rule over already computed scores.
+pub(crate) fn select_from_scores(scores: Vec<AttributeScore>, cfg: &HeuristicConfig) -> Vec<usize> {
+    let mut scored: Vec<AttributeScore> = scores
         .into_iter()
         .filter(|s| {
             !BOOKKEEPING_COLUMNS
@@ -107,6 +123,124 @@ pub fn select_attributes(table: &Table, cfg: &HeuristicConfig) -> Vec<usize> {
     let mut idx: Vec<usize> = scored.into_iter().map(|s| s.index).collect();
     idx.sort_unstable();
     idx
+}
+
+/// The counts [`score_attributes`] derives its scores from — per column,
+/// the rows holding each distinct rendering — kept so that a delta moves
+/// the counts of the cells it changed instead of re-reading the table.
+#[derive(Debug)]
+pub(crate) struct SelectionCounts {
+    names: Vec<String>,
+    columns: Vec<ColumnTally>,
+    rows: usize,
+}
+
+#[derive(Debug, Default)]
+struct ColumnTally {
+    renderings: Renderings<'static>,
+    /// Rows holding each rendering (a rendering at zero stays numbered).
+    rows_of: Vec<usize>,
+    /// Renderings held by at least one row.
+    distinct: usize,
+    non_null: usize,
+}
+
+impl ColumnTally {
+    fn add(&mut self, v: &Value) {
+        if v.is_null() {
+            return;
+        }
+        let (r, _) = self.renderings.intern_owned(v);
+        let r = r as usize;
+        if r == self.rows_of.len() {
+            self.rows_of.push(0);
+        }
+        self.distinct += usize::from(self.rows_of[r] == 0);
+        self.rows_of[r] += 1;
+        self.non_null += 1;
+    }
+
+    fn remove(&mut self, v: &Value) {
+        if v.is_null() {
+            return;
+        }
+        let r = self
+            .renderings
+            .get(v)
+            .expect("a counted cell has a rendering") as usize;
+        self.rows_of[r] -= 1;
+        self.distinct -= usize::from(self.rows_of[r] == 0);
+        self.non_null -= 1;
+    }
+}
+
+impl SelectionCounts {
+    /// Count every column of `table`.
+    pub(crate) fn new(table: &Table) -> Self {
+        let columns = (0..table.schema().len())
+            .map(|idx| {
+                let mut renderings = Renderings::with_capacity(0);
+                let mut rows_of: Vec<usize> = Vec::new();
+                let mut non_null = 0;
+                for v in table.column_values(idx).filter(|v| !v.is_null()) {
+                    let (r, new) = renderings.intern(v);
+                    if new.is_some() {
+                        rows_of.push(0);
+                    }
+                    rows_of[r as usize] += 1;
+                    non_null += 1;
+                }
+                ColumnTally {
+                    renderings: renderings.into_owned(),
+                    distinct: rows_of.len(),
+                    rows_of,
+                    non_null,
+                }
+            })
+            .collect();
+        SelectionCounts {
+            names: table
+                .schema()
+                .names()
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
+            columns,
+            rows: table.len(),
+        }
+    }
+
+    /// Move the counts from `old` to `new` (same schema) across `changes`.
+    pub(crate) fn apply(&mut self, old: &Table, new: &Table, changes: &RowChanges) {
+        for (c, tally) in self.columns.iter_mut().enumerate() {
+            for &o in &changes.deleted {
+                tally.remove(old.cell(o, c));
+            }
+            for &(o, n) in &changes.updated {
+                let (before, after) = (old.cell(o, c), new.cell(n, c));
+                if !crate::incremental::same_value(before, after) {
+                    tally.remove(before);
+                    tally.add(after);
+                }
+            }
+            for &n in &changes.inserted {
+                tally.add(new.cell(n, c));
+            }
+        }
+        self.rows = new.len();
+    }
+
+    /// [`score_attributes`] of the counted table, bit for bit.
+    pub(crate) fn scores(&self) -> Vec<AttributeScore> {
+        self.columns
+            .iter()
+            .zip(&self.names)
+            .enumerate()
+            .map(|(idx, (tally, name))| {
+                attribute_score(idx, name, tally.non_null, tally.distinct, self.rows)
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

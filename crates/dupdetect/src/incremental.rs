@@ -1,57 +1,81 @@
 //! Incremental duplicate detection under source deltas.
 //!
-//! [`detect_delta`] maintains a [`DetectionResult`] across a change to the
-//! underlying table with cost proportional to the *change*, not the corpus:
+//! A [`DetectionIndex`] holds everything detection reads about a table
+//! beyond the pair scores themselves, and carries it across a delta with
+//! cost proportional to the *change*, not the corpus:
 //!
-//! 1. the similarity caches for the updated table are rebuilt (linear —
-//!    cheap next to pair scoring) exactly as a from-scratch run would build
-//!    them;
-//! 2. every surviving row's cell cache is compared **bit-for-bit** against
-//!    its old cache; rows with identical caches are *clean*, the rest —
-//!    inserted, updated, or drifted by a corpus-statistics step — are
-//!    *dirty*;
-//! 3. the incremental blocking index generates candidate pairs only for
-//!    dirty rows (`dirty × all`), and those are scored through the same
-//!    scoring loop the full detector uses;
-//! 4. classifications of clean–clean pairs are **carried over** unchanged:
-//!    the measure reads nothing but the two cell caches and the attribute
-//!    scales, so bit-identical inputs give bit-identical scores — carrying
-//!    is not an approximation;
-//! 5. the transitive closure is maintained incrementally: connected
+//! 1. the rows the delta touched are found by comparing each surviving
+//!    row with its old version (inserted and deleted rows come from the
+//!    [`RowMapping`]);
+//! 2. the per-column counts attribute selection reads, and the counts
+//!    behind the measure's weights (renderings, texts, token document
+//!    frequencies, noise buckets, non-null rows — see
+//!    [`crate::measure`]), are *moved* by the touched cells; only those
+//!    cells are rendered again, and each moved attribute's σ is re-run;
+//! 3. a row is *dirty* when one of its cells changed bit-wise: it was
+//!    inserted or updated, or it reads a count whose **quantized** value
+//!    stepped (a token's document frequency, a value's or bucket's row
+//!    count, the attribute's non-null count), or it holds a numeric cell
+//!    of an attribute whose scale stepped. Everything else is provably
+//!    unchanged;
+//! 4. the blocking index moves too — the key of every row, in
+//!    `(key, row)` order for sorted neighbourhood, by key group for key
+//!    equality — and adds the rows whose candidate pairs may have changed:
+//!    rows whose key moved, and under sorted neighbourhood every row within
+//!    `window − 1` positions of a row's old position (deleted or moved) or
+//!    new position (inserted or moved). That suffices: two rows that kept
+//!    their keys change window status only if their distance changed, so a
+//!    row left from between them (old order) or arrived between them (new
+//!    order); the one of those nearest the first row has fewer than
+//!    `window` rows between itself and it, so the first row is dirty;
+//! 5. candidate pairs with a dirty endpoint are scored through the same
+//!    loop the full detector uses, and classifications of clean–clean
+//!    pairs are **carried over** unchanged: the measure reads nothing but
+//!    the two rows' cells and the attribute scales, so bit-identical
+//!    inputs give bit-identical scores — carrying is not an approximation;
+//! 6. the transitive closure is maintained incrementally: connected
 //!    components untouched by the delta keep their union-find structure
 //!    (their members are re-linked directly, no pair is re-scored or
 //!    re-unioned), while components containing deleted or dirty rows are
 //!    dissolved and re-clustered from the merged pair list — the "scoped
 //!    re-clustering" of only the affected components.
 //!
+//! [`detect_delta`] is the same path for a caller that kept no index: it
+//! builds one over the old table first.
+//!
 //! ## The byte-identity contract
 //!
 //! For every delta, the resulting `pairs`, `unsure`, `cluster_ids`,
 //! `clusters`, and `attributes_used` are **bit-identical** to
 //! [`crate::detect_duplicates`] run from scratch over the updated table —
-//! at every parallelism degree. This leans on the quantized corpus
-//! statistics of [`crate::measure`]: weights are step functions of the
-//! corpus, so small deltas leave untouched rows' caches literally
-//! unchanged. When a quantization boundary *is* crossed (roughly every
-//! `N/32` inserted or deleted rows), every row reads new weights, the dirty
-//! set becomes the whole table, and that one delta degrades to a full
-//! rescore — still byte-identical, just not cheap. `DetectionResult::stats`
-//! is the one field outside the contract: it reports the work *this* run
-//! performed, which for a delta run is delta-sized by design.
+//! at every parallelism degree — and the carried index equals one built
+//! from scratch over it (cells, scales, attribute scores, candidates). This
+//! leans on the quantized corpus statistics of [`crate::measure`]: weights
+//! are step functions of the corpus, so small deltas leave untouched rows'
+//! caches literally unchanged. Counts above 63 keep 6 significant bits, so
+//! the non-null count steps every `N/64` to `N/32` inserted or deleted
+//! rows; when it does, every row reads new weights and most go dirty, and
+//! a delta that dirties a majority of rows is scored as a full rescore of
+//! the carried measure — still byte-identical, just not cheap. A delta
+//! that changes the attribute selection or the table's columns re-indexes
+//! and rescores likewise. `DetectionResult::stats` is the one field
+//! outside the contract: it reports the work *this* run performed, which
+//! for a delta run is delta-sized by design.
 //!
-//! The caller must pass the same [`DetectorConfig`] that produced the old
-//! result; changing thresholds between runs invalidates carried
-//! classifications.
+//! The index remembers the [`DetectorConfig`] it was built with; the old
+//! result must come from that configuration.
 
+use crate::blocking::CandidateIndex;
 use crate::detector::{
-    detect_duplicates_par, resolve_attributes, score_candidates, sort_pairs_canonical,
-    DetectionResult, DetectionStats, DetectorConfig, DuplicatePair,
+    attribute_names, attributes_from, check_thresholds, detect_candidates,
+    resolve_candidate_strategy, score_candidates, sort_pairs_canonical, DetectionResult,
+    DetectionStats, DetectorConfig, DuplicatePair,
 };
-use crate::measure::TupleSimilarity;
+use crate::heuristics::{select_from_scores, AttributeScore, SelectionCounts};
+use crate::measure::{ColumnCounts, TupleSimilarity};
 use crate::unionfind::UnionFind;
-use crate::CandidateSpec;
 use hummer_engine::error::EngineError;
-use hummer_engine::{Result, Table};
+use hummer_engine::{Result, Row, Table, Value};
 use hummer_par::Parallelism;
 
 /// How rows of the old table relate to rows of the new table after a delta.
@@ -131,15 +155,94 @@ impl RowMapping {
     }
 }
 
-/// Work counters for one [`detect_delta`] run.
+/// Strict equality of two cells: same variant, same content (floats by
+/// bits). Unlike `Value`'s `==` (where `Int(2) == Float(2.0)`), equal
+/// cells here render, parse and key identically.
+pub(crate) fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Null, Value::Null) => true,
+        (Value::Bool(x), Value::Bool(y)) => x == y,
+        (Value::Int(x), Value::Int(y)) => x == y,
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Text(x), Value::Text(y)) => x == y,
+        (Value::Date(x), Value::Date(y)) => x == y,
+        _ => false,
+    }
+}
+
+fn same_row(a: &Row, b: &Row) -> bool {
+    a.len() == b.len()
+        && a.values()
+            .iter()
+            .zip(b.values())
+            .all(|(x, y)| same_value(x, y))
+}
+
+/// The rows one delta touched.
+pub(crate) struct RowChanges<'a> {
+    pub(crate) mapping: &'a RowMapping,
+    /// Old rows without a new counterpart.
+    pub(crate) deleted: Vec<usize>,
+    /// `(old, new)` rows that survived with different content.
+    pub(crate) updated: Vec<(usize, usize)>,
+    /// New rows without an old counterpart.
+    pub(crate) inserted: Vec<usize>,
+}
+
+impl<'a> RowChanges<'a> {
+    /// Compare every surviving row of `new` with its row in `old`.
+    pub(crate) fn new(old: &Table, new: &Table, mapping: &'a RowMapping) -> Self {
+        let (old_rows, new_rows) = (old.rows(), new.rows());
+        let mut changes = RowChanges {
+            mapping,
+            deleted: (0..mapping.old_len())
+                .filter(|&o| mapping.old_to_new[o].is_none())
+                .collect(),
+            updated: Vec::new(),
+            inserted: Vec::new(),
+        };
+        for (n, o) in mapping.new_to_old.iter().enumerate() {
+            match o {
+                None => changes.inserted.push(n),
+                Some(o) if !same_row(&old_rows[*o], &new_rows[n]) => changes.updated.push((*o, n)),
+                Some(_) => {}
+            }
+        }
+        changes
+    }
+
+    /// Move a per-row array from the old row space to the new one; new
+    /// rows get `T::default()`. Free when no row was inserted or deleted
+    /// (a monotone mapping is then the identity).
+    pub(crate) fn remap<T: Default>(&self, v: &mut Vec<T>) {
+        if self.deleted.is_empty() && self.inserted.is_empty() {
+            return;
+        }
+        let mut old = std::mem::take(v);
+        *v = self
+            .mapping
+            .new_to_old
+            .iter()
+            .map(|o| o.map_or_else(T::default, |o| std::mem::take(&mut old[o])))
+            .collect();
+    }
+}
+
+/// Work counters for one incremental detection run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaDetectionStats {
     /// Rows before the delta.
     pub old_rows: usize,
     /// Rows after the delta.
     pub new_rows: usize,
-    /// Rows whose similarity caches changed (inserted, updated, or drifted).
+    /// Rows whose pairs were scored again: inserted, updated, drifted by a
+    /// corpus-statistics step, or moved within reach of a blocking window.
     pub dirty_rows: usize,
+    /// Rows whose compared cells were rendered again (inserted, updated).
+    pub rows_rerendered: usize,
+    /// Rows not rendered again whose cells moved because a quantized count
+    /// or a scale they read stepped.
+    pub rows_reweighted: usize,
     /// Candidate pairs generated by the incremental blocking index.
     pub candidates: usize,
     /// Full similarity evaluations performed.
@@ -158,42 +261,330 @@ pub struct DeltaDetectionStats {
     pub affected_components: usize,
     /// Old connected components whose union-find structure was preserved.
     pub preserved_components: usize,
-    /// True when the delta degraded to a full rescore (quantization
-    /// boundary, attribute-selection change, or a blocking strategy with no
-    /// incremental index).
+    /// True when the delta was scored as a full rescore (a quantization
+    /// step dirtied a majority of rows, the attribute selection changed, or
+    /// the table's columns did).
     pub full_rescore: bool,
     /// Why a full rescore happened, when it did.
     pub fallback_reason: Option<String>,
 }
 
-/// Run a full detection and report it as a (degenerate) delta outcome.
-fn full_rescore(
-    new_table: &Table,
-    mapping: &RowMapping,
-    cfg: &DetectorConfig,
-    par: Parallelism,
-    reason: &str,
-) -> Result<(DetectionResult, DeltaDetectionStats)> {
-    let result = detect_duplicates_par(new_table, cfg, par)?;
-    let stats = DeltaDetectionStats {
-        old_rows: mapping.old_len(),
-        new_rows: new_table.len(),
-        dirty_rows: new_table.len(),
-        candidates: result.stats.candidates,
-        compared: result.stats.compared,
-        filtered_out: result.stats.filtered_out,
-        scored_pairs: result.pairs.len(),
-        scored_unsure: result.unsure.len(),
-        affected_components: result.clusters.len(),
-        full_rescore: true,
-        fallback_reason: Some(reason.to_string()),
-        ..Default::default()
-    };
-    Ok((result, stats))
+/// Everything incremental detection reads about one table besides the old
+/// result: the measure together with the counts behind its weights, the
+/// per-column counts attribute selection reads, and the blocking
+/// strategy's key order or key groups — kept across deltas so that a delta
+/// costs its delta (see the module docs).
+///
+/// An index is built once ([`DetectionIndex::build`]) and then carried:
+/// [`DetectionIndex::apply_delta`] moves it to describe the new table. It
+/// is deliberately not `Clone`: whoever holds it hands it on.
+#[derive(Debug)]
+pub struct DetectionIndex {
+    cfg: DetectorConfig,
+    /// The indexed table's column names.
+    columns: Vec<String>,
+    /// Per-column counts for the selection heuristics (`None` when the
+    /// configuration names its attributes).
+    selection: Option<SelectionCounts>,
+    measure: TupleSimilarity,
+    counts: Vec<ColumnCounts>,
+    candidates: CandidateIndex,
+}
+
+impl DetectionIndex {
+    /// Index `table` for detection under `cfg`: what
+    /// [`crate::detect_duplicates`] computes before scoring, plus the counts
+    /// that let a delta move it.
+    pub fn build(table: &Table, cfg: &DetectorConfig) -> Result<Self> {
+        check_thresholds(cfg)?;
+        let selection = cfg
+            .attributes
+            .is_none()
+            .then(|| SelectionCounts::new(table));
+        let attrs = attributes_from(table, cfg, || {
+            let scores = selection.as_ref().expect("counted above").scores();
+            select_from_scores(scores, &cfg.heuristics)
+        })?;
+        let strategy = resolve_candidate_strategy(table, &cfg.candidates)?;
+        let (measure, counts) = TupleSimilarity::with_counts(table, attrs);
+        Ok(DetectionIndex {
+            cfg: cfg.clone(),
+            columns: column_names(table),
+            selection,
+            measure,
+            counts,
+            candidates: CandidateIndex::new(table, &strategy),
+        })
+    }
+
+    /// The measure over the indexed table.
+    pub fn measure(&self) -> &TupleSimilarity {
+        &self.measure
+    }
+
+    /// [`crate::score_attributes`] over the indexed table, from the kept
+    /// counts; `None` when the configuration names its attributes.
+    pub fn attribute_scores(&self) -> Option<Vec<AttributeScore>> {
+        self.selection.as_ref().map(SelectionCounts::scores)
+    }
+
+    /// Every candidate pair of the indexed table, in the order
+    /// [`crate::candidate_pairs`] produces them.
+    pub fn candidates(&self) -> Vec<(usize, usize)> {
+        self.candidates.pairs(self.measure.row_count())
+    }
+
+    /// Update `old` — the result over `old_table`, which this index
+    /// describes — to describe `new_table`, where `mapping` relates the two
+    /// tables' rows; afterwards the index describes `new_table`.
+    ///
+    /// Output (everything except the work counters in `stats`) is
+    /// bit-identical to [`crate::detect_duplicates_par`] over `new_table` at
+    /// every degree — see the module docs for the argument. On error the
+    /// index may be half-moved: drop it.
+    pub fn apply_delta(
+        &mut self,
+        old_table: &Table,
+        old: &DetectionResult,
+        new_table: &Table,
+        mapping: &RowMapping,
+        par: Parallelism,
+    ) -> Result<(DetectionResult, DeltaDetectionStats)> {
+        check_thresholds(&self.cfg)?;
+        if mapping.old_len() != old_table.len() || mapping.new_len() != new_table.len() {
+            return Err(EngineError::Expression(format!(
+                "row mapping shape ({} -> {}) does not match the tables ({} -> {})",
+                mapping.old_len(),
+                mapping.new_len(),
+                old_table.len(),
+                new_table.len()
+            )));
+        }
+        if old.cluster_ids.len() != old_table.len() {
+            return Err(EngineError::Expression(
+                "old detection result does not describe the old table".into(),
+            ));
+        }
+        if self.measure.row_count() != old_table.len()
+            || self.columns != column_names(old_table)
+            || attribute_names(old_table, &self.measure) != old.attributes_used
+        {
+            return Err(EngineError::Expression(
+                "detection index does not describe the old table and result".into(),
+            ));
+        }
+
+        // A changed union schema (matching moved a correspondence) leaves
+        // no column to carry: re-index.
+        if column_names(new_table) != self.columns {
+            *self = DetectionIndex::build(new_table, &self.cfg)?;
+            return Ok(self.full_rescore(new_table, mapping, par, "union schema changed", 0, 0));
+        }
+
+        let changes = RowChanges::new(old_table, new_table, mapping);
+        if let Some(selection) = &mut self.selection {
+            selection.apply(old_table, new_table, &changes);
+            let attrs = attributes_from(new_table, &self.cfg, || {
+                select_from_scores(selection.scores(), &self.cfg.heuristics)
+            })?;
+            if attrs != self.measure.attrs() {
+                let (measure, counts) = TupleSimilarity::with_counts(new_table, attrs);
+                (self.measure, self.counts) = (measure, counts);
+                self.candidates
+                    .apply_delta(new_table, &changes, &mut vec![false; new_table.len()]);
+                let reason = "attribute selection changed";
+                return Ok(self.full_rescore(new_table, mapping, par, reason, 0, 0));
+            }
+        }
+
+        let moved = self
+            .measure
+            .apply_delta(&mut self.counts, old_table, new_table, &changes);
+        let mut dirty = moved.dirty;
+        self.candidates.apply_delta(new_table, &changes, &mut dirty);
+        let dirty_rows: Vec<usize> = (0..dirty.len()).filter(|&i| dirty[i]).collect();
+
+        // When a corpus-statistics step dirties most of the table, carrying
+        // costs more than it saves: score every candidate instead.
+        if 2 * dirty_rows.len() > new_table.len() {
+            let reason = "delta dirtied a majority of rows (corpus-statistics window crossed)";
+            let (rerendered, reweighted) = (moved.rerendered, moved.reweighted);
+            return Ok(self.full_rescore(new_table, mapping, par, reason, rerendered, reweighted));
+        }
+
+        let candidates = self.candidates.pairs_touching(&dirty, &dirty_rows);
+        let (result, mut stats) =
+            self.carry_over(old, new_table, mapping, &dirty, &candidates, par);
+        stats.dirty_rows = dirty_rows.len();
+        stats.rows_rerendered = moved.rerendered;
+        stats.rows_reweighted = moved.reweighted;
+        Ok((result, stats))
+    }
+
+    /// Score every candidate of the indexed `table` with the index's
+    /// measure, reported as a (degenerate) delta outcome.
+    fn full_rescore(
+        &self,
+        table: &Table,
+        mapping: &RowMapping,
+        par: Parallelism,
+        reason: &str,
+        rows_rerendered: usize,
+        rows_reweighted: usize,
+    ) -> (DetectionResult, DeltaDetectionStats) {
+        let candidates = self.candidates();
+        let result = detect_candidates(table, &self.measure, &candidates, &self.cfg, par);
+        let stats = DeltaDetectionStats {
+            old_rows: mapping.old_len(),
+            new_rows: table.len(),
+            dirty_rows: table.len(),
+            rows_rerendered,
+            rows_reweighted,
+            candidates: result.stats.candidates,
+            compared: result.stats.compared,
+            filtered_out: result.stats.filtered_out,
+            scored_pairs: result.pairs.len(),
+            scored_unsure: result.unsure.len(),
+            affected_components: result.clusters.len(),
+            full_rescore: true,
+            fallback_reason: Some(reason.to_string()),
+            ..Default::default()
+        };
+        (result, stats)
+    }
+
+    /// Score `candidates` (every candidate pair with a dirty endpoint),
+    /// carry every other classification of `old`, and re-cluster only the
+    /// affected components.
+    fn carry_over(
+        &self,
+        old: &DetectionResult,
+        table: &Table,
+        mapping: &RowMapping,
+        dirty: &[bool],
+        candidates: &[(usize, usize)],
+        par: Parallelism,
+    ) -> (DetectionResult, DeltaDetectionStats) {
+        let scored = score_candidates(table, &self.measure, &self.cfg, candidates, par);
+
+        // Carry over every classification whose endpoints are both clean;
+        // their scores are bit-identical by construction, and — the
+        // blocking index dirtied every row whose candidate pairs changed —
+        // they are still candidates. Accepted pairs remember their old
+        // component for the scoped re-clustering below.
+        let carry = |from: &[DuplicatePair]| -> Vec<(DuplicatePair, usize)> {
+            from.iter()
+                .filter_map(|p| {
+                    let (l, r) = (mapping.old_to_new[p.left]?, mapping.old_to_new[p.right]?);
+                    debug_assert!(l < r, "monotone mapping preserves pair orientation");
+                    let pair = DuplicatePair {
+                        left: l,
+                        right: r,
+                        similarity: p.similarity,
+                    };
+                    (!dirty[l] && !dirty[r]).then_some((pair, old.cluster_ids[p.left]))
+                })
+                .collect()
+        };
+        let (mut pairs, carried_components): (Vec<DuplicatePair>, Vec<usize>) =
+            carry(&old.pairs).into_iter().unzip();
+        let mut unsure: Vec<DuplicatePair> =
+            carry(&old.unsure).into_iter().map(|(p, _)| p).collect();
+        let (carried_pairs, carried_unsure) = (pairs.len(), unsure.len());
+
+        // Incremental closure. An old component is *affected* when it lost a
+        // member or contains a dirty row; everything else keeps its structure.
+        let mut affected = vec![false; old.clusters.len()];
+        for (o, n) in mapping.old_to_new.iter().enumerate() {
+            let cid = old.cluster_ids[o];
+            match n {
+                None => affected[cid] = true,
+                Some(n) => affected[cid] |= dirty[*n],
+            }
+        }
+        let affected_components = affected.iter().filter(|a| **a).count();
+        let mut uf = UnionFind::new(table.len());
+        // Preserved components: unions applied directly along the member
+        // chain (no pair consulted). No merged pair can join two preserved
+        // components: accepted pairs lie within one old component by
+        // transitivity, and every delta-scored pair has a dirty endpoint.
+        for (cid, members) in old.clusters.iter().enumerate() {
+            if affected[cid] {
+                continue;
+            }
+            let mut prev: Option<usize> = None;
+            for &m in members {
+                let n = mapping.old_to_new[m].expect("unaffected components lose no members");
+                if let Some(p) = prev {
+                    uf.union(p, n);
+                }
+                prev = Some(n);
+            }
+        }
+        // Affected components re-cluster from scratch: carried pairs that
+        // lived in them, plus everything the delta scored.
+        for (p, cid) in pairs.iter().zip(&carried_components) {
+            if affected[*cid] {
+                uf.union(p.left, p.right);
+            }
+        }
+        for p in &scored.pairs {
+            uf.union(p.left, p.right);
+        }
+
+        // Merge carried and scored classifications into the canonical order.
+        let scored_pairs = scored.pairs.len();
+        let scored_unsure = scored.unsure.len();
+        pairs.extend(scored.pairs);
+        unsure.extend(scored.unsure);
+        sort_pairs_canonical(&mut pairs);
+        sort_pairs_canonical(&mut unsure);
+
+        let (cluster_ids, clusters) = uf.cluster_views();
+        let stats = DeltaDetectionStats {
+            old_rows: mapping.old_len(),
+            new_rows: table.len(),
+            candidates: candidates.len(),
+            compared: scored.compared,
+            filtered_out: scored.filtered_out,
+            carried_pairs,
+            carried_unsure,
+            scored_pairs,
+            scored_unsure,
+            affected_components,
+            preserved_components: old.clusters.len() - affected_components,
+            ..Default::default()
+        };
+        let result = DetectionResult {
+            pairs,
+            unsure,
+            cluster_ids,
+            clusters,
+            stats: DetectionStats {
+                candidates: stats.candidates,
+                filtered_out: stats.filtered_out,
+                compared: stats.compared,
+                memo_hits: 0,
+            },
+            attributes_used: attribute_names(table, &self.measure),
+        };
+        (result, stats)
+    }
+}
+
+fn column_names(table: &Table) -> Vec<String> {
+    table
+        .schema()
+        .names()
+        .iter()
+        .map(|s| s.to_string())
+        .collect()
 }
 
 /// Incrementally update `old` (detected over `old_table`) to describe
-/// `new_table`, where `mapping` relates the two tables' rows.
+/// `new_table`, where `mapping` relates the two tables' rows — for a
+/// caller that kept no [`DetectionIndex`]: one is built over `old_table`
+/// and carried once.
 ///
 /// Output (everything except the work counters in `stats`) is
 /// bit-identical to [`crate::detect_duplicates_par`] over `new_table` at
@@ -234,235 +625,14 @@ pub fn detect_delta(
     cfg: &DetectorConfig,
     par: Parallelism,
 ) -> Result<(DetectionResult, DeltaDetectionStats)> {
-    if cfg.unsure_threshold > cfg.threshold {
-        return Err(EngineError::Expression(format!(
-            "unsure_threshold {} exceeds threshold {}",
-            cfg.unsure_threshold, cfg.threshold
-        )));
-    }
-    if mapping.old_len() != old_table.len() || mapping.new_len() != new_table.len() {
-        return Err(EngineError::Expression(format!(
-            "row mapping shape ({} -> {}) does not match the tables ({} -> {})",
-            mapping.old_len(),
-            mapping.new_len(),
-            old_table.len(),
-            new_table.len()
-        )));
-    }
-    if old.cluster_ids.len() != old_table.len() {
-        return Err(EngineError::Expression(
-            "old detection result does not describe the old table".into(),
-        ));
-    }
-
-    // Only the all-pairs strategy has an incremental index: a
-    // sorted-neighborhood window shifts globally under inserts.
-    if cfg.candidates != CandidateSpec::AllPairs {
-        return full_rescore(
-            new_table,
-            mapping,
-            cfg,
-            par,
-            "blocking strategy has no incremental candidate index",
-        );
-    }
-
-    // Attribute selection must agree with the old run (same names, same
-    // order) — otherwise the cell caches are not comparable.
-    let attrs_new = resolve_attributes(new_table, cfg)?;
-    let names_new: Vec<String> = attrs_new
-        .iter()
-        .map(|&i| new_table.schema().column(i).name.clone())
-        .collect();
-    if names_new != old.attributes_used {
-        return full_rescore(new_table, mapping, cfg, par, "attribute selection changed");
-    }
-    let attrs_old: Vec<usize> = old
-        .attributes_used
-        .iter()
-        .map(|n| old_table.resolve(n))
-        .collect::<Result<_>>()?;
-
-    // Rebuild both scorers exactly as a from-scratch run would; the old
-    // scorer is a pure function of the old table, so this reproduces the
-    // caches the old result was scored against.
-    let measure_old = TupleSimilarity::new(old_table, attrs_old);
-    let measure_new = TupleSimilarity::new(new_table, attrs_new);
-
-    // Dirty rows: inserted, or cell caches not bit-identical.
-    let n_new = new_table.len();
-    let mut dirty = vec![false; n_new];
-    for (i, o) in mapping.new_to_old.iter().enumerate() {
-        dirty[i] = match o {
-            None => true,
-            Some(o) => !measure_new.row_cells_identical(i, &measure_old, *o),
-        };
-    }
-    // A changed numeric comparison scale affects every numeric pair in that
-    // attribute even when the cells themselves are unchanged.
-    let ranges_old = measure_old.range_bits();
-    let ranges_new = measure_new.range_bits();
-    for (k, (ro, rn)) in ranges_old.iter().zip(&ranges_new).enumerate() {
-        if ro != rn {
-            for (i, d) in dirty.iter_mut().enumerate() {
-                if measure_new.cell_is_numeric(i, k) {
-                    *d = true;
-                }
-            }
-        }
-    }
-    let dirty_rows: Vec<usize> = (0..n_new).filter(|&i| dirty[i]).collect();
-
-    // When a corpus-statistics window crossing dirties most of the table,
-    // the incremental bookkeeping (old-cache rebuild, carry-over scans)
-    // costs more than it saves — cap the worst case at a plain full run.
-    if 2 * dirty_rows.len() > n_new {
-        return full_rescore(
-            new_table,
-            mapping,
-            cfg,
-            par,
-            "delta dirtied a majority of rows (corpus-statistics window crossed)",
-        );
-    }
-
-    // The incremental blocking index: all pairs with a dirty endpoint, in
-    // lexicographic order (the order the full detector enumerates).
-    let mut candidates: Vec<(usize, usize)> = Vec::new();
-    for (i, &is_dirty) in dirty.iter().enumerate() {
-        if is_dirty {
-            for j in (i + 1)..n_new {
-                candidates.push((i, j));
-            }
-        } else {
-            let start = dirty_rows.partition_point(|&d| d <= i);
-            for &j in &dirty_rows[start..] {
-                candidates.push((i, j));
-            }
-        }
-    }
-
-    let scored = score_candidates(new_table, &measure_new, cfg, &candidates, par);
-
-    // Carry over every classification whose endpoints are both clean; their
-    // scores are bit-identical by construction. Accepted pairs remember
-    // their old component for the scoped re-clustering below.
-    let mut pairs: Vec<DuplicatePair> = Vec::with_capacity(scored.pairs.len() + old.pairs.len());
-    let mut carried_components: Vec<usize> = Vec::new();
-    for p in &old.pairs {
-        if let (Some(l), Some(r)) = (mapping.old_to_new[p.left], mapping.old_to_new[p.right]) {
-            if !dirty[l] && !dirty[r] {
-                debug_assert!(l < r, "monotone mapping preserves pair orientation");
-                pairs.push(DuplicatePair {
-                    left: l,
-                    right: r,
-                    similarity: p.similarity,
-                });
-                carried_components.push(old.cluster_ids[p.left]);
-            }
-        }
-    }
-    let carried_pairs = pairs.len();
-    let mut unsure: Vec<DuplicatePair> = Vec::with_capacity(scored.unsure.len());
-    for p in &old.unsure {
-        if let (Some(l), Some(r)) = (mapping.old_to_new[p.left], mapping.old_to_new[p.right]) {
-            if !dirty[l] && !dirty[r] {
-                unsure.push(DuplicatePair {
-                    left: l,
-                    right: r,
-                    similarity: p.similarity,
-                });
-            }
-        }
-    }
-    let carried_unsure = unsure.len();
-
-    // Incremental closure. An old component is *affected* when it lost a
-    // member or contains a dirty row; everything else keeps its structure.
-    let mut affected = vec![false; old.clusters.len()];
-    for (o, n) in mapping.old_to_new.iter().enumerate() {
-        let cid = old.cluster_ids[o];
-        match n {
-            None => affected[cid] = true,
-            Some(n) => affected[cid] |= dirty[*n],
-        }
-    }
-    let affected_components = affected.iter().filter(|a| **a).count();
-    let mut uf = UnionFind::new(n_new);
-    // Preserved components: unions applied directly along the member chain
-    // (no pair consulted). No merged pair can join two preserved
-    // components: accepted pairs lie within one old component by
-    // transitivity, and every delta-scored pair has a dirty endpoint.
-    for (cid, members) in old.clusters.iter().enumerate() {
-        if affected[cid] {
-            continue;
-        }
-        let mut prev: Option<usize> = None;
-        for &m in members {
-            let n = mapping.old_to_new[m].expect("unaffected components lose no members");
-            if let Some(p) = prev {
-                uf.union(p, n);
-            }
-            prev = Some(n);
-        }
-    }
-    // Affected components re-cluster from scratch: carried pairs that lived
-    // in them, plus everything the delta scored.
-    for (p, cid) in pairs.iter().zip(&carried_components) {
-        if affected[*cid] {
-            uf.union(p.left, p.right);
-        }
-    }
-    for p in &scored.pairs {
-        uf.union(p.left, p.right);
-    }
-
-    // Merge carried and scored classifications into the canonical order.
-    let scored_pairs = scored.pairs.len();
-    let scored_unsure = scored.unsure.len();
-    pairs.extend(scored.pairs);
-    unsure.extend(scored.unsure);
-    sort_pairs_canonical(&mut pairs);
-    sort_pairs_canonical(&mut unsure);
-
-    let cluster_ids = uf.cluster_ids();
-    let clusters = uf.clusters();
-    let stats = DeltaDetectionStats {
-        old_rows: old_table.len(),
-        new_rows: n_new,
-        dirty_rows: dirty_rows.len(),
-        candidates: candidates.len(),
-        compared: scored.compared,
-        filtered_out: scored.filtered_out,
-        carried_pairs,
-        carried_unsure,
-        scored_pairs,
-        scored_unsure,
-        affected_components,
-        preserved_components: old.clusters.len() - affected_components,
-        full_rescore: false,
-        fallback_reason: None,
-    };
-    let result = DetectionResult {
-        pairs,
-        unsure,
-        cluster_ids,
-        clusters,
-        stats: DetectionStats {
-            candidates: stats.candidates,
-            filtered_out: stats.filtered_out,
-            compared: stats.compared,
-            memo_hits: 0,
-        },
-        attributes_used: names_new,
-    };
-    Ok((result, stats))
+    DetectionIndex::build(old_table, cfg)?.apply_delta(old_table, old, new_table, mapping, par)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detector::detect_duplicates;
+    use crate::CandidateSpec;
     use hummer_engine::{table, Row, Value};
 
     fn people() -> Table {
@@ -487,12 +657,122 @@ mod tests {
 
     /// Every field of the contract (everything but `stats`).
     fn assert_matches_scratch(incremental: &DetectionResult, new_table: &Table) {
-        let scratch = detect_duplicates(new_table, &cfg()).unwrap();
+        assert_matches_scratch_under(incremental, new_table, &cfg());
+    }
+
+    fn assert_matches_scratch_under(
+        incremental: &DetectionResult,
+        new_table: &Table,
+        cfg: &DetectorConfig,
+    ) {
+        let scratch = detect_duplicates(new_table, cfg).unwrap();
         assert_eq!(incremental.pairs, scratch.pairs);
         assert_eq!(incremental.unsure, scratch.unsure);
         assert_eq!(incremental.cluster_ids, scratch.cluster_ids);
         assert_eq!(incremental.clusters, scratch.clusters);
         assert_eq!(incremental.attributes_used, scratch.attributes_used);
+    }
+
+    /// The carried index equals one built from scratch over `table`: every
+    /// row's cells, the scales, the attribute scores and the candidates.
+    fn assert_index_matches_scratch(index: &DetectionIndex, table: &Table, cfg: &DetectorConfig) {
+        let scratch = DetectionIndex::build(table, cfg).unwrap();
+        let (carried, fresh) = (index.measure(), scratch.measure());
+        assert_eq!(carried.attrs(), fresh.attrs());
+        assert_eq!(carried.row_count(), fresh.row_count());
+        assert_eq!(carried.range_bits(), fresh.range_bits());
+        for i in 0..table.len() {
+            assert!(carried.row_cells_identical(i, fresh, i), "row {i}");
+        }
+        let bits = |scores: Option<Vec<AttributeScore>>| -> Option<Vec<(u64, u64, u64)>> {
+            scores.map(|s| {
+                s.iter()
+                    .map(|a| {
+                        (
+                            a.coverage.to_bits(),
+                            a.distinctness.to_bits(),
+                            a.score.to_bits(),
+                        )
+                    })
+                    .collect()
+            })
+        };
+        assert_eq!(
+            bits(index.attribute_scores()),
+            bits(scratch.attribute_scores())
+        );
+        assert_eq!(index.candidates(), scratch.candidates());
+        let strategy = resolve_candidate_strategy(table, &cfg.candidates).unwrap();
+        assert_eq!(index.candidates(), crate::candidate_pairs(table, &strategy));
+    }
+
+    /// The dirty set the old detector found by building both measures from
+    /// scratch and comparing every row's cells: rows whose cells are not
+    /// bit-identical, inserted rows, and numeric cells under a moved scale.
+    fn oracle_dirty(
+        before: &Table,
+        after: &Table,
+        mapping: &RowMapping,
+        attrs: &[usize],
+    ) -> Vec<bool> {
+        let old = TupleSimilarity::new(before, attrs.to_vec());
+        let new = TupleSimilarity::new(after, attrs.to_vec());
+        let mut dirty: Vec<bool> = mapping
+            .new_to_old
+            .iter()
+            .enumerate()
+            .map(|(i, o)| o.is_none_or(|o| !new.row_cells_identical(i, &old, o)))
+            .collect();
+        for (k, (ro, rn)) in old.range_bits().iter().zip(&new.range_bits()).enumerate() {
+            if ro != rn {
+                for (i, d) in dirty.iter_mut().enumerate() {
+                    *d |= new.cell_is_numeric(i, k);
+                }
+            }
+        }
+        dirty
+    }
+
+    /// One delta through a carried index, checked every way: the result
+    /// against a from-scratch detection at degrees 1–4, the carried index
+    /// against one built from scratch, and — when the attribute selection
+    /// held — the count-derived dirty set against the scan oracle (equal,
+    /// so in particular a superset).
+    fn check_delta(
+        before: &Table,
+        after: &Table,
+        mapping: &RowMapping,
+        cfg: &DetectorConfig,
+    ) -> DeltaDetectionStats {
+        let old = detect_duplicates(before, cfg).unwrap();
+        let mut stats = None;
+        for degree in 1..=4 {
+            let mut index = DetectionIndex::build(before, cfg).unwrap();
+            let (result, s) = index
+                .apply_delta(before, &old, after, mapping, Parallelism::degree(degree))
+                .unwrap();
+            assert_matches_scratch_under(&result, after, cfg);
+            assert_index_matches_scratch(&index, after, cfg);
+            stats = Some(s);
+        }
+
+        let mut index = DetectionIndex::build(before, cfg).unwrap();
+        let attrs = index.measure.attrs().to_vec();
+        if crate::resolve_attributes(after, cfg).unwrap() == attrs {
+            let changes = RowChanges::new(before, after, mapping);
+            let moved = index
+                .measure
+                .apply_delta(&mut index.counts, before, after, &changes);
+            let oracle = oracle_dirty(before, after, mapping, &attrs);
+            for (i, (&got, &want)) in moved.dirty.iter().zip(&oracle).enumerate() {
+                assert!(
+                    got || !want,
+                    "row {i}: the oracle finds it dirty, the counts do not"
+                );
+            }
+            assert_eq!(moved.dirty, oracle, "count-derived dirty set");
+        }
+        stats.expect("ran")
     }
 
     fn edit(table: &Table, f: impl FnOnce(&mut Vec<Row>)) -> Table {
@@ -505,6 +785,33 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         Table::from_rows(table.name(), &names, rows).unwrap()
+    }
+
+    fn update(table: &Table, row: usize, values: Vec<Value>) -> (Table, RowMapping) {
+        let after = edit(table, |rows| rows[row] = Row::from_values(values));
+        let mapping = RowMapping::identity(table.len());
+        (after, mapping)
+    }
+
+    fn insert(table: &Table, values: Vec<Value>) -> (Table, RowMapping) {
+        let after = edit(table, |rows| rows.push(Row::from_values(values)));
+        let mapping =
+            RowMapping::new((0..table.len()).map(Some).collect(), table.len() + 1).unwrap();
+        (after, mapping)
+    }
+
+    fn delete(table: &Table, row: usize) -> (Table, RowMapping) {
+        let after = edit(table, |rows| {
+            rows.remove(row);
+        });
+        let old_to_new = (0..table.len())
+            .map(|i| match i.cmp(&row) {
+                std::cmp::Ordering::Less => Some(i),
+                std::cmp::Ordering::Equal => None,
+                std::cmp::Ordering::Greater => Some(i - 1),
+            })
+            .collect();
+        (after, RowMapping::new(old_to_new, table.len() - 1).unwrap())
     }
 
     #[test]
@@ -649,19 +956,7 @@ mod tests {
         assert!(!old.pairs.is_empty(), "the twins must pair up");
 
         // Delete row 5 (a solo, far from the twins).
-        let after = {
-            let mut rows = before.rows().to_vec();
-            rows.remove(5);
-            Table::from_rows("T", &["Name"], rows).unwrap()
-        };
-        let old_to_new: Vec<Option<usize>> = (0..71)
-            .map(|i| match i {
-                5 => None,
-                i if i < 5 => Some(i),
-                i => Some(i - 1),
-            })
-            .collect();
-        let mapping = RowMapping::new(old_to_new, 70).unwrap();
+        let (after, mapping) = delete(&before, 5);
         let (result, stats) = detect_delta(
             &before,
             &old,
@@ -705,32 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_neighborhood_falls_back_to_full() {
-        let before = people();
-        let sn_cfg = DetectorConfig {
-            candidates: CandidateSpec::SortedNeighborhood {
-                key: vec!["Name".into()],
-                window: 3,
-            },
-            ..cfg()
-        };
-        let old = detect_duplicates(&before, &sn_cfg).unwrap();
-        let (result, stats) = detect_delta(
-            &before,
-            &old,
-            &before,
-            &RowMapping::identity(6),
-            &sn_cfg,
-            Parallelism::sequential(),
-        )
-        .unwrap();
-        assert!(stats.full_rescore);
-        assert!(stats.fallback_reason.is_some());
-        let scratch = detect_duplicates(&before, &sn_cfg).unwrap();
-        assert_eq!(result.cluster_ids, scratch.cluster_ids);
-    }
-
-    #[test]
     fn mapping_validation_rejects_bad_shapes() {
         assert!(RowMapping::new(vec![Some(3)], 2).is_err()); // out of bounds
         assert!(RowMapping::new(vec![Some(0), Some(0)], 2).is_err()); // collision
@@ -752,6 +1021,19 @@ mod tests {
             Parallelism::sequential()
         )
         .is_err());
+        // An index over another table is refused, not trusted.
+        let mut index = DetectionIndex::build(&before, &cfg()).unwrap();
+        let (shorter, mapping) = delete(&before, 0);
+        let shorter_result = detect_duplicates(&shorter, &cfg()).unwrap();
+        assert!(index
+            .apply_delta(
+                &shorter,
+                &shorter_result,
+                &before,
+                &mapping,
+                Parallelism::sequential()
+            )
+            .is_err());
     }
 
     #[test]
@@ -772,5 +1054,279 @@ mod tests {
             Parallelism::sequential()
         )
         .is_err());
+    }
+
+    // ------------------------------------------------ carried-index boundaries
+
+    /// `n` people over a few towns and ages: a table large enough that the
+    /// non-null count is quantized (n ≥ 64).
+    fn roster(n: usize) -> Table {
+        let towns = ["Berlin", "Hamburg", "Munich", "Potsdam", "Bremen"];
+        let rows: Vec<Row> = (0..n)
+            .map(|i| {
+                Row::from_values(vec![
+                    Value::text(format!("person{i} family{}", i % 40)),
+                    Value::text(towns[i % towns.len()]),
+                    Value::Int(20 + (i % 50) as i64),
+                ])
+            })
+            .collect();
+        Table::from_rows("Roster", &["Name", "Town", "Age"], rows).unwrap()
+    }
+
+    fn named(attrs: &[&str]) -> DetectorConfig {
+        DetectorConfig {
+            attributes: Some(attrs.iter().map(|a| a.to_string()).collect()),
+            threshold: 0.75,
+            unsure_threshold: 0.55,
+            ..Default::default()
+        }
+    }
+
+    fn row(name: &str, town: &str, age: i64) -> Vec<Value> {
+        vec![Value::text(name), Value::text(town), Value::Int(age)]
+    }
+
+    /// An update whose only new token is unique: just the updated row moves.
+    #[test]
+    fn one_row_update_dirties_one_row() {
+        let before = roster(300);
+        let cfg = named(&["Name", "Town", "Age"]);
+        let (after, mapping) = update(&before, 7, row("person7 family7 x", "Munich", 27));
+        let stats = check_delta(&before, &after, &mapping, &cfg);
+        assert!(!stats.full_rescore);
+        assert_eq!((stats.dirty_rows, stats.rows_rerendered), (1, 1));
+        assert_eq!(stats.rows_reweighted, 0);
+        // Moving the row to another town steps both towns' exact (< 64)
+        // counts: every row of either town is re-weighed.
+        let (moved, mapping) = update(&after, 7, row("person7 family7 x", "Berlin", 27));
+        let stats = check_delta(&after, &moved, &mapping, &cfg);
+        assert_eq!(stats.rows_reweighted, 59 + 60, "{stats:?}");
+    }
+
+    /// A token's document frequency crossing 64 — exact below, quantized
+    /// above — re-weighs every row holding it, in both directions.
+    #[test]
+    fn token_df_crossing_64_reweighs_its_rows() {
+        // "family0 … family39" each label 300/40 rows; give one new token
+        // to 63 rows, then the 64th.
+        let base = roster(300);
+        let tagged = edit(&base, |rows| {
+            for r in rows.iter_mut().take(63) {
+                let name = r[0].to_string();
+                *r = Row::from_values(vec![
+                    Value::text(format!("{name} shared")),
+                    r[1].clone(),
+                    r[2].clone(),
+                ]);
+            }
+        });
+        let cfg = named(&["Name", "Town", "Age"]);
+        let (after, mapping) = update(&tagged, 100, row("person100 family20 shared", "Berlin", 20));
+        let stats = check_delta(&tagged, &after, &mapping, &cfg);
+        assert!(stats.rows_reweighted > 0, "{stats:?}");
+        // And back below.
+        let (back, mapping) = update(&after, 100, row("person100 family20", "Berlin", 20));
+        let stats = check_delta(&after, &back, &mapping, &cfg);
+        assert!(stats.rows_reweighted > 0, "{stats:?}");
+    }
+
+    /// An insert that steps the quantized non-null count re-weighs every
+    /// row; the majority guard scores the delta as a full rescore.
+    #[test]
+    fn doc_count_step_reweighs_every_row() {
+        // q(95) = 94 (step 2 above 64); q(96) = 96.
+        let before = roster(95);
+        let (after, mapping) = insert(&before, row("newcomer family3", "Berlin", 30));
+        let stats = check_delta(&before, &after, &mapping, &named(&["Name", "Town", "Age"]));
+        assert!(stats.full_rescore, "{stats:?}");
+        assert!(stats.rows_reweighted > 48, "{stats:?}");
+        // Inside a window the same insert dirties just the new row.
+        let before = roster(96);
+        let (after, mapping) = insert(&before, row("newcomer family3", "Berlin", 30));
+        let stats = check_delta(&before, &after, &mapping, &named(&["Name", "Town", "Age"]));
+        assert!(!stats.full_rescore, "{stats:?}");
+    }
+
+    /// A numeric value far out moves σ past a grid step: every numeric cell
+    /// of the attribute is read under the new scale.
+    #[test]
+    fn numeric_scale_step_dirties_the_attribute() {
+        let before = roster(200);
+        let cfg = named(&["Name", "Age"]);
+        let (after, mapping) = update(&before, 3, row("person3 family3", "Potsdam", 900));
+        let scratch = TupleSimilarity::new(&after, vec![0, 2]);
+        let old = TupleSimilarity::new(&before, vec![0, 2]);
+        assert_ne!(
+            old.range_bits(),
+            scratch.range_bits(),
+            "the scale must step"
+        );
+        let stats = check_delta(&before, &after, &mapping, &cfg);
+        assert!(stats.dirty_rows > 100 || stats.full_rescore, "{stats:?}");
+    }
+
+    /// A cell going null leaves every count it held; coming back restores
+    /// them — and a value turning a numeric attribute textual flips its
+    /// weighting scheme.
+    #[test]
+    fn null_and_value_cells_move_their_counts() {
+        let before = roster(150);
+        let cfg = named(&["Name", "Town", "Age"]);
+        let nulled = vec![Value::text("person9 family9"), Value::Null, Value::Null];
+        let (after, mapping) = update(&before, 9, nulled);
+        check_delta(&before, &after, &mapping, &cfg);
+        let (back, mapping) = update(&after, 9, row("person9 family9", "Potsdam", 29));
+        check_delta(&after, &back, &mapping, &cfg);
+        let textual = vec![
+            Value::text("person9 family9"),
+            Value::text("Potsdam"),
+            Value::text("old"),
+        ];
+        let (flipped, mapping) = update(&back, 9, textual);
+        assert_ne!(
+            TupleSimilarity::new(&back, vec![2]).range_bits(),
+            TupleSimilarity::new(&flipped, vec![2]).range_bits()
+        );
+        check_delta(&back, &flipped, &mapping, &cfg);
+        let (unflipped, mapping) = update(&flipped, 9, row("person9 family9", "Potsdam", 29));
+        check_delta(&flipped, &unflipped, &mapping, &cfg);
+    }
+
+    /// A brand-new token, and a rendering whose rows drop to zero and come
+    /// back under its old id.
+    #[test]
+    fn renderings_leave_and_return() {
+        let before = roster(150);
+        let cfg = named(&["Name", "Town"]);
+        // "Bremen" is held by 30 rows; the unique "Wittenberge" by none.
+        let (after, mapping) = update(&before, 4, row("person4 family4", "Wittenberge", 24));
+        check_delta(&before, &after, &mapping, &cfg);
+        // Row 4 was the only "person4 family4"; delete it, then re-insert.
+        let (gone, mapping) = delete(&after, 4);
+        check_delta(&after, &gone, &mapping, &cfg);
+        let (again, mapping) = insert(&gone, row("person4 family4", "Wittenberge", 24));
+        check_delta(&gone, &again, &mapping, &cfg);
+        // The carried index went through all three steps.
+        let mut index = DetectionIndex::build(&before, &cfg).unwrap();
+        let mut result = detect_duplicates(&before, &cfg).unwrap();
+        let mut table = before.clone();
+        for (next, mapping) in [
+            update(&before, 4, row("person4 family4", "Wittenberge", 24)),
+            delete(&after, 4),
+            insert(&gone, row("person4 family4", "Wittenberge", 24)),
+        ] {
+            let (r, _) = index
+                .apply_delta(&table, &result, &next, &mapping, Parallelism::sequential())
+                .unwrap();
+            assert_matches_scratch_under(&r, &next, &cfg);
+            assert_index_matches_scratch(&index, &next, &cfg);
+            (result, table) = (r, next);
+        }
+    }
+
+    /// A delta that changes which attributes the heuristics select
+    /// re-indexes and rescores.
+    #[test]
+    fn attribute_selection_change_rescores() {
+        // "Code" has 8 distinct values over 60 rows: 8/60 = 0.133 < 0.15.
+        let rows: Vec<Row> = (0..60)
+            .map(|i| {
+                Row::from_values(vec![
+                    Value::text(format!("name{i}")),
+                    Value::text(format!("c{}", i % 8)),
+                ])
+            })
+            .collect();
+        let before = Table::from_rows("T", &["Name", "Code"], rows).unwrap();
+        let cfg = cfg();
+        let selected = |t: &Table| crate::resolve_attributes(t, &cfg).unwrap();
+        assert_eq!(selected(&before), vec![0]);
+        // A ninth distinct code: 9/60 = 0.15 clears the bar.
+        let (after, mapping) = update(&before, 0, vec![Value::text("name0"), Value::text("c8")]);
+        assert_eq!(selected(&after), vec![0, 1]);
+        let stats = check_delta(&before, &after, &mapping, &cfg);
+        assert!(stats.full_rescore);
+        assert_eq!(
+            stats.fallback_reason.as_deref(),
+            Some("attribute selection changed")
+        );
+    }
+
+    /// A key moving across a sorted-neighbourhood window: the rows around
+    /// its old and its new position are re-scored, and every pair that
+    /// entered or left a window is right.
+    #[test]
+    fn sorted_neighborhood_key_moves_across_the_window() {
+        let before = roster(200);
+        let sn = DetectorConfig {
+            candidates: CandidateSpec::SortedNeighborhood {
+                key: vec!["Name".into()],
+                window: 4,
+            },
+            ..named(&["Name", "Town", "Age"])
+        };
+        // person150 sorts between person149 and person151; move it to the
+        // front of the order.
+        let (after, mapping) = update(&before, 150, row("aaa person150 family30", "Berlin", 20));
+        let stats = check_delta(&before, &after, &mapping, &sn);
+        assert!(!stats.full_rescore, "{stats:?}");
+        assert!((2..=1 + 2 * 2 * 3).contains(&stats.dirty_rows), "{stats:?}");
+        // Inserts and deletes shift every later position by one.
+        let (inserted, mapping) = insert(&after, row("person150 family30", "Berlin", 20));
+        check_delta(&after, &inserted, &mapping, &sn);
+        let (deleted, mapping) = delete(&inserted, 17);
+        check_delta(&inserted, &deleted, &mapping, &sn);
+    }
+
+    /// Under key-equality blocking a row joining another key group pairs
+    /// with its new group and leaves its old one.
+    #[test]
+    fn key_equality_rows_change_groups() {
+        let before = roster(200);
+        // The key is not compared, so only the move itself dirties a row.
+        let ke = DetectorConfig {
+            candidates: CandidateSpec::KeyEquality {
+                key: vec!["Town".into()],
+            },
+            ..named(&["Name", "Age"])
+        };
+        let (after, mapping) = update(&before, 11, row("person11 family11", "Bremen", 31));
+        let stats = check_delta(&before, &after, &mapping, &ke);
+        assert!(!stats.full_rescore, "{stats:?}");
+        assert_eq!(stats.dirty_rows, 1);
+        let (inserted, mapping) = insert(&after, row("person11 family11", "Nowhere", 31));
+        check_delta(&after, &inserted, &mapping, &ke);
+        let (deleted, mapping) = delete(&inserted, 0);
+        check_delta(&inserted, &deleted, &mapping, &ke);
+    }
+
+    /// Sorted neighbourhood used to fall back to a full rescore on every
+    /// delta; its index now carries it.
+    #[test]
+    fn sorted_neighborhood_delta_is_incremental() {
+        let before = people();
+        let sn_cfg = DetectorConfig {
+            candidates: CandidateSpec::SortedNeighborhood {
+                key: vec!["Name".into()],
+                window: 3,
+            },
+            ..cfg()
+        };
+        let old = detect_duplicates(&before, &sn_cfg).unwrap();
+        let (result, stats) = detect_delta(
+            &before,
+            &old,
+            &before,
+            &RowMapping::identity(6),
+            &sn_cfg,
+            Parallelism::sequential(),
+        )
+        .unwrap();
+        assert!(!stats.full_rescore);
+        assert_eq!(stats.fallback_reason, None);
+        assert_eq!(stats.candidates, 0);
+        let scratch = detect_duplicates(&before, &sn_cfg).unwrap();
+        assert_eq!(result.cluster_ids, scratch.cluster_ids);
     }
 }

@@ -18,10 +18,12 @@
 //!   measure), threshold classification into sure / unsure / non-duplicates,
 //!   transitive closure via [`unionfind`], and the appended `objectID`
 //!   column;
-//! * [`incremental`] — delta detection: re-score only candidate pairs that
-//!   touch changed rows, carry every other classification over, and
-//!   re-cluster only the affected connected components — bit-identical to a
-//!   from-scratch run over the updated table.
+//! * [`incremental`] — delta detection: a [`DetectionIndex`] (the measure
+//!   with the counts behind its weights, the selection counts, the
+//!   blocking keys) moved across each delta, so only candidate pairs that
+//!   touch changed rows are re-scored, every other classification is
+//!   carried over, and only the affected connected components re-cluster —
+//!   bit-identical to a from-scratch run over the updated table.
 //!
 //! Pairwise comparison — the pipeline's hottest loop — can fan out over
 //! threads: [`detect_duplicates_par`] scores candidate chunks concurrently
@@ -74,7 +76,7 @@ pub use detector::{
 pub use heuristics::{score_attributes, select_attributes, AttributeScore, HeuristicConfig};
 pub use hummer_engine::ExecutionLayout;
 pub use hummer_par::Parallelism;
-pub use incremental::{detect_delta, DeltaDetectionStats, RowMapping};
+pub use incremental::{detect_delta, DeltaDetectionStats, DetectionIndex, RowMapping};
 pub use measure::{
     field_similarity, field_similarity_with_range, numeric_field_similarity, quantize_count,
     quantize_scale, TupleSimilarity, EVIDENCE_PRIOR, NUMERIC_SIGMA_SCALE,

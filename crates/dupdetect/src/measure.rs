@@ -36,12 +36,12 @@
 //!
 //! [`TupleSimilarity::new`] builds the one cell cache every scoring path
 //! reads — the row reference here, the block kernel in [`crate::columnar`],
-//! and the incremental detector's carry-over test. Per participating
-//! attribute it holds struct-of-arrays columns indexed by row (presence,
-//! weight, near-weight, numeric view, text id) and the attribute's
-//! *distinct* lower-cased renderings pooled once: their chars back to back
-//! in one arena, with start offsets and a character histogram per distinct
-//! text. A row's text is a `u32` id, and equal ids mean equal text.
+//! and the incremental detector. Per participating attribute it holds
+//! struct-of-arrays columns indexed by row (presence, weight, near-weight,
+//! numeric view, text id) and the attribute's *distinct* lower-cased
+//! renderings pooled once: their chars back to back in one arena, with
+//! start offsets and a character histogram per distinct text. A row's text
+//! is a `u32` id, and equal ids mean equal text.
 //!
 //! Construction renders each cell once (text is read in place, other values
 //! through one reused buffer) and looks the rendering up; lower-casing,
@@ -52,6 +52,22 @@
 //! statistics a per-row computation adds up, so every cached float is the
 //! one a `String`-keyed corpus over the column's rows would produce (the
 //! unit tests keep that per-row construction as their oracle).
+//!
+//! ## Kept counts
+//!
+//! Every weight is a function of integer counts the construction computes
+//! anyway: per attribute, the rows holding each distinct rendering and
+//! each distinct text, each token's document frequency (with the
+//! renderings that contain it), the rows per noise bucket, and the
+//! non-null row count; the scale is a pass over the numeric views. A cold
+//! build drops them. A [`crate::DetectionIndex`] keeps them (every
+//! rendering tokenized, since a delta can turn a numeric attribute
+//! textual) and carries the measure across a delta: the touched cells are
+//! rendered again and move their counts, a moved attribute's σ pass runs
+//! again, and exactly the rows that read a count whose *quantized* value
+//! stepped are re-weighed — each with the float a fresh build computes,
+//! from the same counts. Ids are never reused, so a patched column may
+//! hold dead texts; nothing reads ids but for equality.
 //!
 //! ## The bound
 //!
@@ -64,6 +80,7 @@
 //! this one property, which `tests/measure_properties.rs` checks on
 //! case-expanding, non-ASCII, empty and long cells.
 
+use crate::incremental::{same_value, RowChanges};
 use crate::renderings::Renderings;
 use hummer_engine::{Table, Value};
 use hummer_textsim::edit::{levenshtein_similarity, levenshtein_similarity_chars, EditScratch};
@@ -238,6 +255,30 @@ impl AttrColumn {
         &self.chars[self.text_starts[t] as usize..self.text_starts[t + 1] as usize]
     }
 
+    /// Pool a new distinct text; returns its id.
+    fn push_text(&mut self, text: &str) -> u32 {
+        // No more texts than renderings, whose count fits.
+        let t = self.hists.len() as u32;
+        self.chars.extend(text.chars());
+        let end = u32::try_from(self.chars.len())
+            .expect("fewer than 2^32 chars of distinct text per attribute");
+        self.text_starts.push(end);
+        self.hists.push(char_histogram(text));
+        t
+    }
+
+    /// Row `i`'s cell, for the bit-exact comparison of a delta.
+    fn cell(&self, i: usize) -> Cell {
+        Cell {
+            present: self.present[i],
+            weight: self.weight[i].to_bits(),
+            near_weight: self.near_weight[i].to_bits(),
+            has_num: self.has_num[i],
+            num: self.num[i].to_bits(),
+            text: self.text_id[i],
+        }
+    }
+
     /// Both rows carry a value here ("matched"); anything else has no
     /// influence on the measure.
     pub(crate) fn matched(&self, i: usize, j: usize) -> bool {
@@ -333,9 +374,9 @@ fn comparison_scale(col: &AttrColumn) -> Option<f64> {
     (sigma > 0.0).then(|| quantize_scale(NUMERIC_SIGMA_SCALE * sigma * inflation))
 }
 
-/// The distinct renderings of a textual attribute with their word tokens,
-/// for weighing by token.
-#[derive(Default)]
+/// The distinct renderings of an attribute with their word tokens, for
+/// weighing by token.
+#[derive(Debug, Default)]
 struct TokenizedRenderings {
     interner: Interner,
     /// Token ids of every rendering, back to back.
@@ -355,42 +396,50 @@ impl TokenizedRenderings {
         &self.tokens[start..self.ends[r]]
     }
 
-    /// Each rendering's weight: the mean soft IDF of its tokens, where a
-    /// rendering held by `rows[r]` of the attribute's `docs` non-null rows
-    /// counts that often towards its distinct tokens' document frequency.
-    ///
-    /// Document frequencies are exact integers and each weight is the
-    /// token-order sum a per-row computation adds up, so the floats are
-    /// the ones a `Corpus` over the column's rows gives.
-    fn weights(&self, rows: &[usize], docs: usize) -> Vec<f64> {
+    /// Rendering `r`'s distinct tokens, into `out`.
+    fn distinct_tokens(&self, r: usize, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend_from_slice(self.tokens_of(r));
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Every token's document frequency, where a rendering held by
+    /// `rows[r]` of the attribute's non-null rows counts that often towards
+    /// each of its distinct tokens. Exact integers.
+    fn df(&self, rows: &[usize]) -> Vec<usize> {
         let vocabulary = self.tokens.iter().max().map_or(0, |&t| t as usize + 1);
         let mut df = vec![0usize; vocabulary];
         let mut distinct: Vec<u32> = Vec::new();
         for (r, &rows_of_r) in rows.iter().enumerate() {
-            distinct.clear();
-            distinct.extend_from_slice(self.tokens_of(r));
-            distinct.sort_unstable();
-            distinct.dedup();
+            self.distinct_tokens(r, &mut distinct);
             for &t in &distinct {
                 df[t as usize] += rows_of_r;
             }
         }
-        let soft_idf: Vec<f64> = df.iter().map(|&df| stable_soft_idf(docs, df)).collect();
-        (0..rows.len())
-            .map(|r| {
-                let tokens = self.tokens_of(r);
-                if tokens.is_empty() {
-                    return MIN_WEIGHT;
-                }
-                let sum: f64 = tokens.iter().map(|&t| soft_idf[t as usize]).sum();
-                (sum / tokens.len() as f64).max(MIN_WEIGHT)
-            })
-            .collect()
+        df
+    }
+
+    /// Rendering `r`'s weight: the mean soft IDF of its tokens, summed in
+    /// token order — the sum a per-row computation adds up, so the float is
+    /// the one a `Corpus` over the column's rows gives.
+    fn weight(&self, r: usize, soft_idf: impl Fn(u32) -> f64) -> f64 {
+        let tokens = self.tokens_of(r);
+        if tokens.is_empty() {
+            return MIN_WEIGHT;
+        }
+        let sum: f64 = tokens.iter().map(|&t| soft_idf(t)).sum();
+        (sum / tokens.len() as f64).max(MIN_WEIGHT)
     }
 }
 
-/// Build one attribute's column and comparison scale.
-fn build_column(table: &Table, attr: usize) -> (AttrColumn, Option<f64>) {
+/// Build one attribute's column and comparison scale — and, with `keep`,
+/// the counts its weights are computed from.
+fn build_column(
+    table: &Table,
+    attr: usize,
+    keep: bool,
+) -> (AttrColumn, Option<f64>, Option<ColumnCounts>) {
     let rows = table.len();
     let mut col = AttrColumn {
         present: Vec::with_capacity(rows),
@@ -424,7 +473,9 @@ fn build_column(table: &Table, attr: usize) -> (AttrColumn, Option<f64>) {
     let mut rendering_rows: Vec<usize> = Vec::new();
     let mut rendering_text: Vec<u32> = Vec::new();
     let mut text_rows: Vec<usize> = Vec::new();
-    // Only textual attributes weigh by token.
+    // Only textual attributes weigh by token; kept counts tokenize every
+    // attribute, since a delta can turn a numeric one textual.
+    let tokenize = scale.is_none() || keep;
     let mut tokenized = TokenizedRenderings::default();
     for v in table.column_values(attr) {
         if v.is_null() {
@@ -437,20 +488,14 @@ fn build_column(table: &Table, attr: usize) -> (AttrColumn, Option<f64>) {
             let t = match text_ids.entry(rendering.to_lowercase()) {
                 Entry::Occupied(known) => *known.get(),
                 Entry::Vacant(new) => {
-                    // No more texts than renderings, whose count fits.
-                    let t = text_rows.len() as u32;
-                    col.chars.extend(new.key().chars());
-                    let end = u32::try_from(col.chars.len())
-                        .expect("fewer than 2^32 chars of distinct text per attribute");
-                    col.text_starts.push(end);
-                    col.hists.push(char_histogram(new.key()));
                     text_rows.push(0);
+                    let t = col.push_text(new.key());
                     *new.insert(t)
                 }
             };
             rendering_text.push(t);
             rendering_rows.push(0);
-            if scale.is_none() {
+            if tokenize {
                 tokenized.push(rendering);
             }
         }
@@ -470,16 +515,25 @@ fn build_column(table: &Table, attr: usize) -> (AttrColumn, Option<f64>) {
     // *exact* value, because exact agreement on a rare value (an
     // unconflicted duplicate's price) is strong evidence even though
     // closeness alone is weak.
+    let df = if tokenize {
+        tokenized.df(&rendering_rows)
+    } else {
+        Vec::new()
+    };
+    let mut rendering_weight: Vec<f64> = Vec::new();
+    let mut bucket_rows: HashMap<u64, usize> = HashMap::new();
     match scale {
         None => {
-            let rendering_weight = tokenized.weights(&rendering_rows, docs);
+            let soft_idf: Vec<f64> = df.iter().map(|&df| stable_soft_idf(docs, df)).collect();
+            rendering_weight = (0..rendering_rows.len())
+                .map(|r| tokenized.weight(r, |t| soft_idf[t as usize]))
+                .collect();
             for &i in &present {
                 col.weight[i] = rendering_weight[rendering_of_row[i] as usize];
                 col.near_weight[i] = col.weight[i];
             }
         }
         Some(scale) => {
-            let mut bucket_rows: HashMap<u64, usize> = HashMap::new();
             for &i in &present {
                 *bucket_rows
                     .entry(numeric_bucket(col.num[i], scale))
@@ -493,7 +547,404 @@ fn build_column(table: &Table, attr: usize) -> (AttrColumn, Option<f64>) {
             }
         }
     }
-    (col, scale)
+    let counts = keep.then(|| {
+        // Rendering weights are maintained while the attribute is textual;
+        // a numeric attribute's stay unset until a delta turns it textual.
+        rendering_weight.resize(rendering_rows.len(), 0.0);
+        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); df.len()];
+        let mut distinct = Vec::new();
+        for r in 0..rendering_rows.len() {
+            tokenized.distinct_tokens(r, &mut distinct);
+            for &t in &distinct {
+                postings[t as usize].push(r as u32);
+            }
+        }
+        ColumnCounts {
+            renderings: renderings.into_owned(),
+            rendering_rows,
+            rendering_text,
+            rendering_weight,
+            tokenized,
+            df,
+            postings,
+            text_ids,
+            text_rows,
+            rendering_of_row,
+            docs,
+            bucket_rows,
+        }
+    });
+    (col, scale, counts)
+}
+
+/// One cell of a column, as bits: what [`TupleSimilarity::row_cells_identical`]
+/// compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cell {
+    present: bool,
+    weight: u64,
+    near_weight: u64,
+    has_num: bool,
+    num: u64,
+    text: u32,
+}
+
+impl Cell {
+    /// Equal as the measure reads them: a missing cell is just missing.
+    fn same_as(&self, other: &Cell) -> bool {
+        if !(self.present && other.present) {
+            return self.present == other.present;
+        }
+        self == other
+    }
+}
+
+/// The integer counts one attribute's weights are computed from — the
+/// renderings and texts with their row counts, each token's document
+/// frequency, the rows per noise bucket, the non-null row count — kept by
+/// a [`crate::DetectionIndex`] so that a delta *moves* them (see
+/// [`TupleSimilarity::apply_delta`]) instead of recounting the column.
+///
+/// Ids are never reused: a rendering or text whose rows drop to zero keeps
+/// its id and its pooled chars, and comes back under it. Text ids are only
+/// ever compared for equality, so a column with dead texts scores exactly
+/// like one built from scratch.
+#[derive(Debug)]
+pub(crate) struct ColumnCounts {
+    renderings: Renderings<'static>,
+    /// Per rendering: rows holding it, its text, and its weight as a token
+    /// mean (maintained while the attribute has no numeric scale).
+    rendering_rows: Vec<usize>,
+    rendering_text: Vec<u32>,
+    rendering_weight: Vec<f64>,
+    tokenized: TokenizedRenderings,
+    /// Per token: rows holding it, and the renderings that contain it.
+    df: Vec<usize>,
+    postings: Vec<Vec<u32>>,
+    /// Distinct lower-cased texts and the rows holding each.
+    text_ids: HashMap<String, u32>,
+    text_rows: Vec<usize>,
+    /// Per row: its rendering (`0` where the cell is null).
+    rendering_of_row: Vec<u32>,
+    /// Non-null rows.
+    docs: usize,
+    /// Rows per noise bucket under the current scale (empty without one).
+    bucket_rows: HashMap<u64, usize>,
+}
+
+/// Counts as they were before a delta first touched them, in touch order
+/// (an id may repeat; its first entry holds the original count).
+#[derive(Default)]
+struct Touched {
+    tokens: Vec<(u32, usize)>,
+    texts: Vec<(u32, usize)>,
+    buckets: Vec<(u64, usize)>,
+}
+
+/// The ids whose count crossed a quantization step between its first
+/// touch and `now`, sorted.
+fn stepped<K: Ord + Copy>(mut touched: Vec<(K, usize)>, now: impl Fn(K) -> usize) -> Vec<K> {
+    touched.sort_by_key(|&(k, _)| k); // stable: each id's first touch leads
+    touched.dedup_by_key(|&mut (k, _)| k);
+    touched
+        .into_iter()
+        .filter(|&(k, before)| quantize_count(before) != quantize_count(now(k)))
+        .map(|(k, _)| k)
+        .collect()
+}
+
+/// The rows of one delta, as the measure patch reads them.
+struct DeltaRows<'a> {
+    old: &'a Table,
+    new: &'a Table,
+    changes: &'a RowChanges<'a>,
+}
+
+/// Per new row: the patch's verdicts.
+struct RowFlags {
+    /// Some cell differs bit-wise from the row's old cell (or the row is
+    /// new, or a numeric cell of it is read under a moved scale).
+    dirty: Vec<bool>,
+    /// Some compared cell was rendered again.
+    rerendered: Vec<bool>,
+}
+
+impl ColumnCounts {
+    /// Take old row `o`'s cell out of the counts.
+    fn uncount(&mut self, col: &AttrColumn, o: usize, scale: Option<f64>, touched: &mut Touched) {
+        let r = self.rendering_of_row[o] as usize;
+        self.rendering_rows[r] -= 1;
+        let t = col.text_id[o];
+        touched.texts.push((t, self.text_rows[t as usize]));
+        self.text_rows[t as usize] -= 1;
+        self.docs -= 1;
+        let mut distinct = Vec::new();
+        self.tokenized.distinct_tokens(r, &mut distinct);
+        for &tok in &distinct {
+            touched.tokens.push((tok, self.df[tok as usize]));
+            self.df[tok as usize] -= 1;
+        }
+        if let Some(scale) = scale {
+            let b = numeric_bucket(col.num[o], scale);
+            let rows = self
+                .bucket_rows
+                .get_mut(&b)
+                .expect("a counted cell has a bucket");
+            touched.buckets.push((b, *rows));
+            *rows -= 1;
+        }
+    }
+
+    /// Render value `v` into new row `n` and count it (buckets aside: they
+    /// wait for the new scale). Weights are set afterwards.
+    fn count(&mut self, col: &mut AttrColumn, n: usize, v: &Value, touched: &mut Touched) {
+        let num = v.as_f64();
+        col.present[n] = !v.is_null();
+        col.has_num[n] = num.is_some();
+        col.num[n] = num.unwrap_or(0.0);
+        col.weight[n] = 0.0;
+        col.near_weight[n] = 0.0;
+        if v.is_null() {
+            col.text_id[n] = 0;
+            self.rendering_of_row[n] = 0;
+            return;
+        }
+        let (r, new) = self.renderings.intern_owned(v);
+        let new_rendering = new.is_some();
+        if let Some(rendering) = new {
+            let text = rendering.to_lowercase();
+            let t = match self.text_ids.get(&text) {
+                Some(&t) => t,
+                None => {
+                    let t = col.push_text(&text);
+                    self.text_ids.insert(text, t);
+                    self.text_rows.push(0);
+                    t
+                }
+            };
+            self.rendering_text.push(t);
+            self.rendering_rows.push(0);
+            self.rendering_weight.push(0.0);
+            self.tokenized.push(rendering);
+        }
+        let (r, r_id) = (r as usize, r);
+        let t = self.rendering_text[r];
+        self.rendering_rows[r] += 1;
+        touched.texts.push((t, self.text_rows[t as usize]));
+        self.text_rows[t as usize] += 1;
+        self.docs += 1;
+        let mut distinct = Vec::new();
+        self.tokenized.distinct_tokens(r, &mut distinct);
+        for &tok in &distinct {
+            let tok = tok as usize;
+            if new_rendering {
+                if tok >= self.df.len() {
+                    self.df.resize(tok + 1, 0);
+                    self.postings.resize_with(tok + 1, Vec::new);
+                }
+                self.postings[tok].push(r_id);
+            }
+            touched.tokens.push((tok as u32, self.df[tok]));
+            self.df[tok] += 1;
+        }
+        col.text_id[n] = t;
+        self.rendering_of_row[n] = r_id;
+    }
+
+    /// Carry column `col` (attribute `attr`, comparison scale `range`)
+    /// across one delta, flagging every row whose cell it changed.
+    fn patch(
+        &mut self,
+        col: &mut AttrColumn,
+        range: &mut Option<f64>,
+        attr: usize,
+        rows: &DeltaRows<'_>,
+        flags: &mut RowFlags,
+    ) {
+        let DeltaRows { old, new, changes } = *rows;
+        let scale_before = *range;
+        let docs_before = self.docs;
+        let mut touched = Touched::default();
+        let updated: Vec<(usize, usize)> = changes
+            .updated
+            .iter()
+            .copied()
+            .filter(|&(o, n)| !same_value(old.cell(o, attr), new.cell(n, attr)))
+            .collect();
+
+        // 1. Cells leaving: deleted rows, and the old side of updated cells.
+        for o in changes
+            .deleted
+            .iter()
+            .copied()
+            .chain(updated.iter().map(|&(o, _)| o))
+        {
+            if col.present[o] {
+                self.uncount(col, o, scale_before, &mut touched);
+            }
+        }
+        let before: Vec<Cell> = updated.iter().map(|&(o, _)| col.cell(o)).collect();
+
+        // 2. Per-row arrays into the new row space.
+        changes.remap(&mut col.present);
+        changes.remap(&mut col.weight);
+        changes.remap(&mut col.near_weight);
+        changes.remap(&mut col.has_num);
+        changes.remap(&mut col.num);
+        changes.remap(&mut col.text_id);
+        changes.remap(&mut self.rendering_of_row);
+
+        // 3. Cells arriving: the new side of updated cells, inserted rows.
+        let mut arriving = vec![false; new.len()];
+        for n in updated
+            .iter()
+            .map(|&(_, n)| n)
+            .chain(changes.inserted.iter().copied())
+        {
+            arriving[n] = true;
+            flags.rerendered[n] = true;
+            self.count(col, n, new.cell(n, attr), &mut touched);
+        }
+
+        // 4. The scale: today's row-order pass over the floats, whenever a
+        //    cell of this attribute left or arrived.
+        let moved_cells =
+            !(updated.is_empty() && changes.deleted.is_empty() && changes.inserted.is_empty());
+        if moved_cells {
+            *range = comparison_scale(col);
+        }
+        let scale_moved = range.map(f64::to_bits) != scale_before.map(f64::to_bits);
+        // A stepped document count or scale re-reads every weight.
+        let all = scale_moved || quantize_count(docs_before) != quantize_count(self.docs);
+        match *range {
+            Some(scale) if !scale_moved => {
+                for n in (0..arriving.len()).filter(|&n| arriving[n] && col.present[n]) {
+                    let b = numeric_bucket(col.num[n], scale);
+                    let rows = self.bucket_rows.entry(b).or_default();
+                    touched.buckets.push((b, *rows));
+                    *rows += 1;
+                }
+            }
+            Some(scale) => {
+                self.bucket_rows.clear();
+                for i in (0..col.present.len()).filter(|&i| col.present[i]) {
+                    *self
+                        .bucket_rows
+                        .entry(numeric_bucket(col.num[i], scale))
+                        .or_default() += 1;
+                }
+            }
+            None => self.bucket_rows.clear(),
+        }
+
+        // 5. Weights: every row whose weight reads a count that stepped
+        //    (every row, under `all`), and every arriving row.
+        let docs = self.docs;
+        let set = |col: &mut AttrColumn, i: usize, weight: f64, near: f64, dirty: &mut [bool]| {
+            if !arriving[i]
+                && (weight.to_bits() != col.weight[i].to_bits()
+                    || near.to_bits() != col.near_weight[i].to_bits())
+            {
+                dirty[i] = true;
+            }
+            col.weight[i] = weight;
+            col.near_weight[i] = near;
+        };
+        match *range {
+            None => {
+                let stepped_tokens = if all {
+                    Vec::new()
+                } else {
+                    stepped(touched.tokens, |t| self.df[t as usize])
+                };
+                let scan = all || !stepped_tokens.is_empty();
+                let mut fresh = vec![all; self.rendering_rows.len()];
+                for &t in &stepped_tokens {
+                    for &r in &self.postings[t as usize] {
+                        fresh[r as usize] = true;
+                    }
+                }
+                for n in (0..arriving.len()).filter(|&n| arriving[n] && col.present[n]) {
+                    fresh[self.rendering_of_row[n] as usize] = true;
+                }
+                let df = &self.df;
+                for r in (0..fresh.len()).filter(|&r| fresh[r] && self.rendering_rows[r] > 0) {
+                    self.rendering_weight[r] = self
+                        .tokenized
+                        .weight(r, |t| stable_soft_idf(docs, df[t as usize]));
+                }
+                for i in (0..arriving.len()).filter(|&i| scan || arriving[i]) {
+                    let r = self.rendering_of_row[i] as usize;
+                    if col.present[i] && fresh[r] {
+                        let w = self.rendering_weight[r];
+                        set(col, i, w, w, &mut flags.dirty);
+                    }
+                }
+            }
+            Some(scale) => {
+                let (stepped_texts, stepped_buckets) = if all {
+                    (Vec::new(), Vec::new())
+                } else {
+                    (
+                        stepped(touched.texts, |t| self.text_rows[t as usize]),
+                        stepped(touched.buckets, |b| self.bucket_rows[&b]),
+                    )
+                };
+                let scan = all || !stepped_texts.is_empty() || !stepped_buckets.is_empty();
+                let mut text_stepped = vec![false; self.text_rows.len()];
+                for &t in &stepped_texts {
+                    text_stepped[t as usize] = true;
+                }
+                for i in (0..arriving.len()).filter(|&i| scan || arriving[i]) {
+                    if !col.present[i] {
+                        continue;
+                    }
+                    let fresh = all || arriving[i];
+                    let text = col.text_id[i] as usize;
+                    let weight = if fresh || text_stepped[text] {
+                        stable_soft_idf(docs, self.text_rows[text]).max(MIN_WEIGHT)
+                    } else {
+                        col.weight[i]
+                    };
+                    let bucket = numeric_bucket(col.num[i], scale);
+                    let near = if fresh || stepped_buckets.binary_search(&bucket).is_ok() {
+                        stable_soft_idf(docs, self.bucket_rows[&bucket]).max(MIN_WEIGHT)
+                    } else {
+                        col.near_weight[i]
+                    };
+                    set(col, i, weight, near, &mut flags.dirty);
+                }
+            }
+        }
+
+        // 6. Updated cells are dirty where they differ from their old cell;
+        //    inserted rows are dirty already. A moved scale re-reads every
+        //    numeric comparison of the attribute.
+        for (&(_, n), before) in updated.iter().zip(&before) {
+            if !col.cell(n).same_as(before) {
+                flags.dirty[n] = true;
+            }
+        }
+        if scale_moved {
+            for i in 0..col.present.len() {
+                if col.present[i] && col.has_num[i] {
+                    flags.dirty[i] = true;
+                }
+            }
+        }
+    }
+}
+
+/// What [`TupleSimilarity::apply_delta`] changed.
+#[derive(Debug)]
+pub(crate) struct MeasureDelta {
+    /// Per new row: some cell differs from the row's old cell.
+    pub(crate) dirty: Vec<bool>,
+    /// Rows with a compared cell rendered again (inserted or updated).
+    pub(crate) rerendered: usize,
+    /// Rows not rendered again whose cells moved all the same: a quantized
+    /// count or a scale they read stepped.
+    pub(crate) reweighted: usize,
 }
 
 /// A tuple-similarity scorer bound to one table — the one cell cache every
@@ -516,12 +967,86 @@ impl TupleSimilarity {
     /// indices) — typically the output of the attribute-selection
     /// heuristics.
     pub fn new(table: &Table, attrs: Vec<usize>) -> Self {
-        let (cols, ranges) = attrs.iter().map(|&a| build_column(table, a)).unzip();
+        let (cols, ranges) = attrs
+            .iter()
+            .map(|&a| {
+                let (col, range, _) = build_column(table, a, false);
+                (col, range)
+            })
+            .unzip();
         TupleSimilarity {
             attrs,
             cols,
             ranges,
             row_count: table.len(),
+        }
+    }
+
+    /// [`TupleSimilarity::new`] keeping the counts behind every weight, so
+    /// [`TupleSimilarity::apply_delta`] can carry the measure across deltas.
+    pub(crate) fn with_counts(table: &Table, attrs: Vec<usize>) -> (Self, Vec<ColumnCounts>) {
+        let mut measure = TupleSimilarity {
+            attrs,
+            cols: Vec::new(),
+            ranges: Vec::new(),
+            row_count: table.len(),
+        };
+        let mut counts = Vec::with_capacity(measure.attrs.len());
+        for &a in &measure.attrs {
+            let (col, range, kept) = build_column(table, a, true);
+            measure.cols.push(col);
+            measure.ranges.push(range);
+            counts.push(kept.expect("kept on request"));
+        }
+        (measure, counts)
+    }
+
+    /// Carry a measure built over `old` (with its `counts`) across a delta
+    /// to `new`: re-render only the cells `changes` touched and move their
+    /// counts, re-run each moved attribute's σ pass, and re-weigh exactly
+    /// the rows that read a count whose quantized value stepped. Afterwards
+    /// every row's cells and every scale equal, bit for bit, those of
+    /// [`TupleSimilarity::new`] over `new`; only text ids differ, which
+    /// nothing but equality reads.
+    ///
+    /// Returns, per new row, whether any of its cells differs from its old
+    /// cell — exactly the rows a [`TupleSimilarity::row_cells_identical`]
+    /// scan of two from-scratch builds would report, plus inserted rows and
+    /// the numeric cells of an attribute whose scale moved.
+    pub(crate) fn apply_delta(
+        &mut self,
+        counts: &mut [ColumnCounts],
+        old: &Table,
+        new: &Table,
+        changes: &RowChanges<'_>,
+    ) -> MeasureDelta {
+        let rows = DeltaRows { old, new, changes };
+        let mut flags = RowFlags {
+            dirty: vec![false; new.len()],
+            rerendered: vec![false; new.len()],
+        };
+        for &n in &changes.inserted {
+            flags.dirty[n] = true;
+        }
+        for (k, counts) in counts.iter_mut().enumerate() {
+            let attr = self.attrs[k];
+            counts.patch(
+                &mut self.cols[k],
+                &mut self.ranges[k],
+                attr,
+                &rows,
+                &mut flags,
+            );
+        }
+        self.row_count = new.len();
+        let rerendered = flags.rerendered.iter().filter(|r| **r).count();
+        let reweighted = (0..new.len())
+            .filter(|&i| flags.dirty[i] && !flags.rerendered[i])
+            .count();
+        MeasureDelta {
+            dirty: flags.dirty,
+            rerendered,
+            reweighted,
         }
     }
 

@@ -86,32 +86,41 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
+    /// Both normalized views in one walk over `0..n`: the dense cluster id
+    /// of every element, and the clusters' members.
+    ///
+    /// Walking the elements in order meets each cluster first at its
+    /// smallest member, so numbering clusters as they are met orders them
+    /// by smallest member, and appending each element to its cluster lists
+    /// the members ascending — no map, no sort.
+    pub fn cluster_views(&mut self) -> (Vec<usize>, Vec<Vec<usize>>) {
+        let n = self.len();
+        let mut id_of_root = vec![usize::MAX; n];
+        let mut ids = Vec::with_capacity(n);
+        let mut clusters: Vec<Vec<usize>> = Vec::new();
+        for x in 0..n {
+            let root = self.find(x);
+            if id_of_root[root] == usize::MAX {
+                id_of_root[root] = clusters.len();
+                clusters.push(Vec::new());
+            }
+            let id = id_of_root[root];
+            clusters[id].push(x);
+            ids.push(id);
+        }
+        (ids, clusters)
+    }
+
     /// The clusters, each sorted ascending, ordered by their smallest
     /// member. Singletons are included.
     pub fn clusters(&mut self) -> Vec<Vec<usize>> {
-        let n = self.len();
-        let mut by_root: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
-        for x in 0..n {
-            let r = self.find(x);
-            by_root.entry(r).or_default().push(x);
-        }
-        let mut out: Vec<Vec<usize>> = by_root.into_values().collect();
-        out.sort_by_key(|c| c[0]);
-        out
+        self.cluster_views().1
     }
 
     /// Cluster ids: `ids[x]` is the dense id (0-based, ordered by smallest
     /// member) of `x`'s cluster — this becomes the `objectID` column.
     pub fn cluster_ids(&mut self) -> Vec<usize> {
-        let clusters = self.clusters();
-        let mut ids = vec![0usize; self.len()];
-        for (cid, members) in clusters.iter().enumerate() {
-            for &m in members {
-                ids[m] = cid;
-            }
-        }
-        ids
+        self.cluster_views().0
     }
 }
 
@@ -223,6 +232,55 @@ mod tests {
         }
         assert_eq!(uf.clusters(), ref_clusters);
         assert_eq!(uf.cluster_ids(), ref_ids);
+    }
+
+    /// The views as they were computed before the single walk: members
+    /// grouped by representative through a map, clusters sorted by their
+    /// smallest member, ids read off the sorted clusters.
+    fn oracle_views(uf: &mut UnionFind) -> (Vec<usize>, Vec<Vec<usize>>) {
+        let mut by_root: std::collections::HashMap<usize, Vec<usize>> =
+            std::collections::HashMap::new();
+        for x in 0..uf.len() {
+            let r = uf.find(x);
+            by_root.entry(r).or_default().push(x);
+        }
+        let mut clusters: Vec<Vec<usize>> = by_root.into_values().collect();
+        clusters.sort_by_key(|c| c[0]);
+        let mut ids = vec![0usize; uf.len()];
+        for (cid, members) in clusters.iter().enumerate() {
+            for &m in members {
+                ids[m] = cid;
+            }
+        }
+        (ids, clusters)
+    }
+
+    /// The single walk against the map-and-sort oracle over random union
+    /// sequences: chains, stars and singletons mixed, sizes 0–2000.
+    #[test]
+    fn cluster_views_equal_the_map_and_sort_oracle() {
+        let mut state = 0x2005u64;
+        let mut next = |below: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % below.max(1)
+        };
+        for n in [0, 1, 2, 3, 10, 64, 257, 2000] {
+            for round in 0..4 {
+                let mut uf = UnionFind::new(n);
+                let unions = [n / 3, n, n / 10, 0][round];
+                for _ in 0..unions {
+                    let (a, b) = (next(n), next(n));
+                    uf.union(a, b);
+                }
+                let mut copy = uf.clone();
+                let views = uf.cluster_views();
+                assert_eq!(views, oracle_views(&mut copy), "n {n}, round {round}");
+                assert_eq!(uf.clusters(), views.1);
+                assert_eq!(uf.cluster_ids(), views.0);
+            }
+        }
     }
 
     /// The normalization contract itself: ids are dense, ordered by each

@@ -10,8 +10,14 @@
 //!
 //! Eviction is LRU over a fixed capacity. Entries are `Arc`-shared so a hit
 //! hands out the artifacts without copying tables under the lock.
+//!
+//! Beside its artifacts an entry may hold their [`DetectionIndex`] — what
+//! incremental detection needs to carry the artifacts across a delta. A
+//! cold prepare stores none (queries never need one); the first delta
+//! upgrade of the entry builds it, and every upgrade *moves* it from the
+//! superseded entry to the upgraded one.
 
-use hummer_core::PreparedSources;
+use hummer_core::{DetectionIndex, PreparedSources};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -47,8 +53,13 @@ impl CacheStats {
 #[derive(Debug)]
 struct Entry {
     artifacts: Arc<PreparedSources>,
+    index: Option<DetectionIndex>,
     last_used: u64,
 }
+
+/// An entry a delta can upgrade: its key, its artifacts, and its detection
+/// index when it has one (taken out of the cache, not copied).
+pub type Upgradable = (PreparedKey, Arc<PreparedSources>, Option<DetectionIndex>);
 
 /// An LRU map from source-set keys to prepared artifacts.
 #[derive(Debug)]
@@ -91,9 +102,15 @@ impl PreparedCache {
         }
     }
 
-    /// Insert artifacts under `key`, evicting the least-recently-used entry
-    /// beyond capacity and any stale versions of the same source names.
-    pub fn insert(&mut self, key: PreparedKey, artifacts: Arc<PreparedSources>) {
+    /// Insert artifacts (and their detection index, if known) under `key`,
+    /// evicting the least-recently-used entry beyond capacity and any stale
+    /// versions of the same source names.
+    pub fn insert(
+        &mut self,
+        key: PreparedKey,
+        artifacts: Arc<PreparedSources>,
+        index: Option<DetectionIndex>,
+    ) {
         // A new version of a source set makes all entries over the same
         // names dead weight; drop them eagerly rather than waiting for LRU.
         let names: Vec<&String> = key.iter().map(|(n, _)| n).collect();
@@ -113,6 +130,7 @@ impl PreparedCache {
             key,
             Entry {
                 artifacts,
+                index,
                 last_used: self.tick,
             },
         );
@@ -131,17 +149,14 @@ impl PreparedCache {
 
     /// The live entries whose key references source `name` at `version` —
     /// the entries a delta to that table can *upgrade* in place instead of
-    /// invalidating. Recency is not refreshed (this is bookkeeping, not a
-    /// query hit).
-    pub fn entries_for_source(
-        &self,
-        name: &str,
-        version: u64,
-    ) -> Vec<(PreparedKey, Arc<PreparedSources>)> {
+    /// invalidating — with their detection indexes moved out: the upgrade
+    /// hands each index on to the upgraded entry. Recency is not refreshed
+    /// (this is bookkeeping, not a query hit).
+    pub fn take_for_upgrade(&mut self, name: &str, version: u64) -> Vec<Upgradable> {
         self.entries
-            .iter()
+            .iter_mut()
             .filter(|(k, _)| k.iter().any(|(n, v)| n == name && *v == version))
-            .map(|(k, e)| (k.clone(), Arc::clone(&e.artifacts)))
+            .map(|(k, e)| (k.clone(), Arc::clone(&e.artifacts), e.index.take()))
             .collect()
     }
 
@@ -182,7 +197,7 @@ mod tests {
         let mut c = PreparedCache::new(4);
         let k = key(&[("a", 1), ("b", 1)]);
         assert!(c.get(&k).is_none());
-        c.insert(k.clone(), artifacts());
+        c.insert(k.clone(), artifacts(), None);
         assert!(c.get(&k).is_some());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
@@ -192,11 +207,11 @@ mod tests {
     #[test]
     fn version_bump_misses_and_supersedes() {
         let mut c = PreparedCache::new(4);
-        c.insert(key(&[("a", 1)]), artifacts());
+        c.insert(key(&[("a", 1)]), artifacts(), None);
         assert!(c.get(&key(&[("a", 2)])).is_none());
         // Inserting the new version drops the stale entry for the same name
         // set instead of letting both linger.
-        c.insert(key(&[("a", 2)]), artifacts());
+        c.insert(key(&[("a", 2)]), artifacts(), None);
         let s = c.stats();
         assert_eq!(s.entries, 1);
         assert_eq!(s.evictions, 1);
@@ -208,17 +223,17 @@ mod tests {
     fn order_is_significant() {
         // (a, b) and (b, a) prepare different preferred schemas.
         let mut c = PreparedCache::new(4);
-        c.insert(key(&[("a", 1), ("b", 1)]), artifacts());
+        c.insert(key(&[("a", 1), ("b", 1)]), artifacts(), None);
         assert!(c.get(&key(&[("b", 1), ("a", 1)])).is_none());
     }
 
     #[test]
     fn lru_eviction_at_capacity() {
         let mut c = PreparedCache::new(2);
-        c.insert(key(&[("a", 1)]), artifacts());
-        c.insert(key(&[("b", 1)]), artifacts());
+        c.insert(key(&[("a", 1)]), artifacts(), None);
+        c.insert(key(&[("b", 1)]), artifacts(), None);
         assert!(c.get(&key(&[("a", 1)])).is_some()); // refresh a
-        c.insert(key(&[("c", 1)]), artifacts()); // evicts b
+        c.insert(key(&[("c", 1)]), artifacts(), None); // evicts b
         assert!(c.get(&key(&[("a", 1)])).is_some());
         assert!(c.get(&key(&[("b", 1)])).is_none());
         assert!(c.get(&key(&[("c", 1)])).is_some());
@@ -228,21 +243,33 @@ mod tests {
     #[test]
     fn entries_for_source_matches_name_and_version() {
         let mut c = PreparedCache::new(4);
-        c.insert(key(&[("a", 1), ("b", 2)]), artifacts());
-        c.insert(key(&[("b", 2)]), artifacts());
-        c.insert(key(&[("a", 3)]), artifacts());
-        let hits = c.entries_for_source("b", 2);
+        c.insert(key(&[("a", 1), ("b", 2)]), artifacts(), None);
+        c.insert(key(&[("b", 2)]), artifacts(), None);
+        let prepared = artifacts();
+        let index = DetectionIndex::build(
+            &prepared.integrated,
+            &HummerConfig::default().detector_config(),
+        )
+        .unwrap();
+        c.insert(key(&[("a", 3)]), prepared, Some(index));
+        let hits = c.take_for_upgrade("b", 2);
         assert_eq!(hits.len(), 2);
-        assert!(c.entries_for_source("b", 9).is_empty());
-        assert_eq!(c.entries_for_source("a", 3).len(), 1);
+        assert!(c.take_for_upgrade("b", 9).is_empty());
+        // The index moves out with the first taker; the entry stays.
+        let taken = c.take_for_upgrade("a", 3);
+        assert_eq!(taken.len(), 1);
+        assert!(taken[0].2.is_some());
+        let again = c.take_for_upgrade("a", 3);
+        assert!(again.len() == 1 && again[0].2.is_none());
         // No recency refresh, no counter movement.
         assert_eq!(c.stats().hits, 0);
+        assert_eq!(c.stats().entries, 3);
     }
 
     #[test]
     fn clear_keeps_counters() {
         let mut c = PreparedCache::new(2);
-        c.insert(key(&[("a", 1)]), artifacts());
+        c.insert(key(&[("a", 1)]), artifacts(), None);
         assert!(c.get(&key(&[("a", 1)])).is_some());
         c.clear();
         assert!(c.get(&key(&[("a", 1)])).is_none());

@@ -83,8 +83,11 @@ pub struct DeltaAggregate {
     /// Upgrade attempts that failed (entry dropped, next query re-prepares).
     pub cache_upgrade_failures: u64,
     /// Upgrades that degraded to a full rescore (quantization boundary,
-    /// attribute-selection change, non-incremental blocking strategy).
+    /// attribute-selection change, changed union schema).
     pub full_rescores: u64,
+    /// Detection indexes built from prepared artifacts by upgrades (the
+    /// first upgrade of an entry builds one; later upgrades carry it).
+    pub index_builds: u64,
 }
 
 /// Scatter-gather counters for coordinator mode and the shard-worker
@@ -258,24 +261,18 @@ impl Metrics {
         stages.totals.fusion += fusion;
     }
 
-    /// Record one applied delta batch and its cache-upgrade outcome.
-    pub fn record_delta(
-        &self,
-        inserted: u64,
-        updated: u64,
-        deleted: u64,
-        upgrades: u64,
-        upgrade_failures: u64,
-        full_rescores: u64,
-    ) {
+    /// Record one applied delta batch and its cache-upgrade outcome; every
+    /// count of `batch` but `deltas` (one batch, counted here) is added.
+    pub fn record_delta(&self, batch: &DeltaAggregate) {
         let mut deltas = self.deltas.lock().unwrap();
         deltas.deltas += 1;
-        deltas.rows_inserted += inserted;
-        deltas.rows_updated += updated;
-        deltas.rows_deleted += deleted;
-        deltas.cache_upgrades += upgrades;
-        deltas.cache_upgrade_failures += upgrade_failures;
-        deltas.full_rescores += full_rescores;
+        deltas.rows_inserted += batch.rows_inserted;
+        deltas.rows_updated += batch.rows_updated;
+        deltas.rows_deleted += batch.rows_deleted;
+        deltas.cache_upgrades += batch.cache_upgrades;
+        deltas.cache_upgrade_failures += batch.cache_upgrade_failures;
+        deltas.full_rescores += batch.full_rescores;
+        deltas.index_builds += batch.index_builds;
     }
 
     /// Record one coordinator scatter's shape: shards executed, worker
@@ -492,14 +489,27 @@ mod tests {
     #[test]
     fn delta_aggregates_accumulate() {
         let m = Metrics::new();
-        m.record_delta(2, 1, 0, 1, 0, 0);
-        m.record_delta(0, 0, 3, 2, 1, 1);
+        m.record_delta(&DeltaAggregate {
+            rows_inserted: 2,
+            rows_updated: 1,
+            cache_upgrades: 1,
+            index_builds: 1,
+            ..Default::default()
+        });
+        m.record_delta(&DeltaAggregate {
+            rows_deleted: 3,
+            cache_upgrades: 2,
+            cache_upgrade_failures: 1,
+            full_rescores: 1,
+            ..Default::default()
+        });
         let d = m.snapshot().deltas;
         assert_eq!(d.deltas, 2);
         assert_eq!((d.rows_inserted, d.rows_updated, d.rows_deleted), (2, 1, 3));
         assert_eq!(d.cache_upgrades, 3);
         assert_eq!(d.cache_upgrade_failures, 1);
         assert_eq!(d.full_rescores, 1);
+        assert_eq!(d.index_builds, 1);
     }
 
     #[test]

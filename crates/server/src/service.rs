@@ -16,9 +16,10 @@
 use crate::cache::{CacheStats, PreparedCache, PreparedKey};
 use crate::error::{Result, ServerError};
 use crate::json::{write_escaped, write_f64, Json};
-use crate::metrics::Metrics;
+use crate::metrics::{DeltaAggregate, Metrics};
 use hummer_core::{
-    prepare_tables_traced, ExecutionLayout, HummerConfig, PreparedSources, RowMapping, StageTimings,
+    prepare_tables_traced, DetectionIndex, ExecutionLayout, HummerConfig, PreparedSources,
+    RowMapping, StageTimings,
 };
 use hummer_delta::{concat_mappings, DeltaError, TableDelta};
 use hummer_engine::{csv, Table, Value};
@@ -172,6 +173,9 @@ pub struct DeltaApplyResult {
     pub cache_upgrade_failures: u64,
     /// Upgrades that internally degraded to a full rescore.
     pub full_rescores: u64,
+    /// Upgrades that found no detection index on their entry and built one
+    /// from its artifacts.
+    pub index_builds: u64,
 }
 
 /// Parse the `POST /tables/{name}/delta` JSON body into a [`TableDelta`]:
@@ -614,16 +618,21 @@ impl FusionService {
         let candidates = self
             .cache
             .lock()
-            .unwrap()
-            .entries_for_source(&lname, old_version);
-        let mut upgraded = 0u64;
-        let mut failures = 0u64;
-        let mut full_rescores = 0u64;
+            .expect("no cache operation panics while holding the lock")
+            .take_for_upgrade(&lname, old_version);
+        let mut batch = DeltaAggregate {
+            rows_inserted: counts.inserted as u64,
+            rows_updated: counts.updated as u64,
+            rows_deleted: counts.deleted as u64,
+            ..Default::default()
+        };
         let mut upgrade_span = parent.child("upgrade");
-        for (key, artifacts) in candidates {
+        for (key, artifacts, index) in candidates {
+            let built = index.is_none();
             match self.upgrade_entry(
                 &key,
                 &artifacts,
+                index,
                 &lname,
                 info.version,
                 &new_table,
@@ -631,25 +640,20 @@ impl FusionService {
                 &upgrade_span,
             ) {
                 Ok(Some(full_rescore)) => {
-                    upgraded += 1;
-                    full_rescores += u64::from(full_rescore);
+                    batch.cache_upgrades += 1;
+                    batch.full_rescores += u64::from(full_rescore);
+                    batch.index_builds += u64::from(built);
                 }
                 Ok(None) => {} // another source in the entry went stale
-                Err(_) => failures += 1,
+                Err(_) => batch.cache_upgrade_failures += 1,
             }
         }
-        upgrade_span.count("cache_upgrades", upgraded);
-        upgrade_span.count("cache_upgrade_failures", failures);
-        upgrade_span.count("full_rescores", full_rescores);
+        upgrade_span.count("cache_upgrades", batch.cache_upgrades);
+        upgrade_span.count("cache_upgrade_failures", batch.cache_upgrade_failures);
+        upgrade_span.count("full_rescores", batch.full_rescores);
+        upgrade_span.count("index_builds", batch.index_builds);
         drop(upgrade_span);
-        self.metrics.record_delta(
-            counts.inserted as u64,
-            counts.updated as u64,
-            counts.deleted as u64,
-            upgraded,
-            failures,
-            full_rescores,
-        );
+        self.metrics.record_delta(&batch);
         self.events.emit(&EventRecord {
             kind: "delta",
             trace: parent.trace_id(),
@@ -664,21 +668,25 @@ impl FusionService {
             inserted: counts.inserted,
             updated: counts.updated,
             deleted: counts.deleted,
-            cache_upgrades: upgraded,
-            cache_upgrade_failures: failures,
-            full_rescores,
+            cache_upgrades: batch.cache_upgrades,
+            cache_upgrade_failures: batch.cache_upgrade_failures,
+            full_rescores: batch.full_rescores,
+            index_builds: batch.index_builds,
         })
     }
 
-    /// Upgrade one cached entry to the delta'd table. Returns
-    /// `Ok(Some(full_rescore))` on success, `Ok(None)` when the entry is
-    /// unrecoverably stale (another referenced source changed meanwhile, or
-    /// a concurrent delta already superseded `new_version`).
+    /// Upgrade one cached entry to the delta'd table, carrying its
+    /// detection `index` (or building it from `artifacts` when the entry
+    /// had none) into the upgraded entry. Returns `Ok(Some(full_rescore))`
+    /// on success, `Ok(None)` when the entry is unrecoverably stale
+    /// (another referenced source changed meanwhile, or a concurrent delta
+    /// already superseded `new_version`).
     #[allow(clippy::too_many_arguments)]
     fn upgrade_entry(
         &self,
         key: &PreparedKey,
         artifacts: &Arc<PreparedSources>,
+        mut index: Option<DetectionIndex>,
         changed: &str,
         new_version: u64,
         new_table: &Arc<Table>,
@@ -721,12 +729,17 @@ impl FusionService {
         }
         let union_mapping = concat_mappings(&per_source)?;
         let refs: Vec<&Table> = tables.iter().map(|t| t.as_ref()).collect();
-        let (upgraded, report) =
-            artifacts.apply_delta_traced(&refs, &union_mapping, &self.config, parent)?;
+        let (upgraded, report) = artifacts.apply_delta_traced(
+            &refs,
+            &union_mapping,
+            &self.config,
+            &mut index,
+            parent,
+        )?;
         self.cache
             .lock()
-            .unwrap()
-            .insert(new_key, Arc::new(upgraded));
+            .expect("no cache operation panics while holding the lock")
+            .insert(new_key, Arc::new(upgraded), index);
         Ok(Some(report.detection.full_rescore))
     }
 
@@ -908,8 +921,8 @@ impl FusionService {
             .record_prepare(&prepared.timings, self.layout_label(), self.degree());
         self.cache
             .lock()
-            .unwrap()
-            .insert(key.clone(), Arc::clone(&prepared));
+            .expect("no cache operation panics while holding the lock")
+            .insert(key.clone(), Arc::clone(&prepared), None);
         Ok((prepared, false, shards))
     }
 }
@@ -1095,7 +1108,8 @@ pub fn delta_result_to_json(r: &DeltaApplyResult) -> Json {
             Json::object()
                 .with("upgraded", r.cache_upgrades)
                 .with("upgrade_failures", r.cache_upgrade_failures)
-                .with("full_rescores", r.full_rescores),
+                .with("full_rescores", r.full_rescores)
+                .with("index_builds", r.index_builds),
         )
 }
 
@@ -1148,7 +1162,8 @@ pub fn metrics_to_json(service: &FusionService) -> Json {
                 .with("rows_deleted", snap.deltas.rows_deleted)
                 .with("cache_upgrades", snap.deltas.cache_upgrades)
                 .with("cache_upgrade_failures", snap.deltas.cache_upgrade_failures)
-                .with("full_rescores", snap.deltas.full_rescores),
+                .with("full_rescores", snap.deltas.full_rescores)
+                .with("index_builds", snap.deltas.index_builds),
         )
         .with(
             "serving",
@@ -1357,6 +1372,11 @@ pub fn metrics_to_prometheus(service: &FusionService) -> String {
             "hummer_deltas_full_rescores_total",
             "Delta upgrades that degraded to a full rescore.",
             snap.deltas.full_rescores as f64,
+        ),
+        (
+            "hummer_delta_index_builds_total",
+            "Detection indexes built from prepared artifacts by delta upgrades.",
+            snap.deltas.index_builds as f64,
         ),
         (
             "hummer_par_forks_total",
@@ -1605,6 +1625,70 @@ mod tests {
         assert_eq!(snap.deltas.deltas, 1);
         assert_eq!(snap.deltas.rows_inserted, 1);
         assert_eq!(snap.deltas.cache_upgrades, 1);
+    }
+
+    /// The first upgrade of an entry builds its detection index; every
+    /// later one carries it — so no delta after the first recomputes the
+    /// union's measure or attribute scores.
+    #[test]
+    fn delta_upgrades_build_the_detection_index_once() {
+        let mut config = ServiceConfig::narrow_schema();
+        config.pipeline.obs = hummer_obs::ObsConfig::enabled(256);
+        let s = FusionService::new(config);
+        s.put_table("EE_Student", EE_CSV).unwrap();
+        s.put_table("CS_Students", CS_CSV).unwrap();
+        assert_eq!(s.query(PAPER_QUERY).unwrap().cache_hit, Some(false));
+        s.tracer().drain();
+
+        let mut reused = Vec::new();
+        for age in [30, 31, 32] {
+            let delta = TableDelta::new("CS_Students").update(
+                0,
+                vec![
+                    Value::text("John Smith"),
+                    Value::Int(age),
+                    Value::text("Berlin"),
+                ],
+            );
+            let root = s.tracer().trace("POST /tables/CS_Students/delta");
+            let outcome = s.apply_delta_traced("CS_Students", &delta, &root).unwrap();
+            drop(root);
+            assert_eq!(outcome.cache_upgrades, 1, "{outcome:?}");
+            assert_eq!(outcome.index_builds, u64::from(age == 30), "{outcome:?}");
+            let spans = s.tracer().drain();
+            let detect = spans
+                .iter()
+                .find(|span| span.name == "detect")
+                .expect("the upgrade records a detect span");
+            let counter = |name: &str| {
+                detect
+                    .counters
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map(|(_, v)| *v)
+            };
+            reused.push(counter("index_reused"));
+            assert_eq!(counter("rows_rerendered"), Some(1));
+        }
+        assert_eq!(reused, vec![Some(0), Some(1), Some(1)]);
+        assert_eq!(s.metrics().snapshot().deltas.index_builds, 1);
+        assert!(metrics_to_prometheus(&s).contains("\nhummer_delta_index_builds_total 1\n"));
+        let m = Json::parse(&metrics_to_json(&s).to_string_compact()).unwrap();
+        let builds = m.get("deltas").unwrap().get("index_builds").unwrap();
+        assert_eq!(builds.as_i64(), Some(1));
+
+        // The carried entry answers what a cold prepare answers.
+        let served = s.query(PAPER_QUERY).unwrap();
+        assert_eq!(served.cache_hit, Some(true));
+        let fresh = FusionService::new(ServiceConfig::narrow_schema());
+        fresh.put_table("EE_Student", EE_CSV).unwrap();
+        let cs = {
+            let catalog = s.catalog.read().unwrap();
+            csv::write_csv_str(&catalog.get("CS_Students").unwrap().table)
+        };
+        fresh.put_table("CS_Students", &cs).unwrap();
+        let cold = fresh.query(PAPER_QUERY).unwrap();
+        assert_eq!(served.output.table.rows(), cold.output.table.rows());
     }
 
     #[test]

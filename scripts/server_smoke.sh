@@ -118,6 +118,27 @@ grep -q '"POST /query"' /tmp/trace.json \
 grep -q '"serialize"' /tmp/trace.json \
     || { echo "trace tree missing serialize span:"; cat /tmp/trace.json; exit 1; }
 
+# Repeated one-row updates carry each cached entry's detection index: three
+# updates to one table build at most one index per cache entry (here none —
+# the insert above already built it).
+index_builds() {
+    curl -sf "http://${ADDR}/metrics" | awk '$1 == "hummer_delta_index_builds_total" {print $2}'
+}
+builds_before=$(index_builds)
+entries=$(curl -sf "http://${ADDR}/metrics.json" | grep -o '"entries":[0-9]*' | head -1 | cut -d: -f2)
+[ -n "$builds_before" ] && [ -n "$entries" ] \
+    || { echo "index-build counter or cache entry count missing"; exit 1; }
+for age in 26 27 28; do
+    curl -sf -X POST "http://${ADDR}/tables/CS_Students/delta" \
+        -H 'content-type: application/json' \
+        -d "{\"update\": [{\"row\": 0, \"values\": [\"John Smith\", ${age}, \"Berlin\"]}]}" \
+        -o /tmp/update.json || { echo "POST update delta failed"; exit 1; }
+    grep -q '"upgraded":1' /tmp/update.json || { echo "update did not upgrade:"; cat /tmp/update.json; exit 1; }
+done
+builds_after=$(index_builds)
+[ $((builds_after - builds_before)) -le "$entries" ] \
+    || { echo "3 updates built $((builds_after - builds_before)) indexes for $entries cache entries"; exit 1; }
+
 # Graceful shutdown: the endpoint answers, then the process exits 0.
 curl -sf -X POST "http://${ADDR}/shutdown" >/dev/null
 wait "$SERVER_PID"

@@ -2,16 +2,21 @@
 //! deltas (inserts / updates / deletes across scenario worlds) applied
 //! incrementally equals a from-scratch rebuild, bit-for-bit, at every
 //! parallelism degree 1–4 — prepared artifacts *and* the incrementally
-//! maintained fused view.
+//! maintained fused view. Chains through a carried detection index
+//! additionally leave the index equal to one built from scratch, under
+//! every blocking strategy, on worlds large enough that most deltas are
+//! scored incrementally.
 
 use hummer::core::{
-    fuse_prepared, prepare_tables, HummerConfig, MatcherConfig, Parallelism, PreparedSources,
-    SniffConfig,
+    fuse_prepared, prepare_tables, DetectionIndex, HummerConfig, MatcherConfig, Parallelism,
+    PreparedSources, SniffConfig, Span,
 };
 use hummer::datagen::scenarios::{
     cd_shopping, cleansing_service, disaster_registry, student_rosters,
 };
+use hummer::datagen::GeneratedWorld;
 use hummer::delta::{concat_mappings, FusedView, RowMapping, TableDelta};
+use hummer::dupdetect::{candidate_pairs, resolve_candidate_strategy, CandidateSpec};
 use hummer::engine::{Table, Value};
 use hummer::fusion::FunctionRegistry;
 use proptest::prelude::*;
@@ -127,6 +132,147 @@ fn assert_prepared_identical(
     Ok(())
 }
 
+fn world(which: usize, entities: usize, seed: u64) -> GeneratedWorld {
+    match which % 4 {
+        0 => cd_shopping(entities, seed),
+        1 => disaster_registry(entities, seed),
+        2 => student_rosters(entities, seed),
+        _ => cleansing_service(entities, seed),
+    }
+}
+
+/// Apply `ops` to source `s` of `tables`; returns the new tables and the
+/// union-space mapping.
+fn step(tables: &[Table], s: usize, ops: &[OpPlan]) -> (Vec<Table>, RowMapping) {
+    let delta = build_delta(&tables[s], ops);
+    let mut maps: Vec<RowMapping> = Vec::new();
+    let mut next_tables: Vec<Table> = Vec::new();
+    for (i, t) in tables.iter().enumerate() {
+        if i == s {
+            let (nt, m) = delta.apply(t).unwrap();
+            next_tables.push(nt);
+            maps.push(m);
+        } else {
+            next_tables.push(t.clone());
+            maps.push(RowMapping::identity(t.len()));
+        }
+    }
+    (next_tables, concat_mappings(&maps).unwrap())
+}
+
+/// The blocking strategies over a world: all pairs, a sorted neighbourhood
+/// and key equality, both keyed on the column the deltas edit (the first
+/// text column of the preferred source, first in the union).
+fn blocking_configs(tables: &[Table]) -> Vec<(&'static str, HummerConfig)> {
+    let key = tables[0].schema().names()[0].to_string();
+    let with = |candidates: CandidateSpec| {
+        let mut c = config(Parallelism::sequential());
+        c.detector.candidates = candidates;
+        c
+    };
+    vec![
+        ("all pairs", with(CandidateSpec::AllPairs)),
+        (
+            "sorted neighbourhood",
+            with(CandidateSpec::SortedNeighborhood {
+                key: vec![key.clone()],
+                window: 6,
+            }),
+        ),
+        (
+            "key equality",
+            with(CandidateSpec::KeyEquality { key: vec![key] }),
+        ),
+    ]
+}
+
+/// The carried index equals one built from scratch over the same union:
+/// every row's cells, the scales, the attribute scores and the candidates
+/// (in [`candidate_pairs`] order).
+fn assert_index_identical(
+    carried: &DetectionIndex,
+    integrated: &Table,
+    config: &HummerConfig,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    let cfg = config.detector_config();
+    let scratch = DetectionIndex::build(integrated, &cfg).unwrap();
+    let (a, b) = (carried.measure(), scratch.measure());
+    prop_assert!(a.attrs() == b.attrs(), "attributes: {context}");
+    prop_assert!(a.range_bits() == b.range_bits(), "scales: {context}");
+    prop_assert!(a.row_count() == integrated.len(), "rows: {context}");
+    for i in 0..integrated.len() {
+        prop_assert!(a.row_cells_identical(i, b, i), "row {i} cells: {context}");
+    }
+    let bits = |d: &DetectionIndex| {
+        d.attribute_scores().map(|scores| {
+            scores
+                .iter()
+                .map(|s| {
+                    (
+                        s.coverage.to_bits(),
+                        s.distinctness.to_bits(),
+                        s.score.to_bits(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        })
+    };
+    prop_assert!(
+        bits(carried) == bits(&scratch),
+        "attribute scores: {context}"
+    );
+    let strategy = resolve_candidate_strategy(integrated, &cfg.candidates).unwrap();
+    prop_assert!(
+        carried.candidates() == candidate_pairs(integrated, &strategy),
+        "candidates: {context}"
+    );
+    Ok(())
+}
+
+/// One chain of deltas through carried indexes, one chain per degree 1–4:
+/// after every step the upgraded artifacts equal `prepare_tables` from
+/// scratch and every carried index equals a fresh one. Returns how many
+/// steps were scored as a full rescore.
+fn carried_chain(
+    tables: Vec<Table>,
+    config: &HummerConfig,
+    plan: &[DeltaPlan],
+    what: &str,
+) -> Result<usize, TestCaseError> {
+    let at = |degree: usize| HummerConfig {
+        parallelism: Parallelism::degree(degree),
+        ..config.clone()
+    };
+    let refs: Vec<&Table> = tables.iter().collect();
+    let first = prepare_tables(&refs, config).unwrap();
+    let mut chains: Vec<(PreparedSources, Option<DetectionIndex>)> =
+        (1..=4).map(|_| (first.clone(), None)).collect();
+    let mut tables = tables;
+    let mut full_rescores = 0;
+    for (n, (source_pick, ops)) in plan.iter().enumerate() {
+        let (next_tables, mapping) = step(&tables, source_pick % tables.len(), ops);
+        let next_refs: Vec<&Table> = next_tables.iter().collect();
+        let scratch = prepare_tables(&next_refs, config).unwrap();
+        for (d, (prepared, index)) in chains.iter_mut().enumerate() {
+            let degree = d + 1;
+            let context = format!("{what}, step {n}, degree {degree}");
+            let (upgraded, report) = prepared
+                .apply_delta_traced(&next_refs, &mapping, &at(degree), index, &Span::noop())
+                .unwrap();
+            assert_prepared_identical(&upgraded, &scratch, &context)?;
+            let carried = index.as_ref().expect("a successful delta leaves the index");
+            assert_index_identical(carried, &scratch.integrated, config, &context)?;
+            if degree == 1 {
+                full_rescores += usize::from(report.detection.full_rescore);
+            }
+            *prepared = upgraded;
+        }
+        tables = next_tables;
+    }
+    Ok(full_rescores)
+}
+
 fn arb_op() -> BoxedStrategy<OpPlan> {
     (0u8..6)
         .prop_flat_map(|kind| {
@@ -234,4 +380,52 @@ proptest! {
             prepared = upgraded;
         }
     }
+
+    /// Random chains through carried indexes on worlds of 150+ entities,
+    /// under each blocking strategy: artifacts and index equal their
+    /// from-scratch builds after every step, at degrees 1–4.
+    #[test]
+    fn carried_index_chain_equals_rebuild(
+        which in 0usize..4,
+        seed in 0u64..1000,
+        entities in 150usize..200,
+        blocking in 0usize..3,
+        deltas in arb_deltas(),
+    ) {
+        let tables: Vec<Table> = world(which, entities, seed)
+            .sources
+            .iter()
+            .map(|s| s.table.clone())
+            .collect();
+        let (what, config) = blocking_configs(&tables).swap_remove(blocking);
+        carried_chain(tables, &config, &deltas, what)?;
+    }
+}
+
+/// On worlds of 150+ entities the quantized statistics hold across most
+/// deltas — inserts, updates and deletes alike — so most steps of a chain
+/// are scored incrementally, under every blocking strategy.
+#[test]
+fn large_worlds_mostly_stay_incremental() {
+    let (mut steps, mut full_rescores) = (0, 0);
+    for which in 0..4 {
+        let tables: Vec<Table> = world(which, 150, 2005 + which as u64)
+            .sources
+            .iter()
+            .map(|s| s.table.clone())
+            .collect();
+        // Two of each op kind, on alternating sources and rows.
+        let plan: Vec<DeltaPlan> = (0..6)
+            .map(|i| (i, vec![((i % 3) as u8, 37 * i + 5, format!("edit{i}"))]))
+            .collect();
+        for (what, config) in blocking_configs(&tables) {
+            let what = format!("world {which}, {what}");
+            full_rescores += carried_chain(tables.clone(), &config, &plan, &what).unwrap();
+            steps += plan.len();
+        }
+    }
+    assert!(
+        2 * full_rescores <= steps,
+        "{full_rescores} of {steps} steps were full rescores"
+    );
 }
