@@ -5,12 +5,12 @@
 //! 1. **Overhead** (hard gate): the fully-instrumented pipeline — an
 //!    enabled [`Tracer`] recording every stage span (match → transform →
 //!    detect → cluster → fuse) with counters — must finish within
-//!    [`OVERHEAD_BAR_PCT`] of the bare pipeline, aggregated over both
-//!    execution layouts at parallelism degrees 1–4. Bare and instrumented
+//!    [`OVERHEAD_BAR_PCT`] of the bare pipeline, aggregated over
+//!    parallelism degrees 1–4. Bare and instrumented
 //!    reps are interleaved so clock drift and thermal state hit both
 //!    sides equally; the minimum of [`REPS`] runs is compared.
 //! 2. **Identity** (hard requirement): instrumentation must not perturb
-//!    the pipeline. For every layout × degree cell the fused table,
+//!    the pipeline. For every degree the fused table,
 //!    cluster ids, conflict samples, and match correspondences of the
 //!    instrumented run must be bit-identical to the bare run.
 //!
@@ -20,8 +20,8 @@
 
 use hummer_bench::{f3, render_table};
 use hummer_core::{
-    fuse_prepared_traced, prepare_tables_traced, ExecutionLayout, HummerConfig, MatcherConfig,
-    ObsConfig, Parallelism, PipelineOutcome, SniffConfig,
+    fuse_prepared_traced, prepare_tables_traced, HummerConfig, MatcherConfig, ObsConfig,
+    Parallelism, PipelineOutcome, SniffConfig,
 };
 use hummer_datagen::scenarios::person_scale;
 use hummer_fusion::FunctionRegistry;
@@ -44,7 +44,7 @@ const REPS: usize = 3;
 /// default).
 const RING: usize = 65536;
 
-fn config(layout: ExecutionLayout, par: Parallelism, obs: ObsConfig) -> HummerConfig {
+fn config(par: Parallelism, obs: ObsConfig) -> HummerConfig {
     let mut cfg = HummerConfig {
         matcher: MatcherConfig {
             sniff: SniffConfig {
@@ -55,7 +55,6 @@ fn config(layout: ExecutionLayout, par: Parallelism, obs: ObsConfig) -> HummerCo
             ..Default::default()
         },
         parallelism: par,
-        layout,
         obs,
         ..Default::default()
     };
@@ -113,84 +112,66 @@ fn main() -> ExitCode {
     let mut union_rows = 0usize;
     let mut bare_total = 0.0f64;
     let mut instr_total = 0.0f64;
-    for layout in [ExecutionLayout::Row, ExecutionLayout::Columnar] {
-        for &d in &DEGREES {
-            let par = Parallelism::degree(d);
-            let bare_cfg = config(layout, par, ObsConfig::default());
-            let instr_cfg = config(
-                layout,
-                par,
-                ObsConfig {
-                    tracer: tracer.clone(),
-                },
-            );
+    for &d in &DEGREES {
+        let par = Parallelism::degree(d);
+        let bare_cfg = config(par, ObsConfig::default());
+        let instr_cfg = config(
+            par,
+            ObsConfig {
+                tracer: tracer.clone(),
+            },
+        );
 
-            // Interleave reps: bare, instrumented, bare, instrumented, …
-            // so neither side systematically sees a warmer cache or a
-            // throttled core.
-            let mut bare_ms = f64::INFINITY;
-            let mut instr_ms = f64::INFINITY;
-            let mut bare_out = None;
-            let mut instr_out = None;
-            for _ in 0..REPS {
-                let (out, ms) = run_once(&tables, &bare_cfg);
-                bare_ms = bare_ms.min(ms);
-                bare_out = Some(out);
-                let (out, ms) = run_once(&tables, &instr_cfg);
-                instr_ms = instr_ms.min(ms);
-                instr_out = Some(out);
-            }
-            let bare_out = bare_out.expect("REPS >= 1");
-            let instr_out = instr_out.expect("REPS >= 1");
-            union_rows = bare_out.result.rows().len().max(union_rows);
-
-            if fingerprint(&bare_out) != fingerprint(&instr_out) {
-                eprintln!(
-                    "FAIL: instrumentation changed the fused output \
-                     ({layout:?}, {d} thread(s))"
-                );
-                return ExitCode::FAILURE;
-            }
-
-            let overhead_pct = (instr_ms / bare_ms.max(1e-9) - 1.0) * 100.0;
-            bare_total += bare_ms;
-            instr_total += instr_ms;
-            let layout_name = match layout {
-                ExecutionLayout::Row => "row",
-                ExecutionLayout::Columnar => "columnar",
-            };
-            rows.push(vec![
-                layout_name.into(),
-                d.to_string(),
-                format!("{bare_ms:.1}"),
-                format!("{instr_ms:.1}"),
-                format!("{overhead_pct:+.2}%"),
-            ]);
-            cell_reports.push(
-                Json::object()
-                    .with("layout", layout_name)
-                    .with("degree", d)
-                    .with("bare_ms", bare_ms)
-                    .with("instrumented_ms", instr_ms)
-                    .with("overhead_pct", overhead_pct)
-                    .with("identical", true),
-            );
+        // Interleave reps: bare, instrumented, bare, instrumented, … so
+        // neither side systematically sees a warmer cache or a throttled
+        // core.
+        let mut bare_ms = f64::INFINITY;
+        let mut instr_ms = f64::INFINITY;
+        let mut bare_out = None;
+        let mut instr_out = None;
+        for _ in 0..REPS {
+            let (out, ms) = run_once(&tables, &bare_cfg);
+            bare_ms = bare_ms.min(ms);
+            bare_out = Some(out);
+            let (out, ms) = run_once(&tables, &instr_cfg);
+            instr_ms = instr_ms.min(ms);
+            instr_out = Some(out);
         }
+        let bare_out = bare_out.expect("REPS >= 1");
+        let instr_out = instr_out.expect("REPS >= 1");
+        union_rows = bare_out.result.rows().len().max(union_rows);
+
+        if fingerprint(&bare_out) != fingerprint(&instr_out) {
+            eprintln!("FAIL: instrumentation changed the fused output ({d} thread(s))");
+            return ExitCode::FAILURE;
+        }
+
+        let overhead_pct = (instr_ms / bare_ms.max(1e-9) - 1.0) * 100.0;
+        bare_total += bare_ms;
+        instr_total += instr_ms;
+        rows.push(vec![
+            d.to_string(),
+            format!("{bare_ms:.1}"),
+            format!("{instr_ms:.1}"),
+            format!("{overhead_pct:+.2}%"),
+        ]);
+        cell_reports.push(
+            Json::object()
+                .with("degree", d)
+                .with("bare_ms", bare_ms)
+                .with("instrumented_ms", instr_ms)
+                .with("overhead_pct", overhead_pct)
+                .with("identical", true),
+        );
     }
     println!(
         "{}",
         render_table(
-            &[
-                "layout",
-                "threads",
-                "bare ms",
-                "instrumented ms",
-                "overhead"
-            ],
+            &["threads", "bare ms", "instrumented ms", "overhead"],
             &rows
         )
     );
-    println!("all {} layout x degree cells bit-identical\n", rows.len());
+    println!("all {} degree cells bit-identical\n", rows.len());
 
     // The instrumented side must have actually traced something.
     let spans_recorded = tracer.span_count() as u64 + tracer.dropped_spans();
@@ -214,7 +195,7 @@ fn main() -> ExitCode {
 
     // The aggregate gate: total instrumented wall time over the whole
     // matrix within the bar of total bare wall time. Per-cell numbers
-    // jitter a few percent either way on a busy machine; the 8-cell
+    // jitter a few percent either way on a busy machine; the 4-cell
     // aggregate is what the contract holds.
     let overhead_pct = (instr_total / bare_total.max(1e-9) - 1.0) * 100.0;
     let passed = overhead_pct <= OVERHEAD_BAR_PCT;

@@ -15,7 +15,7 @@ const ALL_PAIRS_CUTOFF: usize = 5000;
 fn main() {
     println!("E7 — pipeline scalability (two heterogeneous person sources)\n");
     let mut rows = Vec::new();
-    // 7200 entities ≈ a 10k-row union — the columnar-path scale target.
+    // 7200 entities ≈ a 10k-row union — the hot paths' scale target.
     for n in [100usize, 500, 1000, 2000, 5000, 7200] {
         let w = person_scale(n, n as u64);
 

@@ -11,12 +11,11 @@
 //! if the speedup falls below that.
 
 use hummer_bench::{f3, render_table};
-use hummer_server::loadgen::{
-    http_request, percentile_ms, run_load, scenario_worlds, upload_world, LoadConfig,
-};
+use hummer_obs::Histogram;
+use hummer_server::loadgen::{http_request, run_load, scenario_worlds, upload_world, LoadConfig};
 use hummer_server::{HummerServer, Json, ServerConfig, ServiceConfig};
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const SCENARIO_NAMES: [&str; 4] = [
     "cd_shopping",
@@ -26,11 +25,11 @@ const SCENARIO_NAMES: [&str; 4] = [
 ];
 const WARM_REPEATS: usize = 12;
 
-fn timed_query(addr: &str, sql: &str) -> (f64, u16) {
+fn timed_query(addr: &str, sql: &str) -> (Duration, u16) {
     let t0 = Instant::now();
     let (status, _) = http_request(addr, "POST", "/query", "text/plain", sql.as_bytes())
         .unwrap_or((0, String::new()));
-    (t0.elapsed().as_secs_f64() * 1e3, status)
+    (t0.elapsed(), status)
 }
 
 fn main() -> ExitCode {
@@ -61,16 +60,18 @@ fn main() -> ExitCode {
     let mut world_reports = Vec::new();
     let mut worst_speedup = f64::INFINITY;
     for (name, sql) in SCENARIO_NAMES.iter().zip(&sql_pool) {
-        let (cold_ms, status) = timed_query(&addr, sql);
+        let (cold, status) = timed_query(&addr, sql);
         assert_eq!(status, 200, "cold query against {name} failed");
-        let warm: Vec<f64> = (0..WARM_REPEATS)
-            .map(|_| {
-                let (ms, status) = timed_query(&addr, sql);
-                assert_eq!(status, 200, "warm query against {name} failed");
-                ms
-            })
-            .collect();
-        let warm_p50 = percentile_ms(&warm, 50.0);
+        let cold_ms = cold.as_secs_f64() * 1e3;
+        // Same log-bucketed histogram (microsecond samples) the server and
+        // loadgen report their percentiles from.
+        let warm = Histogram::new();
+        for _ in 0..WARM_REPEATS {
+            let (latency, status) = timed_query(&addr, sql);
+            assert_eq!(status, 200, "warm query against {name} failed");
+            warm.record_duration(latency);
+        }
+        let warm_p50 = warm.snapshot().quantile(0.5) as f64 / 1e3;
         let speedup = cold_ms / warm_p50.max(1e-9);
         worst_speedup = worst_speedup.min(speedup);
         rows.push(vec![

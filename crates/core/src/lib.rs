@@ -81,7 +81,6 @@ pub use hummer_store::{CatalogStore, StoreOptions, StoreStats};
 
 // The most-used types, at the top level.
 pub use hummer_dupdetect::{DetectionIndex, DetectionResult, DetectorConfig, RowMapping};
-pub use hummer_engine::ExecutionLayout;
 pub use hummer_fusion::Parallelism;
 pub use hummer_fusion::{FunctionRegistry, ResolutionSpec};
 pub use hummer_matching::{MatcherConfig, SniffConfig};

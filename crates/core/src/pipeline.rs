@@ -19,12 +19,12 @@ use hummer_dupdetect::{
     annotate_object_ids, detect_duplicates_par, DeltaDetectionStats, DetectionIndex,
     DetectionResult, DetectorConfig, RowMapping, OBJECT_ID_COLUMN,
 };
-use hummer_engine::{ExecutionLayout, Table};
+use hummer_engine::Table;
 use hummer_fusion::{
     fuse, FunctionRegistry, FusionSpec, Lineage, Parallelism, ResolutionSpec, SampleConflict,
 };
 use hummer_matching::{
-    apply_renames, integrate_with_layout, match_star, match_star_par, MatchResult, MatcherConfig,
+    apply_renames, integrate, match_star, match_star_par, MatchResult, MatcherConfig,
 };
 use hummer_obs::{ObsConfig, Span};
 use hummer_query::{parse, QueryOutput, TableSet};
@@ -128,7 +128,7 @@ pub fn prepare_tables_traced(
     // 2. Transformation: rename → sourceID → full outer union.
     let mut span = parent.child("transform");
     let t0 = Instant::now();
-    let integrated = integrate_with_layout(tables, &match_results, "Integrated", config.layout)?;
+    let integrated = integrate(tables, &match_results, "Integrated")?;
     timings.transformation = t0.elapsed();
     span.count("union_rows", integrated.len() as u64);
     span.count("union_cols", integrated.schema().len() as u64);
@@ -139,7 +139,7 @@ pub fn prepare_tables_traced(
     let mut span = parent.child("detect");
     let detection =
         detect_duplicates_par(&integrated, &config.detector_config(), config.parallelism)?;
-    count_detection(&mut span, &detection.stats, config);
+    count_detection(&mut span, &detection.stats);
     drop(span);
     let mut span = parent.child("cluster");
     let annotated = annotate_object_ids(&integrated, &detection)?;
@@ -176,13 +176,8 @@ pub fn count_matching(span: &mut Span, results: &[MatchResult]) {
 
 /// Attach detection counters to the `detect` span: blocking-window hits
 /// (candidates), filter rejections, pairs actually scored, edit-distance
-/// memo hits, and — on the columnar path — how many 512-pair blocks the
-/// vectorized scorer processed.
-fn count_detection(
-    span: &mut Span,
-    stats: &hummer_dupdetect::DetectionStats,
-    config: &HummerConfig,
-) {
+/// memo hits, and how many 512-pair blocks the scoring kernel processed.
+fn count_detection(span: &mut Span, stats: &hummer_dupdetect::DetectionStats) {
     if !span.is_recording() {
         return;
     }
@@ -190,12 +185,10 @@ fn count_detection(
     span.count("filtered_out", stats.filtered_out as u64);
     span.count("compared", stats.compared as u64);
     span.count("memo_hits", stats.memo_hits as u64);
-    if config.layout == ExecutionLayout::Columnar {
-        span.count(
-            "columnar_blocks",
-            stats.compared.div_ceil(hummer_dupdetect::PAIR_BLOCK) as u64,
-        );
-    }
+    span.count(
+        "columnar_blocks",
+        stats.compared.div_ceil(hummer_dupdetect::PAIR_BLOCK) as u64,
+    );
 }
 
 /// What one [`PreparedSources::apply_delta`] cost and how much it reused.
@@ -272,8 +265,7 @@ impl PreparedSources {
         //    and re-indexes.
         let mut span = parent.child("transform");
         let t0 = Instant::now();
-        let integrated =
-            integrate_with_layout(new_tables, &match_results, "Integrated", config.layout)?;
+        let integrated = integrate(new_tables, &match_results, "Integrated")?;
         timings.transformation = t0.elapsed();
         span.count("union_rows", integrated.len() as u64);
         drop(span);
@@ -436,13 +428,11 @@ pub struct HummerConfig {
     /// `Parallelism::auto_shared(N)` so the two layers compose without
     /// oversubscribing the machine.
     pub parallelism: Parallelism,
-    /// Physical layout of the hot paths (transformation and pair scoring):
-    /// this one knob drives the whole pipeline, overriding
-    /// `detector.layout` (which exists for standalone detector users).
-    /// Both layouts are bit-identical — `tests/columnar_properties.rs` and
-    /// `exp13_columnar` enforce it — so, like `parallelism`, this is
-    /// purely a performance knob.
-    pub layout: ExecutionLayout,
+    /// No setting: there is one execution path. Kept only because
+    /// `hbench/src/layers.rs:273` passes it to
+    /// `hummer_matching::integrate_with_layout`; it goes when that call does.
+    #[doc(hidden)]
+    pub layout: (),
     /// Observability: where pipeline stage spans are recorded. Disabled by
     /// default (spans become branch-only no-ops); instrumentation never
     /// changes the fused output — `exp14_observability` enforces both the
@@ -451,15 +441,11 @@ pub struct HummerConfig {
 }
 
 impl HummerConfig {
-    /// The detector configuration with the pipeline-level layout knob
-    /// applied. Public because the shard executor (`hummer_shard`) must
-    /// score pairs under exactly the configuration the single-shard
-    /// pipeline would use.
+    /// The detector configuration the pipeline runs under. Public because
+    /// the shard executor (`hummer_shard`) must score pairs under exactly
+    /// the configuration the single-shard pipeline would use.
     pub fn detector_config(&self) -> DetectorConfig {
-        DetectorConfig {
-            layout: self.layout,
-            ..self.detector.clone()
-        }
+        self.detector.clone()
     }
 }
 

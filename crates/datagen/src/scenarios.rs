@@ -103,12 +103,12 @@ pub fn student_rosters(entities: usize, seed: u64) -> GeneratedWorld {
 }
 
 /// The two-source person world of the scalability experiments (exp7,
-/// exp13), as a named preset: source B relabels `Name`/`City` and shuffles
-/// its columns, so the pipeline has real schema matching to do at scale.
-/// With `coverage: 0.7` the union holds ≈ `1.4 × entities` rows, so
-/// `entities = 7200` produces a ≈ 10 000-row union — an order of magnitude
-/// past the paper-scale scenario worlds, which is what the columnar hot
-/// path is sized for.
+/// hbench), as a named preset: source B relabels `Name`/`City` and
+/// shuffles its columns, so the pipeline has real schema matching to do
+/// at scale. With `coverage: 0.7` the union holds ≈ `1.4 × entities` rows,
+/// so `entities = 7200` produces a ≈ 10 000-row union — an order of
+/// magnitude past the paper-scale scenario worlds, which is what the hot
+/// paths are sized for.
 pub fn person_scale(entities: usize, seed: u64) -> GeneratedWorld {
     generate(&DirtyConfig {
         kind: EntityKind::Person,

@@ -14,9 +14,8 @@
 //!   (outer-union) row space with [`concat_mappings`];
 //! * duplicate detection — `hummer_dupdetect::detect_delta` re-scores only
 //!   pairs touching dirty rows and re-clusters only affected components
-//!   (re-scoring honours `DetectorConfig::layout`, so the columnar kernel
-//!   serves the incremental path too — its quantized-stat caches are built
-//!   from the same `TupleSimilarity`, keeping carry-over bit-compatible);
+//!   (re-scoring runs the detector's one block kernel over the same
+//!   `TupleSimilarity`, keeping carry-over bit-compatible);
 //! * [`view`] — [`FusedView`], a fused result patched in place by
 //!   re-resolving only dirty clusters through `hummer_fusion`'s cluster
 //!   memo.

@@ -1,14 +1,14 @@
 //! Block-wise pair scoring: the vectorized, *staged* twin of
-//! [`TupleSimilarity::similarity`] / [`TupleSimilarity::upper_bound`].
+//! [`TupleSimilarity::similarity`] / [`TupleSimilarity::upper_bound`], and
+//! the detector's one scorer.
 //!
 //! ## Layout
 //!
 //! There is one cell cache, the per-attribute columns [`TupleSimilarity`]
 //! builds (presence, weights, numeric view, and a `u32` id into the
-//! attribute's pooled distinct texts). [`ColumnarMeasure`] is a borrowed
-//! view of it — nothing is copied or transposed — and
-//! [`score_candidate_pairs`] sweeps blocks of [`PAIR_BLOCK`] candidates
-//! attribute by attribute over those arrays.
+//! attribute's pooled distinct texts). [`score_candidates`] sweeps blocks
+//! of [`PAIR_BLOCK`] candidates attribute by attribute over those arrays;
+//! nothing is copied or transposed.
 //!
 //! ## The staged bound
 //!
@@ -43,18 +43,28 @@
 //! * hence every staged bound is `≥` the final similarity, bit for bit: a
 //!   dropped pair would have scored below `unsure_threshold` and was never
 //!   going to be emitted, and a surviving pair's similarity is the same
-//!   additions of the same terms the row loop performs.
+//!   additions of the same terms [`TupleSimilarity::similarity`] performs.
 //!
 //! So `pairs`, `unsure` (rows and similarity bits), `filtered_out` and
-//! `compared` equal the row path's; only the work counters `cut_short` and
-//! `edit_evals` are the kernel's own. With `use_filter` off nothing is
-//! bounded or dropped. Equal text ids short-cut to the literal `1.0` that
-//! `levenshtein_similarity(x, x)` computes. There is no pair memo: with a
-//! bit-parallel edit distance a hash lookup costs about what the call does
-//! (`memo_hits` is kept at 0 for the wire format's sake).
+//! `compared` equal those of the per-pair reference — the filter, then the
+//! full measure, one candidate at a time; only the work counters
+//! `cut_short` and `edit_evals` are the kernel's own. With `use_filter`
+//! off nothing is bounded or dropped. Equal text ids short-cut to the
+//! literal `1.0` that `levenshtein_similarity(x, x)` computes. There is no
+//! pair memo: with a bit-parallel edit distance a hash lookup costs about
+//! what the call does (`memo_hits` is kept at 0 for the wire format's
+//! sake).
 //!
-//! The unit tests here, `tests/columnar_properties.rs` and `exp13_columnar`
-//! enforce the contract end to end.
+//! The batched edit distance (`levenshtein_similarity_chars_many`) earns
+//! its place on the all-pairs sweep hbench's `detect_allpairs_1k` is made
+//! of: scoring the 979,300 candidates of each of six 2 × 700-row
+//! `person_scale` worlds (seeds 11–16, one thread, best of 20, a 2-core
+//! Xeon) took 395 ms in total against 447 ms with one
+//! `levenshtein_similarity_chars` call per pair (−12 %), with identical
+//! pairs, unsure pairs and counters.
+//!
+//! The unit tests here hold the per-pair reference as their oracle and
+//! compare the kernel against it, bit for bit, at degrees 1–4.
 
 use crate::detector::{DetectorConfig, DuplicatePair, ScoredCandidates};
 use crate::measure::{numeric_field_similarity, TupleSimilarity, EVIDENCE_PRIOR};
@@ -66,20 +76,6 @@ use hummer_textsim::edit::{levenshtein_similarity_chars_many, EditScratch};
 /// `columnar_blocks` counter reports. The block's term matrix stays
 /// cache-resident while the attribute sweeps run over it.
 pub const PAIR_BLOCK: usize = 512;
-
-/// The block kernel's view of a [`TupleSimilarity`]: the same columns,
-/// borrowed.
-#[derive(Debug, Clone, Copy)]
-pub struct ColumnarMeasure<'a> {
-    measure: &'a TupleSimilarity,
-}
-
-impl<'a> ColumnarMeasure<'a> {
-    /// View `measure`'s columns. Free: nothing is copied.
-    pub fn from_measure(measure: &'a TupleSimilarity) -> Self {
-        ColumnarMeasure { measure }
-    }
-}
 
 /// Per-worker scratch for the block kernel.
 #[derive(Default)]
@@ -116,13 +112,12 @@ fn row_quotient(terms: &[f64], den: f64) -> f64 {
 /// Score one block of candidate pairs in stages (see the module docs),
 /// appending to `out` in candidate order.
 fn score_block(
-    cm: &ColumnarMeasure<'_>,
+    measure: &TupleSimilarity,
     cfg: &DetectorConfig,
     block: &[(usize, usize)],
     scratch: &mut KernelScratch,
     out: &mut ScoredCandidates,
 ) {
-    let measure = cm.measure;
     let n = block.len();
     let attrs = measure.cols.len();
     let KernelScratch {
@@ -259,57 +254,34 @@ fn classify(i: usize, j: usize, s: f64, cfg: &DetectorConfig, out: &mut ScoredCa
     }
 }
 
-/// Which scorer backs [`score_candidate_pairs`]: the row-at-a-time
-/// reference or the staged block kernel, over the same
-/// [`TupleSimilarity`]. Both produce the same `pairs`, `unsure`,
-/// `filtered_out` and `compared`, bit for bit.
-#[derive(Debug, Clone, Copy)]
-pub enum PairScorer<'a> {
-    /// The row path: per-pair calls into [`TupleSimilarity`].
-    Rows {
-        /// The table the measure is bound to (API symmetry with
-        /// [`TupleSimilarity::similarity`]; all data comes from the caches).
-        table: &'a Table,
-        /// The row measure.
-        measure: &'a TupleSimilarity,
-    },
-    /// The columnar path: staged block sweeps over a [`ColumnarMeasure`].
-    Columnar(
-        /// The measure's columns.
-        &'a ColumnarMeasure<'a>,
-    ),
-}
-
-/// Score a candidate-pair list on up to `par.get()` threads, merging chunk
+/// Score a candidate-pair list against `measure` (built over `table`) on
+/// up to `par.get()` threads with the staged block kernel, merging chunk
 /// results in candidate order. The returned pair lists are **unsorted**
 /// (candidate order); callers apply the canonical similarity-descending
-/// stable sort. Row and columnar scorers agree bit for bit — pairs,
-/// similarity values, `filtered_out` and `compared` alike.
-pub fn score_candidate_pairs(
-    scorer: &PairScorer<'_>,
+/// stable sort. Shared by [`crate::detect_duplicates_par`], the
+/// incremental detector, and the shard workers, so a pair scores
+/// identically on every path.
+///
+/// # Panics
+///
+/// When `measure` was not built over a table of `table`'s row count.
+pub fn score_candidates(
+    table: &Table,
+    measure: &TupleSimilarity,
     cfg: &DetectorConfig,
     candidates: &[(usize, usize)],
     par: Parallelism,
 ) -> ScoredCandidates {
+    assert_eq!(
+        table.len(),
+        measure.row_count(),
+        "the measure must be built over the scored table"
+    );
     let chunks = par_chunks(par, candidates, |_, chunk| {
         let mut out = ScoredCandidates::default();
-        match scorer {
-            PairScorer::Rows { table, measure } => {
-                for &(i, j) in chunk {
-                    if cfg.use_filter && measure.upper_bound(table, i, j) < cfg.unsure_threshold {
-                        out.filtered_out += 1;
-                        continue;
-                    }
-                    out.compared += 1;
-                    classify(i, j, measure.similarity(table, i, j), cfg, &mut out);
-                }
-            }
-            PairScorer::Columnar(cm) => {
-                let mut scratch = KernelScratch::default();
-                for block in chunk.chunks(PAIR_BLOCK) {
-                    score_block(cm, cfg, block, &mut scratch, &mut out);
-                }
-            }
+        let mut scratch = KernelScratch::default();
+        for block in chunk.chunks(PAIR_BLOCK) {
+            score_block(measure, cfg, block, &mut scratch, &mut out);
         }
         out
     });
@@ -340,8 +312,28 @@ mod tests {
             .collect()
     }
 
-    /// The staged kernel against the row path: pair lists (rows and
-    /// similarity bits) and both filter counters, at degrees 1–4.
+    /// The per-pair reference: the filter, then the full measure, one
+    /// candidate at a time, in candidate order.
+    fn score_per_pair(
+        t: &Table,
+        measure: &TupleSimilarity,
+        cfg: &DetectorConfig,
+        candidates: &[(usize, usize)],
+    ) -> ScoredCandidates {
+        let mut out = ScoredCandidates::default();
+        for &(i, j) in candidates {
+            if cfg.use_filter && measure.upper_bound(t, i, j) < cfg.unsure_threshold {
+                out.filtered_out += 1;
+                continue;
+            }
+            out.compared += 1;
+            classify(i, j, measure.similarity(t, i, j), cfg, &mut out);
+        }
+        out
+    }
+
+    /// The staged kernel against the per-pair reference: pair lists (rows
+    /// and similarity bits) and both filter counters, at degrees 1–4.
     fn scorers_agree_on(
         t: &Table,
         measure: &TupleSimilarity,
@@ -349,22 +341,19 @@ mod tests {
         candidates: &[(usize, usize)],
         what: &str,
     ) {
-        let cm = ColumnarMeasure::from_measure(measure);
+        let rows = score_per_pair(t, measure, cfg, candidates);
+        assert_eq!(
+            rows.filtered_out + rows.compared,
+            candidates.len(),
+            "{what}"
+        );
         for degree in 1..=4 {
-            let par = Parallelism::degree(degree);
-            let rows = score_candidate_pairs(
-                &PairScorer::Rows { table: t, measure },
-                cfg,
-                candidates,
-                par,
-            );
-            let cols = score_candidate_pairs(&PairScorer::Columnar(&cm), cfg, candidates, par);
+            let cols = score_candidates(t, measure, cfg, candidates, Parallelism::degree(degree));
             let at = format!("{what}, degree {degree}");
             assert_eq!(rows.filtered_out, cols.filtered_out, "{at}");
             assert_eq!(rows.compared, cols.compared, "{at}");
             assert_eq!(bits(&rows.pairs), bits(&cols.pairs), "{at}");
             assert_eq!(bits(&rows.unsure), bits(&cols.unsure), "{at}");
-            assert_eq!(rows.filtered_out + rows.compared, candidates.len(), "{at}");
             if !cfg.use_filter {
                 assert_eq!((cols.filtered_out, cols.cut_short), (0, 0), "{at}");
             }
@@ -526,12 +515,7 @@ mod tests {
             "nothing to stage with {text_attrs} text attribute"
         );
         let candidates = candidate_pairs(&t, &CandidateStrategy::AllPairs);
-        let scored = score_candidate_pairs(
-            &PairScorer::Columnar(&ColumnarMeasure::from_measure(&measure)),
-            &cfg,
-            &candidates,
-            Parallelism::sequential(),
-        );
+        let scored = score_candidates(&t, &measure, &cfg, &candidates, Parallelism::sequential());
         assert!(
             2 * scored.cut_short >= scored.compared,
             "{} of {} compared pairs cut short",

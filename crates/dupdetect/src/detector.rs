@@ -2,12 +2,12 @@
 //! comparison → threshold classification → transitive closure → `objectID`.
 
 use crate::blocking::{candidate_pairs, CandidateStrategy};
-use crate::columnar::{score_candidate_pairs, ColumnarMeasure, PairScorer};
+use crate::columnar::score_candidates;
 use crate::heuristics::{select_attributes, HeuristicConfig};
 use crate::measure::TupleSimilarity;
 use crate::unionfind::UnionFind;
 use hummer_engine::error::EngineError;
-use hummer_engine::{Column, ColumnType, ExecutionLayout, Result, Row, Table, Value};
+use hummer_engine::{Column, ColumnType, Result, Row, Table, Value};
 use hummer_par::Parallelism;
 
 /// Name of the cluster column the detector appends: "the output of
@@ -81,10 +81,6 @@ pub struct DetectorConfig {
     /// (§2.3: "the number of pairwise comparisons are reduced by applying a
     /// filter (upper bound to the similarity measure)").
     pub use_filter: bool,
-    /// Physical layout of pair scoring. Both layouts are bit-identical
-    /// (`tests/columnar_properties.rs`); [`ExecutionLayout::Row`] keeps the
-    /// reference path available for equivalence checks and benchmarks.
-    pub layout: ExecutionLayout,
 }
 
 impl Default for DetectorConfig {
@@ -103,7 +99,6 @@ impl Default for DetectorConfig {
             threshold: 0.77,
             unsure_threshold: 0.6,
             use_filter: true,
-            layout: ExecutionLayout::default(),
         }
     }
 }
@@ -129,7 +124,7 @@ pub struct DetectionStats {
     pub filtered_out: usize,
     /// Full similarity evaluations performed.
     pub compared: usize,
-    /// Always 0. The columnar scorer used to memoize edit distances per
+    /// Always 0. The pair scorer used to memoize edit distances per
     /// worker and report its hits here; the memo is gone (a bit-parallel
     /// edit distance costs about what the lookup did), but the shard wire
     /// frame and the `detect` span still carry the field.
@@ -251,32 +246,7 @@ pub(crate) fn attributes_from(
     Ok(attrs)
 }
 
-/// Score a candidate-pair list against `measure` on up to `par.get()`
-/// threads, dispatching on `cfg.layout`: the row path calls the measure
-/// per pair, the columnar path runs the staged block kernel over the same
-/// columns. Both are bit-identical; the returned pair lists are
-/// **unsorted** (candidate order). Shared by [`detect_duplicates_par`],
-/// the incremental detector, and the shard workers so a pair scores
-/// identically on every path.
-pub fn score_candidates(
-    table: &Table,
-    measure: &TupleSimilarity,
-    cfg: &DetectorConfig,
-    candidates: &[(usize, usize)],
-    par: Parallelism,
-) -> ScoredCandidates {
-    match cfg.layout {
-        ExecutionLayout::Row => {
-            score_candidate_pairs(&PairScorer::Rows { table, measure }, cfg, candidates, par)
-        }
-        ExecutionLayout::Columnar => {
-            let cm = ColumnarMeasure::from_measure(measure);
-            score_candidate_pairs(&PairScorer::Columnar(&cm), cfg, candidates, par)
-        }
-    }
-}
-
-/// Merged output of [`score_candidate_pairs`]: the classified pairs (in
+/// Merged output of [`score_candidates`]: the classified pairs (in
 /// candidate order — unsorted) plus the filter/comparison counters.
 #[derive(Debug, Clone, Default)]
 pub struct ScoredCandidates {
@@ -292,9 +262,8 @@ pub struct ScoredCandidates {
     pub memo_hits: usize,
     /// Pairs the block kernel's staged bound dropped while they still had a
     /// text attribute unresolved — each one skipped at least one edit
-    /// distance. A work counter of the columnar scorer: 0 on the row path,
-    /// dependent on chunking at higher degrees, and outside the identity
-    /// contract.
+    /// distance. A work counter: dependent on chunking at higher degrees,
+    /// and outside the identity contract.
     pub cut_short: usize,
     /// Edit distances the block kernel evaluated (same caveats as
     /// `cut_short`).

@@ -66,10 +66,11 @@
 //! result must come from that configuration.
 
 use crate::blocking::CandidateIndex;
+use crate::columnar::score_candidates;
 use crate::detector::{
     attribute_names, attributes_from, check_thresholds, detect_candidates,
-    resolve_candidate_strategy, score_candidates, sort_pairs_canonical, DetectionResult,
-    DetectionStats, DetectorConfig, DuplicatePair,
+    resolve_candidate_strategy, sort_pairs_canonical, DetectionResult, DetectionStats,
+    DetectorConfig, DuplicatePair,
 };
 use crate::heuristics::{select_from_scores, AttributeScore, SelectionCounts};
 use crate::measure::{ColumnCounts, TupleSimilarity};

@@ -66,15 +66,13 @@ mod testworlds;
 pub mod unionfind;
 
 pub use blocking::{candidate_pairs, render_key, CandidateStrategy};
-pub use columnar::{score_candidate_pairs, ColumnarMeasure, PairScorer, PAIR_BLOCK};
+pub use columnar::{score_candidates, PAIR_BLOCK};
 pub use detector::{
     annotate_object_ids, detect_duplicates, detect_duplicates_par, resolve_attributes,
-    resolve_candidate_strategy, score_candidates, sort_pairs_canonical, CandidateSpec,
-    DetectionResult, DetectionStats, DetectorConfig, DuplicatePair, ScoredCandidates,
-    OBJECT_ID_COLUMN,
+    resolve_candidate_strategy, sort_pairs_canonical, CandidateSpec, DetectionResult,
+    DetectionStats, DetectorConfig, DuplicatePair, ScoredCandidates, OBJECT_ID_COLUMN,
 };
 pub use heuristics::{score_attributes, select_attributes, AttributeScore, HeuristicConfig};
-pub use hummer_engine::ExecutionLayout;
 pub use hummer_par::Parallelism;
 pub use incremental::{detect_delta, DeltaDetectionStats, DetectionIndex, RowMapping};
 pub use measure::{

@@ -35,8 +35,8 @@
 //! ## Layout
 //!
 //! [`TupleSimilarity::new`] builds the one cell cache every scoring path
-//! reads — the row reference here, the block kernel in [`crate::columnar`],
-//! and the incremental detector. Per participating attribute it holds
+//! reads — the per-pair reference here, the block kernel in
+//! [`crate::columnar`], and the incremental detector. Per participating attribute it holds
 //! struct-of-arrays columns indexed by row (presence, weight, near-weight,
 //! numeric view, text id) and the attribute's *distinct* lower-cased
 //! renderings pooled once: their chars back to back in one arena, with
@@ -178,8 +178,8 @@ pub fn field_similarity(a: &Value, b: &Value) -> f64 {
 
 /// The numeric kernel under [`field_similarity_with_range`]: similarity of
 /// two numeric views against an attribute's comparison scale. Exposed so
-/// the columnar scorer and the micro-benches can run the exact same
-/// arithmetic the row measure runs.
+/// the block kernel and the micro-benches can run the exact same
+/// arithmetic the per-pair measure runs.
 pub fn numeric_field_similarity(x: f64, y: f64, scale: Option<f64>) -> f64 {
     if x == y {
         return 1.0;

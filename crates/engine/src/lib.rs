@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 
 pub mod codec;
-pub mod columnar;
 pub mod csv;
 pub mod cursor;
 pub mod error;
@@ -53,7 +52,6 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use columnar::{ColumnData, ColumnarBatch, ExecutionLayout};
 pub use error::EngineError;
 pub use expr::Expr;
 pub use row::{IntoValue, Row};

@@ -19,5 +19,5 @@ pub use filter::select;
 pub use group::{group_by, AggFunc, Aggregate};
 pub use join::{cross_product, hash_join, nested_loop_join, JoinKind};
 pub use misc::{distinct, limit, project, project_named, rename_column};
-pub use setops::{outer_union, outer_union_columnar, outer_union_pair, union_all, union_distinct};
+pub use setops::{outer_union, outer_union_pair, union_all, union_distinct};
 pub use sort::{sort, SortKey};

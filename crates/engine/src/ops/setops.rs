@@ -8,7 +8,6 @@
 //! semantically corresponding columns share a name by the time this operator
 //! runs (§2.2: "the full outer union of all tables is computed").
 
-use crate::columnar::{ColumnData, ColumnarBatch};
 use crate::error::EngineError;
 use crate::row::Row;
 use crate::schema::Schema;
@@ -82,45 +81,6 @@ pub fn outer_union(tables: &[&Table], name: &str) -> Result<Table> {
         }
     }
     Ok(out)
-}
-
-/// Full outer union in columnar form: input batches are *consumed*, and
-/// each output column is assembled by splicing the inputs' matching
-/// columns (moved, not cloned) with `NULL` runs where a source lacks the
-/// column — no per-cell work at all.
-///
-/// Produces exactly the batch form of [`outer_union`]'s output: same
-/// schema (name-wise union, first-seen order, case-insensitive alignment),
-/// same rows in the same order, bit for bit.
-pub fn outer_union_columnar(batches: Vec<ColumnarBatch>, name: &str) -> Result<ColumnarBatch> {
-    if batches.is_empty() {
-        return ColumnarBatch::from_columns(name, Schema::of_names::<&str>(&[])?, Vec::new());
-    }
-    let mut schema = batches[0].schema().clone();
-    for b in &batches[1..] {
-        schema = schema.outer_union(b.schema());
-    }
-    let mut out: Vec<ColumnData> = schema
-        .columns()
-        .iter()
-        .map(|_| ColumnData::Null { len: 0 })
-        .collect();
-    for b in batches {
-        let len = b.len();
-        let (_, b_schema, cols) = b.into_columns();
-        let mut taken: Vec<Option<ColumnData>> = cols.into_iter().map(Some).collect();
-        for (o, c) in schema.columns().iter().enumerate() {
-            match b_schema.index_of(&c.name) {
-                Some(i) => out[o].append(
-                    taken[i]
-                        .take()
-                        .expect("schemas have distinct names, so each input column maps once"),
-                ),
-                None => out[o].push_nulls(len),
-            }
-        }
-    }
-    ColumnarBatch::from_columns(name, schema, out)
 }
 
 #[cfg(test)]
@@ -197,33 +157,6 @@ mod tests {
     #[test]
     fn outer_union_empty_input() {
         let u = outer_union(&[], "Empty").unwrap();
-        assert!(u.is_empty());
-        assert_eq!(u.schema().len(), 0);
-    }
-
-    #[test]
-    fn columnar_outer_union_matches_row_outer_union() {
-        let mixed = table! {
-            "M" => ["Name", "Score"];
-            ["Alice", 1.5],
-            ["Eve", ()],
-            [(), -0.0],
-        };
-        let inputs = [ee(), cs(), mixed];
-        let row_result = outer_union(&inputs.iter().collect::<Vec<_>>(), "U").unwrap();
-        let batches: Vec<ColumnarBatch> = inputs.iter().map(ColumnarBatch::from_table).collect();
-        let col_result = outer_union_columnar(batches, "U")
-            .unwrap()
-            .into_table()
-            .unwrap();
-        assert_eq!(row_result.schema(), col_result.schema());
-        assert_eq!(row_result.rows(), col_result.rows());
-        assert_eq!(row_result.name(), col_result.name());
-    }
-
-    #[test]
-    fn columnar_outer_union_empty_input() {
-        let u = outer_union_columnar(Vec::new(), "Empty").unwrap();
         assert!(u.is_empty());
         assert_eq!(u.schema().len(), 0);
     }

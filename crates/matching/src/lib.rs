@@ -65,6 +65,5 @@ pub use hungarian::{max_weight_matching, Assignment};
 pub use matcher::{match_star, match_star_par, match_tables, match_tables_par, MatcherConfig};
 pub use matrix::SimilarityMatrix;
 pub use transform::{
-    add_source_id, apply_renames, integrate, integrate_columnar, integrate_with_layout,
-    SOURCE_ID_COLUMN,
+    add_source_id, apply_renames, integrate, integrate_with_layout, SOURCE_ID_COLUMN,
 };

@@ -3,10 +3,7 @@
 //! full outer union (paper §2.2-§2.3 and §3).
 
 use crate::correspondence::MatchResult;
-use hummer_engine::ops::{outer_union, outer_union_columnar};
-use hummer_engine::{
-    Column, ColumnData, ColumnType, ColumnarBatch, ExecutionLayout, Result, Schema, Table, Value,
-};
+use hummer_engine::{Column, ColumnType, Result, Row, Schema, Table, Value};
 
 /// Name of the provenance column added to every table before the union.
 /// It stores the source alias and is what `CHOOSE(source)` and the lineage
@@ -49,24 +46,56 @@ pub fn add_source_id(table: &Table, alias: &str) -> Result<Table> {
 /// Run the entire transformation for a set of tables: the first table is
 /// the preferred schema; `matches[i]` must be the match result of
 /// `tables[0]` vs `tables[i + 1]`. Produces the `sourceID`-tagged full
-/// outer union, named `name`.
+/// outer union, named `name` — exactly what [`apply_renames`] →
+/// [`add_source_id`] → [`hummer_engine::ops::outer_union`] would, cell for
+/// cell.
+///
+/// The renames run on schemas only (on a row-less shell); each union row is
+/// then built once at its final width, reading each source cell where the
+/// union schema maps it, `NULL` where the source lacks the column, and the
+/// source alias for `sourceID`. No intermediate table is materialized.
 pub fn integrate(tables: &[&Table], matches: &[MatchResult], name: &str) -> Result<Table> {
     assert_eq!(
         matches.len() + 1,
         tables.len().max(1),
         "need one match result per non-preferred table"
     );
-    let mut transformed: Vec<Table> = Vec::with_capacity(tables.len());
+    let mut schemas: Vec<Schema> = Vec::with_capacity(tables.len());
     for (i, t) in tables.iter().enumerate() {
-        let renamed = if i == 0 {
-            (*t).clone()
+        let schema = if i == 0 {
+            t.schema().clone()
         } else {
-            apply_renames(t, &matches[i - 1])?
+            renamed_schema(t, &matches[i - 1])?
         };
-        transformed.push(add_source_id(&renamed, t.name())?);
+        schemas.push(schema.with_column(Column::new(SOURCE_ID_COLUMN, ColumnType::Text))?);
     }
-    let refs: Vec<&Table> = transformed.iter().collect();
-    outer_union(&refs, name)
+    let Some((first, rest)) = schemas.split_first() else {
+        return Table::new(name, Schema::of_names::<&str>(&[])?, Vec::new());
+    };
+    let union = rest.iter().fold(first.clone(), |u, s| u.outer_union(s));
+    let mut rows: Vec<Row> = Vec::with_capacity(tables.iter().map(|t| t.len()).sum());
+    for (t, schema) in tables.iter().zip(&schemas) {
+        // `sourceID` is the last column of each tagged schema; every other
+        // column sits where it sits in the source rows.
+        let width = t.schema().len();
+        let mapping: Vec<Option<usize>> = union
+            .columns()
+            .iter()
+            .map(|c| schema.index_of(&c.name))
+            .collect();
+        for row in t.rows() {
+            let values = mapping
+                .iter()
+                .map(|m| match *m {
+                    Some(i) if i < width => row[i].clone(),
+                    Some(_) => Value::text(t.name()),
+                    None => Value::Null,
+                })
+                .collect();
+            rows.push(Row::from_values(values));
+        }
+    }
+    Table::new(name, union, rows)
 }
 
 /// The schema [`apply_renames`] would produce, computed without touching
@@ -78,50 +107,18 @@ fn renamed_schema(table: &Table, result: &MatchResult) -> Result<Schema> {
     Ok(apply_renames(&shell, result)?.schema().clone())
 }
 
-/// [`integrate`] in columnar form: renames are applied to schemas only,
-/// each source's cells are read into columns exactly once, the constant
-/// `sourceID` column is materialized directly, and the outer union splices
-/// whole columns instead of cloning per cell. Output is **bit-identical**
-/// to [`integrate`] (same schema, same rows, same order).
-pub fn integrate_columnar(tables: &[&Table], matches: &[MatchResult], name: &str) -> Result<Table> {
-    assert_eq!(
-        matches.len() + 1,
-        tables.len().max(1),
-        "need one match result per non-preferred table"
-    );
-    let mut batches: Vec<ColumnarBatch> = Vec::with_capacity(tables.len());
-    for (i, t) in tables.iter().enumerate() {
-        let schema = if i == 0 {
-            t.schema().clone()
-        } else {
-            renamed_schema(t, &matches[i - 1])?
-        };
-        let schema = schema.with_column(Column::new(SOURCE_ID_COLUMN, ColumnType::Text))?;
-        let len = t.len();
-        let mut columns: Vec<ColumnData> = (0..t.schema().len())
-            .map(|c| ColumnData::from_values(t.rows().iter().map(|r| r[c].clone()).collect()))
-            .collect();
-        columns.push(ColumnData::Text {
-            values: vec![t.name().to_string(); len],
-            validity: vec![true; len],
-        });
-        batches.push(ColumnarBatch::from_columns(t.name(), schema, columns)?);
-    }
-    outer_union_columnar(batches, name)?.into_table()
-}
-
-/// Dispatch between [`integrate`] and [`integrate_columnar`] — one knob
-/// for the pipeline; both layouts produce bit-identical output.
+/// [`integrate`] under its old signature.
+///
+/// Kept, with a `layout` that admits no choice, only because
+/// `hbench/src/layers.rs:273` calls it; it goes when that call does.
+#[doc(hidden)]
 pub fn integrate_with_layout(
     tables: &[&Table],
     matches: &[MatchResult],
     name: &str,
-    layout: ExecutionLayout,
+    _layout: (),
 ) -> Result<Table> {
-    match layout {
-        ExecutionLayout::Row => integrate(tables, matches, name),
-        ExecutionLayout::Columnar => integrate_columnar(tables, matches, name),
-    }
+    integrate(tables, matches, name)
 }
 
 #[cfg(test)]
@@ -218,23 +215,6 @@ mod tests {
         assert!(out.schema().contains("R_Name"));
         let name_idx = out.resolve("Name").unwrap();
         assert_eq!(out.cell(0, name_idx), &Value::text("John Smith"));
-    }
-
-    #[test]
-    fn integrate_columnar_matches_row_integrate() {
-        let e = ee();
-        let c = cs();
-        let m = match_tables(&e, &c, &cfg());
-        let matches = std::slice::from_ref(&m);
-        let row_u = integrate(&[&e, &c], matches, "Students").unwrap();
-        let col_u = integrate_columnar(&[&e, &c], matches, "Students").unwrap();
-        assert_eq!(row_u.schema(), col_u.schema());
-        assert_eq!(row_u.rows(), col_u.rows());
-        assert_eq!(row_u.name(), col_u.name());
-        for layout in [ExecutionLayout::Row, ExecutionLayout::Columnar] {
-            let u = integrate_with_layout(&[&e, &c], matches, "Students", layout).unwrap();
-            assert_eq!(u.rows(), row_u.rows());
-        }
     }
 
     #[test]

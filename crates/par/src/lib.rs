@@ -135,9 +135,9 @@ pub fn chunk_ranges(len: usize, degree: usize) -> Vec<std::ops::Range<usize>> {
 /// `f` receives the chunk's offset into `items` (its first element's index)
 /// and the chunk slice. This is the right shape when the worker wants to
 /// batch per-thread state (e.g. local accumulators that the caller merges
-/// in order) instead of paying a closure call per item. The columnar pair
-/// scorer (`hummer_dupdetect::score_candidate_pairs`) composes with this
-/// directly: each chunk runs the block kernel with its own scratch, and the
+/// in order) instead of paying a closure call per item. The pair scorer
+/// (`hummer_dupdetect::score_candidates`) composes with this directly:
+/// each chunk runs the block kernel with its own scratch, and the
 /// in-chunk-order merge keeps the output bit-identical to sequential.
 pub fn par_chunks<T, R, F>(par: Parallelism, items: &[T], f: F) -> Vec<R>
 where

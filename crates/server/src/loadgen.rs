@@ -370,12 +370,6 @@ pub struct LoadReport {
     pub cache_served: usize,
 }
 
-/// Latency percentile over an unsorted millisecond sample (`p` in `[0, 100]`);
-/// delegates to the crate's one percentile implementation.
-pub fn percentile_ms(samples: &[f64], p: f64) -> f64 {
-    crate::metrics::percentile(samples, p)
-}
-
 /// Fan `connections` threads over the server, each issuing its share of
 /// `requests` (round-robin over `sql_pool`) on a persistent connection.
 pub fn run_load(config: &LoadConfig) -> LoadReport {
@@ -593,15 +587,6 @@ fn push_slowest(slowest: &mut Vec<(f64, Option<String>)>, ms: f64, trace: Option
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_basics() {
-        assert_eq!(percentile_ms(&[], 50.0), 0.0);
-        assert_eq!(percentile_ms(&[5.0], 99.0), 5.0);
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert!((percentile_ms(&v, 50.0) - 50.0).abs() <= 1.0);
-        assert!(percentile_ms(&v, 99.0) >= 99.0);
-    }
 
     #[test]
     fn read_response_parses_status_and_body() {

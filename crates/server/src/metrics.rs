@@ -153,7 +153,7 @@ pub struct MetricsSnapshot {
 #[derive(Debug, Default)]
 pub struct Metrics {
     endpoints: RwLock<BTreeMap<String, Arc<EndpointStats>>>,
-    /// Stage latency histograms, labeled `[stage, layout, degree]`.
+    /// Stage latency histograms, labeled `[stage, degree]`.
     stage_hists: HistogramVec,
     /// Per-connection time spent in each lifecycle state (`reading`,
     /// `executing`, `writing`, `idle`), labeled `[state]`; microseconds.
@@ -169,36 +169,6 @@ pub struct Metrics {
     idle_reclaims: AtomicU64,
     worker_panics: AtomicU64,
     event_loop_wakeups: AtomicU64,
-}
-
-/// Nearest-rank percentile over a sample set; `p` in [0, 100]. The single
-/// percentile implementation in this crate — the server's `/metrics` and
-/// the loadgen client both report through the same log-bucketed
-/// [`Histogram`], so their p50/p99 can never silently diverge. Values are
-/// bucketed at 1/1000 granularity (milliseconds in, microsecond buckets),
-/// so results are exact below 0.064 and within ~1.6% above.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let h = Histogram::new();
-    for &v in samples {
-        h.record((v.max(0.0) * 1000.0).round() as u64);
-    }
-    h.snapshot().quantile(p / 100.0) as f64 / 1000.0
-}
-
-/// [`percentile`] over already-integer (microsecond) counters: same
-/// histogram, no scaling.
-pub fn percentile_us(values: &[u64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let h = Histogram::new();
-    for &v in values {
-        h.record(v);
-    }
-    h.snapshot().quantile(p / 100.0) as f64
 }
 
 impl Metrics {
@@ -232,17 +202,15 @@ impl Metrics {
     }
 
     /// Record a preparation run (cache miss) with its stage timings, under
-    /// the layout/degree labels it ran with.
-    pub fn record_prepare(&self, timings: &StageTimings, layout: &str, degree: usize) {
+    /// the degree label it ran with.
+    pub fn record_prepare(&self, timings: &StageTimings, degree: usize) {
         let degree = degree_label(degree);
         for (stage, d) in [
             ("match", timings.matching),
             ("transform", timings.transformation),
             ("detect", timings.detection),
         ] {
-            self.stage_hists
-                .with(&[stage, layout, degree])
-                .record_duration(d);
+            self.stage_hists.with(&[stage, degree]).record_duration(d);
         }
         let mut stages = self.stages.lock().unwrap();
         stages.prepares += 1;
@@ -252,9 +220,9 @@ impl Metrics {
     }
 
     /// Record one fusion execution's wall time under its labels.
-    pub fn record_fusion(&self, fusion: Duration, layout: &str, degree: usize) {
+    pub fn record_fusion(&self, fusion: Duration, degree: usize) {
         self.stage_hists
-            .with(&["fuse", layout, degree_label(degree)])
+            .with(&["fuse", degree_label(degree)])
             .record_duration(fusion);
         let mut stages = self.stages.lock().unwrap();
         stages.fusions += 1;
@@ -396,8 +364,8 @@ impl Metrics {
             .collect()
     }
 
-    /// Stage latency histograms with their `[stage, layout, degree]`
-    /// labels, sorted by label values.
+    /// Stage latency histograms with their `[stage, degree]` labels, sorted
+    /// by label values.
     pub fn stage_histograms(&self) -> Vec<(Vec<String>, HistogramSnapshot)> {
         self.stage_hists.snapshot()
     }
@@ -450,9 +418,9 @@ mod tests {
             detection: Duration::from_millis(3),
             fusion: Duration::ZERO,
         };
-        m.record_prepare(&t, "row", 1);
-        m.record_prepare(&t, "row", 1);
-        m.record_fusion(Duration::from_millis(1), "row", 1);
+        m.record_prepare(&t, 1);
+        m.record_prepare(&t, 1);
+        m.record_fusion(Duration::from_millis(1), 1);
         let s = m.snapshot().stages;
         assert_eq!(s.prepares, 2);
         assert_eq!(s.fusions, 1);
@@ -469,18 +437,12 @@ mod tests {
             detection: Duration::from_millis(3),
             fusion: Duration::ZERO,
         };
-        m.record_prepare(&t, "columnar", 4);
-        m.record_fusion(Duration::from_millis(1), "row", 2);
+        m.record_prepare(&t, 4);
+        m.record_fusion(Duration::from_millis(1), 2);
         let hists = m.stage_histograms();
         let labels: Vec<&[String]> = hists.iter().map(|(l, _)| l.as_slice()).collect();
-        assert!(labels.contains(
-            &&[
-                "detect".to_string(),
-                "columnar".to_string(),
-                "4".to_string()
-            ][..]
-        ));
-        assert!(labels.contains(&&["fuse".to_string(), "row".to_string(), "2".to_string()][..]));
+        assert!(labels.contains(&&["detect".to_string(), "4".to_string()][..]));
+        assert!(labels.contains(&&["fuse".to_string(), "2".to_string()][..]));
         for (labels, snap) in &hists {
             assert_eq!(snap.count(), 1, "{labels:?}");
         }
@@ -553,32 +515,6 @@ mod tests {
         assert_eq!(hists.len(), 2);
         let labels: Vec<&str> = hists.iter().map(|(l, _)| l[0].as_str()).collect();
         assert!(labels.contains(&"w1:7788") && labels.contains(&"w2:7788"));
-    }
-
-    #[test]
-    fn percentile_edge_cases() {
-        assert_eq!(percentile_us(&[], 50.0), 0.0);
-        assert_eq!(percentile_us(&[7], 99.0), 7.0);
-        assert_eq!(percentile_us(&[3, 1, 2], 0.0), 1.0);
-        assert_eq!(percentile_us(&[3, 1, 2], 100.0), 3.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        // Sub-unit float samples keep millisecond precision through the
-        // microsecond-bucket shim.
-        assert!((percentile(&[0.003, 0.001, 0.002], 100.0) - 0.003).abs() < 1e-9);
-    }
-
-    /// The two shims agree with each other on the same data — the
-    /// inconsistency the old sort-based pair allowed (interpolating
-    /// differently per caller) is structurally gone.
-    #[test]
-    fn percentile_shims_agree() {
-        let us: Vec<u64> = (1..=500u64).map(|i| i * 37).collect();
-        let ms: Vec<f64> = us.iter().map(|&v| v as f64 / 1000.0).collect();
-        for p in [0.0, 10.0, 50.0, 90.0, 99.0, 100.0] {
-            let a = percentile_us(&us, p);
-            let b = percentile(&ms, p) * 1000.0;
-            assert!((a - b).abs() < 1e-6, "p{p}: {a} vs {b}");
-        }
     }
 
     #[test]

@@ -18,8 +18,7 @@ use crate::error::{Result, ServerError};
 use crate::json::{write_escaped, write_f64, Json};
 use crate::metrics::{DeltaAggregate, Metrics};
 use hummer_core::{
-    prepare_tables_traced, DetectionIndex, ExecutionLayout, HummerConfig, PreparedSources,
-    RowMapping, StageTimings,
+    prepare_tables_traced, DetectionIndex, HummerConfig, PreparedSources, RowMapping, StageTimings,
 };
 use hummer_delta::{concat_mappings, DeltaError, TableDelta};
 use hummer_engine::{csv, Table, Value};
@@ -385,14 +384,6 @@ impl FusionService {
     /// created here parents every stage span of that request.
     pub fn tracer(&self) -> &Tracer {
         &self.config.obs.tracer
-    }
-
-    /// The `stage_seconds` label value for the configured execution layout.
-    pub fn layout_label(&self) -> &'static str {
-        match self.config.layout {
-            ExecutionLayout::Row => "row",
-            ExecutionLayout::Columnar => "columnar",
-        }
     }
 
     /// The configured intra-query parallelism degree.
@@ -837,8 +828,7 @@ impl FusionService {
             fuse_span.count("degree", self.config.parallelism.get() as u64);
         }
         drop(fuse_span);
-        self.metrics
-            .record_fusion(execute_time, self.layout_label(), self.degree());
+        self.metrics.record_fusion(execute_time, self.degree());
         Ok(QueryResult {
             output,
             cache_hit: Some(hit),
@@ -918,7 +908,7 @@ impl FusionService {
         };
         drop(prepare_span);
         self.metrics
-            .record_prepare(&prepared.timings, self.layout_label(), self.degree());
+            .record_prepare(&prepared.timings, self.degree());
         self.cache
             .lock()
             .expect("no cache operation panics while holding the lock")
@@ -1217,7 +1207,7 @@ pub fn metrics_to_json(service: &FusionService) -> Json {
 
 /// The `GET /metrics` response body: the whole registry in Prometheus text
 /// exposition format — request counters and latency histograms per
-/// endpoint, stage histograms labeled `(stage, layout, degree)`,
+/// endpoint, stage histograms labeled `(stage, degree)`,
 /// prepared-cache and delta counters, durable-store gauges (including the
 /// WAL fsync latency histogram), intra-query fork totals, and the trace
 /// ring's occupancy.
@@ -1265,17 +1255,13 @@ pub fn metrics_to_prometheus(service: &FusionService) -> String {
 
     out.header(
         "hummer_stage_seconds",
-        "Pipeline stage latency, by stage, execution layout, and parallelism degree.",
+        "Pipeline stage latency, by stage and parallelism degree.",
         "histogram",
     );
     for (labels, snap) in &service.metrics().stage_histograms() {
         out.histogram_us(
             "hummer_stage_seconds",
-            &[
-                ("stage", &labels[0]),
-                ("layout", &labels[1]),
-                ("degree", &labels[2]),
-            ],
+            &[("stage", &labels[0]), ("degree", &labels[1])],
             snap,
             None,
         );

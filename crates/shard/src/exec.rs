@@ -26,11 +26,11 @@ use hummer_dupdetect::{
     annotate_object_ids, score_candidates, sort_pairs_canonical, CandidateSpec, DetectionResult,
     DetectorConfig, DuplicatePair, HeuristicConfig, TupleSimilarity, UnionFind, OBJECT_ID_COLUMN,
 };
-use hummer_engine::{ExecutionLayout, Row, Table, Value};
+use hummer_engine::{Row, Table, Value};
 use hummer_fusion::{
     fuse, CellLineage, FunctionRegistry, FusionSpec, ResolutionSpec, SampleConflict,
 };
-use hummer_matching::{integrate_with_layout, match_star_par, SOURCE_ID_COLUMN};
+use hummer_matching::{integrate, match_star_par, SOURCE_ID_COLUMN};
 use hummer_obs::Span;
 use hummer_par::Parallelism;
 use std::time::{Duration, Instant};
@@ -49,8 +49,6 @@ pub struct JobSpec {
     pub unsure_threshold: f64,
     /// Whether the upper-bound filter applies.
     pub use_filter: bool,
-    /// Physical layout of pair scoring.
-    pub layout: ExecutionLayout,
     /// Per-column resolution functions (possibly empty — plain `COALESCE`
     /// fusion then applies, exactly as in the unsharded pipeline).
     pub resolutions: Vec<(String, ResolutionSpec)>,
@@ -68,7 +66,6 @@ impl JobSpec {
             threshold: self.threshold,
             unsure_threshold: self.unsure_threshold,
             use_filter: self.use_filter,
-            layout: self.layout,
         }
     }
 }
@@ -406,7 +403,7 @@ pub fn execute_sharded_with(
 
     let mut span = parent.child("transform");
     let t0 = Instant::now();
-    let integrated = integrate_with_layout(tables, &match_results, "Integrated", config.layout)?;
+    let integrated = integrate(tables, &match_results, "Integrated")?;
     timings.transformation = t0.elapsed();
     span.count("union_rows", integrated.len() as u64);
     drop(span);
@@ -431,7 +428,6 @@ pub fn execute_sharded_with(
         threshold: cfg.threshold,
         unsure_threshold: cfg.unsure_threshold,
         use_filter: cfg.use_filter,
-        layout: cfg.layout,
         resolutions: resolutions.to_vec(),
     };
 
@@ -593,7 +589,8 @@ mod tests {
     }
 
     /// FNV-1a over the frame: the golden values below were printed by this
-    /// very test at the commit before fusion's lineage went flat.
+    /// very test at the commit before fusion's lineage went flat (a v2
+    /// frame; v3 changed only the request frame and the version byte).
     fn fnv(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -614,7 +611,6 @@ mod tests {
             threshold: cfg.threshold,
             unsure_threshold: cfg.unsure_threshold,
             use_filter: cfg.use_filter,
-            layout: cfg.layout,
             resolutions: vec![
                 ("Name".to_string(), ResolutionSpec::named("longest")),
                 ("City".to_string(), ResolutionSpec::named("vote")),
@@ -634,7 +630,9 @@ mod tests {
         for p in &mut partials {
             p.memo_hits = 0;
         }
-        let frame = crate::wire::encode_response(&partials, &[]);
+        let mut frame = crate::wire::encode_response(&partials, &[]);
+        assert_eq!(frame[4], 3, "the version byte follows the 4-byte magic");
+        frame[4] = 2;
         let cells: usize = partials
             .iter()
             .flat_map(|p| &p.clusters)

@@ -11,7 +11,7 @@
 //! the worker's recorded span subtree so the coordinator can stitch a
 //! single cross-node trace.
 //!
-//! Version negotiation is fail-fast: a v1 peer reading a v2 frame (or the
+//! Version negotiation is fail-fast: a v2 peer reading a v3 frame (or the
 //! reverse) answers the typed [`ShardError::VersionMismatch`] instead of
 //! hanging or mis-decoding — the version byte sits at a fixed offset right
 //! after the magic, before anything layout-dependent.
@@ -23,7 +23,7 @@ use hummer_dupdetect::DuplicatePair;
 use hummer_engine::codec::{
     read_table, read_value, write_table, write_value, ByteReader, ByteWriter,
 };
-use hummer_engine::{EngineError, ExecutionLayout, Table};
+use hummer_engine::{EngineError, Table};
 use hummer_fusion::{CellLineage, FunctionRegistry, ResolutionSpec, SampleConflict};
 use hummer_obs::{Span, SpanRecord, Tracer};
 use hummer_par::Parallelism;
@@ -32,8 +32,9 @@ use std::borrow::Cow;
 /// Frame magic: `HmSh`.
 pub const SHARD_WIRE_MAGIC: u32 = u32::from_be_bytes(*b"HmSh");
 /// Protocol version; bumped on any layout change. v2 added the trace
-/// context to requests and the span subtree to responses.
-pub const SHARD_WIRE_VERSION: u8 = 2;
+/// context to requests and the span subtree to responses; v3 dropped the
+/// request's execution-layout byte (responses are otherwise unchanged).
+pub const SHARD_WIRE_VERSION: u8 = 3;
 
 /// Span-ring capacity of the per-request capture tracer a worker records
 /// remote-context stage spans into. A batch emits ~3 spans per shard plus
@@ -117,21 +118,6 @@ fn get_pairs(r: &mut ByteReader, rows: usize, what: &str) -> Result<Vec<Duplicat
         .collect()
 }
 
-fn layout_tag(layout: ExecutionLayout) -> u8 {
-    match layout {
-        ExecutionLayout::Row => 0,
-        ExecutionLayout::Columnar => 1,
-    }
-}
-
-fn layout_from_tag(tag: u8) -> Result<ExecutionLayout> {
-    match tag {
-        0 => Ok(ExecutionLayout::Row),
-        1 => Ok(ExecutionLayout::Columnar),
-        other => Err(ShardError::Wire(format!("unknown layout tag {other}"))),
-    }
-}
-
 /// Encode a shard-execution request: the integrated table, the job spec,
 /// the shard batch this worker is responsible for, and the caller's trace
 /// context. `trace` is `(trace_id, parent_span_id)`; `None` (an untraced
@@ -152,7 +138,6 @@ pub fn encode_request(
     w.put_u64(spec.threshold.to_bits());
     w.put_u64(spec.unsure_threshold.to_bits());
     w.put_u8(u8::from(spec.use_filter));
-    w.put_u8(layout_tag(spec.layout));
     put_usize(&mut w, spec.resolutions.len());
     for (col, rspec) in &spec.resolutions {
         w.put_str(col);
@@ -193,7 +178,6 @@ pub fn decode_request(bytes: &[u8]) -> Result<DecodedRequest> {
     let threshold = f64::from_bits(r.get_u64("threshold").map_err(wire)?);
     let unsure_threshold = f64::from_bits(r.get_u64("unsure threshold").map_err(wire)?);
     let use_filter = r.get_u8("use_filter").map_err(wire)? != 0;
-    let layout = layout_from_tag(r.get_u8("layout").map_err(wire)?)?;
     let n_res = r.get_count(6, "resolutions").map_err(wire)?;
     let mut resolutions = Vec::with_capacity(n_res);
     for _ in 0..n_res {
@@ -207,7 +191,6 @@ pub fn decode_request(bytes: &[u8]) -> Result<DecodedRequest> {
         threshold,
         unsure_threshold,
         use_filter,
-        layout,
         resolutions,
     };
     let n_shards = r.get_count(8, "shards").map_err(wire)?;
@@ -465,7 +448,6 @@ mod tests {
             threshold: 0.77,
             unsure_threshold: 0.6,
             use_filter: true,
-            layout: ExecutionLayout::Columnar,
             resolutions: vec![(
                 "City".into(),
                 ResolutionSpec::with_args("vote", vec!["tie".into()]),
@@ -591,9 +573,9 @@ mod tests {
     #[test]
     fn version_mismatch_is_typed() {
         let mut bytes = encode_response(&[], &[]);
-        bytes[4] = 1; // version byte sits right after the 4-byte magic
+        bytes[4] = 2; // version byte sits right after the 4-byte magic
         match decode_response(&bytes, 0) {
-            Err(ShardError::VersionMismatch { got: 1, expected }) => {
+            Err(ShardError::VersionMismatch { got: 2, expected }) => {
                 assert_eq!(expected, SHARD_WIRE_VERSION);
             }
             other => panic!("expected typed version mismatch, got {other:?}"),

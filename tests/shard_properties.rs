@@ -22,14 +22,13 @@ use hummer::shard::{execute_sharded, key_equality_spec, plan_shards};
 use proptest::prelude::*;
 
 mod wire_version {
-    //! Wire-frame version negotiation (ISSUE 10 satellite): a v1 worker
-    //! reading a v2 coordinator's frame — and the reverse — must fail with
-    //! the typed [`ShardError::VersionMismatch`] carrying the offending
-    //! version byte, never hang on a length it mis-parsed or decode
-    //! garbage into a partial.
+    //! Wire-frame version negotiation: a v2 peer (whose request frames
+    //! still carry a layout byte) talking to this v3 binary — in either
+    //! direction — must fail with the typed [`ShardError::VersionMismatch`]
+    //! carrying the offending version byte, never hang on a length it
+    //! mis-parsed or decode garbage into a partial.
 
     use hummer::engine::table;
-    use hummer::engine::ExecutionLayout;
     use hummer::fusion::ResolutionSpec;
     use hummer::shard::{
         decode_request, decode_response, encode_request, encode_response, JobSpec, Shard,
@@ -42,7 +41,6 @@ mod wire_version {
             threshold: 0.77,
             unsure_threshold: 0.6,
             use_filter: true,
-            layout: ExecutionLayout::Columnar,
             resolutions: vec![("City".into(), ResolutionSpec::named("vote"))],
         }
     }
@@ -68,27 +66,25 @@ mod wire_version {
     }
 
     #[test]
-    fn v1_frame_at_v2_worker_is_typed_mismatch() {
-        // An old coordinator (v1) calling this binary's worker.
-        let bytes = with_version(request_bytes(), 1);
+    fn v2_frame_at_v3_worker_is_typed_mismatch() {
+        // An old coordinator (v2) calling this binary's worker.
+        let bytes = with_version(request_bytes(), 2);
         match decode_request(&bytes) {
             Err(ShardError::VersionMismatch { got, expected }) => {
-                assert_eq!(got, 1);
-                assert_eq!(expected, SHARD_WIRE_VERSION);
+                assert_eq!((got, expected), (2, 3));
             }
             other => panic!("expected VersionMismatch, got {other:?}"),
         }
     }
 
     #[test]
-    fn v3_frame_at_v2_worker_is_typed_mismatch() {
+    fn v4_frame_at_v3_worker_is_typed_mismatch() {
         // A *newer* peer too: the check is an equality, not a minimum, so
         // layout changes in either direction fail fast.
-        let bytes = with_version(request_bytes(), 3);
+        let bytes = with_version(request_bytes(), 4);
         match decode_request(&bytes) {
             Err(ShardError::VersionMismatch { got, expected }) => {
-                assert_eq!(got, 3);
-                assert_eq!(expected, SHARD_WIRE_VERSION);
+                assert_eq!((got, expected), (4, 3));
             }
             other => panic!("expected VersionMismatch, got {other:?}"),
         }
@@ -96,13 +92,12 @@ mod wire_version {
 
     #[test]
     fn mismatched_response_at_coordinator_is_typed_mismatch() {
-        // The reverse direction: a v2 coordinator decoding an old worker's
-        // response frame.
-        let bytes = with_version(encode_response(&[], &[]), 1);
+        // The reverse direction: this binary's coordinator decoding an old
+        // (v2) worker's response frame.
+        let bytes = with_version(encode_response(&[], &[]), 2);
         match decode_response(&bytes, 2) {
             Err(ShardError::VersionMismatch { got, expected }) => {
-                assert_eq!(got, 1);
-                assert_eq!(expected, SHARD_WIRE_VERSION);
+                assert_eq!((got, expected), (2, 3));
             }
             other => panic!("expected VersionMismatch, got {other:?}"),
         }
@@ -110,10 +105,10 @@ mod wire_version {
 
     #[test]
     fn mismatch_error_names_both_versions() {
-        let bytes = with_version(request_bytes(), 1);
+        let bytes = with_version(request_bytes(), 2);
         let message = decode_request(&bytes).unwrap_err().to_string();
         assert!(message.contains("version mismatch"), "{message}");
-        assert!(message.contains("v1"), "{message}");
+        assert!(message.contains("v2"), "{message}");
         assert!(
             message.contains(&format!("v{SHARD_WIRE_VERSION}")),
             "{message}"
