@@ -24,7 +24,8 @@ use hummer_fusion::{
     fuse, FunctionRegistry, FusionSpec, Lineage, Parallelism, ResolutionSpec, SampleConflict,
 };
 use hummer_matching::{
-    apply_renames, integrate, match_star, match_star_par, MatchResult, MatcherConfig,
+    apply_renames, integrate, match_star, match_star_par, MatchDeltaStats, MatchIndex, MatchResult,
+    MatcherConfig,
 };
 use hummer_obs::{ObsConfig, Span};
 use hummer_query::{parse, QueryOutput, TableSet};
@@ -194,11 +195,31 @@ fn count_detection(span: &mut Span, stats: &hummer_dupdetect::DetectionStats) {
 /// What one [`PreparedSources::apply_delta`] cost and how much it reused.
 #[derive(Debug, Clone)]
 pub struct DeltaReport {
+    /// Incremental-matching counters (rows tokenized again, rows scanned
+    /// again, field matrices reused, pairs rebuilt).
+    pub matching: MatchDeltaStats,
     /// Incremental-detection counters (dirty rows, carried vs. rescored
     /// pairs, affected components, full-rescore fallbacks).
     pub detection: DeltaDetectionStats,
     /// Wall-clock cost of *this* apply, by stage (`fusion` is zero).
     pub timings: StageTimings,
+}
+
+/// What a delta carries from one set of prepared artifacts to the next:
+/// the [`MatchIndex`] of their sources and the [`DetectionIndex`] of their
+/// integrated table. Built by the first delta of a set of artifacts (a
+/// cold prepare builds neither for keeps) and handed on by every later one.
+#[derive(Debug)]
+pub struct DeltaIndex {
+    matching: MatchIndex,
+    detection: DetectionIndex,
+}
+
+impl DeltaIndex {
+    /// The carried detection index.
+    pub fn detection(&self) -> &DetectionIndex {
+        &self.detection
+    }
 }
 
 impl PreparedSources {
@@ -209,17 +230,18 @@ impl PreparedSources {
     /// `TableDelta` application returns.
     ///
     /// The refreshed artifacts are **byte-identical** to
-    /// [`prepare_tables`] over `new_tables` — except `detection.stats`,
-    /// which reports the (delta-sized) work this refresh actually did —
-    /// at every parallelism degree. Schema matching and the transformation
-    /// re-run outright (they are near-linear); the quadratic stage,
-    /// duplicate detection, goes through the incremental path: only pairs
-    /// touching dirty rows are re-scored, and only affected connected
-    /// components re-cluster.
+    /// [`prepare_tables`] over `new_tables` — except `detection.stats` and
+    /// each match result's `sniff`, which report the (delta-sized) work
+    /// this refresh actually did — at every parallelism degree. Schema
+    /// matching goes through a [`MatchIndex`]: only touched rows are
+    /// tokenized again and only what they moved is re-matched; the
+    /// transformation re-runs (linear); duplicate detection goes through a
+    /// [`DetectionIndex`]: only pairs touching dirty rows are re-scored, and
+    /// only affected connected components re-cluster.
     ///
-    /// This builds the detection index of `self` and drops it afterwards;
-    /// a caller that refreshes the same artifacts again and again keeps it
-    /// through [`PreparedSources::apply_delta_traced`].
+    /// This builds both indexes and drops them afterwards; a caller that
+    /// refreshes the same artifacts again and again keeps them through
+    /// [`PreparedSources::apply_delta_traced`].
     ///
     /// `config` must be the configuration that produced `self`.
     pub fn apply_delta(
@@ -232,11 +254,12 @@ impl PreparedSources {
         self.apply_delta_traced(new_tables, mapping, config, &mut None, &root)
     }
 
-    /// [`PreparedSources::apply_delta`] carrying the detection index and
+    /// [`PreparedSources::apply_delta`] carrying the delta index and
     /// recording its stage spans under `parent` (the server's per-request
     /// span).
     ///
-    /// `index` is the [`DetectionIndex`] of `self`, or `None` to build it
+    /// `index` is the [`DeltaIndex`] of `self`, or `None` to build it: the
+    /// match index over `new_tables` (a cold match), the detection index
     /// from these artifacts. On success it holds the index of the returned
     /// artifacts, ready for the next delta; on error it is `None`.
     pub fn apply_delta_traced(
@@ -244,20 +267,64 @@ impl PreparedSources {
         new_tables: &[&Table],
         mapping: &RowMapping,
         config: &HummerConfig,
-        index: &mut Option<DetectionIndex>,
+        index: &mut Option<DeltaIndex>,
         parent: &Span,
     ) -> Result<(PreparedSources, DeltaReport)> {
         let mut timings = StageTimings::default();
+        let carried = index.take();
+        let index_reused = carried.is_some();
+        let (carried_matching, carried_detection) = match carried {
+            Some(DeltaIndex {
+                matching,
+                detection,
+            }) => (Some(matching), Some(detection)),
+            None => (None, None),
+        };
 
-        // 1. Schema matching: recomputed from scratch (near-linear via the
-        //    inverted sniffing index), so instance drift that changes
-        //    correspondences is honored, not approximated.
+        // 1. Schema matching: the carried match index moves by the rows the
+        //    delta touched, so instance drift that changes correspondences
+        //    is honored, not approximated.
         let mut span = parent.child("match");
         let t0 = Instant::now();
-        let match_results = match_star_par(new_tables, &config.matcher, config.parallelism);
+        let (matching, match_stats) = match carried_matching {
+            Some(mut matching) => {
+                let stats = matching.apply_delta(
+                    &self.integrated,
+                    new_tables,
+                    &mapping.new_to_old,
+                    config.parallelism,
+                )?;
+                (matching, stats)
+            }
+            None => {
+                let matching = MatchIndex::build(new_tables, &config.matcher, config.parallelism);
+                let rows = new_tables.iter().map(|t| t.len()).sum();
+                let stats = MatchDeltaStats {
+                    rows_retokenized: rows,
+                    full_rematch: new_tables.len().saturating_sub(1),
+                    ..MatchDeltaStats::default()
+                };
+                (matching, stats)
+            }
+        };
+        let match_results = matching.results();
         timings.matching = t0.elapsed();
         span.count("tables", new_tables.len() as u64);
         count_matching(&mut span, &match_results);
+        if span.is_recording() {
+            span.count("index_reused", u64::from(index_reused));
+            span.count("rows_retokenized", match_stats.rows_retokenized as u64);
+            span.count("rows_rescanned", match_stats.rows_rescanned as u64);
+            span.count(
+                "right_rows_rescored",
+                match_stats.right_rows_rescored as u64,
+            );
+            span.count(
+                "pair_matrices_reused",
+                match_stats.pair_matrices_reused as u64,
+            );
+            span.count("full_rematch", match_stats.full_rematch as u64);
+        }
         drop(span);
 
         // 2. Transformation: recomputed (linear). If matching changed the
@@ -273,19 +340,21 @@ impl PreparedSources {
         // 3. Duplicate detection: the old artifacts' index, carried.
         let t0 = Instant::now();
         let mut span = parent.child("detect");
-        let index_reused = index.is_some();
-        let mut carried = match index.take() {
+        let mut detection_index = match carried_detection {
             Some(carried) => carried,
             None => DetectionIndex::build(&self.integrated, &config.detector_config())?,
         };
-        let (detection, delta_stats) = carried.apply_delta(
+        let (detection, delta_stats) = detection_index.apply_delta(
             &self.integrated,
             &self.detection,
             &integrated,
             mapping,
             config.parallelism,
         )?;
-        *index = Some(carried);
+        *index = Some(DeltaIndex {
+            matching,
+            detection: detection_index,
+        });
         if span.is_recording() {
             span.count("index_reused", u64::from(index_reused));
             span.count("rows_rerendered", delta_stats.rows_rerendered as u64);
@@ -317,6 +386,7 @@ impl PreparedSources {
                 timings,
             },
             DeltaReport {
+                matching: match_stats,
                 detection: delta_stats,
                 timings,
             },

@@ -218,7 +218,7 @@ impl SelectionCounts {
             }
             for &(o, n) in &changes.updated {
                 let (before, after) = (old.cell(o, c), new.cell(n, c));
-                if !crate::incremental::same_value(before, after) {
+                if !before.identical(after) {
                     tally.remove(before);
                     tally.add(after);
                 }

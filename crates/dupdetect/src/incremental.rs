@@ -76,7 +76,7 @@ use crate::heuristics::{select_from_scores, AttributeScore, SelectionCounts};
 use crate::measure::{ColumnCounts, TupleSimilarity};
 use crate::unionfind::UnionFind;
 use hummer_engine::error::EngineError;
-use hummer_engine::{Result, Row, Table, Value};
+use hummer_engine::{Result, Row, Table};
 use hummer_par::Parallelism;
 
 /// How rows of the old table relate to rows of the new table after a delta.
@@ -156,27 +156,12 @@ impl RowMapping {
     }
 }
 
-/// Strict equality of two cells: same variant, same content (floats by
-/// bits). Unlike `Value`'s `==` (where `Int(2) == Float(2.0)`), equal
-/// cells here render, parse and key identically.
-pub(crate) fn same_value(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Null, Value::Null) => true,
-        (Value::Bool(x), Value::Bool(y)) => x == y,
-        (Value::Int(x), Value::Int(y)) => x == y,
-        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-        (Value::Text(x), Value::Text(y)) => x == y,
-        (Value::Date(x), Value::Date(y)) => x == y,
-        _ => false,
-    }
-}
-
 fn same_row(a: &Row, b: &Row) -> bool {
     a.len() == b.len()
         && a.values()
             .iter()
             .zip(b.values())
-            .all(|(x, y)| same_value(x, y))
+            .all(|(x, y)| x.identical(y))
 }
 
 /// The rows one delta touched.

@@ -80,7 +80,7 @@
 //! this one property, which `tests/measure_properties.rs` checks on
 //! case-expanding, non-ASCII, empty and long cells.
 
-use crate::incremental::{same_value, RowChanges};
+use crate::incremental::RowChanges;
 use crate::renderings::Renderings;
 use hummer_engine::{Table, Value};
 use hummer_textsim::edit::{levenshtein_similarity, levenshtein_similarity_chars, EditScratch};
@@ -769,7 +769,7 @@ impl ColumnCounts {
             .updated
             .iter()
             .copied()
-            .filter(|&(o, n)| !same_value(old.cell(o, attr), new.cell(n, attr)))
+            .filter(|&(o, n)| !old.cell(o, attr).identical(new.cell(n, attr)))
             .collect();
 
         // 1. Cells leaving: deleted rows, and the old side of updated cells.

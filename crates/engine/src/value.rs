@@ -122,6 +122,23 @@ impl Value {
         matches!(self, Value::Null)
     }
 
+    /// Strict equality: same variant, same content (floats by bits).
+    /// Unlike `==` (where `Int(2) == Float(2.0)`), identical values render,
+    /// parse, tokenize and key identically — what incremental maintenance
+    /// needs to know a cell did not change.
+    #[inline]
+    pub fn identical(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(x), Value::Bool(y)) => x == y,
+            (Value::Int(x), Value::Int(y)) => x == y,
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            (Value::Text(x), Value::Text(y)) => x == y,
+            (Value::Date(x), Value::Date(y)) => x == y,
+            _ => false,
+        }
+    }
+
     /// The [`crate::schema::ColumnType`] this value inhabits, or `None` for `NULL`.
     pub fn column_type(&self) -> Option<crate::schema::ColumnType> {
         use crate::schema::ColumnType::*;

@@ -49,11 +49,54 @@
 //! case — every row shares its tokens with every other, or fewer than
 //! `top_k` pairs exist — is the last round's: the full join, one
 //! merge-join per token-sharing pair.
+//!
+//! ## The carried state and its invariant
+//!
+//! The carried `Sniffer` keeps what a search computed: the row corpus (document
+//! frequencies over the rows of both tables), the idf table, both tables'
+//! vectors, the right index, and where the rounds stopped — the threshold
+//! θ, the prefix `P` of left rows in play, each left row's `unseen` bound
+//! and the kept pairs, in the full join's order. It keeps this invariant:
+//!
+//! > every left row `i < P` has `unseen[i] < θ`, every right row more
+//! > similar to it than `unseen[i]` has been scored against it, and its
+//! > kept pairs are the best `top_k` (similarity descending, right row
+//! > ascending) of those scored at or above `min_similarity`; every row
+//! > `i ≥ P` is unscanned (`unseen[i] = +∞`, no pairs); θ < 1 only when
+//! > `P` covers every row; and the rounds' stopping rule holds at (θ, P).
+//!
+//! That is all the argument above reads, so any state that keeps it holds
+//! the full join's answer. A delta that changes rows in place (no row
+//! inserted or deleted, so the document count stands) restores it at the
+//! carried (θ, P):
+//!
+//! 1. the changed rows leave the corpus and enter it again; a token's idf
+//!    is recomputed only if its document frequency moved, and the vectors
+//!    recomputed are the changed rows' and those of rows holding such a
+//!    token — every other vector keeps its bits;
+//! 2. a left row `i < P` whose vector moved, or that kept a pair with a
+//!    right row whose vector moved, is scanned again (its pairs dropped,
+//!    `unseen[i] = +∞`): a kept pair reading a stale similarity could
+//!    hide a better `(k+1)`-th partner;
+//! 3. every other row `i < P` is scored against each moved right row that
+//!    shares a token with it (found through the left rows' postings) and
+//!    keeps its best `top_k`. Its `unseen[i]` still bounds every right row
+//!    it did not score: those rows are unchanged, and the bound was taken
+//!    over weights they still have — a moved row's old weights only made
+//!    `maxw` larger, which loosens a bound but never breaks it;
+//! 4. the rounds resume from (θ, P): the rows of step 2 are scanned first,
+//!    then the stopping rule decides as it does after any round.
+//!
+//! The right index is rebuilt when a right vector moved (one counting
+//! pass); a delta that changes the document count — rows inserted or
+//! deleted — moves every idf, so it rebuilds the pair's state from the
+//! carried tokens instead. `MatchResult::sniff` reports the work the last
+//! build or delta did.
 
-use crate::tokens::{Side, TokenizedPair};
+use crate::tokens::{Pair, Side, StarTokens};
 use hummer_engine::Table;
 use hummer_par::{par_chunks, Parallelism};
-use hummer_textsim::interned::{IdVectors, InternedCorpus};
+use hummer_textsim::interned::{remap_table, IdVectors, InternedCorpus, DROPPED};
 use std::cmp::Ordering;
 
 /// A candidate duplicate pair across two tables.
@@ -128,16 +171,8 @@ pub fn sniff_duplicates_par(
     cfg: &SniffConfig,
     par: Parallelism,
 ) -> Vec<TupleMatch> {
-    sniff_tokenized(&TokenizedPair::new(left, right), cfg, par).0
-}
-
-/// [`sniff_duplicates_par`] over tables already tokenized.
-pub(crate) fn sniff_tokenized(
-    tokens: &TokenizedPair,
-    cfg: &SniffConfig,
-    par: Parallelism,
-) -> (Vec<TupleMatch>, SniffStats) {
-    sniff_from(tokens, cfg, par, FIRST_ROWS)
+    let tokens = StarTokens::new(&[left, right]);
+    Sniffer::new(tokens.pair(1), cfg, par, FIRST_ROWS).1
 }
 
 /// How many left rows the first round scans. While the threshold is 1, the
@@ -145,86 +180,305 @@ pub(crate) fn sniff_tokenized(
 /// each round: pairs that tie at 1 are ordered by left row, so `top_k`
 /// survivors among the first rows end the search (exact copies are common
 /// in sources worth fusing).
-const FIRST_ROWS: usize = 1024;
+pub(crate) const FIRST_ROWS: usize = 1024;
 
-/// [`sniff_tokenized`] with the first round's row count given (any count
-/// gives the same answer; tests pass small ones).
-fn sniff_from(
-    tokens: &TokenizedPair,
-    cfg: &SniffConfig,
-    par: Parallelism,
-    first_rows: usize,
-) -> (Vec<TupleMatch>, SniffStats) {
-    let mut stats = SniffStats::default();
-    let (n_l, n_r) = (tokens.rows(Side::Left), tokens.rows(Side::Right));
-    // No similarity is above 1 (or comparable with NaN).
-    let satisfiable = cfg.top_k > 0 && cfg.min_similarity <= 1.0;
-    if !satisfiable || n_l == 0 || n_r == 0 {
-        return (Vec::new(), stats);
-    }
+/// The state one pair's search for duplicates stopped in, which a delta
+/// resumes it from (see the module docs).
+#[derive(Debug)]
+pub(crate) struct Sniffer {
+    /// The work of the last build or delta.
+    pub stats: SniffStats,
+    /// `None` when there is nothing to search: an unsatisfiable
+    /// configuration or an empty table.
+    state: Option<State>,
+}
 
-    let mut corpus = InternedCorpus::new(tokens.vocabulary.len());
-    for side in [Side::Left, Side::Right] {
-        for row in 0..tokens.rows(side) {
-            corpus.add_document(tokens.row(side, row));
+#[derive(Debug)]
+struct State {
+    /// Document frequencies over the rows of both tables.
+    corpus: InternedCorpus,
+    idf: Vec<f64>,
+    left: IdVectors,
+    right: IdVectors,
+    index: RightIndex,
+    /// `unseen[i]`: no right row that row `i` has not been scored against
+    /// is more similar to it than this (`+∞` before the row's first scan).
+    unseen: Vec<f64>,
+    /// Each scanned row's best `top_k` pairs, in the full join's order.
+    pairs: Vec<TupleMatch>,
+    threshold: f64,
+    prefix: usize,
+}
+
+/// A pair's rows one delta changed in place: each with its old document
+/// (in the new token numbering; tokens that left are omitted), and the rows
+/// holding each token now.
+pub(crate) struct Changed<'a> {
+    pub left: &'a [(usize, Vec<u32>)],
+    pub right: &'a [(usize, Vec<u32>)],
+    pub left_postings: &'a [Vec<u32>],
+    pub right_postings: &'a [Vec<u32>],
+}
+
+/// What one delta cost a pair's sniffing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SniffDelta {
+    /// Left rows scanned again.
+    pub rows_rescanned: usize,
+    /// Right rows whose moved vector was scored against the scanned rows
+    /// sharing a token with it.
+    pub right_rows_rescored: usize,
+}
+
+impl Sniffer {
+    /// Search a pair, scanning `first_rows` left rows in the first round
+    /// (any count gives the same answer; tests pass small ones): the state,
+    /// and the full join's first `top_k` survivors.
+    pub fn new(
+        tokens: Pair<'_>,
+        cfg: &SniffConfig,
+        par: Parallelism,
+        first_rows: usize,
+    ) -> (Self, Vec<TupleMatch>) {
+        let mut stats = SniffStats::default();
+        let (n_l, n_r) = (tokens.rows(Side::Left), tokens.rows(Side::Right));
+        // No similarity is above 1 (or comparable with NaN).
+        let satisfiable = cfg.top_k > 0 && cfg.min_similarity <= 1.0;
+        if !satisfiable || n_l == 0 || n_r == 0 {
+            return (Sniffer { stats, state: None }, Vec::new());
         }
-    }
-    let idf = corpus.idf_table();
-    let vectors = |side| {
-        let mut vectors = IdVectors::new();
-        for row in 0..tokens.rows(side) {
-            vectors.push(tokens.row(side, row), &idf);
-        }
-        vectors
-    };
-    let (left, right) = (vectors(Side::Left), vectors(Side::Right));
-    let scanner = Scanner {
-        index: RightIndex::new(&right, tokens.vocabulary.len()),
-        left: &left,
-        right: &right,
-        cfg,
-    };
 
-    // `unseen[i]`: no right row that row `i` has not been scored against is
-    // more similar to it than this (`+∞` before the row's first scan).
-    let mut unseen = vec![f64::INFINITY; n_l];
-    let mut pairs: Vec<TupleMatch> = Vec::new();
-    let mut threshold = 1.0f64;
-    let mut prefix = first_rows.clamp(1, n_l);
-    loop {
-        stats.rounds += 1;
-        let rows: Vec<usize> = (0..prefix).filter(|&i| unseen[i] >= threshold).collect();
-        let scanned_before = rows.iter().filter(|&&i| unseen[i] < f64::INFINITY);
-        stats.rows_expanded += scanned_before.count() as u64;
-        pairs.retain(|p| unseen[p.left] < threshold);
-        let mut scanned_rows = rows.iter();
-        for chunk in par_chunks(par, &rows, |_, chunk| scanner.scan(chunk, threshold)) {
-            pairs.extend(chunk.pairs);
-            for bound in chunk.unseen {
-                unseen[*scanned_rows.next().expect("one bound per scanned row")] = bound;
+        let mut corpus = InternedCorpus::new(tokens.vocabulary().len());
+        for side in [Side::Left, Side::Right] {
+            for row in 0..tokens.rows(side) {
+                corpus.add_document(tokens.row(side, row));
             }
-            stats.postings_visited += chunk.postings_visited;
-            stats.candidates_scored += chunk.candidates_scored;
         }
-        pairs.sort_by(full_join_order);
+        let idf = corpus.idf_table();
+        let vectors = |side| {
+            let mut vectors = IdVectors::new();
+            for row in 0..tokens.rows(side) {
+                vectors.push(tokens.row(side, row), &idf);
+            }
+            vectors
+        };
+        let (left, right) = (vectors(Side::Left), vectors(Side::Right));
+        let mut state = State {
+            index: RightIndex::new(&right, tokens.vocabulary().len()),
+            corpus,
+            idf,
+            left,
+            right,
+            unseen: vec![f64::INFINITY; n_l],
+            pairs: Vec::new(),
+            threshold: 1.0,
+            prefix: first_rows.clamp(1, n_l),
+        };
+        let found = state.rounds(cfg, par, &mut stats);
+        let sniffer = Sniffer {
+            stats,
+            state: Some(state),
+        };
+        (sniffer, found)
+    }
 
-        let selected = select(&pairs, threshold, cfg, n_l, n_r);
-        if selected.len() == cfg.top_k {
-            return (selected, stats);
+    /// Renumber the token ids (`remap[old] = new`, see
+    /// [`crate::tokens::Retokenized`]) to a vocabulary of `len` tokens.
+    pub fn remap(&mut self, remap: &[u32], len: usize) {
+        if let Some(state) = &mut self.state {
+            state.corpus.remap(remap, len);
+            state.idf = remap_table(&state.idf, remap, len);
+            state.left.remap(remap);
+            state.right.remap(remap);
+            state.index.remap(remap, len);
         }
-        if prefix < n_l {
-            prefix = (4 * prefix).min(n_l);
-        } else if threshold <= cfg.min_similarity {
-            return (selected, stats);
-        } else if threshold == 1.0 {
-            // First drop: to what the pairs found so far promise.
-            let reachable = select(&pairs, cfg.min_similarity, cfg, n_l, n_r);
-            threshold = match reachable.get(cfg.top_k - 1) {
-                Some(last) => last.similarity,
-                None => cfg.min_similarity,
-            };
-        } else {
-            threshold = cfg.min_similarity;
+    }
+
+    /// Carry the search across a delta that changed `changed` rows in
+    /// place; `tokens` are the pair's new tokens (already renumbered, as is
+    /// this state). Returns the full join's answer over the new tables —
+    /// see the module docs for the argument — and what it cost.
+    pub fn apply_delta(
+        &mut self,
+        tokens: Pair<'_>,
+        changed: &Changed<'_>,
+        cfg: &SniffConfig,
+        par: Parallelism,
+    ) -> (Vec<TupleMatch>, SniffDelta) {
+        self.stats = SniffStats::default();
+        let Some(state) = &mut self.state else {
+            // Nothing to search before, nothing now: the row counts held.
+            return (Vec::new(), SniffDelta::default());
+        };
+        let (n_l, n_r) = (tokens.rows(Side::Left), tokens.rows(Side::Right));
+
+        // 1. Corpus, idf, vectors.
+        let mut affected: Vec<u32> = Vec::new();
+        for (side, rows) in [(Side::Left, changed.left), (Side::Right, changed.right)] {
+            for (row, old) in rows {
+                state.corpus.remove_document(old);
+                let new = tokens.row(side, *row);
+                state.corpus.add_document(new);
+                affected.extend_from_slice(old);
+                affected.extend_from_slice(new);
+            }
+        }
+        affected.sort_unstable();
+        affected.dedup();
+        let mut moved_left = vec![false; n_l];
+        let mut moved_right = vec![false; n_r];
+        for (row, _) in changed.left {
+            moved_left[*row] = true;
+        }
+        for (row, _) in changed.right {
+            moved_right[*row] = true;
+        }
+        for t in affected {
+            let idf = state.corpus.idf(t);
+            if idf.to_bits() != state.idf[t as usize].to_bits() {
+                state.idf[t as usize] = idf;
+                for &i in &changed.left_postings[t as usize] {
+                    moved_left[i as usize] = true;
+                }
+                for &j in &changed.right_postings[t as usize] {
+                    moved_right[j as usize] = true;
+                }
+            }
+        }
+        let rows_of =
+            |moved: &[bool]| -> Vec<usize> { (0..moved.len()).filter(|&r| moved[r]).collect() };
+        let (left_rows, right_rows) = (rows_of(&moved_left), rows_of(&moved_right));
+        state
+            .left
+            .reweigh(&left_rows, |r| tokens.row(Side::Left, r), &state.idf);
+        state
+            .right
+            .reweigh(&right_rows, |r| tokens.row(Side::Right, r), &state.idf);
+        if !right_rows.is_empty() {
+            state.index = RightIndex::new(&state.right, tokens.vocabulary().len());
+        }
+
+        // 2. Rows to scan again.
+        let prefix = state.prefix;
+        let mut rescan = vec![false; n_l];
+        for &i in left_rows.iter().take_while(|&&i| i < prefix) {
+            rescan[i] = true;
+        }
+        for p in &state.pairs {
+            rescan[p.left] |= moved_right[p.right];
+        }
+        let mut rows_rescanned = 0;
+        for (i, _) in rescan.iter().enumerate().filter(|(_, r)| **r) {
+            state.unseen[i] = f64::INFINITY;
+            rows_rescanned += 1;
+        }
+        state.pairs.retain(|p| !rescan[p.left]);
+
+        // 3. Every other scanned row against the moved right rows it
+        //    shares a token with.
+        let mut met = vec![0usize; n_l];
+        let mut capped = vec![false; n_l];
+        let mut scored = Vec::new();
+        for (mark, &j) in right_rows.iter().enumerate() {
+            let vector = state.right.get(j);
+            for &t in vector.ids {
+                for &i in &changed.left_postings[t as usize] {
+                    let i = i as usize;
+                    if i >= prefix || rescan[i] || met[i] == mark + 1 {
+                        continue;
+                    }
+                    met[i] = mark + 1;
+                    self.stats.candidates_scored += 1;
+                    let similarity = state.left.get(i).dot(&vector).clamp(0.0, 1.0);
+                    if similarity >= cfg.min_similarity {
+                        capped[i] = true;
+                        scored.push(TupleMatch {
+                            left: i,
+                            right: j,
+                            similarity,
+                        });
+                    }
+                }
+            }
+        }
+        if !scored.is_empty() {
+            state.pairs.extend(scored);
+            state.pairs.sort_by(full_join_order);
+            let mut kept = vec![0usize; n_l];
+            state.pairs.retain(|p| {
+                if !capped[p.left] {
+                    return true;
+                }
+                kept[p.left] += 1;
+                kept[p.left] <= cfg.top_k
+            });
+        }
+
+        // 4. Resume the rounds.
+        let found = state.rounds(cfg, par, &mut self.stats);
+        let work = SniffDelta {
+            rows_rescanned,
+            right_rows_rescored: right_rows.len(),
+        };
+        (found, work)
+    }
+}
+
+impl State {
+    /// Run rounds from the current (θ, P) until the stopping rule holds;
+    /// returns the answer.
+    fn rounds(
+        &mut self,
+        cfg: &SniffConfig,
+        par: Parallelism,
+        stats: &mut SniffStats,
+    ) -> Vec<TupleMatch> {
+        let (n_l, n_r) = (self.left.len(), self.right.len());
+        let scanner = Scanner {
+            index: &self.index,
+            left: &self.left,
+            right: &self.right,
+            cfg,
+        };
+        let (unseen, pairs) = (&mut self.unseen, &mut self.pairs);
+        loop {
+            stats.rounds += 1;
+            let threshold = self.threshold;
+            let rows: Vec<usize> = (0..self.prefix)
+                .filter(|&i| unseen[i] >= threshold)
+                .collect();
+            let scanned_before = rows.iter().filter(|&&i| unseen[i] < f64::INFINITY);
+            stats.rows_expanded += scanned_before.count() as u64;
+            pairs.retain(|p| unseen[p.left] < threshold);
+            let mut scanned_rows = rows.iter();
+            for chunk in par_chunks(par, &rows, |_, chunk| scanner.scan(chunk, threshold)) {
+                pairs.extend(chunk.pairs);
+                for bound in chunk.unseen {
+                    unseen[*scanned_rows.next().expect("one bound per scanned row")] = bound;
+                }
+                stats.postings_visited += chunk.postings_visited;
+                stats.candidates_scored += chunk.candidates_scored;
+            }
+            pairs.sort_by(full_join_order);
+
+            let selected = select(pairs, threshold, cfg, n_l, n_r);
+            if selected.len() == cfg.top_k {
+                return selected;
+            }
+            if self.prefix < n_l {
+                self.prefix = (4 * self.prefix).min(n_l);
+            } else if threshold <= cfg.min_similarity {
+                return selected;
+            } else if threshold == 1.0 {
+                // First drop: to what the pairs found so far promise.
+                let reachable = select(pairs, cfg.min_similarity, cfg, n_l, n_r);
+                self.threshold = match reachable.get(cfg.top_k - 1) {
+                    Some(last) => last.similarity,
+                    None => cfg.min_similarity,
+                };
+            } else {
+                self.threshold = cfg.min_similarity;
+            }
         }
     }
 }
@@ -268,6 +522,7 @@ fn select(
 
 /// The right table's vectors inverted: which rows hold a token, and the
 /// largest weight any of them gives it.
+#[derive(Debug)]
 struct RightIndex {
     /// Token `t`'s rows are `rows[starts[t]..starts[t + 1]]`, ascending.
     starts: Vec<usize>,
@@ -318,6 +573,34 @@ impl RightIndex {
         }
     }
 
+    /// Renumber the token ids; the posting arrays keep their order. The
+    /// postings of a token that left (held only by rows the delta weighs
+    /// again, which rebuilds the index) are dropped with it.
+    fn remap(&mut self, remap: &[u32], len: usize) {
+        let mut starts = vec![0usize; len + 1];
+        let mut dropped_postings = false;
+        for (old, &new) in remap.iter().enumerate() {
+            let count = self.starts[old + 1] - self.starts[old];
+            if new == DROPPED {
+                dropped_postings |= count > 0;
+            } else {
+                starts[new as usize + 1] = count;
+            }
+        }
+        if dropped_postings {
+            let live = (0..remap.len()).filter(|&old| remap[old] != DROPPED);
+            self.rows = live
+                .flat_map(|old| &self.rows[self.starts[old]..self.starts[old + 1]])
+                .copied()
+                .collect();
+        }
+        for t in 0..len {
+            starts[t + 1] += starts[t];
+        }
+        self.starts = starts;
+        self.max_weight = remap_table(&self.max_weight, remap, len);
+    }
+
     fn posting(&self, id: u32) -> &[u32] {
         &self.rows[self.starts[id as usize]..self.starts[id as usize + 1]]
     }
@@ -336,7 +619,7 @@ struct Scanned {
 }
 
 struct Scanner<'a> {
-    index: RightIndex,
+    index: &'a RightIndex,
     left: &'a IdVectors,
     right: &'a IdVectors,
     cfg: &'a SniffConfig,
@@ -422,7 +705,7 @@ impl Scanner<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hummer_engine::{table, Row, Value};
     use hummer_textsim::tfidf::{Corpus, TfIdfVector};
@@ -433,7 +716,11 @@ mod tests {
     /// The definition of the answer: the full token-sharing join this
     /// module used to run, kept as the reference the bounded scan is
     /// compared against.
-    fn full_join_oracle(left: &Table, right: &Table, cfg: &SniffConfig) -> Vec<TupleMatch> {
+    pub(crate) fn full_join_oracle(
+        left: &Table,
+        right: &Table,
+        cfg: &SniffConfig,
+    ) -> Vec<TupleMatch> {
         let documents = |t: &Table| -> Vec<Vec<String>> {
             t.rows()
                 .iter()
@@ -506,20 +793,24 @@ mod tests {
     /// work at the real first round.
     fn assert_equals_oracle(left: &Table, right: &Table, cfg: &SniffConfig) -> SniffStats {
         let expected = bits(&full_join_oracle(left, right, cfg));
-        let tokens = TokenizedPair::new(left, right);
+        let tokens = StarTokens::new(&[left, right]);
         for first_rows in [1, 5] {
-            let (found, _) = sniff_from(&tokens, cfg, Parallelism::degree(2), first_rows);
+            let (_, found) = Sniffer::new(tokens.pair(1), cfg, Parallelism::degree(2), first_rows);
             assert_eq!(bits(&found), expected, "{cfg:?} from {first_rows} rows");
         }
-        let (sequential, stats) = sniff_tokenized(&tokens, cfg, Parallelism::sequential());
-        assert_eq!(bits(&sequential), expected, "{cfg:?}");
+        let (sequential, found) =
+            Sniffer::new(tokens.pair(1), cfg, Parallelism::sequential(), FIRST_ROWS);
+        assert_eq!(bits(&found), expected, "{cfg:?}");
         for degree in 2..=4 {
-            let (parallel, parallel_stats) =
-                sniff_tokenized(&tokens, cfg, Parallelism::degree(degree));
-            assert_eq!(bits(&parallel), expected, "{cfg:?} at degree {degree}");
-            assert_eq!(parallel_stats, stats, "{cfg:?} at degree {degree}");
+            let (parallel, found) =
+                Sniffer::new(tokens.pair(1), cfg, Parallelism::degree(degree), FIRST_ROWS);
+            assert_eq!(bits(&found), expected, "{cfg:?} at degree {degree}");
+            assert_eq!(
+                parallel.stats, sequential.stats,
+                "{cfg:?} at degree {degree}"
+            );
         }
-        stats
+        sequential.stats
     }
 
     /// Every `top_k` × `min_similarity` × `one_to_one` worth trying on a

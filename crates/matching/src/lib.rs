@@ -53,6 +53,7 @@
 pub mod correspondence;
 pub mod dumas;
 pub mod hungarian;
+mod index;
 pub mod matcher;
 pub mod matrix;
 mod tokens;
@@ -62,6 +63,7 @@ pub use correspondence::{Correspondence, MatchResult};
 pub use dumas::{sniff_duplicates, sniff_duplicates_par, SniffConfig, SniffStats, TupleMatch};
 pub use hummer_par::Parallelism;
 pub use hungarian::{max_weight_matching, Assignment};
+pub use index::{MatchDeltaStats, MatchIndex};
 pub use matcher::{match_star, match_star_par, match_tables, match_tables_par, MatcherConfig};
 pub use matrix::SimilarityMatrix;
 pub use transform::{

@@ -2,16 +2,16 @@
 //! attribute correspondences.
 
 use crate::correspondence::{Correspondence, MatchResult};
-use crate::dumas::{sniff_tokenized, SniffConfig, TupleMatch};
+use crate::dumas::{SniffConfig, SniffStats, TupleMatch};
 use crate::hungarian::max_weight_matching;
+use crate::index::{MatchIndex, Source};
 use crate::matrix::SimilarityMatrix;
-use crate::tokens::{Side, TokenizedPair};
+use crate::tokens::{Pair, Side};
 use hummer_engine::Table;
 use hummer_par::{par_map, Parallelism};
-use hummer_textsim::interned::{IdVectors, InternedCorpus};
+use hummer_textsim::interned::{remap_table, IdVectors, InternedCorpus};
 use hummer_textsim::jaro::jaro_winkler;
-use hummer_textsim::softtfidf::similarity_of_weighted;
-use hummer_textsim::tfidf::TfIdfVector;
+use hummer_textsim::softtfidf::similarity_of_interned;
 
 /// Configuration of the schema matcher.
 #[derive(Debug, Clone)]
@@ -42,47 +42,227 @@ impl Default for MatcherConfig {
     }
 }
 
-/// The averaged field-similarity matrix of the sniffed duplicates: each
-/// pair's fields compared with SoftTFIDF, one matrix per pair — computed in
-/// parallel, the tokens and the corpus are shared read-only — then the
-/// mean.
-fn field_matrix(
-    tokens: &TokenizedPair,
-    duplicates: &[TupleMatch],
-    soft_theta: f64,
-    par: Parallelism,
-) -> SimilarityMatrix {
-    // Field corpus: every non-null cell of either table is one document, so
-    // SoftTFIDF weights reflect how identifying a field value is.
-    let mut corpus = InternedCorpus::new(tokens.vocabulary.len());
-    for cell in tokens.non_null_cells() {
-        corpus.add_document(cell);
-    }
-    let idf = corpus.idf_table();
-    // One tuple's cells as SoftTFIDF takes them: tokens and unit vector.
-    let weighted_row = |side, row| -> Vec<(Vec<String>, TfIdfVector)> {
+/// The field comparison of one pair's sniffed duplicates: the field corpus
+/// (every non-null cell of either table is one document, so SoftTFIDF
+/// weights reflect how identifying a field value is) and one matrix per
+/// duplicate — kept, so that a delta recomputes only the matrices it moved.
+#[derive(Debug)]
+pub(crate) struct Fields {
+    corpus: InternedCorpus,
+    idf: Vec<f64>,
+    /// One matrix per duplicate compared, in the duplicates' order.
+    matrices: Vec<SimilarityMatrix>,
+}
+
+/// A row's cells before a delta changed it in place: each cell's tokens in
+/// the new numbering (tokens that left omitted), `None` for `NULL`.
+pub(crate) type OldCells = Vec<Option<Vec<u32>>>;
+
+/// One duplicate's fields compared with SoftTFIDF under `idf`.
+fn duplicate_matrix(tokens: Pair<'_>, idf: &[f64], d: &TupleMatch, theta: f64) -> SimilarityMatrix {
+    // One tuple's cells as SoftTFIDF takes them: a unit vector per cell.
+    let weigh = |side, row| {
         let mut vectors = IdVectors::new();
-        (0..tokens.cols(side))
-            .map(|col| {
-                let cell = tokens.cell(side, row, col);
-                vectors.push(cell, &idf);
-                (
-                    tokens.vocabulary.tokens_of(cell),
-                    vectors.get(col).to_tfidf(&tokens.vocabulary),
-                )
-            })
-            .collect()
+        for col in 0..tokens.cols(side) {
+            vectors.push(tokens.cell(side, row, col), idf);
+        }
+        vectors
     };
-    let per_pair: Vec<SimilarityMatrix> = par_map(par, duplicates, |d| {
-        let lrow = weighted_row(Side::Left, d.left);
-        let rrow = weighted_row(Side::Right, d.right);
-        // A NULL cell has no tokens and scores 0 against everything.
-        SimilarityMatrix::from_fn(lrow.len(), rrow.len(), |i, j| {
-            let ((s, vs), (t, vt)) = (&lrow[i], &rrow[j]);
-            similarity_of_weighted(soft_theta, s, vs, t, vt)
+    let (left, right) = (weigh(Side::Left, d.left), weigh(Side::Right, d.right));
+    // A NULL cell has no tokens and scores 0 against everything.
+    SimilarityMatrix::from_fn(tokens.cols(Side::Left), tokens.cols(Side::Right), |i, j| {
+        similarity_of_interned(
+            theta,
+            tokens.vocabulary(),
+            tokens.cell(Side::Left, d.left, i),
+            left.get(i),
+            tokens.cell(Side::Right, d.right, j),
+            right.get(j),
+        )
+    })
+}
+
+impl Fields {
+    /// Compare the fields of `duplicates`, one matrix per duplicate —
+    /// computed in parallel, the tokens and the corpus are shared
+    /// read-only.
+    pub fn new(tokens: Pair<'_>, duplicates: &[TupleMatch], theta: f64, par: Parallelism) -> Self {
+        let mut corpus = InternedCorpus::new(tokens.vocabulary().len());
+        for side in [Side::Left, Side::Right] {
+            for row in 0..tokens.rows(side) {
+                for cell in tokens.non_null_cells(side, row) {
+                    corpus.add_document(cell);
+                }
+            }
+        }
+        let idf = corpus.idf_table();
+        let matrices = par_map(par, duplicates, |d| {
+            duplicate_matrix(tokens, &idf, d, theta)
+        });
+        Fields {
+            corpus,
+            idf,
+            matrices,
+        }
+    }
+
+    /// The averaged matrix (the zero matrix of the schemas' shape when
+    /// nothing was compared).
+    pub fn mean(&self, tokens: Pair<'_>) -> SimilarityMatrix {
+        SimilarityMatrix::mean(&self.matrices).unwrap_or_else(|| {
+            SimilarityMatrix::zeros(tokens.cols(Side::Left), tokens.cols(Side::Right))
         })
-    });
-    SimilarityMatrix::mean(&per_pair).expect("at least one duplicate pair")
+    }
+
+    /// Renumber the token ids (see [`crate::tokens::Retokenized`]).
+    pub fn remap(&mut self, remap: &[u32], len: usize) {
+        self.corpus.remap(remap, len);
+        self.idf = remap_table(&self.idf, remap, len);
+    }
+
+    /// Carry the comparison across a delta that changed the rows of `left`
+    /// and `right` in place (each with its old cells): the changed cells
+    /// move the corpus; `duplicates` — the new sniffed pairs — get the
+    /// matrix `previous[k]` had when the same rows are compared, neither
+    /// changed and no token they read moved its idf, and a fresh one
+    /// otherwise. Returns how many matrices were reused.
+    #[allow(clippy::too_many_arguments)]
+    pub fn apply_delta(
+        &mut self,
+        tokens: Pair<'_>,
+        left: &[(usize, OldCells)],
+        right: &[(usize, OldCells)],
+        previous: &[TupleMatch],
+        duplicates: &[TupleMatch],
+        theta: f64,
+        par: Parallelism,
+    ) -> usize {
+        let before = self.corpus.doc_count();
+        let mut affected: Vec<u32> = Vec::new();
+        let mut changed = [
+            vec![false; tokens.rows(Side::Left)],
+            vec![false; tokens.rows(Side::Right)],
+        ];
+        for (k, (side, rows)) in [(Side::Left, left), (Side::Right, right)]
+            .into_iter()
+            .enumerate()
+        {
+            for (row, old) in rows {
+                changed[k][*row] = true;
+                for cell in old.iter().flatten() {
+                    self.corpus.remove_document(cell);
+                    affected.extend_from_slice(cell);
+                }
+                for cell in tokens.non_null_cells(side, *row) {
+                    self.corpus.add_document(cell);
+                    affected.extend_from_slice(cell);
+                }
+            }
+        }
+        // A null ↔ value change moves the document count, and every idf.
+        let all_moved = self.corpus.doc_count() != before;
+        let mut moved = vec![false; self.idf.len()];
+        if all_moved {
+            self.idf = self.corpus.idf_table();
+        } else {
+            for t in affected {
+                let idf = self.corpus.idf(t);
+                if idf.to_bits() != self.idf[t as usize].to_bits() {
+                    self.idf[t as usize] = idf;
+                    moved[t as usize] = true;
+                }
+            }
+        }
+
+        let mut by_rows: Vec<usize> = (0..previous.len()).collect();
+        by_rows.sort_unstable_by_key(|&k| (previous[k].left, previous[k].right));
+        let reusable = |d: &TupleMatch| -> Option<usize> {
+            let unchanged = !all_moved && !changed[0][d.left] && !changed[1][d.right];
+            let reads = || {
+                tokens
+                    .row(Side::Left, d.left)
+                    .iter()
+                    .chain(tokens.row(Side::Right, d.right))
+            };
+            if !unchanged || reads().any(|&t| moved[t as usize]) {
+                return None;
+            }
+            let at = by_rows
+                .binary_search_by_key(&(d.left, d.right), |&k| {
+                    (previous[k].left, previous[k].right)
+                })
+                .ok()?;
+            Some(by_rows[at])
+        };
+        let reuse: Vec<Option<usize>> = duplicates.iter().map(reusable).collect();
+        let fresh: Vec<&TupleMatch> = duplicates
+            .iter()
+            .zip(&reuse)
+            .filter(|(_, r)| r.is_none())
+            .map(|(d, _)| d)
+            .collect();
+        let idf = &self.idf;
+        let mut computed =
+            par_map(par, &fresh, |d| duplicate_matrix(tokens, idf, d, theta)).into_iter();
+        let mut previous_matrices: Vec<Option<SimilarityMatrix>> =
+            std::mem::take(&mut self.matrices)
+                .into_iter()
+                .map(Some)
+                .collect();
+        self.matrices = reuse
+            .iter()
+            .map(|r| match r {
+                Some(k) => previous_matrices[*k]
+                    .take()
+                    .expect("each matrix is reused once"),
+                None => computed.next().expect("one matrix per fresh duplicate"),
+            })
+            .collect();
+        duplicates.len() - fresh.len()
+    }
+}
+
+/// Steps 3–5 of [`match_tables`] for one pair: blend in label similarity
+/// when asked, assign, prune.
+pub(crate) fn assign(
+    left: &Source,
+    right: &Source,
+    duplicates: Vec<TupleMatch>,
+    sniff: SniffStats,
+    mut matrix: SimilarityMatrix,
+    cfg: &MatcherConfig,
+) -> MatchResult {
+    // Optional label-similarity blend (ablation knob; default off).
+    if cfg.label_weight > 0.0 {
+        let lam = cfg.label_weight.clamp(0.0, 1.0);
+        for (i, lname) in left.columns.iter().enumerate() {
+            for (j, rname) in right.columns.iter().enumerate() {
+                let label = jaro_winkler(&lname.to_lowercase(), &rname.to_lowercase());
+                let inst = matrix.get(i, j);
+                matrix.set(i, j, (1.0 - lam) * inst + lam * label);
+            }
+        }
+    }
+
+    let assignments = max_weight_matching(&matrix.to_nested());
+    let correspondences: Vec<Correspondence> = assignments
+        .into_iter()
+        .filter(|a| a.weight >= cfg.prune_threshold)
+        .map(|a| Correspondence {
+            left_column: left.columns[a.left].clone(),
+            right_column: right.columns[a.right].clone(),
+            score: a.weight,
+        })
+        .collect();
+
+    MatchResult {
+        left_table: left.name.clone(),
+        right_table: right.name.clone(),
+        correspondences,
+        duplicates_used: duplicates,
+        sniff,
+        matrix,
+    }
 }
 
 /// Match two tables' schemas by comparing the fields of sniffed duplicates.
@@ -139,56 +319,8 @@ pub fn match_tables_par(
     cfg: &MatcherConfig,
     par: Parallelism,
 ) -> MatchResult {
-    assert!(
-        (0.0..=1.0).contains(&cfg.soft_theta),
-        "theta must be in [0,1]"
-    );
-    let tokens = TokenizedPair::new(left, right);
-    let (duplicates, sniff) = sniff_tokenized(&tokens, &cfg.sniff, par);
-
-    let n_l = left.schema().len();
-    let n_r = right.schema().len();
-    // Without duplicates there is nothing to compare field-wise: no field
-    // corpus is built.
-    let mut matrix = if duplicates.is_empty() {
-        SimilarityMatrix::zeros(n_l, n_r)
-    } else {
-        field_matrix(&tokens, &duplicates, cfg.soft_theta, par)
-    };
-
-    // Optional label-similarity blend (ablation knob; default off).
-    if cfg.label_weight > 0.0 {
-        let lam = cfg.label_weight.clamp(0.0, 1.0);
-        let lnames = left.schema().names();
-        let rnames = right.schema().names();
-        for (i, lname) in lnames.iter().enumerate().take(n_l) {
-            for (j, rname) in rnames.iter().enumerate().take(n_r) {
-                let label = jaro_winkler(&lname.to_lowercase(), &rname.to_lowercase());
-                let inst = matrix.get(i, j);
-                matrix.set(i, j, (1.0 - lam) * inst + lam * label);
-            }
-        }
-    }
-
-    let assignments = max_weight_matching(&matrix.to_nested());
-    let correspondences: Vec<Correspondence> = assignments
-        .into_iter()
-        .filter(|a| a.weight >= cfg.prune_threshold)
-        .map(|a| Correspondence {
-            left_column: left.schema().column(a.left).name.clone(),
-            right_column: right.schema().column(a.right).name.clone(),
-            score: a.weight,
-        })
-        .collect();
-
-    MatchResult {
-        left_table: left.name().to_string(),
-        right_table: right.name().to_string(),
-        correspondences,
-        duplicates_used: duplicates,
-        sniff,
-        matrix,
-    }
+    let mut results = match_star_par(&[left, right], cfg, par);
+    results.pop().expect("two tables make one pair")
 }
 
 /// Match every non-preferred table against the preferred (first) one — the
@@ -201,19 +333,15 @@ pub fn match_star(tables: &[&Table], cfg: &MatcherConfig) -> Vec<MatchResult> {
 }
 
 /// [`match_star`] with intra-pair parallelism: each preferred-vs-other
-/// match runs through [`match_tables_par`] with the given degree.
+/// pair is matched as [`match_tables_par`] matches it, with the given
+/// degree, over one tokenization of the star (the preferred source is
+/// tokenized once). This is [`MatchIndex::build`] with the index dropped.
 pub fn match_star_par(
     tables: &[&Table],
     cfg: &MatcherConfig,
     par: Parallelism,
 ) -> Vec<MatchResult> {
-    match tables.split_first() {
-        None => Vec::new(),
-        Some((preferred, rest)) => rest
-            .iter()
-            .map(|t| match_tables_par(preferred, t, cfg, par))
-            .collect(),
-    }
+    MatchIndex::build(tables, cfg, par).into_results()
 }
 
 #[cfg(test)]

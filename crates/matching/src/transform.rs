@@ -3,6 +3,7 @@
 //! full outer union (paper §2.2-§2.3 and §3).
 
 use crate::correspondence::MatchResult;
+use hummer_engine::error::EngineError;
 use hummer_engine::{Column, ColumnType, Result, Row, Schema, Table, Value};
 
 /// Name of the provenance column added to every table before the union.
@@ -13,25 +14,65 @@ pub const SOURCE_ID_COLUMN: &str = "sourceID";
 /// Rename the matched columns of `table` to the preferred names recorded in
 /// `result` (which must have been produced with `table` on the right side).
 ///
-/// If a rename target collides with an *unmatched* existing column of the
-/// same table, that unmatched column is first moved aside to
-/// `<table>_<name>` so the transformation stays total; the collision is
+/// The renames are one simultaneous substitution: every column's final
+/// name is computed from the original names, so chains (`A → B`,
+/// `B → C`), swaps and cycles rename as written, whatever order the
+/// correspondences come in. If a rename target collides with an
+/// *unmatched* column of the same table, that column is moved aside to
+/// `<table>_<target>` so the transformation stays total; the collision is
 /// rare (it means the table reused a preferred name for something else).
+/// Names that still collide are an error.
 pub fn apply_renames(table: &Table, result: &MatchResult) -> Result<Table> {
-    let renames = result.rename_map();
-    let mut out = table.clone();
-    for (from, to) in &renames {
+    let schema = renamed_schema(table, result)?;
+    Table::new(table.name(), schema, table.rows().to_vec())
+}
+
+/// The name each of `columns` (the columns of table `table_name`) carries
+/// after the renames of `result` — see [`apply_renames`].
+pub(crate) fn renamed_columns(
+    table_name: &str,
+    columns: &[&str],
+    result: &MatchResult,
+) -> Result<Vec<String>> {
+    let position = |name: &str| columns.iter().position(|c| c.eq_ignore_ascii_case(name));
+    // A column is matched when a correspondence names it; its target is
+    // the preferred name (`None`: it already carries it, up to case).
+    // Later correspondences for the same column win, as in `rename_map`.
+    let mut target: Vec<Option<Option<&str>>> = vec![None; columns.len()];
+    for c in &result.correspondences {
+        let (from, to) = (c.right_column.as_str(), c.left_column.as_str());
         if from.eq_ignore_ascii_case(to) {
-            continue; // already carries the preferred name
+            if let Some(i) = position(from) {
+                target[i] = Some(None);
+            }
+            continue;
         }
-        if out.schema().contains(to) && !renames.contains_key(to) {
-            // Unmatched column squats on the preferred name: move it aside.
-            let aside = format!("{}_{}", table.name(), to);
-            out = hummer_engine::ops::rename_column(&out, to, &aside)?;
-        }
-        out = hummer_engine::ops::rename_column(&out, from, to)?;
+        let i = position(from).ok_or_else(|| EngineError::UnknownColumn {
+            name: from.to_string(),
+            relation: table_name.to_string(),
+        })?;
+        target[i] = Some(Some(to));
     }
-    Ok(out)
+    let targets: Vec<&str> = target.iter().flatten().flatten().copied().collect();
+    let names: Vec<String> = columns
+        .iter()
+        .zip(&target)
+        .map(|(name, target)| match target {
+            Some(Some(to)) => to.to_string(),
+            Some(None) => name.to_string(),
+            None => match targets.iter().find(|t| t.eq_ignore_ascii_case(name)) {
+                // Unmatched, squatting on a preferred name: moved aside.
+                Some(to) => format!("{table_name}_{to}"),
+                None => name.to_string(),
+            },
+        })
+        .collect();
+    for (i, name) in names.iter().enumerate() {
+        if names[..i].iter().any(|n| n.eq_ignore_ascii_case(name)) {
+            return Err(EngineError::DuplicateColumn(name.clone()));
+        }
+    }
+    Ok(names)
 }
 
 /// Add the `sourceID` column carrying `alias` to every row.
@@ -50,7 +91,7 @@ pub fn add_source_id(table: &Table, alias: &str) -> Result<Table> {
 /// [`add_source_id`] → [`hummer_engine::ops::outer_union`] would, cell for
 /// cell.
 ///
-/// The renames run on schemas only (on a row-less shell); each union row is
+/// The renames run on schemas only; each union row is
 /// then built once at its final width, reading each source cell where the
 /// union schema maps it, `NULL` where the source lacks the column, and the
 /// source alias for `sourceID`. No intermediate table is materialized.
@@ -98,13 +139,19 @@ pub fn integrate(tables: &[&Table], matches: &[MatchResult], name: &str) -> Resu
     Table::new(name, union, rows)
 }
 
-/// The schema [`apply_renames`] would produce, computed without touching
-/// any rows: the renames run on a row-less shell of the table, so every
-/// rule (case-insensitive skip, move-aside on collision) is *the* same
-/// code path and the result can never drift from the row transform.
+/// The schema [`apply_renames`] produces: the same columns and types under
+/// their renamed names.
 fn renamed_schema(table: &Table, result: &MatchResult) -> Result<Schema> {
-    let shell = Table::empty(table.name(), table.schema().clone());
-    Ok(apply_renames(&shell, result)?.schema().clone())
+    let columns = table.schema().columns();
+    let old: Vec<&str> = columns.iter().map(|c| c.name.as_str()).collect();
+    let names = renamed_columns(table.name(), &old, result)?;
+    Schema::new(
+        columns
+            .iter()
+            .zip(names)
+            .map(|(c, name)| Column::new(name, c.ctype))
+            .collect(),
+    )
 }
 
 /// [`integrate`] under its old signature.

@@ -11,13 +11,13 @@
 //! Eviction is LRU over a fixed capacity. Entries are `Arc`-shared so a hit
 //! hands out the artifacts without copying tables under the lock.
 //!
-//! Beside its artifacts an entry may hold their [`DetectionIndex`] — what
-//! incremental detection needs to carry the artifacts across a delta. A
-//! cold prepare stores none (queries never need one); the first delta
-//! upgrade of the entry builds it, and every upgrade *moves* it from the
-//! superseded entry to the upgraded one.
+//! Beside its artifacts an entry may hold their [`DeltaIndex`] — the match
+//! and detection indexes that carry the artifacts across a delta. A cold
+//! prepare stores none (queries never need one); the first delta upgrade
+//! of the entry builds it, and every upgrade *moves* it from the superseded
+//! entry to the upgraded one.
 
-use hummer_core::{DetectionIndex, PreparedSources};
+use hummer_core::{DeltaIndex, PreparedSources};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -53,13 +53,13 @@ impl CacheStats {
 #[derive(Debug)]
 struct Entry {
     artifacts: Arc<PreparedSources>,
-    index: Option<DetectionIndex>,
+    index: Option<DeltaIndex>,
     last_used: u64,
 }
 
-/// An entry a delta can upgrade: its key, its artifacts, and its detection
+/// An entry a delta can upgrade: its key, its artifacts, and its delta
 /// index when it has one (taken out of the cache, not copied).
-pub type Upgradable = (PreparedKey, Arc<PreparedSources>, Option<DetectionIndex>);
+pub type Upgradable = (PreparedKey, Arc<PreparedSources>, Option<DeltaIndex>);
 
 /// An LRU map from source-set keys to prepared artifacts.
 #[derive(Debug)]
@@ -102,14 +102,14 @@ impl PreparedCache {
         }
     }
 
-    /// Insert artifacts (and their detection index, if known) under `key`,
+    /// Insert artifacts (and their delta index, if known) under `key`,
     /// evicting the least-recently-used entry beyond capacity and any stale
     /// versions of the same source names.
     pub fn insert(
         &mut self,
         key: PreparedKey,
         artifacts: Arc<PreparedSources>,
-        index: Option<DetectionIndex>,
+        index: Option<DeltaIndex>,
     ) {
         // A new version of a source set makes all entries over the same
         // names dead weight; drop them eagerly rather than waiting for LRU.
@@ -149,7 +149,7 @@ impl PreparedCache {
 
     /// The live entries whose key references source `name` at `version` —
     /// the entries a delta to that table can *upgrade* in place instead of
-    /// invalidating — with their detection indexes moved out: the upgrade
+    /// invalidating — with their delta indexes moved out: the upgrade
     /// hands each index on to the upgraded entry. Recency is not refreshed
     /// (this is bookkeeping, not a query hit).
     pub fn take_for_upgrade(&mut self, name: &str, version: u64) -> Vec<Upgradable> {
@@ -179,13 +179,15 @@ impl PreparedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hummer_core::{prepare_tables, HummerConfig};
-    use hummer_engine::table;
+    use hummer_core::{prepare_tables, HummerConfig, RowMapping, Span};
+    use hummer_engine::{table, Table};
+
+    fn table() -> Table {
+        table! { "A" => ["Name", "City"]; ["John Smith", "Berlin"], ["Mary Jones", "Hamburg"] }
+    }
 
     fn artifacts() -> Arc<PreparedSources> {
-        let t =
-            table! { "A" => ["Name", "City"]; ["John Smith", "Berlin"], ["Mary Jones", "Hamburg"] };
-        Arc::new(prepare_tables(&[&t], &HummerConfig::default()).unwrap())
+        Arc::new(prepare_tables(&[&table()], &HummerConfig::default()).unwrap())
     }
 
     fn key(parts: &[(&str, u64)]) -> PreparedKey {
@@ -246,12 +248,18 @@ mod tests {
         c.insert(key(&[("a", 1), ("b", 2)]), artifacts(), None);
         c.insert(key(&[("b", 2)]), artifacts(), None);
         let prepared = artifacts();
-        let index = DetectionIndex::build(
-            &prepared.integrated,
-            &HummerConfig::default().detector_config(),
-        )
-        .unwrap();
-        c.insert(key(&[("a", 3)]), prepared, Some(index));
+        // An empty delta builds the index of the artifacts it returns.
+        let mut index = None;
+        let (upgraded, _) = prepared
+            .apply_delta_traced(
+                &[&table()],
+                &RowMapping::identity(2),
+                &HummerConfig::default(),
+                &mut index,
+                &Span::noop(),
+            )
+            .unwrap();
+        c.insert(key(&[("a", 3)]), Arc::new(upgraded), index);
         let hits = c.take_for_upgrade("b", 2);
         assert_eq!(hits.len(), 2);
         assert!(c.take_for_upgrade("b", 9).is_empty());

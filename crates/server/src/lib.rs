@@ -75,6 +75,7 @@ pub mod loadgen;
 pub mod metrics;
 pub mod pool;
 pub mod promlint;
+mod reaper;
 pub mod server;
 pub mod service;
 #[allow(unsafe_code)]

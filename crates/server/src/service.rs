@@ -17,8 +17,9 @@ use crate::cache::{CacheStats, PreparedCache, PreparedKey};
 use crate::error::{Result, ServerError};
 use crate::json::{write_escaped, write_f64, Json};
 use crate::metrics::{DeltaAggregate, Metrics};
+use crate::reaper::Reaper;
 use hummer_core::{
-    prepare_tables_traced, DetectionIndex, HummerConfig, PreparedSources, RowMapping, StageTimings,
+    prepare_tables_traced, DeltaIndex, HummerConfig, PreparedSources, RowMapping, StageTimings,
 };
 use hummer_delta::{concat_mappings, DeltaError, TableDelta};
 use hummer_engine::{csv, Table, Value};
@@ -172,8 +173,8 @@ pub struct DeltaApplyResult {
     pub cache_upgrade_failures: u64,
     /// Upgrades that internally degraded to a full rescore.
     pub full_rescores: u64,
-    /// Upgrades that found no detection index on their entry and built one
-    /// from its artifacts.
+    /// Upgrades that found no delta index (match and detection indexes) on
+    /// their entry and built one.
     pub index_builds: u64,
 }
 
@@ -289,6 +290,9 @@ pub struct FusionService {
     coordinator: Option<CoordinatorOptions>,
     /// Sampled structured event log; disabled by default.
     events: EventLog,
+    /// Drops superseded tables and artifacts off the delta's ack path;
+    /// joined when the service is dropped.
+    reaper: Reaper,
 }
 
 impl FusionService {
@@ -306,6 +310,7 @@ impl FusionService {
             debug_panic_route: config.debug_panic_route,
             coordinator: config.coordinator,
             events: config.event_log,
+            reaper: Reaper::new(),
         }
     }
 
@@ -333,6 +338,7 @@ impl FusionService {
             debug_panic_route: config.debug_panic_route,
             coordinator: config.coordinator,
             events: config.event_log,
+            reaper: Reaper::new(),
         }
     }
 
@@ -561,6 +567,7 @@ impl FusionService {
             // would break recovery's identity contract).
             let canonical = entry.table.name().to_string();
             let old_version = entry.version;
+            let superseded = Arc::clone(&entry.table);
             let (new_table, mapping) = delta
                 .apply(&entry.table)
                 .map_err(|e: DeltaError| ServerError::BadRequest(e.to_string()))?;
@@ -585,6 +592,7 @@ impl FusionService {
             debug_assert_eq!(version, upcoming);
             self.compact_if_needed(&catalog);
             let new_table = Arc::clone(&catalog.get(name).expect("just registered").table);
+            self.reaper.retire(Box::new(superseded));
             (
                 canonical.to_ascii_lowercase(),
                 old_version,
@@ -638,6 +646,9 @@ impl FusionService {
                 Ok(None) => {} // another source in the entry went stale
                 Err(_) => batch.cache_upgrade_failures += 1,
             }
+            // The upgraded entry replaced these artifacts in the cache; this
+            // is usually the last reference.
+            self.reaper.retire(Box::new(artifacts));
         }
         upgrade_span.count("cache_upgrades", batch.cache_upgrades);
         upgrade_span.count("cache_upgrade_failures", batch.cache_upgrade_failures);
@@ -666,9 +677,9 @@ impl FusionService {
         })
     }
 
-    /// Upgrade one cached entry to the delta'd table, carrying its
-    /// detection `index` (or building it from `artifacts` when the entry
-    /// had none) into the upgraded entry. Returns `Ok(Some(full_rescore))`
+    /// Upgrade one cached entry to the delta'd table, carrying its delta
+    /// `index` (or building it when the entry had none) into the upgraded
+    /// entry. Returns `Ok(Some(full_rescore))`
     /// on success, `Ok(None)` when the entry is unrecoverably stale
     /// (another referenced source changed meanwhile, or a concurrent delta
     /// already superseded `new_version`).
@@ -677,7 +688,7 @@ impl FusionService {
         &self,
         key: &PreparedKey,
         artifacts: &Arc<PreparedSources>,
-        mut index: Option<DetectionIndex>,
+        mut index: Option<DeltaIndex>,
         changed: &str,
         new_version: u64,
         new_table: &Arc<Table>,
@@ -1361,7 +1372,7 @@ pub fn metrics_to_prometheus(service: &FusionService) -> String {
         ),
         (
             "hummer_delta_index_builds_total",
-            "Detection indexes built from prepared artifacts by delta upgrades.",
+            "Delta indexes (match + detection) built by delta upgrades.",
             snap.deltas.index_builds as f64,
         ),
         (
@@ -1613,11 +1624,12 @@ mod tests {
         assert_eq!(snap.deltas.cache_upgrades, 1);
     }
 
-    /// The first upgrade of an entry builds its detection index; every
-    /// later one carries it — so no delta after the first recomputes the
-    /// union's measure or attribute scores.
+    /// The first upgrade of an entry builds its delta index (match and
+    /// detection); every later one carries it — so no delta after the
+    /// first tokenizes an unchanged row, rebuilds a corpus, or recomputes
+    /// the union's measure or attribute scores.
     #[test]
-    fn delta_upgrades_build_the_detection_index_once() {
+    fn delta_upgrades_build_the_carried_state_once() {
         let mut config = ServiceConfig::narrow_schema();
         config.pipeline.obs = hummer_obs::ObsConfig::enabled(256);
         let s = FusionService::new(config);
@@ -1642,21 +1654,31 @@ mod tests {
             assert_eq!(outcome.cache_upgrades, 1, "{outcome:?}");
             assert_eq!(outcome.index_builds, u64::from(age == 30), "{outcome:?}");
             let spans = s.tracer().drain();
-            let detect = spans
-                .iter()
-                .find(|span| span.name == "detect")
-                .expect("the upgrade records a detect span");
-            let counter = |name: &str| {
-                detect
-                    .counters
+            let counters = |stage: &str| {
+                let span = spans
                     .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, v)| *v)
+                    .find(|span| span.name == stage)
+                    .unwrap_or_else(|| panic!("the upgrade records a {stage} span"));
+                move |name: &str| {
+                    span.counters
+                        .iter()
+                        .find(|(n, _)| n == name)
+                        .map(|(_, v)| *v)
+                }
             };
-            reused.push(counter("index_reused"));
-            assert_eq!(counter("rows_rerendered"), Some(1));
+            let (matching, detect) = (counters("match"), counters("detect"));
+            reused.push((matching("index_reused"), detect("index_reused")));
+            assert_eq!(detect("rows_rerendered"), Some(1));
+            if age > 30 {
+                // One row changed: one row tokenized, no pair rebuilt.
+                assert_eq!(matching("rows_retokenized"), Some(1));
+                assert_eq!(matching("full_rematch"), Some(0));
+            }
         }
-        assert_eq!(reused, vec![Some(0), Some(1), Some(1)]);
+        assert_eq!(
+            reused,
+            vec![(Some(0), Some(0)), (Some(1), Some(1)), (Some(1), Some(1))]
+        );
         assert_eq!(s.metrics().snapshot().deltas.index_builds, 1);
         assert!(metrics_to_prometheus(&s).contains("\nhummer_delta_index_builds_total 1\n"));
         let m = Json::parse(&metrics_to_json(&s).to_string_compact()).unwrap();
@@ -1675,6 +1697,64 @@ mod tests {
         fresh.put_table("CS_Students", &cs).unwrap();
         let cold = fresh.query(PAPER_QUERY).unwrap();
         assert_eq!(served.output.table.rows(), cold.output.table.rows());
+    }
+
+    /// The artifacts and the table version a delta supersedes are freed by
+    /// the reaper thread, not on the delta's own thread, and dropping the
+    /// service waits for the reaper to finish.
+    #[test]
+    fn superseded_artifacts_die_on_the_reaper() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc;
+
+        /// Garbage whose drop blocks until released, then records it ran.
+        struct Gate(mpsc::Receiver<()>, Arc<AtomicBool>);
+        impl Drop for Gate {
+            fn drop(&mut self) {
+                let _ = self.0.recv();
+                self.1.store(true, Ordering::SeqCst);
+            }
+        }
+
+        let s = service();
+        s.query(PAPER_QUERY).unwrap();
+        let (artifacts, table) = {
+            let key: PreparedKey = vec![("ee_student".into(), 1), ("cs_students".into(), 2)];
+            let artifacts = s.cache.lock().unwrap().get(&key).expect("cached");
+            let catalog = s.catalog.read().unwrap();
+            let table = Arc::clone(&catalog.get("CS_Students").unwrap().table);
+            (Arc::downgrade(&artifacts), Arc::downgrade(&table))
+        };
+
+        // Hold the reaper up, then apply a delta: what it supersedes
+        // outlives the delta's thread.
+        let (release, held) = mpsc::channel();
+        let dropped = Arc::new(AtomicBool::new(false));
+        s.reaper.retire(Box::new(Gate(held, Arc::clone(&dropped))));
+        let delta = TableDelta::new("CS_Students").update(
+            0,
+            vec![
+                Value::text("John Smith"),
+                Value::Int(40),
+                Value::text("Berlin"),
+            ],
+        );
+        assert_eq!(
+            s.apply_delta("CS_Students", &delta).unwrap().cache_upgrades,
+            1
+        );
+        assert!(artifacts.upgrade().is_some(), "freed on the delta's thread");
+        assert!(table.upgrade().is_some(), "freed on the delta's thread");
+
+        // Released, the reaper frees both; dropping the service joins it.
+        release.send(()).unwrap();
+        drop(s);
+        assert!(
+            dropped.load(Ordering::SeqCst),
+            "the drop waited for the reaper"
+        );
+        assert!(artifacts.upgrade().is_none());
+        assert!(table.upgrade().is_none());
     }
 
     #[test]

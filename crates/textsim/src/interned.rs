@@ -5,14 +5,31 @@
 //! every tuple as one document, then every cell as one) tokenizes it once
 //! through an [`Interner`]. [`Interner::finish`] numbers the tokens **in
 //! string order**, so sorting ids is sorting tokens: an [`IdVectors`] entry
-//! lists its weights in the order a [`TfIdfVector`] does, its norm adds the
+//! lists its weights in the order a [`crate::tfidf::TfIdfVector`] does, its norm adds the
 //! same squares in the same order, and [`IdVector::dot`] adds the same
-//! products in the same order as [`TfIdfVector::cosine`]. Every float that
+//! products in the same order as [`crate::tfidf::TfIdfVector::cosine`]. Every float that
 //! comes out of this module is bit-identical to the string path's.
 
-use crate::tfidf::{l2_normalize, merge_dot, smoothed_idf, TfIdfVector};
+use crate::tfidf::{l2_normalize, merge_dot, smoothed_idf};
 use crate::tokenize::for_each_word;
 use std::collections::HashMap;
+
+/// The entry of a renumbering (`remap[old] = new`) for a token that has no
+/// new id: no document holds it any more.
+pub const DROPPED: u32 = u32::MAX;
+
+/// A per-token table renumbered: entry `remap[old]` of the result is
+/// `table[old]`, tokens without an old id get `T::default()`, dropped
+/// tokens vanish. `remap` is monotone, so a table sorted by id stays sorted.
+pub fn remap_table<T: Copy + Default>(table: &[T], remap: &[u32], len: usize) -> Vec<T> {
+    let mut out = vec![T::default(); len];
+    for (&new, &value) in remap.iter().zip(table) {
+        if new != DROPPED {
+            out[new as usize] = value;
+        }
+    }
+    out
+}
 
 /// Tokenizes text into token ids, numbering tokens as it first sees them.
 ///
@@ -51,6 +68,16 @@ impl Interner {
     /// interner handed out that the caller still holds — to the final
     /// numbering.
     pub fn finish(self, ids: &mut [u32]) -> Vocabulary {
+        let (vocabulary, rank) = self.finish_ranks();
+        for id in ids {
+            *id = rank[*id as usize];
+        }
+        vocabulary
+    }
+
+    /// Number the tokens in string order; `rank[provisional]` is the final
+    /// id of each id this interner handed out.
+    pub fn finish_ranks(self) -> (Vocabulary, Vec<u32>) {
         let mut by_token: Vec<(String, u32)> = self.ids.into_iter().collect();
         by_token.sort_unstable();
         let mut rank = vec![0u32; by_token.len()];
@@ -62,10 +89,7 @@ impl Interner {
                 token
             })
             .collect();
-        for id in ids {
-            *id = rank[*id as usize];
-        }
-        Vocabulary { tokens }
+        (Vocabulary { tokens }, rank)
     }
 }
 
@@ -77,6 +101,25 @@ pub struct Vocabulary {
 }
 
 impl Vocabulary {
+    /// A vocabulary of tokens already sorted and distinct.
+    pub fn from_sorted(tokens: Vec<String>) -> Self {
+        debug_assert!(tokens.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
+        Vocabulary { tokens }
+    }
+
+    /// The tokens, in id order.
+    pub fn into_tokens(self) -> Vec<String> {
+        self.tokens
+    }
+
+    /// The id of `token`, if it is in the vocabulary.
+    pub fn id(&self, token: &str) -> Option<u32> {
+        self.tokens
+            .binary_search_by(|t| t.as_str().cmp(token))
+            .ok()
+            .map(|i| i as u32)
+    }
+
     /// Number of distinct tokens (ids are `0..len`).
     pub fn len(&self) -> usize {
         self.tokens.len()
@@ -90,11 +133,6 @@ impl Vocabulary {
     /// The token with this id.
     pub fn token(&self, id: u32) -> &str {
         &self.tokens[id as usize]
-    }
-
-    /// The tokens of a document given as ids.
-    pub fn tokens_of(&self, ids: &[u32]) -> Vec<String> {
-        ids.iter().map(|&id| self.token(id).to_string()).collect()
     }
 }
 
@@ -128,6 +166,25 @@ impl InternedCorpus {
         for &id in &self.scratch {
             self.df[id as usize] += 1;
         }
+    }
+
+    /// Un-count one document [`InternedCorpus::add_document`] counted.
+    pub fn remove_document(&mut self, ids: &[u32]) {
+        self.doc_count -= 1;
+        self.scratch.clear();
+        self.scratch.extend_from_slice(ids);
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
+        for &id in &self.scratch {
+            self.df[id as usize] -= 1;
+        }
+    }
+
+    /// Renumber the token ids: `remap[old]` is the new id of token `old`,
+    /// or [`DROPPED`] for a token no document holds; `len` is the new
+    /// vocabulary size.
+    pub fn remap(&mut self, remap: &[u32], len: usize) {
+        self.df = remap_table(&self.df, remap, len);
     }
 
     /// Number of documents added.
@@ -172,23 +229,44 @@ impl IdVectors {
     /// repeats counted): `v(w) = ln(1 + tf(w)) · idf[w]`, L2-normalized, as
     /// [`crate::tfidf::Corpus::weight_vector`] computes it.
     pub fn push(&mut self, ids: &[u32], idf: &[f64]) {
-        let start = self.ids.len();
-        self.ids.extend_from_slice(ids);
-        self.ids[start..].sort_unstable();
-        // Compact each run of equal ids to one entry, in place.
-        let (mut read, mut write) = (start, start);
-        while read < self.ids.len() {
-            let id = self.ids[read];
-            let run = self.ids[read..].iter().take_while(|&&x| x == id).count();
-            read += run;
-            self.ids[write] = id;
-            write += 1;
-            self.weights
-                .push((1.0 + run as f64).ln() * idf[id as usize]);
+        weigh_into(ids, idf, &mut self.ids, &mut self.weights);
+        self.ends.push(self.ids.len());
+    }
+
+    /// Weigh the vectors of `rows` (ascending) again: vector `d` becomes the
+    /// one [`IdVectors::push`] makes of `doc(d)` under `idf`; every other
+    /// vector keeps its bits. One pass over the stored entries.
+    pub fn reweigh<'a>(&mut self, rows: &[usize], doc: impl Fn(usize) -> &'a [u32], idf: &[f64]) {
+        if rows.is_empty() {
+            return;
         }
-        self.ids.truncate(write);
-        l2_normalize(&mut self.weights[start..]);
-        self.ends.push(write);
+        let mut out = IdVectors {
+            ends: Vec::with_capacity(self.ends.len()),
+            ids: Vec::with_capacity(self.ids.len()),
+            weights: Vec::with_capacity(self.weights.len()),
+        };
+        let mut next = rows.iter().peekable();
+        for d in 0..self.len() {
+            if next.next_if_eq(&&d).is_some() {
+                out.push(doc(d), idf);
+            } else {
+                let v = self.get(d);
+                out.ids.extend_from_slice(v.ids);
+                out.weights.extend_from_slice(v.weights);
+                out.ends.push(out.ids.len());
+            }
+        }
+        *self = out;
+    }
+
+    /// Renumber the token ids (see [`InternedCorpus::remap`]); weights and
+    /// order are untouched, as a renumbering that keeps string order must.
+    /// A vector holding a dropped token holds [`DROPPED`] until it is
+    /// weighed again.
+    pub fn remap(&mut self, remap: &[u32]) {
+        for id in &mut self.ids {
+            *id = remap[*id as usize];
+        }
     }
 
     /// Number of vectors.
@@ -212,6 +290,25 @@ impl IdVectors {
     }
 }
 
+/// Append the unit vector of document `ids` to `out_ids` / `out_weights`.
+fn weigh_into(ids: &[u32], idf: &[f64], out_ids: &mut Vec<u32>, out_weights: &mut Vec<f64>) {
+    let start = out_ids.len();
+    out_ids.extend_from_slice(ids);
+    out_ids[start..].sort_unstable();
+    // Compact each run of equal ids to one entry, in place.
+    let (mut read, mut write) = (start, start);
+    while read < out_ids.len() {
+        let id = out_ids[read];
+        let run = out_ids[read..].iter().take_while(|&&x| x == id).count();
+        read += run;
+        out_ids[write] = id;
+        write += 1;
+        out_weights.push((1.0 + run as f64).ln() * idf[id as usize]);
+    }
+    out_ids.truncate(write);
+    l2_normalize(&mut out_weights[start..]);
+}
+
 /// One unit TF-IDF vector of an [`IdVectors`]: distinct token ids, sorted,
 /// and the weight of each.
 #[derive(Debug, Clone, Copy)]
@@ -224,21 +321,24 @@ pub struct IdVector<'a> {
 
 impl IdVector<'_> {
     /// Dot product with `other`, the matched products added in id order —
-    /// [`TfIdfVector::cosine`] before its clamp.
+    /// [`crate::tfidf::TfIdfVector::cosine`] before its clamp.
     pub fn dot(&self, other: &IdVector<'_>) -> f64 {
         merge_dot(self.ids, self.weights, other.ids, other.weights)
     }
 
-    /// The same vector over the tokens themselves.
-    pub fn to_tfidf(&self, vocabulary: &Vocabulary) -> TfIdfVector {
-        TfIdfVector::from_sorted(vocabulary.tokens_of(self.ids), self.weights.to_vec())
+    /// The weight of token `id` (0 when absent) — [`crate::tfidf::TfIdfVector::weight`].
+    pub fn weight(&self, id: u32) -> f64 {
+        self.ids
+            .binary_search(&id)
+            .map(|i| self.weights[i])
+            .unwrap_or(0.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tfidf::Corpus;
+    use crate::tfidf::{Corpus, TfIdfVector};
     use crate::tokenize::word_tokens;
 
     const DOCS: [&str; 5] = [
@@ -278,7 +378,8 @@ mod tests {
             assert!(vocabulary.token(id - 1) < vocabulary.token(id));
         }
         for (doc, ids) in DOCS.iter().zip(&docs) {
-            assert_eq!(vocabulary.tokens_of(ids), word_tokens(doc));
+            let tokens: Vec<&str> = ids.iter().map(|&id| vocabulary.token(id)).collect();
+            assert_eq!(tokens, word_tokens(doc));
         }
     }
 
@@ -306,12 +407,12 @@ mod tests {
         assert_eq!(vectors.len(), DOCS.len());
         let expected: Vec<TfIdfVector> =
             strings.iter().map(|d| reference.weight_vector(d)).collect();
+        let bits = |weights: &[f64]| weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
         for (a, want_a) in expected.iter().enumerate() {
-            let got_a = vectors.get(a).to_tfidf(&vocabulary);
-            assert_eq!(got_a.tokens(), want_a.tokens());
-            let bits =
-                |v: &TfIdfVector| v.weights().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got_a), bits(want_a));
+            let got_a = vectors.get(a);
+            let tokens: Vec<&str> = got_a.ids.iter().map(|&id| vocabulary.token(id)).collect();
+            assert_eq!(tokens, want_a.tokens());
+            assert_eq!(bits(got_a.weights), bits(want_a.weights()));
             for (b, want_b) in expected.iter().enumerate() {
                 let dot = vectors.get(a).dot(&vectors.get(b));
                 assert_eq!(

@@ -18,8 +18,9 @@
 //! [`SoftTfIdf::similarity`] entry point averages both directions so callers
 //! get a symmetric measure.
 
+use crate::interned::{IdVector, Vocabulary};
 use crate::jaro::jaro_winkler;
-use crate::tfidf::{Corpus, TfIdfVector};
+use crate::tfidf::Corpus;
 
 /// SoftTFIDF scorer bound to a corpus.
 #[derive(Debug, Clone)]
@@ -50,47 +51,74 @@ impl<'c> SoftTfIdf<'c> {
     pub fn directed(&self, s: &[String], t: &[String]) -> f64 {
         let vs = self.corpus.weight_vector(s);
         let vt = self.corpus.weight_vector(t);
-        directed(self.theta, &vs, &vt, s, t)
+        directed(
+            self.theta,
+            s,
+            t,
+            String::as_str,
+            |w| vs.weight(w),
+            |v| vt.weight(v),
+        )
     }
 
     /// Symmetric SoftTFIDF similarity: the mean of both directed scores.
     pub fn similarity(&self, s: &[String], t: &[String]) -> f64 {
         let vs = self.corpus.weight_vector(s);
         let vt = self.corpus.weight_vector(t);
-        similarity_of_weighted(self.theta, s, &vs, t, &vt)
+        let (ws, wt) = (|w: &String| vs.weight(w), |v: &String| vt.weight(v));
+        (directed(self.theta, s, t, String::as_str, ws, wt)
+            + directed(self.theta, t, s, String::as_str, wt, ws))
+            / 2.0
     }
 }
 
-/// [`SoftTfIdf::similarity`] for token lists whose unit TF-IDF vectors the
-/// caller already holds (`vs` for `s`, `vt` for `t`) — the entry point for
-/// weights that come from an [`crate::interned::InternedCorpus`].
-pub fn similarity_of_weighted(
+/// [`SoftTfIdf::similarity`] over interned tokens: `s` and `t` are the
+/// token ids of the two texts in text order, `vs` and `vt` their unit
+/// vectors, `vocabulary` spells the ids. Equal ids are equal tokens, so
+/// every comparison, Jaro-Winkler call and product is the string path's,
+/// in its order — the result has the same bits, without a `String` made.
+pub fn similarity_of_interned(
     theta: f64,
-    s: &[String],
-    vs: &TfIdfVector,
-    t: &[String],
-    vt: &TfIdfVector,
+    vocabulary: &Vocabulary,
+    s: &[u32],
+    vs: IdVector<'_>,
+    t: &[u32],
+    vt: IdVector<'_>,
 ) -> f64 {
-    (directed(theta, vs, vt, s, t) + directed(theta, vt, vs, t, s)) / 2.0
+    let spell = |id: &u32| vocabulary.token(*id);
+    let (ws, wt) = (|w: &u32| vs.weight(*w), |v: &u32| vt.weight(*v));
+    (directed(theta, s, t, spell, ws, wt) + directed(theta, t, s, spell, wt, ws)) / 2.0
 }
 
-fn directed(theta: f64, vs: &TfIdfVector, vt: &TfIdfVector, s: &[String], t: &[String]) -> f64 {
+/// The directed score `S → T` over tokens of any kind: tokens compare with
+/// `==`, `spell` gives a token's text for Jaro-Winkler, and `ws` / `wt`
+/// its unit TF-IDF weight in `S` / `T`.
+fn directed<'a, K: PartialEq>(
+    theta: f64,
+    s: &'a [K],
+    t: &'a [K],
+    spell: impl Fn(&'a K) -> &'a str,
+    ws: impl Fn(&K) -> f64,
+    wt: impl Fn(&K) -> f64,
+) -> f64 {
     if s.is_empty() || t.is_empty() {
         return 0.0;
     }
-    // Distinct tokens of S (weights already aggregate repeats).
-    let mut seen: Vec<&String> = Vec::new();
     let mut score = 0.0;
-    for w in s {
-        if seen.contains(&w) {
+    for (i, w) in s.iter().enumerate() {
+        // Distinct tokens of S (weights already aggregate repeats).
+        if s[..i].contains(w) {
             continue;
         }
-        seen.push(w);
         // Best secondary match in T.
         let mut best_sim = 0.0;
-        let mut best_tok: Option<&String> = None;
+        let mut best_tok: Option<&K> = None;
         for v in t {
-            let sim = if w == v { 1.0 } else { jaro_winkler(w, v) };
+            let sim = if w == v {
+                1.0
+            } else {
+                jaro_winkler(spell(w), spell(v))
+            };
             if sim > best_sim {
                 best_sim = sim;
                 best_tok = Some(v);
@@ -98,7 +126,7 @@ fn directed(theta: f64, vs: &TfIdfVector, vt: &TfIdfVector, s: &[String], t: &[S
         }
         if best_sim >= theta {
             if let Some(v) = best_tok {
-                score += vs.weight(w) * vt.weight(v) * best_sim;
+                score += ws(w) * wt(v) * best_sim;
             }
         }
     }

@@ -199,12 +199,6 @@ pub struct TfIdfVector {
 }
 
 impl TfIdfVector {
-    /// A vector from parallel arrays already sorted by token.
-    pub(crate) fn from_sorted(tokens: Vec<String>, weights: Vec<f64>) -> Self {
-        debug_assert_eq!(tokens.len(), weights.len());
-        TfIdfVector { tokens, weights }
-    }
-
     /// The weight of a token (0 when absent).
     pub fn weight(&self, token: &str) -> f64 {
         self.tokens

@@ -118,9 +118,9 @@ grep -q '"POST /query"' /tmp/trace.json \
 grep -q '"serialize"' /tmp/trace.json \
     || { echo "trace tree missing serialize span:"; cat /tmp/trace.json; exit 1; }
 
-# Repeated one-row updates carry each cached entry's detection index: three
-# updates to one table build at most one index per cache entry (here none —
-# the insert above already built it).
+# Repeated one-row updates carry each cached entry's delta index (match and
+# detection): three updates to one table build at most one index per cache
+# entry (here none — the insert above already built it).
 index_builds() {
     curl -sf "http://${ADDR}/metrics" | awk '$1 == "hummer_delta_index_builds_total" {print $2}'
 }
@@ -132,12 +132,19 @@ for age in 26 27 28; do
     curl -sf -X POST "http://${ADDR}/tables/CS_Students/delta" \
         -H 'content-type: application/json' \
         -d "{\"update\": [{\"row\": 0, \"values\": [\"John Smith\", ${age}, \"Berlin\"]}]}" \
-        -o /tmp/update.json || { echo "POST update delta failed"; exit 1; }
+        -D /tmp/update_headers.txt -o /tmp/update.json || { echo "POST update delta failed"; exit 1; }
     grep -q '"upgraded":1' /tmp/update.json || { echo "update did not upgrade:"; cat /tmp/update.json; exit 1; }
 done
 builds_after=$(index_builds)
 [ $((builds_after - builds_before)) -le "$entries" ] \
     || { echo "3 updates built $((builds_after - builds_before)) indexes for $entries cache entries"; exit 1; }
+# The last update's trace: its match span re-matched from the carried index.
+delta_trace=$(tr -d '\r' < /tmp/update_headers.txt | awk 'tolower($1) == "x-hummer-trace:" {print $2}')
+[ -n "$delta_trace" ] || { echo "delta response missing X-Hummer-Trace header"; exit 1; }
+curl -sf "http://${ADDR}/trace/${delta_trace}" -o /tmp/delta_trace.json \
+    || { echo "GET /trace/${delta_trace} failed"; exit 1; }
+grep -q '"name":"match","start_us":[0-9]*,"duration_us":[0-9]*,"counters":{[^}]*"index_reused":1' /tmp/delta_trace.json \
+    || { echo "the update's match span did not reuse its index:"; cat /tmp/delta_trace.json; exit 1; }
 
 # Graceful shutdown: the endpoint answers, then the process exits 0.
 curl -sf -X POST "http://${ADDR}/shutdown" >/dev/null

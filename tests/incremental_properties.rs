@@ -2,14 +2,15 @@
 //! deltas (inserts / updates / deletes across scenario worlds) applied
 //! incrementally equals a from-scratch rebuild, bit-for-bit, at every
 //! parallelism degree 1–4 — prepared artifacts *and* the incrementally
-//! maintained fused view. Chains through a carried detection index
-//! additionally leave the index equal to one built from scratch, under
-//! every blocking strategy, on worlds large enough that most deltas are
-//! scored incrementally.
+//! maintained fused view, schema matching included (correspondences,
+//! sniffed duplicates and the averaged matrix, to the bit). Chains through
+//! a carried delta index additionally leave the detection index equal to
+//! one built from scratch, under every blocking strategy, on worlds large
+//! enough that most deltas are scored incrementally.
 
 use hummer::core::{
-    fuse_prepared, prepare_tables, DetectionIndex, HummerConfig, MatcherConfig, Parallelism,
-    PreparedSources, SniffConfig, Span,
+    fuse_prepared, prepare_tables, DeltaIndex, DetectionIndex, HummerConfig, MatcherConfig,
+    Parallelism, PreparedSources, SniffConfig, Span,
 };
 use hummer::datagen::scenarios::{
     cd_shopping, cleansing_service, disaster_registry, student_rosters,
@@ -19,6 +20,7 @@ use hummer::delta::{concat_mappings, FusedView, RowMapping, TableDelta};
 use hummer::dupdetect::{candidate_pairs, resolve_candidate_strategy, CandidateSpec};
 use hummer::engine::{Table, Value};
 use hummer::fusion::FunctionRegistry;
+use hummer::matching::MatchResult;
 use proptest::prelude::*;
 
 fn config(par: Parallelism) -> HummerConfig {
@@ -94,12 +96,55 @@ fn build_delta(table: &Table, plan: &[OpPlan]) -> TableDelta {
     delta
 }
 
+/// A match result as bits: table names, correspondences (names and score
+/// bits), the duplicates used (rows and similarity bits) and the averaged
+/// matrix — everything but `sniff`, which reports work.
+type MatchBits = (
+    String,
+    String,
+    Vec<(String, String, u64)>,
+    Vec<(usize, usize, u64)>,
+    Vec<u64>,
+);
+
+fn match_bits(m: &MatchResult) -> MatchBits {
+    (
+        m.left_table.clone(),
+        m.right_table.clone(),
+        m.correspondences
+            .iter()
+            .map(|c| {
+                (
+                    c.left_column.clone(),
+                    c.right_column.clone(),
+                    c.score.to_bits(),
+                )
+            })
+            .collect(),
+        m.duplicates_used
+            .iter()
+            .map(|d| (d.left, d.right, d.similarity.to_bits()))
+            .collect(),
+        m.matrix
+            .to_nested()
+            .iter()
+            .flatten()
+            .map(|v| v.to_bits())
+            .collect(),
+    )
+}
+
 /// Everything the byte-identity contract covers (stats excluded).
 fn assert_prepared_identical(
     a: &PreparedSources,
     b: &PreparedSources,
     context: &str,
 ) -> Result<(), TestCaseError> {
+    let (ma, mb): (Vec<MatchBits>, Vec<MatchBits>) = (
+        a.match_results.iter().map(match_bits).collect(),
+        b.match_results.iter().map(match_bits).collect(),
+    );
+    prop_assert!(ma == mb, "match results: {context}");
     prop_assert!(
         a.integrated.rows() == b.integrated.rows(),
         "integrated: {context}"
@@ -230,9 +275,10 @@ fn assert_index_identical(
     Ok(())
 }
 
-/// One chain of deltas through carried indexes, one chain per degree 1–4:
-/// after every step the upgraded artifacts equal `prepare_tables` from
-/// scratch and every carried index equals a fresh one. Returns how many
+/// One chain of deltas through carried delta indexes, one chain per
+/// degree 1–4: after every step the upgraded artifacts (match results
+/// included) equal `prepare_tables` from scratch and every carried
+/// detection index equals a fresh one. Returns how many
 /// steps were scored as a full rescore.
 fn carried_chain(
     tables: Vec<Table>,
@@ -246,7 +292,7 @@ fn carried_chain(
     };
     let refs: Vec<&Table> = tables.iter().collect();
     let first = prepare_tables(&refs, config).unwrap();
-    let mut chains: Vec<(PreparedSources, Option<DetectionIndex>)> =
+    let mut chains: Vec<(PreparedSources, Option<DeltaIndex>)> =
         (1..=4).map(|_| (first.clone(), None)).collect();
     let mut tables = tables;
     let mut full_rescores = 0;
@@ -262,7 +308,7 @@ fn carried_chain(
                 .unwrap();
             assert_prepared_identical(&upgraded, &scratch, &context)?;
             let carried = index.as_ref().expect("a successful delta leaves the index");
-            assert_index_identical(carried, &scratch.integrated, config, &context)?;
+            assert_index_identical(carried.detection(), &scratch.integrated, config, &context)?;
             if degree == 1 {
                 full_rescores += usize::from(report.detection.full_rescore);
             }

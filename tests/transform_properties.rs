@@ -8,6 +8,8 @@
 //! strings vs. nulls, dates, mixed-type and all-null columns, a rename
 //! onto an unmatched column (which moves it aside), column names that
 //! differ only in case, zero-row sources, one source and zero sources.
+//! Renames are one simultaneous substitution: chains, swaps and cycles
+//! rename as written, on every call.
 //! Floats are compared by `to_bits` (a Debug fingerprint is not enough:
 //! every NaN prints as `NaN` regardless of payload).
 
@@ -115,12 +117,10 @@ fn source(i: usize, codes: &[u8], rows: usize, cells: &mut impl Iterator<Item = 
     Table::from_rows(format!("S{i}"), &columns, rows).unwrap()
 }
 
-/// A match result renaming `right` columns onto `preferred` names, one link
-/// per code, kept 1:1. A link is dropped when its target is (up to case)
-/// a column some other link renames: `apply_renames` walks a `HashMap`,
-/// so rename chains depend on its iteration order, and neither side of
-/// this comparison would be deterministic.
-fn links(preferred: &Table, right: &Table, codes: &[u8]) -> MatchResult {
+/// Links `from → to` renaming `right` columns onto `preferred` names, one
+/// per code, kept 1:1. Links may chain (`A → B`, `B → C`), swap or cycle:
+/// the renames are one simultaneous substitution.
+fn links<'a>(preferred: &'a Table, right: &'a Table, codes: &[u8]) -> Vec<(&'a str, &'a str)> {
     let (left_names, right_names) = (preferred.schema().names(), right.schema().names());
     let mut kept: Vec<(&str, &str)> = Vec::new();
     for &code in codes {
@@ -131,34 +131,58 @@ fn links(preferred: &Table, right: &Table, codes: &[u8]) -> MatchResult {
         }
         kept.push((from, to));
     }
-    let renamed = |name: &str, own: &str| {
-        kept.iter()
-            .any(|(f, _)| *f != own && f.eq_ignore_ascii_case(name))
-    };
-    let correspondences = kept
-        .iter()
-        .filter(|(from, to)| !renamed(to, from))
-        .map(|(from, to)| Correspondence {
-            left_column: to.to_string(),
-            right_column: from.to_string(),
-            score: 0.9,
-        })
-        .collect();
+    kept
+}
+
+/// A match result holding the links `from → to`, in the order given.
+fn match_result(preferred: &str, right: &str, links: &[(&str, &str)]) -> MatchResult {
     MatchResult {
-        left_table: preferred.name().to_string(),
-        right_table: right.name().to_string(),
-        correspondences,
+        left_table: preferred.to_string(),
+        right_table: right.to_string(),
+        correspondences: links
+            .iter()
+            .map(|(from, to)| Correspondence {
+                left_column: to.to_string(),
+                right_column: from.to_string(),
+                score: 0.9,
+            })
+            .collect(),
         duplicates_used: Vec::new(),
         sniff: Default::default(),
         matrix: SimilarityMatrix::zeros(0, 0),
     }
 }
 
+/// The renames as a simultaneous substitution, written out (names compare
+/// up to case): a linked column takes its target, or keeps its own name
+/// when that is already the target; an unlinked column named like a target
+/// moves aside to `<table>_<target>`; every other column keeps its name.
+fn substituted(table: &Table, links: &[(&str, &str)]) -> Vec<String> {
+    let like = |a: &str, b: &str| a.eq_ignore_ascii_case(b);
+    table
+        .schema()
+        .names()
+        .iter()
+        .map(
+            |name| match links.iter().find(|(from, _)| like(from, name)) {
+                Some((_, to)) if like(to, name) => name.to_string(),
+                Some((_, to)) => to.to_string(),
+                None => match links.iter().find(|(_, to)| like(to, name)) {
+                    Some((_, to)) => format!("{}_{to}", table.name()),
+                    None => name.to_string(),
+                },
+            },
+        )
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// `integrate` ≡ rename → tag → outer union on zero to three random
-    /// adversarial sources with random correspondences.
+    /// adversarial sources with random correspondences (chains, swaps and
+    /// cycles included), and every source renames as the written-out
+    /// substitution says.
     #[test]
     fn integrate_matches_the_composed_oracle(
         sources in 0usize..4,
@@ -171,12 +195,14 @@ proptest! {
         let tables: Vec<Table> = (0..sources)
             .map(|i| source(i, &columns[i], rows[i], &mut cells))
             .collect();
-        let matches: Vec<MatchResult> = tables
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(i, t)| links(&tables[0], t, &links_of[i]))
-            .collect();
+        let mut matches = Vec::new();
+        for (i, t) in tables.iter().enumerate().skip(1) {
+            let kept = links(&tables[0], t, &links_of[i]);
+            let m = match_result(tables[0].name(), t.name(), &kept);
+            let renamed = apply_renames(t, &m).expect("1:1 renames are total");
+            prop_assert_eq!(renamed.schema().names(), substituted(t, &kept));
+            matches.push(m);
+        }
         let refs: Vec<&Table> = tables.iter().collect();
         assert_integrate_matches(&refs, &matches)?;
     }
@@ -205,8 +231,49 @@ proptest! {
         )
         .unwrap();
         // Blank → AllNull: B's own unmatched AllNull must move aside.
-        let mut m = links(&preferred, &other, &[]);
-        m.add("AllNull", "Blank", 0.9);
+        let m = match_result("A", "B", &[("Blank", "AllNull")]);
         assert_integrate_matches(&[&preferred, &other], &[m])?;
+    }
+}
+
+/// Chains, swaps and 3-cycles, each with an unlinked column squatting on a
+/// target, rename as the written-out substitution says — on every call and
+/// in every order of the correspondences (they used to walk a `HashMap`,
+/// and a chain failed or succeeded at random).
+#[test]
+fn rename_chains_swaps_and_cycles_are_simultaneous() {
+    let preferred = Table::from_rows(
+        "L",
+        &["A", "B", "C", "D"],
+        vec![Row::from_values(vec![Value::Int(1); 4])],
+    )
+    .unwrap();
+    let right = Table::from_rows(
+        "R",
+        &["A", "B", "C", "D", "E"],
+        vec![Row::from_values((0..5).map(Value::Int).collect())],
+    )
+    .unwrap();
+    // `D` is unlinked and `E → D` targets it: it moves aside every time.
+    let cases: [&[(&str, &str)]; 3] = [
+        &[("A", "B"), ("B", "C"), ("E", "D")],
+        &[("A", "B"), ("B", "A"), ("E", "D")],
+        &[("A", "B"), ("B", "C"), ("C", "A"), ("E", "D")],
+    ];
+    for links in cases {
+        let expected = substituted(&right, links);
+        let mut order = links.to_vec();
+        for call in 0..200 {
+            order.rotate_left(1);
+            if call % 7 == 0 {
+                order.reverse();
+            }
+            let m = match_result("L", "R", &order);
+            let renamed = apply_renames(&right, &m).unwrap();
+            assert_eq!(renamed.schema().names(), expected, "{links:?}, call {call}");
+            // Cells stay where they were.
+            assert_eq!(renamed.rows(), right.rows());
+            assert_integrate_matches(&[&preferred, &right], &[m]).unwrap();
+        }
     }
 }
