@@ -1,14 +1,15 @@
 //! # hummer-bench — experiment harness
 //!
-//! One binary per experiment of EXPERIMENTS.md (`exp1_syntax` …
-//! `exp8_outerunion`) plus Criterion micro-benchmarks in `benches/`.
-//! Each binary regenerates one table/figure of the reproduction: run
-//! `cargo run -p hummer-bench --release --bin exp3_dumas` etc.
+//! One binary per experiment of the paper's reproduction, `exp1_syntax` …
+//! `exp8_outerunion`, plus Criterion micro-benchmarks in `benches/`. Each
+//! binary regenerates one table/figure: run
+//! `cargo run -p hummer_bench --release --bin exp3_dumas` etc. Timing and
+//! the serving path are measured by hbench (`hbench/README.md`); the
+//! identity contracts live in the workspace's tier-1 tests (`tests/`).
 
 #![forbid(unsafe_code)]
 
-/// Render a row-major table with a header as aligned plain text (the
-/// format EXPERIMENTS.md records).
+/// Render a row-major table with a header as aligned plain text.
 pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {

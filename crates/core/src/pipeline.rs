@@ -505,8 +505,10 @@ pub struct HummerConfig {
     pub layout: (),
     /// Observability: where pipeline stage spans are recorded. Disabled by
     /// default (spans become branch-only no-ops); instrumentation never
-    /// changes the fused output — `exp14_observability` enforces both the
-    /// ≤3% overhead contract and bit-identity.
+    /// changes the fused output —
+    /// `tests/parallel_equivalence.rs::tracing_does_not_perturb_the_answer`
+    /// holds bit-identity, and hbench's `obs.trace_overhead_share` reports
+    /// the cost.
     pub obs: ObsConfig,
 }
 

@@ -294,8 +294,9 @@ pub fn sort_pairs_canonical(pairs: &mut [DuplicatePair]) {
 /// chunk order — exactly the order the sequential loop produces. The
 /// transitive closure (union-find) then runs single-threaded over the
 /// merged pairs. Output is therefore **bit-identical** to
-/// [`detect_duplicates`] for every degree; `tests/parallel_equivalence.rs`
-/// and `exp10_parallel` enforce this.
+/// [`detect_duplicates`] for every degree;
+/// `tests/parallel_equivalence.rs::parallel_pipeline_matches_sequential`
+/// enforces this.
 pub fn detect_duplicates_par(
     table: &Table,
     cfg: &DetectorConfig,

@@ -21,9 +21,10 @@
 //!
 //! The pipeline instruments *stage boundaries*, not inner loops: a traced
 //! query records on the order of ten spans, and counters are harvested
-//! from statistics the stages already maintain. `exp14_observability`
-//! enforces that the fully-instrumented pipeline stays within 3% of the
-//! uninstrumented wall time with bit-identical fused output.
+//! from statistics the stages already maintain. Tracing never changes an
+//! answer (`tests/parallel_equivalence.rs::tracing_does_not_perturb_the_answer`
+//! holds the fused output bit-identical); what it costs is hbench's
+//! `obs.trace_overhead_share`.
 //!
 //! ```
 //! use hummer_obs::{Histogram, Tracer};

@@ -14,9 +14,9 @@
 //! returns exactly `xs.iter().map(f).collect()` for any degree, and
 //! [`par_chunks`] returns per-chunk results in chunk order. As long as the
 //! worker closure is a pure function of its item, output is bit-identical
-//! to the sequential path — which is how the repo's property tests and
-//! `exp10_parallel` can assert byte-equality between a 1-thread and an
-//! 8-thread run.
+//! to the sequential path — which is how the repo's property tests
+//! (`tests/parallel_equivalence.rs`) can assert byte-equality between a
+//! 1-thread and an 8-thread run.
 //!
 //! ## Composing with a server worker pool
 //!

@@ -3,8 +3,7 @@
 //! ```text
 //! hummer-serve [--addr HOST:PORT] [--threads N] [--par N] [--cache N]
 //!              [--narrow-schemas] [--preload NAME=FILE.csv ...]
-//!              [--blocking] [--max-connections N] [--read-timeout-ms N]
-//!              [--idle-timeout-ms N]
+//!              [--max-connections N] [--read-timeout-ms N] [--idle-timeout-ms N]
 //!              [--coordinator workers=HOST:PORT,HOST:PORT] [--shards K]
 //!              [--worker-timeout-ms N] [--no-fallback]
 //!              [--data-dir DIR] [--compact-after-bytes N] [--no-fsync]
@@ -35,8 +34,7 @@
 //! requests and exits 0.
 
 use hummer_server::{
-    CoordinatorOptions, EventLog, HummerServer, ObsConfig, Parallelism, ServerConfig,
-    ServiceConfig, ServingMode,
+    CoordinatorOptions, EventLog, HummerServer, ObsConfig, Parallelism, ServerConfig, ServiceConfig,
 };
 use std::process::ExitCode;
 use std::time::Duration;
@@ -46,23 +44,20 @@ usage: hummer-serve [OPTIONS]
 
 Serving:
   --addr HOST:PORT        bind address (default 127.0.0.1:7878; port 0 = ephemeral)
-  --threads N             worker threads (default 4). Event mode: each worker
-                          multiplexes many connections; blocking mode: one
-                          connection per worker
+  --threads N             event-loop worker threads (default 4); each worker
+                          multiplexes many connections
   --par N                 intra-query thread budget per request
                           (default: max(1, cores / --threads))
   --cache N               prepared-pipeline cache capacity, in source sets (default 64)
   --narrow-schemas        pipeline tuning for narrow (2-3 column) sources
   --preload NAME=FILE.csv register a CSV file before serving (repeatable)
-  --blocking              serve with the legacy thread-per-connection blocking
-                          path instead of the nonblocking event loop
   --max-connections N     admission cap on open connections; arrivals beyond it
-                          get 503 + Retry-After (event mode; default 1024)
+                          get 503 + Retry-After (default 1024)
   --read-timeout-ms N     a started request must arrive in full within N ms or
                           the connection is answered 408 and closed
-                          (event mode; default 30000)
+                          (default 30000)
   --idle-timeout-ms N     idle keep-alive connections are reclaimed after N ms
-                          (event mode; default 60000)
+                          (default 60000)
 
 Coordinator mode (see README \"Distributed fusion\"):
   --coordinator workers=HOST:PORT,HOST:PORT
@@ -208,7 +203,6 @@ fn main() -> ExitCode {
                     .get_or_insert_with(CoordinatorOptions::default)
                     .fallback_local = false;
             }
-            "--blocking" => config.mode = ServingMode::Blocking,
             "--max-connections" => {
                 config.max_connections = args
                     .next()
@@ -259,9 +253,10 @@ fn main() -> ExitCode {
         Some(n) => Parallelism::degree(n),
         None => Parallelism::auto_shared(config.threads.max(1)),
     };
-    // Tracing is on by default — the overhead contract (exp14) keeps the
-    // instrumented pipeline within 3% of bare, so the visibility is
-    // effectively free; --no-trace turns spans into no-ops.
+    // Tracing is on by default: it never changes an answer
+    // (`tests/parallel_equivalence.rs::tracing_does_not_perturb_the_answer`),
+    // and hbench's `obs.trace_overhead_share` reports what it costs;
+    // --no-trace turns spans into no-ops.
     if trace {
         config.service.pipeline.obs = ObsConfig::enabled(trace_ring.max(1));
     }
@@ -329,13 +324,9 @@ fn main() -> ExitCode {
         );
     }
     eprintln!(
-        "hummer-serve: listening on {} ({} mode, {} workers x {} intra-query threads, \
+        "hummer-serve: listening on {} ({} workers x {} intra-query threads, \
          tracing {}); POST /shutdown to stop",
         server.local_addr(),
-        match config.mode {
-            ServingMode::Event => "event",
-            ServingMode::Blocking => "blocking",
-        },
         config.threads.max(1),
         config.service.pipeline.parallelism.get(),
         if trace {

@@ -19,13 +19,13 @@
 //! Against a `--coordinator` server, pass `--coordinator-mode` to extend
 //! the report with scatter-gather visibility: per-request shard fan-out
 //! (from the `X-Hummer-Shards` response header) and, from the server's
-//! `/metrics.json`, per-worker call counts with p50/p99 latency plus
-//! retry/fallback totals.
+//! `/metrics`, per-worker call counts with mean latency plus retry/fallback
+//! totals.
 
 use hummer_server::loadgen::{
     http_request, run_load, scenario_worlds, update_pool_for_worlds, upload_world, LoadConfig,
 };
-use hummer_server::Json;
+use hummer_server::promlint;
 use std::process::ExitCode;
 
 fn usage() -> ! {
@@ -122,81 +122,90 @@ fn main() -> ExitCode {
         update_pool,
     });
 
-    let metrics = http_request(&addr, "GET", "/metrics.json", "text/plain", b"")
+    let metrics = http_request(&addr, "GET", "/metrics", "text/plain", b"")
         .ok()
         .filter(|(status, _)| *status == 200)
-        .and_then(|(_, body)| Json::parse(&body).ok());
-    let cache = metrics.as_ref().and_then(|m| {
-        m.get("prepared_cache")
-            .and_then(|c| c.get("hit_rate"))
-            .and_then(Json::as_f64)
-    });
-    let store = metrics.as_ref().and_then(|m| m.get("store").cloned());
+        .and_then(|(_, body)| promlint::parse(&body).ok());
 
     // One render path for plain and coordinator mode (the shared section —
     // including the slowest-10 trace ids — cannot diverge between them).
     print!("{}", report.render(coordinator_mode));
-    match cache {
-        Some(rate) => println!("cache_hit_rate   {rate:.3}"),
-        None => println!("cache_hit_rate   n/a"),
-    }
+    let exit = if report.errors > 0 {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    };
+    let Some(metrics) = metrics else {
+        println!("cache_hit_rate   n/a");
+        println!("server_metrics   n/a");
+        return exit;
+    };
+    let value = |name: &str| metrics.value(name, &[]);
+    let int = |name: &str| value(name).unwrap_or(0.0) as u64;
+    let hits = value("hummer_prepared_cache_hits_total").unwrap_or(0.0);
+    let lookups = hits + value("hummer_prepared_cache_misses_total").unwrap_or(0.0);
+    println!(
+        "cache_hit_rate   {:.3}",
+        if lookups > 0.0 { hits / lookups } else { 0.0 }
+    );
     // Durable mode: surface the server's store counters so a logged-catalog
     // run is distinguishable from an in-memory one in the report.
-    match store {
-        Some(store) => {
-            let int = |key: &str| store.get(key).and_then(Json::as_i64).unwrap_or(0);
+    match value("hummer_store_fsync_enabled") {
+        Some(fsync) => {
             println!("durable_mode     yes");
             println!(
                 "store_fsync      {}",
-                match store.get("fsync") {
-                    Some(Json::Bool(true)) => "on",
-                    Some(Json::Bool(false)) => "off",
-                    _ => "n/a",
-                }
+                if fsync > 0.0 { "on" } else { "off" }
             );
-            println!("wal_bytes        {}", int("wal_bytes"));
-            println!("wal_records      {}", int("wal_records"));
-            println!("snapshots        {}", int("snapshots_written"));
+            println!("wal_bytes        {}", int("hummer_store_wal_bytes"));
+            println!("wal_records      {}", int("hummer_store_wal_records"));
+            println!("snapshots        {}", int("hummer_store_snapshots_total"));
             println!(
                 "recovery_ms      {:.3}",
-                store
-                    .get("recovery_ms")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0)
+                value("hummer_store_recovery_seconds").unwrap_or(0.0) * 1e3
             );
         }
         None => println!("durable_mode     no"),
     }
-    // Coordinator-mode extras that need the server's /metrics.json:
-    // worker-level latency/retry/fallback counters as the coordinator
-    // recorded them (the client-side scatter tallies came from `render`).
+    // Coordinator-mode extras that need the server's /metrics: worker-level
+    // latency/retry/fallback counters as the coordinator recorded them (the
+    // client-side scatter tallies came from `render`).
     if coordinator_mode {
-        match metrics.as_ref().and_then(|m| m.get("shard")) {
-            Some(shard) => {
-                let int = |key: &str| shard.get(key).and_then(Json::as_i64).unwrap_or(0);
-                println!("worker_requests  {}", int("worker_requests"));
-                println!("worker_retries   {}", int("worker_retries"));
-                println!("worker_fallbacks {}", int("worker_fallbacks"));
-                println!("worker_errors    {}", int("worker_errors"));
-                if let Some(workers) = shard.get("workers").and_then(Json::as_array) {
-                    for (i, w) in workers.iter().enumerate() {
-                        let f = |key: &str| w.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-                        println!(
-                            "worker_{i:02}        {} calls={} p50={:.3} ms p99={:.3} ms",
-                            w.get("worker").and_then(Json::as_str).unwrap_or("?"),
-                            w.get("calls").and_then(Json::as_i64).unwrap_or(0),
-                            f("p50_ms"),
-                            f("p99_ms"),
-                        );
-                    }
-                }
-            }
-            None => println!("shard_metrics    n/a"),
+        println!(
+            "worker_requests  {}",
+            int("hummer_shard_worker_requests_total")
+        );
+        println!(
+            "worker_retries   {}",
+            int("hummer_shard_worker_retries_total")
+        );
+        println!(
+            "worker_fallbacks {}",
+            int("hummer_shard_worker_fallbacks_total")
+        );
+        println!(
+            "worker_errors    {}",
+            int("hummer_shard_worker_errors_total")
+        );
+        for (i, (labels, calls)) in metrics
+            .series("hummer_shard_worker_seconds_count")
+            .enumerate()
+        {
+            let worker = labels
+                .iter()
+                .find(|(k, _)| k == "worker")
+                .map_or("?", |(_, v)| v.as_str());
+            let seconds = metrics.sum("hummer_shard_worker_seconds_sum", &[("worker", worker)]);
+            let mean_ms = if calls > 0.0 {
+                seconds / calls * 1e3
+            } else {
+                0.0
+            };
+            println!(
+                "worker_{i:02}        {worker} calls={} mean={mean_ms:.3} ms",
+                calls as u64
+            );
         }
     }
-    if report.errors > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit
 }

@@ -1,4 +1,4 @@
-//! The nonblocking event-loop serving path.
+//! The nonblocking event loop: the server's one transport.
 //!
 //! The listener and every accepted socket run in nonblocking mode, and each
 //! worker thread owns a set of per-connection state machines. A worker
@@ -51,10 +51,9 @@
 //!   `never valid` (400). A started request that stalls past the read
 //!   deadline is answered `408` and closed; a connection idle past the
 //!   idle deadline is reclaimed silently.
-//! * **executing** — the request runs *inline* on the worker through the
-//!   same `execute_request` as the blocking path (panic
-//!   containment included: a panicked handler yields `500` + close and the
-//!   slot is recycled).
+//! * **executing** — the request runs *inline* on the worker through
+//!   `execute_request` (panic containment included: a panicked handler
+//!   yields `500` + close and the slot is recycled).
 //! * **writing** — the response head and body drain through nonblocking
 //!   vectored writes (one `writev` when the socket takes it all, and no
 //!   copy of the body behind the head); on completion the connection

@@ -1,4 +1,4 @@
-//! A minimal HTTP/1.1 request reader and response writer.
+//! A minimal HTTP/1.1 request parser and response writer.
 //!
 //! Covers exactly what the fusion service's wire protocol needs: request
 //! line + headers + `Content-Length` bodies, keep-alive connections, and
@@ -7,7 +7,7 @@
 //! audience.
 
 use crate::error::{Result, ServerError};
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// Upper bound on an accepted body (64 MiB) — a CSV upload beyond this is
 /// almost certainly a mistake, and the limit keeps a single connection from
@@ -17,27 +17,13 @@ pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 /// Upper bound on the number of request headers.
 const MAX_HEADERS: usize = 128;
 
-/// Upper bound on one request/header line. `Content-Length` alone caps the
-/// body; without this, a peer streaming bytes with no newline would grow a
-/// `read_line` String without bound.
+/// Upper bound on one request/header line (anything longer is a 400).
 const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// Upper bound on a whole request head (request line + headers) for the
-/// incremental parser — a peer that never sends the blank line cannot grow
-/// a connection buffer past this.
+/// Upper bound on a whole request head (request line + headers) — a peer
+/// that never sends the blank line cannot grow a connection buffer past
+/// this.
 pub const MAX_HEAD_BYTES: usize = 2 * MAX_LINE_BYTES;
-
-/// `read_line` with a hard length cap (the terminating newline may sit at
-/// the cap boundary; anything longer is a 400).
-fn read_line_capped<R: BufRead>(stream: &mut R, out: &mut String) -> Result<usize> {
-    let n = std::io::Read::take(&mut *stream, MAX_LINE_BYTES as u64 + 1).read_line(out)?;
-    if n > MAX_LINE_BYTES {
-        return Err(ServerError::BadRequest(format!(
-            "line exceeds the {MAX_LINE_BYTES}-byte limit"
-        )));
-    }
-    Ok(n)
-}
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -131,44 +117,6 @@ fn content_length(headers: &[(String, String)]) -> Result<usize> {
     Ok(length)
 }
 
-/// Read one request from the stream. `Ok(None)` means the peer closed the
-/// connection cleanly between requests (normal keep-alive end-of-life).
-pub fn read_request<R: BufRead>(stream: &mut R) -> Result<Option<Request>> {
-    let mut line = String::new();
-    if read_line_capped(stream, &mut line)? == 0 {
-        return Ok(None);
-    }
-    let (method, path) = parse_request_line(line.trim_end_matches(['\r', '\n']))?;
-
-    let mut headers = Vec::new();
-    loop {
-        let mut h = String::new();
-        if read_line_capped(stream, &mut h)? == 0 {
-            return Err(ServerError::BadRequest(
-                "connection closed mid-headers".into(),
-            ));
-        }
-        let h = h.trim_end_matches(['\r', '\n']);
-        if h.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(ServerError::BadRequest("too many headers".into()));
-        }
-        headers.push(parse_header_line(h)?);
-    }
-
-    let mut body = vec![0u8; content_length(&headers)?];
-    stream.read_exact(&mut body)?;
-
-    Ok(Some(Request {
-        method,
-        path,
-        headers,
-        body,
-    }))
-}
-
 /// Where the request head ends in `buf`: the index just past the blank
 /// line. Accepts `\r\n\r\n` and the tolerant bare `\n\n` form.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -190,13 +138,14 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     None
 }
 
-/// Incremental parse for the event loop: try to extract one complete
-/// request from the front of a connection buffer.
+/// Incremental parse: try to extract one complete request from the front
+/// of a connection buffer.
 ///
 /// * `Ok(Some((request, consumed)))` — a full request occupied the first
 ///   `consumed` bytes; the caller drains them and keeps the rest (the
 ///   start of a pipelined successor).
-/// * `Ok(None)` — the buffer holds a valid *prefix*; read more bytes.
+/// * `Ok(None)` — the buffer holds a valid *prefix* (nothing at all, a
+///   partial head, a truncated body); read more bytes.
 /// * `Err` — the prefix can never become a valid request (oversized head,
 ///   malformed line, bad `Content-Length`, …); answer 400 and close.
 pub fn try_parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>> {
@@ -377,10 +326,10 @@ pub fn write_response<W: Write>(stream: &mut W, response: &Response) -> std::io:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// The request at the front of `raw`, if it is complete.
     fn parse(raw: &str) -> Result<Option<Request>> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+        Ok(try_parse_request(raw.as_bytes())?.map(|(request, _)| request))
     }
 
     #[test]
@@ -455,9 +404,11 @@ mod tests {
     }
 
     #[test]
-    fn truncated_body_is_io_error() {
-        let e = parse("POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort").unwrap_err();
-        assert!(matches!(e, ServerError::Io(_)));
+    fn truncated_body_needs_more_bytes() {
+        let raw = "POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
+        assert!(parse(raw).unwrap().is_none());
+        let req = parse(&format!("{raw}still")).unwrap().unwrap();
+        assert_eq!(req.body, b"shortstill");
     }
 
     #[test]

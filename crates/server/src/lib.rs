@@ -15,18 +15,16 @@
 //! * [`service`] — the transport-independent core: catalog, cache, metrics,
 //!   and the optional durable store (`hummer_store`) that write-ahead-logs
 //!   every catalog mutation and recovers it on boot;
-//! * [`server`] — listener, routing, graceful shutdown, and the serving
-//!   mode switch ([`ServingMode`]);
-//! * [`event`] — the default nonblocking event-loop serving path:
+//! * [`server`] — listener, routing, graceful shutdown;
+//! * [`event`] — the nonblocking event loop that serves every connection:
 //!   per-connection state machines that wait in `poll(2)`, read/idle
-//!   timeouts, 503 admission control (the blocking worker-[`pool`] path
-//!   stays selectable);
+//!   timeouts, 503 admission control;
 //! * [`http`] — minimal HTTP/1.1 request/response framing;
 //! * [`json`] — the hand-rolled JSON writer/parser the wire protocol uses;
 //! * [`error`] — [`ServerError`] with HTTP status mapping;
 //! * [`metrics`] — lock-free latency histograms (`hummer_obs`), request
-//!   counts, stage aggregates; exposed as Prometheus text on `GET /metrics`
-//!   and JSON on `GET /metrics.json`, with per-request span trees on
+//!   counts, stage histograms; exposed as Prometheus text on `GET /metrics`
+//!   (read back with [`promlint::parse`]), with per-request span trees on
 //!   `GET /trace/{id}`;
 //! * [`loadgen`] — the load-generating client (also a binary).
 //!
@@ -73,7 +71,6 @@ pub mod http;
 pub mod json;
 pub mod loadgen;
 pub mod metrics;
-pub mod pool;
 pub mod promlint;
 mod reaper;
 pub mod server;
@@ -88,8 +85,7 @@ pub use hummer_obs::{EventLog, EventRecord};
 pub use hummer_store::{CatalogStore, StoreOptions, StoreStats};
 pub use json::{Json, JsonError};
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use pool::ThreadPool;
-pub use server::{HummerServer, ServerConfig, ServingMode, ShutdownHandle};
+pub use server::{HummerServer, ServerConfig, ShutdownHandle};
 pub use service::{
     parse_delta, CoordinatorOptions, DeltaApplyResult, FusionService, QueryResult, ServiceConfig,
     TableInfo,

@@ -2,9 +2,9 @@
 //! multi-connection load driver with latency statistics.
 //!
 //! Used three ways: as the `loadgen` binary (fan N concurrent connections
-//! over generated scenario worlds against a remote server), from
-//! `exp9_serving` (the serving-path BENCH numbers), and from the smoke
-//! integration test.
+//! over generated scenario worlds against a remote server), from hbench's
+//! serving workloads (its [`Client`] and scenario worlds), and from the
+//! server's integration tests (`crates/server/tests/smoke.rs`).
 
 use crate::error::{Result, ServerError};
 use crate::json::Json;

@@ -1,5 +1,5 @@
-//! Request metrics: counts, latency histograms, per-stage timing
-//! aggregates.
+//! Request metrics: counts, and request and pipeline-stage latency
+//! histograms.
 //!
 //! One [`Metrics`] lives in the shared service. The hot recording paths —
 //! request latencies and stage latencies — go through `hummer_obs`'s
@@ -7,11 +7,10 @@
 //! sample, ~1.6% worst-case quantile error), so worker threads never
 //! contend at loadgen concurrency. The endpoint label map sits behind an
 //! `RwLock` taken for reading only; the rarely-touched aggregates
-//! (per-delta counters, stage total durations) keep a plain mutex.
+//! (per-delta and per-scatter counters) keep a plain mutex.
 //!
-//! `GET /metrics` renders the same registry as Prometheus text (see
-//! `service::metrics_to_prometheus`); `GET /metrics.json` renders a
-//! [`MetricsSnapshot`].
+//! `GET /metrics` renders the registry as Prometheus text (see
+//! `service::metrics_to_prometheus`).
 
 use hummer_core::StageTimings;
 use hummer_obs::{Histogram, HistogramSnapshot, HistogramVec};
@@ -38,33 +37,6 @@ impl EndpointStats {
         // bucket links directly to a fetchable `GET /trace/{id}`.
         self.latency.record_duration_with_trace(latency, trace);
     }
-}
-
-/// Cumulative pipeline-stage time across all queries served.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageAggregate {
-    /// Sum over all *prepared* runs (cache misses) of match/transform/detect,
-    /// plus every query's fusion time.
-    pub totals: StageTimings,
-    /// Number of preparation runs (== cache misses that reached the pipeline).
-    pub prepares: u64,
-    /// Number of fusion queries executed.
-    pub fusions: u64,
-}
-
-/// A point-in-time view of one endpoint's counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EndpointSnapshot {
-    /// Endpoint label, e.g. `POST /query`.
-    pub endpoint: String,
-    /// Requests served.
-    pub count: u64,
-    /// Requests that ended in an error status.
-    pub errors: u64,
-    /// Median latency in milliseconds (log-bucketed, ≤ ~1.6% high).
-    pub p50_ms: f64,
-    /// 99th-percentile latency in milliseconds (log-bucketed, ≤ ~1.6% high).
-    pub p99_ms: f64,
 }
 
 /// Cumulative delta-ingestion counters (`POST /tables/{name}/delta`).
@@ -129,17 +101,11 @@ pub struct ServingSnapshot {
     pub event_loop_wakeups: u64,
 }
 
-/// A point-in-time view of the whole metrics registry.
+/// A point-in-time view of the registry's counters (request and stage
+/// latencies are histograms: [`Metrics::endpoint_histograms`],
+/// [`Metrics::stage_histograms`]).
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
-    /// Total requests across endpoints.
-    pub total_requests: u64,
-    /// Total error responses across endpoints.
-    pub total_errors: u64,
-    /// Per-endpoint stats, sorted by label.
-    pub endpoints: Vec<EndpointSnapshot>,
-    /// Pipeline-stage aggregates.
-    pub stages: StageAggregate,
     /// Delta-ingestion aggregates.
     pub deltas: DeltaAggregate,
     /// Scatter-gather aggregates.
@@ -161,7 +127,6 @@ pub struct Metrics {
     /// Coordinator-side worker-call latencies, labeled `[worker]`;
     /// microseconds.
     shard_worker_hists: HistogramVec,
-    stages: Mutex<StageAggregate>,
     deltas: Mutex<DeltaAggregate>,
     shard: Mutex<ShardAggregate>,
     overload_rejects: AtomicU64,
@@ -212,11 +177,6 @@ impl Metrics {
         ] {
             self.stage_hists.with(&[stage, degree]).record_duration(d);
         }
-        let mut stages = self.stages.lock().unwrap();
-        stages.prepares += 1;
-        stages.totals.matching += timings.matching;
-        stages.totals.transformation += timings.transformation;
-        stages.totals.detection += timings.detection;
     }
 
     /// Record one fusion execution's wall time under its labels.
@@ -224,9 +184,6 @@ impl Metrics {
         self.stage_hists
             .with(&["fuse", degree_label(degree)])
             .record_duration(fusion);
-        let mut stages = self.stages.lock().unwrap();
-        stages.fusions += 1;
-        stages.totals.fusion += fusion;
     }
 
     /// Record one applied delta batch and its cache-upgrade outcome; every
@@ -318,25 +275,7 @@ impl Metrics {
 
     /// Snapshot all counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut endpoints = Vec::new();
-        let mut total_requests = 0;
-        let mut total_errors = 0;
-        for (name, count, errors, latency) in self.endpoint_histograms() {
-            total_requests += count;
-            total_errors += errors;
-            endpoints.push(EndpointSnapshot {
-                endpoint: name,
-                count,
-                errors,
-                p50_ms: latency.quantile(0.5) as f64 / 1e3,
-                p99_ms: latency.quantile(0.99) as f64 / 1e3,
-            });
-        }
         MetricsSnapshot {
-            total_requests,
-            total_errors,
-            endpoints,
-            stages: *self.stages.lock().unwrap(),
             deltas: *self.deltas.lock().unwrap(),
             shard: *self.shard.lock().unwrap(),
             serving: self.serving_snapshot(),
@@ -396,17 +335,18 @@ mod tests {
             );
         }
         m.record_request("GET /healthz", Duration::from_micros(50), false, None);
-        let snap = m.snapshot();
-        assert_eq!(snap.total_requests, 101);
-        assert_eq!(snap.total_errors, 10);
-        let q = snap
-            .endpoints
-            .iter()
-            .find(|e| e.endpoint == "POST /query")
+        let endpoints = m.endpoint_histograms();
+        assert_eq!(endpoints.iter().map(|e| e.1).sum::<u64>(), 101);
+        assert_eq!(endpoints.iter().map(|e| e.2).sum::<u64>(), 10);
+        let (_, count, _, latency) = endpoints
+            .into_iter()
+            .find(|(endpoint, ..)| endpoint == "POST /query")
             .unwrap();
-        assert_eq!(q.count, 100);
-        assert!((q.p50_ms - 50.0).abs() < 2.0, "p50 {}", q.p50_ms);
-        assert!(q.p99_ms >= 98.0, "p99 {}", q.p99_ms);
+        assert_eq!(count, 100);
+        let p50_ms = latency.quantile(0.5) as f64 / 1e3;
+        let p99_ms = latency.quantile(0.99) as f64 / 1e3;
+        assert!((p50_ms - 50.0).abs() < 2.0, "p50 {p50_ms}");
+        assert!(p99_ms >= 98.0, "p99 {p99_ms}");
     }
 
     #[test]
@@ -421,11 +361,16 @@ mod tests {
         m.record_prepare(&t, 1);
         m.record_prepare(&t, 1);
         m.record_fusion(Duration::from_millis(1), 1);
-        let s = m.snapshot().stages;
-        assert_eq!(s.prepares, 2);
-        assert_eq!(s.fusions, 1);
-        assert_eq!(s.totals.matching, Duration::from_millis(10));
-        assert_eq!(s.totals.fusion, Duration::from_millis(1));
+        // (count, total µs) per stage: the histogram's `_count` and `_sum`.
+        let stage = |name: &str| {
+            m.stage_histograms()
+                .into_iter()
+                .find(|(labels, _)| labels[0] == name)
+                .map(|(_, snap)| (snap.count(), snap.sum()))
+                .unwrap()
+        };
+        assert_eq!(stage("match"), (2, 10_000));
+        assert_eq!(stage("fuse"), (1, 1_000));
     }
 
     #[test]
@@ -533,9 +478,9 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let snap = m.snapshot();
-        assert_eq!(snap.total_requests, 4000);
-        let q = &snap.endpoints[0];
-        assert_eq!(q.count, 4000);
+        let endpoints = m.endpoint_histograms();
+        assert_eq!(endpoints.len(), 1);
+        assert_eq!(endpoints[0].1, 4000);
+        assert_eq!(endpoints[0].3.count(), 4000);
     }
 }

@@ -1,10 +1,13 @@
-//! A Prometheus text-exposition linter (`std`-only, in-repo).
+//! A Prometheus text-exposition parser and linter (`std`-only, in-repo).
 //!
-//! `scripts/server_smoke.sh` runs this against a live `/metrics` scrape via
-//! the `promlint` binary, so a malformed exposition — a family without
-//! `# HELP`/`# TYPE`, an unescaped label value, a non-monotone `le` ladder,
-//! or broken exemplar syntax — fails CI instead of silently confusing the
-//! first real Prometheus server pointed at us.
+//! [`parse`] reads a `/metrics` scrape into a [`Scrape`] whose samples can
+//! be looked up by name and labels — the one way tools and tests read the
+//! server's metrics. [`lint`] parses through the same code and then checks
+//! the document. `scripts/server_smoke.sh` runs the linter against a live
+//! scrape via the `promlint` binary, so a malformed exposition — a family
+//! without `# HELP`/`# TYPE`, an unescaped label value, a non-monotone `le`
+//! ladder, or broken exemplar syntax — fails CI instead of silently
+//! confusing the first real Prometheus server pointed at us.
 //!
 //! Checks, in order of appearance in [`lint`]:
 //!
@@ -30,11 +33,131 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, PartialEq)]
 struct Sample {
     name: String,
-    /// Labels in document order (duplicates are a lint error).
+    /// Labels in document order (duplicates are a parse error).
     labels: Vec<(String, String)>,
     value: f64,
     /// Exemplar labels + value, when the line carries one.
     exemplar: Option<(Vec<(String, String)>, f64)>,
+    /// 1-based line number in the exposition.
+    line: usize,
+}
+
+impl Sample {
+    /// Whether every `(name, value)` pair of `want` is among the labels.
+    fn has_labels(&self, want: &[(&str, &str)]) -> bool {
+        want.iter()
+            .all(|(k, v)| self.labels.iter().any(|(lk, lv)| lk == k && lv == v))
+    }
+}
+
+/// A parsed exposition: its `# HELP`/`# TYPE` metadata and its samples in
+/// document order.
+#[derive(Debug, Default)]
+pub struct Scrape {
+    samples: Vec<Sample>,
+    helps: BTreeSet<String>,
+    types: BTreeMap<String, String>,
+}
+
+impl Scrape {
+    /// The value of the sample `name` whose label set is exactly `labels`
+    /// (in any order); `None` when the exposition has no such series.
+    pub fn value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+        self.samples
+            .iter()
+            .find(|s| s.name == name && s.labels.len() == labels.len() && s.has_labels(labels))
+            .map(|s| s.value)
+    }
+
+    /// The sum over every sample `name` whose labels include all of
+    /// `labels` (e.g. one stage across every degree); 0 when there is none,
+    /// as for a counter nobody touched.
+    pub fn sum(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
+        self.samples
+            .iter()
+            .filter(|s| s.name == name && s.has_labels(labels))
+            .map(|s| s.value)
+            .sum()
+    }
+
+    /// Every series of `name`: its labels in document order and its value.
+    pub fn series<'a>(
+        &'a self,
+        name: &'a str,
+    ) -> impl Iterator<Item = (&'a [(String, String)], f64)> + 'a {
+        self.samples
+            .iter()
+            .filter(move |s| s.name == name)
+            .map(|s| (s.labels.as_slice(), s.value))
+    }
+}
+
+/// Parse a full exposition body. Fails on the first line that is not a
+/// well-formed comment, metadata line or sample (see [`lint`] for the
+/// checks beyond line shape).
+pub fn parse(text: &str) -> Result<Scrape, String> {
+    let (scrape, errors) = parse_lines(text);
+    match errors.into_iter().next() {
+        Some(e) => Err(e),
+        None => Ok(scrape),
+    }
+}
+
+/// Parse every line, collecting what fails to parse with its line number
+/// instead of stopping at it.
+fn parse_lines(text: &str) -> (Scrape, Vec<String>) {
+    let mut scrape = Scrape::default();
+    let mut errors = Vec::new();
+    for (idx, line) in text.lines().enumerate() {
+        let no = idx + 1;
+        if line.is_empty() {
+            continue;
+        }
+        if let Some(rest) = line.strip_prefix("# ") {
+            if let Some(spec) = rest.strip_prefix("HELP ") {
+                match spec.split_once(' ') {
+                    Some((name, _)) if is_metric_name(name) => {
+                        scrape.helps.insert(name.to_string());
+                    }
+                    _ => errors.push(format!("line {no}: malformed HELP line: {line}")),
+                }
+            } else if let Some(spec) = rest.strip_prefix("TYPE ") {
+                match spec.split_once(' ') {
+                    Some((name, kind)) if is_metric_name(name) => {
+                        if !matches!(
+                            kind,
+                            "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                        ) {
+                            errors
+                                .push(format!("line {no}: unknown TYPE kind `{kind}` for {name}"));
+                        }
+                        if scrape
+                            .types
+                            .insert(name.to_string(), kind.to_string())
+                            .is_some()
+                        {
+                            errors.push(format!("line {no}: duplicate TYPE for {name}"));
+                        }
+                    }
+                    _ => errors.push(format!("line {no}: malformed TYPE line: {line}")),
+                }
+            }
+            // Other comments are legal and ignored.
+            continue;
+        }
+        if line.starts_with('#') {
+            errors.push(format!("line {no}: comment without `# ` prefix: {line}"));
+            continue;
+        }
+        match parse_sample(line) {
+            Ok(mut sample) => {
+                sample.line = no;
+                scrape.samples.push(sample);
+            }
+            Err(e) => errors.push(format!("line {no}: {e}")),
+        }
+    }
+    (scrape, errors)
 }
 
 /// What a lint run found.
@@ -59,70 +182,25 @@ impl LintReport {
 
 /// Lint a full exposition body.
 pub fn lint(text: &str) -> LintReport {
-    let mut report = LintReport::default();
-    let mut helps: BTreeSet<String> = BTreeSet::new();
-    let mut types: BTreeMap<String, String> = BTreeMap::new();
+    let (scrape, errors) = parse_lines(text);
+    let mut report = LintReport {
+        samples: scrape.samples.len(),
+        errors,
+        ..LintReport::default()
+    };
+    let Scrape {
+        samples,
+        helps,
+        types,
+    } = scrape;
     // (family, labels-without-le) → ladder of (le, cumulative, line_no).
     #[allow(clippy::type_complexity)]
     let mut ladders: BTreeMap<(String, String), Vec<(f64, f64, usize)>> = BTreeMap::new();
     let mut counts: BTreeMap<(String, String), f64> = BTreeMap::new();
     let mut families: BTreeSet<String> = BTreeSet::new();
 
-    for (idx, line) in text.lines().enumerate() {
-        let no = idx + 1;
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# ") {
-            if let Some(spec) = rest.strip_prefix("HELP ") {
-                match spec.split_once(' ') {
-                    Some((name, _)) if is_metric_name(name) => {
-                        helps.insert(name.to_string());
-                    }
-                    _ => report
-                        .errors
-                        .push(format!("line {no}: malformed HELP line: {line}")),
-                }
-            } else if let Some(spec) = rest.strip_prefix("TYPE ") {
-                match spec.split_once(' ') {
-                    Some((name, kind)) if is_metric_name(name) => {
-                        if !matches!(
-                            kind,
-                            "counter" | "gauge" | "histogram" | "summary" | "untyped"
-                        ) {
-                            report
-                                .errors
-                                .push(format!("line {no}: unknown TYPE kind `{kind}` for {name}"));
-                        }
-                        if types.insert(name.to_string(), kind.to_string()).is_some() {
-                            report
-                                .errors
-                                .push(format!("line {no}: duplicate TYPE for {name}"));
-                        }
-                    }
-                    _ => report
-                        .errors
-                        .push(format!("line {no}: malformed TYPE line: {line}")),
-                }
-            }
-            // Other comments are legal and ignored.
-            continue;
-        }
-        if line.starts_with('#') {
-            report
-                .errors
-                .push(format!("line {no}: comment without `# ` prefix: {line}"));
-            continue;
-        }
-
-        let sample = match parse_sample(line) {
-            Ok(s) => s,
-            Err(e) => {
-                report.errors.push(format!("line {no}: {e}"));
-                continue;
-            }
-        };
-        report.samples += 1;
+    for sample in &samples {
+        let no = sample.line;
         let family = family_of(&sample.name);
         families.insert(family.to_string());
 
@@ -338,6 +416,7 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
         labels,
         value,
         exemplar,
+        line: 0,
     })
 }
 
@@ -561,6 +640,37 @@ h_count 1
         assert!(r.ok(), "{:?}", r.errors);
         let s = parse_sample("m{ep=\"a\\\"b\\\\c\\nd\"} 7").unwrap();
         assert_eq!(s.labels[0].1, "a\"b\\c\nd");
+    }
+
+    #[test]
+    fn parse_reads_series_by_name_and_labels() {
+        let text = "\
+# HELP h x.
+# TYPE h histogram
+h_bucket{endpoint=\"a\",le=\"+Inf\"} 9 # {trace_id=\"00000000000000a1\"} 0.5
+h_sum{endpoint=\"a\"} 1.5
+h_count{endpoint=\"a\"} 9
+h_sum{endpoint=\"b\"} 2
+h_count{endpoint=\"b\"} 2
+# HELP up x.
+# TYPE up gauge
+up 1
+";
+        let scrape = parse(text).unwrap();
+        assert_eq!(scrape.value("up", &[]), Some(1.0));
+        assert_eq!(scrape.value("h_count", &[("endpoint", "a")]), Some(9.0));
+        // `value` wants the exact label set; `sum` any superset.
+        assert_eq!(scrape.value("h_bucket", &[("endpoint", "a")]), None);
+        assert_eq!(scrape.sum("h_count", &[]), 11.0);
+        assert_eq!(scrape.sum("h_sum", &[("endpoint", "b")]), 2.0);
+        assert_eq!(scrape.sum("absent_total", &[]), 0.0);
+        let endpoints: Vec<&str> = scrape
+            .series("h_count")
+            .map(|(labels, _)| labels[0].1.as_str())
+            .collect();
+        assert_eq!(endpoints, ["a", "b"]);
+        let e = parse("up 1\nup{x=\"1} 2\n").unwrap_err();
+        assert!(e.starts_with("line 2:"), "{e}");
     }
 
     #[test]

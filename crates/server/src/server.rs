@@ -11,7 +11,6 @@
 //! | `POST /query`                | execute Fuse By SQL (raw text or `{"sql": …}`) |
 //! | `POST /shard/execute`        | run a batch of shard tasks (binary wire format; coordinator → worker) |
 //! | `GET /metrics`               | the whole registry in Prometheus text format |
-//! | `GET /metrics.json`          | request counts, p50/p99 latency, stage + cache + delta + store stats as JSON |
 //! | `GET /trace/{id}`            | span tree of a finished request (id from the `X-Hummer-Trace` header) |
 //! | `GET /healthz`               | liveness probe |
 //! | `POST /shutdown`             | graceful shutdown (finish in-flight, then exit) |
@@ -26,47 +25,33 @@
 //! the pre-crash catalog (content versions included) from the newest valid
 //! snapshot plus the WAL tail.
 //!
-//! The accept loop hands each connection to a fixed [`ThreadPool`]; one
-//! worker owns the whole keep-alive conversation. Shutdown sets a flag and
-//! nudges the listener with a loopback connection so `accept` wakes; the
-//! pool drains in-flight requests before `run` returns.
+//! [`HummerServer::run`] serves through the event loop in [`crate::event`]:
+//! `threads` workers, each multiplexing many keep-alive connections.
+//! Shutdown sets a flag and connects to the listener once so every waiting
+//! worker wakes; in-flight requests finish before `run` returns.
+//!
+//! `Route::of` is the one place the path grammar is written: the metrics
+//! label of a request and its dispatch both derive from it, and a known
+//! route asked with a method it does not serve is answered 405.
 
 use crate::error::{Result, ServerError};
-use crate::http::{read_request, write_response, Request, Response};
+use crate::http::{Request, Response};
 use crate::json::Json;
-use crate::pool::ThreadPool;
 use crate::service::{
-    delta_result_to_json, metrics_to_json, metrics_to_prometheus, parse_delta, write_query_result,
-    FusionService, ServiceConfig, TableInfo,
+    delta_result_to_json, metrics_to_prometheus, parse_delta, write_query_result, FusionService,
+    ServiceConfig, TableInfo,
 };
 use hummer_obs::{EventRecord, Span, TraceNode, TraceTree};
 use hummer_store::{CatalogStore, StoreOptions};
-use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which I/O discipline [`HummerServer::run`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServingMode {
-    /// Nonblocking readiness-driven event loop (the default): each worker
-    /// multiplexes many connections through per-connection state machines,
-    /// with read/idle timeouts and 503 admission control. See the
-    /// [`crate::event`] module.
-    #[default]
-    Event,
-    /// Thread-per-connection blocking I/O: one pool worker owns the whole
-    /// keep-alive conversation. Kept selectable for apples-to-apples
-    /// comparisons (the exp15 identity gate runs both modes against the
-    /// same catalog).
-    Blocking,
-}
-
 /// Server construction parameters.
 ///
-/// Two thread layers compose here: the worker pool (`threads`) provides
+/// Two thread layers compose here: the event-loop workers (`threads`) provide
 /// *inter*-query concurrency, while `service.pipeline.parallelism` is the
 /// *intra*-query degree each request may fan pipeline stages out to.
 /// Configure them so they multiply to roughly the machine —
@@ -77,7 +62,7 @@ pub enum ServingMode {
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Worker threads (each owns one connection at a time).
+    /// Event-loop worker threads (each multiplexes many connections).
     pub threads: usize,
     /// Service (pipeline + cache) configuration, including the per-request
     /// intra-query parallelism knob.
@@ -89,18 +74,15 @@ pub struct ServerConfig {
     /// Store tuning (fsync discipline, compaction threshold); only
     /// meaningful with `data_dir`.
     pub store: StoreOptions,
-    /// I/O discipline: nonblocking event loop (default) or the legacy
-    /// thread-per-connection blocking path.
-    pub mode: ServingMode,
-    /// Admission cap on concurrently open connections (event mode).
-    /// Arrivals beyond the cap get `503` + `Retry-After` and are closed
-    /// instead of queueing unboundedly.
+    /// Admission cap on concurrently open connections. Arrivals beyond the
+    /// cap get `503` + `Retry-After` and are closed instead of queueing
+    /// unboundedly.
     pub max_connections: usize,
     /// How long a *started* request may take to arrive in full before the
-    /// connection is answered `408` and closed (event mode).
+    /// connection is answered `408` and closed.
     pub read_timeout: Duration,
     /// How long a keep-alive connection may sit idle between requests
-    /// before it is silently reclaimed (event mode).
+    /// before it is silently reclaimed.
     pub idle_timeout: Duration,
 }
 
@@ -112,7 +94,6 @@ impl Default for ServerConfig {
             service: ServiceConfig::default(),
             data_dir: None,
             store: StoreOptions::default(),
-            mode: ServingMode::default(),
             max_connections: 1024,
             read_timeout: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(60),
@@ -133,11 +114,11 @@ impl ShutdownHandle {
         ShutdownHandle { addr, flag }
     }
 
-    /// Request shutdown: set the flag and wake the acceptor.
+    /// Request shutdown: set the flag and connect to the listener once,
+    /// which wakes every worker waiting in `poll(2)`; any connection, even
+    /// one dropped at once, suffices.
     pub fn shutdown(&self) {
         self.flag.store(true, Ordering::SeqCst);
-        // Nudge the blocking accept; any connection (even one that is
-        // immediately dropped) suffices.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
     }
 
@@ -155,7 +136,6 @@ pub struct HummerServer {
     pub(crate) threads: usize,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) local_addr: SocketAddr,
-    pub(crate) mode: ServingMode,
     pub(crate) max_connections: usize,
     pub(crate) read_timeout: Duration,
     pub(crate) idle_timeout: Duration,
@@ -181,7 +161,6 @@ impl HummerServer {
             threads: config.threads,
             shutdown: Arc::new(AtomicBool::new(false)),
             local_addr,
-            mode: config.mode,
             max_connections: config.max_connections.max(1),
             read_timeout: config.read_timeout,
             idle_timeout: config.idle_timeout,
@@ -209,107 +188,15 @@ impl HummerServer {
     /// Serve until shutdown is requested. Returns after all workers drained
     /// their in-flight connections.
     pub fn run(self) -> std::io::Result<()> {
-        match self.mode {
-            ServingMode::Event => crate::event::run(self),
-            ServingMode::Blocking => self.run_blocking(),
-        }
-    }
-
-    /// The legacy thread-per-connection path.
-    fn run_blocking(self) -> std::io::Result<()> {
-        let pool = ThreadPool::new(self.threads);
-        for stream in self.listener.incoming() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue, // transient accept failure
-            };
-            let service = Arc::clone(&self.service);
-            let shutdown = self.shutdown_handle();
-            pool.execute(move || handle_connection(stream, &service, &shutdown));
-        }
-        drop(pool); // join workers: graceful drain
-        Ok(())
-    }
-}
-
-/// How often an idle worker re-checks the shutdown flag.
-const IDLE_POLL: Duration = Duration::from_millis(100);
-
-/// Serve one keep-alive connection until close, error, or shutdown.
-fn handle_connection(stream: TcpStream, service: &FusionService, shutdown: &ShutdownHandle) {
-    let peer_writable = stream.try_clone();
-    let mut writer = match peer_writable {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    // Accept-time trace id: even a request rejected before dispatch gets
-    // an `X-Hummer-Trace` header (see `finish_rejected`).
-    let pretrace = service.tracer().allocate_trace_id();
-    // A read timeout lets the worker notice shutdown while parked on an
-    // idle keep-alive connection instead of blocking the drain forever.
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream);
-    loop {
-        // Wait for the next request's first byte via fill_buf: a timeout
-        // here consumes nothing, so polling cannot corrupt request framing.
-        match reader.fill_buf() {
-            Ok([]) => return, // clean close between requests
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutdown.is_requested() {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        }
-        // A request has started: allow a generous window for the rest of it
-        // (the clone shares the socket, so this reaches the reader too).
-        let _ = writer.set_read_timeout(Some(Duration::from_secs(30)));
-        let started = Instant::now();
-        let request = match read_request(&mut reader) {
-            Ok(Some(r)) => r,
-            Ok(None) => return, // clean close between requests
-            Err(e) => {
-                // Transport gone → nothing to answer; protocol junk → 400,
-                // stamped with the accept-time trace id and accounted under
-                // the `rejected` endpoint label.
-                if !matches!(e, ServerError::Io(_)) {
-                    let r = finish_rejected(
-                        service,
-                        error_response(&e, true),
-                        pretrace,
-                        started.elapsed(),
-                    );
-                    let _ = write_response(&mut writer, &r);
-                }
-                return;
-            }
-        };
-        let wants_close = request.wants_close();
-        let mut response = execute_request(&request, service, shutdown, Vec::new());
-        response.close = response.close || wants_close || shutdown.is_requested();
-        if write_response(&mut writer, &response).is_err() || response.close {
-            return;
-        }
-        let _ = writer.set_read_timeout(Some(IDLE_POLL));
+        crate::event::run(self)
     }
 }
 
 /// Execute one parsed request against the service: root span, routing,
-/// panic containment, trace header, request metrics. Both serving paths
-/// funnel through here; transport concerns (keep-alive, when to close the
-/// socket) stay with the caller — except that a panicked handler always
-/// demands a close, which the returned response carries.
+/// panic containment, trace header, request metrics. Transport concerns
+/// (keep-alive, when to close the socket) stay with the event loop —
+/// except that a panicked handler always demands a close, which the
+/// returned response carries.
 ///
 /// `recycled` is a spent buffer whose capacity a large response may take
 /// for its body: a `/query` answer is written into it directly, so an event
@@ -370,18 +257,69 @@ pub(crate) fn execute_request(
     response
 }
 
-/// The metrics label for a request: normalized method + route. Unmatched
-/// paths all share one bucket — recording raw paths would let junk traffic
-/// grow the metrics map (and its latency rings) without bound.
+/// A known path, by route. [`Route::of`] is the path grammar; the metrics
+/// label and [`route`]'s dispatch and 405 set all derive from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route<'a> {
+    Healthz,
+    Tables,
+    Table(&'a str),
+    TableDelta(&'a str),
+    Query,
+    ShardExecute,
+    Metrics,
+    Trace(&'a str),
+    Shutdown,
+}
+
+impl<'a> Route<'a> {
+    /// The route a path names, or `None` for an unknown path (404).
+    fn of(path: &'a str) -> Option<Route<'a>> {
+        Some(match path {
+            "/healthz" => Route::Healthz,
+            // A trailing slash names the collection, not a table whose
+            // name is empty.
+            "/tables" | "/tables/" => Route::Tables,
+            "/query" => Route::Query,
+            "/shard/execute" => Route::ShardExecute,
+            "/metrics" => Route::Metrics,
+            "/shutdown" => Route::Shutdown,
+            _ => {
+                if let Some(rest) = path.strip_prefix("/tables/") {
+                    match rest.strip_suffix("/delta") {
+                        Some(name) if !name.is_empty() => Route::TableDelta(name),
+                        _ => Route::Table(rest),
+                    }
+                } else if let Some(id) = path.strip_prefix("/trace/") {
+                    Route::Trace(id)
+                } else {
+                    return None;
+                }
+            }
+        })
+    }
+
+    /// The route's path template, as the metrics label spells it.
+    fn template(self) -> &'static str {
+        match self {
+            Route::Healthz => "/healthz",
+            Route::Tables => "/tables",
+            Route::Table(_) => "/tables/{name}",
+            Route::TableDelta(_) => "/tables/{name}/delta",
+            Route::Query => "/query",
+            Route::ShardExecute => "/shard/execute",
+            Route::Metrics => "/metrics",
+            Route::Trace(_) => "/trace/{id}",
+            Route::Shutdown => "/shutdown",
+        }
+    }
+}
+
+/// The metrics label for a request: normalized method + route template.
+/// Unknown paths all share one bucket — recording raw paths would let junk
+/// traffic grow the metrics map (and its latency rings) without bound.
 fn endpoint_label(request: &Request) -> String {
-    let route = match request.path.as_str() {
-        "/healthz" | "/tables" | "/query" | "/shard/execute" | "/metrics" | "/metrics.json"
-        | "/shutdown" => request.path.as_str(),
-        p if p.starts_with("/tables/") && p.ends_with("/delta") => "/tables/{name}/delta",
-        p if p.starts_with("/tables/") => "/tables/{name}",
-        p if p.starts_with("/trace/") => "/trace/{id}",
-        _ => "{other}",
-    };
+    let route = Route::of(&request.path).map_or("{other}", Route::template);
     let method = match request.method.as_str() {
         "GET" | "PUT" | "POST" | "DELETE" | "HEAD" | "OPTIONS" | "PATCH" => request.method.as_str(),
         _ => "{other}",
@@ -481,12 +419,21 @@ fn route(
     parent: &Span,
     mut recycled: Vec<u8>,
 ) -> Result<Response> {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => Ok(Response::json(
+    // Fault injection for the panic-containment regression tests; only
+    // routable when the service opted in (`debug_panic_route`), otherwise
+    // the path is unknown (404).
+    if request.method == "POST" && request.path == "/__test/panic" && service.debug_panic_route() {
+        panic!("fault injection: POST /__test/panic")
+    }
+    let Some(target) = Route::of(&request.path) else {
+        return Err(ServerError::NotFound(request.path.clone()));
+    };
+    match (request.method.as_str(), target) {
+        ("GET", Route::Healthz) => Ok(Response::json(
             200,
             Json::object().with("status", "ok").to_string_compact(),
         )),
-        ("GET", "/tables") => {
+        ("GET", Route::Tables) => {
             let tables: Vec<Json> = service.tables().iter().map(table_info_json).collect();
             Ok(Response::json(
                 200,
@@ -495,13 +442,8 @@ fn route(
                     .to_string_compact(),
             ))
         }
-        ("GET", "/metrics") => Ok(Response::text(200, metrics_to_prometheus(service))),
-        ("GET", "/metrics.json") => Ok(Response::json(
-            200,
-            metrics_to_json(service).to_string_compact(),
-        )),
-        ("GET", path) if path.starts_with("/trace/") => {
-            let id_text = &path["/trace/".len()..];
+        ("GET", Route::Metrics) => Ok(Response::text(200, metrics_to_prometheus(service))),
+        ("GET", Route::Trace(id_text)) => {
             let id = u64::from_str_radix(id_text, 16)
                 .map_err(|_| ServerError::BadRequest(format!("bad trace id `{id_text}`")))?;
             let tree = service
@@ -513,7 +455,7 @@ fn route(
                 trace_tree_json(&tree).to_string_compact(),
             ))
         }
-        ("POST", "/query") => {
+        ("POST", Route::Query) => {
             let body = request.body_utf8()?;
             let sql = extract_sql(body, request.header("content-type"))?;
             let result = service.query_traced(&sql, parent)?;
@@ -534,17 +476,11 @@ fn route(
         // Worker side of scatter-gather: a coordinator posts a binary batch
         // of shard tasks; the worker runs detect/cluster/fuse per shard and
         // answers with binary partials. See `hummer_shard::wire`.
-        ("POST", "/shard/execute") => {
+        ("POST", Route::ShardExecute) => {
             let body = service.shard_execute(&request.body, parent)?;
             Ok(Response::octets(200, body))
         }
-        // Fault injection for the panic-containment regression tests; only
-        // routable when the service opted in (`debug_panic_route`),
-        // otherwise the path falls through to 404.
-        ("POST", "/__test/panic") if service.debug_panic_route() => {
-            panic!("fault injection: POST /__test/panic")
-        }
-        ("POST", "/shutdown") => {
+        ("POST", Route::Shutdown) => {
             // Full shutdown (flag + acceptor wake): without the wake the
             // listener would keep the process alive until the next
             // unrelated connection arrived.
@@ -558,12 +494,7 @@ fn route(
             r.close = true;
             Ok(r)
         }
-        ("POST", path)
-            if path.len() > "/tables//delta".len()
-                && path.starts_with("/tables/")
-                && path.ends_with("/delta") =>
-        {
-            let name = &path["/tables/".len()..path.len() - "/delta".len()];
+        ("POST", Route::TableDelta(name)) => {
             let delta = parse_delta(name, request.body_utf8()?)?;
             let outcome = service.apply_delta_traced(name, &delta, parent)?;
             Ok(Response::json(
@@ -571,16 +502,14 @@ fn route(
                 delta_result_to_json(&outcome).to_string_compact(),
             ))
         }
-        ("PUT", path) if path.starts_with("/tables/") => {
-            let name = &path["/tables/".len()..];
+        ("PUT", Route::Table(name)) => {
             let info = service.put_table(name, request.body_utf8()?)?;
             Ok(Response::json(
                 200,
                 table_info_json(&info).to_string_compact(),
             ))
         }
-        ("DELETE", path) if path.len() > "/tables/".len() && path.starts_with("/tables/") => {
-            let name = &path["/tables/".len()..];
+        ("DELETE", Route::Table(name)) => {
             let info = service.delete_table(name)?;
             Ok(Response::json(
                 200,
@@ -589,23 +518,10 @@ fn route(
                     .to_string_compact(),
             ))
         }
-        (_, path)
-            if path == "/healthz"
-                || path == "/tables"
-                || path == "/metrics"
-                || path == "/metrics.json"
-                || path == "/query"
-                || path == "/shard/execute"
-                || path == "/shutdown"
-                || path.starts_with("/tables/")
-                || path.starts_with("/trace/") =>
-        {
-            Err(ServerError::MethodNotAllowed(format!(
-                "{} {}",
-                request.method, path
-            )))
-        }
-        (_, path) => Err(ServerError::NotFound(path.to_string())),
+        _ => Err(ServerError::MethodNotAllowed(format!(
+            "{} {}",
+            request.method, request.path
+        ))),
     }
 }
 
@@ -657,22 +573,35 @@ mod tests {
         assert!(extract_sql("{broken", Some("application/json")).is_err());
     }
 
+    fn req(method: &str, path: &str, body: &[u8]) -> Request {
+        Request {
+            method: method.into(),
+            path: path.into(),
+            headers: vec![],
+            body: body.to_vec(),
+        }
+    }
+
     #[test]
     fn endpoint_labels_normalize_table_names() {
-        let req = Request {
-            method: "PUT".into(),
-            path: "/tables/EE_Student".into(),
-            headers: vec![],
-            body: vec![],
-        };
-        assert_eq!(endpoint_label(&req), "PUT /tables/{name}");
-        let req = Request {
-            method: "POST".into(),
-            path: "/tables/EE_Student/delta".into(),
-            headers: vec![],
-            body: vec![],
-        };
-        assert_eq!(endpoint_label(&req), "POST /tables/{name}/delta");
+        for (method, path, label) in [
+            ("PUT", "/tables/EE_Student", "PUT /tables/{name}"),
+            (
+                "POST",
+                "/tables/EE_Student/delta",
+                "POST /tables/{name}/delta",
+            ),
+            // Degenerate paths carry the label of the route that answers
+            // them (405, see `routing_statuses`): no table name before
+            // `/delta` is a table path, and a bare `/tables/` the collection.
+            ("POST", "/tables//delta", "POST /tables/{name}"),
+            ("POST", "/tables/delta", "POST /tables/{name}"),
+            ("DELETE", "/tables/", "DELETE /tables"),
+            ("GET", "/nope", "GET {other}"),
+            ("BREW", "/query", "{other} /query"),
+        ] {
+            assert_eq!(endpoint_label(&req(method, path, b"")), label, "{path}");
+        }
     }
 
     #[test]
@@ -684,12 +613,6 @@ mod tests {
             flag: Arc::new(AtomicBool::new(false)),
         };
         let noop = Span::noop();
-        let req = |method: &str, path: &str, body: &[u8]| Request {
-            method: method.into(),
-            path: path.into(),
-            headers: vec![],
-            body: body.to_vec(),
-        };
         let ok = route(&req("GET", "/healthz", b""), &service, &shutdown, &noop).unwrap();
         assert_eq!(ok.status, 200);
         let e = route(&req("GET", "/nope", b""), &service, &shutdown, &noop).unwrap_err();
@@ -737,6 +660,10 @@ mod tests {
         for degenerate in ["/tables/delta", "/tables//delta"] {
             let e = route(&req("POST", degenerate, b"{}"), &service, &shutdown, &noop).unwrap_err();
             assert_eq!(e.status(), 405, "{degenerate}");
+            assert_eq!(
+                Route::of(degenerate).map(Route::template),
+                Some("/tables/{name}")
+            );
         }
         let e = route(
             &req("POST", "/tables/T/delta", b"{"),
@@ -756,6 +683,7 @@ mod tests {
         // A bare DELETE /tables/ (no name) is method-not-allowed, not a panic.
         let e = route(&req("DELETE", "/tables/", b""), &service, &shutdown, &noop).unwrap_err();
         assert_eq!(e.status(), 405);
+        assert_eq!(Route::of("/tables/"), Some(Route::Tables));
         assert!(!shutdown.is_requested());
         let bye = route(&req("POST", "/shutdown", b""), &service, &shutdown, &noop).unwrap();
         assert_eq!(bye.status, 200);
@@ -779,12 +707,6 @@ mod tests {
         let shutdown = ShutdownHandle {
             addr: "127.0.0.1:9".parse().unwrap(),
             flag: Arc::new(AtomicBool::new(false)),
-        };
-        let req = |method: &str, path: &str, body: &[u8]| Request {
-            method: method.into(),
-            path: path.into(),
-            headers: vec![],
-            body: body.to_vec(),
         };
 
         // A traced query: stage spans nest under the request root.
@@ -853,7 +775,7 @@ mod tests {
         .unwrap_err();
         assert_eq!(e.status(), 400);
 
-        // /metrics is Prometheus text; /metrics.json is the JSON document.
+        // /metrics is Prometheus text.
         let m = route(
             &req("GET", "/metrics", b""),
             &service,
@@ -875,15 +797,5 @@ mod tests {
             text.contains("hummer_prepared_cache_misses_total 1"),
             "{text}"
         );
-        let j = route(
-            &req("GET", "/metrics.json", b""),
-            &service,
-            &shutdown,
-            &Span::noop(),
-        )
-        .unwrap();
-        assert_eq!(j.content_type, "application/json");
-        let doc = Json::parse(std::str::from_utf8(&j.body).unwrap()).unwrap();
-        assert!(doc.get("prepared_cache").is_some());
     }
 }

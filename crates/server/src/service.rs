@@ -1,8 +1,8 @@
 //! The fusion service: shared catalog + prepared-pipeline cache + metrics.
 //!
 //! [`FusionService`] is the transport-independent heart of the server: the
-//! HTTP layer, the integration tests, and the exp9 bench all drive this
-//! struct. Worker threads share one instance behind an `Arc`; the catalog
+//! HTTP layer, the integration tests, and hbench's serving workloads (through
+//! a child `hummer-serve`) all drive this struct. Worker threads share one instance behind an `Arc`; the catalog
 //! sits in an `RwLock` so concurrent queries read in parallel, and the
 //! tables themselves are `Arc`-shared so a snapshot never copies data.
 //!
@@ -1114,108 +1114,6 @@ pub fn delta_result_to_json(r: &DeltaApplyResult) -> Json {
         )
 }
 
-/// The `GET /metrics` response document.
-pub fn metrics_to_json(service: &FusionService) -> Json {
-    let snap = service.metrics().snapshot();
-    let cache = service.cache_stats();
-    let endpoints: Vec<Json> = snap
-        .endpoints
-        .iter()
-        .map(|e| {
-            Json::object()
-                .with("endpoint", e.endpoint.clone())
-                .with("count", e.count)
-                .with("errors", e.errors)
-                .with("p50_ms", e.p50_ms)
-                .with("p99_ms", e.p99_ms)
-        })
-        .collect();
-    let mut doc = Json::object()
-        .with("total_requests", snap.total_requests)
-        .with("total_errors", snap.total_errors)
-        .with("endpoints", Json::Arr(endpoints))
-        .with(
-            "stages_total_ms",
-            Json::object()
-                .with("matching", ms(snap.stages.totals.matching))
-                .with("transformation", ms(snap.stages.totals.transformation))
-                .with("detection", ms(snap.stages.totals.detection))
-                .with("fusion", ms(snap.stages.totals.fusion))
-                .with("prepares", snap.stages.prepares)
-                .with("fusions", snap.stages.fusions),
-        )
-        .with(
-            "prepared_cache",
-            Json::object()
-                .with("hits", cache.hits)
-                .with("misses", cache.misses)
-                .with("evictions", cache.evictions)
-                .with("entries", cache.entries)
-                .with("hit_rate", cache.hit_rate())
-                .with("upgrades", snap.deltas.cache_upgrades),
-        )
-        .with(
-            "deltas",
-            Json::object()
-                .with("applied", snap.deltas.deltas)
-                .with("rows_inserted", snap.deltas.rows_inserted)
-                .with("rows_updated", snap.deltas.rows_updated)
-                .with("rows_deleted", snap.deltas.rows_deleted)
-                .with("cache_upgrades", snap.deltas.cache_upgrades)
-                .with("cache_upgrade_failures", snap.deltas.cache_upgrade_failures)
-                .with("full_rescores", snap.deltas.full_rescores)
-                .with("index_builds", snap.deltas.index_builds),
-        )
-        .with(
-            "serving",
-            Json::object()
-                .with("overload_rejects", snap.serving.overload_rejects)
-                .with("read_timeouts", snap.serving.read_timeouts)
-                .with("idle_reclaims", snap.serving.idle_reclaims)
-                .with("worker_panics", snap.serving.worker_panics)
-                .with("event_loop_wakeups", snap.serving.event_loop_wakeups),
-        );
-    let workers: Vec<Json> = service
-        .metrics()
-        .shard_worker_histograms()
-        .iter()
-        .map(|(labels, hist)| {
-            Json::object()
-                .with("worker", labels[0].clone())
-                .with("calls", hist.count())
-                .with("p50_ms", hist.quantile(0.5) as f64 / 1e3)
-                .with("p99_ms", hist.quantile(0.99) as f64 / 1e3)
-        })
-        .collect();
-    doc.push(
-        "shard",
-        Json::object()
-            .with("scatters", snap.shard.scatters)
-            .with("shards_planned", snap.shard.shards_planned)
-            .with("worker_requests", snap.shard.worker_requests)
-            .with("worker_retries", snap.shard.worker_retries)
-            .with("worker_fallbacks", snap.shard.worker_fallbacks)
-            .with("worker_errors", snap.shard.worker_errors)
-            .with("worker_batches", snap.shard.worker_batches)
-            .with("workers", Json::Arr(workers)),
-    );
-    if let Some(store) = service.store_stats() {
-        doc.push(
-            "store",
-            Json::object()
-                .with("generation", store.generation)
-                .with("wal_bytes", store.wal_bytes)
-                .with("wal_records", store.wal_records)
-                .with("snapshots_written", store.snapshots_written)
-                .with("recovery_ms", store.recovery_ms)
-                .with("fsync", store.fsync)
-                .with("fsyncs", store.fsyncs)
-                .with("group_commits", store.group_commits),
-        );
-    }
-    doc
-}
-
 /// The `GET /metrics` response body: the whole registry in Prometheus text
 /// exposition format — request counters and latency histograms per
 /// endpoint, stage histograms labeled `(stage, degree)`,
@@ -1497,6 +1395,12 @@ pub fn metrics_to_prometheus(service: &FusionService) -> String {
                 "counter",
                 store.group_commits as f64,
             ),
+            (
+                "hummer_store_fsync_enabled",
+                "Whether WAL commits fsync (1) or not (0, --no-fsync).",
+                "gauge",
+                if store.fsync { 1.0 } else { 0.0 },
+            ),
         ] {
             out.header(name, help, kind);
             out.sample(name, &[], value);
@@ -1548,6 +1452,11 @@ mod tests {
     const EE_CSV: &str =
         "Name,Age,City\nJohn Smith,24,Berlin\nMary Jones,22,Hamburg\nPeter Miller,27,Munich\n";
     const CS_CSV: &str = "FullName,Years,Town\nJohn Smith,25,Berlin\nMary Jones,22,Hamburg\nAda Lovelace,28,London\n";
+
+    /// The service's `/metrics` exposition, parsed.
+    fn scrape(s: &FusionService) -> crate::promlint::Scrape {
+        crate::promlint::parse(&metrics_to_prometheus(s)).unwrap()
+    }
 
     fn service() -> FusionService {
         let s = FusionService::new(ServiceConfig::narrow_schema());
@@ -1681,9 +1590,6 @@ mod tests {
         );
         assert_eq!(s.metrics().snapshot().deltas.index_builds, 1);
         assert!(metrics_to_prometheus(&s).contains("\nhummer_delta_index_builds_total 1\n"));
-        let m = Json::parse(&metrics_to_json(&s).to_string_compact()).unwrap();
-        let builds = m.get("deltas").unwrap().get("index_builds").unwrap();
-        assert_eq!(builds.as_i64(), Some(1));
 
         // The carried entry answers what a cold prepare answers.
         let served = s.query(PAPER_QUERY).unwrap();
@@ -1884,15 +1790,10 @@ mod tests {
             doc.get("applied").unwrap().get("deleted").unwrap().as_i64(),
             Some(1)
         );
-        let m = Json::parse(&metrics_to_json(&s).to_string_compact()).unwrap();
-        let deltas = m.get("deltas").unwrap();
-        assert_eq!(deltas.get("applied").unwrap().as_i64(), Some(1));
+        let m = scrape(&s);
+        assert_eq!(m.value("hummer_deltas_applied_total", &[]), Some(1.0));
         assert!(m
-            .get("prepared_cache")
-            .unwrap()
-            .get("upgrades")
-            .unwrap()
-            .as_i64()
+            .value("hummer_prepared_cache_upgrades_total", &[])
             .is_some());
     }
 
@@ -1960,16 +1861,8 @@ mod tests {
         assert_eq!(parsed.get("cache").unwrap().as_str(), Some("miss"));
         let result = parsed.get("result").unwrap();
         assert_eq!(result.get("rows").unwrap().as_array().unwrap().len(), 4);
-        let m = Json::parse(&metrics_to_json(&s).to_string_compact()).unwrap();
-        assert!(
-            m.get("prepared_cache")
-                .unwrap()
-                .get("misses")
-                .unwrap()
-                .as_i64()
-                .unwrap()
-                >= 1
-        );
+        let misses = scrape(&s).value("hummer_prepared_cache_misses_total", &[]);
+        assert!(misses.unwrap() >= 1.0);
     }
 
     use hummer_store::StoreOptions;
@@ -2089,21 +1982,22 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_has_store_section_only_when_durable() {
+    fn metrics_have_store_section_only_when_durable() {
         let plain = service();
-        let m = Json::parse(&metrics_to_json(&plain).to_string_compact()).unwrap();
-        assert!(m.get("store").is_none());
+        let m = scrape(&plain);
+        assert!(m.value("hummer_store_wal_bytes", &[]).is_none());
+        assert!(m.value("hummer_store_fsync_enabled", &[]).is_none());
         assert!(plain.store_stats().is_none());
 
         let dir = temp_dir();
         let s = durable_service(&dir);
         s.put_table("EE_Student", EE_CSV).unwrap();
-        let m = Json::parse(&metrics_to_json(&s).to_string_compact()).unwrap();
-        let store = m.get("store").expect("durable service exposes store");
-        assert!(store.get("wal_bytes").unwrap().as_i64().unwrap() > 16);
-        assert_eq!(store.get("wal_records").unwrap().as_i64(), Some(1));
-        assert_eq!(store.get("snapshots_written").unwrap().as_i64(), Some(0));
-        assert!(store.get("recovery_ms").unwrap().as_f64().is_some());
+        let m = scrape(&s);
+        assert!(m.value("hummer_store_wal_bytes", &[]).unwrap() > 16.0);
+        assert_eq!(m.value("hummer_store_wal_records", &[]), Some(1.0));
+        assert_eq!(m.value("hummer_store_snapshots_total", &[]), Some(0.0));
+        assert!(m.value("hummer_store_recovery_seconds", &[]).is_some());
+        assert_eq!(m.value("hummer_store_fsync_enabled", &[]), Some(1.0));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,7 +6,8 @@
 //! and its counters add up).
 
 use hummer_server::loadgen::http_request;
-use hummer_server::{HummerServer, Json, ServerConfig, ServiceConfig, ServingMode};
+use hummer_server::promlint;
+use hummer_server::{HummerServer, ServerConfig, ServiceConfig};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::thread;
@@ -15,14 +16,13 @@ use std::time::Duration;
 const CSV: &[u8] = b"Name,City\nJohn Smith,Berlin\nJon Smith,Berlin\n";
 const QUERY: &[u8] = b"SELECT Name, City FUSE FROM People FUSE BY (objectID)";
 
-/// An event-mode server with aggressively small timeouts so adversarial
-/// clients are punished within test budget.
+/// A server with aggressively small timeouts so adversarial clients are
+/// punished within test budget.
 fn tight_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".into(),
         threads: 2,
         service: ServiceConfig::narrow_schema(),
-        mode: ServingMode::Event,
         read_timeout: Duration::from_millis(300),
         idle_timeout: Duration::from_millis(300),
         ..ServerConfig::default()
@@ -120,25 +120,24 @@ fn peer_closed(stream: &mut TcpStream) -> bool {
     }
 }
 
-fn serving_counter(addr: &str, key: &str) -> i64 {
+/// A serving counter off `/metrics`, e.g. `hummer_read_timeouts_total`.
+fn serving_counter(addr: &str, name: &str) -> f64 {
     // Slots freed by a client-side close are reclaimed on the server's
     // next sweep, so this probe can transiently hit the admission cap
     // (503) right after a scenario — retry until admitted.
     let mut response = None;
     for _ in 0..250 {
-        if let Ok((200, body)) = http_request(addr, "GET", "/metrics.json", "text/plain", b"") {
+        if let Ok((200, body)) = http_request(addr, "GET", "/metrics", "text/plain", b"") {
             response = Some(body);
             break;
         }
         thread::sleep(Duration::from_millis(20));
     }
-    let body = response.expect("/metrics.json never admitted");
-    Json::parse(&body)
+    let text = response.expect("/metrics never admitted");
+    promlint::parse(&text)
         .unwrap()
-        .get("serving")
-        .and_then(|s| s.get(key))
-        .and_then(Json::as_i64)
-        .unwrap_or_else(|| panic!("serving.{key} missing from /metrics.json"))
+        .value(name, &[])
+        .unwrap_or_else(|| panic!("{name} missing from /metrics"))
 }
 
 #[test]
@@ -189,7 +188,7 @@ fn slowloris_header_drip_gets_408_and_close() {
         "slowloris expected 408, got: {head:?}"
     );
     assert!(peer_closed(&mut stream), "server must close after 408");
-    assert!(serving_counter(&addr, "read_timeouts") >= 1);
+    assert!(serving_counter(&addr, "hummer_read_timeouts_total") >= 1.0);
     stop();
 }
 
@@ -367,17 +366,13 @@ fn an_idle_server_wakes_a_few_times_not_hundreds() {
     let mut stream = TcpStream::connect(&addr).unwrap();
     let mut residual = Vec::new();
     let mut wakeups = || {
-        stream
-            .write_all(b"GET /metrics.json HTTP/1.1\r\n\r\n")
-            .unwrap();
+        stream.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
         let (status, _, body) = read_response_buffered(&mut stream, &mut residual).unwrap();
         assert_eq!(status, 200);
-        Json::parse(&String::from_utf8(body).unwrap())
+        promlint::parse(&String::from_utf8(body).unwrap())
             .unwrap()
-            .get("serving")
-            .and_then(|s| s.get("event_loop_wakeups"))
-            .and_then(Json::as_i64)
-            .expect("serving.event_loop_wakeups in /metrics.json")
+            .value("hummer_event_loop_wakeups_total", &[])
+            .expect("hummer_event_loop_wakeups_total on /metrics") as i64
     };
     let before = wakeups();
     thread::sleep(Duration::from_millis(300));
@@ -387,14 +382,10 @@ fn an_idle_server_wakes_a_few_times_not_hundreds() {
         "{woken} wake-ups of {workers} workers in 300 idle ms"
     );
 
-    // The counter is on /metrics too, and the exposition still lints.
+    // The exposition the counter was read from still lints.
     let (status, text) = http_request(&addr, "GET", "/metrics", "text/plain", b"").unwrap();
     assert_eq!(status, 200);
-    assert!(
-        text.contains("\nhummer_event_loop_wakeups_total "),
-        "{text}"
-    );
-    let report = hummer_server::promlint::lint(&text);
+    let report = promlint::lint(&text);
     assert!(report.ok(), "lint errors: {:#?}", report.errors);
     stop();
 }
@@ -406,8 +397,8 @@ fn idle_connections_are_reclaimed() {
     // Send nothing. After the 300 ms idle timeout the server closes the
     // socket silently (no 408 — there is no request to answer).
     assert!(peer_closed(&mut idle), "idle connection never reclaimed");
-    assert!(serving_counter(&addr, "idle_reclaims") >= 1);
-    assert_eq!(serving_counter(&addr, "read_timeouts"), 0);
+    assert!(serving_counter(&addr, "hummer_idle_reclaims_total") >= 1.0);
+    assert_eq!(serving_counter(&addr, "hummer_read_timeouts_total"), 0.0);
     stop();
 }
 
@@ -455,7 +446,7 @@ fn admission_control_rejects_beyond_max_connections_and_recovers() {
     }
     let (status, _) = admitted.expect("slots never freed after occupants left");
     assert_eq!(status, 200);
-    assert!(serving_counter(&addr, "overload_rejects") >= 1);
+    assert!(serving_counter(&addr, "hummer_overload_rejects_total") >= 1.0);
     stop();
 }
 
@@ -510,11 +501,9 @@ fn no_connection_slot_leaks_after_adversarial_traffic() {
 
 /// A handler panic mid-request must not leave the client hanging: the
 /// connection closes (the client sees EOF, not a stall) and the server
-/// keeps serving. Exercised in both serving modes — the fix lives in the
-/// shared `execute_request` path.
-fn panic_scenario(mode: ServingMode) {
+/// keeps serving. The fix lives in `execute_request`.
+fn panic_scenario() {
     let mut config = tight_config();
-    config.mode = mode;
     config.service.debug_panic_route = true;
     config.read_timeout = Duration::from_secs(30);
     config.idle_timeout = Duration::from_secs(30);
@@ -532,20 +521,14 @@ fn panic_scenario(mode: ServingMode) {
     );
     assert!(peer_closed(&mut stream), "client left hanging after panic");
 
-    // The worker (blocking) / event loop slot is recycled: fresh
-    // connections still serve.
+    // The event-loop slot is recycled: fresh connections still serve.
     let (status, _) = http_request(&addr, "GET", "/healthz", "text/plain", b"").unwrap();
     assert_eq!(status, 200);
-    assert_eq!(serving_counter(&addr, "worker_panics"), 1);
+    assert_eq!(serving_counter(&addr, "hummer_worker_panics_total"), 1.0);
     stop();
 }
 
 #[test]
 fn worker_panic_closes_connection_event_mode() {
-    panic_scenario(ServingMode::Event);
-}
-
-#[test]
-fn worker_panic_closes_connection_blocking_mode() {
-    panic_scenario(ServingMode::Blocking);
+    panic_scenario();
 }

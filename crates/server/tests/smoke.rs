@@ -3,6 +3,7 @@
 //! graceful shutdown.
 
 use hummer_server::loadgen::{http_request, run_load, Client, LoadConfig};
+use hummer_server::promlint::{self, Scrape};
 use hummer_server::{
     CoordinatorOptions, HummerServer, Json, ObsConfig, ServerConfig, ServiceConfig,
 };
@@ -28,6 +29,13 @@ fn start_server(threads: usize) -> (String, impl FnOnce()) {
         service,
         ..ServerConfig::default()
     })
+}
+
+/// `GET /metrics`, parsed.
+fn scrape(addr: &str) -> Scrape {
+    let (status, text) = http_request(addr, "GET", "/metrics", "text/plain", b"").unwrap();
+    assert_eq!(status, 200);
+    promlint::parse(&text).unwrap()
 }
 
 fn start_server_with(config: ServerConfig) -> (String, impl FnOnce()) {
@@ -98,15 +106,15 @@ fn upload_query_metrics_shutdown() {
     assert_eq!(doc.get("cache").unwrap().as_str(), Some("hit"));
 
     // Metrics reflect all of the above.
-    let (status, body) = http_request(&addr, "GET", "/metrics.json", "text/plain", b"").unwrap();
-    assert_eq!(status, 200);
-    let m = Json::parse(&body).unwrap();
-    assert!(m.get("total_requests").unwrap().as_i64().unwrap() >= 6);
-    let cache = m.get("prepared_cache").unwrap();
-    assert_eq!(cache.get("misses").unwrap().as_i64(), Some(1));
-    assert_eq!(cache.get("hits").unwrap().as_i64(), Some(2));
+    let m = scrape(&addr);
+    assert!(m.sum("hummer_requests_total", &[]) >= 6.0);
+    assert_eq!(
+        m.value("hummer_prepared_cache_misses_total", &[]),
+        Some(1.0)
+    );
+    assert_eq!(m.value("hummer_prepared_cache_hits_total", &[]), Some(2.0));
 
-    // The same registry in Prometheus text exposition on /metrics.
+    // The exposition's metadata, as a Prometheus server reads it.
     let (status, prom) = http_request(&addr, "GET", "/metrics", "text/plain", b"").unwrap();
     assert_eq!(status, 200);
     assert!(
@@ -235,12 +243,14 @@ fn delta_over_http_upgrades_cache_and_mixed_load_runs() {
     assert_eq!(report.ok, 40);
     assert_eq!(report.updates_ok, 10);
 
-    // Delta counters surfaced in /metrics.json.
-    let (_, body) = http_request(&addr, "GET", "/metrics.json", "text/plain", b"").unwrap();
-    let m = Json::parse(&body).unwrap();
-    let deltas = m.get("deltas").unwrap();
-    assert_eq!(deltas.get("applied").unwrap().as_i64(), Some(11));
-    assert!(deltas.get("cache_upgrades").unwrap().as_i64().unwrap() >= 1);
+    // Delta counters surfaced in /metrics.
+    let m = scrape(&addr);
+    assert_eq!(m.value("hummer_deltas_applied_total", &[]), Some(11.0));
+    assert!(
+        m.value("hummer_prepared_cache_upgrades_total", &[])
+            .unwrap()
+            >= 1.0
+    );
     stop();
 }
 
@@ -262,17 +272,11 @@ fn concurrent_load_is_consistent() {
     assert!(report.p99_ms >= report.p50_ms);
     // At most a few cold misses (concurrent first arrivals may race), then
     // everything hits.
-    let (_, body) = http_request(&addr, "GET", "/metrics.json", "text/plain", b"").unwrap();
-    let m = Json::parse(&body).unwrap();
-    let hits = m
-        .get("prepared_cache")
-        .unwrap()
-        .get("hits")
-        .unwrap()
-        .as_i64()
+    let hits = scrape(&addr)
+        .value("hummer_prepared_cache_hits_total", &[])
         .unwrap();
     assert!(
-        hits >= 72,
+        hits >= 72.0,
         "expected most requests to hit the cache, got {hits}"
     );
     stop();
@@ -336,11 +340,10 @@ fn durable_server_recovers_catalog_across_restart() {
     assert_eq!(result_of(&after), result_of(&before));
     assert!(after.contains("\"row_count\":5"), "{after}");
 
-    // The store section (wal_bytes, recovery_ms, ...) is on /metrics.json.
-    let (_, body) = http_request(&addr, "GET", "/metrics.json", "text/plain", b"").unwrap();
-    let store = Json::parse(&body).unwrap().get("store").cloned().unwrap();
-    assert!(store.get("recovery_ms").unwrap().as_f64().is_some());
-    assert!(store.get("wal_records").unwrap().as_i64().unwrap() >= 3);
+    // The store gauges (WAL records, recovery time, ...) are on /metrics.
+    let m = scrape(&addr);
+    assert!(m.value("hummer_store_recovery_seconds", &[]).is_some());
+    assert!(m.value("hummer_store_wal_records", &[]).unwrap() >= 3.0);
 
     // DELETE is durable too.
     let (status, _) =
@@ -432,10 +435,9 @@ fn coordinator_scatters_and_survives_worker_death() {
     assert_eq!(doc.get("shards").unwrap().as_i64(), Some(0));
 
     // The scatter landed in the metrics.
-    let (_, body) = http_request(&coord, "GET", "/metrics.json", "text/plain", b"").unwrap();
-    let shard = Json::parse(&body).unwrap().get("shard").cloned().unwrap();
-    assert!(shard.get("scatters").unwrap().as_i64().unwrap() >= 1);
-    assert!(shard.get("worker_requests").unwrap().as_i64().unwrap() >= 1);
+    let m = scrape(&coord);
+    assert!(m.value("hummer_shard_scatters_total", &[]).unwrap() >= 1.0);
+    assert!(m.value("hummer_shard_worker_requests_total", &[]).unwrap() >= 1.0);
 
     // Kill one worker; a fresh source set forces a cold scatter that must
     // still answer — retry on the survivor or local fallback — and still

@@ -1,9 +1,9 @@
 //! Unique scratch directories under the system temp dir.
 //!
-//! The store's own tests, the durability suites at the workspace root, the
-//! server's durable-service tests, and the `exp12_durability` bench all
-//! need throwaway data directories; this is the one implementation they
-//! share. Collision-free across concurrent test processes (PID) and within
+//! The store's own tests, the durability suites at the workspace root
+//! (`tests/durability_properties.rs`, `tests/group_commit_properties.rs`)
+//! and the server's durable-service tests all need throwaway data
+//! directories; this is the one implementation they share. Collision-free across concurrent test processes (PID) and within
 //! a process (atomic counter). Callers remove the directory when done.
 
 use std::path::PathBuf;

@@ -357,8 +357,8 @@ mod tests {
     /// original `HashMap`-backed vector accumulated the norm and dot in a
     /// per-instance random order, so two runs over identical data could
     /// differ in the last ULP — which broke the pipeline's sequential ==
-    /// parallel byte-identity contract at scale (caught by
-    /// `exp10_parallel`'s fingerprint check).
+    /// parallel byte-identity contract at scale (held by
+    /// `tests/parallel_equivalence.rs`'s fingerprint checks).
     #[test]
     fn vectors_are_bit_deterministic() {
         // Enough distinct tokens that hash-order effects would be near

@@ -5,7 +5,7 @@
 # exposition and a per-request /trace/{id} span tree, then shut down
 # gracefully. A second section exercises durability: --data-dir, kill -9,
 # restart on the same directory, byte-identical fusion result, recovery
-# stats in /metrics.json and on the Prometheus exposition. A third section
+# stats on the Prometheus exposition (linted too). A third section
 # exercises the event loop at depth: a 128-connection mixed burst through
 # loadgen, then kill -9 while concurrent deltas are inside a widened
 # group-commit window — the restart must serve byte-identical fusion output.
@@ -22,6 +22,11 @@ PROMLINT_BIN=${PROMLINT_BIN:-./target/release/promlint}
 PORT=${PORT:-$((20000 + RANDOM % 20000))}
 ADDR="127.0.0.1:${PORT}"
 DATA_DIR=$(mktemp -d)
+
+# One unlabeled sample off a server's /metrics, e.g. `metric ADDR hummer_deltas_applied_total`.
+metric() {
+    curl -sf "http://$1/metrics" | awk -v name="$2" '$1 == name {print $2}'
+}
 
 "$BIN" --addr "$ADDR" --threads 2 --narrow-schemas &
 SERVER_PID=$!
@@ -69,9 +74,9 @@ code=$(curl -s -o /tmp/query2.json -w '%{http_code}' -X POST "http://${ADDR}/que
 grep -q '"row_count":5' /tmp/query2.json || { echo "delta not reflected:"; cat /tmp/query2.json; exit 1; }
 grep -q '"cache":"hit"' /tmp/query2.json || { echo "expected an upgraded-cache hit:"; cat /tmp/query2.json; exit 1; }
 
-# Delta counters are visible in /metrics.json.
-curl -sf "http://${ADDR}/metrics.json" | grep -q '"cache_upgrades":1' \
-    || { echo "delta counters missing from /metrics.json"; exit 1; }
+# Delta counters are visible on /metrics.
+[ "$(metric "$ADDR" hummer_prepared_cache_upgrades_total)" = 1 ] \
+    || { echo "delta counters missing from /metrics"; exit 1; }
 
 # /metrics is Prometheus text: after the query and the delta above, the
 # stage histograms and the delta counters must be present.
@@ -122,10 +127,10 @@ grep -q '"serialize"' /tmp/trace.json \
 # detection): three updates to one table build at most one index per cache
 # entry (here none — the insert above already built it).
 index_builds() {
-    curl -sf "http://${ADDR}/metrics" | awk '$1 == "hummer_delta_index_builds_total" {print $2}'
+    metric "$ADDR" hummer_delta_index_builds_total
 }
 builds_before=$(index_builds)
-entries=$(curl -sf "http://${ADDR}/metrics.json" | grep -o '"entries":[0-9]*' | head -1 | cut -d: -f2)
+entries=$(metric "$ADDR" hummer_prepared_cache_entries)
 [ -n "$builds_before" ] && [ -n "$entries" ] \
     || { echo "index-build counter or cache entry count missing"; exit 1; }
 for age in 26 27 28; do
@@ -208,18 +213,19 @@ if [ "$(result_of /tmp/durable_before.json)" != "$(result_of /tmp/durable_after.
     exit 1
 fi
 
-# Recovery is visible in /metrics.json (wal_records covers 2 registers +
-# 1 delta) and the store counters are on the Prometheus exposition too.
-curl -sf "http://${ADDR3}/metrics.json" -o /tmp/durable_metrics.json
-grep -q '"recovery_ms"' /tmp/durable_metrics.json \
-    || { echo "store metrics missing recovery_ms:"; cat /tmp/durable_metrics.json; exit 1; }
-grep -q '"wal_records":3' /tmp/durable_metrics.json \
-    || { echo "unexpected wal_records:"; cat /tmp/durable_metrics.json; exit 1; }
+# Recovery is visible on /metrics (wal_records covers 2 registers + 1
+# delta), fsync reads as on, and the durable exposition lints as well.
 curl -sf "http://${ADDR3}/metrics" -o /tmp/durable_prom.txt
-grep -qF 'hummer_store_wal_records 3' /tmp/durable_prom.txt \
-    || { echo "Prometheus exposition missing store counters:"; cat /tmp/durable_prom.txt; exit 1; }
-grep -qF 'hummer_store_recovery_seconds' /tmp/durable_prom.txt \
-    || { echo "Prometheus exposition missing recovery gauge:"; cat /tmp/durable_prom.txt; exit 1; }
+for want in \
+    'hummer_store_wal_records 3' \
+    'hummer_store_fsync_enabled 1' \
+    'hummer_store_recovery_seconds '
+do
+    grep -qF "$want" /tmp/durable_prom.txt \
+        || { echo "Prometheus exposition missing: $want"; cat /tmp/durable_prom.txt; exit 1; }
+done
+"$PROMLINT_BIN" /tmp/durable_prom.txt \
+    || { echo "promlint rejected the durable server's /metrics scrape"; exit 1; }
 
 # DELETE is durable too: deregister, restart, still gone.
 code=$(curl -s -o /dev/null -w '%{http_code}' -X DELETE "http://${ADDR3}/tables/EE_Student")
@@ -357,8 +363,8 @@ if [ "$(result_of /tmp/coord.json)" != "$(result_of /tmp/plain.json)" ]; then
     diff <(result_of /tmp/coord.json) <(result_of /tmp/plain.json) || true
     exit 1
 fi
-curl -sf "http://${COORD}/metrics.json" | grep -q '"worker_requests":0' \
-    && { echo "coordinator never scattered to its workers"; exit 1; } || true
+[ "$(metric "$COORD" hummer_shard_worker_requests_total)" -gt 0 ] \
+    || { echo "coordinator never scattered to its workers"; exit 1; }
 
 # Kill one worker mid-burst: cold prepares keep scattering, their batches
 # retry on the survivor (or fall back locally), and not one request fails.

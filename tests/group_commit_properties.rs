@@ -10,13 +10,15 @@
 //!    of the final group-commit batch; recovery must succeed and contain
 //!    exactly the records whose frames are fully inside the cut — the
 //!    acked prefix, in ack order, never a partial mutation.
+//! 3. **Batching happens**: writers that arrive together inside a commit
+//!    window share commits — fewer group commits than records.
 
 use hummer::engine::{Row, Table, Value};
 use hummer::store::snapshot::wal_path;
 use hummer::store::{wal, CatalogStore, StoreOptions};
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 fn temp_dir() -> PathBuf {
     hummer::store::scratch::dir("group_commit")
@@ -223,4 +225,61 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// 16 writers released by one barrier into a 5 ms commit window (the
+/// window the server smoke test runs with), fsync on: the leader's linger
+/// lets the others join its batch, so the store writes fewer group commits
+/// than records — and every acked record recovers.
+#[test]
+fn writers_inside_one_window_share_group_commits() {
+    const WRITERS: usize = 16;
+    let dir = temp_dir();
+    let (store, _) = CatalogStore::open(&dir, options(true, 5_000)).unwrap();
+    let committer = store.committer();
+    let store = Arc::new(Mutex::new((store, 0u64)));
+    let barrier = Arc::new(Barrier::new(WRITERS));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|i| {
+            let (store, barrier, committer) =
+                (Arc::clone(&store), Arc::clone(&barrier), committer.clone());
+            std::thread::spawn(move || {
+                let name = format!("W{i}");
+                let table = small_table(&name, &format!("writer {i}"));
+                barrier.wait();
+                let ticket = {
+                    let mut guard = store.lock().unwrap();
+                    guard.1 += 1;
+                    let version = guard.1;
+                    guard.0.enqueue_register(&name, version, &table).unwrap()
+                };
+                committer.wait(ticket).expect("group commit");
+                (name, table)
+            })
+        })
+        .collect();
+    let acked: Vec<(String, Table)> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+
+    let (store, _) = Arc::try_unwrap(store)
+        .map_err(|_| ())
+        .expect("writers joined")
+        .into_inner()
+        .unwrap();
+    let group_commits = store.stats().group_commits;
+    assert!(
+        (1..WRITERS as u64).contains(&group_commits),
+        "{group_commits} group commits for {WRITERS} records"
+    );
+    drop(store);
+    let (_reopened, recovery) = CatalogStore::open(&dir, options(true, 0)).unwrap();
+    assert_eq!(recovery.tables.len(), WRITERS);
+    for (name, table) in &acked {
+        let recovered = recovery
+            .tables
+            .iter()
+            .find(|t| &t.alias == name)
+            .expect("acked record recovered");
+        assert_eq!(&recovered.table, table);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

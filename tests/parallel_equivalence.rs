@@ -7,8 +7,14 @@
 //! Determinism rests on two properties checked here end to end:
 //! `hummer_par`'s in-input-order merges, and the order-stable float
 //! accumulation in `hummer_textsim` (token-sorted TF-IDF vectors).
+//!
+//! Tracing is held to the same contract: a pipeline recording every stage
+//! span into an enabled tracer answers bit-identically to a bare one.
 
-use hummer::core::{fuse_prepared_par, prepare_tables, HummerConfig, Parallelism, PipelineOutcome};
+use hummer::core::{
+    fuse_prepared_par, fuse_prepared_traced, prepare_tables, prepare_tables_traced, HummerConfig,
+    ObsConfig, Parallelism, PipelineOutcome,
+};
 use hummer::datagen::scenarios::{
     cd_shopping, cleansing_service, disaster_registry, person_scale, student_rosters,
 };
@@ -27,9 +33,8 @@ fn world_for(scenario: u8, entities: usize, seed: u64) -> GeneratedWorld {
     }
 }
 
-fn run(world: &GeneratedWorld, par: Parallelism) -> PipelineOutcome {
-    let tables: Vec<&Table> = world.sources.iter().map(|s| &s.table).collect();
-    let config = HummerConfig {
+fn config(par: Parallelism) -> HummerConfig {
+    HummerConfig {
         matcher: hummer::core::MatcherConfig {
             sniff: SniffConfig {
                 top_k: 10,
@@ -40,18 +45,25 @@ fn run(world: &GeneratedWorld, par: Parallelism) -> PipelineOutcome {
         },
         parallelism: par,
         ..Default::default()
-    };
-    let registry = FunctionRegistry::standard();
-    let prepared = prepare_tables(&tables, &config).expect("prepare");
-    // Exercise an explicit resolution alongside the COALESCE default.
-    let resolutions = [("Title".to_string(), ResolutionSpec::named("longest"))];
-    let resolutions: &[(String, ResolutionSpec)] = if prepared.integrated.schema().contains("Title")
-    {
-        &resolutions
+    }
+}
+
+/// An explicit resolution alongside the COALESCE default, where the
+/// integrated schema has the column.
+fn resolutions_for(integrated: &Table) -> Vec<(String, ResolutionSpec)> {
+    if integrated.schema().contains("Title") {
+        vec![("Title".to_string(), ResolutionSpec::named("longest"))]
     } else {
-        &[]
-    };
-    fuse_prepared_par(&prepared, resolutions, &registry, par).expect("fuse")
+        Vec::new()
+    }
+}
+
+fn run(world: &GeneratedWorld, par: Parallelism) -> PipelineOutcome {
+    let tables: Vec<&Table> = world.sources.iter().map(|s| &s.table).collect();
+    let registry = FunctionRegistry::standard();
+    let prepared = prepare_tables(&tables, &config(par)).expect("prepare");
+    let resolutions = resolutions_for(&prepared.integrated);
+    fuse_prepared_par(&prepared, &resolutions, &registry, par).expect("fuse")
 }
 
 /// Everything user-visible, rendered bit-exactly (`{:?}` on `f64` is the
@@ -103,6 +115,46 @@ proptest! {
         let a = run(&world, Parallelism::degree(4));
         let b = run(&world, Parallelism::degree(4));
         prop_assert_eq!(fingerprint(&a), fingerprint(&b));
+    }
+}
+
+/// Tracing does not perturb the answer: at degrees 1–4 on every scenario
+/// world, the pipeline run under an enabled tracer's root — every stage
+/// recording its span — fingerprints exactly like the bare run, and the
+/// spans really landed in the ring.
+#[test]
+fn tracing_does_not_perturb_the_answer() {
+    let registry = FunctionRegistry::standard();
+    for scenario in 0..4u8 {
+        let world = world_for(scenario, 60, 2005 + u64::from(scenario));
+        let tables: Vec<&Table> = world.sources.iter().map(|s| &s.table).collect();
+        for degree in 1..=4 {
+            let par = Parallelism::degree(degree);
+            let bare = fingerprint(&run(&world, par));
+
+            let obs = ObsConfig::enabled(4096);
+            let tracer = obs.tracer.clone();
+            let traced_config = HummerConfig { obs, ..config(par) };
+            let root = tracer.trace("query");
+            let prepared = prepare_tables_traced(&tables, &traced_config, &root).expect("prepare");
+            let resolutions = resolutions_for(&prepared.integrated);
+            let traced =
+                fuse_prepared_traced(&prepared, &resolutions, &registry, par, &root).expect("fuse");
+            drop(root);
+            assert_eq!(
+                bare,
+                fingerprint(&traced),
+                "scenario {scenario} at degree {degree}"
+            );
+
+            let spans = tracer.drain();
+            for stage in ["match", "transform", "detect", "cluster", "fuse"] {
+                assert!(
+                    spans.iter().any(|s| s.name == stage),
+                    "no {stage} span in the ring (scenario {scenario}, degree {degree})"
+                );
+            }
+        }
     }
 }
 

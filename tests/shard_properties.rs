@@ -9,6 +9,10 @@
 //! no candidate pair may straddle a shard boundary, rows partition the
 //! union exactly, and the union of per-shard candidate lists is the global
 //! candidate list.
+//!
+//! The `scatter` tests drive the coordinator over real HTTP workers: the
+//! stitched trace tree, the dead-worker drills, and the planner's division
+//! of work.
 
 use hummer::core::{fuse_prepared_par, prepare_tables, HummerConfig, Parallelism, PipelineOutcome};
 use hummer::datagen::scenarios::{
@@ -240,5 +244,261 @@ proptest! {
             .collect();
         reassembled.sort_unstable();
         prop_assert_eq!(global, reassembled);
+    }
+}
+
+mod scatter {
+    //! The coordinator's scatter over real HTTP workers (in-process
+    //! `HummerServer`s on ephemeral ports), on a `person_scale` world under
+    //! `City` key-equality blocking — the generator's finite city pool
+    //! splits the candidate graph into a few dozen fat components:
+    //!
+    //! * with two live workers, one query is one stitched trace tree that
+    //!   names both workers;
+    //! * a dead worker's batch is retried on the survivor, a dead fleet's
+    //!   batches run locally — both visible as spans, both answering
+    //!   bit-identically — and with local fallback off a dead fleet is a
+    //!   typed error, never a partial answer;
+    //! * the planner's round-robin batches divide the pair-scoring work.
+
+    use super::fingerprint;
+    use hummer::core::{fuse_prepared_par, prepare_tables, HummerConfig, Parallelism};
+    use hummer::datagen::scenarios::person_scale;
+    use hummer::dupdetect::{candidate_pairs, resolve_candidate_strategy};
+    use hummer::engine::Table;
+    use hummer::fusion::FunctionRegistry;
+    use hummer::obs::{SpanRecord, TraceNode, TraceTree, Tracer};
+    use hummer::server::{HummerServer, ServerConfig, ServiceConfig};
+    use hummer::shard::{
+        execute_sharded_with, key_equality_spec, plan_shards, CoordinatorConfig, RemoteBackend,
+        ShardError, ShardedOutcome,
+    };
+    use std::collections::BTreeSet;
+    use std::net::TcpListener;
+
+    const SEED: u64 = 2005;
+    /// Shard ceiling: 8 shards round-robined over 2 workers.
+    const K: usize = 8;
+    /// `person_scale` entities of the drill world (≈ 210 union rows).
+    const DRILL_ENTITIES: usize = 150;
+
+    fn city_config(par: Parallelism) -> HummerConfig {
+        let mut config = HummerConfig {
+            parallelism: par,
+            ..Default::default()
+        };
+        config.detector.candidates = key_equality_spec("City".to_string());
+        config
+    }
+
+    /// The single-shard sequential answer the scatter must reproduce.
+    fn reference(tables: &[&Table]) -> String {
+        let config = city_config(Parallelism::sequential());
+        let prepared = prepare_tables(tables, &config).expect("prepare");
+        fingerprint(
+            &fuse_prepared_par(
+                &prepared,
+                &[],
+                &FunctionRegistry::standard(),
+                Parallelism::sequential(),
+            )
+            .expect("fuse"),
+        )
+    }
+
+    /// A shard worker on an ephemeral port: a plain server — the shard
+    /// request carries its own rows, so nothing is uploaded.
+    fn start_worker() -> (String, impl FnOnce()) {
+        let server = HummerServer::bind(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            threads: 2,
+            service: ServiceConfig::default(),
+            ..ServerConfig::default()
+        })
+        .expect("bind ephemeral worker port");
+        let addr = server.local_addr().to_string();
+        let handle = server.shutdown_handle();
+        let join = std::thread::spawn(move || server.run().unwrap());
+        (addr, move || {
+            handle.shutdown();
+            join.join().expect("worker thread");
+        })
+    }
+
+    /// An address nobody listens on: bound, then dropped.
+    fn dead_addr() -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.local_addr().unwrap().to_string()
+    }
+
+    fn backend(workers: Vec<String>, fallback_local: bool) -> RemoteBackend {
+        RemoteBackend::new(CoordinatorConfig {
+            workers,
+            fallback_local,
+            ..CoordinatorConfig::default()
+        })
+    }
+
+    /// One scatter of the drill world under a fresh trace root; returns the
+    /// outcome and the assembled trace tree.
+    fn traced_scatter(
+        tables: &[&Table],
+        backend: &RemoteBackend,
+    ) -> (hummer::shard::Result<ShardedOutcome>, TraceTree) {
+        let tracer = Tracer::with_capacity(65536);
+        let root = tracer.trace("query");
+        let id = root.trace_id().expect("an enabled tracer allocates ids");
+        let outcome = execute_sharded_with(
+            tables,
+            &city_config(Parallelism::degree(2)),
+            K,
+            &[],
+            &FunctionRegistry::standard(),
+            backend,
+            &root,
+        );
+        drop(root);
+        let tree = tracer.trace_tree(id).expect("the trace is in the ring");
+        (outcome, tree)
+    }
+
+    /// Every span of the tree with its parent's record, depth-first.
+    fn edges(tree: &TraceTree) -> Vec<(Option<&SpanRecord>, &SpanRecord)> {
+        fn walk<'a>(
+            node: &'a TraceNode,
+            parent: Option<&'a SpanRecord>,
+            out: &mut Vec<(Option<&'a SpanRecord>, &'a SpanRecord)>,
+        ) {
+            out.push((parent, &node.record));
+            for child in &node.children {
+                walk(child, Some(&node.record), out);
+            }
+        }
+        let mut out = Vec::new();
+        for root in &tree.roots {
+            walk(root, None, &mut out);
+        }
+        out
+    }
+
+    fn has_span(tree: &TraceTree, name: &str) -> bool {
+        edges(tree).iter().any(|(_, span)| span.name == name)
+    }
+
+    #[test]
+    fn two_live_workers_stitch_one_trace_tree() {
+        let world = person_scale(DRILL_ENTITIES, SEED);
+        let tables: Vec<&Table> = world.sources.iter().map(|s| &s.table).collect();
+        let (a, stop_a) = start_worker();
+        let (b, stop_b) = start_worker();
+        let (outcome, tree) = traced_scatter(&tables, &backend(vec![a, b], true));
+        stop_a();
+        stop_b();
+        let outcome = outcome.expect("scatter");
+        assert_eq!(fingerprint(&outcome.outcome), reference(&tables));
+        assert_eq!((outcome.stats.retries, outcome.stats.fallbacks), (0, 0));
+
+        assert_eq!(tree.roots.len(), 1, "one root");
+        assert_eq!(tree.orphans, 0);
+        let edges = edges(&tree);
+        let nodes: BTreeSet<&str> = edges
+            .iter()
+            .filter_map(|(_, span)| span.node.as_deref())
+            .collect();
+        assert!(nodes.len() >= 2, "worker nodes {nodes:?}");
+        // The coordinator's own stages are local spans.
+        for stage in ["plan", "scatter", "combine"] {
+            assert!(
+                edges
+                    .iter()
+                    .any(|(_, span)| span.name == stage && span.node.is_none()),
+                "no local {stage} span"
+            );
+        }
+        // Each worker's stages nest worker_batch → shard → score / cluster,
+        // every one of them labelled with the worker that ran it.
+        let nested = |child: &str, parent: &str| {
+            let spans: Vec<_> = edges
+                .iter()
+                .filter(|(_, span)| span.name == child)
+                .collect();
+            !spans.is_empty()
+                && spans.iter().all(|(up, span)| {
+                    span.node.is_some()
+                        && up.is_some_and(|up| up.name == parent && up.node == span.node)
+                })
+        };
+        assert!(edges
+            .iter()
+            .any(|(_, span)| span.name == "worker_batch" && span.node.is_some()));
+        assert!(nested("shard", "worker_batch"), "shard under worker_batch");
+        assert!(nested("score", "shard"), "score under shard");
+        assert!(nested("cluster", "shard"), "cluster under shard");
+    }
+
+    #[test]
+    fn a_dead_worker_is_retried_on_the_survivor() {
+        let world = person_scale(DRILL_ENTITIES, SEED);
+        let tables: Vec<&Table> = world.sources.iter().map(|s| &s.table).collect();
+        let (live, stop) = start_worker();
+        let (outcome, tree) = traced_scatter(&tables, &backend(vec![live, dead_addr()], true));
+        stop();
+        let outcome = outcome.expect("scatter with one dead worker");
+        assert!(outcome.stats.retries >= 1, "{:?}", outcome.stats);
+        assert!(has_span(&tree, "retry"), "no retry span");
+        assert_eq!(fingerprint(&outcome.outcome), reference(&tables));
+    }
+
+    #[test]
+    fn a_dead_fleet_falls_back_to_local_execution() {
+        let world = person_scale(DRILL_ENTITIES, SEED);
+        let tables: Vec<&Table> = world.sources.iter().map(|s| &s.table).collect();
+        let fleet = vec![dead_addr(), dead_addr()];
+        let (outcome, tree) = traced_scatter(&tables, &backend(fleet, true));
+        let outcome = outcome.expect("scatter with every worker dead");
+        assert!(outcome.stats.fallbacks >= 1, "{:?}", outcome.stats);
+        assert!(has_span(&tree, "fallback"), "no fallback span");
+        assert_eq!(fingerprint(&outcome.outcome), reference(&tables));
+    }
+
+    #[test]
+    fn a_dead_fleet_without_fallback_is_a_typed_error() {
+        let world = person_scale(DRILL_ENTITIES, SEED);
+        let tables: Vec<&Table> = world.sources.iter().map(|s| &s.table).collect();
+        let fleet = vec![dead_addr(), dead_addr()];
+        let (outcome, _) = traced_scatter(&tables, &backend(fleet, false));
+        match outcome {
+            Err(ShardError::Worker { timeout, .. }) => assert!(!timeout),
+            other => panic!("expected a worker error, got {:?}", other.map(|o| o.stats)),
+        }
+    }
+
+    /// Round-robin over two workers (worker i takes shards i, i + 2, …),
+    /// the heaviest batch holds at most 1/1.5 of the candidate pairs: two
+    /// workers buy at least 1.5× on the pair-scoring stage. On
+    /// `person_scale(1400)` (1,944 union rows, 53,340 candidate pairs, 8
+    /// shards) the heaviest batch holds 26,707 of them, a share of 0.501.
+    #[test]
+    fn round_robin_batches_divide_the_pair_work() {
+        let world = person_scale(1400, SEED);
+        let tables: Vec<&Table> = world.sources.iter().map(|s| &s.table).collect();
+        let config = city_config(Parallelism::sequential());
+        let prepared = prepare_tables(&tables, &config).expect("prepare");
+        let detector = config.detector_config();
+        let strategy = resolve_candidate_strategy(&prepared.integrated, &detector.candidates)
+            .expect("strategy");
+        let total = candidate_pairs(&prepared.integrated, &strategy).len();
+        let plan = plan_shards(&prepared.integrated, &detector, K).expect("plan");
+        let mut batches = [0usize; 2];
+        for (i, shard) in plan.shards.iter().enumerate() {
+            batches[i % 2] += shard.candidates.len();
+        }
+        let heaviest = batches.iter().copied().max().unwrap();
+        let share = heaviest as f64 / total as f64;
+        assert_eq!(batches.iter().sum::<usize>(), total);
+        assert!(
+            share <= 1.0 / 1.5,
+            "heaviest batch holds {share:.3} of the pairs"
+        );
     }
 }
