@@ -160,10 +160,10 @@ pub fn prepare_tables_traced(
 
 /// Attach matching counters to the `match` span, summed over the star's
 /// table pairs: correspondences found, and what sniffing the duplicates
-/// behind them cost (see [`hummer_matching::SniffStats`]). Public so that
-/// every caller of `match_star_par` that opens a `match` span — the shard
-/// coordinator does — records the same counters.
-pub fn count_matching(span: &mut Span, results: &[MatchResult]) {
+/// behind them cost (see [`hummer_matching::SniffStats`]). The cold
+/// prepare and the delta path both call it, so their `match` spans carry
+/// the same counters.
+fn count_matching(span: &mut Span, results: &[MatchResult]) {
     let sum = |of: fn(&MatchResult) -> u64| results.iter().map(of).sum::<u64>();
     span.count("correspondences", sum(|m| m.correspondence_count() as u64));
     span.count("sniff_postings_visited", sum(|m| m.sniff.postings_visited));
@@ -513,9 +513,10 @@ pub struct HummerConfig {
 }
 
 impl HummerConfig {
-    /// The detector configuration the pipeline runs under. Public because
-    /// the shard executor (`hummer_shard`) must score pairs under exactly
-    /// the configuration the single-shard pipeline would use.
+    /// The detector configuration the pipeline runs under. The pipeline
+    /// reads it here; `tests/incremental_properties.rs` and the hbench
+    /// layer probes read it too, so they score pairs under exactly the
+    /// configuration the pipeline uses.
     pub fn detector_config(&self) -> DetectorConfig {
         self.detector.clone()
     }

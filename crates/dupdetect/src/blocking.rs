@@ -12,8 +12,7 @@
 //!   apart.
 //! * [`CandidateStrategy::KeyEquality`] — classic disjoint blocking: only
 //!   rows whose rendered keys are *equal* are candidates. The candidate
-//!   graph decomposes into per-key cliques, which is what lets the shard
-//!   planner split the row space into independent shards.
+//!   graph decomposes into per-key cliques.
 
 use crate::incremental::RowChanges;
 use hummer_engine::Table;

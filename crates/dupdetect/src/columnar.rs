@@ -52,8 +52,8 @@
 //! off nothing is bounded or dropped. Equal text ids short-cut to the
 //! literal `1.0` that `levenshtein_similarity(x, x)` computes. There is no
 //! pair memo: with a bit-parallel edit distance a hash lookup costs about
-//! what the call does (`memo_hits` is kept at 0 for the wire format's
-//! sake).
+//! what the call does (`memo_hits` is kept at 0: the `detect` span and
+//! hbench still read the field).
 //!
 //! The batched edit distance (`levenshtein_similarity_chars_many`) earns
 //! its place on the all-pairs sweep hbench's `detect_allpairs_1k` is made
@@ -258,9 +258,8 @@ fn classify(i: usize, j: usize, s: f64, cfg: &DetectorConfig, out: &mut ScoredCa
 /// up to `par.get()` threads with the staged block kernel, merging chunk
 /// results in candidate order. The returned pair lists are **unsorted**
 /// (candidate order); callers apply the canonical similarity-descending
-/// stable sort. Shared by [`crate::detect_duplicates_par`], the
-/// incremental detector, and the shard workers, so a pair scores
-/// identically on every path.
+/// stable sort. Shared by [`crate::detect_duplicates_par`] and the
+/// incremental detector, so a pair scores identically on both paths.
 ///
 /// # Panics
 ///

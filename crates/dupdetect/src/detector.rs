@@ -30,8 +30,7 @@ pub enum CandidateSpec {
     },
     /// Disjoint blocking over the given key columns: only rows with equal
     /// rendered keys are candidates. The candidate graph splits into
-    /// per-key cliques, which is what gives the shard planner (the
-    /// `hummer_shard` crate) more than one component to distribute.
+    /// per-key cliques.
     KeyEquality {
         /// Blocking key column names.
         key: Vec<String>,
@@ -39,8 +38,9 @@ pub enum CandidateSpec {
 }
 
 /// Resolve a [`CandidateSpec`] (column *names*) into a
-/// [`CandidateStrategy`] (column *indices*) against `table`. Public so the
-/// shard planner generates exactly the candidate set the detector would.
+/// [`CandidateStrategy`] (column *indices*) against `table`. Public so
+/// callers that generate candidates themselves (the incremental property
+/// tests, the hbench layer probes) get exactly the detector's set.
 pub fn resolve_candidate_strategy(
     table: &Table,
     spec: &CandidateSpec,
@@ -126,8 +126,8 @@ pub struct DetectionStats {
     pub compared: usize,
     /// Always 0. The pair scorer used to memoize edit distances per
     /// worker and report its hits here; the memo is gone (a bit-parallel
-    /// edit distance costs about what the lookup did), but the shard wire
-    /// frame and the `detect` span still carry the field.
+    /// edit distance costs about what the lookup did), but the `detect`
+    /// span and hbench still read the field.
     pub memo_hits: usize,
 }
 
@@ -218,8 +218,8 @@ pub fn detect_duplicates(table: &Table, cfg: &DetectorConfig) -> Result<Detectio
 }
 
 /// Resolve the comparison attributes for `table` under `cfg`: explicit
-/// names, or the selection heuristics. Shared by the full detector, the
-/// incremental path, and the shard executor so all three always agree.
+/// names, or the selection heuristics. Shared by the full detector and the
+/// incremental path so both always agree.
 pub fn resolve_attributes(table: &Table, cfg: &DetectorConfig) -> Result<Vec<usize>> {
     attributes_from(table, cfg, || select_attributes(table, &cfg.heuristics))
 }
@@ -274,8 +274,7 @@ pub struct ScoredCandidates {
 /// ties in candidate (lexicographic `(left, right)`) order — exactly what
 /// the full detector's stable sort over lexicographic candidates produces.
 /// A total order (ties break on `(left, right)`, which is unique), so
-/// concatenating disjoint sorted lists and re-sorting is deterministic —
-/// the shard combiner's merge relies on this.
+/// concatenating disjoint sorted lists and re-sorting is deterministic.
 pub fn sort_pairs_canonical(pairs: &mut [DuplicatePair]) {
     pairs.sort_by(|a, b| {
         b.similarity

@@ -117,7 +117,7 @@ pub struct FusedTable {
     pub table: Table,
     /// Per-cell lineage (same shape as `table`).
     pub lineage: Lineage,
-    /// Up to [`MAX_SAMPLE_CONFLICTS`] resolved conflicts for inspection.
+    /// Up to 25 (`MAX_SAMPLE_CONFLICTS`) resolved conflicts for inspection.
     pub sample_conflicts: Vec<SampleConflict>,
     /// Total number of cell-level conflicts resolved.
     pub conflict_count: usize,
@@ -128,7 +128,7 @@ pub struct FusedTable {
 }
 
 /// Cap on collected [`SampleConflict`]s.
-pub const MAX_SAMPLE_CONFLICTS: usize = 25;
+pub(crate) const MAX_SAMPLE_CONFLICTS: usize = 25;
 
 /// Run fusion over `input` according to `spec`, instantiating resolution
 /// functions from `registry`.

@@ -59,7 +59,7 @@ pub use functions::{
     ByLength, Choose, Coalesce, Concat, Contributors, First, Group, Last, MostRecent,
     NumericAggregate, ResolutionFunction, Resolved, TieBreak, Vote,
 };
-pub use fuse::{fuse, FusedTable, FusionSpec, SampleConflict, MAX_SAMPLE_CONFLICTS};
+pub use fuse::{fuse, FusedTable, FusionSpec, SampleConflict};
 pub use hummer_par::Parallelism;
 pub use incremental::{
     fuse_incremental, fuse_memo, ClusterPlan, FusionMemo, IncrementalFusionStats,

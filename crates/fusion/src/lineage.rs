@@ -136,6 +136,7 @@ impl Cells {
     }
 
     /// Re-stride the bit sets for a longer source list.
+    #[cfg(test)]
     fn widen(&mut self, words: usize) {
         let mut wider = vec![0u64; self.len() * words];
         for (cell, bits) in self.source_bits.chunks_exact(self.words).enumerate() {
@@ -167,8 +168,10 @@ pub struct Lineage {
 }
 
 impl Lineage {
-    /// Create lineage storage for the given output columns.
-    pub fn new(columns: Vec<String>) -> Self {
+    /// Empty lineage storage for the given output columns, filled by
+    /// [`Lineage::push_row`] (the tests build lineage row by row).
+    #[cfg(test)]
+    pub(crate) fn new(columns: Vec<String>) -> Self {
         Lineage::from_cells(columns, Vec::new(), Cells::with_capacity(0, 0), 0)
     }
 
@@ -191,7 +194,8 @@ impl Lineage {
     }
 
     /// Append one output row's lineage (must match the column count).
-    pub fn push_row(&mut self, row: Vec<CellLineage>) {
+    #[cfg(test)]
+    pub(crate) fn push_row(&mut self, row: Vec<CellLineage>) {
         assert_eq!(row.len(), self.columns.len(), "lineage arity mismatch");
         for cell in &row {
             // Listing a new source may widen the store: before the push.
@@ -204,6 +208,7 @@ impl Lineage {
 
     /// The id of source `alias`, listing it (and widening every cell's bit
     /// set when the list outgrows it) on first sight.
+    #[cfg(test)]
     fn source_id(&mut self, alias: &str) -> u32 {
         if let Some(id) = self.sources.iter().position(|s| s == alias) {
             return id as u32;

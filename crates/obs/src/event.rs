@@ -1,5 +1,5 @@
-//! Sampled structured event log: one JSON line per served request, delta
-//! batch, or shard scatter.
+//! Sampled structured event log: one JSON line per served request or
+//! delta batch.
 //!
 //! The sampler is biased toward what an operator actually greps for:
 //! errors, overload rejects, and the slowest decile are **always** kept;
@@ -26,11 +26,11 @@ const WARMUP: u64 = 32;
 /// Refresh the cached p90 threshold every this many events.
 const THRESHOLD_REFRESH: u64 = 64;
 
-/// One loggable event. Build with struct-literal syntax; `trace`/`shards`
-/// are omitted from the JSON line when `None`.
+/// One loggable event. Build with struct-literal syntax; `trace` is
+/// omitted from the JSON line when `None`.
 #[derive(Debug, Clone)]
 pub struct EventRecord<'a> {
-    /// Event kind: `"request"`, `"delta"`, `"scatter"`, or `"reject"`.
+    /// Event kind: `"request"`, `"delta"`, or `"reject"`.
     pub kind: &'a str,
     /// Trace id of the request this event belongs to, when traced.
     pub trace: Option<u64>,
@@ -40,8 +40,6 @@ pub struct EventRecord<'a> {
     pub status: u16,
     /// Wall-clock latency in microseconds.
     pub latency_us: u64,
-    /// Shard fan-out, for scatter events and coordinator queries.
-    pub shards: Option<u64>,
     /// Whether the event is an error outcome (always kept).
     pub error: bool,
 }
@@ -146,10 +144,6 @@ impl EventLog {
         line.push_str(&event.status.to_string());
         line.push_str(",\"latency_us\":");
         line.push_str(&event.latency_us.to_string());
-        if let Some(shards) = event.shards {
-            line.push_str(",\"shards\":");
-            line.push_str(&shards.to_string());
-        }
         if event.error {
             line.push_str(",\"error\":true");
         }
@@ -200,7 +194,6 @@ mod tests {
             endpoint: "POST /query",
             status,
             latency_us,
-            shards: None,
             error: status >= 400,
         }
     }
@@ -234,7 +227,6 @@ mod tests {
             endpoint: "rejected",
             status: 503,
             latency_us: 0,
-            shards: None,
             error: true,
         });
         log.emit(&event(1_000_000, 200)); // way past p90: kept
@@ -266,12 +258,10 @@ mod tests {
             endpoint: "bad\"quote\\and\nnewline",
             status: 200,
             latency_us: 5,
-            shards: Some(3),
             error: false,
         });
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("bad\\\"quote\\\\and\\nnewline"));
-        assert!(text.contains("\"shards\":3"));
         std::fs::remove_file(&path).ok();
     }
 }

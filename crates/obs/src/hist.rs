@@ -270,8 +270,8 @@ impl HistogramSnapshot {
     }
 
     /// Merge another snapshot into this one (bucket-wise addition).
-    /// Associative and commutative, so shard-level histograms can be
-    /// combined in any order.
+    /// Associative and commutative, so per-thread histograms (loadgen's
+    /// connections) can be combined in any order.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;

@@ -24,9 +24,6 @@ pub struct SpanRecord {
     pub duration_us: u64,
     /// Counters attached while the span was live, in attachment order.
     pub counters: Vec<(Cow<'static, str>, u64)>,
-    /// Node label naming where the span ran: `None` for local spans,
-    /// `Some(worker_addr)` for spans spliced in from a remote worker.
-    pub node: Option<String>,
 }
 
 #[derive(Debug)]
@@ -92,7 +89,6 @@ impl Tracer {
                         epoch: now,
                         start: now,
                         counters: Vec::new(),
-                        node: None,
                     }),
                 }
             }
@@ -108,47 +104,8 @@ impl Tracer {
             .map(|s| s.next_id.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Adopt a remote trace context: start a span that belongs to `trace`
-    /// and hangs under the remote `parent` span id, as a worker does when a
-    /// coordinator propagates `(trace_id, parent_span_id)` in a shard
-    /// request. Local span ids are advanced past `parent` first so ids
-    /// allocated under the adopted root can never collide with it — the
-    /// coordinator's splice relies on that to tell intra-subtree parent
-    /// links (remapped) apart from the adopted parent (reattached).
-    pub fn adopt_remote(
-        &self,
-        trace: u64,
-        parent: u64,
-        name: impl Into<Cow<'static, str>>,
-    ) -> Span {
-        match &self.shared {
-            None => Span { inner: None },
-            Some(shared) => {
-                shared
-                    .next_id
-                    .fetch_max(parent.saturating_add(1), Ordering::Relaxed);
-                let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-                let now = Instant::now();
-                Span {
-                    inner: Some(SpanInner {
-                        shared: Arc::clone(shared),
-                        trace,
-                        id,
-                        parent: Some(parent),
-                        name: name.into(),
-                        epoch: now,
-                        start: now,
-                        counters: Vec::new(),
-                        node: None,
-                    }),
-                }
-            }
-        }
-    }
-
-    /// Take every retained record out of the ring, oldest first. Used by
-    /// workers to harvest the span subtree of one shard batch from a
-    /// dedicated capture tracer before shipping it back to the coordinator.
+    /// Take every retained record out of the ring, oldest first — how a
+    /// caller with a private tracer harvests the spans of one run.
     pub fn drain(&self) -> Vec<SpanRecord> {
         match &self.shared {
             None => Vec::new(),
@@ -268,7 +225,6 @@ struct SpanInner {
     epoch: Instant,
     start: Instant,
     counters: Vec<(Cow<'static, str>, u64)>,
-    node: Option<String>,
 }
 
 /// An in-flight span: measures from construction to drop, then pushes one
@@ -301,20 +257,6 @@ impl Span {
         self.inner.as_ref().map(|i| i.trace)
     }
 
-    /// This span's own id, or `None` for a no-op span. Propagated to
-    /// workers as the remote `parent_span_id`.
-    pub fn span_id(&self) -> Option<u64> {
-        self.inner.as_ref().map(|i| i.id)
-    }
-
-    /// Tag this span with a node label (e.g. the worker address a call
-    /// went to). No-op on a disabled span.
-    pub fn set_node(&mut self, node: impl Into<String>) {
-        if let Some(inner) = &mut self.inner {
-            inner.node = Some(node.into());
-        }
-    }
-
     /// Start a child span. On a no-op span this is free and returns
     /// another no-op.
     pub fn child(&self, name: impl Into<Cow<'static, str>>) -> Span {
@@ -330,52 +272,8 @@ impl Span {
                     epoch: inner.epoch,
                     start: Instant::now(),
                     counters: Vec::new(),
-                    node: None,
                 }),
             },
-        }
-    }
-
-    /// Splice a remote span subtree under this span: every record is
-    /// re-keyed to a fresh local id (remote ids come from the worker's own
-    /// counter and would collide with local ones), intra-subtree parent
-    /// links are remapped through the same table, and records whose parent
-    /// is not part of the batch — the adopted roots — are reattached to
-    /// this span. Every record is tagged with `node` (unless the worker
-    /// already tagged it from a deeper splice) and its start offset is
-    /// shifted to this span's start, so the stitched tree orders worker
-    /// stages inside the call that produced them. No-op on a no-op span.
-    pub fn splice_remote(&self, node: &str, records: &[SpanRecord]) {
-        let Some(inner) = &self.inner else { return };
-        if records.is_empty() {
-            return;
-        }
-        let mut remap = std::collections::HashMap::with_capacity(records.len());
-        for r in records {
-            remap.insert(r.id, inner.shared.next_id.fetch_add(1, Ordering::Relaxed));
-        }
-        let offset = duration_us(inner.start.saturating_duration_since(inner.epoch));
-        let mut ring = inner.shared.ring.lock().expect("obs ring poisoned");
-        for r in records {
-            let parent = match r.parent.and_then(|p| remap.get(&p)) {
-                Some(&p) => Some(p),
-                None => Some(inner.id),
-            };
-            let record = SpanRecord {
-                trace: inner.trace,
-                id: remap[&r.id],
-                parent,
-                name: r.name.clone(),
-                start_us: offset.saturating_add(r.start_us),
-                duration_us: r.duration_us,
-                counters: r.counters.clone(),
-                node: r.node.clone().or_else(|| Some(node.to_string())),
-            };
-            if ring.records.len() == ring.capacity {
-                ring.records.pop_front();
-                ring.dropped += 1;
-            }
-            ring.records.push_back(record);
         }
     }
 
@@ -404,7 +302,6 @@ impl Drop for Span {
                 start_us: duration_us(inner.start.saturating_duration_since(inner.epoch)),
                 duration_us: duration_us(end.saturating_duration_since(inner.start)),
                 counters: inner.counters,
-                node: inner.node,
             };
             // Mutex held only for the push/evict — a handful of pointer
             // moves, ~10 times per traced query.
@@ -479,6 +376,8 @@ mod tests {
         drop(child);
         drop(root);
         assert_eq!(tracer.span_count(), 0);
+        assert_eq!(tracer.allocate_trace_id(), None);
+        assert!(tracer.drain().is_empty());
     }
 
     #[test]
@@ -547,67 +446,6 @@ mod tests {
             None => {}
             Some(t) => assert_eq!(t.orphans, t.roots.len()),
         }
-    }
-
-    #[test]
-    fn splice_remaps_ids_and_reattaches_roots() {
-        // Worker side: a capture tracer adopts a remote context and records
-        // a small stage subtree.
-        let capture = Tracer::with_capacity(16);
-        let remote_trace = 77;
-        let remote_parent = 3; // deliberately small: must not collide
-        {
-            let batch = capture.adopt_remote(remote_trace, remote_parent, "worker_batch");
-            let shard = batch.child("shard");
-            drop(shard.child("score"));
-            drop(shard.child("cluster"));
-        }
-        let shipped = capture.drain();
-        assert_eq!(shipped.len(), 4);
-        assert_eq!(capture.span_count(), 0);
-        assert!(
-            shipped.iter().all(|r| r.id > remote_parent),
-            "local ids must clear the adopted parent id: {shipped:?}"
-        );
-
-        // Coordinator side: splice under a live worker_call span.
-        let tracer = Tracer::with_capacity(64);
-        let trace_id;
-        {
-            let root = tracer.trace("query");
-            trace_id = root.trace_id().unwrap();
-            let call = root.child("worker_call");
-            call.splice_remote("w1:7788", &shipped);
-        }
-        let tree = tracer.trace_tree(trace_id).expect("trace present");
-        assert_eq!(tree.orphans, 0, "splice must not create dangling parents");
-        assert_eq!(tree.span_count(), 6);
-        let call = &tree.roots[0].children[0];
-        assert_eq!(call.record.name, "worker_call");
-        let batch = &call.children[0];
-        assert_eq!(batch.record.name, "worker_batch");
-        assert_eq!(batch.record.node.as_deref(), Some("w1:7788"));
-        let shard = &batch.children[0];
-        let names: Vec<_> = shard
-            .children
-            .iter()
-            .map(|c| c.record.name.clone())
-            .collect();
-        assert_eq!(names, ["score", "cluster"]);
-        assert!(shard
-            .children
-            .iter()
-            .all(|c| c.record.node.as_deref() == Some("w1:7788")));
-    }
-
-    #[test]
-    fn adopt_remote_on_disabled_tracer_is_noop() {
-        let tracer = Tracer::disabled();
-        let span = tracer.adopt_remote(9, 1, "x");
-        assert!(!span.is_recording());
-        assert_eq!(tracer.allocate_trace_id(), None);
-        span.splice_remote("w", &[]);
-        assert!(tracer.drain().is_empty());
     }
 
     #[test]

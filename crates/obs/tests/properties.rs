@@ -232,118 +232,6 @@ fn concurrent_eviction_is_oldest_first_and_exactly_counted() {
     }
 }
 
-/// Concurrent coordinators splicing remote batches: no stitched tree ever
-/// contains a dangling parent, even when every worker ships overlapping
-/// span-id ranges (each capture tracer starts counting from 1) into the
-/// same shared ring at the same time.
-#[test]
-fn concurrent_splices_never_dangle() {
-    use std::sync::Arc;
-
-    const THREADS: usize = 8;
-    const BATCHES: usize = 3;
-
-    let tracer = Arc::new(Tracer::with_capacity(4096));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let tracer = Arc::clone(&tracer);
-            std::thread::spawn(move || {
-                let root = tracer.trace("query");
-                let trace_id = root.trace_id().unwrap();
-                for b in 0..BATCHES {
-                    // Worker side: fresh capture tracer per batch, so the
-                    // shipped ids collide across threads and batches.
-                    let capture = Tracer::with_capacity(64);
-                    {
-                        let batch =
-                            capture.adopt_remote(trace_id, root.span_id().unwrap(), "worker_batch");
-                        let shard = batch.child("shard");
-                        drop(shard.child("score"));
-                        drop(shard.child("cluster"));
-                    }
-                    let shipped = capture.drain();
-                    assert_eq!(shipped.len(), 4);
-                    let call = root.child("worker_call");
-                    call.splice_remote(&format!("w{t}-{b}"), &shipped);
-                }
-                trace_id
-            })
-        })
-        .collect();
-    let ids: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-
-    for id in ids {
-        let tree = tracer.trace_tree(id).expect("trace present");
-        assert_eq!(tree.orphans, 0, "dangling parent after splice");
-        assert_eq!(tree.roots.len(), 1);
-        // root + per batch: worker_call + worker_batch + shard + 2 leaves.
-        assert_eq!(tree.span_count(), 1 + BATCHES * 5);
-        // Every spliced span carries its own worker's node label — no
-        // cross-thread leakage through the id remap.
-        fn check_nodes(node: &hummer_obs::TraceNode) {
-            if let Some(label) = node.record.node.as_deref() {
-                for child in &node.children {
-                    assert_eq!(child.record.node.as_deref(), Some(label));
-                }
-            }
-            for child in &node.children {
-                check_nodes(child);
-            }
-        }
-        check_nodes(&tree.roots[0]);
-    }
-}
-
-proptest! {
-    /// Splicing an arbitrarily shaped remote subtree preserves its span
-    /// count and produces a fully connected tree: every non-root span's
-    /// parent is present, zero orphans, all spliced records node-labeled.
-    #[test]
-    fn splice_preserves_shape_without_dangling_parents(
-        fanout in 1usize..5,
-        depth in 1usize..4,
-    ) {
-        let capture = Tracer::with_capacity(4096);
-        fn grow(span: &hummer_obs::Span, fanout: usize, depth: usize) {
-            if depth == 0 {
-                return;
-            }
-            for _ in 0..fanout {
-                let child = span.child("stage");
-                grow(&child, fanout, depth - 1);
-            }
-        }
-        let tracer = Tracer::with_capacity(4096);
-        let trace_id;
-        {
-            let root = tracer.trace("query");
-            trace_id = root.trace_id().unwrap();
-            {
-                let batch = capture.adopt_remote(
-                    trace_id,
-                    root.span_id().unwrap(),
-                    "worker_batch",
-                );
-                grow(&batch, fanout, depth);
-            }
-            let shipped = capture.drain();
-            let call = root.child("worker_call");
-            call.splice_remote("w1", &shipped);
-        }
-        let subtree: usize = (0..=depth).map(|d| fanout.pow(d as u32)).sum();
-        let tree = tracer.trace_tree(trace_id).expect("trace present");
-        prop_assert_eq!(tree.orphans, 0);
-        prop_assert_eq!(tree.roots.len(), 1);
-        prop_assert_eq!(tree.span_count(), 2 + subtree);
-        fn all_labeled(node: &hummer_obs::TraceNode) -> bool {
-            node.record.node.as_deref() == Some("w1")
-                && node.children.iter().all(all_labeled)
-        }
-        let call = &tree.roots[0].children[0];
-        prop_assert!(call.children.iter().all(all_labeled));
-    }
-}
-
 /// Concurrent tracing from N threads: every thread's spans land in the
 /// ring (capacity is ample), and each trace assembles into its own tree.
 #[test]

@@ -4,19 +4,9 @@
 //! hummer-serve [--addr HOST:PORT] [--threads N] [--par N] [--cache N]
 //!              [--narrow-schemas] [--preload NAME=FILE.csv ...]
 //!              [--max-connections N] [--read-timeout-ms N] [--idle-timeout-ms N]
-//!              [--coordinator workers=HOST:PORT,HOST:PORT] [--shards K]
-//!              [--worker-timeout-ms N] [--no-fallback]
 //!              [--data-dir DIR] [--compact-after-bytes N] [--no-fsync]
 //!              [--group-commit-window-us N]
 //! ```
-//!
-//! With `--coordinator workers=…` the server becomes a scatter-gather
-//! coordinator: cold prepares plan up to `--shards` shards and scatter
-//! them to the listed workers (each a plain `hummer-serve` holding the
-//! same tables is fine — the shard request carries its own data). Worker
-//! failures retry once on a distinct worker and then fall back to local
-//! execution, so answers stay byte-identical; `--no-fallback` turns the
-//! fallback off to surface 502/504 instead.
 //!
 //! `--par N` sets the intra-query thread budget each request may use for
 //! the parallelizable pipeline stages (matching, detection, fusion).
@@ -33,9 +23,7 @@
 //! The process serves until `POST /shutdown` arrives, then drains in-flight
 //! requests and exits 0.
 
-use hummer_server::{
-    CoordinatorOptions, EventLog, HummerServer, ObsConfig, Parallelism, ServerConfig, ServiceConfig,
-};
+use hummer_server::{EventLog, HummerServer, ObsConfig, Parallelism, ServerConfig, ServiceConfig};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -59,16 +47,6 @@ Serving:
   --idle-timeout-ms N     idle keep-alive connections are reclaimed after N ms
                           (default 60000)
 
-Coordinator mode (see README \"Distributed fusion\"):
-  --coordinator workers=HOST:PORT,HOST:PORT
-                          scatter shard tasks of cold prepares to these
-                          workers (each one a plain hummer-serve) and gather
-                          the partials; answers stay byte-identical
-  --shards K              target shard count per scatter (default 4)
-  --worker-timeout-ms N   per-worker request timeout (default 30000)
-  --no-fallback           fail the query with 502/504 instead of running a
-                          twice-failed batch locally
-
 Observability:
   --trace-ring N          span-ring capacity, in span records (default 65536);
                           responses carry X-Hummer-Trace and GET /trace/{id}
@@ -76,7 +54,7 @@ Observability:
   --no-trace              disable tracing entirely (spans become no-ops;
                           /metrics histograms still record)
   --log-json PATH         append a sampled structured event log (JSON lines,
-                          one event per request/delta/scatter) to PATH; the
+                          one event per request or delta) to PATH; the
                           sampler always keeps errors, overload rejects, and
                           the slowest decile, and counts what it drops
 
@@ -153,55 +131,6 @@ fn main() -> ExitCode {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
-            }
-            "--coordinator" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                let addrs = spec.strip_prefix("workers=").unwrap_or_else(|| usage());
-                let workers: Vec<String> = addrs
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|a| !a.is_empty())
-                    .map(str::to_string)
-                    .collect();
-                if workers.is_empty() {
-                    usage();
-                }
-                config
-                    .service
-                    .coordinator
-                    .get_or_insert_with(CoordinatorOptions::default)
-                    .workers = workers;
-            }
-            "--shards" => {
-                let k: usize = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&k| k > 0)
-                    .unwrap_or_else(|| usage());
-                config
-                    .service
-                    .coordinator
-                    .get_or_insert_with(CoordinatorOptions::default)
-                    .shards = k;
-            }
-            "--worker-timeout-ms" => {
-                let t = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .map(Duration::from_millis)
-                    .unwrap_or_else(|| usage());
-                config
-                    .service
-                    .coordinator
-                    .get_or_insert_with(CoordinatorOptions::default)
-                    .timeout = t;
-            }
-            "--no-fallback" => {
-                config
-                    .service
-                    .coordinator
-                    .get_or_insert_with(CoordinatorOptions::default)
-                    .fallback_local = false;
             }
             "--max-connections" => {
                 config.max_connections = args
@@ -312,16 +241,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-    if let Some(co) = &config.service.coordinator {
-        eprintln!(
-            "hummer-serve: coordinator mode — scattering up to {} shard(s) to [{}] \
-             (timeout {} ms, local fallback {})",
-            co.shards,
-            co.workers.join(", "),
-            co.timeout.as_millis(),
-            if co.fallback_local { "on" } else { "OFF" },
-        );
     }
     eprintln!(
         "hummer-serve: listening on {} ({} workers x {} intra-query threads, \

@@ -4,7 +4,6 @@
 //! ```text
 //! loadgen --addr HOST:PORT [--connections N] [--requests N]
 //!         [--worlds N] [--entities N] [--seed N] [--update-ratio F]
-//!         [--coordinator-mode]
 //! ```
 //!
 //! Each world is one of the paper's demo scenarios (CD shopping, disaster
@@ -15,12 +14,6 @@
 //! fraction of requests becomes `POST /tables/{name}/delta` row updates,
 //! exercising delta ingestion — and the incremental cache-upgrade path —
 //! under concurrent queries.
-//!
-//! Against a `--coordinator` server, pass `--coordinator-mode` to extend
-//! the report with scatter-gather visibility: per-request shard fan-out
-//! (from the `X-Hummer-Shards` response header) and, from the server's
-//! `/metrics`, per-worker call counts with mean latency plus retry/fallback
-//! totals.
 
 use hummer_server::loadgen::{
     http_request, run_load, scenario_worlds, update_pool_for_worlds, upload_world, LoadConfig,
@@ -31,8 +24,7 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen --addr HOST:PORT [--connections N] [--requests N] \
-         [--worlds N] [--entities N] [--seed N] [--update-ratio F] \
-         [--coordinator-mode]"
+         [--worlds N] [--entities N] [--seed N] [--update-ratio F]"
     );
     std::process::exit(2);
 }
@@ -45,7 +37,6 @@ fn main() -> ExitCode {
     let mut entities = 60usize;
     let mut seed = 2005u64;
     let mut update_ratio = 0.0f64;
-    let mut coordinator_mode = false;
     fn next_num<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> T {
         match args.next().and_then(|v| v.parse().ok()) {
             Some(v) => v,
@@ -62,7 +53,6 @@ fn main() -> ExitCode {
             "--entities" => entities = next_num(&mut args),
             "--seed" => seed = next_num(&mut args),
             "--update-ratio" => update_ratio = next_num(&mut args),
-            "--coordinator-mode" => coordinator_mode = true,
             _ => usage(),
         }
     }
@@ -127,9 +117,7 @@ fn main() -> ExitCode {
         .filter(|(status, _)| *status == 200)
         .and_then(|(_, body)| promlint::parse(&body).ok());
 
-    // One render path for plain and coordinator mode (the shared section —
-    // including the slowest-10 trace ids — cannot diverge between them).
-    print!("{}", report.render(coordinator_mode));
+    print!("{}", report.render());
     let exit = if report.errors > 0 {
         ExitCode::FAILURE
     } else {
@@ -166,46 +154,6 @@ fn main() -> ExitCode {
             );
         }
         None => println!("durable_mode     no"),
-    }
-    // Coordinator-mode extras that need the server's /metrics: worker-level
-    // latency/retry/fallback counters as the coordinator recorded them (the
-    // client-side scatter tallies came from `render`).
-    if coordinator_mode {
-        println!(
-            "worker_requests  {}",
-            int("hummer_shard_worker_requests_total")
-        );
-        println!(
-            "worker_retries   {}",
-            int("hummer_shard_worker_retries_total")
-        );
-        println!(
-            "worker_fallbacks {}",
-            int("hummer_shard_worker_fallbacks_total")
-        );
-        println!(
-            "worker_errors    {}",
-            int("hummer_shard_worker_errors_total")
-        );
-        for (i, (labels, calls)) in metrics
-            .series("hummer_shard_worker_seconds_count")
-            .enumerate()
-        {
-            let worker = labels
-                .iter()
-                .find(|(k, _)| k == "worker")
-                .map_or("?", |(_, v)| v.as_str());
-            let seconds = metrics.sum("hummer_shard_worker_seconds_sum", &[("worker", worker)]);
-            let mean_ms = if calls > 0.0 {
-                seconds / calls * 1e3
-            } else {
-                0.0
-            };
-            println!(
-                "worker_{i:02}        {worker} calls={} mean={mean_ms:.3} ms",
-                calls as u64
-            );
-        }
     }
     exit
 }

@@ -31,18 +31,6 @@ pub enum ServerError {
     Store(hummer_store::StoreError),
     /// The server failed while executing a well-formed request. → 500.
     Internal(String),
-    /// Coordinator-mode scatter failed: a remote shard worker was
-    /// unreachable, errored, or timed out (after the retry, with local
-    /// fallback disabled). Names the failing worker so the JSON error body
-    /// identifies the culprit. → 504 on timeout, 502 otherwise.
-    Coordinator {
-        /// Address of the worker that failed.
-        worker: String,
-        /// What went wrong.
-        cause: String,
-        /// True when the failure was a timeout.
-        timeout: bool,
-    },
 }
 
 impl ServerError {
@@ -55,13 +43,6 @@ impl ServerError {
             ServerError::MethodNotAllowed(_) => 405,
             ServerError::Store(_) => 500,
             ServerError::Internal(_) => 500,
-            ServerError::Coordinator { timeout, .. } => {
-                if *timeout {
-                    504
-                } else {
-                    502
-                }
-            }
         }
     }
 
@@ -71,8 +52,6 @@ impl ServerError {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
-            502 => "Bad Gateway",
-            504 => "Gateway Timeout",
             _ => "Internal Server Error",
         }
     }
@@ -88,14 +67,6 @@ impl fmt::Display for ServerError {
             ServerError::MethodNotAllowed(m) => write!(f, "method not allowed: {m}"),
             ServerError::Store(e) => write!(f, "store error: {e}"),
             ServerError::Internal(msg) => write!(f, "internal error: {msg}"),
-            ServerError::Coordinator {
-                worker,
-                cause,
-                timeout,
-            } => {
-                let kind = if *timeout { "timed out" } else { "failed" };
-                write!(f, "shard worker {worker} {kind}: {cause}")
-            }
         }
     }
 }
@@ -156,32 +127,6 @@ impl From<HummerError> for ServerError {
         match e {
             HummerError::UnknownSource(name) => ServerError::UnknownTable(name),
             HummerError::Query(q) => ServerError::from(q),
-            other => ServerError::Internal(other.to_string()),
-        }
-    }
-}
-
-/// Worker failures surface the coordinator variant (with the failing
-/// worker's address intact); everything else a shard run breaks is ours.
-impl From<hummer_shard::ShardError> for ServerError {
-    fn from(e: hummer_shard::ShardError) -> Self {
-        match e {
-            hummer_shard::ShardError::Worker {
-                worker,
-                cause,
-                timeout,
-            } => ServerError::Coordinator {
-                worker,
-                cause,
-                timeout,
-            },
-            // A frame from a binary speaking another protocol version is the
-            // *caller's* problem (mixed-version fleet), not an internal bug:
-            // answer 400 so the peer's retry/fallback logic sees a typed,
-            // non-retryable rejection instead of a generic 500.
-            mismatch @ hummer_shard::ShardError::VersionMismatch { .. } => {
-                ServerError::BadRequest(mismatch.to_string())
-            }
             other => ServerError::Internal(other.to_string()),
         }
     }
@@ -257,40 +202,6 @@ mod tests {
         assert!(msg.contains("/data/wal-3.log"), "{msg}");
         assert!(msg.contains("disk full"), "{msg}");
         assert!(e.source().is_some());
-    }
-
-    #[test]
-    fn coordinator_errors_name_the_worker() {
-        let failed = ServerError::Coordinator {
-            worker: "10.0.0.7:7788".into(),
-            cause: "connection refused".into(),
-            timeout: false,
-        };
-        assert_eq!(failed.status(), 502);
-        assert_eq!(failed.reason(), "Bad Gateway");
-        assert!(failed.to_string().contains("10.0.0.7:7788"));
-
-        let timed_out = ServerError::Coordinator {
-            worker: "10.0.0.8:7788".into(),
-            cause: "read response: timed out".into(),
-            timeout: true,
-        };
-        assert_eq!(timed_out.status(), 504);
-        assert_eq!(timed_out.reason(), "Gateway Timeout");
-        assert!(timed_out.to_string().contains("timed out"));
-    }
-
-    #[test]
-    fn shard_worker_error_maps_to_coordinator() {
-        let e = ServerError::from(hummer_shard::ShardError::Worker {
-            worker: "w1:7788".into(),
-            cause: "worker answered 500".into(),
-            timeout: false,
-        });
-        assert!(matches!(e, ServerError::Coordinator { .. }));
-        assert_eq!(e.status(), 502);
-        let e = ServerError::from(hummer_shard::ShardError::Wire("bad magic".into()));
-        assert_eq!(e.status(), 500);
     }
 
     #[test]

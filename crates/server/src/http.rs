@@ -235,18 +235,6 @@ impl Response {
         }
     }
 
-    /// A binary response (`application/octet-stream`) — the shard wire
-    /// format travels this way.
-    pub fn octets(status: u16, body: Vec<u8>) -> Response {
-        Response {
-            status,
-            content_type: "application/octet-stream",
-            body,
-            close: false,
-            extra_headers: Vec::new(),
-        }
-    }
-
     /// A plain-text response (Prometheus exposition uses this).
     pub fn text(status: u16, body: impl Into<String>) -> Response {
         Response {
@@ -262,14 +250,6 @@ impl Response {
     pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Response {
         self.extra_headers.push((name.into(), value.into()));
         self
-    }
-
-    /// An attached extra header's value, by lowercase name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.extra_headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
     }
 
     /// The reason phrase for a status code.

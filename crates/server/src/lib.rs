@@ -87,6 +87,5 @@ pub use json::{Json, JsonError};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use server::{HummerServer, ServerConfig, ShutdownHandle};
 pub use service::{
-    parse_delta, CoordinatorOptions, DeltaApplyResult, FusionService, QueryResult, ServiceConfig,
-    TableInfo,
+    parse_delta, DeltaApplyResult, FusionService, QueryResult, ServiceConfig, TableInfo,
 };

@@ -63,9 +63,7 @@ impl Client {
             .map(|m| (m.status, m.body, m.trace))
     }
 
-    /// [`Client::request`] returning the full response metadata, including
-    /// the `X-Hummer-Shards` fan-out header coordinator-mode servers attach
-    /// to `/query` answers.
+    /// [`Client::request`] returning the full response metadata.
     pub fn request_meta(
         &mut self,
         method: &str,
@@ -114,14 +112,10 @@ pub struct ResponseMeta {
     pub body: String,
     /// `X-Hummer-Trace` header, when the server's tracer is enabled.
     pub trace: Option<String>,
-    /// `X-Hummer-Shards` header: the shard fan-out of a coordinator-mode
-    /// `/query` (0 = answered from the prepared cache). `None` when the
-    /// server is not in coordinator mode.
-    pub shards: Option<u64>,
 }
 
 /// Read one HTTP response: status line, headers (capturing
-/// `X-Hummer-Trace` and `X-Hummer-Shards`), `Content-Length` body.
+/// `X-Hummer-Trace`), `Content-Length` body.
 fn read_response<R: BufRead>(reader: &mut R) -> Result<ResponseMeta> {
     let mut status_line = String::new();
     if reader.read_line(&mut status_line)? == 0 {
@@ -137,7 +131,6 @@ fn read_response<R: BufRead>(reader: &mut R) -> Result<ResponseMeta> {
         .ok_or_else(|| ServerError::BadRequest(format!("bad status line `{status_line}`")))?;
     let mut content_length = 0usize;
     let mut trace = None;
-    let mut shards = None;
     loop {
         let mut line = String::new();
         if reader.read_line(&mut line)? == 0 {
@@ -157,8 +150,6 @@ fn read_response<R: BufRead>(reader: &mut R) -> Result<ResponseMeta> {
                 })?;
             } else if name.trim().eq_ignore_ascii_case("x-hummer-trace") {
                 trace = Some(value.trim().to_string());
-            } else if name.trim().eq_ignore_ascii_case("x-hummer-shards") {
-                shards = value.trim().parse().ok();
             }
         }
     }
@@ -169,7 +160,6 @@ fn read_response<R: BufRead>(reader: &mut R) -> Result<ResponseMeta> {
             status,
             body: text,
             trace,
-            shards,
         })
         .map_err(|_| ServerError::BadRequest("response body is not UTF-8".into()))
 }
@@ -357,17 +347,6 @@ pub struct LoadReport {
     /// `X-Hummer-Trace` header (`None` when tracing is disabled). Feed an
     /// id to `GET /trace/{id}` to see where that request's time went.
     pub slowest: Vec<(f64, Option<String>)>,
-    /// Coordinator mode: successful `/query` answers whose
-    /// `X-Hummer-Shards` header reported a fan-out `> 0` (cold prepares
-    /// that scattered to workers). 0 against a non-coordinator server.
-    pub scatter_requests: usize,
-    /// Coordinator mode: total shards scattered across those requests.
-    pub shards_scattered: u64,
-    /// Coordinator mode: the largest single-request fan-out observed.
-    pub fanout_max: u64,
-    /// Coordinator mode: answers served from the prepared cache
-    /// (`X-Hummer-Shards: 0`).
-    pub cache_served: usize,
 }
 
 /// Fan `connections` threads over the server, each issuing its share of
@@ -423,17 +402,6 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
                         if is_update {
                             tally.updates_ok += 1;
                         }
-                        // Coordinator-mode servers report each answer's
-                        // shard fan-out; 0 means the prepared cache had it.
-                        match m.shards {
-                            Some(0) => tally.cache_served += 1,
-                            Some(k) => {
-                                tally.scatter_requests += 1;
-                                tally.shards_scattered += k;
-                                tally.fanout_max = tally.fanout_max.max(k);
-                            }
-                            None => {}
-                        }
                     }
                     Ok(m) => {
                         tally.errors += 1;
@@ -474,10 +442,6 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
         total.rejects += tally.rejects;
         total.updates_ok += tally.updates_ok;
         total.update_errors += tally.update_errors;
-        total.scatter_requests += tally.scatter_requests;
-        total.shards_scattered += tally.shards_scattered;
-        total.fanout_max = total.fanout_max.max(tally.fanout_max);
-        total.cache_served += tally.cache_served;
     }
     let elapsed = started.elapsed();
     let ok = latency.count() as usize;
@@ -501,20 +465,13 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
         p999_ms: q(0.999),
         latency,
         slowest,
-        scatter_requests: total.scatter_requests,
-        shards_scattered: total.shards_scattered,
-        fanout_max: total.fanout_max,
-        cache_served: total.cache_served,
     }
 }
 
 impl LoadReport {
-    /// Render the report as the `loadgen` binary prints it. One path for
-    /// plain and coordinator mode: the shared section — counts, latency
-    /// percentiles, and the slowest-10 with their trace ids — is emitted
-    /// unconditionally, so no mode can lose the tail-explanation lines;
-    /// `coordinator_mode` only *appends* the scatter visibility block.
-    pub fn render(&self, coordinator_mode: bool) -> String {
+    /// Render the report as the `loadgen` binary prints it: counts,
+    /// latency percentiles, and the slowest-10 with their trace ids.
+    pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "requests_ok      {}", self.ok);
@@ -538,19 +495,6 @@ impl LoadReport {
                 trace.as_deref().unwrap_or("-")
             );
         }
-        if coordinator_mode {
-            let _ = writeln!(out, "scatter_requests {}", self.scatter_requests);
-            let _ = writeln!(out, "cache_served     {}", self.cache_served);
-            let _ = writeln!(out, "shards_scattered {}", self.shards_scattered);
-            let _ = writeln!(out, "fanout_max       {}", self.fanout_max);
-            if self.scatter_requests > 0 {
-                let _ = writeln!(
-                    out,
-                    "fanout_mean      {:.2}",
-                    self.shards_scattered as f64 / self.scatter_requests as f64
-                );
-            }
-        }
         out
     }
 }
@@ -563,10 +507,6 @@ struct ThreadTally {
     rejects: usize,
     updates_ok: usize,
     update_errors: usize,
-    scatter_requests: usize,
-    shards_scattered: u64,
-    fanout_max: u64,
-    cache_served: usize,
 }
 
 /// How many of the slowest requests a load run reports.
@@ -595,18 +535,16 @@ mod tests {
         assert_eq!(m.status, 404);
         assert_eq!(m.body, "{}");
         assert_eq!(m.trace, None);
-        assert_eq!(m.shards, None);
     }
 
     #[test]
-    fn read_response_captures_trace_and_shard_headers() {
+    fn read_response_captures_trace_header() {
         let raw = "HTTP/1.1 200 OK\r\nx-hummer-trace: 00000000000000a1\r\n\
-                   x-hummer-shards: 4\r\ncontent-length: 2\r\n\r\nok";
+                   content-length: 2\r\n\r\nok";
         let m = read_response(&mut BufReader::new(raw.as_bytes())).unwrap();
         assert_eq!(m.status, 200);
         assert_eq!(m.body, "ok");
         assert_eq!(m.trace.as_deref(), Some("00000000000000a1"));
-        assert_eq!(m.shards, Some(4));
     }
 
     #[test]
@@ -629,8 +567,8 @@ mod tests {
     }
 
     #[test]
-    fn render_emits_slowest_traces_in_both_modes() {
-        let mut report = LoadReport {
+    fn render_emits_slowest_traces() {
+        let report = LoadReport {
             ok: 3,
             errors: 0,
             rejects: 0,
@@ -645,26 +583,11 @@ mod tests {
             p999_ms: 2.0,
             latency: HistogramSnapshot::default(),
             slowest: vec![(2.5, Some("00000000000000a1".into())), (1.0, None)],
-            scatter_requests: 2,
-            shards_scattered: 8,
-            fanout_max: 4,
-            cache_served: 1,
         };
-        let plain = report.render(false);
-        let coord = report.render(true);
-        // The slowest-10 trace lines are part of the shared section: both
-        // modes must carry them (this is the regression the unified path
-        // guards against).
-        for rendered in [&plain, &coord] {
-            assert!(rendered.contains("slowest_00"), "{rendered}");
-            assert!(rendered.contains("trace=00000000000000a1"), "{rendered}");
-            assert!(rendered.contains("trace=-"), "{rendered}");
-        }
-        assert!(!plain.contains("scatter_requests"), "{plain}");
-        assert!(coord.contains("scatter_requests 2"), "{coord}");
-        assert!(coord.contains("fanout_mean      4.00"), "{coord}");
-        report.scatter_requests = 0;
-        assert!(!report.render(true).contains("fanout_mean"));
+        let rendered = report.render();
+        assert!(rendered.contains("slowest_00"), "{rendered}");
+        assert!(rendered.contains("trace=00000000000000a1"), "{rendered}");
+        assert!(rendered.contains("trace=-"), "{rendered}");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! lock-free log-bucketed [`Histogram`]s (one relaxed `fetch_add` per
 //! sample, ~1.6% worst-case quantile error), so worker threads never
 //! contend at loadgen concurrency. The endpoint label map sits behind an
-//! `RwLock` taken for reading only; the rarely-touched aggregates
-//! (per-delta and per-scatter counters) keep a plain mutex.
+//! `RwLock` taken for reading only; the rarely-touched per-delta
+//! aggregate keeps a plain mutex.
 //!
 //! `GET /metrics` renders the registry as Prometheus text (see
 //! `service::metrics_to_prometheus`).
@@ -62,27 +62,6 @@ pub struct DeltaAggregate {
     pub index_builds: u64,
 }
 
-/// Scatter-gather counters for coordinator mode and the shard-worker
-/// endpoint (the `hummer_shard_*` Prometheus families).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardAggregate {
-    /// Scatter-gather prepares run by this process as coordinator.
-    pub scatters: u64,
-    /// Shards planned across all scatters.
-    pub shards_planned: u64,
-    /// Worker HTTP requests issued (including retries).
-    pub worker_requests: u64,
-    /// Requests retried on a distinct worker.
-    pub worker_retries: u64,
-    /// Shard batches that fell back to local execution.
-    pub worker_fallbacks: u64,
-    /// Worker calls that failed (each failed attempt counts once).
-    pub worker_errors: u64,
-    /// Shard batches this process executed as a *worker*
-    /// (`POST /shard/execute`).
-    pub worker_batches: u64,
-}
-
 /// Serving-path (event loop / worker pool) health counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServingSnapshot {
@@ -108,8 +87,6 @@ pub struct ServingSnapshot {
 pub struct MetricsSnapshot {
     /// Delta-ingestion aggregates.
     pub deltas: DeltaAggregate,
-    /// Scatter-gather aggregates.
-    pub shard: ShardAggregate,
     /// Serving-path health counters.
     pub serving: ServingSnapshot,
 }
@@ -124,11 +101,7 @@ pub struct Metrics {
     /// Per-connection time spent in each lifecycle state (`reading`,
     /// `executing`, `writing`, `idle`), labeled `[state]`; microseconds.
     conn_state_hists: HistogramVec,
-    /// Coordinator-side worker-call latencies, labeled `[worker]`;
-    /// microseconds.
-    shard_worker_hists: HistogramVec,
     deltas: Mutex<DeltaAggregate>,
-    shard: Mutex<ShardAggregate>,
     overload_rejects: AtomicU64,
     read_timeouts: AtomicU64,
     idle_reclaims: AtomicU64,
@@ -200,37 +173,6 @@ impl Metrics {
         deltas.index_builds += batch.index_builds;
     }
 
-    /// Record one coordinator scatter's shape: shards executed, worker
-    /// requests issued, retries, and local fallbacks.
-    pub fn record_shard_scatter(&self, shards: u64, requests: u64, retries: u64, fallbacks: u64) {
-        let mut shard = self.shard.lock().unwrap();
-        shard.scatters += 1;
-        shard.shards_planned += shards;
-        shard.worker_requests += requests;
-        shard.worker_retries += retries;
-        shard.worker_fallbacks += fallbacks;
-    }
-
-    /// Record one coordinator→worker call under the worker's address label.
-    pub fn record_shard_worker_call(&self, worker: &str, latency: Duration, ok: bool) {
-        self.shard_worker_hists
-            .with(&[worker])
-            .record_duration(latency);
-        if !ok {
-            self.shard.lock().unwrap().worker_errors += 1;
-        }
-    }
-
-    /// Record one shard batch executed by this process as a worker.
-    pub fn record_shard_batch(&self) {
-        self.shard.lock().unwrap().worker_batches += 1;
-    }
-
-    /// Coordinator worker-call histograms with their `[worker]` labels.
-    pub fn shard_worker_histograms(&self) -> Vec<(Vec<String>, HistogramSnapshot)> {
-        self.shard_worker_hists.snapshot()
-    }
-
     /// Record the time one connection spent in a lifecycle state
     /// (`reading`, `executing`, `writing`, `idle`).
     pub fn record_conn_state(&self, state: &str, spent: Duration) {
@@ -277,7 +219,6 @@ impl Metrics {
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             deltas: *self.deltas.lock().unwrap(),
-            shard: *self.shard.lock().unwrap(),
             serving: self.serving_snapshot(),
         }
     }
@@ -438,28 +379,6 @@ mod tests {
         assert_eq!(hists.len(), 2);
         let labels: Vec<&str> = hists.iter().map(|(l, _)| l[0].as_str()).collect();
         assert!(labels.contains(&"reading") && labels.contains(&"executing"));
-    }
-
-    #[test]
-    fn shard_aggregates_accumulate() {
-        let m = Metrics::new();
-        m.record_shard_scatter(4, 2, 0, 0);
-        m.record_shard_scatter(8, 3, 1, 1);
-        m.record_shard_worker_call("w1:7788", Duration::from_micros(900), true);
-        m.record_shard_worker_call("w2:7788", Duration::from_micros(1500), false);
-        m.record_shard_batch();
-        let s = m.snapshot().shard;
-        assert_eq!(s.scatters, 2);
-        assert_eq!(s.shards_planned, 12);
-        assert_eq!(s.worker_requests, 5);
-        assert_eq!(s.worker_retries, 1);
-        assert_eq!(s.worker_fallbacks, 1);
-        assert_eq!(s.worker_errors, 1);
-        assert_eq!(s.worker_batches, 1);
-        let hists = m.shard_worker_histograms();
-        assert_eq!(hists.len(), 2);
-        let labels: Vec<&str> = hists.iter().map(|(l, _)| l[0].as_str()).collect();
-        assert!(labels.contains(&"w1:7788") && labels.contains(&"w2:7788"));
     }
 
     #[test]

@@ -79,17 +79,6 @@ impl Scrape {
             .map(|s| s.value)
             .sum()
     }
-
-    /// Every series of `name`: its labels in document order and its value.
-    pub fn series<'a>(
-        &'a self,
-        name: &'a str,
-    ) -> impl Iterator<Item = (&'a [(String, String)], f64)> + 'a {
-        self.samples
-            .iter()
-            .filter(move |s| s.name == name)
-            .map(|s| (s.labels.as_slice(), s.value))
-    }
 }
 
 /// Parse a full exposition body. Fails on the first line that is not a
@@ -664,11 +653,6 @@ up 1
         assert_eq!(scrape.sum("h_count", &[]), 11.0);
         assert_eq!(scrape.sum("h_sum", &[("endpoint", "b")]), 2.0);
         assert_eq!(scrape.sum("absent_total", &[]), 0.0);
-        let endpoints: Vec<&str> = scrape
-            .series("h_count")
-            .map(|(labels, _)| labels[0].1.as_str())
-            .collect();
-        assert_eq!(endpoints, ["a", "b"]);
         let e = parse("up 1\nup{x=\"1} 2\n").unwrap_err();
         assert!(e.starts_with("line 2:"), "{e}");
     }

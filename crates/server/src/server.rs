@@ -9,7 +9,6 @@
 //! | `DELETE /tables/{name}`      | deregister a table |
 //! | `GET /tables`                | list registered tables |
 //! | `POST /query`                | execute Fuse By SQL (raw text or `{"sql": …}`) |
-//! | `POST /shard/execute`        | run a batch of shard tasks (binary wire format; coordinator → worker) |
 //! | `GET /metrics`               | the whole registry in Prometheus text format |
 //! | `GET /trace/{id}`            | span tree of a finished request (id from the `X-Hummer-Trace` header) |
 //! | `GET /healthz`               | liveness probe |
@@ -249,9 +248,6 @@ pub(crate) fn execute_request(
         endpoint: &endpoint,
         status: response.status,
         latency_us: latency.as_micros().min(u64::MAX as u128) as u64,
-        shards: response
-            .header("x-hummer-shards")
-            .and_then(|v| v.parse().ok()),
         error: is_error,
     });
     response
@@ -266,7 +262,6 @@ enum Route<'a> {
     Table(&'a str),
     TableDelta(&'a str),
     Query,
-    ShardExecute,
     Metrics,
     Trace(&'a str),
     Shutdown,
@@ -281,7 +276,6 @@ impl<'a> Route<'a> {
             // name is empty.
             "/tables" | "/tables/" => Route::Tables,
             "/query" => Route::Query,
-            "/shard/execute" => Route::ShardExecute,
             "/metrics" => Route::Metrics,
             "/shutdown" => Route::Shutdown,
             _ => {
@@ -307,7 +301,6 @@ impl<'a> Route<'a> {
             Route::Table(_) => "/tables/{name}",
             Route::TableDelta(_) => "/tables/{name}/delta",
             Route::Query => "/query",
-            Route::ShardExecute => "/shard/execute",
             Route::Metrics => "/metrics",
             Route::Trace(_) => "/trace/{id}",
             Route::Shutdown => "/shutdown",
@@ -351,7 +344,6 @@ pub(crate) fn finish_rejected(
         endpoint: "rejected",
         status: response.status,
         latency_us: latency.as_micros().min(u64::MAX as u128) as u64,
-        shards: None,
         error: true,
     });
     response
@@ -378,19 +370,16 @@ fn table_info_json(info: &TableInfo) -> Json {
         .with("version", info.version)
 }
 
-/// A trace tree as wire JSON: nested `{name, node, start_us, duration_us,
-/// counters, children}` objects under `{trace, orphans, roots}`. `node` is
-/// absent for local spans and names the worker for spliced remote spans.
+/// A trace tree as wire JSON: nested `{name, start_us, duration_us,
+/// counters, children}` objects under `{trace, orphans, roots}`.
 fn trace_node_json(node: &TraceNode) -> Json {
     let mut counters = Json::object();
     for (name, value) in &node.record.counters {
         counters.push(name.as_ref(), Json::Int(*value as i64));
     }
-    let mut obj = Json::object().with("name", node.record.name.to_string());
-    if let Some(worker) = &node.record.node {
-        obj = obj.with("node", worker.clone());
-    }
-    obj.with("start_us", node.record.start_us)
+    Json::object()
+        .with("name", node.record.name.to_string())
+        .with("start_us", node.record.start_us)
         .with("duration_us", node.record.duration_us)
         .with("counters", counters)
         .with(
@@ -465,20 +454,7 @@ fn route(
             write_query_result(&result, &mut body);
             serialize_span.count("bytes", body.len() as u64);
             drop(serialize_span);
-            let mut response = Response::json(200, body);
-            if let Some(k) = result.shards {
-                // Coordinator mode: how many shards fanned out for this
-                // request (0 = served from the prepared cache).
-                response = response.with_header("x-hummer-shards", k.to_string());
-            }
-            Ok(response)
-        }
-        // Worker side of scatter-gather: a coordinator posts a binary batch
-        // of shard tasks; the worker runs detect/cluster/fuse per shard and
-        // answers with binary partials. See `hummer_shard::wire`.
-        ("POST", Route::ShardExecute) => {
-            let body = service.shard_execute(&request.body, parent)?;
-            Ok(Response::octets(200, body))
+            Ok(Response::json(200, body))
         }
         ("POST", Route::Shutdown) => {
             // Full shutdown (flag + acceptor wake): without the wake the
@@ -599,6 +575,8 @@ mod tests {
             ("DELETE", "/tables/", "DELETE /tables"),
             ("GET", "/nope", "GET {other}"),
             ("BREW", "/query", "{other} /query"),
+            // A route that no longer exists is labelled like any unknown path.
+            ("POST", "/shard/execute", "POST {other}"),
         ] {
             assert_eq!(endpoint_label(&req(method, path, b"")), label, "{path}");
         }
@@ -616,6 +594,14 @@ mod tests {
         let ok = route(&req("GET", "/healthz", b""), &service, &shutdown, &noop).unwrap();
         assert_eq!(ok.status, 200);
         let e = route(&req("GET", "/nope", b""), &service, &shutdown, &noop).unwrap_err();
+        assert_eq!(e.status(), 404);
+        let e = route(
+            &req("POST", "/shard/execute", b"HmSh"),
+            &service,
+            &shutdown,
+            &noop,
+        )
+        .unwrap_err();
         assert_eq!(e.status(), 404);
         let e = route(&req("DELETE", "/query", b""), &service, &shutdown, &noop).unwrap_err();
         assert_eq!(e.status(), 405);

@@ -28,7 +28,6 @@ use hummer_obs::{EventLog, EventRecord, Histogram, PromText, Span, Tracer};
 use hummer_query::{
     execute, execute_combined_par, parse, FuseQuery, QueryOutput, VersionedTableSet,
 };
-use hummer_shard::{execute_sharded_with, handle_shard_request, CoordinatorConfig, RemoteBackend};
 use hummer_store::{CatalogStore, Recovery, SnapshotEntry, StoreStats, WalCommitter, WalTicket};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, RwLock};
@@ -45,38 +44,10 @@ pub struct ServiceConfig {
     /// handler panics on purpose). Test/CI only — never expose this on a
     /// real deployment.
     pub debug_panic_route: bool,
-    /// Coordinator mode: scatter the prepare pipeline's detection stage
-    /// over remote shard workers. `None` (the default) prepares locally.
-    pub coordinator: Option<CoordinatorOptions>,
     /// Structured event log (`--log-json` on `hummer-serve`). Disabled by
-    /// default; when enabled, one sampled JSON line per request, delta
-    /// batch, and shard scatter.
+    /// default; when enabled, one sampled JSON line per request and delta
+    /// batch.
     pub event_log: EventLog,
-}
-
-/// Coordinator-mode parameters (`--coordinator workers=...` on
-/// `hummer-serve`).
-#[derive(Debug, Clone)]
-pub struct CoordinatorOptions {
-    /// Shard-worker addresses (`host:port`).
-    pub workers: Vec<String>,
-    /// Shard-count ceiling K passed to the planner.
-    pub shards: usize,
-    /// Per-worker request timeout.
-    pub timeout: Duration,
-    /// Fall back to local execution when a batch fails on both workers.
-    pub fallback_local: bool,
-}
-
-impl Default for CoordinatorOptions {
-    fn default() -> Self {
-        CoordinatorOptions {
-            workers: Vec::new(),
-            shards: 4,
-            timeout: Duration::from_secs(30),
-            fallback_local: true,
-        }
-    }
 }
 
 impl Default for ServiceConfig {
@@ -85,7 +56,6 @@ impl Default for ServiceConfig {
             pipeline: HummerConfig::default(),
             cache_capacity: 64,
             debug_panic_route: false,
-            coordinator: None,
             event_log: EventLog::disabled(),
         }
     }
@@ -115,7 +85,6 @@ impl ServiceConfig {
             },
             cache_capacity: 64,
             debug_panic_route: false,
-            coordinator: None,
             event_log: EventLog::disabled(),
         }
     }
@@ -148,10 +117,10 @@ pub struct QueryResult {
     /// Wall time this request spent executing (fusion + projection; for a
     /// miss this excludes preparation, which is reported separately).
     pub execute_time: Duration,
-    /// Shard fan-out of this request's prepare: `Some(k)` when coordinator
-    /// mode scattered k shards for a cache miss, `Some(0)` on a
-    /// coordinator-mode cache hit, `None` otherwise. Echoed in the
-    /// `X-Hummer-Shards` response header for loadgen's coordinator report.
+    /// Always `None`, and nothing reads it. Kept only because hbench
+    /// builds a `QueryResult` by struct literal; it goes when hbench does
+    /// not name it any more.
+    #[doc(hidden)]
     pub shards: Option<usize>,
 }
 
@@ -286,8 +255,6 @@ pub struct FusionService {
     committer: Option<WalCommitter>,
     /// Fault-injection endpoint toggle (see [`ServiceConfig`]).
     debug_panic_route: bool,
-    /// Coordinator-mode parameters; `None` prepares locally.
-    coordinator: Option<CoordinatorOptions>,
     /// Sampled structured event log; disabled by default.
     events: EventLog,
     /// Drops superseded tables and artifacts off the delta's ack path;
@@ -308,7 +275,6 @@ impl FusionService {
             store: None,
             committer: None,
             debug_panic_route: config.debug_panic_route,
-            coordinator: config.coordinator,
             events: config.event_log,
             reaper: Reaper::new(),
         }
@@ -336,7 +302,6 @@ impl FusionService {
             store: Some(Mutex::new(store)),
             committer: Some(committer),
             debug_panic_route: config.debug_panic_route,
-            coordinator: config.coordinator,
             events: config.event_log,
             reaper: Reaper::new(),
         }
@@ -345,23 +310,6 @@ impl FusionService {
     /// Whether the fault-injection endpoint is enabled (test/CI only).
     pub fn debug_panic_route(&self) -> bool {
         self.debug_panic_route
-    }
-
-    /// Coordinator-mode parameters, when this server scatters prepares.
-    pub fn coordinator(&self) -> Option<&CoordinatorOptions> {
-        self.coordinator.as_ref()
-    }
-
-    /// Execute a shard batch as a *worker*: decode the binary request from
-    /// a coordinator, run it in-process, and return the encoded response
-    /// (`POST /shard/execute`).
-    pub fn shard_execute(&self, body: &[u8], parent: &Span) -> Result<Vec<u8>> {
-        let mut span = parent.child("shard_batch");
-        let response = handle_shard_request(body, &self.registry, self.config.parallelism, &span)?;
-        span.count("response_bytes", response.len() as u64);
-        drop(span);
-        self.metrics.record_shard_batch();
-        Ok(response)
     }
 
     /// Wait for an enqueued WAL record to become durable. Call *after*
@@ -662,7 +610,6 @@ impl FusionService {
             endpoint: &info.name,
             status: 200,
             latency_us: started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-            shards: None,
             error: false,
         });
         Ok(DeltaApplyResult {
@@ -816,7 +763,7 @@ impl FusionService {
             (key, tables)
         };
 
-        let (artifacts, hit, shards) = self.prepared_for(&key, &tables, parent)?;
+        let (artifacts, hit) = self.prepared_for(&key, &tables, parent)?;
         let mut fuse_span = parent.child("fuse");
         let t0 = Instant::now();
         // The same per-request degree the prepare stages use: the worker
@@ -845,7 +792,7 @@ impl FusionService {
             cache_hit: Some(hit),
             prepare_timings: artifacts.timings,
             execute_time,
-            shards,
+            shards: None,
         })
     }
 
@@ -859,64 +806,17 @@ impl FusionService {
         key: &PreparedKey,
         tables: &[Arc<Table>],
         parent: &Span,
-    ) -> Result<(Arc<PreparedSources>, bool, Option<usize>)> {
-        let coordinated = self.coordinator.is_some();
+    ) -> Result<(Arc<PreparedSources>, bool)> {
         if let Some(found) = self.cache.lock().unwrap().get(key) {
             if parent.is_recording() {
                 parent.child("prepare").count("cache_hits", 1);
             }
-            return Ok((found, true, coordinated.then_some(0)));
+            return Ok((found, true));
         }
         let refs: Vec<&Table> = tables.iter().map(|t| t.as_ref()).collect();
         let mut prepare_span = parent.child("prepare");
         prepare_span.count("cache_misses", 1);
-        let (prepared, shards) = match &self.coordinator {
-            Some(co) => {
-                // Scatter the prepare: matching + transformation run here,
-                // detection fans out to the shard workers, and the combiner
-                // rebuilds detection + annotated — bit-identical to the
-                // local prepare (the cache entry is interchangeable).
-                let backend = RemoteBackend::new(CoordinatorConfig {
-                    workers: co.workers.clone(),
-                    timeout: co.timeout,
-                    fallback_local: co.fallback_local,
-                });
-                let scatter_started = Instant::now();
-                let sharded = execute_sharded_with(
-                    &refs,
-                    &self.config,
-                    co.shards,
-                    &[],
-                    &self.registry,
-                    &backend,
-                    &prepare_span,
-                )?;
-                self.events.emit(&EventRecord {
-                    kind: "scatter",
-                    trace: parent.trace_id(),
-                    endpoint: "prepare",
-                    status: 200,
-                    latency_us: scatter_started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-                    shards: Some(sharded.shards as u64),
-                    error: false,
-                });
-                self.metrics.record_shard_scatter(
-                    sharded.stats.shards as u64,
-                    sharded.stats.requests as u64,
-                    sharded.stats.retries as u64,
-                    sharded.stats.fallbacks as u64,
-                );
-                for call in &sharded.stats.worker_calls {
-                    self.metrics
-                        .record_shard_worker_call(&call.worker, call.latency, call.ok);
-                }
-                (Arc::new(sharded.prepared), Some(sharded.shards))
-            }
-            None => (
-                Arc::new(prepare_tables_traced(&refs, &self.config, &prepare_span)?),
-                None,
-            ),
-        };
+        let prepared = Arc::new(prepare_tables_traced(&refs, &self.config, &prepare_span)?);
         drop(prepare_span);
         self.metrics
             .record_prepare(&prepared.timings, self.degree());
@@ -924,7 +824,7 @@ impl FusionService {
             .lock()
             .expect("no cache operation panics while holding the lock")
             .insert(key.clone(), Arc::clone(&prepared), None);
-        Ok((prepared, false, shards))
+        Ok((prepared, false))
     }
 }
 
@@ -999,9 +899,6 @@ pub fn query_result_to_json(r: &QueryResult) -> Json {
             .with("detection", ms(r.prepare_timings.detection))
             .with("execute", ms(r.execute_time)),
     );
-    if let Some(k) = r.shards {
-        doc.push("shards", Json::Int(k as i64));
-    }
     doc
 }
 
@@ -1085,9 +982,6 @@ pub(crate) fn write_query_result(r: &QueryResult, out: &mut String) {
         write_f64(ms(took), out);
     }
     out.push('}');
-    if let Some(k) = r.shards {
-        let _ = write!(out, ",\"shards\":{k}");
-    }
     out.push('}');
 }
 
@@ -1279,41 +1173,6 @@ pub fn metrics_to_prometheus(service: &FusionService) -> String {
             hummer_par::forked_threads_total() as f64,
         ),
         (
-            "hummer_shard_scatters_total",
-            "Coordinator scatter-gather rounds executed.",
-            snap.shard.scatters as f64,
-        ),
-        (
-            "hummer_shard_shards_total",
-            "Shards executed across all scatters.",
-            snap.shard.shards_planned as f64,
-        ),
-        (
-            "hummer_shard_worker_requests_total",
-            "HTTP requests issued to shard workers (retries included).",
-            snap.shard.worker_requests as f64,
-        ),
-        (
-            "hummer_shard_worker_retries_total",
-            "Shard batches retried on a distinct worker.",
-            snap.shard.worker_retries as f64,
-        ),
-        (
-            "hummer_shard_worker_fallbacks_total",
-            "Shard batches that fell back to local execution.",
-            snap.shard.worker_fallbacks as f64,
-        ),
-        (
-            "hummer_shard_worker_errors_total",
-            "Worker calls that failed (connect, timeout, bad response).",
-            snap.shard.worker_errors as f64,
-        ),
-        (
-            "hummer_shard_worker_batches_total",
-            "Shard batches this process executed as a worker.",
-            snap.shard.worker_batches as f64,
-        ),
-        (
             "hummer_events_written_total",
             "Structured event-log lines written (sampler kept them).",
             service.events().written() as f64,
@@ -1328,22 +1187,6 @@ pub fn metrics_to_prometheus(service: &FusionService) -> String {
         out.sample(name, &[], value);
     }
 
-    let shard_workers = service.metrics().shard_worker_histograms();
-    if !shard_workers.is_empty() {
-        out.header(
-            "hummer_shard_worker_seconds",
-            "Latency of coordinator calls to shard workers, by worker address.",
-            "histogram",
-        );
-        for (labels, hist) in &shard_workers {
-            out.histogram_us(
-                "hummer_shard_worker_seconds",
-                &[("worker", &labels[0])],
-                hist,
-                None,
-            );
-        }
-    }
     out.header(
         "hummer_prepared_cache_entries",
         "Prepared-pipeline cache live entries.",
@@ -2036,10 +1879,8 @@ mod tests {
         ] {
             let first = s.query(sql).unwrap();
             assert_streams_equal(&first, sql);
-            // Again as a cache hit, and as a coordinator would report it.
-            let mut again = s.query(sql).unwrap();
-            assert_streams_equal(&again, sql);
-            again.shards = Some(3);
+            // Again as a cache hit.
+            let again = s.query(sql).unwrap();
             assert_streams_equal(&again, sql);
         }
 
@@ -2060,7 +1901,7 @@ mod tests {
             ["é", "漢字", "𝄞 non-BMP 🎼"],
             ["trailing\u{1f}", "\u{0}leading", "mid\u{8}\u{c}dle"],
         };
-        let with_values = |cache_hit, shards| QueryResult {
+        let with_values = |cache_hit| QueryResult {
             output: QueryOutput {
                 table: awkward.clone(),
                 fusion: None,
@@ -2073,11 +1914,11 @@ mod tests {
                 fusion: Duration::ZERO,
             },
             execute_time: Duration::from_micros(333),
-            shards,
+            shards: None,
         };
-        assert_streams_equal(&with_values(None, None), "awkward values, plain");
-        assert_streams_equal(&with_values(Some(false), Some(0)), "awkward values, miss");
-        assert_streams_equal(&with_values(Some(true), Some(12)), "awkward values, hit");
+        assert_streams_equal(&with_values(None), "awkward values, plain");
+        assert_streams_equal(&with_values(Some(false)), "awkward values, miss");
+        assert_streams_equal(&with_values(Some(true)), "awkward values, hit");
     }
 
     #[test]

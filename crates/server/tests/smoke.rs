@@ -4,9 +4,7 @@
 
 use hummer_server::loadgen::{http_request, run_load, Client, LoadConfig};
 use hummer_server::promlint::{self, Scrape};
-use hummer_server::{
-    CoordinatorOptions, HummerServer, Json, ObsConfig, ServerConfig, ServiceConfig,
-};
+use hummer_server::{HummerServer, Json, ObsConfig, ServerConfig, ServiceConfig};
 use std::thread;
 
 const EE_CSV: &[u8] =
@@ -381,88 +379,4 @@ fn shutdown_endpoint_stops_the_server() {
         http_request(&addr, "GET", "/healthz", "text/plain", b"").is_err()
     });
     assert!(gone, "server kept serving after shutdown");
-}
-
-#[test]
-fn coordinator_scatters_and_survives_worker_death() {
-    // Two plain workers (no tables needed — shard requests carry their
-    // own data), a plain reference server, and a coordinator.
-    let (w1, stop_w1) = start_server(2);
-    let (w2, stop_w2) = start_server(2);
-    let (plain, stop_plain) = start_server(2);
-    let mut service = ServiceConfig::narrow_schema();
-    service.pipeline.obs = ObsConfig::enabled(4096);
-    service.coordinator = Some(CoordinatorOptions {
-        workers: vec![w1.clone(), w2.clone()],
-        ..CoordinatorOptions::default()
-    });
-    let (coord, stop_coord) = start_server_with(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        threads: 2,
-        service,
-        ..ServerConfig::default()
-    });
-
-    for addr in [&coord, &plain] {
-        let (status, _) =
-            http_request(addr, "PUT", "/tables/EE_Student", "text/csv", EE_CSV).unwrap();
-        assert_eq!(status, 200);
-        let (status, _) =
-            http_request(addr, "PUT", "/tables/CS_Students", "text/csv", CS_CSV).unwrap();
-        assert_eq!(status, 200);
-    }
-
-    // Cold query: the prepare scatters to the workers and the fused result
-    // is identical to the plain (non-coordinated) server's.
-    let (status, body) = http_request(&coord, "POST", "/query", "text/plain", PAPER_QUERY).unwrap();
-    assert_eq!(status, 200, "{body}");
-    let doc = Json::parse(&body).unwrap();
-    assert_eq!(doc.get("cache").unwrap().as_str(), Some("miss"));
-    assert!(doc.get("shards").unwrap().as_i64().unwrap() >= 1, "{body}");
-    let (_, plain_body) =
-        http_request(&plain, "POST", "/query", "text/plain", PAPER_QUERY).unwrap();
-    let plain_doc = Json::parse(&plain_body).unwrap();
-    assert_eq!(
-        doc.get("result").unwrap().to_string_compact(),
-        plain_doc.get("result").unwrap().to_string_compact(),
-        "coordinated result differs from the plain server"
-    );
-
-    // Warm query: a cache hit never scatters — shards reports 0.
-    let (_, body) = http_request(&coord, "POST", "/query", "text/plain", PAPER_QUERY).unwrap();
-    let doc = Json::parse(&body).unwrap();
-    assert_eq!(doc.get("cache").unwrap().as_str(), Some("hit"));
-    assert_eq!(doc.get("shards").unwrap().as_i64(), Some(0));
-
-    // The scatter landed in the metrics.
-    let m = scrape(&coord);
-    assert!(m.value("hummer_shard_scatters_total", &[]).unwrap() >= 1.0);
-    assert!(m.value("hummer_shard_worker_requests_total", &[]).unwrap() >= 1.0);
-
-    // Kill one worker; a fresh source set forces a cold scatter that must
-    // still answer — retry on the survivor or local fallback — and still
-    // match the plain server byte for byte.
-    stop_w2();
-    let alumni: &[u8] = b"Name,Age,City\nJohn Smith,26,Berlin\nGrace Hopper,37,Arlington\n";
-    let cold_query: &[u8] =
-        b"SELECT Name, RESOLVE(Age, max) FUSE FROM EE_Student, Alumni FUSE BY (Name)";
-    for addr in [&coord, &plain] {
-        let (status, _) = http_request(addr, "PUT", "/tables/Alumni", "text/csv", alumni).unwrap();
-        assert_eq!(status, 200);
-    }
-    let (status, body) = http_request(&coord, "POST", "/query", "text/plain", cold_query).unwrap();
-    assert_eq!(status, 200, "{body}");
-    let doc = Json::parse(&body).unwrap();
-    assert_eq!(doc.get("cache").unwrap().as_str(), Some("miss"));
-    let (_, plain_body) = http_request(&plain, "POST", "/query", "text/plain", cold_query).unwrap();
-    let plain_doc = Json::parse(&plain_body).unwrap();
-    assert_eq!(
-        doc.get("result").unwrap().to_string_compact(),
-        plain_doc.get("result").unwrap().to_string_compact(),
-        "coordinated result differs from the plain server with a worker dead"
-    );
-
-    stop_coord();
-    stop_plain();
-    stop_w1();
 }

@@ -9,11 +9,6 @@
 # exercises the event loop at depth: a 128-connection mixed burst through
 # loadgen, then kill -9 while concurrent deltas are inside a widened
 # group-commit window — the restart must serve byte-identical fusion output.
-# A fourth section exercises coordinator mode: a coordinator scattering
-# shard batches to two workers must answer byte-identically to a plain
-# server, survive a kill -9 of one worker mid-burst (retry on the
-# survivor / local fallback), and still answer cold queries byte-identically
-# with the worker dead.
 set -euo pipefail
 
 BIN=${BIN:-./target/release/hummer-serve}
@@ -319,91 +314,6 @@ fi
 curl -sf -X POST "http://${ADDR7}/shutdown" >/dev/null
 wait "$SERVER_PID"
 
-# --- Coordinator: scatter to 2 workers, kill one mid-burst ------------------
-
-upload_paper_tables() {
-    curl -sf -X PUT "http://$1/tables/EE_Student" \
-        --data-binary $'Name,Age,City\nJohn Smith,24,Berlin\nMary Jones,22,Hamburg\nPeter Miller,27,Munich\n' >/dev/null
-    curl -sf -X PUT "http://$1/tables/CS_Students" \
-        --data-binary $'FullName,Years,Town\nJohn Smith,25,Berlin\nMary Jones,22,Hamburg\nAda Lovelace,28,London\n' >/dev/null
-}
-PAPER_QUERY='SELECT Name, RESOLVE(Age, max) FUSE FROM EE_Student, CS_Students FUSE BY (Name)'
-
-W1="127.0.0.1:$((PORT + 7))"
-W2="127.0.0.1:$((PORT + 8))"
-COORD="127.0.0.1:$((PORT + 9))"
-PLAIN="127.0.0.1:$((PORT + 10))"
-"$BIN" --addr "$W1" --threads 2 &
-W1_PID=$!
-"$BIN" --addr "$W2" --threads 2 &
-W2_PID=$!
-"$BIN" --addr "$PLAIN" --threads 2 --narrow-schemas &
-PLAIN_PID=$!
-trap 'kill -9 "$W1_PID" "$W2_PID" "$PLAIN_PID" "$SERVER_PID" 2>/dev/null || true; rm -rf "$DATA_DIR" "$DATA_DIR2"' EXIT
-wait_healthy "$W1"
-wait_healthy "$W2"
-"$BIN" --addr "$COORD" --threads 2 --narrow-schemas \
-    --coordinator "workers=${W1},${W2}" --shards 4 &
-SERVER_PID=$!
-wait_healthy "$COORD"
-wait_healthy "$PLAIN"
-
-# Cold query through the coordinator: the scatter must reach the workers,
-# the response must carry X-Hummer-Shards, and the fused result must be
-# byte-identical to a plain (non-coordinated) server's.
-upload_paper_tables "$COORD"
-upload_paper_tables "$PLAIN"
-shards=$(curl -s -D - -o /tmp/coord.json -X POST "http://${COORD}/query" -d "$PAPER_QUERY" \
-    | tr -d '\r' | awk 'tolower($1) == "x-hummer-shards:" {print $2}')
-[ -n "$shards" ] && [ "$shards" -ge 1 ] \
-    || { echo "coordinator response missing X-Hummer-Shards"; cat /tmp/coord.json; exit 1; }
-curl -sf -X POST "http://${PLAIN}/query" -d "$PAPER_QUERY" -o /tmp/plain.json
-if [ "$(result_of /tmp/coord.json)" != "$(result_of /tmp/plain.json)" ]; then
-    echo "coordinated fusion result differs from the plain server:"
-    diff <(result_of /tmp/coord.json) <(result_of /tmp/plain.json) || true
-    exit 1
-fi
-[ "$(metric "$COORD" hummer_shard_worker_requests_total)" -gt 0 ] \
-    || { echo "coordinator never scattered to its workers"; exit 1; }
-
-# Kill one worker mid-burst: cold prepares keep scattering, their batches
-# retry on the survivor (or fall back locally), and not one request fails.
-"$LOADGEN_BIN" --addr "$COORD" --connections 16 --requests 96 \
-    --worlds 3 --entities 30 --coordinator-mode >/tmp/coord_burst.txt &
-LOADGEN_PID=$!
-sleep 0.2
-kill -9 "$W2_PID"
-wait "$LOADGEN_PID" || { echo "coordinator burst failed:"; cat /tmp/coord_burst.txt; exit 1; }
-grep -q '^requests_err     0$' /tmp/coord_burst.txt \
-    || { echo "burst reported request errors:"; cat /tmp/coord_burst.txt; exit 1; }
-
-# With W2 still dead, a cold scatter — a source set the prepared cache has
-# never seen — must retry its batches onto W1 and stay byte-identical to
-# the plain server. (A delta would not do: it upgrades the cached pipeline
-# in place, so only fresh tables force a scatter.)
-for a in "$COORD" "$PLAIN"; do
-    curl -sf -X PUT "http://${a}/tables/Alumni" \
-        --data-binary $'Name,Age,City\nJohn Smith,26,Berlin\nGrace Hopper,37,Arlington\nMary Jones,23,Hamburg\n' >/dev/null
-done
-COLD_QUERY='SELECT Name, RESOLVE(Age, max) FUSE FROM EE_Student, Alumni FUSE BY (Name)'
-curl -sf -X POST "http://${COORD}/query" -d "$COLD_QUERY" -o /tmp/coord2.json
-curl -sf -X POST "http://${PLAIN}/query" -d "$COLD_QUERY" -o /tmp/plain2.json
-grep -q '"cache":"miss"' /tmp/coord2.json \
-    || { echo "expected a cold scatter for the fresh source set:"; cat /tmp/coord2.json; exit 1; }
-if [ "$(result_of /tmp/coord2.json)" != "$(result_of /tmp/plain2.json)" ]; then
-    echo "coordinated result differs from the plain server with a worker dead:"
-    diff <(result_of /tmp/coord2.json) <(result_of /tmp/plain2.json) || true
-    exit 1
-fi
-
-curl -sf -X POST "http://${COORD}/shutdown" >/dev/null
-wait "$SERVER_PID"
-curl -sf -X POST "http://${PLAIN}/shutdown" >/dev/null
-wait "$PLAIN_PID"
-curl -sf -X POST "http://${W1}/shutdown" >/dev/null
-wait "$W1_PID"
-wait "$W2_PID" 2>/dev/null || true
-
 trap - EXIT
 rm -rf "$DATA_DIR" "$DATA_DIR2"
-echo "server smoke test OK (addr ${ADDR}, durable restart on ${ADDR3}, group-commit crash on ${ADDR7}, coordinator on ${COORD})"
+echo "server smoke test OK (addr ${ADDR}, durable restart on ${ADDR3}, group-commit crash on ${ADDR7})"

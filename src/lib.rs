@@ -21,7 +21,6 @@
 //! | [`query`] | the Fuse By SQL dialect (Fig. 1): parser + executor |
 //! | [`datagen`] | synthetic dirty worlds with gold standards + metrics |
 //! | [`core`](mod@core) | repository + automatic pipeline + six-step wizard |
-//! | [`shard`] | scatter-gather executor: shard planner, worker/combiner split, coordinator client |
 //! | [`server`] | HumMer as a service: multi-threaded HTTP fusion queries + prepared-pipeline cache |
 //!
 //! ## Quickstart
@@ -61,6 +60,5 @@ pub use hummer_matching as matching;
 pub use hummer_obs as obs;
 pub use hummer_query as query;
 pub use hummer_server as server;
-pub use hummer_shard as shard;
 pub use hummer_store as store;
 pub use hummer_textsim as textsim;
