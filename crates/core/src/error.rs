@@ -26,8 +26,6 @@ pub enum HummerError {
         /// What went wrong (I/O or CSV parse).
         source: hummer_engine::EngineError,
     },
-    /// Durable catalog store failure (WAL append, snapshot, recovery).
-    Store(hummer_store::StoreError),
     /// Relational engine failure.
     Engine(hummer_engine::EngineError),
     /// Fusion failure.
@@ -50,7 +48,6 @@ impl fmt::Display for HummerError {
             HummerError::SourceFile { path, source } => {
                 write!(f, "cannot load source file `{path}`: {source}")
             }
-            HummerError::Store(e) => write!(f, "store error: {e}"),
             HummerError::Engine(e) => write!(f, "engine error: {e}"),
             HummerError::Fusion(e) => write!(f, "fusion error: {e}"),
             HummerError::Query(e) => write!(f, "query error: {e}"),
@@ -63,7 +60,6 @@ impl std::error::Error for HummerError {
         match self {
             HummerError::Engine(e) => Some(e),
             HummerError::SourceFile { source, .. } => Some(source),
-            HummerError::Store(e) => Some(e),
             HummerError::Fusion(e) => Some(e),
             HummerError::Query(e) => Some(e),
             _ => None,
@@ -86,12 +82,6 @@ impl From<hummer_fusion::FusionError> for HummerError {
 impl From<hummer_query::QueryError> for HummerError {
     fn from(e: hummer_query::QueryError) -> Self {
         HummerError::Query(e)
-    }
-}
-
-impl From<hummer_store::StoreError> for HummerError {
-    fn from(e: hummer_store::StoreError) -> Self {
-        HummerError::Store(e)
     }
 }
 
@@ -119,9 +109,6 @@ mod tests {
     fn conversions() {
         use std::error::Error as _;
         let e: HummerError = hummer_engine::EngineError::DuplicateColumn("c".into()).into();
-        assert!(e.source().is_some());
-        let e: HummerError = hummer_store::StoreError::corrupt("/d/wal-0.log", "bad CRC").into();
-        assert!(e.to_string().contains("wal-0.log"));
         assert!(e.source().is_some());
     }
 

@@ -72,11 +72,7 @@ pub use hummer_fusion as fusion;
 pub use hummer_matching as matching;
 pub use hummer_obs as obs;
 pub use hummer_query as query;
-pub use hummer_store as store;
 pub use hummer_textsim as textsim;
-
-// Durable-catalog types, at the top level (see `MetadataRepository::open`).
-pub use hummer_store::{CatalogStore, StoreOptions, StoreStats};
 
 // The most-used types, at the top level.
 pub use hummer_dupdetect::{DetectionIndex, DetectionResult, DetectorConfig, RowMapping};

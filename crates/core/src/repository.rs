@@ -8,21 +8,13 @@
 //!
 //! In this reproduction a source is an in-memory table or a CSV file (the
 //! "instruction" is the CSV parse with type inference); the alias and
-//! description machinery matches the paper's design.
-//!
-//! ## Durability
-//!
-//! The repository can be backed by `hummer_store`'s durable catalog:
-//! [`MetadataRepository::open`] recovers sources from a data directory, the
-//! `*_durable` registration hooks write-ahead-log every mutation before
-//! applying it, and [`MetadataRepository::persist_to`] compacts the current
-//! state into a fresh snapshot. The non-durable methods stay exactly as
-//! before — durability is opt-in per call site.
+//! description machinery matches the paper's design. The repository lives
+//! in memory; the server's durable catalog is `hummer_server`'s
+//! `FusionService::with_store`.
 
 use crate::error::{HummerError, Result};
 use hummer_engine::{csv, Table};
 use hummer_query::Catalog;
-use hummer_store::{CatalogStore, SnapshotEntry, StoreOptions};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -44,8 +36,6 @@ pub struct SourceInfo {
 struct Source {
     table: Table,
     origin: String,
-    /// Content version in the durable store; `0` until first logged.
-    version: u64,
 }
 
 /// The repository.
@@ -61,29 +51,7 @@ impl MetadataRepository {
         MetadataRepository::default()
     }
 
-    /// Open a durable repository: recover every source persisted in `dir`
-    /// and return the store handle for logging further mutations through
-    /// the `*_durable` methods.
-    pub fn open(
-        dir: impl AsRef<Path>,
-        options: StoreOptions,
-    ) -> Result<(MetadataRepository, CatalogStore)> {
-        let (store, recovery) = CatalogStore::open(dir, options)?;
-        let mut repo = MetadataRepository::new();
-        for t in recovery.tables {
-            repo.sources.insert(
-                t.alias.to_ascii_lowercase(),
-                Source {
-                    table: t.table,
-                    origin: "store".to_string(),
-                    version: t.version,
-                },
-            );
-        }
-        Ok((repo, store))
-    }
-
-    fn insert(&mut self, alias: String, table: Table, origin: &str, version: u64) -> Result<()> {
+    fn insert(&mut self, alias: String, table: Table, origin: &str) -> Result<()> {
         let key = alias.to_ascii_lowercase();
         if self.sources.contains_key(&key) {
             return Err(HummerError::DuplicateSource(alias));
@@ -93,7 +61,6 @@ impl MetadataRepository {
             Source {
                 table,
                 origin: origin.to_string(),
-                version,
             },
         );
         Ok(())
@@ -103,14 +70,14 @@ impl MetadataRepository {
     pub fn register_table(&mut self, alias: impl Into<String>, mut table: Table) -> Result<()> {
         let alias = alias.into();
         table.set_name(alias.clone());
-        self.insert(alias, table, "memory", 0)
+        self.insert(alias, table, "memory")
     }
 
     /// Register CSV text under `alias`.
     pub fn register_csv_str(&mut self, alias: impl Into<String>, content: &str) -> Result<()> {
         let alias = alias.into();
         let table = csv::read_csv_str(&alias, content)?;
-        self.insert(alias, table, "csv-inline", 0)
+        self.insert(alias, table, "csv-inline")
     }
 
     /// Register a CSV file under `alias`. Failures (missing file, parse
@@ -126,119 +93,7 @@ impl MetadataRepository {
             path: origin.clone(),
             source,
         })?;
-        self.insert(alias, table, &origin, 0)
-    }
-
-    /// Register an in-memory table durably: the registration is logged to
-    /// `store`'s write-ahead log *before* the repository mutates, so a
-    /// crash on either side of the insert recovers consistently. Compacts
-    /// automatically when the WAL crosses the store's threshold.
-    pub fn register_table_durable(
-        &mut self,
-        store: &mut CatalogStore,
-        alias: impl Into<String>,
-        mut table: Table,
-    ) -> Result<()> {
-        let alias = alias.into();
-        if self.sources.contains_key(&alias.to_ascii_lowercase()) {
-            return Err(HummerError::DuplicateSource(alias));
-        }
-        table.set_name(alias.clone());
-        let version = store.allocate_version();
-        store.log_register(&alias, version, &table)?;
-        self.insert(alias, table, "memory", version)?;
-        self.maybe_compact(store);
-        Ok(())
-    }
-
-    /// Remove a source durably (logged before the removal is applied);
-    /// returns whether it existed.
-    pub fn deregister_durable(&mut self, store: &mut CatalogStore, alias: &str) -> Result<bool> {
-        let Some(source) = self.sources.get(&alias.to_ascii_lowercase()) else {
-            return Ok(false);
-        };
-        // Only sources the log knows about (version > 0) get a deregister
-        // record: logging one for a never-registered alias would make every
-        // future replay fail on "deregister of unknown table".
-        if source.version > 0 {
-            store.log_deregister(alias)?;
-        }
-        self.sources.remove(&alias.to_ascii_lowercase());
-        self.maybe_compact(store);
-        Ok(true)
-    }
-
-    /// Persist the complete current state into a fresh snapshot (explicit
-    /// compaction). Sources that were registered non-durably get a version
-    /// assigned here and become durable too.
-    pub fn persist_to(&mut self, store: &mut CatalogStore) -> Result<()> {
-        // Plan versions for never-logged sources but commit them to the
-        // in-memory state only after the snapshot lands: marking a source
-        // durable (version > 0) when the compact failed would let a later
-        // `deregister_durable` log a record for an alias the store never
-        // saw, poisoning every future replay.
-        let planned: Vec<(String, u64)> = self
-            .sources
-            .iter()
-            .map(|(key, s)| {
-                let version = if s.version == 0 {
-                    store.allocate_version()
-                } else {
-                    s.version
-                };
-                (key.clone(), version)
-            })
-            .collect();
-        let entries: Vec<SnapshotEntry<'_>> = planned
-            .iter()
-            .map(|(key, version)| {
-                let s = &self.sources[key];
-                SnapshotEntry {
-                    alias: s.table.name(),
-                    version: *version,
-                    table: &s.table,
-                }
-            })
-            .collect();
-        store.compact(&entries)?;
-        drop(entries);
-        for (key, version) in planned {
-            self.sources
-                .get_mut(&key)
-                .expect("planned from current sources")
-                .version = version;
-        }
-        Ok(())
-    }
-
-    /// Threshold compaction is non-fatal by design: the mutation that
-    /// triggered it is already durably logged and applied, so reporting a
-    /// compaction hiccup as *mutation* failure would mislead callers into
-    /// retrying a committed operation. The store retries after the next
-    /// mutation (and [`MetadataRepository::persist_to`] compacts
-    /// explicitly, propagating errors).
-    fn maybe_compact(&self, store: &mut CatalogStore) {
-        if !store.wants_compaction() {
-            return;
-        }
-        // Non-durable (version-0) sources are not snapshot state.
-        if let Err(e) = store.compact(&self.snapshot_entries(true)) {
-            eprintln!("hummer-core: WAL compaction failed (will retry): {e}");
-        }
-    }
-
-    /// The current sources as snapshot entries; `only_durable` drops
-    /// version-0 (never-logged) sources.
-    fn snapshot_entries(&self, only_durable: bool) -> Vec<SnapshotEntry<'_>> {
-        self.sources
-            .values()
-            .filter(|s| !only_durable || s.version > 0)
-            .map(|s| SnapshotEntry {
-                alias: s.table.name(),
-                version: s.version,
-                table: &s.table,
-            })
-            .collect()
+        self.insert(alias, table, &origin)
     }
 
     /// Remove a source; returns whether it existed.
@@ -371,134 +226,5 @@ mod tests {
         r.register_table("T", table! { "T" => ["x"]; [1] }).unwrap();
         assert!(Catalog::table(&r, "t").is_some());
         assert!(Catalog::table(&r, "zz").is_none());
-    }
-
-    fn temp_dir() -> std::path::PathBuf {
-        hummer_store::scratch::dir("repo")
-    }
-
-    #[test]
-    fn durable_registrations_survive_reopen() {
-        let dir = temp_dir();
-        {
-            let (mut repo, mut store) =
-                MetadataRepository::open(&dir, StoreOptions::default()).unwrap();
-            repo.register_table_durable(
-                &mut store,
-                "Students",
-                table! {
-                    "X" => ["Name", "Age"]; ["Ada", 36], ["Bob", 24]
-                },
-            )
-            .unwrap();
-            repo.register_table_durable(&mut store, "Doomed", table! { "X" => ["a"]; [1] })
-                .unwrap();
-            assert!(repo.deregister_durable(&mut store, "doomed").unwrap());
-            assert!(!repo.deregister_durable(&mut store, "doomed").unwrap());
-            // Duplicate registration fails without touching the log.
-            assert!(repo
-                .register_table_durable(&mut store, "students", table! { "X" => ["a"]; [1] })
-                .is_err());
-        } // crash
-        let (repo, _store) = MetadataRepository::open(&dir, StoreOptions::default()).unwrap();
-        assert_eq!(repo.len(), 1);
-        let t = repo.get("Students").unwrap();
-        assert_eq!(t.name(), "Students");
-        assert_eq!(t.len(), 2);
-        assert_eq!(repo.list()[0].origin, "store");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn persist_to_compacts_everything() {
-        let dir = temp_dir();
-        {
-            let (mut repo, mut store) =
-                MetadataRepository::open(&dir, StoreOptions::default()).unwrap();
-            // A non-durable registration becomes durable on persist.
-            repo.register_table("Lazy", table! { "X" => ["a"]; [7] })
-                .unwrap();
-            repo.persist_to(&mut store).unwrap();
-            assert_eq!(store.stats().snapshots_written, 1);
-            assert_eq!(store.stats().wal_records, 0);
-        }
-        let (repo, store) = MetadataRepository::open(&dir, StoreOptions::default()).unwrap();
-        assert_eq!(repo.get("Lazy").unwrap().len(), 1);
-        assert_eq!(store.stats().generation, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn failed_persist_does_not_mark_sources_durable() {
-        // Regression: persist_to used to assign versions *before* the
-        // compact, so a failed snapshot left version-0 sources looking
-        // durable — and a later deregister_durable would log a record the
-        // WAL could never replay.
-        let dir = temp_dir();
-        {
-            let (mut repo, mut store) =
-                MetadataRepository::open(&dir, StoreOptions::default()).unwrap();
-            repo.register_table("Lazy", table! { "X" => ["a"]; [7] })
-                .unwrap();
-            // Force the snapshot write to fail: its temp path is occupied
-            // by a directory (File::create on a directory errors).
-            let blocker = dir.join("snapshot-00000000000000000001.tmp");
-            std::fs::create_dir_all(&blocker).unwrap();
-            assert!(repo.persist_to(&mut store).is_err());
-            std::fs::remove_dir_all(&blocker).unwrap();
-            // The source must still be non-durable, so deregistering it
-            // does not log an unreplayable record.
-            assert!(repo.deregister_durable(&mut store, "Lazy").unwrap());
-            assert_eq!(store.stats().wal_records, 0);
-        }
-        let (repo, _) = MetadataRepository::open(&dir, StoreOptions::default())
-            .expect("log must replay cleanly");
-        assert!(repo.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn deregistering_a_non_durable_source_never_poisons_the_log() {
-        // Regression: logging a deregister for a source the WAL never saw
-        // (registered non-durably, version 0) made every future open fail
-        // with "deregister of unknown table".
-        let dir = temp_dir();
-        {
-            let (mut repo, mut store) =
-                MetadataRepository::open(&dir, StoreOptions::default()).unwrap();
-            repo.register_table("Lazy", table! { "X" => ["a"]; [7] })
-                .unwrap();
-            assert!(repo.deregister_durable(&mut store, "Lazy").unwrap());
-            repo.register_table_durable(&mut store, "Kept", table! { "X" => ["a"]; [1] })
-                .unwrap();
-        }
-        let (repo, _) = MetadataRepository::open(&dir, StoreOptions::default())
-            .expect("log must replay cleanly");
-        assert_eq!(repo.len(), 1);
-        assert!(repo.get("Kept").is_ok());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn threshold_compaction_fires_during_registration() {
-        let dir = temp_dir();
-        let options = StoreOptions {
-            fsync: false,
-            compact_after_bytes: 64,
-            group_commit_window_us: 0,
-        };
-        {
-            let (mut repo, mut store) = MetadataRepository::open(&dir, options.clone()).unwrap();
-            repo.register_table_durable(&mut store, "A", table! { "X" => ["a"]; [1] })
-                .unwrap();
-            assert!(store.stats().snapshots_written >= 1, "tiny threshold");
-            // The directory is single-writer: a second open while this
-            // store is alive must refuse with the holder's PID.
-            let e = MetadataRepository::open(&dir, options.clone()).unwrap_err();
-            assert!(e.to_string().contains("locked"), "{e}");
-        }
-        let (repo, _) = MetadataRepository::open(&dir, options).unwrap();
-        assert_eq!(repo.len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

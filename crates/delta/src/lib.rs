@@ -1,9 +1,9 @@
-//! # hummer-delta — delta ingestion and incremental maintenance
+//! # hummer-delta — delta ingestion
 //!
-//! HumMer serves *autonomous, evolving* sources; this crate makes evolution
-//! cheap. Instead of re-running the whole pipeline when a source changes,
-//! a delta flows through three incremental layers, each bit-identical to a
-//! from-scratch recompute over the updated data:
+//! HumMer serves *autonomous, evolving* sources; this crate describes how
+//! one of them changed. Instead of re-running matching and duplicate
+//! detection when a source changes, a delta flows through these layers,
+//! each bit-identical to a from-scratch recompute over the updated data:
 //!
 //! * [`model`] — the [`TableDelta`] change model (insert / update / delete
 //!   of rows, stable pre-delta addressing) and its application to a table,
@@ -15,10 +15,10 @@
 //! * duplicate detection — `hummer_dupdetect::detect_delta` re-scores only
 //!   pairs touching dirty rows and re-clusters only affected components
 //!   (re-scoring runs the detector's one block kernel over the same
-//!   `TupleSimilarity`, keeping carry-over bit-compatible);
-//! * [`view`] — [`FusedView`], a fused result patched in place by
-//!   re-resolving only dirty clusters through `hummer_fusion`'s cluster
-//!   memo.
+//!   `TupleSimilarity`, keeping carry-over bit-compatible).
+//!
+//! Fusion is not maintained: like any query, a `FUSE BY` after a delta
+//! resolves the upgraded annotated union from scratch.
 //!
 //! The pipeline-level entry point is `hummer_core`'s
 //! `PreparedSources::apply_delta`, and the serving layer upgrades its
@@ -31,10 +31,8 @@
 pub mod codec;
 pub mod mapping;
 pub mod model;
-pub mod view;
 
 pub use codec::{decode_delta, encode_delta};
 pub use hummer_dupdetect::{DeltaDetectionStats, RowMapping};
 pub use mapping::concat_mappings;
 pub use model::{DeltaCounts, DeltaError, DeltaOp, TableDelta};
-pub use view::{FusedView, FusedViewStats};

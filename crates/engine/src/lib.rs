@@ -11,7 +11,6 @@
 //! * materialized operators in [`ops`]: selection, projection, joins
 //!   (nested-loop, hash, cross), `UNION`, **full outer union** (the basis of
 //!   `FUSE FROM`), sorting, grouping with SQL aggregates, distinct, limit,
-//! * lazy XXL-style cursors in [`cursor`],
 //! * CSV ingestion/serialization in [`csv`],
 //! * the bit-exact binary codec in [`codec`] (the byte layer under the
 //!   durable catalog store).
@@ -43,7 +42,6 @@
 
 pub mod codec;
 pub mod csv;
-pub mod cursor;
 pub mod error;
 pub mod expr;
 pub mod ops;

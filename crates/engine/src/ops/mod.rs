@@ -5,8 +5,8 @@
 //! needs — "table fetches, joins, unions, and groupings" (§3) — plus the
 //! **full outer union** that `FUSE FROM` is defined by.
 //!
-//! Operators are materialized (they consume `&Table` and produce a new
-//! `Table`); the lazy cursor equivalents live in [`crate::cursor`].
+//! Operators are materialized: they consume `&Table` and produce a new
+//! `Table`.
 
 mod filter;
 mod group;

@@ -10,9 +10,7 @@ use std::fmt;
 /// A named, materialized relation: a [`Schema`] plus rows.
 ///
 /// `Table` is the unit of data flowing through the HumMer pipeline. All
-/// engine operators consume and produce `Table`s; the cursor module
-/// ([`crate::cursor`]) offers a lazy alternative mirroring the XXL library
-/// the original system was built on.
+/// engine operators consume and produce `Table`s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     name: String,

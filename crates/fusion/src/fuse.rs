@@ -4,11 +4,9 @@
 //! "Tuples with same objectID are fused into a single tuple and conflicts
 //! among them are resolved according to the query specification" (paper §3).
 //!
-//! ## One resolve loop
+//! ## Allocation
 //!
-//! [`fuse`], [`crate::fuse_memo`] and [`crate::fuse_incremental`] all run
-//! `FusionSetup::fuse`, which allocates per *table* and per output *row*,
-//! not per cell:
+//! [`fuse`] allocates per *table* and per output *row*, not per cell:
 //!
 //! * key groups are CSR member lists over row indices — no `Row` is cloned
 //!   to serve as a hash key, and a dense one-column integer key such as
@@ -143,7 +141,7 @@ pub fn fuse(
     spec: &FusionSpec,
     registry: &FunctionRegistry,
 ) -> Result<FusedTable, FusionError> {
-    FusionSetup::new(input, spec, registry)?.fuse(|_, _, _| false)
+    FusionSetup::new(input, spec, registry)?.fuse()
 }
 
 /// The key groups of a table in first-appearance order, as CSR member
@@ -321,10 +319,8 @@ struct Block {
 
 /// Everything [`fuse`] derives from the spec before touching clusters:
 /// output columns with their instantiated functions, interned sources, and
-/// the key groups in first-appearance order. Shared with
-/// [`crate::incremental`] so the incremental path groups, resolves, and
-/// assembles byte-identically.
-pub(crate) struct FusionSetup<'a> {
+/// the key groups in first-appearance order.
+struct FusionSetup<'a> {
     input: &'a Table,
     out_cols: Vec<usize>,
     /// Per output column: its resolution function, and whether differing
@@ -337,7 +333,7 @@ pub(crate) struct FusionSetup<'a> {
 }
 
 impl<'a> FusionSetup<'a> {
-    pub(crate) fn new(
+    fn new(
         input: &'a Table,
         spec: &FusionSpec,
         registry: &FunctionRegistry,
@@ -403,36 +399,30 @@ impl<'a> FusionSetup<'a> {
     }
 
     /// Output clusters (key groups).
-    pub(crate) fn clusters(&self) -> usize {
+    fn clusters(&self) -> usize {
         self.groups.len()
     }
 
     /// Output columns.
-    pub(crate) fn width(&self) -> usize {
+    fn width(&self) -> usize {
         self.out_cols.len()
     }
 
     /// The source list this run's lineage ids index.
-    pub(crate) fn sources(&self) -> &[String] {
+    fn sources(&self) -> &[String] {
         &self.sources.aliases
     }
 
     /// Resolve every cluster and assemble the fused table, its lineage, and
     /// the conflict sample/count.
     ///
-    /// `reuse(cluster, rows, cells)` may append a cluster's fused row and
-    /// its `width()` lineage cells itself and return `true` (the
-    /// incremental path's memo); otherwise the resolution functions run.
     /// Clusters are independent, so runs of them resolve on up to
     /// `spec.parallelism` threads and concatenate in first-appearance order
     /// — the output is the same at every degree.
-    pub(crate) fn fuse(
-        self,
-        reuse: impl Fn(usize, &mut Vec<Row>, &mut Cells) -> bool + Sync,
-    ) -> Result<FusedTable, FusionError> {
+    fn fuse(self) -> Result<FusedTable, FusionError> {
         let ranges = chunk_ranges(self.clusters(), self.parallelism.get());
         let blocks = par_map(self.parallelism, &ranges, |range| {
-            self.resolve_range(range.clone(), &reuse)
+            self.resolve_range(range.clone())
         });
         // The first failing cluster in cluster order reports, whichever
         // thread met it.
@@ -470,11 +460,7 @@ impl<'a> FusionSetup<'a> {
     }
 
     /// Fuse clusters `range`, one output row each.
-    fn resolve_range(
-        &self,
-        range: Range<usize>,
-        reuse: &(impl Fn(usize, &mut Vec<Row>, &mut Cells) -> bool + Sync),
-    ) -> Result<Block, FusionError> {
+    fn resolve_range(&self, range: Range<usize>) -> Result<Block, FusionError> {
         let input = self.input;
         let schema = input.schema();
         let mut rows: Vec<Row> = Vec::with_capacity(range.len());
@@ -483,9 +469,6 @@ impl<'a> FusionSetup<'a> {
         let mut member_rows: Vec<&Row> = Vec::new();
         let mut member_sources: Vec<Option<&str>> = Vec::new();
         for cluster in range {
-            if reuse(cluster, &mut rows, &mut cells) {
-                continue;
-            }
             let members = self.groups.members(cluster);
             member_rows.clear();
             member_rows.extend(members.iter().map(|&m| &input.rows()[m as usize]));
@@ -521,8 +504,8 @@ impl<'a> FusionSetup<'a> {
 
     /// The first [`MAX_SAMPLE_CONFLICTS`] conflict cells in (cluster,
     /// column) order, rendered from the cluster's member rows and the fused
-    /// value — after the fact, so neither the resolve loop nor the memo
-    /// carries strings for conflicts nobody will look at.
+    /// value — after the fact, so the resolve loop carries no strings for
+    /// conflicts nobody will look at.
     fn sample_conflicts(&self, table: &Table, cells: &Cells) -> Vec<SampleConflict> {
         let conflict_cells = (0..cells.len()).filter(|&cell| cells.had_conflict(cell));
         conflict_cells

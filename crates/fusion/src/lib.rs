@@ -47,7 +47,6 @@ pub mod context;
 pub mod error;
 pub mod functions;
 pub mod fuse;
-pub mod incremental;
 pub mod lineage;
 #[cfg(test)]
 mod reference;
@@ -61,8 +60,5 @@ pub use functions::{
 };
 pub use fuse::{fuse, FusedTable, FusionSpec, SampleConflict};
 pub use hummer_par::Parallelism;
-pub use incremental::{
-    fuse_incremental, fuse_memo, ClusterPlan, FusionMemo, IncrementalFusionStats,
-};
 pub use lineage::{CellLineage, Lineage};
 pub use registry::{FunctionRegistry, ResolutionSpec};

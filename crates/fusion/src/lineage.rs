@@ -67,7 +67,7 @@ pub(crate) struct Cells {
 }
 
 /// A row index as the arena stores it.
-pub(crate) fn arena_row(row: usize) -> u32 {
+fn arena_row(row: usize) -> u32 {
     u32::try_from(row).expect("fusion inputs stay below 2^32 rows")
 }
 
@@ -121,13 +121,13 @@ impl Cells {
         self.conflicts.extend(other.conflicts);
     }
 
-    pub(crate) fn rows_of(&self, cell: usize) -> &[u32] {
+    fn rows_of(&self, cell: usize) -> &[u32] {
         let start = cell.checked_sub(1).map_or(0, |prev| self.row_ends[prev]);
         &self.rows[start as usize..self.row_ends[cell] as usize]
     }
 
     /// Ids of the sources cell `cell` cites, ascending.
-    pub(crate) fn sources_of(&self, cell: usize) -> impl Iterator<Item = u32> + '_ {
+    fn sources_of(&self, cell: usize) -> impl Iterator<Item = u32> + '_ {
         set_bits(&self.source_bits[cell * self.words..(cell + 1) * self.words])
     }
 
@@ -252,11 +252,6 @@ impl Lineage {
         let mut names: Vec<String> = ids.map(|id| self.sources[id as usize].clone()).collect();
         names.sort();
         names
-    }
-
-    /// The flat store and the source list its ids index.
-    pub(crate) fn cells(&self) -> (&Cells, &[String]) {
-        (&self.cells, &self.sources)
     }
 
     /// Total number of resolved conflicts across the table.

@@ -599,7 +599,6 @@ pub(crate) fn fuse(
 mod tests {
     use super::*;
     use crate::functions::{Contributors, Resolved as NewResolved};
-    use crate::incremental::{fuse_incremental, fuse_memo, ClusterPlan};
     use crate::registry::FunctionRegistry;
     use crate::{ConflictContext, FusedTable, Parallelism};
     use hummer_datagen::scenarios::{
@@ -883,109 +882,5 @@ mod tests {
             &standard,
             "dense integers with NULLs",
         );
-    }
-
-    /// Delete, update and append rows of `t0`; returns the new table and
-    /// the old → new row mapping.
-    fn delta(t0: &Table) -> (Table, Vec<Option<usize>>) {
-        let object = t0.resolve("objectID").unwrap();
-        let mut rows: Vec<Row> = Vec::new();
-        let mut old_to_new = Vec::new();
-        for (i, row) in t0.rows().iter().enumerate() {
-            if i % 17 == 3 {
-                old_to_new.push(None);
-                continue;
-            }
-            let mut row = row.clone();
-            if i % 23 == 5 {
-                row[0] = Value::text(format!("{} (edited)", row[0]));
-            }
-            old_to_new.push(Some(rows.len()));
-            rows.push(row);
-        }
-        // Newcomers: two join existing clusters, one founds its own.
-        for (k, i) in [1usize, 40, 80].into_iter().enumerate() {
-            let mut row = t0.rows()[i].clone();
-            if k == 2 {
-                row[object] = Value::Int(1_000_000);
-            }
-            rows.push(row);
-        }
-        let t1 = Table::new(t0.name(), t0.schema().clone(), rows).unwrap();
-        (t1, old_to_new)
-    }
-
-    /// Clusters of `t` in first-appearance order of `objectID`.
-    fn clusters_of(t: &Table) -> Vec<Vec<usize>> {
-        let object = t.resolve("objectID").unwrap();
-        let mut index: HashMap<String, usize> = HashMap::new();
-        let mut clusters: Vec<Vec<usize>> = Vec::new();
-        for (i, row) in t.rows().iter().enumerate() {
-            let next = clusters.len();
-            let c = *index.entry(format!("{:?}", row[object])).or_insert(next);
-            if c == next {
-                clusters.push(Vec::new());
-            }
-            clusters[c].push(i);
-        }
-        clusters
-    }
-
-    #[test]
-    fn incremental_fusion_with_reuse_equals_fusion_after_a_delta() {
-        let registry = FunctionRegistry::standard();
-        for t0 in worlds() {
-            let spec = FusionSpec::by_key(vec!["objectID"])
-                .drop_column("objectID")
-                .resolve(
-                    t0.schema().column(1).name.clone(),
-                    ResolutionSpec::named("vote"),
-                )
-                .resolve(
-                    t0.schema().column(2).name.clone(),
-                    ResolutionSpec::named("concat"),
-                );
-            let (_, memo) = fuse_memo(&t0, &spec, &registry).unwrap();
-            let (t1, old_to_new) = delta(&t0);
-            let mut new_to_old = vec![None; t1.len()];
-            for (old, new) in old_to_new.iter().enumerate() {
-                if let Some(new) = new {
-                    new_to_old[*new] = Some(old);
-                }
-            }
-            let old_clusters = clusters_of(&t0);
-            let plans: Vec<ClusterPlan> = clusters_of(&t1)
-                .iter()
-                .map(|members| {
-                    let olds: Option<Vec<usize>> = members.iter().map(|&m| new_to_old[m]).collect();
-                    let reusable = olds.and_then(|olds| {
-                        let unchanged = olds.iter().zip(members).all(|(&o, &m)| {
-                            format!("{:?}", t0.rows()[o]) == format!("{:?}", t1.rows()[m])
-                        });
-                        let old = old_clusters.iter().position(|c| *c == olds)?;
-                        unchanged.then_some(old)
-                    });
-                    reusable.map_or(ClusterPlan::Recompute, |old| ClusterPlan::Reuse { old })
-                })
-                .collect();
-            for degree in 1..=4 {
-                let spec = spec.clone().with_parallelism(Parallelism::degree(degree));
-                let (incremental, memo1, stats) =
-                    fuse_incremental(&t1, &spec, &registry, &plans, &memo, &old_to_new).unwrap();
-                assert!(stats.reused > 0 && stats.recomputed > 0, "{stats:?}");
-                assert_eq!(stats.reused + stats.recomputed, stats.clusters);
-                let what = format!("{} after a delta, degree {degree}", t1.name());
-                assert_same(&incremental, &fuse(&t1, &spec, &standard).unwrap(), &what);
-                // The new memo serves a second, empty delta in full.
-                let identity: Vec<Option<usize>> = (0..t1.len()).map(Some).collect();
-                let all: Vec<ClusterPlan> = (0..memo1.len())
-                    .map(|old| ClusterPlan::Reuse { old })
-                    .collect();
-                let (again, _, stats) =
-                    fuse_incremental(&t1, &spec, &registry, &all, &memo1, &identity).unwrap();
-                assert_eq!(stats.recomputed, 0);
-                assert_same(&again, &fuse(&t1, &spec, &standard).unwrap(), &what);
-            }
-        }
     }
 }

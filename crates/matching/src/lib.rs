@@ -15,10 +15,9 @@
 //! 4. [`transform`] renames matched attributes to the preferred schema,
 //!    adds the `sourceID` column, and computes the full outer union.
 //!
-//! The expensive comparisons parallelize: [`match_tables_par`] /
-//! [`match_star_par`] score sniff candidates and per-duplicate matrices on
-//! up to [`Parallelism::get`] threads with output bit-identical to the
-//! sequential entry points.
+//! The expensive comparisons parallelize: [`match_star_par`] scores sniff
+//! candidates and per-duplicate matrices on up to [`Parallelism::get`]
+//! threads with output bit-identical to the sequential entry points.
 //!
 //! ## Example
 //!
@@ -64,7 +63,7 @@ pub use dumas::{sniff_duplicates, sniff_duplicates_par, SniffConfig, SniffStats,
 pub use hummer_par::Parallelism;
 pub use hungarian::{max_weight_matching, Assignment};
 pub use index::{MatchDeltaStats, MatchIndex};
-pub use matcher::{match_star, match_star_par, match_tables, match_tables_par, MatcherConfig};
+pub use matcher::{match_star, match_star_par, match_tables, MatcherConfig};
 pub use matrix::SimilarityMatrix;
 pub use transform::{
     add_source_id, apply_renames, integrate, integrate_with_layout, SOURCE_ID_COLUMN,

@@ -302,24 +302,7 @@ pub(crate) fn assign(
 /// assert_eq!(renames.get("Years").unwrap(), "Age");
 /// ```
 pub fn match_tables(left: &Table, right: &Table, cfg: &MatcherConfig) -> MatchResult {
-    match_tables_par(left, right, cfg, Parallelism::sequential())
-}
-
-/// [`match_tables`] with up to `par.get()` threads: duplicate sniffing
-/// scores left rows concurrently, and the per-duplicate field-similarity
-/// matrices (the expensive SoftTFIDF comparisons) are computed one
-/// duplicate pair per task before the single-threaded Hungarian assignment.
-///
-/// Output is bit-identical to [`match_tables`] for every degree: matrices
-/// merge in duplicate order, and the mean/assignment steps see the same
-/// numbers either way.
-pub fn match_tables_par(
-    left: &Table,
-    right: &Table,
-    cfg: &MatcherConfig,
-    par: Parallelism,
-) -> MatchResult {
-    let mut results = match_star_par(&[left, right], cfg, par);
+    let mut results = match_star(&[left, right], cfg);
     results.pop().expect("two tables make one pair")
 }
 
@@ -332,10 +315,17 @@ pub fn match_star(tables: &[&Table], cfg: &MatcherConfig) -> Vec<MatchResult> {
     match_star_par(tables, cfg, Parallelism::sequential())
 }
 
-/// [`match_star`] with intra-pair parallelism: each preferred-vs-other
-/// pair is matched as [`match_tables_par`] matches it, with the given
-/// degree, over one tokenization of the star (the preferred source is
-/// tokenized once). This is [`MatchIndex::build`] with the index dropped.
+/// [`match_star`] with up to `par.get()` threads per preferred-vs-other
+/// pair, over one tokenization of the star (the preferred source is
+/// tokenized once): duplicate sniffing scores left rows concurrently, and
+/// the per-duplicate field-similarity matrices (the expensive SoftTFIDF
+/// comparisons) are computed one duplicate pair per task before the
+/// single-threaded Hungarian assignment. This is [`MatchIndex::build`] with
+/// the index dropped.
+///
+/// Output is bit-identical to [`match_star`] for every degree: matrices
+/// merge in duplicate order, and the mean/assignment steps see the same
+/// numbers either way.
 pub fn match_star_par(
     tables: &[&Table],
     cfg: &MatcherConfig,

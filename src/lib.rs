@@ -16,7 +16,7 @@
 //! | [`matching`] | DUMAS schema matching + Hungarian algorithm + transformation |
 //! | [`dupdetect`] | duplicate detection: measure, filter, blocking, transitive closure |
 //! | [`fusion`] | conflict-resolution functions, fusion operator, lineage |
-//! | [`delta`] | delta ingestion + incremental maintenance of clusters and fused views |
+//! | [`delta`] | delta ingestion: the `TableDelta` change model, its WAL codec, row mappings |
 //! | [`store`] | durable catalog: checksummed snapshots + delta WAL, crash recovery, compaction |
 //! | [`query`] | the Fuse By SQL dialect (Fig. 1): parser + executor |
 //! | [`datagen`] | synthetic dirty worlds with gold standards + metrics |

@@ -1,12 +1,13 @@
 //! The delta subsystem's contract as a property: a random sequence of
 //! deltas (inserts / updates / deletes across scenario worlds) applied
 //! incrementally equals a from-scratch rebuild, bit-for-bit, at every
-//! parallelism degree 1–4 — prepared artifacts *and* the incrementally
-//! maintained fused view, schema matching included (correspondences,
-//! sniffed duplicates and the averaged matrix, to the bit). Chains through
-//! a carried delta index additionally leave the detection index equal to
-//! one built from scratch, under every blocking strategy, on worlds large
-//! enough that most deltas are scored incrementally.
+//! parallelism degree 1–4 — prepared artifacts *and* the fused result a
+//! query over them returns, lineage included, schema matching included
+//! (correspondences, sniffed duplicates and the averaged matrix, to the
+//! bit). Chains through a carried delta index additionally leave the
+//! detection index equal to one built from scratch, under every blocking
+//! strategy, on worlds large enough that most deltas are scored
+//! incrementally.
 
 use hummer::core::{
     fuse_prepared, prepare_tables, DeltaIndex, DetectionIndex, HummerConfig, MatcherConfig,
@@ -16,7 +17,7 @@ use hummer::datagen::scenarios::{
     cd_shopping, cleansing_service, disaster_registry, student_rosters,
 };
 use hummer::datagen::GeneratedWorld;
-use hummer::delta::{concat_mappings, FusedView, RowMapping, TableDelta};
+use hummer::delta::{concat_mappings, RowMapping, TableDelta};
 use hummer::dupdetect::{candidate_pairs, resolve_candidate_strategy, CandidateSpec};
 use hummer::engine::{Table, Value};
 use hummer::fusion::FunctionRegistry;
@@ -357,14 +358,6 @@ proptest! {
         let refs: Vec<&Table> = tables.iter().collect();
         let registry = FunctionRegistry::standard();
         let mut prepared = prepare_tables(&refs, &config(Parallelism::sequential())).unwrap();
-        let mut view = FusedView::new(
-            &prepared.annotated,
-            &prepared.detection,
-            &[],
-            &registry,
-            Parallelism::sequential(),
-        )
-        .unwrap();
 
         for (step, (source_pick, ops)) in deltas.iter().enumerate() {
             let s = source_pick % tables.len();
@@ -404,23 +397,30 @@ proptest! {
             }
             let upgraded = upgraded_at_one.expect("degree 1 ran");
 
-            // The incrementally maintained fused view equals from-scratch
-            // fusion over the updated artifacts.
-            view.apply_delta(&upgraded.annotated, &upgraded.detection, &mapping, &registry)
-                .unwrap();
+            // A query after the delta — fusion over the upgraded
+            // artifacts — equals fusion over the rebuilt ones.
+            let fused = fuse_prepared(&upgraded, &[], &registry).unwrap();
             let scratch_fused = fuse_prepared(&scratch, &[], &registry).unwrap();
             prop_assert!(
-                view.table().rows() == scratch_fused.result.rows(),
-                "fused view diverged at step {step}"
+                fused.result.rows() == scratch_fused.result.rows(),
+                "fused rows diverged at step {step}"
             );
             prop_assert!(
-                view.fused().conflict_count == scratch_fused.conflict_count,
+                fused.conflict_count == scratch_fused.conflict_count,
                 "conflict count diverged at step {step}"
             );
             prop_assert!(
-                view.fused().sample_conflicts == scratch_fused.sample_conflicts,
+                fused.sample_conflicts == scratch_fused.sample_conflicts,
                 "samples diverged at step {step}"
             );
+            for r in 0..fused.result.len() {
+                for c in 0..fused.result.schema().len() {
+                    prop_assert!(
+                        fused.lineage.cell(r, c) == scratch_fused.lineage.cell(r, c),
+                        "lineage of cell ({r}, {c}) diverged at step {step}"
+                    );
+                }
+            }
 
             tables = next_tables;
             prepared = upgraded;
