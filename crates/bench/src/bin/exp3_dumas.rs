@@ -8,7 +8,7 @@ use hummer_bench::{f3, render_table};
 use hummer_datagen::{
     correspondence_metrics, generate, precision_at_k, DirtyConfig, EntityKind, SourceSpec,
 };
-use hummer_matching::{match_tables, sniff_duplicates, MatcherConfig, SniffConfig};
+use hummer_matching::{match_tables, sniff_duplicates, MatcherConfig, Parallelism, SniffConfig};
 
 /// A deliberately hard matching task: CD catalogs, where `Year` and
 /// `Price` are numerically confusable, `Genre` has low cardinality, and
@@ -48,6 +48,7 @@ fn main() {
             min_similarity: 0.0,
             one_to_one: true,
         },
+        Parallelism::sequential(),
     );
     let ranked: Vec<(usize, usize)> = pairs.iter().map(|p| (p.left, p.right)).collect();
     // Gold pairs in (left-row, right-row) space.

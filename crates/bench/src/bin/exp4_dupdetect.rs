@@ -4,7 +4,9 @@
 
 use hummer_bench::{f3, render_table};
 use hummer_datagen::{cluster_pair_metrics, generate, pair_metrics, DirtyConfig, EntityKind};
-use hummer_dupdetect::{detect_duplicates, DetectorConfig, TupleSimilarity, UnionFind};
+use hummer_dupdetect::{
+    detect_duplicates, DetectorConfig, Parallelism, TupleSimilarity, UnionFind,
+};
 use hummer_engine::ops::outer_union;
 use hummer_engine::{table, Table};
 
@@ -36,6 +38,7 @@ fn main() {
                 unsure_threshold: theta - 0.1,
                 ..Default::default()
             },
+            Parallelism::sequential(),
         )
         .unwrap();
         let pr = cluster_pair_metrics(&det.cluster_ids, &gold);
@@ -83,7 +86,7 @@ fn main() {
 
     // (c) transitive closure vs. raw pair set.
     println!("\nE4c — transitive closure vs. raw duplicate pairs (θ = 0.75)\n");
-    let det = detect_duplicates(&u, &DetectorConfig::default()).unwrap();
+    let det = detect_duplicates(&u, &DetectorConfig::default(), Parallelism::sequential()).unwrap();
     let raw: Vec<(usize, usize)> = det.pairs.iter().map(|p| (p.left, p.right)).collect();
     // Gold pairs from entity ids.
     let mut gold_pairs = Vec::new();

@@ -4,7 +4,7 @@
 
 use hummer_bench::{f3, render_table};
 use hummer_datagen::{cluster_pair_metrics, generate, DirtyConfig, EntityKind};
-use hummer_dupdetect::{detect_duplicates, CandidateSpec, DetectorConfig};
+use hummer_dupdetect::{detect_duplicates, CandidateSpec, DetectorConfig, Parallelism};
 use hummer_engine::ops::outer_union;
 use hummer_engine::Table;
 use std::time::Instant;
@@ -51,7 +51,7 @@ fn main() {
             ),
         ] {
             let t0 = Instant::now();
-            let det = detect_duplicates(&u, &det_cfg).unwrap();
+            let det = detect_duplicates(&u, &det_cfg, Parallelism::sequential()).unwrap();
             let elapsed = t0.elapsed();
             let pr = cluster_pair_metrics(&det.cluster_ids, &gold);
             rows.push(vec![

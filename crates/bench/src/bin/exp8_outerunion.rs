@@ -6,7 +6,7 @@ use hummer_bench::{f3, render_table};
 use hummer_datagen::{correspondence_metrics, generate, DirtyConfig, EntityKind, SourceSpec};
 use hummer_engine::ops::{cross_product, hash_join, outer_union, JoinKind};
 use hummer_engine::Table;
-use hummer_matching::{integrate, match_star, MatcherConfig, SniffConfig};
+use hummer_matching::{integrate, match_star, MatcherConfig, Parallelism, SniffConfig};
 
 fn main() {
     // (a) combination-operator comparison on two 200-row sources.
@@ -77,7 +77,7 @@ fn main() {
             },
             ..Default::default()
         };
-        let matches = match_star(&refs, &cfg);
+        let matches = match_star(&refs, &cfg, Parallelism::sequential());
         let integrated = integrate(&refs, &matches, "I").unwrap();
         // Rename quality averaged over non-preferred sources.
         let mut f1_sum = 0.0;

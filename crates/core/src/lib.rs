@@ -59,8 +59,8 @@ pub mod wizard;
 
 pub use error::{HummerError, Result};
 pub use pipeline::{
-    fuse_prepared, fuse_prepared_par, fuse_prepared_traced, prepare_tables, prepare_tables_traced,
-    DeltaIndex, DeltaReport, Hummer, HummerConfig, PipelineOutcome, PreparedSources, StageTimings,
+    fuse_prepared, fuse_prepared_traced, prepare_tables, prepare_tables_traced, DeltaIndex,
+    DeltaReport, Hummer, HummerConfig, PipelineOutcome, PreparedSources, StageTimings,
 };
 pub use repository::{MetadataRepository, SourceInfo};
 pub use wizard::{Wizard, WizardPhase};

@@ -16,16 +16,15 @@
 use crate::error::Result;
 use crate::repository::MetadataRepository;
 use hummer_dupdetect::{
-    annotate_object_ids, detect_duplicates_par, DeltaDetectionStats, DetectionIndex,
-    DetectionResult, DetectorConfig, RowMapping, OBJECT_ID_COLUMN,
+    annotate_object_ids, detect_duplicates, DeltaDetectionStats, DetectionIndex, DetectionResult,
+    DetectorConfig, RowMapping, OBJECT_ID_COLUMN,
 };
 use hummer_engine::Table;
 use hummer_fusion::{
     fuse, FunctionRegistry, FusionSpec, Lineage, Parallelism, ResolutionSpec, SampleConflict,
 };
 use hummer_matching::{
-    apply_renames, integrate, match_star, match_star_par, MatchDeltaStats, MatchIndex, MatchResult,
-    MatcherConfig,
+    apply_renames, integrate, match_star, MatchDeltaStats, MatchIndex, MatchResult, MatcherConfig,
 };
 use hummer_obs::{ObsConfig, Span};
 use hummer_query::{parse, QueryOutput, TableSet};
@@ -119,7 +118,7 @@ pub fn prepare_tables_traced(
     // 1. Schema matching.
     let mut span = parent.child("match");
     let t0 = Instant::now();
-    let match_results = match_star_par(tables, &config.matcher, config.parallelism);
+    let match_results = match_star(tables, &config.matcher, config.parallelism);
     timings.matching = t0.elapsed();
     span.count("tables", tables.len() as u64);
     count_matching(&mut span, &match_results);
@@ -138,8 +137,7 @@ pub fn prepare_tables_traced(
     // 3. Duplicate detection → objectID.
     let t0 = Instant::now();
     let mut span = parent.child("detect");
-    let detection =
-        detect_duplicates_par(&integrated, &config.detector_config(), config.parallelism)?;
+    let detection = detect_duplicates(&integrated, &config.detector_config(), config.parallelism)?;
     count_detection(&mut span, &detection.stats);
     drop(span);
     let mut span = parent.child("cluster");
@@ -405,24 +403,19 @@ pub fn fuse_prepared(
     resolutions: &[(String, ResolutionSpec)],
     registry: &FunctionRegistry,
 ) -> Result<PipelineOutcome> {
-    fuse_prepared_par(prepared, resolutions, registry, Parallelism::sequential())
+    fuse_prepared_traced(
+        prepared,
+        resolutions,
+        registry,
+        Parallelism::sequential(),
+        &Span::noop(),
+    )
 }
 
 /// [`fuse_prepared`] with up to `par.get()` threads resolving disjoint
 /// duplicate clusters concurrently (bit-identical output for every
-/// degree).
-pub fn fuse_prepared_par(
-    prepared: &PreparedSources,
-    resolutions: &[(String, ResolutionSpec)],
-    registry: &FunctionRegistry,
-    par: Parallelism,
-) -> Result<PipelineOutcome> {
-    fuse_prepared_traced(prepared, resolutions, registry, par, &Span::noop())
-}
-
-/// [`fuse_prepared_par`] recording a `fuse` span (fused rows, resolved
-/// conflicts, parallelism degree) as a child of `parent`. With a no-op
-/// `parent` this is exactly `fuse_prepared_par`.
+/// degree), recording a `fuse` span (fused rows, resolved conflicts,
+/// parallelism degree) as a child of `parent`.
 pub fn fuse_prepared_traced(
     prepared: &PreparedSources,
     resolutions: &[(String, ResolutionSpec)],
@@ -611,11 +604,12 @@ impl Hummer {
         resolutions: &[(String, ResolutionSpec)],
     ) -> Result<PipelineOutcome> {
         let prepared = self.prepare(aliases)?;
-        fuse_prepared_par(
+        fuse_prepared_traced(
             &prepared,
             resolutions,
             &self.registry,
             self.config.parallelism,
+            &Span::noop(),
         )
     }
 
@@ -635,7 +629,8 @@ impl Hummer {
     /// For `FUSE FROM` over multiple heterogeneous sources, schema matching
     /// aligns the non-preferred tables to the first table's attribute names
     /// before execution — so the query can "use only column names of one of
-    /// the tables to be fused" (§2.1).
+    /// the tables to be fused" (§2.1). The matching honours
+    /// `config.parallelism`, with the same result at every degree.
     pub fn query(&self, sql: &str) -> Result<QueryOutput> {
         let q = parse(sql)?;
         if q.from.fuse && q.from.tables.len() > 1 {
@@ -646,7 +641,7 @@ impl Hummer {
                 .iter()
                 .map(|a| self.repository.get(a))
                 .collect::<Result<_>>()?;
-            let matches = match_star(&tables, &self.config.matcher);
+            let matches = match_star(&tables, &self.config.matcher, self.config.parallelism);
             let mut aligned = TableSet::new();
             aligned.add(tables[0].clone());
             for (t, m) in tables[1..].iter().zip(&matches) {

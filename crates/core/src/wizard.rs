@@ -18,11 +18,11 @@ use crate::error::{HummerError, Result};
 use crate::pipeline::{HummerConfig, PipelineOutcome, StageTimings};
 use crate::repository::MetadataRepository;
 use hummer_dupdetect::{
-    annotate_object_ids, detect_duplicates_par, DetectionResult, DetectorConfig, OBJECT_ID_COLUMN,
+    annotate_object_ids, detect_duplicates, DetectionResult, DetectorConfig, OBJECT_ID_COLUMN,
 };
 use hummer_engine::Table;
 use hummer_fusion::{fuse, FunctionRegistry, FusionSpec, ResolutionSpec};
-use hummer_matching::{integrate, match_star_par, MatchResult};
+use hummer_matching::{integrate, match_star, MatchResult};
 use std::time::Instant;
 
 /// Where in the six-step flow the wizard currently is.
@@ -86,7 +86,7 @@ impl Wizard {
             .collect::<Result<_>>()?;
         let t0 = Instant::now();
         let refs: Vec<&Table> = tables.iter().collect();
-        let match_results = match_star_par(&refs, &config.matcher, config.parallelism);
+        let match_results = match_star(&refs, &config.matcher, config.parallelism);
         let timings = StageTimings {
             matching: t0.elapsed(),
             ..Default::default()
@@ -170,7 +170,7 @@ impl Wizard {
         let integrated = self.integrated.as_ref().expect("set at confirm_matching");
         let t0 = Instant::now();
         let detection =
-            detect_duplicates_par(integrated, &self.config.detector, self.config.parallelism)?;
+            detect_duplicates(integrated, &self.config.detector, self.config.parallelism)?;
         self.timings.detection = t0.elapsed();
         self.detection = Some(detection);
         self.phase = WizardPhase::ConfirmDuplicates;

@@ -258,7 +258,7 @@ fn classify(i: usize, j: usize, s: f64, cfg: &DetectorConfig, out: &mut ScoredCa
 /// up to `par.get()` threads with the staged block kernel, merging chunk
 /// results in candidate order. The returned pair lists are **unsorted**
 /// (candidate order); callers apply the canonical similarity-descending
-/// stable sort. Shared by [`crate::detect_duplicates_par`] and the
+/// stable sort. Shared by [`crate::detect_duplicates`] and the
 /// incremental detector, so a pair scores identically on both paths.
 ///
 /// # Panics

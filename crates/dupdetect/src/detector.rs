@@ -192,31 +192,6 @@ impl DetectionResult {
     }
 }
 
-/// Run duplicate detection over a table (single-threaded; see
-/// [`detect_duplicates_par`] for the multi-threaded variant with identical
-/// output).
-///
-/// # Example
-///
-/// ```
-/// use hummer_dupdetect::{detect_duplicates, DetectorConfig};
-/// use hummer_engine::table;
-///
-/// let people = table! {
-///     "People" => ["Name", "City"];
-///     ["John Smith", "Berlin"],
-///     ["Jon Smith",  "Berlin"],   // typo duplicate
-///     ["Mary Jones", "Hamburg"],
-/// };
-/// let cfg = DetectorConfig { threshold: 0.6, unsure_threshold: 0.5, ..Default::default() };
-/// let result = detect_duplicates(&people, &cfg).unwrap();
-/// assert_eq!(result.object_count(), 2); // the two Smiths cluster
-/// assert_eq!(result.cluster_ids[0], result.cluster_ids[1]);
-/// ```
-pub fn detect_duplicates(table: &Table, cfg: &DetectorConfig) -> Result<DetectionResult> {
-    detect_duplicates_par(table, cfg, Parallelism::sequential())
-}
-
 /// Resolve the comparison attributes for `table` under `cfg`: explicit
 /// names, or the selection heuristics. Shared by the full detector and the
 /// incremental path so both always agree.
@@ -284,19 +259,36 @@ pub fn sort_pairs_canonical(pairs: &mut [DuplicatePair]) {
     });
 }
 
-/// Run duplicate detection with up to `par.get()` threads scoring candidate
-/// pairs concurrently.
+/// Run duplicate detection over a table with up to `par.get()` threads
+/// scoring candidate pairs concurrently.
 ///
 /// The candidate list is split into contiguous chunks, each chunk is scored
 /// on its own thread against the shared (read-only) [`TupleSimilarity`]
 /// caches, and the per-chunk accepted/unsure lists are concatenated in
-/// chunk order — exactly the order the sequential loop produces. The
-/// transitive closure (union-find) then runs single-threaded over the
-/// merged pairs. Output is therefore **bit-identical** to
-/// [`detect_duplicates`] for every degree;
+/// chunk order — exactly the order one thread produces. The transitive
+/// closure (union-find) then runs single-threaded over the merged pairs.
+/// Output is therefore **bit-identical** at every degree;
 /// `tests/parallel_equivalence.rs::parallel_pipeline_matches_sequential`
 /// enforces this.
-pub fn detect_duplicates_par(
+///
+/// # Example
+///
+/// ```
+/// use hummer_dupdetect::{detect_duplicates, DetectorConfig, Parallelism};
+/// use hummer_engine::table;
+///
+/// let people = table! {
+///     "People" => ["Name", "City"];
+///     ["John Smith", "Berlin"],
+///     ["Jon Smith",  "Berlin"],   // typo duplicate
+///     ["Mary Jones", "Hamburg"],
+/// };
+/// let cfg = DetectorConfig { threshold: 0.6, unsure_threshold: 0.5, ..Default::default() };
+/// let result = detect_duplicates(&people, &cfg, Parallelism::sequential()).unwrap();
+/// assert_eq!(result.object_count(), 2); // the two Smiths cluster
+/// assert_eq!(result.cluster_ids[0], result.cluster_ids[1]);
+/// ```
+pub fn detect_duplicates(
     table: &Table,
     cfg: &DetectorConfig,
     par: Parallelism,
@@ -424,7 +416,7 @@ mod tests {
     #[test]
     fn finds_clusters_with_transitive_closure() {
         let t = people();
-        let r = detect_duplicates(&t, &cfg()).unwrap();
+        let r = detect_duplicates(&t, &cfg(), Parallelism::sequential()).unwrap();
         assert_eq!(r.object_count(), 3);
         assert_eq!(r.cluster_ids[0], r.cluster_ids[1]);
         assert_eq!(r.cluster_ids[0], r.cluster_ids[2]);
@@ -436,7 +428,7 @@ mod tests {
     #[test]
     fn object_id_column_annotated() {
         let t = people();
-        let r = detect_duplicates(&t, &cfg()).unwrap();
+        let r = detect_duplicates(&t, &cfg(), Parallelism::sequential()).unwrap();
         let annotated = annotate_object_ids(&t, &r).unwrap();
         assert!(annotated.schema().contains(OBJECT_ID_COLUMN));
         let oid = annotated.resolve(OBJECT_ID_COLUMN).unwrap();
@@ -453,6 +445,7 @@ mod tests {
                 use_filter: true,
                 ..cfg()
             },
+            Parallelism::sequential(),
         )
         .unwrap();
         let without = detect_duplicates(
@@ -461,6 +454,7 @@ mod tests {
                 use_filter: false,
                 ..cfg()
             },
+            Parallelism::sequential(),
         )
         .unwrap();
         assert_eq!(with.pairs, without.pairs, "filter must be lossless");
@@ -481,6 +475,7 @@ mod tests {
                 unsure_threshold: 0.5,
                 ..cfg()
             },
+            Parallelism::sequential(),
         )
         .unwrap();
         assert_eq!(r.attributes_used, vec!["Name"]);
@@ -497,6 +492,7 @@ mod tests {
                 attributes: Some(vec!["Nope".into()]),
                 ..cfg()
             },
+            Parallelism::sequential(),
         );
         assert!(r.is_err());
     }
@@ -511,6 +507,7 @@ mod tests {
                 unsure_threshold: 0.9,
                 ..Default::default()
             },
+            Parallelism::sequential(),
         );
         assert!(r.is_err());
     }
@@ -531,6 +528,7 @@ mod tests {
                 unsure_threshold: 0.55,
                 ..Default::default()
             },
+            Parallelism::sequential(),
         )
         .unwrap();
         assert!(!r.pairs.is_empty());
@@ -553,6 +551,7 @@ mod tests {
                 unsure_threshold: 0.55,
                 ..Default::default()
             },
+            Parallelism::sequential(),
         )
         .unwrap();
         let u = r.unsure[0];
@@ -578,9 +577,10 @@ mod tests {
                 },
                 ..cfg()
             },
+            Parallelism::sequential(),
         )
         .unwrap();
-        let full = detect_duplicates(&t, &cfg()).unwrap();
+        let full = detect_duplicates(&t, &cfg(), Parallelism::sequential()).unwrap();
         assert!(blocked.stats.candidates <= full.stats.candidates);
         // Duplicates share name prefixes here, so blocking loses nothing.
         assert_eq!(blocked.cluster_ids, full.cluster_ids);
@@ -595,6 +595,7 @@ mod tests {
                 attributes: Some(vec!["Name".into()]),
                 ..cfg()
             },
+            Parallelism::sequential(),
         )
         .unwrap();
         assert!(r.pairs.is_empty());
@@ -607,7 +608,7 @@ mod tests {
     #[test]
     fn recluster_is_pair_order_independent() {
         let t = people();
-        let mut r = detect_duplicates(&t, &cfg()).unwrap();
+        let mut r = detect_duplicates(&t, &cfg(), Parallelism::sequential()).unwrap();
         let original_ids = r.cluster_ids.clone();
         let original_clusters = r.clusters.clone();
         r.pairs.reverse();
@@ -634,9 +635,9 @@ mod tests {
     #[test]
     fn parallel_detection_matches_sequential() {
         let t = people();
-        let seq = detect_duplicates(&t, &cfg()).unwrap();
-        for degree in 1..=8 {
-            let par = detect_duplicates_par(&t, &cfg(), Parallelism::degree(degree)).unwrap();
+        let seq = detect_duplicates(&t, &cfg(), Parallelism::sequential()).unwrap();
+        for degree in 2..=8 {
+            let par = detect_duplicates(&t, &cfg(), Parallelism::degree(degree)).unwrap();
             assert_eq!(par.pairs, seq.pairs, "degree {degree}");
             assert_eq!(par.unsure, seq.unsure, "degree {degree}");
             assert_eq!(
@@ -659,7 +660,7 @@ mod tests {
             Value::text(format!("s{i}"))
         })
         .unwrap();
-        let r = detect_duplicates(&t, &cfg()).unwrap();
+        let r = detect_duplicates(&t, &cfg(), Parallelism::sequential()).unwrap();
         assert!(!r.attributes_used.iter().any(|a| a == "sourceID"));
     }
 }

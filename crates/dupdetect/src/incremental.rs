@@ -325,7 +325,7 @@ impl DetectionIndex {
     /// tables' rows; afterwards the index describes `new_table`.
     ///
     /// Output (everything except the work counters in `stats`) is
-    /// bit-identical to [`crate::detect_duplicates_par`] over `new_table` at
+    /// bit-identical to [`crate::detect_duplicates`] over `new_table` at
     /// every degree — see the module docs for the argument. On error the
     /// index may be half-moved: drop it.
     pub fn apply_delta(
@@ -573,14 +573,14 @@ fn column_names(table: &Table) -> Vec<String> {
 /// and carried once.
 ///
 /// Output (everything except the work counters in `stats`) is
-/// bit-identical to [`crate::detect_duplicates_par`] over `new_table` at
+/// bit-identical to [`crate::detect_duplicates`] over `new_table` at
 /// every degree — see the module docs for the argument. `cfg` must be the
 /// configuration that produced `old`.
 ///
 /// # Example
 ///
 /// ```
-/// use hummer_dupdetect::{detect_duplicates, detect_delta, DetectorConfig, RowMapping};
+/// use hummer_dupdetect::{detect_duplicates, detect_delta, DetectorConfig, Parallelism, RowMapping};
 /// use hummer_engine::table;
 ///
 /// let before = table! {
@@ -595,12 +595,12 @@ fn column_names(table: &Table) -> Vec<String> {
 ///     ["Jon Smith",  "Berlin"],   // inserted typo duplicate
 /// };
 /// let cfg = DetectorConfig { threshold: 0.6, unsure_threshold: 0.5, ..Default::default() };
-/// let old = detect_duplicates(&before, &cfg).unwrap();
+/// let old = detect_duplicates(&before, &cfg, Parallelism::sequential()).unwrap();
 /// let mapping = RowMapping::new(vec![Some(0), Some(1)], 3).unwrap();
 /// let (updated, stats) = detect_delta(&before, &old, &after, &mapping, &cfg, Default::default()).unwrap();
 /// assert_eq!(updated.object_count(), 2); // the Smiths cluster
 /// assert_eq!(stats.new_rows, 3);
-/// let scratch = detect_duplicates(&after, &cfg).unwrap();
+/// let scratch = detect_duplicates(&after, &cfg, Parallelism::sequential()).unwrap();
 /// assert_eq!(updated.cluster_ids, scratch.cluster_ids);
 /// ```
 pub fn detect_delta(
@@ -651,7 +651,7 @@ mod tests {
         new_table: &Table,
         cfg: &DetectorConfig,
     ) {
-        let scratch = detect_duplicates(new_table, cfg).unwrap();
+        let scratch = detect_duplicates(new_table, cfg, Parallelism::sequential()).unwrap();
         assert_eq!(incremental.pairs, scratch.pairs);
         assert_eq!(incremental.unsure, scratch.unsure);
         assert_eq!(incremental.cluster_ids, scratch.cluster_ids);
@@ -730,7 +730,7 @@ mod tests {
         mapping: &RowMapping,
         cfg: &DetectorConfig,
     ) -> DeltaDetectionStats {
-        let old = detect_duplicates(before, cfg).unwrap();
+        let old = detect_duplicates(before, cfg, Parallelism::sequential()).unwrap();
         let mut stats = None;
         for degree in 1..=4 {
             let mut index = DetectionIndex::build(before, cfg).unwrap();
@@ -803,7 +803,7 @@ mod tests {
     #[test]
     fn insert_only_delta_matches_scratch() {
         let before = people();
-        let old = detect_duplicates(&before, &cfg()).unwrap();
+        let old = detect_duplicates(&before, &cfg(), Parallelism::sequential()).unwrap();
         let after = edit(&before, |rows| {
             rows.push(Row::from_values(vec![
                 Value::text("Peter Miller"),
@@ -834,7 +834,7 @@ mod tests {
     #[test]
     fn update_delta_matches_scratch() {
         let before = people();
-        let old = detect_duplicates(&before, &cfg()).unwrap();
+        let old = detect_duplicates(&before, &cfg(), Parallelism::sequential()).unwrap();
         // Fix the typo: "Jon" -> "John" (strengthens the cluster).
         let after = edit(&before, |rows| {
             rows[1] = Row::from_values(vec![
@@ -861,7 +861,7 @@ mod tests {
     #[test]
     fn delete_delta_matches_scratch() {
         let before = people();
-        let old = detect_duplicates(&before, &cfg()).unwrap();
+        let old = detect_duplicates(&before, &cfg(), Parallelism::sequential()).unwrap();
         // Delete one Mary (breaks that cluster down to a singleton).
         let after = edit(&before, |rows| {
             rows.remove(3);
@@ -884,7 +884,7 @@ mod tests {
     #[test]
     fn mixed_delta_matches_scratch_at_every_degree() {
         let before = people();
-        let old = detect_duplicates(&before, &cfg()).unwrap();
+        let old = detect_duplicates(&before, &cfg(), Parallelism::sequential()).unwrap();
         let after = edit(&before, |rows| {
             rows.remove(4); // delete Peter
             rows[0] = Row::from_values(vec![
@@ -938,7 +938,7 @@ mod tests {
             unsure_threshold: 0.55,
             ..Default::default()
         };
-        let old = detect_duplicates(&before, &cfg).unwrap();
+        let old = detect_duplicates(&before, &cfg, Parallelism::sequential()).unwrap();
         assert!(!old.pairs.is_empty(), "the twins must pair up");
 
         // Delete row 5 (a solo, far from the twins).
@@ -958,7 +958,7 @@ mod tests {
         assert!(stats.carried_pairs >= 1, "twin pair carried");
         assert_eq!(stats.affected_components, 1, "only the deleted singleton");
         assert!(stats.preserved_components > 60);
-        let scratch = detect_duplicates(&after, &cfg).unwrap();
+        let scratch = detect_duplicates(&after, &cfg, Parallelism::sequential()).unwrap();
         assert_eq!(result.pairs, scratch.pairs);
         assert_eq!(result.unsure, scratch.unsure);
         assert_eq!(result.cluster_ids, scratch.cluster_ids);
@@ -968,7 +968,7 @@ mod tests {
     #[test]
     fn empty_delta_is_cheap_and_identical() {
         let before = people();
-        let old = detect_duplicates(&before, &cfg()).unwrap();
+        let old = detect_duplicates(&before, &cfg(), Parallelism::sequential()).unwrap();
         let (result, stats) = detect_delta(
             &before,
             &old,
@@ -996,7 +996,7 @@ mod tests {
         assert_eq!(m.deleted(), 1);
 
         let before = people();
-        let old = detect_duplicates(&before, &cfg()).unwrap();
+        let old = detect_duplicates(&before, &cfg(), Parallelism::sequential()).unwrap();
         let bad = RowMapping::identity(3);
         assert!(detect_delta(
             &before,
@@ -1010,7 +1010,8 @@ mod tests {
         // An index over another table is refused, not trusted.
         let mut index = DetectionIndex::build(&before, &cfg()).unwrap();
         let (shorter, mapping) = delete(&before, 0);
-        let shorter_result = detect_duplicates(&shorter, &cfg()).unwrap();
+        let shorter_result =
+            detect_duplicates(&shorter, &cfg(), Parallelism::sequential()).unwrap();
         assert!(index
             .apply_delta(
                 &shorter,
@@ -1025,7 +1026,7 @@ mod tests {
     #[test]
     fn thresholds_validated() {
         let before = people();
-        let old = detect_duplicates(&before, &cfg()).unwrap();
+        let old = detect_duplicates(&before, &cfg(), Parallelism::sequential()).unwrap();
         let bad = DetectorConfig {
             threshold: 0.5,
             unsure_threshold: 0.9,
@@ -1195,7 +1196,7 @@ mod tests {
         check_delta(&gone, &again, &mapping, &cfg);
         // The carried index went through all three steps.
         let mut index = DetectionIndex::build(&before, &cfg).unwrap();
-        let mut result = detect_duplicates(&before, &cfg).unwrap();
+        let mut result = detect_duplicates(&before, &cfg, Parallelism::sequential()).unwrap();
         let mut table = before.clone();
         for (next, mapping) in [
             update(&before, 4, row("person4 family4", "Wittenberge", 24)),
@@ -1299,7 +1300,7 @@ mod tests {
             },
             ..cfg()
         };
-        let old = detect_duplicates(&before, &sn_cfg).unwrap();
+        let old = detect_duplicates(&before, &sn_cfg, Parallelism::sequential()).unwrap();
         let (result, stats) = detect_delta(
             &before,
             &old,
@@ -1312,7 +1313,7 @@ mod tests {
         assert!(!stats.full_rescore);
         assert_eq!(stats.fallback_reason, None);
         assert_eq!(stats.candidates, 0);
-        let scratch = detect_duplicates(&before, &sn_cfg).unwrap();
+        let scratch = detect_duplicates(&before, &sn_cfg, Parallelism::sequential()).unwrap();
         assert_eq!(result.cluster_ids, scratch.cluster_ids);
     }
 }

@@ -26,15 +26,15 @@
 //!   bit-identical to a from-scratch run over the updated table.
 //!
 //! Pairwise comparison — the pipeline's hottest loop — can fan out over
-//! threads: [`detect_duplicates_par`] scores candidate chunks concurrently
-//! and merges them in candidate order, so its output is bit-identical to
-//! the sequential [`detect_duplicates`] at every [`Parallelism`] degree.
+//! threads: [`detect_duplicates`] scores candidate chunks concurrently
+//! and merges them in candidate order, so its output is bit-identical at
+//! every [`Parallelism`] degree.
 //!
 //! ## Example
 //!
 //! ```
 //! use hummer_engine::table;
-//! use hummer_dupdetect::{detect_duplicates, annotate_object_ids, DetectorConfig};
+//! use hummer_dupdetect::{detect_duplicates, annotate_object_ids, DetectorConfig, Parallelism};
 //!
 //! let t = table! {
 //!     "People" => ["Name", "City"];
@@ -45,7 +45,7 @@
 //! // Narrow 2-column schemas carry little evidence mass: lower the
 //! // duplicate threshold below the wide-schema default.
 //! let cfg = DetectorConfig { threshold: 0.7, unsure_threshold: 0.55, ..Default::default() };
-//! let result = detect_duplicates(&t, &cfg).unwrap();
+//! let result = detect_duplicates(&t, &cfg, Parallelism::sequential()).unwrap();
 //! assert_eq!(result.object_count(), 2);
 //! let annotated = annotate_object_ids(&t, &result).unwrap();
 //! assert!(annotated.schema().contains("objectID"));
@@ -68,9 +68,9 @@ pub mod unionfind;
 pub use blocking::{candidate_pairs, render_key, CandidateStrategy};
 pub use columnar::{score_candidates, PAIR_BLOCK};
 pub use detector::{
-    annotate_object_ids, detect_duplicates, detect_duplicates_par, resolve_attributes,
-    resolve_candidate_strategy, sort_pairs_canonical, CandidateSpec, DetectionResult,
-    DetectionStats, DetectorConfig, DuplicatePair, ScoredCandidates, OBJECT_ID_COLUMN,
+    annotate_object_ids, detect_duplicates, resolve_attributes, resolve_candidate_strategy,
+    sort_pairs_canonical, CandidateSpec, DetectionResult, DetectionStats, DetectorConfig,
+    DuplicatePair, ScoredCandidates, OBJECT_ID_COLUMN,
 };
 pub use heuristics::{score_attributes, select_attributes, AttributeScore, HeuristicConfig};
 pub use hummer_par::Parallelism;

@@ -152,20 +152,12 @@ pub struct SniffStats {
 /// Corpus statistics (document frequencies) are computed over *both* tables
 /// so a token common in either source is appropriately discounted.
 ///
-/// Single-threaded; [`sniff_duplicates_par`] fans the per-row scoring out
-/// over threads with identical output.
-pub fn sniff_duplicates(left: &Table, right: &Table, cfg: &SniffConfig) -> Vec<TupleMatch> {
-    sniff_duplicates_par(left, right, cfg, Parallelism::sequential())
-}
-
-/// [`sniff_duplicates`] with up to `par.get()` threads scanning left rows
-/// concurrently against a shared inverted index over the right table.
-///
-/// A row's scan depends on the row and the round's threshold only, and the
-/// final total order (similarity desc, then row indices) makes the result
-/// deterministic regardless of degree — the output is bit-identical to the
-/// sequential path.
-pub fn sniff_duplicates_par(
+/// Up to `par.get()` threads scan left rows concurrently against a shared
+/// inverted index over the right table. A row's scan depends on the row
+/// and the round's threshold only, and the final total order (similarity
+/// desc, then row indices) makes the result deterministic regardless of
+/// degree — the output is bit-identical at every degree.
+pub fn sniff_duplicates(
     left: &Table,
     right: &Table,
     cfg: &SniffConfig,
@@ -1012,7 +1004,12 @@ pub(crate) mod tests {
 
     #[test]
     fn finds_true_duplicates_first() {
-        let pairs = sniff_duplicates(&left(), &right(), &SniffConfig::default());
+        let pairs = sniff_duplicates(
+            &left(),
+            &right(),
+            &SniffConfig::default(),
+            Parallelism::sequential(),
+        );
         assert!(pairs.len() >= 2);
         // The two overlapping people rank on top, in some order.
         let top2: Vec<(usize, usize)> = pairs.iter().take(2).map(|p| (p.left, p.right)).collect();
@@ -1022,7 +1019,12 @@ pub(crate) mod tests {
 
     #[test]
     fn similarity_is_bounded() {
-        let pairs = sniff_duplicates(&left(), &right(), &SniffConfig::default());
+        let pairs = sniff_duplicates(
+            &left(),
+            &right(),
+            &SniffConfig::default(),
+            Parallelism::sequential(),
+        );
         for p in pairs {
             assert!((0.0..=1.0).contains(&p.similarity));
         }
@@ -1034,7 +1036,7 @@ pub(crate) mod tests {
             min_similarity: 0.99,
             ..Default::default()
         };
-        let pairs = sniff_duplicates(&left(), &right(), &cfg);
+        let pairs = sniff_duplicates(&left(), &right(), &cfg, Parallelism::sequential());
         assert!(pairs.is_empty(), "no pair is ~identical: {pairs:?}");
     }
 
@@ -1045,7 +1047,7 @@ pub(crate) mod tests {
             min_similarity: 0.1,
             ..Default::default()
         };
-        let pairs = sniff_duplicates(&left(), &right(), &cfg);
+        let pairs = sniff_duplicates(&left(), &right(), &cfg, Parallelism::sequential());
         assert_eq!(pairs.len(), 1);
     }
 
@@ -1068,6 +1070,7 @@ pub(crate) mod tests {
                 min_similarity: 0.1,
                 ..Default::default()
             },
+            Parallelism::sequential(),
         );
         assert_eq!(strict.len(), 1);
         let lax = sniff_duplicates(
@@ -1078,6 +1081,7 @@ pub(crate) mod tests {
                 one_to_one: false,
                 ..Default::default()
             },
+            Parallelism::sequential(),
         );
         assert_eq!(lax.len(), 2);
     }
@@ -1093,6 +1097,7 @@ pub(crate) mod tests {
                 min_similarity: 0.0,
                 ..Default::default()
             },
+            Parallelism::sequential(),
         );
         assert!(pairs.is_empty());
     }
@@ -1100,7 +1105,12 @@ pub(crate) mod tests {
     #[test]
     fn empty_tables() {
         let l = table! { "L" => ["a"]; };
-        let pairs = sniff_duplicates(&l, &right(), &SniffConfig::default());
+        let pairs = sniff_duplicates(
+            &l,
+            &right(),
+            &SniffConfig::default(),
+            Parallelism::sequential(),
+        );
         assert!(pairs.is_empty());
     }
 
@@ -1113,8 +1123,8 @@ pub(crate) mod tests {
             one_to_one: false,
             top_k: 10,
         };
-        let p1 = sniff_duplicates(&l, &r, &cfg);
-        let p2 = sniff_duplicates(&l, &r, &cfg);
+        let p1 = sniff_duplicates(&l, &r, &cfg, Parallelism::sequential());
+        let p2 = sniff_duplicates(&l, &r, &cfg, Parallelism::sequential());
         assert_eq!(p1, p2);
     }
 }

@@ -12,7 +12,7 @@
 //!   table and one field matrix per duplicate; and the pair's result.
 //!
 //! Cold matching is [`MatchIndex::build`] and reading the results
-//! ([`crate::match_star_par`] is exactly that); a delta is
+//! ([`crate::match_star`] is exactly that); a delta is
 //! [`MatchIndex::apply_delta`] and reading the results. The results equal
 //! a cold match over the new tables bit for bit — every field of every
 //! [`MatchResult`] but `sniff`, which reports the work the delta did.
@@ -452,7 +452,7 @@ mod tests {
     use super::*;
     use crate::dumas::tests::full_join_oracle;
     use crate::dumas::{SniffConfig, TupleMatch};
-    use crate::matcher::match_star_par;
+    use crate::matcher::match_star;
     use crate::transform::integrate;
     use hummer_engine::{Row, Value};
     use proptest::prelude::*;
@@ -505,7 +505,7 @@ mod tests {
         let refs: Vec<&Table> = tables.iter().collect();
         let carried = bits(&index.results());
         for degree in 1..=4 {
-            let scratch = match_star_par(&refs, &index.cfg, Parallelism::degree(degree));
+            let scratch = match_star(&refs, &index.cfg, Parallelism::degree(degree));
             assert_eq!(carried, bits(&scratch), "{context}, degree {degree}");
         }
         for (p, result) in index.results().iter().enumerate() {

@@ -15,9 +15,9 @@
 //! 4. [`transform`] renames matched attributes to the preferred schema,
 //!    adds the `sourceID` column, and computes the full outer union.
 //!
-//! The expensive comparisons parallelize: [`match_star_par`] scores sniff
+//! The expensive comparisons parallelize: [`match_star`] scores sniff
 //! candidates and per-duplicate matrices on up to [`Parallelism::get`]
-//! threads with output bit-identical to the sequential entry points.
+//! threads with output bit-identical at every degree.
 //!
 //! ## Example
 //!
@@ -59,11 +59,17 @@ mod tokens;
 pub mod transform;
 
 pub use correspondence::{Correspondence, MatchResult};
-pub use dumas::{sniff_duplicates, sniff_duplicates_par, SniffConfig, SniffStats, TupleMatch};
+pub use dumas::{sniff_duplicates, SniffConfig, SniffStats, TupleMatch};
 pub use hummer_par::Parallelism;
 pub use hungarian::{max_weight_matching, Assignment};
 pub use index::{MatchDeltaStats, MatchIndex};
-pub use matcher::{match_star, match_star_par, match_tables, MatcherConfig};
+pub use matcher::{match_star, match_tables, MatcherConfig};
+// Former names of `match_star` and `sniff_duplicates`, kept only because
+// `hbench/` still calls them.
+#[doc(hidden)]
+pub use dumas::sniff_duplicates as sniff_duplicates_par;
+#[doc(hidden)]
+pub use matcher::match_star as match_star_par;
 pub use matrix::SimilarityMatrix;
 pub use transform::{
     add_source_id, apply_renames, integrate, integrate_with_layout, SOURCE_ID_COLUMN,

@@ -302,7 +302,7 @@ pub(crate) fn assign(
 /// assert_eq!(renames.get("Years").unwrap(), "Age");
 /// ```
 pub fn match_tables(left: &Table, right: &Table, cfg: &MatcherConfig) -> MatchResult {
-    let mut results = match_star(&[left, right], cfg);
+    let mut results = match_star(&[left, right], cfg, Parallelism::sequential());
     results.pop().expect("two tables make one pair")
 }
 
@@ -311,26 +311,18 @@ pub fn match_tables(left: &Table, right: &Table, cfg: &MatcherConfig) -> MatchRe
 /// ("HumMer is able to display correspondences simultaneously over many
 /// relations", §2.2; renaming favors "the first source mentioned in the
 /// query", §3).
-pub fn match_star(tables: &[&Table], cfg: &MatcherConfig) -> Vec<MatchResult> {
-    match_star_par(tables, cfg, Parallelism::sequential())
-}
-
-/// [`match_star`] with up to `par.get()` threads per preferred-vs-other
-/// pair, over one tokenization of the star (the preferred source is
-/// tokenized once): duplicate sniffing scores left rows concurrently, and
-/// the per-duplicate field-similarity matrices (the expensive SoftTFIDF
-/// comparisons) are computed one duplicate pair per task before the
-/// single-threaded Hungarian assignment. This is [`MatchIndex::build`] with
-/// the index dropped.
 ///
-/// Output is bit-identical to [`match_star`] for every degree: matrices
-/// merge in duplicate order, and the mean/assignment steps see the same
-/// numbers either way.
-pub fn match_star_par(
-    tables: &[&Table],
-    cfg: &MatcherConfig,
-    par: Parallelism,
-) -> Vec<MatchResult> {
+/// Up to `par.get()` threads work per preferred-vs-other pair, over one
+/// tokenization of the star (the preferred source is tokenized once):
+/// duplicate sniffing scores left rows concurrently, and the per-duplicate
+/// field-similarity matrices (the expensive SoftTFIDF comparisons) are
+/// computed one duplicate pair per task before the single-threaded
+/// Hungarian assignment. This is [`MatchIndex::build`] with the index
+/// dropped.
+///
+/// Output is bit-identical for every degree: matrices merge in duplicate
+/// order, and the mean/assignment steps see the same numbers either way.
+pub fn match_star(tables: &[&Table], cfg: &MatcherConfig, par: Parallelism) -> Vec<MatchResult> {
     MatchIndex::build(tables, cfg, par).into_results()
 }
 
@@ -533,7 +525,7 @@ mod tests {
             ["John Smith", "Berlin"],
             ["Ada Lovelace", "London"],
         };
-        let results = match_star(&[&t1, &t2, &t3], &cfg());
+        let results = match_star(&[&t1, &t2, &t3], &cfg(), Parallelism::sequential());
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].right_table, "CS_Students");
         assert_eq!(results[1].right_table, "Registry");

@@ -49,13 +49,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod event;
 mod hist;
 mod prom;
 mod span;
 mod vecs;
 
-pub use event::{EventLog, EventRecord};
 pub use hist::{bucket_count, bucket_index, bucket_upper_edge, Histogram, HistogramSnapshot};
 pub use prom::PromText;
 pub use span::{Span, SpanRecord, TraceNode, TraceTree, Tracer};

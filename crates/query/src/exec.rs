@@ -82,7 +82,7 @@ pub fn execute(
         tables.push(t.clone());
     }
     let combined = combine_tables(query, &tables)?;
-    execute_combined(query, &combined, registry)
+    execute_combined(query, &combined, registry, Parallelism::sequential())
 }
 
 /// Step 2 of execution: combine the fetched tables — `FUSE FROM` tags each
@@ -133,20 +133,13 @@ pub fn combine_tables(query: &FuseQuery, tables: &[Table]) -> Result<Table> {
 /// `*` expansion and are available as `FUSE BY` keys). Borrowed, not owned:
 /// a serving layer replays many queries against one cached table, and the
 /// hot (cache-hit) path must not pay an O(rows × cols) copy per query.
+///
+/// A `FUSE BY` clause resolves disjoint duplicate clusters on up to
+/// `par.get()` threads (identical output for every degree; see
+/// `hummer_par`'s determinism contract). This is the knob a serving layer
+/// sets per request so its worker pool and intra-query threads compose
+/// without oversubscription.
 pub fn execute_combined(
-    query: &FuseQuery,
-    combined: &Table,
-    registry: &FunctionRegistry,
-) -> Result<QueryOutput> {
-    execute_combined_par(query, combined, registry, Parallelism::sequential())
-}
-
-/// [`execute_combined`] with intra-query parallelism: a `FUSE BY` clause
-/// resolves disjoint duplicate clusters on up to `par.get()` threads
-/// (identical output for every degree; see `hummer_par`'s determinism
-/// contract). This is the knob a serving layer sets per request so its
-/// worker pool and intra-query threads compose without oversubscription.
-pub fn execute_combined_par(
     query: &FuseQuery,
     combined: &Table,
     registry: &FunctionRegistry,
@@ -691,7 +684,13 @@ mod tests {
                 |i, _| Value::Int(i as i64),
             )
             .unwrap();
-        let out = execute_combined(&q, &combined, &FunctionRegistry::standard()).unwrap();
+        let out = execute_combined(
+            &q,
+            &combined,
+            &FunctionRegistry::standard(),
+            Parallelism::sequential(),
+        )
+        .unwrap();
         assert_eq!(out.table.len(), 4);
         // objectID stays out of the projection.
         assert_eq!(out.table.schema().names(), vec!["Name", "Age"]);

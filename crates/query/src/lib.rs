@@ -48,9 +48,10 @@ pub mod parser;
 pub use ast::{FromClause, FuseQuery, OrderKey, SelectItem};
 pub use catalog::{Catalog, TableSet, VersionedTable, VersionedTableSet};
 pub use error::{QueryError, Result};
-pub use exec::{
-    combine_tables, execute, execute_combined, execute_combined_par, run_query, FusionInfo,
-    QueryOutput,
-};
+pub use exec::{combine_tables, execute, execute_combined, run_query, FusionInfo, QueryOutput};
+// Former name of `execute_combined`, kept only because `hbench/` still
+// calls it.
+#[doc(hidden)]
+pub use exec::execute_combined as execute_combined_par;
 pub use hummer_fusion::Parallelism;
 pub use parser::parse;

@@ -23,7 +23,7 @@
 //! The process serves until `POST /shutdown` arrives, then drains in-flight
 //! requests and exits 0.
 
-use hummer_server::{EventLog, HummerServer, ObsConfig, Parallelism, ServerConfig, ServiceConfig};
+use hummer_server::{HummerServer, ObsConfig, Parallelism, ServerConfig, ServiceConfig};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -53,10 +53,6 @@ Observability:
                           returns a request's span tree while it is in the ring
   --no-trace              disable tracing entirely (spans become no-ops;
                           /metrics histograms still record)
-  --log-json PATH         append a sampled structured event log (JSON lines,
-                          one event per request or delta) to PATH; the
-                          sampler always keeps errors, overload rejects, and
-                          the slowest decile, and counts what it drops
 
 Durability (see README \"Durability\"):
   --data-dir DIR          persist the catalog in DIR: recover on boot, then
@@ -159,16 +155,6 @@ fn main() -> ExitCode {
                     .unwrap_or_else(|| usage())
             }
             "--no-trace" => trace = false,
-            "--log-json" => {
-                let path = args.next().unwrap_or_else(|| usage());
-                match EventLog::to_path(std::path::Path::new(&path)) {
-                    Ok(log) => config.service.event_log = log,
-                    Err(e) => {
-                        eprintln!("hummer-serve: cannot open event log {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--help" | "-h" => {
                 println!("{HELP}");
                 return ExitCode::SUCCESS;

@@ -101,14 +101,6 @@ impl Json {
         out
     }
 
-    /// Serialize with two-space indentation (human-facing reports).
-    pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -141,46 +133,6 @@ impl Json {
                 out.push('}');
             }
         }
-    }
-
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    indent(out, depth + 1);
-                    item.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
-            }
-            Json::Obj(pairs) if !pairs.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    indent(out, depth + 1);
-                    write_escaped(k, out);
-                    out.push_str(": ");
-                    v.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
-            }
-            other => other.write(out),
-        }
-    }
-}
-
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
     }
 }
 
@@ -670,9 +622,7 @@ mod tests {
                 "stats",
                 Json::object().with("p50_ms", 0.25).with("count", 42i64),
             );
-        for text in [doc.to_string_compact(), doc.to_string_pretty()] {
-            assert_eq!(Json::parse(&text).unwrap(), doc);
-        }
+        assert_eq!(Json::parse(&doc.to_string_compact()).unwrap(), doc);
     }
 
     #[test]

@@ -81,7 +81,6 @@ mod sys;
 pub use cache::{CacheStats, PreparedCache, PreparedKey};
 pub use error::{Result, ServerError};
 pub use hummer_core::{ObsConfig, Parallelism, Tracer};
-pub use hummer_obs::{EventLog, EventRecord};
 pub use hummer_store::{CatalogStore, StoreOptions, StoreStats};
 pub use json::{Json, JsonError};
 pub use metrics::{Metrics, MetricsSnapshot};

@@ -46,24 +46,13 @@ impl Client {
         content_type: &str,
         body: &[u8],
     ) -> Result<(u16, String)> {
-        self.request_traced(method, path, content_type, body)
-            .map(|(status, body, _)| (status, body))
-    }
-
-    /// [`Client::request`], also returning the `X-Hummer-Trace` header the
-    /// server attaches when its tracer is enabled.
-    pub fn request_traced(
-        &mut self,
-        method: &str,
-        path: &str,
-        content_type: &str,
-        body: &[u8],
-    ) -> Result<(u16, String, Option<String>)> {
         self.request_meta(method, path, content_type, body)
-            .map(|m| (m.status, m.body, m.trace))
+            .map(|m| (m.status, m.body))
     }
 
-    /// [`Client::request`] returning the full response metadata.
+    /// [`Client::request`] returning the full response metadata, the
+    /// `X-Hummer-Trace` header the server attaches when its tracer is
+    /// enabled included.
     pub fn request_meta(
         &mut self,
         method: &str,

@@ -40,7 +40,7 @@ use crate::service::{
     delta_result_to_json, metrics_to_prometheus, parse_delta, write_query_result, FusionService,
     ServiceConfig, TableInfo,
 };
-use hummer_obs::{EventRecord, Span, TraceNode, TraceTree};
+use hummer_obs::{Span, TraceNode, TraceTree};
 use hummer_store::{CatalogStore, StoreOptions};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -242,14 +242,6 @@ pub(crate) fn execute_request(
     service
         .metrics()
         .record_request(&endpoint, latency, is_error, trace_id);
-    service.events().emit(&EventRecord {
-        kind: "request",
-        trace: trace_id,
-        endpoint: &endpoint,
-        status: response.status,
-        latency_us: latency.as_micros().min(u64::MAX as u128) as u64,
-        error: is_error,
-    });
     response
 }
 
@@ -322,10 +314,10 @@ fn endpoint_label(request: &Request) -> String {
 
 /// Finish a response produced *before* dispatch (408 slowloris, 400
 /// protocol junk, 503 overload): stamp `X-Hummer-Trace` from the
-/// connection's accept-time trace id, count it under the `rejected`
-/// endpoint label, and offer it to the event log. These rejections never
-/// reach [`execute_request`], so without this they were untraceable and
-/// invisible to the request metrics.
+/// connection's accept-time trace id and count it under the `rejected`
+/// endpoint label. These rejections never reach [`execute_request`], so
+/// without this they were untraceable and invisible to the request
+/// metrics.
 pub(crate) fn finish_rejected(
     service: &FusionService,
     mut response: Response,
@@ -338,14 +330,6 @@ pub(crate) fn finish_rejected(
     service
         .metrics()
         .record_request("rejected", latency, true, trace);
-    service.events().emit(&EventRecord {
-        kind: "reject",
-        trace,
-        endpoint: "rejected",
-        status: response.status,
-        latency_us: latency.as_micros().min(u64::MAX as u128) as u64,
-        error: true,
-    });
     response
 }
 
@@ -447,7 +431,7 @@ fn route(
         ("POST", Route::Query) => {
             let body = request.body_utf8()?;
             let sql = extract_sql(body, request.header("content-type"))?;
-            let result = service.query_traced(&sql, parent)?;
+            let result = service.query(&sql, parent)?;
             let mut serialize_span = parent.child("serialize");
             recycled.clear();
             let mut body = String::from_utf8(recycled).expect("an empty buffer is valid UTF-8");
@@ -472,7 +456,7 @@ fn route(
         }
         ("POST", Route::TableDelta(name)) => {
             let delta = parse_delta(name, request.body_utf8()?)?;
-            let outcome = service.apply_delta_traced(name, &delta, parent)?;
+            let outcome = service.apply_delta(name, &delta, parent)?;
             Ok(Response::json(
                 200,
                 delta_result_to_json(&outcome).to_string_compact(),

@@ -24,10 +24,8 @@ use hummer_core::{
 use hummer_delta::{concat_mappings, DeltaError, TableDelta};
 use hummer_engine::{csv, Table, Value};
 use hummer_fusion::FunctionRegistry;
-use hummer_obs::{EventLog, EventRecord, Histogram, PromText, Span, Tracer};
-use hummer_query::{
-    execute, execute_combined_par, parse, FuseQuery, QueryOutput, VersionedTableSet,
-};
+use hummer_obs::{Histogram, PromText, Span, Tracer};
+use hummer_query::{execute, execute_combined, parse, FuseQuery, QueryOutput, VersionedTableSet};
 use hummer_store::{CatalogStore, Recovery, SnapshotEntry, StoreStats, WalCommitter, WalTicket};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, RwLock};
@@ -44,10 +42,6 @@ pub struct ServiceConfig {
     /// handler panics on purpose). Test/CI only — never expose this on a
     /// real deployment.
     pub debug_panic_route: bool,
-    /// Structured event log (`--log-json` on `hummer-serve`). Disabled by
-    /// default; when enabled, one sampled JSON line per request and delta
-    /// batch.
-    pub event_log: EventLog,
 }
 
 impl Default for ServiceConfig {
@@ -56,7 +50,6 @@ impl Default for ServiceConfig {
             pipeline: HummerConfig::default(),
             cache_capacity: 64,
             debug_panic_route: false,
-            event_log: EventLog::disabled(),
         }
     }
 }
@@ -85,7 +78,6 @@ impl ServiceConfig {
             },
             cache_capacity: 64,
             debug_panic_route: false,
-            event_log: EventLog::disabled(),
         }
     }
 }
@@ -255,8 +247,6 @@ pub struct FusionService {
     committer: Option<WalCommitter>,
     /// Fault-injection endpoint toggle (see [`ServiceConfig`]).
     debug_panic_route: bool,
-    /// Sampled structured event log; disabled by default.
-    events: EventLog,
     /// Drops superseded tables and artifacts off the delta's ack path;
     /// joined when the service is dropped.
     reaper: Reaper,
@@ -275,7 +265,6 @@ impl FusionService {
             store: None,
             committer: None,
             debug_panic_route: config.debug_panic_route,
-            events: config.event_log,
             reaper: Reaper::new(),
         }
     }
@@ -302,7 +291,6 @@ impl FusionService {
             store: Some(Mutex::new(store)),
             committer: Some(committer),
             debug_panic_route: config.debug_panic_route,
-            events: config.event_log,
             reaper: Reaper::new(),
         }
     }
@@ -326,11 +314,6 @@ impl FusionService {
     /// The metrics registry (workers record; `/metrics` snapshots).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// The structured event log (a disabled log when `--log-json` is off).
-    pub fn events(&self) -> &EventLog {
-        &self.events
     }
 
     /// The service tracer — the same instance the pipeline stages record
@@ -485,19 +468,15 @@ impl FusionService {
     /// that referenced the old version, instead of letting it die. Repeat
     /// fusion queries over the updated sources therefore hit the cache —
     /// no cold re-prepare.
-    pub fn apply_delta(&self, name: &str, delta: &TableDelta) -> Result<DeltaApplyResult> {
-        self.apply_delta_traced(name, delta, &Span::noop())
-    }
-
-    /// [`FusionService::apply_delta`] recording cache-upgrade work as child
-    /// spans of `parent` (the HTTP layer's per-request span).
-    pub fn apply_delta_traced(
+    ///
+    /// Cache-upgrade work is recorded as child spans of `parent` (the HTTP
+    /// layer's per-request span; [`Span::noop`] records nothing).
+    pub fn apply_delta(
         &self,
         name: &str,
         delta: &TableDelta,
         parent: &Span,
     ) -> Result<DeltaApplyResult> {
-        let started = Instant::now();
         let counts = delta.counts();
         // Catalog swap under the write lock (delta application is linear).
         // When durable, the delta is WAL-enqueued — as the TableDelta itself
@@ -604,14 +583,6 @@ impl FusionService {
         upgrade_span.count("index_builds", batch.index_builds);
         drop(upgrade_span);
         self.metrics.record_delta(&batch);
-        self.events.emit(&EventRecord {
-            kind: "delta",
-            trace: parent.trace_id(),
-            endpoint: &info.name,
-            status: 200,
-            latency_us: started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-            error: false,
-        });
         Ok(DeltaApplyResult {
             info,
             inserted: counts.inserted,
@@ -714,14 +685,10 @@ impl FusionService {
             .collect()
     }
 
-    /// Parse and execute one Fuse By SQL statement.
-    pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        self.query_traced(sql, &Span::noop())
-    }
-
-    /// [`FusionService::query`] recording pipeline stage spans (and
-    /// prepared-cache counters) as children of `parent`.
-    pub fn query_traced(&self, sql: &str, parent: &Span) -> Result<QueryResult> {
+    /// Parse and execute one Fuse By SQL statement, recording pipeline
+    /// stage spans (and prepared-cache counters) as children of `parent`
+    /// ([`Span::noop`] records nothing).
+    pub fn query(&self, sql: &str, parent: &Span) -> Result<QueryResult> {
         let q = parse(sql)?;
         if q.from.fuse {
             self.fusion_query(&q, parent)
@@ -770,7 +737,7 @@ impl FusionService {
         // pool provides inter-query concurrency, `config.parallelism`
         // intra-query threads — configure them to multiply to the machine
         // (see `ServerConfig`).
-        let output = execute_combined_par(
+        let output = execute_combined(
             q,
             &artifacts.annotated,
             &self.registry,
@@ -1172,16 +1139,6 @@ pub fn metrics_to_prometheus(service: &FusionService) -> String {
             "Scoped worker threads forked for intra-query parallelism.",
             hummer_par::forked_threads_total() as f64,
         ),
-        (
-            "hummer_events_written_total",
-            "Structured event-log lines written (sampler kept them).",
-            service.events().written() as f64,
-        ),
-        (
-            "hummer_events_dropped_total",
-            "Structured events dropped by the sampler (fast successes).",
-            service.events().dropped() as f64,
-        ),
     ] {
         out.header(name, help, "counter");
         out.sample(name, &[], value);
@@ -1327,15 +1284,18 @@ mod tests {
     #[test]
     fn fusion_query_misses_then_hits() {
         let s = service();
-        let cold = s.query(PAPER_QUERY).unwrap();
+        let cold = s.query(PAPER_QUERY, &Span::noop()).unwrap();
         assert_eq!(cold.cache_hit, Some(false));
         assert_eq!(cold.output.table.len(), 4);
-        let warm = s.query(PAPER_QUERY).unwrap();
+        let warm = s.query(PAPER_QUERY, &Span::noop()).unwrap();
         assert_eq!(warm.cache_hit, Some(true));
         assert_eq!(warm.output.table.rows(), cold.output.table.rows());
         // A different query over the same sources still hits.
         let other = s
-            .query("SELECT Name FUSE FROM EE_Student, CS_Students FUSE BY (objectID)")
+            .query(
+                "SELECT Name FUSE FROM EE_Student, CS_Students FUSE BY (objectID)",
+                &Span::noop(),
+            )
             .unwrap();
         assert_eq!(other.cache_hit, Some(true));
         assert_eq!(other.output.table.len(), 4);
@@ -1346,7 +1306,7 @@ mod tests {
     #[test]
     fn delta_upgrades_cache_instead_of_invalidating() {
         let s = service();
-        let cold = s.query(PAPER_QUERY).unwrap();
+        let cold = s.query(PAPER_QUERY, &Span::noop()).unwrap();
         assert_eq!(cold.cache_hit, Some(false));
 
         // Insert a fifth, distinct student into CS.
@@ -1355,14 +1315,14 @@ mod tests {
             r#"{"insert": [["Grace Hopper", "37", "Arlington"]]}"#,
         )
         .unwrap();
-        let outcome = s.apply_delta("CS_Students", &delta).unwrap();
+        let outcome = s.apply_delta("CS_Students", &delta, &Span::noop()).unwrap();
         assert_eq!(outcome.inserted, 1);
         assert_eq!(outcome.cache_upgrades, 1, "{outcome:?}");
         assert_eq!(outcome.cache_upgrade_failures, 0);
         assert_eq!(outcome.info.rows, 4);
 
         // The very next query hits the *upgraded* entry and sees the change.
-        let warm = s.query(PAPER_QUERY).unwrap();
+        let warm = s.query(PAPER_QUERY, &Span::noop()).unwrap();
         assert_eq!(warm.cache_hit, Some(true), "upgrade must not invalidate");
         assert_eq!(warm.output.table.len(), 5);
         let stats = s.cache_stats();
@@ -1387,7 +1347,10 @@ mod tests {
         let s = FusionService::new(config);
         s.put_table("EE_Student", EE_CSV).unwrap();
         s.put_table("CS_Students", CS_CSV).unwrap();
-        assert_eq!(s.query(PAPER_QUERY).unwrap().cache_hit, Some(false));
+        assert_eq!(
+            s.query(PAPER_QUERY, &Span::noop()).unwrap().cache_hit,
+            Some(false)
+        );
         s.tracer().drain();
 
         let mut reused = Vec::new();
@@ -1401,7 +1364,7 @@ mod tests {
                 ],
             );
             let root = s.tracer().trace("POST /tables/CS_Students/delta");
-            let outcome = s.apply_delta_traced("CS_Students", &delta, &root).unwrap();
+            let outcome = s.apply_delta("CS_Students", &delta, &root).unwrap();
             drop(root);
             assert_eq!(outcome.cache_upgrades, 1, "{outcome:?}");
             assert_eq!(outcome.index_builds, u64::from(age == 30), "{outcome:?}");
@@ -1435,7 +1398,7 @@ mod tests {
         assert!(metrics_to_prometheus(&s).contains("\nhummer_delta_index_builds_total 1\n"));
 
         // The carried entry answers what a cold prepare answers.
-        let served = s.query(PAPER_QUERY).unwrap();
+        let served = s.query(PAPER_QUERY, &Span::noop()).unwrap();
         assert_eq!(served.cache_hit, Some(true));
         let fresh = FusionService::new(ServiceConfig::narrow_schema());
         fresh.put_table("EE_Student", EE_CSV).unwrap();
@@ -1444,7 +1407,7 @@ mod tests {
             csv::write_csv_str(&catalog.get("CS_Students").unwrap().table)
         };
         fresh.put_table("CS_Students", &cs).unwrap();
-        let cold = fresh.query(PAPER_QUERY).unwrap();
+        let cold = fresh.query(PAPER_QUERY, &Span::noop()).unwrap();
         assert_eq!(served.output.table.rows(), cold.output.table.rows());
     }
 
@@ -1466,7 +1429,7 @@ mod tests {
         }
 
         let s = service();
-        s.query(PAPER_QUERY).unwrap();
+        s.query(PAPER_QUERY, &Span::noop()).unwrap();
         let (artifacts, table) = {
             let key: PreparedKey = vec![("ee_student".into(), 1), ("cs_students".into(), 2)];
             let artifacts = s.cache.lock().unwrap().get(&key).expect("cached");
@@ -1489,7 +1452,9 @@ mod tests {
             ],
         );
         assert_eq!(
-            s.apply_delta("CS_Students", &delta).unwrap().cache_upgrades,
+            s.apply_delta("CS_Students", &delta, &Span::noop())
+                .unwrap()
+                .cache_upgrades,
             1
         );
         assert!(artifacts.upgrade().is_some(), "freed on the delta's thread");
@@ -1509,16 +1474,16 @@ mod tests {
     #[test]
     fn delta_update_and_delete_reflect_in_queries() {
         let s = service();
-        s.query(PAPER_QUERY).unwrap();
+        s.query(PAPER_QUERY, &Span::noop()).unwrap();
         // Update John's CS age to 30; delete Ada.
         let delta = parse_delta(
             "CS_Students",
             r#"{"update": [{"row": 0, "values": ["John Smith", 30, "Berlin"]}], "delete": [2]}"#,
         )
         .unwrap();
-        let outcome = s.apply_delta("CS_Students", &delta).unwrap();
+        let outcome = s.apply_delta("CS_Students", &delta, &Span::noop()).unwrap();
         assert_eq!((outcome.updated, outcome.deleted), (1, 1));
-        let after = s.query(PAPER_QUERY).unwrap();
+        let after = s.query(PAPER_QUERY, &Span::noop()).unwrap();
         assert_eq!(after.cache_hit, Some(true));
         assert_eq!(after.output.table.len(), 3); // Ada gone
         let age = after.output.table.resolve("Age").unwrap();
@@ -1537,15 +1502,21 @@ mod tests {
     fn delta_validation_and_unknown_table() {
         let s = service();
         assert_eq!(
-            s.apply_delta("Ghosts", &TableDelta::new("Ghosts").delete(0))
-                .unwrap_err()
-                .status(),
+            s.apply_delta(
+                "Ghosts",
+                &TableDelta::new("Ghosts").delete(0),
+                &Span::noop()
+            )
+            .unwrap_err()
+            .status(),
             404
         );
         // Bad row index -> 400.
         let delta = TableDelta::new("EE_Student").delete(99);
         assert_eq!(
-            s.apply_delta("EE_Student", &delta).unwrap_err().status(),
+            s.apply_delta("EE_Student", &delta, &Span::noop())
+                .unwrap_err()
+                .status(),
             400
         );
         // Parse errors.
@@ -1578,7 +1549,7 @@ mod tests {
         // threads and then verify the served result equals a cold
         // recompute of the final catalog content.
         let s = Arc::new(service());
-        s.query(PAPER_QUERY).unwrap(); // warm
+        s.query(PAPER_QUERY, &Span::noop()).unwrap(); // warm
         let threads: Vec<_> = (0i64..4)
             .map(|t| {
                 let s = Arc::clone(&s);
@@ -1592,8 +1563,8 @@ mod tests {
                                 Value::text("Berlin"),
                             ],
                         );
-                        s.apply_delta("CS_Students", &delta).unwrap();
-                        s.query(PAPER_QUERY).unwrap();
+                        s.apply_delta("CS_Students", &delta, &Span::noop()).unwrap();
+                        s.query(PAPER_QUERY, &Span::noop()).unwrap();
                     }
                 })
             })
@@ -1601,7 +1572,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let served = s.query(PAPER_QUERY).unwrap();
+        let served = s.query(PAPER_QUERY, &Span::noop()).unwrap();
         // Cold reference over the *current* catalog content.
         let fresh = FusionService::new(ServiceConfig::narrow_schema());
         for info in s.tables() {
@@ -1613,7 +1584,7 @@ mod tests {
                 .put_table(&info.name, &csv::write_csv_str(&table))
                 .unwrap();
         }
-        let reference = fresh.query(PAPER_QUERY).unwrap();
+        let reference = fresh.query(PAPER_QUERY, &Span::noop()).unwrap();
         assert_eq!(
             served.output.table.rows(),
             reference.output.table.rows(),
@@ -1624,9 +1595,9 @@ mod tests {
     #[test]
     fn delta_json_documents_round_trip() {
         let s = service();
-        s.query(PAPER_QUERY).unwrap();
+        s.query(PAPER_QUERY, &Span::noop()).unwrap();
         let delta = parse_delta("EE_Student", r#"{"delete": [2]}"#).unwrap();
-        let outcome = s.apply_delta("EE_Student", &delta).unwrap();
+        let outcome = s.apply_delta("EE_Student", &delta, &Span::noop()).unwrap();
         let doc = Json::parse(&delta_result_to_json(&outcome).to_string_compact()).unwrap();
         assert_eq!(doc.get("rows").unwrap().as_i64(), Some(2));
         assert_eq!(
@@ -1643,9 +1614,9 @@ mod tests {
     #[test]
     fn reupload_invalidates_cache() {
         let s = service();
-        s.query(PAPER_QUERY).unwrap();
+        s.query(PAPER_QUERY, &Span::noop()).unwrap();
         s.put_table("CS_Students", CS_CSV).unwrap(); // same bytes, new version
-        let after = s.query(PAPER_QUERY).unwrap();
+        let after = s.query(PAPER_QUERY, &Span::noop()).unwrap();
         assert_eq!(after.cache_hit, Some(false));
     }
 
@@ -1653,7 +1624,10 @@ mod tests {
     fn plain_query_bypasses_cache() {
         let s = service();
         let out = s
-            .query("SELECT Name FROM EE_Student WHERE Age > 23 ORDER BY Name")
+            .query(
+                "SELECT Name FROM EE_Student WHERE Age > 23 ORDER BY Name",
+                &Span::noop(),
+            )
             .unwrap();
         assert_eq!(out.cache_hit, None);
         assert_eq!(out.output.table.len(), 2);
@@ -1663,25 +1637,35 @@ mod tests {
     #[test]
     fn unknown_table_and_bad_sql_statuses() {
         let s = service();
-        assert_eq!(s.query("SELECT * FROM Ghosts").unwrap_err().status(), 404);
         assert_eq!(
-            s.query("SELECT * FUSE FROM Ghosts FUSE BY (x)")
+            s.query("SELECT * FROM Ghosts", &Span::noop())
                 .unwrap_err()
                 .status(),
             404
         );
-        assert_eq!(s.query("SELEKT garbage").unwrap_err().status(), 400);
+        assert_eq!(
+            s.query("SELECT * FUSE FROM Ghosts FUSE BY (x)", &Span::noop())
+                .unwrap_err()
+                .status(),
+            404
+        );
+        assert_eq!(
+            s.query("SELEKT garbage", &Span::noop())
+                .unwrap_err()
+                .status(),
+            400
+        );
     }
 
     #[test]
     fn concurrent_queries_share_one_prepare() {
         let s = Arc::new(service());
-        s.query(PAPER_QUERY).unwrap(); // warm the cache
+        s.query(PAPER_QUERY, &Span::noop()).unwrap(); // warm the cache
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
-                    let r = s.query(PAPER_QUERY).unwrap();
+                    let r = s.query(PAPER_QUERY, &Span::noop()).unwrap();
                     assert_eq!(r.cache_hit, Some(true));
                     r.output.table.len()
                 })
@@ -1696,7 +1680,7 @@ mod tests {
     #[test]
     fn wire_json_round_trips() {
         let s = service();
-        let r = s.query(PAPER_QUERY).unwrap();
+        let r = s.query(PAPER_QUERY, &Span::noop()).unwrap();
         let doc = query_result_to_json(&r);
         let parsed = Json::parse(&doc.to_string_compact()).unwrap();
         assert_eq!(parsed.get("row_count").unwrap().as_i64(), Some(4));
@@ -1731,8 +1715,8 @@ mod tests {
                 r#"{"insert": [["Grace Hopper", "37", "Arlington"]]}"#,
             )
             .unwrap();
-            s.apply_delta("CS_Students", &delta).unwrap();
-            let r = s.query(PAPER_QUERY).unwrap();
+            s.apply_delta("CS_Students", &delta, &Span::noop()).unwrap();
+            let r = s.query(PAPER_QUERY, &Span::noop()).unwrap();
             (r.output.table.rows().to_vec(), s.tables())
         }; // dropped mid-flight: a crash, no shutdown hook ran
 
@@ -1743,7 +1727,7 @@ mod tests {
         // Tables, shapes, AND content versions survive — cache keys stay
         // meaningful across the restart.
         assert_eq!(s2.tables(), before_tables);
-        let after = s2.query(PAPER_QUERY).unwrap();
+        let after = s2.query(PAPER_QUERY, &Span::noop()).unwrap();
         assert_eq!(after.output.table.rows(), &before_rows[..]);
         assert_eq!(after.output.table.len(), 5);
         // New registrations continue past recovered versions.
@@ -1784,7 +1768,7 @@ mod tests {
             r#"{"insert": [["Grace Hopper", "37", "Arlington"]]}"#,
         )
         .unwrap();
-        let outcome = s.apply_delta("cs_students", &delta).unwrap();
+        let outcome = s.apply_delta("cs_students", &delta, &Span::noop()).unwrap();
         assert_eq!(outcome.info.name, "CS_Students", "canonical alias kept");
         let names: Vec<String> = s.tables().into_iter().map(|t| t.name).collect();
         assert!(names.contains(&"CS_Students".to_string()), "{names:?}");
@@ -1796,7 +1780,10 @@ mod tests {
         let s = service();
         s.delete_table("EE_Student").unwrap();
         assert_eq!(s.tables().len(), 1);
-        assert_eq!(s.query(PAPER_QUERY).unwrap_err().status(), 404);
+        assert_eq!(
+            s.query(PAPER_QUERY, &Span::noop()).unwrap_err().status(),
+            404
+        );
     }
 
     #[test]
@@ -1820,7 +1807,14 @@ mod tests {
         }
         let s2 = durable_service(&dir);
         assert_eq!(s2.tables().len(), 2);
-        assert_eq!(s2.query(PAPER_QUERY).unwrap().output.table.len(), 4);
+        assert_eq!(
+            s2.query(PAPER_QUERY, &Span::noop())
+                .unwrap()
+                .output
+                .table
+                .len(),
+            4
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1877,10 +1871,10 @@ mod tests {
             "SELECT Name FROM EE_Student WHERE Age > 99",
             "SELECT count(*) AS n, avg(Years) FROM CS_Students",
         ] {
-            let first = s.query(sql).unwrap();
+            let first = s.query(sql, &Span::noop()).unwrap();
             assert_streams_equal(&first, sql);
             // Again as a cache hit.
-            let again = s.query(sql).unwrap();
+            let again = s.query(sql, &Span::noop()).unwrap();
             assert_streams_equal(&again, sql);
         }
 

@@ -36,12 +36,14 @@ fn run(args: &[&str]) -> (Option<i32>, String, String) {
     (status, text(out.stdout), text(out.stderr))
 }
 
-/// The shard tier's flags, by name, each with the value it used to take.
-const REMOVED_FLAGS: [(&str, Option<&str>); 4] = [
+/// Flags `hummer-serve` no longer has, by name, each with the value it
+/// used to take: the shard tier's four and the structured event log's.
+const REMOVED_FLAGS: [(&str, Option<&str>); 5] = [
     ("coordinator", Some("workers=127.0.0.1:9")),
     ("shards", Some("4")),
     ("worker-timeout-ms", Some("5")),
     ("no-fallback", None),
+    ("log-json", Some("/tmp/hummer-events.jsonl")),
 ];
 
 #[test]
@@ -68,7 +70,7 @@ fn help_names_no_shard_tier() {
     assert_eq!(status, Some(0), "stderr: {stderr}");
     assert!(stdout.contains("usage: hummer-serve"), "{stdout}");
     let help = stdout.to_ascii_lowercase();
-    for word in ["coordinator", "shard"] {
+    for word in ["coordinator", "shard", "log-json", "event log"] {
         assert!(
             !help.contains(word),
             "--help still names `{word}`:\n{stdout}"

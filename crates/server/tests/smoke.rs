@@ -167,11 +167,11 @@ fn keep_alive_connection_serves_many_requests() {
 
     // Every response carries X-Hummer-Trace; the span tree for that id is
     // immediately fetchable and rooted at the request's endpoint label.
-    let (status, _, trace) = client
-        .request_traced("POST", "/query", "text/plain", PAPER_QUERY)
+    let meta = client
+        .request_meta("POST", "/query", "text/plain", PAPER_QUERY)
         .unwrap();
-    assert_eq!(status, 200);
-    let trace = trace.expect("response carries X-Hummer-Trace");
+    assert_eq!(meta.status, 200);
+    let trace = meta.trace.expect("response carries X-Hummer-Trace");
     let (status, body) =
         http_request(&addr, "GET", &format!("/trace/{trace}"), "text/plain", b"").unwrap();
     assert_eq!(status, 200, "{body}");

@@ -65,7 +65,12 @@ fn dupdetect_module() {
         unsure_threshold: 0.55,
         ..Default::default()
     };
-    let r = hummer::dupdetect::detect_duplicates(&t, &cfg).unwrap();
+    let r = hummer::dupdetect::detect_duplicates(
+        &t,
+        &cfg,
+        hummer::dupdetect::Parallelism::sequential(),
+    )
+    .unwrap();
     assert_eq!(r.object_count(), 2);
 }
 

@@ -12,8 +12,8 @@
 //! span into an enabled tracer answers bit-identically to a bare one.
 
 use hummer::core::{
-    fuse_prepared_par, fuse_prepared_traced, prepare_tables, prepare_tables_traced, HummerConfig,
-    ObsConfig, Parallelism, PipelineOutcome,
+    fuse_prepared_traced, prepare_tables, prepare_tables_traced, Hummer, HummerConfig, ObsConfig,
+    Parallelism, PipelineOutcome,
 };
 use hummer::datagen::scenarios::{
     cd_shopping, cleansing_service, disaster_registry, person_scale, student_rosters,
@@ -22,6 +22,7 @@ use hummer::datagen::GeneratedWorld;
 use hummer::engine::Table;
 use hummer::fusion::{FunctionRegistry, ResolutionSpec};
 use hummer::matching::SniffConfig;
+use hummer::obs::Span;
 use proptest::prelude::*;
 
 fn world_for(scenario: u8, entities: usize, seed: u64) -> GeneratedWorld {
@@ -63,7 +64,7 @@ fn run(world: &GeneratedWorld, par: Parallelism) -> PipelineOutcome {
     let registry = FunctionRegistry::standard();
     let prepared = prepare_tables(&tables, &config(par)).expect("prepare");
     let resolutions = resolutions_for(&prepared.integrated);
-    fuse_prepared_par(&prepared, &resolutions, &registry, par).expect("fuse")
+    fuse_prepared_traced(&prepared, &resolutions, &registry, par, &Span::noop()).expect("fuse")
 }
 
 /// Everything user-visible, rendered bit-exactly (`{:?}` on `f64` is the
@@ -158,6 +159,33 @@ fn tracing_does_not_perturb_the_answer() {
     }
 }
 
+/// `Hummer::query` pre-aligns a multi-source `FUSE FROM` by schema
+/// matching at `config.parallelism`; its result rows are the same at
+/// degrees 1 and 4.
+#[test]
+fn query_answers_alike_at_every_degree() {
+    let world = cd_shopping(120, 31);
+    let answer = |degree: usize| {
+        let mut hummer = Hummer::with_config(config(Parallelism::degree(degree)));
+        for source in &world.sources {
+            let table = source.table.clone();
+            hummer
+                .repository_mut()
+                .register_table(table.name().to_string(), table)
+                .expect("register");
+        }
+        let out = hummer
+            .query(
+                "SELECT Title, RESOLVE(Price, min) FUSE FROM CDPalace, DiscountDiscs, MusicMile \
+                 FUSE BY (Title) ORDER BY Title",
+            )
+            .expect("query");
+        assert!(!out.table.is_empty());
+        format!("{:?}|{:?}", out.table.schema().names(), out.table.rows())
+    };
+    assert_eq!(answer(1), answer(4));
+}
+
 /// The answer sniffing is defined by: every pair of tuples scored by the
 /// cosine of their TF-IDF vectors, pairs at or above `min_similarity`
 /// sorted by (similarity descending, left row, right row), filtered to 1:1,
@@ -209,7 +237,7 @@ fn full_join(left: &Table, right: &Table, cfg: &SniffConfig) -> Vec<(usize, usiz
 /// similarity bits — at degrees 1–4, on the scenario worlds.
 #[test]
 fn sniffing_equals_the_full_join_at_every_degree() {
-    use hummer::matching::sniff_duplicates_par;
+    use hummer::matching::sniff_duplicates;
     let worlds = [
         cd_shopping(300, 21),
         disaster_registry(300, 22),
@@ -232,7 +260,7 @@ fn sniffing_equals_the_full_join_at_every_degree() {
             let expected = full_join(left, right, &cfg);
             for degree in 1..=4 {
                 let sniffed: Vec<(usize, usize, u64)> =
-                    sniff_duplicates_par(left, right, &cfg, Parallelism::degree(degree))
+                    sniff_duplicates(left, right, &cfg, Parallelism::degree(degree))
                         .iter()
                         .map(|p| (p.left, p.right, p.similarity.to_bits()))
                         .collect();

@@ -2,7 +2,7 @@
 //! hold on arbitrary (generated) inputs.
 
 use hummer::datagen::{generate, DirtyConfig, EntityKind, SourceSpec};
-use hummer::dupdetect::{detect_duplicates, DetectorConfig};
+use hummer::dupdetect::{detect_duplicates, DetectorConfig, Parallelism};
 use hummer::engine::ops::outer_union;
 use hummer::engine::{Row, Table, Value};
 use hummer::fusion::{fuse, FunctionRegistry, FusionSpec};
@@ -79,8 +79,9 @@ proptest! {
         if u.is_empty() {
             return Ok(());
         }
-        let with = detect_duplicates(&u, &DetectorConfig { use_filter: true, ..Default::default() }).unwrap();
-        let without = detect_duplicates(&u, &DetectorConfig { use_filter: false, ..Default::default() }).unwrap();
+        let seq = Parallelism::sequential();
+        let with = detect_duplicates(&u, &DetectorConfig { use_filter: true, ..Default::default() }, seq).unwrap();
+        let without = detect_duplicates(&u, &DetectorConfig { use_filter: false, ..Default::default() }, seq).unwrap();
         prop_assert_eq!(&with.pairs, &without.pairs);
         prop_assert_eq!(&with.cluster_ids, &without.cluster_ids);
         prop_assert!(with.stats.compared <= without.stats.compared);
@@ -97,7 +98,7 @@ proptest! {
             return Ok(());
         }
         let cfg = DetectorConfig::default();
-        let det = detect_duplicates(&u, &cfg).unwrap();
+        let det = detect_duplicates(&u, &cfg, Parallelism::sequential()).unwrap();
         for p in &det.pairs {
             prop_assert!(p.left < p.right);
             prop_assert!(p.similarity >= cfg.threshold);
