@@ -1,13 +1,35 @@
 //! E5 — the comparison filter (§2.3: "the number of pairwise comparisons
 //! are reduced by applying a filter (upper bound to the similarity
 //! measure)") and sorted-neighborhood blocking: work saved vs. recall kept.
+//!
+//! The filter is lossless, and this checks it: at every size "filter" must
+//! find exactly the pairs, unsure pairs (with their similarity bits) and
+//! clusters "naive" finds, or the binary exits non-zero.
 
 use hummer_bench::{f3, render_table};
 use hummer_datagen::{cluster_pair_metrics, generate, DirtyConfig, EntityKind};
-use hummer_dupdetect::{detect_duplicates, CandidateSpec, DetectorConfig, Parallelism};
+use hummer_dupdetect::{
+    detect_duplicates, CandidateSpec, DetectionResult, DetectorConfig, DuplicatePair, Parallelism,
+};
 use hummer_engine::ops::outer_union;
 use hummer_engine::Table;
 use std::time::Instant;
+
+/// Pairs as `(left, right, similarity bits)`.
+type PairBits = Vec<(usize, usize, u64)>;
+
+/// What detection answers: pairs, unsure pairs and the cluster of every row.
+type Answer = (PairBits, PairBits, Vec<usize>);
+
+fn answer(det: &DetectionResult) -> Answer {
+    let bits = |pairs: &[DuplicatePair]| {
+        pairs
+            .iter()
+            .map(|p| (p.left, p.right, p.similarity.to_bits()))
+            .collect()
+    };
+    (bits(&det.pairs), bits(&det.unsure), det.cluster_ids.clone())
+}
 
 fn main() {
     println!("E5 — candidate pruning: naive vs. filter vs. blocking\n");
@@ -22,6 +44,7 @@ fn main() {
         let refs: Vec<&Table> = w.sources.iter().map(|s| &s.table).collect();
         let u = outer_union(&refs, "U").unwrap();
         let gold = w.gold_union_entity_ids();
+        let mut naive: Option<Answer> = None;
 
         for (label, det_cfg) in [
             (
@@ -53,6 +76,15 @@ fn main() {
             let t0 = Instant::now();
             let det = detect_duplicates(&u, &det_cfg, Parallelism::sequential()).unwrap();
             let elapsed = t0.elapsed();
+            match label {
+                "naive" => naive = Some(answer(&det)),
+                "filter" => assert!(
+                    naive.as_ref() == Some(&answer(&det)),
+                    "{} rows: the filter changed the answer (pairs, unsure or clusters)",
+                    u.len()
+                ),
+                _ => {}
+            }
             let pr = cluster_pair_metrics(&det.cluster_ids, &gold);
             rows.push(vec![
                 u.len().to_string(),

@@ -19,10 +19,10 @@
 //!
 //! 1. *Filter sweep.* Weights and numeric similarities are exact from the
 //!    start; a text term starts as the `O(1)` optimistic `w_k·ŝ_k`
-//!    (`ŝ_k ≥ s_k`: length and histogram bounds on the edit distance). The
-//!    in-order sum of that row is exactly [`TupleSimilarity::upper_bound`];
-//!    pairs whose bound is below `unsure_threshold` are `filtered_out`,
-//!    the rest are `compared`.
+//!    (`ŝ_k ≥ s_k`, from the histogram bound below). The in-order sum of
+//!    a pair's row is exactly [`TupleSimilarity::upper_bound`]; pairs
+//!    whose bound is below `unsure_threshold` are `filtered_out`, the rest
+//!    are `compared`.
 //! 2. *Resolution.* Text attributes are resolved one at a time, the one
 //!    carrying the most optimistic mass `Σ w_k·ŝ_k` over the block's live,
 //!    unresolved pairs first (ties by attribute index) — data decides the
@@ -33,6 +33,34 @@
 //!    tighter bound falls below `unsure_threshold` (`cut_short`).
 //! 3. *Classification.* A pair that survives has every term exact; its
 //!    similarity is the in-order sum of its row.
+//!
+//! The text bound. Every distinct text keeps a histogram of its chars over
+//! 37 buckets — `a`–`z`, each digit `0`–`9` on its own, everything else —
+//! and its length. Let `L1` be the histograms' L1 distance and `Δ` the
+//! length gap of texts `x` and `y`. The bound on their edit distance is
+//! `dist_lb = (L1 + |Δ|) / 2`, and `ŝ = 1 − dist_lb / max(|x|, |y|)`:
+//!
+//! * Let `excess_x` be `Σ_b max(0, x_b − y_b)` over the buckets `b`, the
+//!   chars `x` has that `y` lacks, and `excess_y` likewise. An insert,
+//!   delete or substitute in `x` changes one or two of its buckets by one
+//!   and lowers each excess by at most 1. Editing `x` into `y` must bring
+//!   both excesses to 0, so `dist ≥ max(excess_x, excess_y)`.
+//! * Every char lands in some bucket, so `excess_x + excess_y = L1` and
+//!   `excess_x − excess_y = |x| − |y|`; hence
+//!   `max(excess_x, excess_y) = (L1 + |Δ|) / 2`, an integer.
+//! * It is never looser than the two classic bounds, `|Δ|` and `L1 / 2`,
+//!   because `L1 ≥ |Δ|`. It is the count filter of approximate string
+//!   joins (Gravano et al., VLDB 2001) over single chars.
+//! * Digits get a bucket each because the attributes a detector selects
+//!   are often phone numbers or codes of one format: with one bucket for
+//!   all ten digits, any two such values have `L1 = Δ = 0` and bound 1.0.
+//! * Counts are stored as `u8` in three 16-byte lanes, so `L1` is three
+//!   byte-wise absolute-difference sums. A count stops at 255; a text with
+//!   255 or more chars in one bucket also keeps its exact counts, and a
+//!   pair with such a text sums those. A saturated sum would still be
+//!   admissible (`|min(p, 255) − min(q, 255)| ≤ |p − q|`), but it could be
+//!   looser than the old bound on long texts; exact counts keep
+//!   `filtered_out` from ever shrinking.
 //!
 //! Why no answer moves — the bound is admissible *in floating point*:
 //!
@@ -55,13 +83,16 @@
 //! what the call does (`memo_hits` is kept at 0: the `detect` span and
 //! hbench still read the field).
 //!
-//! The batched edit distance (`levenshtein_similarity_chars_many`) earns
-//! its place on the all-pairs sweep hbench's `detect_allpairs_1k` is made
-//! of: scoring the 979,300 candidates of each of six 2 × 700-row
-//! `person_scale` worlds (seeds 11–16, one thread, best of 20, a 2-core
-//! Xeon) took 395 ms in total against 447 ms with one
-//! `levenshtein_similarity_chars` call per pair (−12 %), with identical
-//! pairs, unsure pairs and counters.
+//! The batched edit distance (`levenshtein_similarity_chars_many`) still
+//! earns its place with the tighter filter. Take the all-pairs candidates
+//! of six 2 × 700-row `person_scale` worlds (seeds 11–16, 979,300 each, of
+//! which the filter leaves ≈ 21k to the edit distance). Scoring them (one
+//! thread, best of 20 per world, summed; six rounds with both kernels in
+//! one process, their calls interleaved, on a 2-core Xeon) took 270 ms
+//! (median; 244–310) batched against 285 ms (265–338) with one
+//! `levenshtein_similarity_chars` call per pair: −5 %, and batched was
+//! faster in all six rounds, with identical pairs, unsure pairs and
+//! counters.
 //!
 //! The unit tests here hold the per-pair reference as their oracle and
 //! compare the kernel against it, bit for bit, at degrees 1–4.
@@ -494,6 +525,76 @@ mod tests {
             }
         }
         assert_eq!(edges, 15 * 4);
+    }
+
+    /// The text bound the per-digit buckets replaced: 28 buckets with all
+    /// ten digits in one, and `max(L1 / 2, |Δ|)`.
+    fn old_text_similarity_bound(a: &[char], b: &[char]) -> f64 {
+        let hist = |t: &[char]| {
+            let mut h = [0usize; 28];
+            for &c in t {
+                h[match c {
+                    'a'..='z' => c as usize - 'a' as usize,
+                    '0'..='9' => 26,
+                    _ => 27,
+                }] += 1;
+            }
+            h
+        };
+        let (ha, hb) = (hist(a), hist(b));
+        let l1: usize = ha.iter().zip(&hb).map(|(x, y)| x.abs_diff(*y)).sum();
+        let max = a.len().max(b.len());
+        if max == 0 {
+            return 1.0;
+        }
+        1.0 - (l1 as f64 / 2.0).max(a.len().abs_diff(b.len()) as f64) / max as f64
+    }
+
+    /// Phones of one format (`+49-XXX-XXXXX`) look all alike to one digit
+    /// bucket: the old bound kept all but the few pairs a dirty phone's
+    /// length or stray char gives away, the new one drops most, and the
+    /// answer is still the per-pair oracle's.
+    #[test]
+    fn per_digit_buckets_tell_phones_apart() {
+        let t = testworlds::gold_union(&hummer_datagen::scenarios::person_scale(200, 2005));
+        let cfg = DetectorConfig {
+            attributes: Some(vec!["Phone".into()]),
+            ..Default::default()
+        };
+        let attrs = resolve_attributes(&t, &cfg).unwrap();
+        let measure = TupleSimilarity::new(&t, attrs);
+        let col = &measure.cols[0];
+        let candidates: Vec<(usize, usize)> = candidate_pairs(&t, &CandidateStrategy::AllPairs)
+            .into_iter()
+            .filter(|&(i, j)| col.matched(i, j))
+            .collect();
+        assert!(candidates.len() > 10_000, "{} pairs", candidates.len());
+        let old_kept = candidates
+            .iter()
+            .filter(|&&(i, j)| {
+                let (a, b) = (col.text(col.text_id[i]), col.text(col.text_id[j]));
+                let w = col.pair_weight(i, j);
+                w * old_text_similarity_bound(a, b) / (w + EVIDENCE_PRIOR) >= cfg.unsure_threshold
+            })
+            .count();
+        assert!(
+            100 * old_kept >= 99 * candidates.len(),
+            "the old bound kept {old_kept} of {} pairs",
+            candidates.len()
+        );
+        let scored = score_candidates(&t, &measure, &cfg, &candidates, Parallelism::sequential());
+        assert!(
+            10 * scored.filtered_out >= 9 * candidates.len(),
+            "{} of {} pairs filtered",
+            scored.filtered_out,
+            candidates.len()
+        );
+        scorers_agree_on(&t, &measure, &cfg, &candidates, "phones");
+        let cfg = DetectorConfig {
+            use_filter: false,
+            ..cfg
+        };
+        scorers_agree_on(&t, &measure, &cfg, &candidates, "phones, no filter");
     }
 
     /// A guard in counts, not timings: on the all-pairs sweep of a 2 × 1000

@@ -40,8 +40,9 @@
 //! struct-of-arrays columns indexed by row (presence, weight, near-weight,
 //! numeric view, text id) and the attribute's *distinct* lower-cased
 //! renderings pooled once: their chars back to back in one arena, with
-//! start offsets and a character histogram per distinct text. A row's text
-//! is a `u32` id, and equal ids mean equal text.
+//! start offsets, and per distinct text its length and character histogram
+//! (the bound's input). A row's text is a `u32` id, and equal ids mean
+//! equal text.
 //!
 //! Construction renders each cell once (text is read in place, other values
 //! through one reused buffer) and looks the rendering up; lower-casing,
@@ -197,20 +198,106 @@ pub fn numeric_field_similarity(x: f64, y: f64, scale: Option<f64>) -> f64 {
     }
 }
 
-/// Buckets of the per-value character histogram: a–z, digits, other.
-const HIST_BUCKETS: usize = 28;
+/// Buckets of the per-value character histogram: a–z, then each digit
+/// 0–9 on its own, then "other" — 37 in all. Digits get a bucket each
+/// because a phone number or a code is mostly digits: with one bucket for
+/// all ten, any two phones of one format would look alike to the bound.
+const HIST_BUCKETS: usize = 37;
 
-fn char_histogram(text: &str) -> [u16; HIST_BUCKETS] {
-    let mut h = [0u16; HIST_BUCKETS];
-    for c in text.chars() {
-        let bucket = match c {
-            'a'..='z' => (c as u8 - b'a') as usize,
-            '0'..='9' => 26,
-            _ => 27,
-        };
-        h[bucket] = h[bucket].saturating_add(1);
+/// A distinct text as the bound reads it: its character histogram over
+/// [`HIST_BUCKETS`] and its length in chars.
+///
+/// The counts are `u8`, padded with zeros to three 16-byte lanes, so the L1
+/// distance is three byte-wise absolute-difference sums. A count stops at
+/// 255; a text with 255 or more chars in one bucket also keeps its exact
+/// counts in `wide`, and a pair with such a text sums those instead. So the
+/// L1 distance is always exact, and lanes are only the fast path.
+#[derive(Debug, Clone)]
+struct TextShape {
+    hist: [[u8; 16]; 3],
+    len: u32,
+    wide: Option<Box<[u32; HIST_BUCKETS]>>,
+}
+
+impl TextShape {
+    fn of(text: &str) -> TextShape {
+        let mut counts = [0u32; HIST_BUCKETS];
+        for c in text.chars() {
+            let bucket = match c {
+                'a'..='z' => (c as u8 - b'a') as usize,
+                '0'..='9' => 26 + (c as u8 - b'0') as usize,
+                _ => HIST_BUCKETS - 1,
+            };
+            counts[bucket] += 1;
+        }
+        let mut hist = [[0u8; 16]; 3];
+        for (slot, &n) in hist.as_flattened_mut().iter_mut().zip(&counts) {
+            *slot = n.min(255) as u8;
+        }
+        TextShape {
+            hist,
+            len: counts.iter().sum(),
+            wide: counts.iter().any(|&n| n >= 255).then(|| Box::new(counts)),
+        }
     }
-    h
+
+    /// The exact counts.
+    fn counts(&self) -> [u32; HIST_BUCKETS] {
+        match &self.wide {
+            Some(counts) => **counts,
+            None => std::array::from_fn(|k| u32::from(self.hist[k / 16][k % 16])),
+        }
+    }
+
+    /// The L1 distance between the two histograms, for the rare pair whose
+    /// lanes may be saturated.
+    fn wide_l1(&self, other: &TextShape) -> u64 {
+        let (x, y) = (self.counts(), other.counts());
+        x.iter()
+            .zip(&y)
+            .map(|(p, q)| u64::from(p.abs_diff(*q)))
+            .sum()
+    }
+
+    /// The L1 distance between the two histograms.
+    fn l1(&self, other: &TextShape) -> u64 {
+        if self.wide.is_some() || other.wide.is_some() {
+            return self.wide_l1(other);
+        }
+        // A lane sums at most 16 × 254 < 2^16; one `u16` sum per lane is
+        // one byte-wise absolute-difference sum on the vector unit.
+        let lanes: u32 = self
+            .hist
+            .iter()
+            .zip(&other.hist)
+            .map(|(x, y)| {
+                let lane: u16 = x
+                    .iter()
+                    .zip(y)
+                    .map(|(p, q)| u16::from(p.abs_diff(*q)))
+                    .sum();
+                u32::from(lane)
+            })
+            .sum();
+        u64::from(lanes)
+    }
+
+    /// `O(1)` upper bound on the edit similarity of the two texts, from a
+    /// lower bound on their distance: the larger of the two histogram
+    /// excesses, `(L1 + |la − lb|) / 2` (see [`crate::columnar`] for why it
+    /// is a lower bound).
+    ///
+    /// Admissible *in floating point*: `dist_lb ≤ dist` as integers, and
+    /// rounded `÷` and `−` are monotone, so this is `≥` the value
+    /// [`levenshtein_similarity_chars`] returns, bit for bit.
+    fn similarity_bound(&self, other: &TextShape) -> f64 {
+        let max = self.len.max(other.len);
+        if max == 0 {
+            return 1.0;
+        }
+        let dist_lb = (self.l1(other) + u64::from(self.len.abs_diff(other.len))) / 2;
+        1.0 - dist_lb as f64 / f64::from(max)
+    }
 }
 
 /// One participating attribute: per-row arrays indexed by row, and the
@@ -242,10 +329,10 @@ pub(crate) struct AttrColumn {
     text_starts: Vec<u32>,
     /// The chars of every distinct text, back to back.
     chars: Vec<char>,
-    /// Per distinct text: its bucketed character histogram (a–z, digits,
-    /// other). Each edit operation changes the L1 distance between two
-    /// histograms by at most 2, so `levenshtein ≥ L1 / 2`.
-    hists: Vec<[u16; HIST_BUCKETS]>,
+    /// Per distinct text: its character histogram (a–z, each digit,
+    /// other) and its length in chars, the inputs of
+    /// [`AttrColumn::text_similarity_bound`].
+    shapes: Vec<TextShape>,
 }
 
 impl AttrColumn {
@@ -258,12 +345,12 @@ impl AttrColumn {
     /// Pool a new distinct text; returns its id.
     fn push_text(&mut self, text: &str) -> u32 {
         // No more texts than renderings, whose count fits.
-        let t = self.hists.len() as u32;
+        let t = self.shapes.len() as u32;
         self.chars.extend(text.chars());
         let end = u32::try_from(self.chars.len())
             .expect("fewer than 2^32 chars of distinct text per attribute");
         self.text_starts.push(end);
-        self.hists.push(char_histogram(text));
+        self.shapes.push(TextShape::of(text));
         t
     }
 
@@ -300,26 +387,9 @@ impl AttrColumn {
         }
     }
 
-    /// `O(1)` upper bound on the edit similarity of distinct texts `a` and
-    /// `b`, from two lower bounds on their distance: the length difference
-    /// and half the histogram L1 gap.
-    ///
-    /// Admissible *in floating point*: `dist_lb ≤ dist` as integers, and
-    /// rounded `÷` and `−` are monotone, so this is `≥` the value
-    /// [`levenshtein_similarity_chars`] returns, bit for bit.
+    /// [`TextShape::similarity_bound`] of distinct texts `a` and `b`.
     pub(crate) fn text_similarity_bound(&self, a: u32, b: u32) -> f64 {
-        let (la, lb) = (self.text(a).len(), self.text(b).len());
-        let max = la.max(lb);
-        if max == 0 {
-            return 1.0;
-        }
-        let l1: u32 = self.hists[a as usize]
-            .iter()
-            .zip(&self.hists[b as usize])
-            .map(|(x, y)| x.abs_diff(*y) as u32)
-            .sum();
-        let dist_lb = (l1 as f64 / 2.0).max(la.abs_diff(lb) as f64);
-        1.0 - dist_lb / max as f64
+        self.shapes[a as usize].similarity_bound(&self.shapes[b as usize])
     }
 }
 
@@ -1426,7 +1496,23 @@ mod tests {
             pub num: Option<f64>,
             pub text: String,
             pub len: usize,
-            pub hist: [u16; 28],
+            /// Char counts: a–z, `0`–`9` one by one, then the rest.
+            pub hist: [usize; 37],
+        }
+
+        fn histogram(text: &str) -> [usize; 37] {
+            let mut counts = [0usize; 37];
+            for c in text.chars() {
+                let bucket = if c.is_ascii_lowercase() {
+                    c as usize - 'a' as usize
+                } else if let Some(d) = c.to_digit(10).filter(|_| c.is_ascii_digit()) {
+                    26 + d as usize
+                } else {
+                    36
+                };
+                counts[bucket] += 1;
+            }
+            counts
         }
 
         fn stable_soft_idf(corpus: &Corpus, token: &str) -> f64 {
@@ -1531,7 +1617,7 @@ mod tests {
                                 near_weight,
                                 num: v.as_f64(),
                                 len: text.chars().count(),
-                                hist: char_histogram(&text),
+                                hist: histogram(&text),
                                 text,
                             })
                         })
@@ -1592,14 +1678,13 @@ mod tests {
                         if max == 0 {
                             1.0
                         } else {
-                            let l1: u32 = u
-                                .hist
-                                .iter()
-                                .zip(&v.hist)
-                                .map(|(x, y)| x.abs_diff(*y) as u32)
-                                .sum();
-                            let dist_lb = (l1 as f64 / 2.0).max(u.len.abs_diff(v.len) as f64);
-                            1.0 - dist_lb / max as f64
+                            // Each edit lowers either side's excess over
+                            // the other by at most one.
+                            let excess = |p: &CellData, q: &CellData| -> usize {
+                                (0..37).map(|k| p.hist[k].saturating_sub(q.hist[k])).sum()
+                            };
+                            let dist_lb = excess(u, v).max(excess(v, u));
+                            1.0 - dist_lb as f64 / max as f64
                         }
                     }
                 };
@@ -1646,7 +1731,13 @@ mod tests {
                 let text = col.text(col.text_id[i]);
                 assert_eq!(text, cell.text.chars().collect::<Vec<_>>(), "{at}");
                 assert_eq!(text.len(), cell.len, "{at}");
-                assert_eq!(col.hists[col.text_id[i] as usize], cell.hist, "{at}");
+                let shape = &col.shapes[col.text_id[i] as usize];
+                assert_eq!(shape.len as usize, cell.len, "{at}");
+                assert_eq!(shape.counts().map(|n| n as usize), cell.hist, "{at}");
+                assert!(
+                    shape.hist.as_flattened()[37..].iter().all(|&n| n == 0),
+                    "{at}"
+                );
             }
         }
         // A band of pairs around the diagonal plus a stride across the table.
@@ -1676,6 +1767,36 @@ mod tests {
             let selected = crate::select_attributes(&table, &Default::default());
             assert_equals_reference(name, &table, selected);
         }
+    }
+
+    /// Phones of one format, which only per-digit buckets tell apart, and
+    /// runs of 255 or more chars in one bucket, whose lanes saturate.
+    #[test]
+    fn columns_equal_the_per_row_reference_on_phones_and_long_runs() {
+        let cells = [
+            "+49-301-23456".to_string(),
+            "+49-654-32103".to_string(),
+            "+49-999-00000".to_string(),
+            "a".repeat(300),
+            "b".repeat(300),
+            "a".repeat(256),
+            "a".repeat(255),
+            "a".repeat(254) + "b",
+            " ".repeat(260) + "x",
+            "9".repeat(270),
+            String::new(),
+        ];
+        let rows = cells
+            .iter()
+            .map(|c| hummer_engine::Row::from_values(vec![c.as_str().into()]))
+            .collect();
+        let table = Table::from_rows("Long", &["Text"], rows).unwrap();
+        assert_equals_reference("phones and long runs", &table, vec![0]);
+        let measure = TupleSimilarity::new(&table, vec![0]);
+        let col = &measure.cols[0];
+        let wide = |row: usize| col.shapes[col.text_id[row] as usize].wide.is_some();
+        assert_eq!((0..cells.len()).filter(|&i| wide(i)).count(), 6);
+        assert!(wide(6) && !wide(7), "255 of one char is where lanes stop");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! behind it, same bits, with the per-string set-up paid once and two
 //! recurrences in flight. It is what the duplicate detector's pair-scoring
 //! kernel calls; on the all-pairs sweep of hbench's `detect_allpairs_1k`
-//! it cuts scoring by about 12 % against one call per pair (the numbers
+//! it cuts scoring by about 5 % against one call per pair (the numbers
 //! are in `hummer_dupdetect::columnar`).
 
 /// Longest *shorter* string (in chars) the bit-parallel path handles: one
