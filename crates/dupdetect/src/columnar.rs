@@ -48,19 +48,17 @@
 //! * Every char lands in some bucket, so `excess_x + excess_y = L1` and
 //!   `excess_x − excess_y = |x| − |y|`; hence
 //!   `max(excess_x, excess_y) = (L1 + |Δ|) / 2`, an integer.
-//! * It is never looser than the two classic bounds, `|Δ|` and `L1 / 2`,
-//!   because `L1 ≥ |Δ|`. It is the count filter of approximate string
+//! * With exact counts it is never looser than the two classic bounds,
+//!   `|Δ|` and `L1 / 2`, because `L1 ≥ |Δ|`. It is the count filter of approximate string
 //!   joins (Gravano et al., VLDB 2001) over single chars.
 //! * Digits get a bucket each because the attributes a detector selects
 //!   are often phone numbers or codes of one format: with one bucket for
 //!   all ten digits, any two such values have `L1 = Δ = 0` and bound 1.0.
 //! * Counts are stored as `u8` in three 16-byte lanes, so `L1` is three
-//!   byte-wise absolute-difference sums. A count stops at 255; a text with
-//!   255 or more chars in one bucket also keeps its exact counts, and a
-//!   pair with such a text sums those. A saturated sum would still be
-//!   admissible (`|min(p, 255) − min(q, 255)| ≤ |p − q|`), but it could be
-//!   looser than the old bound on long texts; exact counts keep
-//!   `filtered_out` from ever shrinking.
+//!   byte-wise absolute-difference sums. A count saturates at 255, which
+//!   keeps the bound admissible (`|min(p, 255) − min(q, 255)| ≤ |p − q|`,
+//!   so the saturated `L1` is at most the true one); only a text with 255
+//!   or more of one char may bound looser than with exact counts.
 //!
 //! Why no answer moves — the bound is admissible *in floating point*:
 //!
@@ -527,33 +525,9 @@ mod tests {
         assert_eq!(edges, 15 * 4);
     }
 
-    /// The text bound the per-digit buckets replaced: 28 buckets with all
-    /// ten digits in one, and `max(L1 / 2, |Δ|)`.
-    fn old_text_similarity_bound(a: &[char], b: &[char]) -> f64 {
-        let hist = |t: &[char]| {
-            let mut h = [0usize; 28];
-            for &c in t {
-                h[match c {
-                    'a'..='z' => c as usize - 'a' as usize,
-                    '0'..='9' => 26,
-                    _ => 27,
-                }] += 1;
-            }
-            h
-        };
-        let (ha, hb) = (hist(a), hist(b));
-        let l1: usize = ha.iter().zip(&hb).map(|(x, y)| x.abs_diff(*y)).sum();
-        let max = a.len().max(b.len());
-        if max == 0 {
-            return 1.0;
-        }
-        1.0 - (l1 as f64 / 2.0).max(a.len().abs_diff(b.len()) as f64) / max as f64
-    }
-
     /// Phones of one format (`+49-XXX-XXXXX`) look all alike to one digit
-    /// bucket: the old bound kept all but the few pairs a dirty phone's
-    /// length or stray char gives away, the new one drops most, and the
-    /// answer is still the per-pair oracle's.
+    /// bucket; with a bucket per digit the filter drops most of their
+    /// pairs, and the answer is still the per-pair oracle's.
     #[test]
     fn per_digit_buckets_tell_phones_apart() {
         let t = testworlds::gold_union(&hummer_datagen::scenarios::person_scale(200, 2005));
@@ -569,19 +543,6 @@ mod tests {
             .filter(|&(i, j)| col.matched(i, j))
             .collect();
         assert!(candidates.len() > 10_000, "{} pairs", candidates.len());
-        let old_kept = candidates
-            .iter()
-            .filter(|&&(i, j)| {
-                let (a, b) = (col.text(col.text_id[i]), col.text(col.text_id[j]));
-                let w = col.pair_weight(i, j);
-                w * old_text_similarity_bound(a, b) / (w + EVIDENCE_PRIOR) >= cfg.unsure_threshold
-            })
-            .count();
-        assert!(
-            100 * old_kept >= 99 * candidates.len(),
-            "the old bound kept {old_kept} of {} pairs",
-            candidates.len()
-        );
         let scored = score_candidates(&t, &measure, &cfg, &candidates, Parallelism::sequential());
         assert!(
             10 * scored.filtered_out >= 9 * candidates.len(),

@@ -208,63 +208,35 @@ const HIST_BUCKETS: usize = 37;
 /// [`HIST_BUCKETS`] and its length in chars.
 ///
 /// The counts are `u8`, padded with zeros to three 16-byte lanes, so the L1
-/// distance is three byte-wise absolute-difference sums. A count stops at
-/// 255; a text with 255 or more chars in one bucket also keeps its exact
-/// counts in `wide`, and a pair with such a text sums those instead. So the
-/// L1 distance is always exact, and lanes are only the fast path.
+/// distance is three byte-wise absolute-difference sums. A count saturates
+/// at 255; the bound stays admissible, since
+/// `|min(p, 255) − min(q, 255)| ≤ |p − q|`.
 #[derive(Debug, Clone)]
 struct TextShape {
     hist: [[u8; 16]; 3],
     len: u32,
-    wide: Option<Box<[u32; HIST_BUCKETS]>>,
 }
 
 impl TextShape {
     fn of(text: &str) -> TextShape {
-        let mut counts = [0u32; HIST_BUCKETS];
+        let mut hist = [[0u8; 16]; 3];
+        let counts = hist.as_flattened_mut();
+        let mut len = 0;
         for c in text.chars() {
             let bucket = match c {
                 'a'..='z' => (c as u8 - b'a') as usize,
                 '0'..='9' => 26 + (c as u8 - b'0') as usize,
                 _ => HIST_BUCKETS - 1,
             };
-            counts[bucket] += 1;
+            counts[bucket] = counts[bucket].saturating_add(1);
+            len += 1;
         }
-        let mut hist = [[0u8; 16]; 3];
-        for (slot, &n) in hist.as_flattened_mut().iter_mut().zip(&counts) {
-            *slot = n.min(255) as u8;
-        }
-        TextShape {
-            hist,
-            len: counts.iter().sum(),
-            wide: counts.iter().any(|&n| n >= 255).then(|| Box::new(counts)),
-        }
+        TextShape { hist, len }
     }
 
-    /// The exact counts.
-    fn counts(&self) -> [u32; HIST_BUCKETS] {
-        match &self.wide {
-            Some(counts) => **counts,
-            None => std::array::from_fn(|k| u32::from(self.hist[k / 16][k % 16])),
-        }
-    }
-
-    /// The L1 distance between the two histograms, for the rare pair whose
-    /// lanes may be saturated.
-    fn wide_l1(&self, other: &TextShape) -> u64 {
-        let (x, y) = (self.counts(), other.counts());
-        x.iter()
-            .zip(&y)
-            .map(|(p, q)| u64::from(p.abs_diff(*q)))
-            .sum()
-    }
-
-    /// The L1 distance between the two histograms.
+    /// The L1 distance between the two (saturated) histograms.
     fn l1(&self, other: &TextShape) -> u64 {
-        if self.wide.is_some() || other.wide.is_some() {
-            return self.wide_l1(other);
-        }
-        // A lane sums at most 16 × 254 < 2^16; one `u16` sum per lane is
+        // A lane sums at most 16 × 255 < 2^16; one `u16` sum per lane is
         // one byte-wise absolute-difference sum on the vector unit.
         let lanes: u32 = self
             .hist
@@ -283,9 +255,9 @@ impl TextShape {
     }
 
     /// `O(1)` upper bound on the edit similarity of the two texts, from a
-    /// lower bound on their distance: the larger of the two histogram
-    /// excesses, `(L1 + |la − lb|) / 2` (see [`crate::columnar`] for why it
-    /// is a lower bound).
+    /// lower bound on their distance, `(L1 + |la − lb|) / 2`: the larger of
+    /// the two histogram excesses, or less where a count saturates (see
+    /// [`crate::columnar`] for why it is a lower bound).
     ///
     /// Admissible *in floating point*: `dist_lb ≤ dist` as integers, and
     /// rounded `÷` and `−` are monotone, so this is `≥` the value
@@ -1496,7 +1468,8 @@ mod tests {
             pub num: Option<f64>,
             pub text: String,
             pub len: usize,
-            /// Char counts: a–z, `0`–`9` one by one, then the rest.
+            /// Char counts, each stopping at 255: a–z, `0`–`9` one by one,
+            /// then the rest.
             pub hist: [usize; 37],
         }
 
@@ -1510,7 +1483,7 @@ mod tests {
                 } else {
                     36
                 };
-                counts[bucket] += 1;
+                counts[bucket] = (counts[bucket] + 1).min(255);
             }
             counts
         }
@@ -1678,12 +1651,8 @@ mod tests {
                         if max == 0 {
                             1.0
                         } else {
-                            // Each edit lowers either side's excess over
-                            // the other by at most one.
-                            let excess = |p: &CellData, q: &CellData| -> usize {
-                                (0..37).map(|k| p.hist[k].saturating_sub(q.hist[k])).sum()
-                            };
-                            let dist_lb = excess(u, v).max(excess(v, u));
+                            let l1: usize = (0..37).map(|k| u.hist[k].abs_diff(v.hist[k])).sum();
+                            let dist_lb = (l1 + u.len.abs_diff(v.len)) / 2;
                             1.0 - dist_lb as f64 / max as f64
                         }
                     }
@@ -1733,11 +1702,9 @@ mod tests {
                 assert_eq!(text.len(), cell.len, "{at}");
                 let shape = &col.shapes[col.text_id[i] as usize];
                 assert_eq!(shape.len as usize, cell.len, "{at}");
-                assert_eq!(shape.counts().map(|n| n as usize), cell.hist, "{at}");
-                assert!(
-                    shape.hist.as_flattened()[37..].iter().all(|&n| n == 0),
-                    "{at}"
-                );
+                let (counts, pad) = shape.hist.as_flattened().split_at(37);
+                assert!(counts.iter().map(|&n| n as usize).eq(cell.hist), "{at}");
+                assert!(pad.iter().all(|&n| n == 0), "{at}");
             }
         }
         // A band of pairs around the diagonal plus a stride across the table.
@@ -1792,11 +1759,6 @@ mod tests {
             .collect();
         let table = Table::from_rows("Long", &["Text"], rows).unwrap();
         assert_equals_reference("phones and long runs", &table, vec![0]);
-        let measure = TupleSimilarity::new(&table, vec![0]);
-        let col = &measure.cols[0];
-        let wide = |row: usize| col.shapes[col.text_id[row] as usize].wide.is_some();
-        assert_eq!((0..cells.len()).filter(|&i| wide(i)).count(), 6);
-        assert!(wide(6) && !wide(7), "255 of one char is where lanes stop");
     }
 
     #[test]
