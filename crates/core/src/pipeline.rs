@@ -174,8 +174,10 @@ fn count_matching(span: &mut Span, results: &[MatchResult]) {
 }
 
 /// Attach detection counters to the `detect` span: blocking-window hits
-/// (candidates), filter rejections, pairs actually scored, edit-distance
-/// memo hits, and how many 512-pair blocks the scoring kernel processed.
+/// (candidates), filter rejections, pairs actually scored, `memo_hits`
+/// (always 0: nothing memoizes edit distances any more, and the field
+/// stays only because hbench reads it), and how many 512-pair blocks the
+/// scoring kernel processed.
 fn count_detection(span: &mut Span, stats: &hummer_dupdetect::DetectionStats) {
     if !span.is_recording() {
         return;

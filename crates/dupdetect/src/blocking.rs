@@ -1,29 +1,77 @@
-//! Candidate-pair generation strategies.
+//! Candidate-pair generation.
 //!
 //! The naive strategy compares all O(n²) pairs. The paper's filter (an
 //! upper bound to the similarity measure, applied in
-//! [`crate::detector`]) prunes *evaluations*; blocking strategies here
-//! prune *candidates* before any similarity arithmetic runs:
+//! [`crate::detector`]) prunes *evaluations*; blocking prunes
+//! *candidates* before any similarity arithmetic runs:
 //!
-//! * [`CandidateStrategy::AllPairs`] — exhaustive, recall 1.0.
-//! * [`CandidateStrategy::SortedNeighborhood`] — the classic merge/purge
+//! * [`CandidateSpec::AllPairs`] — exhaustive, recall 1.0.
+//! * [`CandidateSpec::SortedNeighborhood`] — the classic merge/purge
 //!   method: sort rows by a key, slide a window of width `w`, compare only
 //!   rows within a window. Near-linear, may miss pairs whose keys sort far
 //!   apart.
-//! * [`CandidateStrategy::KeyEquality`] — classic disjoint blocking: only
-//!   rows whose rendered keys are *equal* are candidates. The candidate
-//!   graph decomposes into per-key cliques.
 
 use crate::incremental::RowChanges;
-use hummer_engine::Table;
-use std::collections::HashMap;
+use hummer_engine::error::EngineError;
+use hummer_engine::{Result, Table};
+
+/// Candidate generation specified by column *names* (resolved against the
+/// input table at detection time).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CandidateSpec {
+    /// Compare every pair.
+    AllPairs,
+    /// Sorted-neighborhood blocking over the given key columns.
+    SortedNeighborhood {
+        /// Key column names (sort key is their concatenated rendering).
+        key: Vec<String>,
+        /// Window width `w` (≥ 2): each row is paired with its `w − 1`
+        /// successors in key order.
+        window: usize,
+    },
+}
+
+/// Resolve a [`CandidateSpec`] against `table` into its blocking index:
+/// key columns looked up by name, every row's key rendered and sorted.
+/// Public so callers that generate candidates themselves (the incremental
+/// property tests, the hbench layer probes) get exactly the detector's set.
+///
+/// Errors on an unknown key column and on a window below 2.
+pub fn resolve_candidate_strategy(table: &Table, spec: &CandidateSpec) -> Result<CandidateIndex> {
+    let sorted = match spec {
+        CandidateSpec::AllPairs => None,
+        CandidateSpec::SortedNeighborhood { key, window } => {
+            if *window < 2 {
+                return Err(EngineError::Expression(format!(
+                    "sorted-neighborhood window must be at least 2, got {window}"
+                )));
+            }
+            let key_attrs = key
+                .iter()
+                .map(|n| table.resolve(n))
+                .collect::<Result<Vec<usize>>>()?;
+            let keys = render_keys(table, &key_attrs);
+            Some(SortedKeys {
+                key_attrs,
+                window: *window,
+                order: sorted_order(&keys),
+                keys,
+            })
+        }
+    };
+    Ok(CandidateIndex { sorted })
+}
+
+/// Every candidate pair `(i, j)` with `i < j` of `table` under `index`
+/// (built over `table` by [`resolve_candidate_strategy`]), sorted.
+pub fn candidate_pairs(table: &Table, index: &CandidateIndex) -> Vec<(usize, usize)> {
+    index.pairs(table.len())
+}
 
 /// Render one row's blocking key: each key attribute's text rendering,
 /// lowercased, terminated by a `\u{1f}` field separator (nulls and
-/// non-text values render as the empty field). Shared by the
-/// sorted-neighborhood sort key and the key-equality groups so the two
-/// strategies agree on what "the key" is.
-pub fn render_key(table: &Table, key_attrs: &[usize], row: usize) -> String {
+/// non-text values render as the empty field).
+fn render_key(table: &Table, key_attrs: &[usize], row: usize) -> String {
     let r = &table.rows()[row];
     let mut k = String::new();
     for &a in key_attrs {
@@ -33,45 +81,6 @@ pub fn render_key(table: &Table, key_attrs: &[usize], row: usize) -> String {
         k.push('\u{1f}'); // field separator
     }
     k
-}
-
-/// How candidate pairs are generated.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CandidateStrategy {
-    /// Every unordered pair (i < j).
-    AllPairs,
-    /// Sorted-neighborhood with the given key attributes and window width
-    /// (≥ 2). The key is the concatenated string rendering of the key
-    /// attributes' values.
-    SortedNeighborhood {
-        /// Column indices forming the sort key.
-        key_attrs: Vec<usize>,
-        /// Window width `w`: each row is paired with its `w − 1` successors
-        /// in key order.
-        window: usize,
-    },
-    /// Disjoint blocking: every unordered pair of rows whose rendered keys
-    /// are equal. Rows with distinct keys are never candidates, so the
-    /// candidate graph's connected components never span two key groups.
-    KeyEquality {
-        /// Column indices forming the blocking key.
-        key_attrs: Vec<usize>,
-    },
-}
-
-/// Generate candidate pairs `(i, j)` with `i < j` under the strategy.
-pub fn candidate_pairs(table: &Table, strategy: &CandidateStrategy) -> Vec<(usize, usize)> {
-    match strategy {
-        CandidateStrategy::AllPairs => all_pairs(table.len()),
-        CandidateStrategy::SortedNeighborhood { key_attrs, window } => {
-            assert!(*window >= 2, "window must be at least 2");
-            let keys = render_keys(table, key_attrs);
-            window_pairs(&sorted_order(&keys), *window)
-        }
-        CandidateStrategy::KeyEquality { key_attrs } => {
-            group_pairs(&key_groups(table, key_attrs).1)
-        }
-    }
 }
 
 fn all_pairs(n: usize) -> Vec<(usize, usize)> {
@@ -111,113 +120,40 @@ fn window_pairs(order: &[usize], window: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Number the distinct keys; returns the numbering and each row's key
-/// group.
-fn key_groups(table: &Table, key_attrs: &[usize]) -> (HashMap<String, u32>, Vec<u32>) {
-    let mut groups: HashMap<String, u32> = HashMap::new();
-    let group_of_row = (0..table.len())
-        .map(|i| group_id(&mut groups, render_key(table, key_attrs, i)))
-        .collect();
-    (groups, group_of_row)
-}
-
-fn group_id(groups: &mut HashMap<String, u32>, key: String) -> u32 {
-    let next = u32::try_from(groups.len()).expect("fewer than 2^32 distinct keys");
-    *groups.entry(key).or_insert(next)
-}
-
-/// The members of the groups `wanted` selects (all groups for `None`),
-/// ascending, indexed by group.
-fn group_members(group_of_row: &[u32], wanted: Option<&[bool]>) -> Vec<Vec<usize>> {
-    let groups = group_of_row.iter().max().map_or(0, |&g| g as usize + 1);
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); groups];
-    for (i, &g) in group_of_row.iter().enumerate() {
-        if wanted.is_none_or(|w| w[g as usize]) {
-            members[g as usize].push(i);
-        }
-    }
-    members
-}
-
-/// Every pair of rows in one key group, sorted.
-fn group_pairs(group_of_row: &[u32]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for members in group_members(group_of_row, None) {
-        for (pos, &i) in members.iter().enumerate() {
-            for &j in &members[pos + 1..] {
-                out.push((i, j)); // members ascend, so i < j
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// A blocking strategy's state over one table — the key of every row and
-/// the order or groups they form — kept so that a delta finds the
-/// candidate pairs it changed without regenerating them all.
+/// A blocking strategy resolved against one table — under sorted
+/// neighbourhood, the key of every row and the order they form — kept so
+/// that a delta finds the candidate pairs it changed without regenerating
+/// them all. Built by [`resolve_candidate_strategy`].
 #[derive(Debug)]
-pub(crate) enum CandidateIndex {
-    /// Every pair is a candidate; nothing to keep.
-    AllPairs,
-    /// Rows in `(key, row)` order.
-    SortedNeighborhood {
-        key_attrs: Vec<usize>,
-        window: usize,
-        keys: Vec<String>,
-        order: Vec<usize>,
-    },
-    /// Rows by key group. A group whose rows all left stays numbered.
-    KeyEquality {
-        key_attrs: Vec<usize>,
-        groups: HashMap<String, u32>,
-        group_of_row: Vec<u32>,
-    },
+pub struct CandidateIndex {
+    /// `None` under all pairs: every pair is a candidate, nothing to keep.
+    sorted: Option<SortedKeys>,
+}
+
+/// Sorted-neighbourhood state: rows in `(key, row)` order.
+#[derive(Debug)]
+struct SortedKeys {
+    key_attrs: Vec<usize>,
+    window: usize,
+    keys: Vec<String>,
+    order: Vec<usize>,
 }
 
 impl CandidateIndex {
-    /// Index `table` under `strategy`.
-    pub(crate) fn new(table: &Table, strategy: &CandidateStrategy) -> Self {
-        match strategy {
-            CandidateStrategy::AllPairs => CandidateIndex::AllPairs,
-            CandidateStrategy::SortedNeighborhood { key_attrs, window } => {
-                assert!(*window >= 2, "window must be at least 2");
-                let keys = render_keys(table, key_attrs);
-                CandidateIndex::SortedNeighborhood {
-                    key_attrs: key_attrs.clone(),
-                    window: *window,
-                    order: sorted_order(&keys),
-                    keys,
-                }
-            }
-            CandidateStrategy::KeyEquality { key_attrs } => {
-                let (groups, group_of_row) = key_groups(table, key_attrs);
-                CandidateIndex::KeyEquality {
-                    key_attrs: key_attrs.clone(),
-                    groups,
-                    group_of_row,
-                }
-            }
-        }
-    }
-
-    /// Every candidate pair of the indexed table: [`candidate_pairs`], in
-    /// its order.
+    /// Every candidate pair of the indexed table of `rows` rows, sorted.
     pub(crate) fn pairs(&self, rows: usize) -> Vec<(usize, usize)> {
-        match self {
-            CandidateIndex::AllPairs => all_pairs(rows),
-            CandidateIndex::SortedNeighborhood { window, order, .. } => {
-                window_pairs(order, *window)
-            }
-            CandidateIndex::KeyEquality { group_of_row, .. } => group_pairs(group_of_row),
+        match &self.sorted {
+            None => all_pairs(rows),
+            Some(sn) => window_pairs(&sn.order, sn.window),
         }
     }
 
     /// Carry the index across a delta to `new`, and flag in `dirty` every
-    /// row whose candidate pairs may differ from its old ones: a row whose
-    /// key changed, and — under sorted neighbourhood — every row within
-    /// `window − 1` positions of a row's old position (deleted or moved)
-    /// or new position (inserted or moved).
+    /// row whose candidate pairs may differ from its old ones. Under all
+    /// pairs there is nothing to carry or flag; under sorted neighbourhood
+    /// those are a row whose key changed and every row within `window − 1`
+    /// positions of a row's old position (deleted or moved) or new position
+    /// (inserted or moved).
     ///
     /// Why the window suffices: if two rows that kept their keys change
     /// window status, the distance between them changed, so a row left
@@ -232,102 +168,80 @@ impl CandidateIndex {
         changes: &RowChanges<'_>,
         dirty: &mut [bool],
     ) {
-        match self {
-            CandidateIndex::AllPairs => {}
-            CandidateIndex::SortedNeighborhood {
-                key_attrs,
-                window,
-                keys,
-                order,
-            } => {
-                let reach = *window - 1;
-                // Rows leaving the order (old indices) and arriving (new).
-                let mut leaving: Vec<usize> = changes.deleted.clone();
-                let mut arriving: Vec<(String, usize)> = Vec::new();
-                for &(o, n) in &changes.updated {
-                    let key = render_key(new, key_attrs, n);
-                    if key != keys[o] {
-                        leaving.push(o);
-                        arriving.push((key, n));
-                        dirty[n] = true;
-                    }
-                }
-                for &n in &changes.inserted {
-                    arriving.push((render_key(new, key_attrs, n), n));
-                }
-                if leaving.is_empty() && arriving.is_empty() {
-                    return; // no delete, no insert: the row space is unchanged
-                }
-                let old_to_new = &changes.mapping.old_to_new;
-                let mut left = vec![false; old_to_new.len()];
-                for &o in &leaving {
-                    left[o] = true;
-                    let p = order
-                        .binary_search_by(|&r| (keys[r].as_str(), r).cmp(&(keys[o].as_str(), o)))
-                        .expect("an indexed row is in the order");
-                    for &r in &order[p.saturating_sub(reach)..(p + reach + 1).min(order.len())] {
-                        if let Some(n) = old_to_new[r] {
-                            dirty[n] = true;
-                        }
-                    }
-                }
-                let staying: Vec<usize> = order
-                    .iter()
-                    .filter(|&&o| !left[o])
-                    .map(|&o| old_to_new[o].expect("a staying row survives"))
-                    .collect();
-                changes.remap(keys);
-                let mut arrived: Vec<usize> = Vec::with_capacity(arriving.len());
-                for (key, n) in arriving {
-                    keys[n] = key;
-                    arrived.push(n);
-                }
-                arrived.sort_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
-                // Merge the two `(key, row)`-sorted runs.
-                let mut merged = Vec::with_capacity(staying.len() + arrived.len());
-                let mut positions = Vec::with_capacity(arrived.len());
-                let (mut s, mut a) = (0, 0);
-                while s < staying.len() || a < arrived.len() {
-                    let take_arrived = a < arrived.len()
-                        && (s == staying.len()
-                            || (keys[arrived[a]].as_str(), arrived[a])
-                                < (keys[staying[s]].as_str(), staying[s]));
-                    if take_arrived {
-                        positions.push(merged.len());
-                        merged.push(arrived[a]);
-                        a += 1;
-                    } else {
-                        merged.push(staying[s]);
-                        s += 1;
-                    }
-                }
-                *order = merged;
-                for p in positions {
-                    for &r in &order[p.saturating_sub(reach)..(p + reach + 1).min(order.len())] {
-                        dirty[r] = true;
-                    }
+        let Some(SortedKeys {
+            key_attrs,
+            window,
+            keys,
+            order,
+        }) = &mut self.sorted
+        else {
+            return;
+        };
+        let reach = *window - 1;
+        // Rows leaving the order (old indices) and arriving (new).
+        let mut leaving: Vec<usize> = changes.deleted.clone();
+        let mut arriving: Vec<(String, usize)> = Vec::new();
+        for &(o, n) in &changes.updated {
+            let key = render_key(new, key_attrs, n);
+            if key != keys[o] {
+                leaving.push(o);
+                arriving.push((key, n));
+                dirty[n] = true;
+            }
+        }
+        for &n in &changes.inserted {
+            arriving.push((render_key(new, key_attrs, n), n));
+        }
+        if leaving.is_empty() && arriving.is_empty() {
+            return; // no delete, no insert: the row space is unchanged
+        }
+        let old_to_new = &changes.mapping.old_to_new;
+        let mut left = vec![false; old_to_new.len()];
+        for &o in &leaving {
+            left[o] = true;
+            let p = order
+                .binary_search_by(|&r| (keys[r].as_str(), r).cmp(&(keys[o].as_str(), o)))
+                .expect("an indexed row is in the order");
+            for &r in &order[p.saturating_sub(reach)..(p + reach + 1).min(order.len())] {
+                if let Some(n) = old_to_new[r] {
+                    dirty[n] = true;
                 }
             }
-            CandidateIndex::KeyEquality {
-                key_attrs,
-                groups,
-                group_of_row,
-            } => {
-                let mut arrived: Vec<(usize, u32)> = Vec::new();
-                for &(o, n) in &changes.updated {
-                    let g = group_id(groups, render_key(new, key_attrs, n));
-                    if g != group_of_row[o] {
-                        arrived.push((n, g));
-                        dirty[n] = true;
-                    }
-                }
-                for &n in &changes.inserted {
-                    arrived.push((n, group_id(groups, render_key(new, key_attrs, n))));
-                }
-                changes.remap(group_of_row);
-                for (n, g) in arrived {
-                    group_of_row[n] = g;
-                }
+        }
+        let staying: Vec<usize> = order
+            .iter()
+            .filter(|&&o| !left[o])
+            .map(|&o| old_to_new[o].expect("a staying row survives"))
+            .collect();
+        changes.remap(keys);
+        let mut arrived: Vec<usize> = Vec::with_capacity(arriving.len());
+        for (key, n) in arriving {
+            keys[n] = key;
+            arrived.push(n);
+        }
+        arrived.sort_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
+        // Merge the two `(key, row)`-sorted runs.
+        let mut merged = Vec::with_capacity(staying.len() + arrived.len());
+        let mut positions = Vec::with_capacity(arrived.len());
+        let (mut s, mut a) = (0, 0);
+        while s < staying.len() || a < arrived.len() {
+            let take_arrived = a < arrived.len()
+                && (s == staying.len()
+                    || (keys[arrived[a]].as_str(), arrived[a])
+                        < (keys[staying[s]].as_str(), staying[s]));
+            if take_arrived {
+                positions.push(merged.len());
+                merged.push(arrived[a]);
+                a += 1;
+            } else {
+                merged.push(staying[s]);
+                s += 1;
+            }
+        }
+        *order = merged;
+        for p in positions {
+            for &r in &order[p.saturating_sub(reach)..(p + reach + 1).min(order.len())] {
+                dirty[r] = true;
             }
         }
     }
@@ -339,10 +253,10 @@ impl CandidateIndex {
         dirty: &[bool],
         dirty_rows: &[usize],
     ) -> Vec<(usize, usize)> {
-        let n = dirty.len();
         let mut out: Vec<(usize, usize)> = Vec::new();
-        match self {
-            CandidateIndex::AllPairs => {
+        match &self.sorted {
+            None => {
+                let n = dirty.len();
                 for (i, &is_dirty) in dirty.iter().enumerate() {
                     if is_dirty {
                         out.extend(((i + 1)..n).map(|j| (i, j)));
@@ -351,9 +265,9 @@ impl CandidateIndex {
                         out.extend(dirty_rows[start..].iter().map(|&j| (i, j)));
                     }
                 }
-                return out; // generated in order
+                // Generated in order.
             }
-            CandidateIndex::SortedNeighborhood { window, order, .. } => {
+            Some(SortedKeys { window, order, .. }) => {
                 for (p, &i) in order.iter().enumerate() {
                     if !dirty[i] {
                         continue;
@@ -369,25 +283,9 @@ impl CandidateIndex {
                         }
                     }
                 }
-            }
-            CandidateIndex::KeyEquality { group_of_row, .. } => {
-                let groups = group_of_row.iter().max().map_or(0, |&g| g as usize + 1);
-                let mut wanted = vec![false; groups];
-                for &i in dirty_rows {
-                    wanted[group_of_row[i] as usize] = true;
-                }
-                for members in group_members(group_of_row, Some(&wanted)) {
-                    for (pos, &i) in members.iter().enumerate() {
-                        for &j in &members[pos + 1..] {
-                            if dirty[i] || dirty[j] {
-                                out.push((i, j));
-                            }
-                        }
-                    }
-                }
+                out.sort_unstable();
             }
         }
-        out.sort_unstable();
         out
     }
 }
@@ -407,32 +305,33 @@ mod tests {
         }
     }
 
+    fn pairs(t: &Table, spec: &CandidateSpec) -> Vec<(usize, usize)> {
+        candidate_pairs(t, &resolve_candidate_strategy(t, spec).unwrap())
+    }
+
+    fn sn(window: usize) -> CandidateSpec {
+        CandidateSpec::SortedNeighborhood {
+            key: vec!["Name".into()],
+            window,
+        }
+    }
+
     #[test]
     fn all_pairs_count() {
-        let pairs = candidate_pairs(&t(), &CandidateStrategy::AllPairs);
+        let pairs = pairs(&t(), &CandidateSpec::AllPairs);
         assert_eq!(pairs.len(), 6); // C(4,2)
         assert!(pairs.iter().all(|&(i, j)| i < j));
     }
 
     #[test]
     fn sorted_neighborhood_pairs_close_keys() {
-        let s = CandidateStrategy::SortedNeighborhood {
-            key_attrs: vec![0],
-            window: 2,
-        };
-        let pairs = candidate_pairs(&t(), &s);
         // Sorted: alpha(1), alphb(2), delta(0), zeta(3) → neighbors only.
-        assert_eq!(pairs, vec![(0, 2), (0, 3), (1, 2)]);
+        assert_eq!(pairs(&t(), &sn(2)), vec![(0, 2), (0, 3), (1, 2)]);
     }
 
     #[test]
     fn window_covers_all_when_large() {
-        let s = CandidateStrategy::SortedNeighborhood {
-            key_attrs: vec![0],
-            window: 10,
-        };
-        let pairs = candidate_pairs(&t(), &s);
-        assert_eq!(pairs.len(), 6); // degenerates to all pairs
+        assert_eq!(pairs(&t(), &sn(10)).len(), 6); // degenerates to all pairs
     }
 
     #[test]
@@ -443,14 +342,8 @@ mod tests {
             rows.push(hummer_engine::row![format!("name{i:03}")]);
         }
         let t = hummer_engine::Table::from_rows("T", &["Name"], rows).unwrap();
-        let sn = candidate_pairs(
-            &t,
-            &CandidateStrategy::SortedNeighborhood {
-                key_attrs: vec![0],
-                window: 3,
-            },
-        );
-        let all = candidate_pairs(&t, &CandidateStrategy::AllPairs);
+        let sn = pairs(&t, &sn(3));
+        let all = pairs(&t, &CandidateSpec::AllPairs);
         assert!(sn.len() < all.len() / 5, "{} vs {}", sn.len(), all.len());
     }
 
@@ -462,55 +355,25 @@ mod tests {
             ["x"],
             [()],
         };
-        let s = CandidateStrategy::SortedNeighborhood {
-            key_attrs: vec![0],
+        let spec = CandidateSpec::SortedNeighborhood {
+            key: vec!["k".into()],
             window: 2,
         };
-        let pairs = candidate_pairs(&t, &s);
-        assert!(pairs.contains(&(0, 2))); // the two null-keyed rows pair up
+        assert!(pairs(&t, &spec).contains(&(0, 2))); // the two null-keyed rows pair up
     }
 
     #[test]
-    #[should_panic(expected = "window must be at least 2")]
-    fn tiny_window_panics() {
-        candidate_pairs(
-            &t(),
-            &CandidateStrategy::SortedNeighborhood {
-                key_attrs: vec![0],
-                window: 1,
-            },
-        );
+    fn unknown_key_errors() {
+        let spec = CandidateSpec::SortedNeighborhood {
+            key: vec!["Nope".into()],
+            window: 3,
+        };
+        assert!(resolve_candidate_strategy(&t(), &spec).is_err());
     }
 
     #[test]
     fn empty_table_no_pairs() {
         let t = table! { "E" => ["a"]; };
-        assert!(candidate_pairs(&t, &CandidateStrategy::AllPairs).is_empty());
-    }
-
-    #[test]
-    fn key_equality_pairs_only_equal_keys() {
-        let t = table! {
-            "T" => ["k"];
-            ["Alpha"],
-            ["beta"],
-            ["alpha"],   // equal to row 0 after lowercasing
-            ["beta"],
-            ["gamma"],
-        };
-        let pairs = candidate_pairs(&t, &CandidateStrategy::KeyEquality { key_attrs: vec![0] });
-        assert_eq!(pairs, vec![(0, 2), (1, 3)]);
-    }
-
-    #[test]
-    fn key_equality_null_keys_group_together() {
-        let t = table! {
-            "T" => ["k"];
-            [()],
-            ["x"],
-            [()],
-        };
-        let pairs = candidate_pairs(&t, &CandidateStrategy::KeyEquality { key_attrs: vec![0] });
-        assert_eq!(pairs, vec![(0, 2)]);
+        assert!(pairs(&t, &CandidateSpec::AllPairs).is_empty());
     }
 }

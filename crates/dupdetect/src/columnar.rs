@@ -328,10 +328,15 @@ pub fn score_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocking::{candidate_pairs, CandidateStrategy};
+    use crate::blocking::{candidate_pairs, resolve_candidate_strategy, CandidateSpec};
     use crate::detector::resolve_attributes;
     use crate::testworlds;
     use hummer_engine::table;
+
+    fn all_pairs(t: &Table) -> Vec<(usize, usize)> {
+        let index = resolve_candidate_strategy(t, &CandidateSpec::AllPairs).unwrap();
+        candidate_pairs(t, &index)
+    }
 
     fn bits(pairs: &[DuplicatePair]) -> Vec<(usize, usize, u64)> {
         pairs
@@ -392,22 +397,22 @@ mod tests {
     /// keyed on the first compared attribute.
     fn scorers_agree(t: &Table, cfg: &DetectorConfig, what: &str) {
         let attrs = resolve_attributes(t, cfg).unwrap();
-        let strategies = [
-            CandidateStrategy::AllPairs,
-            CandidateStrategy::SortedNeighborhood {
-                key_attrs: vec![attrs[0]],
+        let specs = [
+            CandidateSpec::AllPairs,
+            CandidateSpec::SortedNeighborhood {
+                key: vec![t.schema().column(attrs[0]).name.clone()],
                 window: 15,
             },
         ];
         let measure = TupleSimilarity::new(t, attrs);
-        for strategy in &strategies {
-            let candidates = candidate_pairs(t, strategy);
+        for spec in &specs {
+            let candidates = candidate_pairs(t, &resolve_candidate_strategy(t, spec).unwrap());
             for use_filter in [true, false] {
                 let cfg = DetectorConfig {
                     use_filter,
                     ..cfg.clone()
                 };
-                let what = format!("{what}, {strategy:?}, filter {use_filter}");
+                let what = format!("{what}, {spec:?}, filter {use_filter}");
                 scorers_agree_on(t, &measure, &cfg, &candidates, &what);
             }
         }
@@ -505,7 +510,7 @@ mod tests {
             ["marc jones", "abce"],
         };
         let measure = TupleSimilarity::new(&t, vec![0, 1]);
-        let candidates = candidate_pairs(&t, &CandidateStrategy::AllPairs);
+        let candidates = all_pairs(&t);
         let mut edges = 0;
         for &(i, j) in &candidates {
             for edge in [measure.upper_bound(&t, i, j), measure.similarity(&t, i, j)] {
@@ -538,7 +543,7 @@ mod tests {
         let attrs = resolve_attributes(&t, &cfg).unwrap();
         let measure = TupleSimilarity::new(&t, attrs);
         let col = &measure.cols[0];
-        let candidates: Vec<(usize, usize)> = candidate_pairs(&t, &CandidateStrategy::AllPairs)
+        let candidates: Vec<(usize, usize)> = all_pairs(&t)
             .into_iter()
             .filter(|&(i, j)| col.matched(i, j))
             .collect();
@@ -575,7 +580,7 @@ mod tests {
             text_attrs >= 2,
             "nothing to stage with {text_attrs} text attribute"
         );
-        let candidates = candidate_pairs(&t, &CandidateStrategy::AllPairs);
+        let candidates = all_pairs(&t);
         let scored = score_candidates(&t, &measure, &cfg, &candidates, Parallelism::sequential());
         assert!(
             2 * scored.cut_short >= scored.compared,

@@ -1,7 +1,7 @@
 //! The duplicate detector: candidate generation → filter → pairwise
 //! comparison → threshold classification → transitive closure → `objectID`.
 
-use crate::blocking::{candidate_pairs, CandidateStrategy};
+use crate::blocking::{candidate_pairs, resolve_candidate_strategy, CandidateSpec};
 use crate::columnar::score_candidates;
 use crate::heuristics::{select_attributes, HeuristicConfig};
 use crate::measure::TupleSimilarity;
@@ -14,52 +14,6 @@ use hummer_par::Parallelism;
 /// duplicate detection is the same as the input relation, but enriched by
 /// an objectID column for identification" (paper §2.3).
 pub const OBJECT_ID_COLUMN: &str = "objectID";
-
-/// Candidate generation specified by column *names* (resolved against the
-/// input table at detection time).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CandidateSpec {
-    /// Compare every pair.
-    AllPairs,
-    /// Sorted-neighborhood blocking over the given key columns.
-    SortedNeighborhood {
-        /// Key column names (sort key is their concatenated rendering).
-        key: Vec<String>,
-        /// Window width (≥ 2).
-        window: usize,
-    },
-    /// Disjoint blocking over the given key columns: only rows with equal
-    /// rendered keys are candidates. The candidate graph splits into
-    /// per-key cliques.
-    KeyEquality {
-        /// Blocking key column names.
-        key: Vec<String>,
-    },
-}
-
-/// Resolve a [`CandidateSpec`] (column *names*) into a
-/// [`CandidateStrategy`] (column *indices*) against `table`. Public so
-/// callers that generate candidates themselves (the incremental property
-/// tests, the hbench layer probes) get exactly the detector's set.
-pub fn resolve_candidate_strategy(
-    table: &Table,
-    spec: &CandidateSpec,
-) -> Result<CandidateStrategy> {
-    let resolve_keys =
-        |key: &[String]| -> Result<Vec<usize>> { key.iter().map(|n| table.resolve(n)).collect() };
-    Ok(match spec {
-        CandidateSpec::AllPairs => CandidateStrategy::AllPairs,
-        CandidateSpec::SortedNeighborhood { key, window } => {
-            CandidateStrategy::SortedNeighborhood {
-                key_attrs: resolve_keys(key)?,
-                window: *window,
-            }
-        }
-        CandidateSpec::KeyEquality { key } => CandidateStrategy::KeyEquality {
-            key_attrs: resolve_keys(key)?,
-        },
-    })
-}
 
 /// Detector configuration.
 #[derive(Debug, Clone)]
@@ -295,9 +249,8 @@ pub fn detect_duplicates(
 ) -> Result<DetectionResult> {
     check_thresholds(cfg)?;
     let attrs = resolve_attributes(table, cfg)?;
-    let strategy = resolve_candidate_strategy(table, &cfg.candidates)?;
+    let candidates = candidate_pairs(table, &resolve_candidate_strategy(table, &cfg.candidates)?);
     let measure = TupleSimilarity::new(table, attrs);
-    let candidates = candidate_pairs(table, &strategy);
     Ok(detect_candidates(table, &measure, &candidates, cfg, par))
 }
 
@@ -365,12 +318,17 @@ pub(crate) fn detect_candidates(
 /// Rows are assembled once at their final width instead of cloning the
 /// table and growing each row by a push (which reallocated every row,
 /// since a cloned `Vec`'s capacity equals its length).
+///
+/// Errors when `result` does not describe `table` (its row count differs).
 pub fn annotate_object_ids(table: &Table, result: &DetectionResult) -> Result<Table> {
-    assert_eq!(
-        table.len(),
-        result.cluster_ids.len(),
-        "detection result must describe this table"
-    );
+    if table.len() != result.cluster_ids.len() {
+        return Err(EngineError::Expression(format!(
+            "detection result describes {} rows, table `{}` has {}",
+            result.cluster_ids.len(),
+            table.name(),
+            table.len()
+        )));
+    }
     let schema = table
         .schema()
         .with_column(Column::new(OBJECT_ID_COLUMN, ColumnType::Int))?;
@@ -434,6 +392,13 @@ mod tests {
         let oid = annotated.resolve(OBJECT_ID_COLUMN).unwrap();
         assert_eq!(annotated.cell(0, oid), annotated.cell(1, oid));
         assert_ne!(annotated.cell(0, oid), annotated.cell(5, oid));
+    }
+
+    #[test]
+    fn annotating_another_table_errors() {
+        let r = detect_duplicates(&people(), &cfg(), Parallelism::sequential()).unwrap();
+        let shorter = table! { "T" => ["Name"]; ["x"] };
+        assert!(annotate_object_ids(&shorter, &r).is_err());
     }
 
     #[test]

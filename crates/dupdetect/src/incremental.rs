@@ -65,12 +65,11 @@
 //! The index remembers the [`DetectorConfig`] it was built with; the old
 //! result must come from that configuration.
 
-use crate::blocking::CandidateIndex;
+use crate::blocking::{resolve_candidate_strategy, CandidateIndex};
 use crate::columnar::score_candidates;
 use crate::detector::{
-    attribute_names, attributes_from, check_thresholds, detect_candidates,
-    resolve_candidate_strategy, sort_pairs_canonical, DetectionResult, DetectionStats,
-    DetectorConfig, DuplicatePair,
+    attribute_names, attributes_from, check_thresholds, detect_candidates, sort_pairs_canonical,
+    DetectionResult, DetectionStats, DetectorConfig, DuplicatePair,
 };
 use crate::heuristics::{select_from_scores, AttributeScore, SelectionCounts};
 use crate::measure::{ColumnCounts, TupleSimilarity};
@@ -258,7 +257,7 @@ pub struct DeltaDetectionStats {
 /// Everything incremental detection reads about one table besides the old
 /// result: the measure together with the counts behind its weights, the
 /// per-column counts attribute selection reads, and the blocking
-/// strategy's key order or key groups — kept across deltas so that a delta
+/// strategy's key order — kept across deltas so that a delta
 /// costs its delta (see the module docs).
 ///
 /// An index is built once ([`DetectionIndex::build`]) and then carried:
@@ -291,7 +290,7 @@ impl DetectionIndex {
             let scores = selection.as_ref().expect("counted above").scores();
             select_from_scores(scores, &cfg.heuristics)
         })?;
-        let strategy = resolve_candidate_strategy(table, &cfg.candidates)?;
+        let candidates = resolve_candidate_strategy(table, &cfg.candidates)?;
         let (measure, counts) = TupleSimilarity::with_counts(table, attrs);
         Ok(DetectionIndex {
             cfg: cfg.clone(),
@@ -299,7 +298,7 @@ impl DetectionIndex {
             selection,
             measure,
             counts,
-            candidates: CandidateIndex::new(table, &strategy),
+            candidates,
         })
     }
 
@@ -688,8 +687,8 @@ mod tests {
             bits(scratch.attribute_scores())
         );
         assert_eq!(index.candidates(), scratch.candidates());
-        let strategy = resolve_candidate_strategy(table, &cfg.candidates).unwrap();
-        assert_eq!(index.candidates(), crate::candidate_pairs(table, &strategy));
+        let fresh = resolve_candidate_strategy(table, &cfg.candidates).unwrap();
+        assert_eq!(index.candidates(), crate::candidate_pairs(table, &fresh));
     }
 
     /// The dirty set the old detector found by building both measures from
@@ -1264,28 +1263,6 @@ mod tests {
         check_delta(&after, &inserted, &mapping, &sn);
         let (deleted, mapping) = delete(&inserted, 17);
         check_delta(&inserted, &deleted, &mapping, &sn);
-    }
-
-    /// Under key-equality blocking a row joining another key group pairs
-    /// with its new group and leaves its old one.
-    #[test]
-    fn key_equality_rows_change_groups() {
-        let before = roster(200);
-        // The key is not compared, so only the move itself dirties a row.
-        let ke = DetectorConfig {
-            candidates: CandidateSpec::KeyEquality {
-                key: vec!["Town".into()],
-            },
-            ..named(&["Name", "Age"])
-        };
-        let (after, mapping) = update(&before, 11, row("person11 family11", "Bremen", 31));
-        let stats = check_delta(&before, &after, &mapping, &ke);
-        assert!(!stats.full_rescore, "{stats:?}");
-        assert_eq!(stats.dirty_rows, 1);
-        let (inserted, mapping) = insert(&after, row("person11 family11", "Nowhere", 31));
-        check_delta(&after, &inserted, &mapping, &ke);
-        let (deleted, mapping) = delete(&inserted, 0);
-        check_delta(&inserted, &deleted, &mapping, &ke);
     }
 
     /// Sorted neighbourhood used to fall back to a full rescore on every

@@ -65,12 +65,12 @@ mod renderings;
 mod testworlds;
 pub mod unionfind;
 
-pub use blocking::{candidate_pairs, render_key, CandidateStrategy};
+pub use blocking::{candidate_pairs, resolve_candidate_strategy, CandidateIndex, CandidateSpec};
 pub use columnar::{score_candidates, PAIR_BLOCK};
 pub use detector::{
-    annotate_object_ids, detect_duplicates, resolve_attributes, resolve_candidate_strategy,
-    sort_pairs_canonical, CandidateSpec, DetectionResult, DetectionStats, DetectorConfig,
-    DuplicatePair, ScoredCandidates, OBJECT_ID_COLUMN,
+    annotate_object_ids, detect_duplicates, resolve_attributes, sort_pairs_canonical,
+    DetectionResult, DetectionStats, DetectorConfig, DuplicatePair, ScoredCandidates,
+    OBJECT_ID_COLUMN,
 };
 pub use heuristics::{score_attributes, select_attributes, AttributeScore, HeuristicConfig};
 pub use hummer_par::Parallelism;

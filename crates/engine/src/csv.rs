@@ -9,7 +9,6 @@ use crate::row::Row;
 use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
-use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
 /// Parse one CSV record from `input` starting at `pos`, honoring quoted
@@ -117,10 +116,7 @@ pub fn read_csv_str(name: &str, content: &str) -> Result<Table> {
 
 /// Read a CSV file into a table named `name`.
 pub fn read_csv_file(name: &str, path: impl AsRef<Path>) -> Result<Table> {
-    let mut reader = BufReader::new(std::fs::File::open(path)?);
-    let mut content = String::new();
-    reader.read_to_string(&mut content)?;
-    read_csv_str(name, &content)
+    read_csv_str(name, &std::fs::read_to_string(path)?)
 }
 
 /// Quote a field if it contains separators, quotes, or newlines.
@@ -153,21 +149,6 @@ pub fn write_csv_str(table: &Table) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Write a table to a CSV file.
-pub fn write_csv_file(table: &Table, path: impl AsRef<Path>) -> Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    f.write_all(write_csv_str(table).as_bytes())?;
-    f.flush()?;
-    Ok(())
-}
-
-/// Read CSV from any reader.
-pub fn read_csv<R: Read>(name: &str, reader: R) -> Result<Table> {
-    let mut content = String::new();
-    BufReader::new(reader).read_to_string(&mut content)?;
-    read_csv_str(name, &content)
 }
 
 #[cfg(test)]
@@ -264,7 +245,7 @@ mod tests {
             [1, "a"],
             [(), "b,c"],
         };
-        write_csv_file(&t, &path).unwrap();
+        std::fs::write(&path, write_csv_str(&t)).unwrap();
         let back = read_csv_file("T", &path).unwrap();
         assert_eq!(back.rows(), t.rows());
         std::fs::remove_file(path).ok();

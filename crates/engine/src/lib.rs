@@ -9,8 +9,8 @@
 //! * [`schema::Schema`] / [`table::Table`] with arity and name invariants,
 //! * scalar [`expr::Expr`]essions with three-valued logic (`WHERE`/`HAVING`),
 //! * materialized operators in [`ops`]: selection, projection, joins
-//!   (nested-loop, hash, cross), `UNION`, **full outer union** (the basis of
-//!   `FUSE FROM`), sorting, grouping with SQL aggregates, distinct, limit,
+//!   (nested-loop, hash, cross), **full outer union** (the basis of
+//!   `FUSE FROM`), sorting, grouping with SQL aggregates, limit,
 //! * CSV ingestion/serialization in [`csv`],
 //! * the bit-exact binary codec in [`codec`] (the byte layer under the
 //!   durable catalog store).

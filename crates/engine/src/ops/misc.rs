@@ -1,4 +1,4 @@
-//! Projection, renaming, duplicate elimination, limit.
+//! Projection, renaming, limit.
 
 use crate::expr::Expr;
 use crate::row::Row;
@@ -6,18 +6,6 @@ use crate::schema::{Column, Schema};
 use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
-use std::collections::HashSet;
-
-/// Project onto the named columns, in the given order (π).
-pub fn project_named<S: AsRef<str>>(table: &Table, columns: &[S]) -> Result<Table> {
-    let indices: Vec<usize> = columns
-        .iter()
-        .map(|c| table.resolve(c.as_ref()))
-        .collect::<Result<_>>()?;
-    let schema = table.schema().project(&indices)?;
-    let rows = table.rows().iter().map(|r| r.project(&indices)).collect();
-    Table::new(table.name(), schema, rows)
-}
 
 /// Generalized projection: each output column is `(alias, expression)`.
 pub fn project(table: &Table, columns: &[(String, Expr)]) -> Result<Table> {
@@ -47,19 +35,6 @@ pub fn rename_column(table: &Table, from: &str, to: &str) -> Result<Table> {
     Table::new(table.name(), schema, table.rows().to_vec())
 }
 
-/// Remove duplicate rows (SQL `SELECT DISTINCT`), keeping first occurrences
-/// in order. `NULL`s compare equal to each other here, as in `DISTINCT`.
-pub fn distinct(table: &Table) -> Table {
-    let mut seen: HashSet<Row> = HashSet::with_capacity(table.len());
-    let mut out = Table::empty(table.name(), table.schema().clone());
-    for row in table.rows() {
-        if seen.insert(row.clone()) {
-            out.push(row.clone()).expect("same schema");
-        }
-    }
-    out
-}
-
 /// Keep the first `n` rows.
 pub fn limit(table: &Table, n: usize) -> Table {
     let rows = table.rows().iter().take(n).cloned().collect();
@@ -78,18 +53,6 @@ mod tests {
             [2, "y"],
             [1, "x"],
         }
-    }
-
-    #[test]
-    fn project_named_reorders() {
-        let p = project_named(&t(), &["b", "a"]).unwrap();
-        assert_eq!(p.schema().names(), vec!["b", "a"]);
-        assert_eq!(p.cell(0, 0), &Value::text("x"));
-    }
-
-    #[test]
-    fn project_named_unknown_column() {
-        assert!(project_named(&t(), &["zz"]).is_err());
     }
 
     #[test]
@@ -114,22 +77,6 @@ mod tests {
         assert_eq!(r.schema().names(), vec!["alpha", "b"]);
         assert!(rename_column(&t(), "zz", "x").is_err());
         assert!(rename_column(&t(), "a", "b").is_err());
-    }
-
-    #[test]
-    fn distinct_keeps_first() {
-        let d = distinct(&t());
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.cell(0, 0), &Value::Int(1));
-    }
-
-    #[test]
-    fn distinct_treats_nulls_equal() {
-        let t = table! {
-            "N" => ["x"];
-            [()], [()],
-        };
-        assert_eq!(distinct(&t).len(), 1);
     }
 
     #[test]

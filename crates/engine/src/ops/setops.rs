@@ -8,48 +8,11 @@
 //! semantically corresponding columns share a name by the time this operator
 //! runs (§2.2: "the full outer union of all tables is computed").
 
-use crate::error::EngineError;
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
-use std::collections::HashSet;
-
-/// `UNION ALL`: same-arity inputs, columns aligned by position, left schema
-/// wins. Errors when arities differ.
-pub fn union_all(left: &Table, right: &Table) -> Result<Table> {
-    if left.schema().len() != right.schema().len() {
-        return Err(EngineError::SchemaMismatch(format!(
-            "UNION arity mismatch: {} vs {} columns",
-            left.schema().len(),
-            right.schema().len()
-        )));
-    }
-    let mut out = Table::empty(left.name(), left.schema().clone());
-    for r in left.rows().iter().chain(right.rows()) {
-        out.push(r.clone())?;
-    }
-    Ok(out)
-}
-
-/// `UNION` (distinct): [`union_all`] followed by duplicate elimination.
-pub fn union_distinct(left: &Table, right: &Table) -> Result<Table> {
-    let all = union_all(left, right)?;
-    let mut seen: HashSet<Row> = HashSet::with_capacity(all.len());
-    let mut out = Table::empty(all.name(), all.schema().clone());
-    for r in all.rows() {
-        if seen.insert(r.clone()) {
-            out.push(r.clone())?;
-        }
-    }
-    Ok(out)
-}
-
-/// Full outer union of two tables (columns aligned by name).
-pub fn outer_union_pair(left: &Table, right: &Table) -> Result<Table> {
-    outer_union(&[left, right], &format!("{}∪{}", left.name(), right.name()))
-}
 
 /// Full outer union of any number of tables, aligned by column name.
 ///
@@ -105,31 +68,8 @@ mod tests {
     }
 
     #[test]
-    fn union_all_concatenates() {
-        let a = table! { "A" => ["x"]; [1] };
-        let b = table! { "B" => ["y"]; [2] };
-        let u = union_all(&a, &b).unwrap();
-        assert_eq!(u.len(), 2);
-        assert_eq!(u.schema().names(), vec!["x"]); // left schema wins
-    }
-
-    #[test]
-    fn union_arity_mismatch_errors() {
-        let a = table! { "A" => ["x"]; [1] };
-        let b = table! { "B" => ["y", "z"]; [2, 3] };
-        assert!(union_all(&a, &b).is_err());
-    }
-
-    #[test]
-    fn union_distinct_dedups() {
-        let a = table! { "A" => ["x"]; [1], [2] };
-        let b = table! { "B" => ["x"]; [2], [3] };
-        assert_eq!(union_distinct(&a, &b).unwrap().len(), 3);
-    }
-
-    #[test]
     fn outer_union_aligns_by_name_and_pads() {
-        let u = outer_union_pair(&ee(), &cs()).unwrap();
+        let u = outer_union(&[&ee(), &cs()], "U").unwrap();
         assert_eq!(u.schema().names(), vec!["Name", "Age", "Semester"]);
         assert_eq!(u.len(), 4);
         // EE rows have NULL semester
@@ -149,7 +89,7 @@ mod tests {
     #[test]
     fn outer_union_of_identical_schemas_is_union_all() {
         let a = ee();
-        let u = outer_union_pair(&a, &a).unwrap();
+        let u = outer_union(&[&a, &a], "U").unwrap();
         assert_eq!(u.schema().names(), vec!["Name", "Age"]);
         assert_eq!(u.len(), 4);
     }
@@ -165,7 +105,7 @@ mod tests {
     fn outer_union_is_case_insensitive_on_names() {
         let a = table! { "A" => ["Name"]; ["x"] };
         let b = table! { "B" => ["name"]; ["y"] };
-        let u = outer_union_pair(&a, &b).unwrap();
+        let u = outer_union(&[&a, &b], "U").unwrap();
         assert_eq!(u.schema().len(), 1);
         assert_eq!(u.len(), 2);
         assert_eq!(u.cell(1, 0), &Value::text("y"));

@@ -95,12 +95,16 @@ pub fn add_source_id(table: &Table, alias: &str) -> Result<Table> {
 /// then built once at its final width, reading each source cell where the
 /// union schema maps it, `NULL` where the source lacks the column, and the
 /// source alias for `sourceID`. No intermediate table is materialized.
+///
+/// Errors when `matches` does not hold one result per non-preferred table.
 pub fn integrate(tables: &[&Table], matches: &[MatchResult], name: &str) -> Result<Table> {
-    assert_eq!(
-        matches.len() + 1,
-        tables.len().max(1),
-        "need one match result per non-preferred table"
-    );
+    if matches.len() + 1 != tables.len().max(1) {
+        return Err(EngineError::Expression(format!(
+            "need one match result per non-preferred table: {} tables, {} match results",
+            tables.len(),
+            matches.len()
+        )));
+    }
     let mut schemas: Vec<Schema> = Vec::with_capacity(tables.len());
     for (i, t) in tables.iter().enumerate() {
         let schema = if i == 0 {
@@ -273,10 +277,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one match result per")]
-    fn integrate_wrong_match_count_panics() {
+    fn integrate_wrong_match_count_errors() {
         let e = ee();
         let c = cs();
-        let _ = integrate(&[&e, &c], &[], "U");
+        let err = integrate(&[&e, &c], &[], "U").unwrap_err();
+        assert!(err.to_string().contains("one match result per"), "{err}");
     }
 }

@@ -57,7 +57,7 @@ mod vecs;
 pub use hist::{bucket_count, bucket_index, bucket_upper_edge, Histogram, HistogramSnapshot};
 pub use prom::PromText;
 pub use span::{Span, SpanRecord, TraceNode, TraceTree, Tracer};
-pub use vecs::{Counter, CounterVec, HistogramVec};
+pub use vecs::HistogramVec;
 
 /// Observability knob carried on `HummerConfig`.
 ///

@@ -191,27 +191,6 @@ impl Tracer {
             orphans,
         })
     }
-
-    /// Trace ids of the most recently completed root spans, newest first,
-    /// up to `limit`.
-    pub fn recent_traces(&self, limit: usize) -> Vec<u64> {
-        match &self.shared {
-            None => Vec::new(),
-            Some(shared) => {
-                let ring = shared.ring.lock().expect("obs ring poisoned");
-                let mut out = Vec::new();
-                for r in ring.records.iter().rev() {
-                    if r.parent.is_none() && !out.contains(&r.trace) {
-                        out.push(r.trace);
-                        if out.len() == limit {
-                            break;
-                        }
-                    }
-                }
-                out
-            }
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -446,20 +425,5 @@ mod tests {
             None => {}
             Some(t) => assert_eq!(t.orphans, t.roots.len()),
         }
-    }
-
-    #[test]
-    fn recent_traces_returns_roots_newest_first() {
-        let tracer = Tracer::with_capacity(16);
-        let a = {
-            let s = tracer.trace("a");
-            s.trace_id().unwrap()
-        };
-        let b = {
-            let s = tracer.trace("b");
-            s.trace_id().unwrap()
-        };
-        assert_eq!(tracer.recent_traces(10), vec![b, a]);
-        assert_eq!(tracer.recent_traces(1), vec![b]);
     }
 }

@@ -1,35 +1,8 @@
-//! Labeled metric families: lock-free counters and histogram vectors.
+//! Labeled metric families: histogram vectors.
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-/// A monotonically increasing lock-free counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// A family of [`Histogram`]s keyed by label values. Lookups take a read
 /// lock on the label map and return a shared handle; recording through
@@ -65,51 +38,9 @@ impl HistogramVec {
     }
 }
 
-/// A family of [`Counter`]s keyed by label values.
-#[derive(Debug, Default)]
-pub struct CounterVec {
-    inner: RwLock<BTreeMap<Vec<String>, Arc<Counter>>>,
-}
-
-impl CounterVec {
-    /// An empty family.
-    pub fn new() -> Self {
-        CounterVec::default()
-    }
-
-    /// The counter for the given label values, created on first use.
-    pub fn with(&self, labels: &[&str]) -> Arc<Counter> {
-        let key: Vec<String> = labels.iter().map(|s| s.to_string()).collect();
-        {
-            let map = self.inner.read().expect("obs counter vec poisoned");
-            if let Some(c) = map.get(&key) {
-                return Arc::clone(c);
-            }
-        }
-        let mut map = self.inner.write().expect("obs counter vec poisoned");
-        Arc::clone(map.entry(key).or_default())
-    }
-
-    /// Read every labeled counter, sorted by label values.
-    pub fn snapshot(&self) -> Vec<(Vec<String>, u64)> {
-        let map = self.inner.read().expect("obs counter vec poisoned");
-        map.iter().map(|(k, c)| (k.clone(), c.get())).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_vec_keys_by_labels() {
-        let v = CounterVec::new();
-        v.with(&["a"]).inc();
-        v.with(&["a"]).add(2);
-        v.with(&["b"]).inc();
-        let snap = v.snapshot();
-        assert_eq!(snap, vec![(vec!["a".into()], 3), (vec!["b".into()], 1)]);
-    }
 
     #[test]
     fn histogram_vec_shares_handles() {

@@ -11,27 +11,6 @@ pub trait Catalog {
     fn table(&self, alias: &str) -> Option<&Table>;
 }
 
-// Smart pointers and references forward to the pointee, so a catalog can be
-// shared across threads (e.g. `Arc<TableSet>` in a long-lived query service)
-// and still be passed wherever `&dyn Catalog` is expected.
-impl<C: Catalog + ?Sized> Catalog for &C {
-    fn table(&self, alias: &str) -> Option<&Table> {
-        (**self).table(alias)
-    }
-}
-
-impl<C: Catalog + ?Sized> Catalog for Arc<C> {
-    fn table(&self, alias: &str) -> Option<&Table> {
-        (**self).table(alias)
-    }
-}
-
-impl<C: Catalog + ?Sized> Catalog for Box<C> {
-    fn table(&self, alias: &str) -> Option<&Table> {
-        (**self).table(alias)
-    }
-}
-
 /// A table paired with a monotonically increasing content version.
 ///
 /// Concurrent readers (a fusion service's worker threads) snapshot the
@@ -194,13 +173,6 @@ impl Catalog for TableSet {
     }
 }
 
-impl Catalog for HashMap<String, Table> {
-    fn table(&self, alias: &str) -> Option<&Table> {
-        self.get(alias)
-            .or_else(|| self.get(&alias.to_ascii_lowercase()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,18 +195,6 @@ mod tests {
         let t = c.table("Alias1").unwrap();
         assert_eq!(t.name(), "alias1");
         assert_eq!(c.aliases(), vec!["alias1"]);
-    }
-
-    #[test]
-    fn shared_catalogs_forward() {
-        let mut c = TableSet::new();
-        c.add(table! { "T" => ["x"]; [1] });
-        let shared = Arc::new(c);
-        assert!(shared.table("t").is_some());
-        let by_ref: &TableSet = &shared;
-        assert!(by_ref.table("T").is_some());
-        let boxed: Box<dyn Catalog> = Box::new(TableSet::new());
-        assert!(boxed.table("t").is_none());
     }
 
     #[test]
@@ -280,13 +240,5 @@ mod tests {
         v.register("a", table! { "X" => ["a"]; [1] });
         let names: Vec<&str> = v.entries().iter().map(|e| e.table.name()).collect();
         assert_eq!(names, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn hashmap_catalog() {
-        let mut m: HashMap<String, Table> = HashMap::new();
-        m.insert("t".into(), table! { "t" => ["x"]; [1] });
-        assert!(Catalog::table(&m, "t").is_some());
-        assert!(Catalog::table(&m, "T").is_some());
     }
 }

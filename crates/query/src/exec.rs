@@ -88,11 +88,7 @@ pub fn execute(
 /// Step 2 of execution: combine the fetched tables — `FUSE FROM` tags each
 /// with `sourceID` and takes the full outer union, plain `FROM` takes the
 /// cross product.
-///
-/// Exposed so callers that materialize the combination elsewhere (e.g. a
-/// serving layer with a prepared-pipeline cache) can hand an
-/// already-integrated table straight to [`execute_combined`].
-pub fn combine_tables(query: &FuseQuery, tables: &[Table]) -> Result<Table> {
+fn combine_tables(query: &FuseQuery, tables: &[Table]) -> Result<Table> {
     if tables.is_empty() {
         return Err(QueryError::Semantic("query references no tables".into()));
     }

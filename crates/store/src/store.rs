@@ -384,16 +384,6 @@ impl CatalogStore {
         self.shared.committer()
     }
 
-    /// Hand out the next content version (for callers without their own
-    /// version counter, e.g. the metadata repository). Callers with one
-    /// (the server's versioned catalog) log their own versions instead;
-    /// both paths keep this clock consistent because every logged version
-    /// advances it.
-    pub fn allocate_version(&mut self) -> u64 {
-        self.version_clock += 1;
-        self.version_clock
-    }
-
     /// Log a registration (or replacement) of `alias` at `version`.
     /// Durable once this returns — call *before* acking the mutation.
     pub fn log_register(&mut self, alias: &str, version: u64, table: &Table) -> Result<()> {
@@ -885,7 +875,7 @@ mod tests {
         {
             let (store, _) = CatalogStore::open(&dir, options.clone()).unwrap();
             let committer = store.committer();
-            let store = std::sync::Mutex::new(store);
+            let store = std::sync::Mutex::new((store, 0u64));
             std::thread::scope(|s| {
                 for _ in 0..4 {
                     s.spawn(|| {
@@ -894,8 +884,10 @@ mod tests {
                             // (standing in for the server's catalog write
                             // lock), wait for durability outside it.
                             let (version, ticket) = {
-                                let mut st = store.lock().unwrap();
-                                let v = st.allocate_version();
+                                let mut guard = store.lock().unwrap();
+                                let (st, last) = &mut *guard;
+                                *last += 1;
+                                let v = *last;
                                 let t = st
                                     .enqueue_register(&format!("T{v}"), v, &students())
                                     .unwrap();
@@ -908,10 +900,10 @@ mod tests {
                     });
                 }
             });
-            let stats = store.lock().unwrap().stats();
+            let stats = store.lock().unwrap().0.stats();
             assert_eq!(stats.wal_records, 20);
             assert!(stats.group_commits >= 1 && stats.group_commits <= 20);
-            let batches = store.lock().unwrap().batch_histogram().snapshot();
+            let batches = store.lock().unwrap().0.batch_histogram().snapshot();
             assert_eq!(batches.count(), stats.group_commits);
             assert_eq!(batches.sum(), 20, "every record lands in some batch");
         }
@@ -1007,9 +999,15 @@ mod tests {
             let (mut store, _) = CatalogStore::open(&dir, StoreOptions::default()).unwrap();
             store.log_register("A", 7, &students()).unwrap();
         }
-        let (mut store, recovery) = CatalogStore::open(&dir, StoreOptions::default()).unwrap();
-        assert_eq!(recovery.last_version, 7);
-        assert_eq!(store.allocate_version(), 8);
+        {
+            let (mut store, recovery) = CatalogStore::open(&dir, StoreOptions::default()).unwrap();
+            assert_eq!(recovery.last_version, 7);
+            store
+                .log_register("B", recovery.last_version + 1, &students())
+                .unwrap();
+        }
+        let (_, recovery) = CatalogStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(recovery.last_version, 8);
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,4 +1,4 @@
-//! Edit-distance measures (Levenshtein and Damerau variants).
+//! Edit-distance measures (Levenshtein).
 //!
 //! Duplicate detection compares matched attribute values "using edit
 //! distance and numerical distance functions" (paper §2.3); this module
@@ -213,41 +213,6 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
     levenshtein_chars(&a, &b, &mut EditScratch::new())
 }
 
-/// Damerau-Levenshtein distance (optimal string alignment variant:
-/// adjacent transposition counts as one edit, substrings are not edited
-/// twice).
-pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let (n, m) = (a.len(), b.len());
-    if n == 0 {
-        return m;
-    }
-    if m == 0 {
-        return n;
-    }
-    let mut d = vec![vec![0usize; m + 1]; n + 1];
-    for (i, row) in d.iter_mut().enumerate() {
-        row[0] = i;
-    }
-    for (j, cell) in d[0].iter_mut().enumerate() {
-        *cell = j;
-    }
-    for i in 1..=n {
-        for j in 1..=m {
-            let cost = usize::from(a[i - 1] != b[j - 1]);
-            let mut best = (d[i - 1][j] + 1)
-                .min(d[i][j - 1] + 1)
-                .min(d[i - 1][j - 1] + cost);
-            if i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1] {
-                best = best.min(d[i - 2][j - 2] + 1);
-            }
-            d[i][j] = best;
-        }
-    }
-    d[n][m]
-}
-
 /// Levenshtein similarity in `[0, 1]`: `1 − dist / max(|a|, |b|)`.
 /// Two empty strings are fully similar.
 pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
@@ -331,14 +296,6 @@ mod tests {
             levenshtein("abcdef", "azced"),
             levenshtein("azced", "abcdef")
         );
-    }
-
-    #[test]
-    fn damerau_counts_transposition_once() {
-        assert_eq!(levenshtein("ab", "ba"), 2);
-        assert_eq!(damerau_levenshtein("ab", "ba"), 1);
-        assert_eq!(damerau_levenshtein("ca", "abc"), 3);
-        assert_eq!(damerau_levenshtein("smtih", "smith"), 1);
     }
 
     #[test]

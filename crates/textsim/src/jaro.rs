@@ -56,24 +56,16 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 /// Jaro-Winkler similarity: Jaro boosted by a shared prefix of up to 4
 /// characters with scaling factor `p = 0.1`.
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    jaro_winkler_with(a, b, 0.1, 4)
-}
-
-/// Jaro-Winkler with explicit prefix scale `p` (must satisfy
-/// `p * max_prefix <= 1` to stay within `[0, 1]`) and prefix cap.
-pub fn jaro_winkler_with(a: &str, b: &str, p: f64, max_prefix: usize) -> f64 {
-    assert!(
-        p * max_prefix as f64 <= 1.0,
-        "prefix boost would exceed 1.0"
-    );
+    const P: f64 = 0.1;
+    const MAX_PREFIX: usize = 4;
     let j = jaro(a, b);
     let prefix = a
         .chars()
         .zip(b.chars())
-        .take(max_prefix)
+        .take(MAX_PREFIX)
         .take_while(|(x, y)| x == y)
         .count();
-    j + prefix as f64 * p * (1.0 - j)
+    j + prefix as f64 * P * (1.0 - j)
 }
 
 #[cfg(test)]
@@ -131,11 +123,5 @@ mod tests {
             let v = jaro_winkler(a, b);
             assert!((0.0..=1.0).contains(&v), "{a} {b} -> {v}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "prefix boost")]
-    fn invalid_scale_panics() {
-        jaro_winkler_with("a", "a", 0.5, 4);
     }
 }

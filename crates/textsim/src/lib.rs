@@ -3,10 +3,10 @@
 //! A from-scratch implementation of the similarity toolkit HumMer's
 //! instance-based components rely on:
 //!
-//! * [`edit`] — Levenshtein / Damerau-Levenshtein distance and the derived
+//! * [`edit`] — Levenshtein distance and the derived
 //!   `[0,1]` similarity (field comparison in duplicate detection),
 //! * [`mod@jaro`] — Jaro and Jaro-Winkler (SoftTFIDF's secondary measure),
-//! * [`tokenize`] — word and padded q-gram tokenizers,
+//! * [`tokenize`] — the word tokenizer,
 //! * [`tfidf`] — corpus statistics, TF-IDF weight vectors, cosine
 //!   similarity (DUMAS's tuple-as-string ranking) and the *soft IDF* that
 //!   weighs a data item's identifying power,
@@ -14,7 +14,7 @@
 //!   for callers that tokenize once and weigh the text several times,
 //! * [`softtfidf`] — SoftTFIDF (Cohen, Ravikumar & Fienberg 2003), the
 //!   hybrid measure DUMAS uses for field-wise comparison of duplicates,
-//! * [`numeric`] — relative and range-scaled numeric similarity.
+//! * [`numeric`] — relative numeric similarity.
 //!
 //! ## Example
 //!
@@ -45,12 +45,12 @@ pub mod tfidf;
 pub mod tokenize;
 
 pub use edit::{
-    damerau_levenshtein, levenshtein, levenshtein_chars, levenshtein_similarity,
-    levenshtein_similarity_chars, levenshtein_similarity_chars_many, EditScratch,
+    levenshtein, levenshtein_chars, levenshtein_similarity, levenshtein_similarity_chars,
+    levenshtein_similarity_chars_many, EditScratch,
 };
 pub use interned::{IdVector, IdVectors, InternedCorpus, Interner, Vocabulary};
 pub use jaro::{jaro, jaro_winkler};
-pub use numeric::{relative_similarity, scaled_similarity};
+pub use numeric::relative_similarity;
 pub use softtfidf::SoftTfIdf;
 pub use tfidf::{Corpus, TfIdfVector};
-pub use tokenize::{qgrams, word_tokens};
+pub use tokenize::word_tokens;

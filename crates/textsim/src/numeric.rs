@@ -17,19 +17,6 @@ pub fn relative_similarity(a: f64, b: f64) -> f64 {
     (1.0 - (a - b).abs() / denom).max(0.0)
 }
 
-/// Range-scaled similarity: `max(0, 1 − |a − b| / range)`.
-///
-/// Useful when the caller knows the domain width (e.g. ages span ~100
-/// years, release years span a few decades) so that a fixed absolute gap
-/// always costs the same amount of similarity.
-pub fn scaled_similarity(a: f64, b: f64, range: f64) -> f64 {
-    assert!(range > 0.0, "range must be positive");
-    if a == b {
-        return 1.0;
-    }
-    (1.0 - (a - b).abs() / range).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,7 +25,6 @@ mod tests {
     fn equal_values_fully_similar() {
         assert_eq!(relative_similarity(5.0, 5.0), 1.0);
         assert_eq!(relative_similarity(0.0, 0.0), 1.0);
-        assert_eq!(scaled_similarity(3.0, 3.0, 10.0), 1.0);
     }
 
     #[test]
@@ -62,20 +48,8 @@ mod tests {
     }
 
     #[test]
-    fn scaled_behaviour() {
-        assert_eq!(scaled_similarity(22.0, 23.0, 10.0), 0.9);
-        assert_eq!(scaled_similarity(22.0, 42.0, 10.0), 0.0);
-    }
-
-    #[test]
     fn non_finite_inputs_are_dissimilar() {
         assert_eq!(relative_similarity(f64::INFINITY, 1.0), 0.0);
         assert_eq!(relative_similarity(f64::NAN, f64::NAN), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "range must be positive")]
-    fn zero_range_panics() {
-        scaled_similarity(1.0, 2.0, 0.0);
     }
 }

@@ -1,14 +1,5 @@
 //! Tokenization for token-based similarity measures (TF-IDF, SoftTFIDF).
 
-/// Normalize a string for comparison: lowercase, with every non-alphanumeric
-/// character treated as a separator.
-///
-/// Token-based record comparison wants "CD-Store" and "cd store" to share
-/// tokens, so normalization is deliberately aggressive.
-pub fn normalize(s: &str) -> String {
-    s.to_lowercase()
-}
-
 /// Feed every lowercase alphanumeric word of `s` to `f`, in order.
 ///
 /// `word` is the buffer the words are built in; callers that tokenize many
@@ -48,30 +39,6 @@ pub fn word_tokens(s: &str) -> Vec<String> {
     out
 }
 
-/// Split into padded character q-grams of the normalized string.
-///
-/// The string is padded with `q - 1` leading and trailing `#` marks so that
-/// prefixes/suffixes weigh as much as interior characters — the usual
-/// construction for q-gram-based duplicate detection.
-///
-/// ```
-/// use hummer_textsim::tokenize::qgrams;
-/// assert_eq!(qgrams("ab", 2), vec!["#a", "ab", "b#"]);
-/// ```
-pub fn qgrams(s: &str, q: usize) -> Vec<String> {
-    assert!(q >= 1, "q must be at least 1");
-    let norm = normalize(s);
-    if norm.is_empty() {
-        return Vec::new();
-    }
-    let pad = "#".repeat(q - 1);
-    let padded: Vec<char> = format!("{pad}{norm}{pad}").chars().collect();
-    if padded.len() < q {
-        return vec![padded.iter().collect()];
-    }
-    padded.windows(q).map(|w| w.iter().collect()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,32 +76,5 @@ mod tests {
         }
         expected.retain(|w| !w.is_empty());
         assert_eq!(word_tokens(&text), expected);
-    }
-
-    #[test]
-    fn qgrams_basic() {
-        assert_eq!(qgrams("abc", 2), vec!["#a", "ab", "bc", "c#"]);
-        assert_eq!(qgrams("a", 3), vec!["##a", "#a#", "a##"]);
-        assert!(qgrams("", 2).is_empty());
-    }
-
-    #[test]
-    fn qgrams_normalize() {
-        assert_eq!(qgrams("AB", 2), qgrams("ab", 2));
-    }
-
-    #[test]
-    fn qgram_count_formula() {
-        // |qgrams(s, q)| = len + q - 1 for non-empty s
-        let s = "hello";
-        for q in 1..=4 {
-            assert_eq!(qgrams(s, q).len(), s.len() + q - 1, "q={q}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "q must be at least 1")]
-    fn qgrams_zero_q_panics() {
-        qgrams("x", 0);
     }
 }

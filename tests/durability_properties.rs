@@ -110,8 +110,14 @@ fn seed_table(alias: &str) -> Table {
     .unwrap()
 }
 
-/// Apply one plan to (store, expected); returns false if it was a no-op.
-fn apply_mutation(store: &mut CatalogStore, expected: &mut Expected, plan: &MutationPlan) -> bool {
+/// Apply one plan to (store, expected), numbering versions from
+/// `last_version`; returns false if it was a no-op.
+fn apply_mutation(
+    store: &mut CatalogStore,
+    last_version: &mut u64,
+    expected: &mut Expected,
+    plan: &MutationPlan,
+) -> bool {
     let (kind, alias_pick, row_pick, values) = plan;
     let alias = ALIASES[alias_pick % ALIASES.len()];
     match kind % 4 {
@@ -119,7 +125,8 @@ fn apply_mutation(store: &mut CatalogStore, expected: &mut Expected, plan: &Muta
         0 => {
             let rows: Vec<Row> = values.iter().map(|v| Row::from_values(v.clone())).collect();
             let table = Table::from_rows(alias, &COLUMNS, rows).unwrap();
-            let version = store.allocate_version();
+            *last_version += 1;
+            let version = *last_version;
             store.log_register(alias, version, &table).unwrap();
             expected.insert(alias.to_string(), (version, table));
             true
@@ -142,7 +149,8 @@ fn apply_mutation(store: &mut CatalogStore, expected: &mut Expected, plan: &Muta
             } else {
                 delta = delta.insert(values[0].clone());
             }
-            let version = store.allocate_version();
+            *last_version += 1;
+            let version = *last_version;
             store.log_delta(alias, version, &delta).unwrap();
             let (table, _mapping) = delta.apply(table).unwrap();
             expected.insert(alias.to_string(), (version, table));
@@ -275,15 +283,16 @@ proptest! {
             compact_after_bytes: 0,  // keep one WAL, no auto-compaction
             group_commit_window_us: 0,
         };
-        let (mut store, _) = CatalogStore::open(&dir, options.clone()).unwrap();
+        let (mut store, opened) = CatalogStore::open(&dir, options.clone()).unwrap();
+        let mut last_version = opened.last_version;
         let mut expected: Expected = BTreeMap::new();
 
         // Seed: both fusion sources registered (acked baseline).
         for alias in ["T0", "T1"] {
             let table = seed_table(alias);
-            let version = store.allocate_version();
-            store.log_register(alias, version, &table).unwrap();
-            expected.insert(alias.to_string(), (version, table));
+            last_version += 1;
+            store.log_register(alias, last_version, &table).unwrap();
+            expected.insert(alias.to_string(), (last_version, table));
         }
 
         // Random mutation sequence; remember the state + WAL length right
@@ -291,7 +300,7 @@ proptest! {
         let mut before_final = (expected.clone(), store.stats().wal_bytes);
         for plan in &mutations {
             let snapshot = (expected.clone(), store.stats().wal_bytes);
-            if apply_mutation(&mut store, &mut expected, plan) {
+            if apply_mutation(&mut store, &mut last_version, &mut expected, plan) {
                 before_final = snapshot;
             }
         }

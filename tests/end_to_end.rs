@@ -1,12 +1,17 @@
 //! Cross-crate integration tests: the full HumMer pipeline on generated
 //! scenario worlds, with quality floors asserted against gold standards.
 
-use hummer::core::{Hummer, HummerConfig, MatcherConfig, ResolutionSpec, SniffConfig};
+use hummer::core::{
+    prepare_tables, Hummer, HummerConfig, MatcherConfig, ResolutionSpec, SniffConfig,
+};
 use hummer::datagen::scenarios::{
     cd_shopping, cleansing_service, disaster_registry, student_rosters,
 };
 use hummer::datagen::{cluster_pair_metrics, correspondence_metrics, GeneratedWorld};
-use hummer::engine::Value;
+use hummer::dupdetect::{
+    detect_duplicates, CandidateSpec, DetectionIndex, DetectorConfig, Parallelism,
+};
+use hummer::engine::{Table, Value};
 
 fn hummer_for(world: &GeneratedWorld) -> Hummer {
     let mut h = Hummer::with_config(HummerConfig {
@@ -202,5 +207,29 @@ fn lineage_covers_every_non_null_cell() {
                 );
             }
         }
+    }
+}
+
+/// A sorted-neighbourhood window below 2 is a configuration error, not a
+/// panic: every entry into detection returns `Err`.
+#[test]
+fn window_below_two_is_an_error() {
+    let world = student_rosters(20, 2005);
+    let tables: Vec<&Table> = world.sources.iter().map(|s| &s.table).collect();
+    let key = tables[0].schema().names()[0].to_string();
+    for window in [0, 1] {
+        let candidates = CandidateSpec::SortedNeighborhood {
+            key: vec![key.clone()],
+            window,
+        };
+        let cfg = DetectorConfig {
+            candidates: candidates.clone(),
+            ..Default::default()
+        };
+        assert!(detect_duplicates(tables[0], &cfg, Parallelism::sequential()).is_err());
+        assert!(DetectionIndex::build(tables[0], &cfg).is_err());
+        let mut config = HummerConfig::default();
+        config.detector.candidates = candidates;
+        assert!(prepare_tables(&tables, &config).is_err(), "window {window}");
     }
 }

@@ -121,3 +121,61 @@ fn core_module() {
     assert_eq!(h.repository().len(), 1);
     assert!(h.repository().get("People").is_ok());
 }
+
+#[test]
+fn delta_module() {
+    let t = table! {
+        "People" => ["Name", "Age"];
+        ["John Smith", 24],
+    };
+    let delta = hummer::delta::TableDelta::new("People").insert(vec![
+        hummer::engine::Value::text("Mary Jones"),
+        hummer::engine::Value::Int(31),
+    ]);
+    let (after, mapping) = delta.apply(&t).unwrap();
+    assert_eq!(after.len(), 2);
+    assert_eq!(mapping.old_len(), 1);
+}
+
+#[test]
+fn obs_module() {
+    let tracer = hummer::obs::Tracer::with_capacity(16);
+    let trace_id = {
+        let root = tracer.trace("query");
+        drop(root.child("detect"));
+        root.trace_id().unwrap()
+    };
+    let tree = tracer.trace_tree(trace_id).unwrap();
+    assert_eq!(tree.roots[0].record.name, "query");
+    assert_eq!(tree.roots[0].children[0].record.name, "detect");
+}
+
+#[test]
+fn store_module() {
+    let dir = hummer::store::scratch::dir("facade");
+    let (_store, recovery) =
+        hummer::store::CatalogStore::open(&dir, hummer::store::StoreOptions::default()).unwrap();
+    assert!(recovery.tables.is_empty());
+    assert_eq!(recovery.last_version, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn server_module() {
+    let s = hummer::server::FusionService::new(hummer::server::ServiceConfig::narrow_schema());
+    s.put_table("EE_Student", "Name,Age\nAlice Smith,22\nBob Jones,24\n")
+        .unwrap();
+    s.put_table(
+        "CS_Students",
+        "Name,Semester\nAlice Smith,5\nDora Klein,1\n",
+    )
+    .unwrap();
+    let r = s
+        .query(
+            "SELECT Name FUSE FROM EE_Student, CS_Students FUSE BY (Name)",
+            &hummer::obs::Span::noop(),
+        )
+        .unwrap();
+    assert_eq!(r.cache_hit, Some(false));
+    assert_eq!(r.output.table.len(), 3);
+}
