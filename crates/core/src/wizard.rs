@@ -15,14 +15,15 @@
 //! can decide upon individually").
 
 use crate::error::{HummerError, Result};
-use crate::pipeline::{HummerConfig, PipelineOutcome, StageTimings};
-use crate::repository::MetadataRepository;
-use hummer_dupdetect::{
-    annotate_object_ids, detect_duplicates, DetectionResult, DetectorConfig, OBJECT_ID_COLUMN,
+use crate::pipeline::{
+    fuse_prepared_traced, HummerConfig, PipelineOutcome, PreparedSources, StageTimings,
 };
+use crate::repository::MetadataRepository;
+use hummer_dupdetect::{annotate_object_ids, detect_duplicates, DetectionResult, DetectorConfig};
 use hummer_engine::Table;
-use hummer_fusion::{fuse, FunctionRegistry, FusionSpec, ResolutionSpec};
+use hummer_fusion::{FunctionRegistry, ResolutionSpec};
 use hummer_matching::{integrate, match_star, MatchResult};
+use hummer_obs::Span;
 use std::time::Instant;
 
 /// Where in the six-step flow the wizard currently is.
@@ -219,28 +220,23 @@ impl Wizard {
         self.expect_phase(WizardPhase::SpecifyResolution, "finish")?;
         let integrated = self.integrated.clone().expect("set at confirm_matching");
         let detection = self.detection.clone().expect("set at run_detection");
-        let annotated = annotate_object_ids(&integrated, &detection)?;
-        let t0 = Instant::now();
-        let mut spec = FusionSpec::by_key(vec![OBJECT_ID_COLUMN])
-            .drop_column(OBJECT_ID_COLUMN)
-            .drop_column(hummer_matching::SOURCE_ID_COLUMN)
-            .with_parallelism(self.config.parallelism);
-        for (col, rspec) in &self.resolutions {
-            spec = spec.resolve(col.clone(), rspec.clone());
-        }
-        let fused = fuse(&annotated, &spec, registry)?;
-        self.timings.fusion = t0.elapsed();
-        self.phase = WizardPhase::BrowseResult;
-        Ok(PipelineOutcome {
-            result: fused.table,
-            lineage: fused.lineage,
-            sample_conflicts: fused.sample_conflicts,
-            conflict_count: fused.conflict_count,
+        let prepared = PreparedSources {
+            annotated: annotate_object_ids(&integrated, &detection)?,
             match_results: self.match_results.clone(),
             integrated,
             detection,
             timings: self.timings,
-        })
+        };
+        let outcome = fuse_prepared_traced(
+            &prepared,
+            &self.resolutions,
+            registry,
+            self.config.parallelism,
+            &Span::noop(),
+        )?;
+        self.timings = outcome.timings;
+        self.phase = WizardPhase::BrowseResult;
+        Ok(outcome)
     }
 }
 

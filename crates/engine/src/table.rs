@@ -212,16 +212,6 @@ impl Table {
         sep(&mut out);
         out
     }
-
-    /// Consume into rows.
-    pub fn into_rows(self) -> Vec<Row> {
-        self.rows
-    }
-
-    /// Split into (name, schema, rows).
-    pub fn into_parts(self) -> (String, Schema, Vec<Row>) {
-        (self.name, self.schema, self.rows)
-    }
 }
 
 impl fmt::Display for Table {

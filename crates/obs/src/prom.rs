@@ -20,7 +20,7 @@ pub const DEFAULT_LATENCY_BOUNDS_S: &[f64] = &[
 /// let hist = Histogram::new();
 /// hist.record(1500); // microseconds
 /// out.header("hummer_request_seconds", "Request latency.", "histogram");
-/// out.histogram_us("hummer_request_seconds", &[], &hist.snapshot(), None);
+/// out.histogram_us("hummer_request_seconds", &[], &hist.snapshot());
 /// let text = out.finish();
 /// assert!(text.contains("hummer_requests_total{endpoint=\"POST /query\"} 42"));
 /// assert!(text.contains("hummer_request_seconds_count 1"));
@@ -67,23 +67,16 @@ impl PromText {
     }
 
     /// Emit a full histogram family (`_bucket` ladder, `_sum`, `_count`)
-    /// from a snapshot of microsecond samples, converting to seconds.
-    /// With `bounds_s: None` a default `le` ladder spanning 100 µs – 10 s
-    /// is used. Buckets whose range holds an exemplar trace id (recorded
-    /// via `Histogram::record_with_trace`) get OpenMetrics exemplar syntax
+    /// from a snapshot of microsecond samples, converting to seconds, on
+    /// the `le` ladder `DEFAULT_LATENCY_BOUNDS_S` (100 µs – 10 s).
+    /// Buckets whose range holds an exemplar trace id (recorded via
+    /// `Histogram::record_with_trace`) get OpenMetrics exemplar syntax
     /// appended: `... # {trace_id="<16-hex>"} <seconds>`.
-    pub fn histogram_us(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-        snap: &HistogramSnapshot,
-        bounds_s: Option<&[f64]>,
-    ) {
-        let bounds = bounds_s.unwrap_or(DEFAULT_LATENCY_BOUNDS_S);
+    pub fn histogram_us(&mut self, name: &str, labels: &[(&str, &str)], snap: &HistogramSnapshot) {
         let exemplars = snap.has_exemplars();
         let bucket = format!("{name}_bucket");
         let mut prev_us = 0u64;
-        for &bound in bounds {
+        for &bound in DEFAULT_LATENCY_BOUNDS_S {
             let bound_us = (bound * 1e6).round() as u64;
             let c = snap.cumulative_le(bound_us);
             self.buf.push_str(&bucket);
@@ -267,7 +260,7 @@ mod tests {
             h.record(us);
         }
         let mut out = PromText::new();
-        out.histogram_us("lat_seconds", &[("stage", "detect")], &h.snapshot(), None);
+        out.histogram_us("lat_seconds", &[("stage", "detect")], &h.snapshot());
         let text = out.finish();
         assert!(text.contains("lat_seconds_bucket{stage=\"detect\",le=\"0.0001\"} 1\n"));
         assert!(text.contains("lat_seconds_bucket{stage=\"detect\",le=\"+Inf\"} 5\n"));
@@ -286,12 +279,12 @@ mod tests {
         let h = Histogram::new();
         h.record(500); // no trace
         let mut out = PromText::new();
-        out.histogram_us("lat_seconds", &[], &h.snapshot(), None);
+        out.histogram_us("lat_seconds", &[], &h.snapshot());
         assert!(!out.finish().contains(" # {"), "no exemplars expected");
 
         h.record_with_trace(200_000, Some(0x00ab_cdef_0123_4567));
         let mut out = PromText::new();
-        out.histogram_us("lat_seconds", &[], &h.snapshot(), None);
+        out.histogram_us("lat_seconds", &[], &h.snapshot());
         let text = out.finish();
         // 200ms lands in the (0.1, 0.25] bucket of the default ladder.
         let line = text

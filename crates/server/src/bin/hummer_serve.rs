@@ -81,29 +81,19 @@ fn main() -> ExitCode {
     let mut trace_ring = 65536usize;
     let mut trace = true;
     let mut preloads: Vec<(String, String)> = Vec::new();
+    fn next_num<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> T {
+        match args.next().and_then(|v| v.parse().ok()) {
+            Some(v) => v,
+            None => usage(),
+        }
+    }
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => config.addr = args.next().unwrap_or_else(|| usage()),
-            "--threads" => {
-                config.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--par" => {
-                par = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--cache" => {
-                config.service.cache_capacity = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--threads" => config.threads = next_num(&mut args),
+            "--par" => par = Some(next_num(&mut args)),
+            "--cache" => config.service.cache_capacity = next_num(&mut args),
             "--narrow-schemas" => config.service.pipeline = ServiceConfig::narrow_schema().pipeline,
             "--preload" => {
                 let spec = args.next().unwrap_or_else(|| usage());
@@ -115,45 +105,13 @@ fn main() -> ExitCode {
             "--data-dir" => {
                 config.data_dir = Some(args.next().unwrap_or_else(|| usage()).into());
             }
-            "--compact-after-bytes" => {
-                config.store.compact_after_bytes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--compact-after-bytes" => config.store.compact_after_bytes = next_num(&mut args),
             "--no-fsync" => config.store.fsync = false,
-            "--group-commit-window-us" => {
-                config.store.group_commit_window_us = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--max-connections" => {
-                config.max_connections = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--read-timeout-ms" => {
-                config.read_timeout = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .map(Duration::from_millis)
-                    .unwrap_or_else(|| usage())
-            }
-            "--idle-timeout-ms" => {
-                config.idle_timeout = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .map(Duration::from_millis)
-                    .unwrap_or_else(|| usage())
-            }
-            "--trace-ring" => {
-                trace_ring = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--group-commit-window-us" => config.store.group_commit_window_us = next_num(&mut args),
+            "--max-connections" => config.max_connections = next_num(&mut args),
+            "--read-timeout-ms" => config.read_timeout = Duration::from_millis(next_num(&mut args)),
+            "--idle-timeout-ms" => config.idle_timeout = Duration::from_millis(next_num(&mut args)),
+            "--trace-ring" => trace_ring = next_num(&mut args),
             "--no-trace" => trace = false,
             "--help" | "-h" => {
                 println!("{HELP}");

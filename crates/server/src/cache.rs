@@ -38,18 +38,6 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-impl CacheStats {
-    /// Hits over lookups, 0.0 when idle.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Entry {
     artifacts: Arc<PreparedSources>,
@@ -103,21 +91,33 @@ impl PreparedCache {
     }
 
     /// Insert artifacts (and their delta index, if known) under `key`,
-    /// evicting the least-recently-used entry beyond capacity and any stale
-    /// versions of the same source names.
+    /// evicting the least-recently-used entry beyond capacity and any
+    /// older versions of the same source names. A key that is itself an
+    /// older version of a cached entry is not inserted: a late upgrade
+    /// must not evict what a newer version's query already cached.
     pub fn insert(
         &mut self,
         key: PreparedKey,
         artifacts: Arc<PreparedSources>,
         index: Option<DeltaIndex>,
     ) {
-        // A new version of a source set makes all entries over the same
-        // names dead weight; drop them eagerly rather than waiting for LRU.
-        let names: Vec<&String> = key.iter().map(|(n, _)| n).collect();
+        // `a` is `b` over the same names, at no older version of any.
+        let no_older = |a: &PreparedKey, b: &PreparedKey| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|((na, va), (nb, vb))| na == nb && va >= vb)
+        };
+        if self.entries.keys().any(|k| k != &key && no_older(k, &key)) {
+            return;
+        }
+        // A newer version of a source set makes the older entries over the
+        // same names dead weight; drop them eagerly rather than waiting for
+        // LRU.
         let stale: Vec<PreparedKey> = self
             .entries
             .keys()
-            .filter(|k| *k != &key && k.iter().map(|(n, _)| n).eq(names.iter().copied()))
+            .filter(|k| *k != &key && no_older(&key, k))
             .cloned()
             .collect();
         for k in stale {
@@ -169,11 +169,6 @@ impl PreparedCache {
             entries: self.entries.len(),
         }
     }
-
-    /// Drop all entries (counters survive).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +198,6 @@ mod tests {
         assert!(c.get(&k).is_some());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -219,6 +213,25 @@ mod tests {
         assert_eq!(s.evictions, 1);
         assert!(c.get(&key(&[("a", 1)])).is_none());
         assert!(c.get(&key(&[("a", 2)])).is_some());
+    }
+
+    /// A late upgrade (v2 passed its version check, then v3 landed and a
+    /// v3 query inserted) must not evict the newer entry.
+    #[test]
+    fn insert_a3_then_a2_a3_still_hits() {
+        let mut c = PreparedCache::new(4);
+        c.insert(key(&[("a", 3)]), artifacts(), None);
+        c.insert(key(&[("a", 2)]), artifacts(), None);
+        assert!(c.get(&key(&[("a", 3)])).is_some());
+        assert!(c.get(&key(&[("a", 2)])).is_none());
+        let s = c.stats();
+        assert_eq!((s.entries, s.evictions), (1, 0));
+        // Per source: an entry another one is newer than on one source and
+        // older on another dominates neither.
+        c.insert(key(&[("a", 3), ("b", 1)]), artifacts(), None);
+        c.insert(key(&[("a", 2), ("b", 2)]), artifacts(), None);
+        assert!(c.get(&key(&[("a", 3), ("b", 1)])).is_some());
+        assert!(c.get(&key(&[("a", 2), ("b", 2)])).is_some());
     }
 
     #[test]
@@ -272,17 +285,5 @@ mod tests {
         // No recency refresh, no counter movement.
         assert_eq!(c.stats().hits, 0);
         assert_eq!(c.stats().entries, 3);
-    }
-
-    #[test]
-    fn clear_keeps_counters() {
-        let mut c = PreparedCache::new(2);
-        c.insert(key(&[("a", 1)]), artifacts(), None);
-        assert!(c.get(&key(&[("a", 1)])).is_some());
-        c.clear();
-        assert!(c.get(&key(&[("a", 1)])).is_none());
-        let s = c.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.entries, 0);
     }
 }

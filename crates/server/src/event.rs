@@ -194,7 +194,7 @@ fn worker_loop(
                         // Reserve a slot; over the cap → fast 503.
                         if live.fetch_add(1, Ordering::SeqCst) >= options.max_connections {
                             live.fetch_sub(1, Ordering::SeqCst);
-                            service.metrics().record_overload_reject();
+                            service.metrics().overload_rejects.inc();
                             reject_overloaded(stream, service);
                             continue;
                         }
@@ -248,7 +248,7 @@ fn worker_loop(
             // sweep is the fallback until it recovers.
             std::thread::yield_now();
         }
-        service.metrics().record_event_loop_wakeup();
+        service.metrics().event_loop_wakeups.inc();
     }
 }
 
@@ -268,9 +268,10 @@ fn reject_overloaded(stream: TcpStream, service: &FusionService) {
     let r = r.with_header("retry-after", "1");
     // Overload rejects get an accept-time trace id too: the connection never
     // reaches dispatch, but the client's error is still correlatable.
-    let r = crate::server::finish_rejected(
+    let r = crate::server::finish(
         service,
         r,
+        "rejected",
         service.tracer().allocate_trace_id(),
         Duration::ZERO,
     );
@@ -355,9 +356,10 @@ impl Conn {
     /// latency charged is the time spent in the current phase (how long the
     /// doomed request was allowed to dawdle).
     fn reject(&self, service: &FusionService, response: Response, now: Instant) -> Response {
-        crate::server::finish_rejected(
+        crate::server::finish(
             service,
             response,
+            "rejected",
             self.pretrace,
             now.saturating_duration_since(self.phase_since),
         )
@@ -477,7 +479,7 @@ impl Conn {
         if now >= self.deadline {
             if self.in_request {
                 // A started request stalled (slowloris or a dead peer).
-                service.metrics().record_read_timeout();
+                service.metrics().read_timeouts.inc();
                 let mut r = Response::json(
                     408,
                     "{\"error\":\"request did not arrive in time\",\"status\":408}",
@@ -486,7 +488,7 @@ impl Conn {
                 let r = self.reject(service, r, now);
                 return self.start_write(service, r, now);
             }
-            service.metrics().record_idle_reclaim();
+            service.metrics().idle_reclaims.inc();
             return Pump::Close; // silent idle reclamation
         }
 

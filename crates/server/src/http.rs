@@ -260,9 +260,7 @@ impl Response {
             404 => "Not Found",
             405 => "Method Not Allowed",
             408 => "Request Timeout",
-            502 => "Bad Gateway",
             503 => "Service Unavailable",
-            504 => "Gateway Timeout",
             _ => "Internal Server Error",
         }
     }

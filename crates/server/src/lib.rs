@@ -12,9 +12,12 @@
 //! (ordered) source-table set and each table's content version, so repeated
 //! queries over the same sources skip straight to fusion + query execution.
 //!
-//! * [`service`] — the transport-independent core: catalog, cache, metrics,
-//!   and the optional durable store (`hummer_store`) that write-ahead-logs
-//!   every catalog mutation and recovers it on boot;
+//! * [`service`] — the transport-independent core: [`FusionService`]
+//!   (catalog, cache, metrics, and the optional durable store
+//!   (`hummer_store`) that write-ahead-logs every catalog mutation and
+//!   recovers it on boot) and the query path with its JSON rendering;
+//! * [`catalog`] — catalog mutations (upload, delta, delete), each through
+//!   one commit path, and the listing;
 //! * [`server`] — listener, routing, graceful shutdown;
 //! * [`event`] — the nonblocking event loop that serves every connection:
 //!   per-connection state machines that wait in `poll(2)`, read/idle
@@ -23,9 +26,9 @@
 //! * [`json`] — the hand-rolled JSON writer/parser the wire protocol uses;
 //! * [`error`] — [`ServerError`] with HTTP status mapping;
 //! * [`metrics`] — lock-free latency histograms (`hummer_obs`), request
-//!   counts, stage histograms; exposed as Prometheus text on `GET /metrics`
-//!   (read back with [`promlint::parse`]), with per-request span trees on
-//!   `GET /trace/{id}`;
+//!   counts, stage histograms, counters, and their Prometheus text
+//!   exposition on `GET /metrics` (read back with [`promlint::parse`]);
+//!   per-request span trees are on `GET /trace/{id}`;
 //! * [`loadgen`] — the load-generating client (also a binary).
 //!
 //! ## In-process quickstart
@@ -65,6 +68,7 @@
 #![deny(unsafe_code)]
 
 pub mod cache;
+pub mod catalog;
 pub mod error;
 pub mod event;
 pub mod http;
@@ -79,12 +83,11 @@ pub mod service;
 mod sys;
 
 pub use cache::{CacheStats, PreparedCache, PreparedKey};
+pub use catalog::{parse_delta, DeltaApplyResult, TableInfo};
 pub use error::{Result, ServerError};
 pub use hummer_core::{ObsConfig, Parallelism, Tracer};
 pub use hummer_store::{CatalogStore, StoreOptions, StoreStats};
 pub use json::{Json, JsonError};
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::Metrics;
 pub use server::{HummerServer, ServerConfig, ShutdownHandle};
-pub use service::{
-    parse_delta, DeltaApplyResult, FusionService, QueryResult, ServiceConfig, TableInfo,
-};
+pub use service::{FusionService, QueryResult, ServiceConfig};

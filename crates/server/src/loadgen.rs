@@ -281,25 +281,6 @@ pub struct LoadConfig {
     pub update_pool: Vec<(String, String)>,
 }
 
-impl LoadConfig {
-    /// A read-only run (no deltas).
-    pub fn read_only(
-        addr: String,
-        connections: usize,
-        requests: usize,
-        sql_pool: Vec<String>,
-    ) -> Self {
-        LoadConfig {
-            addr,
-            connections,
-            requests,
-            sql_pool,
-            update_every: 0,
-            update_pool: Vec::new(),
-        }
-    }
-}
-
 /// Aggregated load-run results.
 #[derive(Debug, Clone)]
 pub struct LoadReport {

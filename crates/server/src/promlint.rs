@@ -491,8 +491,8 @@ mod tests {
 
     #[test]
     fn accepts_the_servers_own_exposition() {
+        use crate::metrics::metrics_to_prometheus;
         use crate::server::{HummerServer, ServerConfig};
-        use crate::service::metrics_to_prometheus;
         // A real service with traffic recorded: the linter must pass what
         // `GET /metrics` actually serves.
         let config = ServerConfig::default();

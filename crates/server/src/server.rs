@@ -33,13 +33,12 @@
 //! label of a request and its dispatch both derive from it, and a known
 //! route asked with a method it does not serve is answered 405.
 
+use crate::catalog::{delta_result_to_json, parse_delta, table_info_json};
 use crate::error::{Result, ServerError};
 use crate::http::{Request, Response};
 use crate::json::Json;
-use crate::service::{
-    delta_result_to_json, metrics_to_prometheus, parse_delta, write_query_result, FusionService,
-    ServiceConfig, TableInfo,
-};
+use crate::metrics::metrics_to_prometheus;
+use crate::service::{write_query_result, FusionService, ServiceConfig};
 use hummer_obs::{Span, TraceNode, TraceTree};
 use hummer_store::{CatalogStore, StoreOptions};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -219,7 +218,7 @@ pub(crate) fn execute_request(
         route(request, service, shutdown, &root, recycled)
     }));
     drop(root);
-    let mut response = match routed {
+    let response = match routed {
         Ok(Ok(r)) => r,
         Ok(Err(e)) => error_response(&e, false),
         Err(_) => {
@@ -227,22 +226,14 @@ pub(crate) fn execute_request(
             // before this existed, the client hung until its own timeout.
             // Any state the handler half-built is suspect, so the
             // connection does not survive.
-            service.metrics().record_worker_panic();
+            service.metrics().worker_panics.inc();
             error_response(
                 &ServerError::Internal("handler panicked; connection closed".into()),
                 true,
             )
         }
     };
-    if let Some(id) = trace_id {
-        response = response.with_header("x-hummer-trace", format!("{id:016x}"));
-    }
-    let is_error = response.status >= 400;
-    let latency = started.elapsed();
-    service
-        .metrics()
-        .record_request(&endpoint, latency, is_error, trace_id);
-    response
+    finish(service, response, &endpoint, trace_id, started.elapsed())
 }
 
 /// A known path, by route. [`Route::of`] is the path grammar; the metrics
@@ -312,24 +303,25 @@ fn endpoint_label(request: &Request) -> String {
     format!("{method} {route}")
 }
 
-/// Finish a response produced *before* dispatch (408 slowloris, 400
-/// protocol junk, 503 overload): stamp `X-Hummer-Trace` from the
-/// connection's accept-time trace id and count it under the `rejected`
-/// endpoint label. These rejections never reach [`execute_request`], so
-/// without this they were untraceable and invisible to the request
-/// metrics.
-pub(crate) fn finish_rejected(
+/// Stamp `X-Hummer-Trace` on a finished response and count it under its
+/// endpoint label. Responses produced *before* dispatch (408 slowloris,
+/// 400 protocol junk, 503 overload) never reach [`execute_request`]; the
+/// event loop finishes them here under the `rejected` label with the
+/// connection's accept-time trace id, so they are traceable and counted.
+pub(crate) fn finish(
     service: &FusionService,
     mut response: Response,
+    endpoint: &str,
     trace: Option<u64>,
     latency: Duration,
 ) -> Response {
     if let Some(id) = trace {
         response = response.with_header("x-hummer-trace", format!("{id:016x}"));
     }
+    let is_error = response.status >= 400;
     service
         .metrics()
-        .record_request("rejected", latency, true, trace);
+        .record_request(endpoint, latency, is_error, trace);
     response
 }
 
@@ -341,17 +333,6 @@ pub(crate) fn error_response(e: &ServerError, close: bool) -> Response {
     let mut r = Response::json(e.status(), body);
     r.close = close;
     r
-}
-
-fn table_info_json(info: &TableInfo) -> Json {
-    Json::object()
-        .with("table", info.name.clone())
-        .with("rows", info.rows)
-        .with(
-            "columns",
-            Json::Arr(info.columns.iter().map(|c| Json::Str(c.clone())).collect()),
-        )
-        .with("version", info.version)
 }
 
 /// A trace tree as wire JSON: nested `{name, start_us, duration_us,
@@ -533,6 +514,11 @@ mod tests {
         assert!(extract_sql("{broken", Some("application/json")).is_err());
     }
 
+    /// A handle whose wake nudge goes nowhere (no listener behind it).
+    fn nowhere() -> ShutdownHandle {
+        ShutdownHandle::from_parts("127.0.0.1:9".parse().unwrap(), Arc::default())
+    }
+
     fn req(method: &str, path: &str, body: &[u8]) -> Request {
         Request {
             method: method.into(),
@@ -569,11 +555,7 @@ mod tests {
     #[test]
     fn routing_statuses() {
         let service = FusionService::new(ServiceConfig::default());
-        // A handle whose wake nudge goes nowhere (no listener behind it).
-        let shutdown = ShutdownHandle {
-            addr: "127.0.0.1:9".parse().unwrap(),
-            flag: Arc::new(AtomicBool::new(false)),
-        };
+        let shutdown = nowhere();
         let noop = Span::noop();
         let ok = route(&req("GET", "/healthz", b""), &service, &shutdown, &noop).unwrap();
         assert_eq!(ok.status, 200);
@@ -674,10 +656,7 @@ mod tests {
         service
             .put_table("B", "Name,Age\nJohn Smith,25\nAda Lovelace,28\n")
             .unwrap();
-        let shutdown = ShutdownHandle {
-            addr: "127.0.0.1:9".parse().unwrap(),
-            flag: Arc::new(AtomicBool::new(false)),
-        };
+        let shutdown = nowhere();
 
         // A traced query: stage spans nest under the request root.
         let root = service.tracer().trace("POST /query");

@@ -1,10 +1,13 @@
-//! The fusion service: shared catalog + prepared-pipeline cache + metrics.
+//! The fusion service: shared catalog + prepared-pipeline cache + metrics,
+//! and the query path with the rendering of its answer.
 //!
 //! [`FusionService`] is the transport-independent heart of the server: the
 //! HTTP layer, the integration tests, and hbench's serving workloads (through
-//! a child `hummer-serve`) all drive this struct. Worker threads share one instance behind an `Arc`; the catalog
-//! sits in an `RwLock` so concurrent queries read in parallel, and the
-//! tables themselves are `Arc`-shared so a snapshot never copies data.
+//! a child `hummer-serve`) all drive this struct. Worker threads share one
+//! instance behind an `Arc`; the catalog sits in an `RwLock` so concurrent
+//! queries read in parallel, and the tables themselves are `Arc`-shared so
+//! a snapshot never copies data. Catalog mutations live in
+//! [`crate::catalog`], the `/metrics` exposition in [`crate::metrics`].
 //!
 //! Query semantics for `FUSE FROM`: the full automatic pipeline (DUMAS
 //! matching → rename + outer union → duplicate detection → `objectID`
@@ -16,20 +19,21 @@
 use crate::cache::{CacheStats, PreparedCache, PreparedKey};
 use crate::error::{Result, ServerError};
 use crate::json::{write_escaped, write_f64, Json};
-use crate::metrics::{DeltaAggregate, Metrics};
+use crate::metrics::Metrics;
 use crate::reaper::Reaper;
-use hummer_core::{
-    prepare_tables_traced, DeltaIndex, HummerConfig, PreparedSources, RowMapping, StageTimings,
-};
-use hummer_delta::{concat_mappings, DeltaError, TableDelta};
-use hummer_engine::{csv, Table, Value};
+use hummer_core::{prepare_tables_traced, HummerConfig, PreparedSources, StageTimings};
+use hummer_engine::{Table, Value};
 use hummer_fusion::FunctionRegistry;
-use hummer_obs::{Histogram, PromText, Span, Tracer};
+use hummer_obs::{Span, Tracer};
 use hummer_query::{execute, execute_combined, parse, FuseQuery, QueryOutput, VersionedTableSet};
-use hummer_store::{CatalogStore, Recovery, SnapshotEntry, StoreStats, WalCommitter, WalTicket};
+use hummer_store::{CatalogStore, Recovery, StoreStats, WalCommitter};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
+
+/// Why taking the catalog or store lock cannot fail: no operation panics
+/// while holding either.
+pub(crate) const UNPOISONED: &str = "no catalog or store operation panics while holding its lock";
 
 /// Service construction parameters.
 #[derive(Debug, Clone)]
@@ -76,23 +80,9 @@ impl ServiceConfig {
                 },
                 ..Default::default()
             },
-            cache_capacity: 64,
-            debug_panic_route: false,
+            ..ServiceConfig::default()
         }
     }
-}
-
-/// Descriptive facts about one registered table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableInfo {
-    /// Registered name.
-    pub name: String,
-    /// Row count.
-    pub rows: usize,
-    /// Column names.
-    pub columns: Vec<String>,
-    /// Content version (bumps on re-upload).
-    pub version: u64,
 }
 
 /// What one query produced, plus serving metadata.
@@ -116,157 +106,35 @@ pub struct QueryResult {
     pub shards: Option<usize>,
 }
 
-/// What applying one delta batch did, for the endpoint's response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeltaApplyResult {
-    /// The table's post-delta shape and new content version.
-    pub info: TableInfo,
-    /// Rows inserted by this batch.
-    pub inserted: usize,
-    /// Rows updated by this batch.
-    pub updated: usize,
-    /// Rows deleted by this batch.
-    pub deleted: usize,
-    /// Prepared-cache entries upgraded in place.
-    pub cache_upgrades: u64,
-    /// Upgrade attempts that failed (those entries die; next query
-    /// re-prepares cold).
-    pub cache_upgrade_failures: u64,
-    /// Upgrades that internally degraded to a full rescore.
-    pub full_rescores: u64,
-    /// Upgrades that found no delta index (match and detection indexes) on
-    /// their entry and built one.
-    pub index_builds: u64,
-}
-
-/// Parse the `POST /tables/{name}/delta` JSON body into a [`TableDelta`]:
-///
-/// ```json
-/// {
-///   "insert": [["Eve Adams", 30, "Bremen"]],
-///   "update": [{"row": 2, "values": ["Mary Jones", 23, "Hamburg"]}],
-///   "delete": [4]
-/// }
-/// ```
-///
-/// Cell values type like CSV ingestion: JSON strings go through
-/// [`Value::infer`] (so `"25"` becomes an integer and `"2005-08-30"` a
-/// date), numbers/booleans/null map directly.
-pub fn parse_delta(name: &str, body: &str) -> Result<TableDelta> {
-    let doc = Json::parse(body)?;
-    let mut delta = TableDelta::new(name);
-    if let Some(inserts) = doc.get("insert") {
-        let rows = inserts
-            .as_array()
-            .ok_or_else(|| ServerError::BadRequest("`insert` must be an array of rows".into()))?;
-        for row in rows {
-            delta = delta.insert(json_row(row)?);
-        }
-    }
-    if let Some(updates) = doc.get("update") {
-        let entries = updates
-            .as_array()
-            .ok_or_else(|| ServerError::BadRequest("`update` must be an array".into()))?;
-        for entry in entries {
-            let row = entry
-                .get("row")
-                .and_then(Json::as_i64)
-                .filter(|r| *r >= 0)
-                .ok_or_else(|| {
-                    ServerError::BadRequest("`update` entries need a non-negative `row`".into())
-                })?;
-            let values = entry.get("values").ok_or_else(|| {
-                ServerError::BadRequest("`update` entries need a `values` array".into())
-            })?;
-            delta = delta.update(row as usize, json_row(values)?);
-        }
-    }
-    if let Some(deletes) = doc.get("delete") {
-        let rows = deletes
-            .as_array()
-            .ok_or_else(|| ServerError::BadRequest("`delete` must be an array of rows".into()))?;
-        for row in rows {
-            let row = row.as_i64().filter(|r| *r >= 0).ok_or_else(|| {
-                ServerError::BadRequest("`delete` entries must be non-negative row indices".into())
-            })?;
-            delta = delta.delete(row as usize);
-        }
-    }
-    if delta.is_empty() {
-        return Err(ServerError::BadRequest(
-            "delta body carries no `insert`, `update`, or `delete` ops".into(),
-        ));
-    }
-    Ok(delta)
-}
-
-/// One JSON row (array of scalars) as engine values.
-fn json_row(row: &Json) -> Result<Vec<Value>> {
-    let cells = row
-        .as_array()
-        .ok_or_else(|| ServerError::BadRequest("a delta row must be an array of values".into()))?;
-    cells.iter().map(json_value).collect()
-}
-
-/// A JSON scalar as an engine value (strings type-inferred like CSV cells).
-fn json_value(v: &Json) -> Result<Value> {
-    match v {
-        Json::Null => Ok(Value::Null),
-        Json::Bool(b) => Ok(Value::Bool(*b)),
-        Json::Int(i) => Ok(Value::Int(*i)),
-        Json::Float(f) => Ok(Value::Float(*f)),
-        Json::Str(s) => Ok(Value::infer(s)),
-        Json::Arr(_) | Json::Obj(_) => Err(ServerError::BadRequest(
-            "delta cell values must be scalars".into(),
-        )),
-    }
-}
-
 /// The shared, thread-safe fusion service.
 ///
 /// With a durable store attached ([`FusionService::with_store`]), every
-/// catalog mutation — register, delta, deregister — is *enqueued* to the
-/// store's WAL under the catalog write lock (so WAL order always equals
-/// version order), applied, and then — after the lock is released — the
-/// writer waits for group durability before acking. One fsync covers every
-/// writer that queued behind it; a durability failure poisons the store,
-/// so no later mutation can commit on top of a non-durable one. Reads
-/// never touch the store.
+/// catalog mutation — register, delta, deregister — is write-ahead-logged
+/// before it is acked, through one commit path (see [`crate::catalog`]).
+/// Reads never touch the store.
 #[derive(Debug)]
 pub struct FusionService {
-    catalog: RwLock<VersionedTableSet>,
-    cache: Mutex<PreparedCache>,
-    metrics: Metrics,
+    pub(crate) catalog: RwLock<VersionedTableSet>,
+    pub(crate) cache: Mutex<PreparedCache>,
+    pub(crate) metrics: Metrics,
     registry: FunctionRegistry,
-    config: HummerConfig,
-    /// Lock order: `catalog` write lock first, then the store — never the
-    /// other way around.
-    store: Option<Mutex<CatalogStore>>,
+    pub(crate) config: HummerConfig,
+    pub(crate) store: Option<Mutex<CatalogStore>>,
     /// Waits on WAL tickets without holding `store` (or the catalog lock)
     /// — this is what lets concurrent commits share one fsync.
-    committer: Option<WalCommitter>,
+    pub(crate) committer: Option<WalCommitter>,
     /// Fault-injection endpoint toggle (see [`ServiceConfig`]).
     debug_panic_route: bool,
     /// Drops superseded tables and artifacts off the delta's ack path;
     /// joined when the service is dropped.
-    reaper: Reaper,
+    pub(crate) reaper: Reaper,
 }
 
 impl FusionService {
     /// A service with the given configuration and an empty, in-memory-only
     /// catalog.
     pub fn new(config: ServiceConfig) -> Self {
-        FusionService {
-            catalog: RwLock::new(VersionedTableSet::new()),
-            cache: Mutex::new(PreparedCache::new(config.cache_capacity)),
-            metrics: Metrics::new(),
-            registry: FunctionRegistry::standard(),
-            config: config.pipeline,
-            store: None,
-            committer: None,
-            debug_panic_route: config.debug_panic_route,
-            reaper: Reaper::new(),
-        }
+        FusionService::assemble(config, VersionedTableSet::new(), None)
     }
 
     /// A durable service: the catalog is seeded from `recovery` — content
@@ -281,15 +149,22 @@ impl FusionService {
         // The log may have assigned versions beyond every *surviving*
         // table's (a deleted table held the highest); never reuse them.
         catalog.advance_version_clock(recovery.last_version);
-        let committer = store.committer();
+        FusionService::assemble(config, catalog, Some(store))
+    }
+
+    fn assemble(
+        config: ServiceConfig,
+        catalog: VersionedTableSet,
+        store: Option<CatalogStore>,
+    ) -> Self {
         FusionService {
             catalog: RwLock::new(catalog),
             cache: Mutex::new(PreparedCache::new(config.cache_capacity)),
             metrics: Metrics::new(),
             registry: FunctionRegistry::standard(),
             config: config.pipeline,
-            store: Some(Mutex::new(store)),
-            committer: Some(committer),
+            committer: store.as_ref().map(CatalogStore::committer),
+            store: store.map(Mutex::new),
             debug_panic_route: config.debug_panic_route,
             reaper: Reaper::new(),
         }
@@ -298,17 +173,6 @@ impl FusionService {
     /// Whether the fault-injection endpoint is enabled (test/CI only).
     pub fn debug_panic_route(&self) -> bool {
         self.debug_panic_route
-    }
-
-    /// Wait for an enqueued WAL record to become durable. Call *after*
-    /// releasing the catalog write lock and *before* acking the mutation.
-    fn wait_durable(&self, ticket: WalTicket) -> Result<()> {
-        let committer = self
-            .committer
-            .as_ref()
-            .expect("a WAL ticket implies an attached store");
-        committer.wait(ticket)?;
-        Ok(())
     }
 
     /// The metrics registry (workers record; `/metrics` snapshots).
@@ -328,21 +192,6 @@ impl FusionService {
         self.config.parallelism.get()
     }
 
-    /// The WAL-commit fsync latency histogram, when a store is attached.
-    /// `Arc`-shared so `/metrics` reads it without holding the store lock.
-    pub fn store_fsync_histogram(&self) -> Option<Arc<Histogram>> {
-        self.store
-            .as_ref()
-            .map(|s| s.lock().unwrap().fsync_histogram())
-    }
-
-    /// The records-per-group-commit histogram, when a store is attached.
-    pub fn store_batch_histogram(&self) -> Option<Arc<Histogram>> {
-        self.store
-            .as_ref()
-            .map(|s| s.lock().unwrap().batch_histogram())
-    }
-
     /// Prepared-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.lock().unwrap().stats()
@@ -351,338 +200,6 @@ impl FusionService {
     /// Durable-store counters, when a store is attached.
     pub fn store_stats(&self) -> Option<StoreStats> {
         self.store.as_ref().map(|s| s.lock().unwrap().stats())
-    }
-
-    /// Roll the WAL into a fresh snapshot if it crossed the threshold.
-    /// Called with the catalog write lock held so the snapshot is a
-    /// consistent image. Compaction failure is non-fatal (the WAL record
-    /// is already durable); it is reported and retried after the next
-    /// mutation.
-    fn compact_if_needed(&self, catalog: &VersionedTableSet) {
-        let Some(store) = &self.store else { return };
-        let mut store = store.lock().unwrap();
-        if !store.wants_compaction() {
-            return;
-        }
-        let entries = catalog.entries();
-        let snapshot: Vec<SnapshotEntry<'_>> = entries
-            .iter()
-            .map(|e| SnapshotEntry {
-                alias: e.table.name(),
-                version: e.version,
-                table: e.table.as_ref(),
-            })
-            .collect();
-        if let Err(e) = store.compact(&snapshot) {
-            eprintln!("hummer-server: WAL compaction failed (will retry): {e}");
-        }
-    }
-
-    /// Parse and register CSV under `name` (re-upload replaces and bumps the
-    /// version, invalidating cached pipelines over the table). When durable,
-    /// the registration is WAL-logged before the catalog changes.
-    pub fn put_table(&self, name: &str, csv_text: &str) -> Result<TableInfo> {
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_alphanumeric() || c == '_' || c == '-')
-        {
-            return Err(ServerError::BadRequest(format!(
-                "table name `{name}` must be non-empty and alphanumeric/underscore/dash"
-            )));
-        }
-        let table = csv::read_csv_str(name, csv_text)?;
-        let info_columns: Vec<String> = table
-            .schema()
-            .names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let rows = table.len();
-        let (version, ticket) = {
-            let mut catalog = self.catalog.write().unwrap();
-            let version = catalog.upcoming_version();
-            let ticket = match &self.store {
-                Some(store) => Some(
-                    store
-                        .lock()
-                        .unwrap()
-                        .enqueue_register(name, version, &table)?,
-                ),
-                None => None,
-            };
-            let assigned = catalog.register(name, table);
-            debug_assert_eq!(assigned, version);
-            self.compact_if_needed(&catalog);
-            (assigned, ticket)
-        };
-        if let Some(ticket) = ticket {
-            self.wait_durable(ticket)?;
-        }
-        Ok(TableInfo {
-            name: name.to_string(),
-            rows,
-            columns: info_columns,
-            version,
-        })
-    }
-
-    /// Remove a table from the catalog; returns its final shape. When
-    /// durable, the removal is WAL-logged before it is applied. Prepared
-    /// cache entries over the removed table become unreachable (versions
-    /// are never reused) and age out via LRU.
-    pub fn delete_table(&self, name: &str) -> Result<TableInfo> {
-        let (info, ticket) = {
-            let mut catalog = self.catalog.write().unwrap();
-            let entry = catalog
-                .get(name)
-                .ok_or_else(|| ServerError::UnknownTable(name.to_string()))?;
-            let info = TableInfo {
-                name: entry.table.name().to_string(),
-                rows: entry.table.len(),
-                columns: entry
-                    .table
-                    .schema()
-                    .names()
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
-                version: entry.version,
-            };
-            let ticket = match &self.store {
-                Some(store) => Some(store.lock().unwrap().enqueue_deregister(name)?),
-                None => None,
-            };
-            catalog.remove(name);
-            self.compact_if_needed(&catalog);
-            (info, ticket)
-        };
-        if let Some(ticket) = ticket {
-            self.wait_durable(ticket)?;
-        }
-        Ok(info)
-    }
-
-    /// Apply a parsed delta batch to table `name`: update the catalog (new
-    /// content version) and **upgrade** every prepared-pipeline cache entry
-    /// that referenced the old version, instead of letting it die. Repeat
-    /// fusion queries over the updated sources therefore hit the cache —
-    /// no cold re-prepare.
-    ///
-    /// Cache-upgrade work is recorded as child spans of `parent` (the HTTP
-    /// layer's per-request span; [`Span::noop`] records nothing).
-    pub fn apply_delta(
-        &self,
-        name: &str,
-        delta: &TableDelta,
-        parent: &Span,
-    ) -> Result<DeltaApplyResult> {
-        let counts = delta.counts();
-        // Catalog swap under the write lock (delta application is linear).
-        // When durable, the delta is WAL-enqueued — as the TableDelta itself
-        // — before the catalog changes, still under the lock, so log order
-        // always equals version order; the durability wait happens after
-        // the lock is released, so concurrent deltas share one fsync.
-        let (lname, old_version, new_table, mapping, info, ticket) = {
-            let mut catalog = self.catalog.write().unwrap();
-            let entry = catalog
-                .get(name)
-                .ok_or_else(|| ServerError::UnknownTable(name.to_string()))?;
-            // Re-register under the table's canonical alias, not the
-            // request's casing: a delta must never rename the table (and
-            // WAL replay preserves the registered alias, so anything else
-            // would break recovery's identity contract).
-            let canonical = entry.table.name().to_string();
-            let old_version = entry.version;
-            let superseded = Arc::clone(&entry.table);
-            let (new_table, mapping) = delta
-                .apply(&entry.table)
-                .map_err(|e: DeltaError| ServerError::BadRequest(e.to_string()))?;
-            let rows = new_table.len();
-            let columns: Vec<String> = new_table
-                .schema()
-                .names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            let upcoming = catalog.upcoming_version();
-            let ticket = match &self.store {
-                Some(store) => Some(
-                    store
-                        .lock()
-                        .unwrap()
-                        .enqueue_delta(&canonical, upcoming, delta)?,
-                ),
-                None => None,
-            };
-            let version = catalog.register(canonical.as_str(), new_table);
-            debug_assert_eq!(version, upcoming);
-            self.compact_if_needed(&catalog);
-            let new_table = Arc::clone(&catalog.get(name).expect("just registered").table);
-            self.reaper.retire(Box::new(superseded));
-            (
-                canonical.to_ascii_lowercase(),
-                old_version,
-                new_table,
-                mapping,
-                TableInfo {
-                    name: canonical,
-                    rows,
-                    columns,
-                    version,
-                },
-                ticket,
-            )
-        };
-        if let Some(ticket) = ticket {
-            self.wait_durable(ticket)?;
-        }
-
-        // Upgrade cached pipelines over the superseded version. The cache
-        // lock is not held while upgrading; the eventual insert's stale
-        // purge retires the old-version entry.
-        let candidates = self
-            .cache
-            .lock()
-            .expect("no cache operation panics while holding the lock")
-            .take_for_upgrade(&lname, old_version);
-        let mut batch = DeltaAggregate {
-            rows_inserted: counts.inserted as u64,
-            rows_updated: counts.updated as u64,
-            rows_deleted: counts.deleted as u64,
-            ..Default::default()
-        };
-        let mut upgrade_span = parent.child("upgrade");
-        for (key, artifacts, index) in candidates {
-            let built = index.is_none();
-            match self.upgrade_entry(
-                &key,
-                &artifacts,
-                index,
-                &lname,
-                info.version,
-                &new_table,
-                &mapping,
-                &upgrade_span,
-            ) {
-                Ok(Some(full_rescore)) => {
-                    batch.cache_upgrades += 1;
-                    batch.full_rescores += u64::from(full_rescore);
-                    batch.index_builds += u64::from(built);
-                }
-                Ok(None) => {} // another source in the entry went stale
-                Err(_) => batch.cache_upgrade_failures += 1,
-            }
-            // The upgraded entry replaced these artifacts in the cache; this
-            // is usually the last reference.
-            self.reaper.retire(Box::new(artifacts));
-        }
-        upgrade_span.count("cache_upgrades", batch.cache_upgrades);
-        upgrade_span.count("cache_upgrade_failures", batch.cache_upgrade_failures);
-        upgrade_span.count("full_rescores", batch.full_rescores);
-        upgrade_span.count("index_builds", batch.index_builds);
-        drop(upgrade_span);
-        self.metrics.record_delta(&batch);
-        Ok(DeltaApplyResult {
-            info,
-            inserted: counts.inserted,
-            updated: counts.updated,
-            deleted: counts.deleted,
-            cache_upgrades: batch.cache_upgrades,
-            cache_upgrade_failures: batch.cache_upgrade_failures,
-            full_rescores: batch.full_rescores,
-            index_builds: batch.index_builds,
-        })
-    }
-
-    /// Upgrade one cached entry to the delta'd table, carrying its delta
-    /// `index` (or building it when the entry had none) into the upgraded
-    /// entry. Returns `Ok(Some(full_rescore))`
-    /// on success, `Ok(None)` when the entry is unrecoverably stale
-    /// (another referenced source changed meanwhile, or a concurrent delta
-    /// already superseded `new_version`).
-    #[allow(clippy::too_many_arguments)]
-    fn upgrade_entry(
-        &self,
-        key: &PreparedKey,
-        artifacts: &Arc<PreparedSources>,
-        mut index: Option<DeltaIndex>,
-        changed: &str,
-        new_version: u64,
-        new_table: &Arc<Table>,
-        mapping: &RowMapping,
-        parent: &Span,
-    ) -> Result<Option<bool>> {
-        let mut tables: Vec<Arc<Table>> = Vec::with_capacity(key.len());
-        let mut per_source: Vec<RowMapping> = Vec::with_capacity(key.len());
-        let mut new_key: PreparedKey = Vec::with_capacity(key.len());
-        {
-            let catalog = self.catalog.read().unwrap();
-            for (alias, version) in key {
-                if alias == changed {
-                    // Key the upgraded artifacts with the version *this*
-                    // delta produced — never the catalog's current version:
-                    // a concurrent delta may already have moved the table
-                    // past ours, and caching our (older) content under the
-                    // newest key would serve stale fusions as cache hits.
-                    let current = catalog
-                        .get(alias)
-                        .ok_or_else(|| ServerError::UnknownTable(alias.clone()))?;
-                    if current.version != new_version {
-                        return Ok(None); // superseded while we upgraded
-                    }
-                    tables.push(Arc::clone(new_table));
-                    per_source.push(mapping.clone());
-                    new_key.push((alias.clone(), new_version));
-                } else {
-                    let current = catalog
-                        .get(alias)
-                        .ok_or_else(|| ServerError::UnknownTable(alias.clone()))?;
-                    if current.version != *version {
-                        return Ok(None); // entry stale beyond this delta
-                    }
-                    tables.push(Arc::clone(&current.table));
-                    per_source.push(RowMapping::identity(current.table.len()));
-                    new_key.push((alias.clone(), *version));
-                }
-            }
-        }
-        let union_mapping = concat_mappings(&per_source)?;
-        let refs: Vec<&Table> = tables.iter().map(|t| t.as_ref()).collect();
-        let (upgraded, report) = artifacts.apply_delta_traced(
-            &refs,
-            &union_mapping,
-            &self.config,
-            &mut index,
-            parent,
-        )?;
-        self.cache
-            .lock()
-            .expect("no cache operation panics while holding the lock")
-            .insert(new_key, Arc::new(upgraded), index);
-        Ok(Some(report.detection.full_rescore))
-    }
-
-    /// All registered tables, sorted by name.
-    pub fn tables(&self) -> Vec<TableInfo> {
-        self.catalog
-            .read()
-            .unwrap()
-            .entries()
-            .iter()
-            .map(|e| TableInfo {
-                name: e.table.name().to_string(),
-                rows: e.table.len(),
-                columns: e
-                    .table
-                    .schema()
-                    .names()
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
-                version: e.version,
-            })
-            .collect()
     }
 
     /// Parse and execute one Fuse By SQL statement, recording pipeline
@@ -952,302 +469,13 @@ pub(crate) fn write_query_result(r: &QueryResult, out: &mut String) {
     out.push('}');
 }
 
-/// The `POST /tables/{name}/delta` response document.
-pub fn delta_result_to_json(r: &DeltaApplyResult) -> Json {
-    Json::object()
-        .with("table", r.info.name.clone())
-        .with("rows", r.info.rows)
-        .with("version", r.info.version)
-        .with(
-            "applied",
-            Json::object()
-                .with("inserted", r.inserted)
-                .with("updated", r.updated)
-                .with("deleted", r.deleted),
-        )
-        .with(
-            "cache",
-            Json::object()
-                .with("upgraded", r.cache_upgrades)
-                .with("upgrade_failures", r.cache_upgrade_failures)
-                .with("full_rescores", r.full_rescores)
-                .with("index_builds", r.index_builds),
-        )
-}
-
-/// The `GET /metrics` response body: the whole registry in Prometheus text
-/// exposition format — request counters and latency histograms per
-/// endpoint, stage histograms labeled `(stage, degree)`,
-/// prepared-cache and delta counters, durable-store gauges (including the
-/// WAL fsync latency histogram), intra-query fork totals, and the trace
-/// ring's occupancy.
-pub fn metrics_to_prometheus(service: &FusionService) -> String {
-    let mut out = PromText::new();
-    let endpoints = service.metrics().endpoint_histograms();
-
-    out.header(
-        "hummer_requests_total",
-        "Requests served, by endpoint.",
-        "counter",
-    );
-    for (endpoint, count, _, _) in &endpoints {
-        out.sample(
-            "hummer_requests_total",
-            &[("endpoint", endpoint)],
-            *count as f64,
-        );
-    }
-    out.header(
-        "hummer_request_errors_total",
-        "Requests that returned an error status, by endpoint.",
-        "counter",
-    );
-    for (endpoint, _, errors, _) in &endpoints {
-        out.sample(
-            "hummer_request_errors_total",
-            &[("endpoint", endpoint)],
-            *errors as f64,
-        );
-    }
-    out.header(
-        "hummer_request_seconds",
-        "End-to-end request latency, by endpoint.",
-        "histogram",
-    );
-    for (endpoint, _, _, latency) in &endpoints {
-        out.histogram_us(
-            "hummer_request_seconds",
-            &[("endpoint", endpoint)],
-            latency,
-            None,
-        );
-    }
-
-    out.header(
-        "hummer_stage_seconds",
-        "Pipeline stage latency, by stage and parallelism degree.",
-        "histogram",
-    );
-    for (labels, snap) in &service.metrics().stage_histograms() {
-        out.histogram_us(
-            "hummer_stage_seconds",
-            &[("stage", &labels[0]), ("degree", &labels[1])],
-            snap,
-            None,
-        );
-    }
-
-    out.header(
-        "hummer_conn_state_seconds",
-        "Time connections spend in each lifecycle state (event loop).",
-        "histogram",
-    );
-    for (labels, snap) in &service.metrics().conn_state_histograms() {
-        out.histogram_us(
-            "hummer_conn_state_seconds",
-            &[("state", &labels[0])],
-            snap,
-            None,
-        );
-    }
-
-    let cache = service.cache_stats();
-    let snap = service.metrics().snapshot();
-    for (name, help, value) in [
-        (
-            "hummer_overload_rejects_total",
-            "Connections refused with 503 at the admission gate.",
-            snap.serving.overload_rejects as f64,
-        ),
-        (
-            "hummer_read_timeouts_total",
-            "Started requests that stalled past the read deadline (408).",
-            snap.serving.read_timeouts as f64,
-        ),
-        (
-            "hummer_idle_reclaims_total",
-            "Idle keep-alive connections reclaimed silently.",
-            snap.serving.idle_reclaims as f64,
-        ),
-        (
-            "hummer_worker_panics_total",
-            "Requests whose handler panicked (answered 500, socket closed).",
-            snap.serving.worker_panics as f64,
-        ),
-        (
-            "hummer_event_loop_wakeups_total",
-            "Returns of event-loop workers from their readiness wait.",
-            snap.serving.event_loop_wakeups as f64,
-        ),
-        (
-            "hummer_prepared_cache_hits_total",
-            "Prepared-pipeline cache hits.",
-            cache.hits as f64,
-        ),
-        (
-            "hummer_prepared_cache_misses_total",
-            "Prepared-pipeline cache misses (cold prepares).",
-            cache.misses as f64,
-        ),
-        (
-            "hummer_prepared_cache_evictions_total",
-            "Prepared-pipeline cache LRU evictions.",
-            cache.evictions as f64,
-        ),
-        (
-            "hummer_prepared_cache_upgrades_total",
-            "Prepared entries upgraded in place by deltas.",
-            snap.deltas.cache_upgrades as f64,
-        ),
-        (
-            "hummer_prepared_cache_upgrade_failures_total",
-            "Delta upgrades that failed (entry dropped).",
-            snap.deltas.cache_upgrade_failures as f64,
-        ),
-        (
-            "hummer_deltas_applied_total",
-            "Delta batches applied.",
-            snap.deltas.deltas as f64,
-        ),
-        (
-            "hummer_deltas_rows_inserted_total",
-            "Rows inserted by deltas.",
-            snap.deltas.rows_inserted as f64,
-        ),
-        (
-            "hummer_deltas_rows_updated_total",
-            "Rows updated by deltas.",
-            snap.deltas.rows_updated as f64,
-        ),
-        (
-            "hummer_deltas_rows_deleted_total",
-            "Rows deleted by deltas.",
-            snap.deltas.rows_deleted as f64,
-        ),
-        (
-            "hummer_deltas_full_rescores_total",
-            "Delta upgrades that degraded to a full rescore.",
-            snap.deltas.full_rescores as f64,
-        ),
-        (
-            "hummer_delta_index_builds_total",
-            "Delta indexes (match + detection) built by delta upgrades.",
-            snap.deltas.index_builds as f64,
-        ),
-        (
-            "hummer_par_forks_total",
-            "Scoped worker threads forked for intra-query parallelism.",
-            hummer_par::forked_threads_total() as f64,
-        ),
-    ] {
-        out.header(name, help, "counter");
-        out.sample(name, &[], value);
-    }
-
-    out.header(
-        "hummer_prepared_cache_entries",
-        "Prepared-pipeline cache live entries.",
-        "gauge",
-    );
-    out.sample("hummer_prepared_cache_entries", &[], cache.entries as f64);
-
-    if let Some(store) = service.store_stats() {
-        for (name, help, kind, value) in [
-            (
-                "hummer_store_generation",
-                "Live snapshot generation.",
-                "gauge",
-                store.generation as f64,
-            ),
-            (
-                "hummer_store_wal_bytes",
-                "Current WAL size in bytes.",
-                "gauge",
-                store.wal_bytes as f64,
-            ),
-            (
-                "hummer_store_wal_records",
-                "Records in the current WAL.",
-                "gauge",
-                store.wal_records as f64,
-            ),
-            (
-                "hummer_store_snapshots_total",
-                "Snapshots written by this process (compactions).",
-                "counter",
-                store.snapshots_written as f64,
-            ),
-            (
-                "hummer_store_recovery_seconds",
-                "Wall time of the most recent open+recover.",
-                "gauge",
-                store.recovery_ms / 1e3,
-            ),
-            (
-                "hummer_store_fsyncs_total",
-                "WAL commit fsyncs issued.",
-                "counter",
-                store.fsyncs as f64,
-            ),
-            (
-                "hummer_store_group_commits_total",
-                "WAL group-commit batches written.",
-                "counter",
-                store.group_commits as f64,
-            ),
-            (
-                "hummer_store_fsync_enabled",
-                "Whether WAL commits fsync (1) or not (0, --no-fsync).",
-                "gauge",
-                if store.fsync { 1.0 } else { 0.0 },
-            ),
-        ] {
-            out.header(name, help, kind);
-            out.sample(name, &[], value);
-        }
-        if let Some(hist) = service.store_fsync_histogram() {
-            out.header(
-                "hummer_store_fsync_seconds",
-                "WAL commit fsync latency.",
-                "histogram",
-            );
-            out.histogram_us("hummer_store_fsync_seconds", &[], &hist.snapshot(), None);
-        }
-        if let Some(hist) = service.store_batch_histogram() {
-            // Records per group-commit batch — raw counts, not seconds, so
-            // the histogram goes out with unscaled bucket bounds.
-            out.header(
-                "hummer_store_group_commit_records",
-                "Records per WAL group-commit batch.",
-                "histogram",
-            );
-            out.histogram_raw("hummer_store_group_commit_records", &[], &hist.snapshot());
-        }
-    }
-
-    let tracer = service.tracer();
-    out.header(
-        "hummer_trace_spans",
-        "Span records currently held in the trace ring.",
-        "gauge",
-    );
-    out.sample("hummer_trace_spans", &[], tracer.span_count() as f64);
-    out.header(
-        "hummer_trace_spans_dropped_total",
-        "Span records evicted from the trace ring.",
-        "counter",
-    );
-    out.sample(
-        "hummer_trace_spans_dropped_total",
-        &[],
-        tracer.dropped_spans() as f64,
-    );
-    out.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{delta_result_to_json, parse_delta};
+    use crate::metrics::metrics_to_prometheus;
+    use hummer_delta::TableDelta;
+    use hummer_engine::csv;
 
     const EE_CSV: &str =
         "Name,Age,City\nJohn Smith,24,Berlin\nMary Jones,22,Hamburg\nPeter Miller,27,Munich\n";
@@ -1267,6 +495,27 @@ mod tests {
 
     const PAPER_QUERY: &str =
         "SELECT Name, RESOLVE(Age, max) FUSE FROM EE_Student, CS_Students FUSE BY (Name)";
+
+    /// A delta setting John Smith's age (row 0 of `CS_Students`).
+    fn johns_age(age: i64) -> TableDelta {
+        let row = vec![
+            Value::text("John Smith"),
+            Value::Int(age),
+            Value::text("Berlin"),
+        ];
+        TableDelta::new("CS_Students").update(0, row)
+    }
+
+    /// `PAPER_QUERY` answered by a cold prepare over a copy of `s`'s
+    /// current catalog content.
+    fn cold_answer(s: &FusionService) -> QueryResult {
+        let fresh = FusionService::new(ServiceConfig::narrow_schema());
+        for entry in s.catalog.read().unwrap().entries() {
+            let csv = csv::write_csv_str(&entry.table);
+            fresh.put_table(entry.table.name(), &csv).unwrap();
+        }
+        fresh.query(PAPER_QUERY, &Span::noop()).unwrap()
+    }
 
     #[test]
     fn upload_validates_and_versions() {
@@ -1316,9 +565,9 @@ mod tests {
         )
         .unwrap();
         let outcome = s.apply_delta("CS_Students", &delta, &Span::noop()).unwrap();
-        assert_eq!(outcome.inserted, 1);
-        assert_eq!(outcome.cache_upgrades, 1, "{outcome:?}");
-        assert_eq!(outcome.cache_upgrade_failures, 0);
+        assert_eq!(outcome.applied.inserted, 1);
+        assert_eq!(outcome.cache.upgraded, 1, "{outcome:?}");
+        assert_eq!(outcome.cache.upgrade_failures, 0);
         assert_eq!(outcome.info.rows, 4);
 
         // The very next query hits the *upgraded* entry and sees the change.
@@ -1330,10 +579,13 @@ mod tests {
 
         // The upgraded artifacts equal a cold prepare over the new data.
         s.put_table("CS_Check", EE_CSV).unwrap(); // unrelated churn
-        let snap = s.metrics().snapshot();
-        assert_eq!(snap.deltas.deltas, 1);
-        assert_eq!(snap.deltas.rows_inserted, 1);
-        assert_eq!(snap.deltas.cache_upgrades, 1);
+        let m = scrape(&s);
+        assert_eq!(m.value("hummer_deltas_applied_total", &[]), Some(1.0));
+        assert_eq!(m.value("hummer_deltas_rows_inserted_total", &[]), Some(1.0));
+        assert_eq!(
+            m.value("hummer_prepared_cache_upgrades_total", &[]),
+            Some(1.0)
+        );
     }
 
     /// The first upgrade of an entry builds its delta index (match and
@@ -1355,19 +607,16 @@ mod tests {
 
         let mut reused = Vec::new();
         for age in [30, 31, 32] {
-            let delta = TableDelta::new("CS_Students").update(
-                0,
-                vec![
-                    Value::text("John Smith"),
-                    Value::Int(age),
-                    Value::text("Berlin"),
-                ],
-            );
+            let delta = johns_age(age);
             let root = s.tracer().trace("POST /tables/CS_Students/delta");
             let outcome = s.apply_delta("CS_Students", &delta, &root).unwrap();
             drop(root);
-            assert_eq!(outcome.cache_upgrades, 1, "{outcome:?}");
-            assert_eq!(outcome.index_builds, u64::from(age == 30), "{outcome:?}");
+            assert_eq!(outcome.cache.upgraded, 1, "{outcome:?}");
+            assert_eq!(
+                outcome.cache.index_builds,
+                u64::from(age == 30),
+                "{outcome:?}"
+            );
             let spans = s.tracer().drain();
             let counters = |stage: &str| {
                 let span = spans
@@ -1394,20 +643,12 @@ mod tests {
             reused,
             vec![(Some(0), Some(0)), (Some(1), Some(1)), (Some(1), Some(1))]
         );
-        assert_eq!(s.metrics().snapshot().deltas.index_builds, 1);
         assert!(metrics_to_prometheus(&s).contains("\nhummer_delta_index_builds_total 1\n"));
 
         // The carried entry answers what a cold prepare answers.
         let served = s.query(PAPER_QUERY, &Span::noop()).unwrap();
         assert_eq!(served.cache_hit, Some(true));
-        let fresh = FusionService::new(ServiceConfig::narrow_schema());
-        fresh.put_table("EE_Student", EE_CSV).unwrap();
-        let cs = {
-            let catalog = s.catalog.read().unwrap();
-            csv::write_csv_str(&catalog.get("CS_Students").unwrap().table)
-        };
-        fresh.put_table("CS_Students", &cs).unwrap();
-        let cold = fresh.query(PAPER_QUERY, &Span::noop()).unwrap();
+        let cold = cold_answer(&s);
         assert_eq!(served.output.table.rows(), cold.output.table.rows());
     }
 
@@ -1443,18 +684,12 @@ mod tests {
         let (release, held) = mpsc::channel();
         let dropped = Arc::new(AtomicBool::new(false));
         s.reaper.retire(Box::new(Gate(held, Arc::clone(&dropped))));
-        let delta = TableDelta::new("CS_Students").update(
-            0,
-            vec![
-                Value::text("John Smith"),
-                Value::Int(40),
-                Value::text("Berlin"),
-            ],
-        );
+        let delta = johns_age(40);
         assert_eq!(
             s.apply_delta("CS_Students", &delta, &Span::noop())
                 .unwrap()
-                .cache_upgrades,
+                .cache
+                .upgraded,
             1
         );
         assert!(artifacts.upgrade().is_some(), "freed on the delta's thread");
@@ -1482,7 +717,7 @@ mod tests {
         )
         .unwrap();
         let outcome = s.apply_delta("CS_Students", &delta, &Span::noop()).unwrap();
-        assert_eq!((outcome.updated, outcome.deleted), (1, 1));
+        assert_eq!((outcome.applied.updated, outcome.applied.deleted), (1, 1));
         let after = s.query(PAPER_QUERY, &Span::noop()).unwrap();
         assert_eq!(after.cache_hit, Some(true));
         assert_eq!(after.output.table.len(), 3); // Ada gone
@@ -1555,15 +790,8 @@ mod tests {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
                     for i in 0i64..4 {
-                        let delta = TableDelta::new("CS_Students").update(
-                            0,
-                            vec![
-                                Value::text("John Smith"),
-                                Value::Int(26 + t + i),
-                                Value::text("Berlin"),
-                            ],
-                        );
-                        s.apply_delta("CS_Students", &delta, &Span::noop()).unwrap();
+                        s.apply_delta("CS_Students", &johns_age(26 + t + i), &Span::noop())
+                            .unwrap();
                         s.query(PAPER_QUERY, &Span::noop()).unwrap();
                     }
                 })
@@ -1573,18 +801,7 @@ mod tests {
             t.join().unwrap();
         }
         let served = s.query(PAPER_QUERY, &Span::noop()).unwrap();
-        // Cold reference over the *current* catalog content.
-        let fresh = FusionService::new(ServiceConfig::narrow_schema());
-        for info in s.tables() {
-            let table = {
-                let catalog = s.catalog.read().unwrap();
-                Arc::clone(&catalog.get(&info.name).unwrap().table)
-            };
-            fresh
-                .put_table(&info.name, &csv::write_csv_str(&table))
-                .unwrap();
-        }
-        let reference = fresh.query(PAPER_QUERY, &Span::noop()).unwrap();
+        let reference = cold_answer(&s);
         assert_eq!(
             served.output.table.rows(),
             reference.output.table.rows(),

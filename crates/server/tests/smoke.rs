@@ -5,6 +5,7 @@
 use hummer_server::loadgen::{http_request, run_load, Client, LoadConfig};
 use hummer_server::promlint::{self, Scrape};
 use hummer_server::{HummerServer, Json, ObsConfig, ServerConfig, ServiceConfig};
+use std::path::PathBuf;
 use std::thread;
 
 const EE_CSV: &[u8] =
@@ -34,6 +35,14 @@ fn scrape(addr: &str) -> Scrape {
     let (status, text) = http_request(addr, "GET", "/metrics", "text/plain", b"").unwrap();
     assert_eq!(status, 200);
     promlint::parse(&text).unwrap()
+}
+
+/// `GET /tables`, counted.
+fn table_count(addr: &str) -> usize {
+    let (status, body) = http_request(addr, "GET", "/tables", "text/plain", b"").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let tables = Json::parse(&body).unwrap();
+    tables.get("tables").unwrap().as_array().unwrap().len()
 }
 
 fn start_server_with(config: ServerConfig) -> (String, impl FnOnce()) {
@@ -66,10 +75,7 @@ fn upload_query_metrics_shutdown() {
     assert_eq!(info.get("rows").unwrap().as_i64(), Some(3));
 
     // Table listing.
-    let (status, body) = http_request(&addr, "GET", "/tables", "text/plain", b"").unwrap();
-    assert_eq!(status, 200);
-    let tables = Json::parse(&body).unwrap();
-    assert_eq!(tables.get("tables").unwrap().as_array().unwrap().len(), 2);
+    assert_eq!(table_count(&addr), 2);
 
     // The paper's query: heterogeneous schemas fused into 4 students.
     let (status, body) = http_request(&addr, "POST", "/query", "text/plain", PAPER_QUERY).unwrap();
@@ -315,18 +321,7 @@ fn durable_server_recovers_catalog_across_restart() {
     // Second life, same directory: the catalog — including the delta — is
     // back, and the fused result is identical.
     let (addr, stop) = start_server_with(durable_config());
-    let (status, tables) = http_request(&addr, "GET", "/tables", "text/plain", b"").unwrap();
-    assert_eq!(status, 200);
-    assert_eq!(
-        Json::parse(&tables)
-            .unwrap()
-            .get("tables")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .len(),
-        2
-    );
+    assert_eq!(table_count(&addr), 2);
     let (_, after) = http_request(&addr, "POST", "/query", "text/plain", PAPER_QUERY).unwrap();
     let result_of = |body: &str| {
         Json::parse(body)
@@ -350,17 +345,7 @@ fn durable_server_recovers_catalog_across_restart() {
     stop();
 
     let (addr, stop) = start_server_with(durable_config());
-    let (_, tables) = http_request(&addr, "GET", "/tables", "text/plain", b"").unwrap();
-    assert_eq!(
-        Json::parse(&tables)
-            .unwrap()
-            .get("tables")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .len(),
-        1
-    );
+    assert_eq!(table_count(&addr), 1);
     stop();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -379,4 +364,196 @@ fn shutdown_endpoint_stops_the_server() {
         http_request(&addr, "GET", "/healthz", "text/plain", b"").is_err()
     });
     assert!(gone, "server kept serving after shutdown");
+}
+
+// The `/metrics` exposition, pinned: every family's `# HELP` and `# TYPE`
+// line in the order the server prints them, for an in-memory and a durable
+// server, and the sample lines one scripted session leaves.
+
+/// Every family's `# HELP` and `# TYPE` line, in print order, with the
+/// sample lines the pinned session leaves (byte for byte), up to where a
+/// durable server prints its store's families ([`STORE`]), then [`TAIL`].
+/// Two of four rows touched is a majority, so the delta's detection
+/// rescores in full; the upgraded cache entry supersedes (evicts) the one
+/// it was upgraded from; the delete leaves that entry unreachable, to age
+/// out by LRU.
+const HEAD: &str = r#"# HELP hummer_requests_total Requests served, by endpoint.
+# TYPE hummer_requests_total counter
+hummer_requests_total{endpoint="DELETE /tables/{name}"} 1
+hummer_requests_total{endpoint="POST /query"} 2
+hummer_requests_total{endpoint="POST /tables/{name}/delta"} 1
+hummer_requests_total{endpoint="PUT /tables/{name}"} 2
+# HELP hummer_request_errors_total Requests that returned an error status, by endpoint.
+# TYPE hummer_request_errors_total counter
+hummer_request_errors_total{endpoint="DELETE /tables/{name}"} 0
+hummer_request_errors_total{endpoint="POST /query"} 0
+hummer_request_errors_total{endpoint="POST /tables/{name}/delta"} 0
+hummer_request_errors_total{endpoint="PUT /tables/{name}"} 0
+# HELP hummer_request_seconds End-to-end request latency, by endpoint.
+# TYPE hummer_request_seconds histogram
+hummer_request_seconds_count{endpoint="POST /query"} 2
+# HELP hummer_stage_seconds Pipeline stage latency, by stage and parallelism degree.
+# TYPE hummer_stage_seconds histogram
+hummer_stage_seconds_count{stage="detect",degree="1"} 1
+hummer_stage_seconds_count{stage="fuse",degree="1"} 2
+hummer_stage_seconds_count{stage="match",degree="1"} 1
+hummer_stage_seconds_count{stage="transform",degree="1"} 1
+# HELP hummer_conn_state_seconds Time connections spend in each lifecycle state (event loop).
+# TYPE hummer_conn_state_seconds histogram
+# HELP hummer_overload_rejects_total Connections refused with 503 at the admission gate.
+# TYPE hummer_overload_rejects_total counter
+hummer_overload_rejects_total 0
+# HELP hummer_read_timeouts_total Started requests that stalled past the read deadline (408).
+# TYPE hummer_read_timeouts_total counter
+hummer_read_timeouts_total 0
+# HELP hummer_idle_reclaims_total Idle keep-alive connections reclaimed silently.
+# TYPE hummer_idle_reclaims_total counter
+hummer_idle_reclaims_total 0
+# HELP hummer_worker_panics_total Requests whose handler panicked (answered 500, socket closed).
+# TYPE hummer_worker_panics_total counter
+hummer_worker_panics_total 0
+# HELP hummer_event_loop_wakeups_total Returns of event-loop workers from their readiness wait.
+# TYPE hummer_event_loop_wakeups_total counter
+# HELP hummer_prepared_cache_hits_total Prepared-pipeline cache hits.
+# TYPE hummer_prepared_cache_hits_total counter
+hummer_prepared_cache_hits_total 1
+# HELP hummer_prepared_cache_misses_total Prepared-pipeline cache misses (cold prepares).
+# TYPE hummer_prepared_cache_misses_total counter
+hummer_prepared_cache_misses_total 1
+# HELP hummer_prepared_cache_evictions_total Prepared-pipeline cache LRU evictions.
+# TYPE hummer_prepared_cache_evictions_total counter
+hummer_prepared_cache_evictions_total 1
+# HELP hummer_prepared_cache_upgrades_total Prepared entries upgraded in place by deltas.
+# TYPE hummer_prepared_cache_upgrades_total counter
+hummer_prepared_cache_upgrades_total 1
+# HELP hummer_prepared_cache_upgrade_failures_total Delta upgrades that failed (entry dropped).
+# TYPE hummer_prepared_cache_upgrade_failures_total counter
+hummer_prepared_cache_upgrade_failures_total 0
+# HELP hummer_deltas_applied_total Delta batches applied.
+# TYPE hummer_deltas_applied_total counter
+hummer_deltas_applied_total 1
+# HELP hummer_deltas_rows_inserted_total Rows inserted by deltas.
+# TYPE hummer_deltas_rows_inserted_total counter
+hummer_deltas_rows_inserted_total 1
+# HELP hummer_deltas_rows_updated_total Rows updated by deltas.
+# TYPE hummer_deltas_rows_updated_total counter
+hummer_deltas_rows_updated_total 1
+# HELP hummer_deltas_rows_deleted_total Rows deleted by deltas.
+# TYPE hummer_deltas_rows_deleted_total counter
+hummer_deltas_rows_deleted_total 0
+# HELP hummer_deltas_full_rescores_total Delta upgrades that degraded to a full rescore.
+# TYPE hummer_deltas_full_rescores_total counter
+hummer_deltas_full_rescores_total 1
+# HELP hummer_delta_index_builds_total Delta indexes (match + detection) built by delta upgrades.
+# TYPE hummer_delta_index_builds_total counter
+hummer_delta_index_builds_total 1
+# HELP hummer_par_forks_total Scoped worker threads forked for intra-query parallelism.
+# TYPE hummer_par_forks_total counter
+hummer_par_forks_total 0
+# HELP hummer_prepared_cache_entries Prepared-pipeline cache live entries.
+# TYPE hummer_prepared_cache_entries gauge
+hummer_prepared_cache_entries 1
+"#;
+
+/// Four mutations, each acked alone: four records, four fsyncs, four
+/// one-record group commits.
+const STORE: &str = "\
+# HELP hummer_store_generation Live snapshot generation.
+# TYPE hummer_store_generation gauge
+hummer_store_generation 0
+# HELP hummer_store_wal_bytes Current WAL size in bytes.
+# TYPE hummer_store_wal_bytes gauge
+hummer_store_wal_bytes 565
+# HELP hummer_store_wal_records Records in the current WAL.
+# TYPE hummer_store_wal_records gauge
+hummer_store_wal_records 4
+# HELP hummer_store_snapshots_total Snapshots written by this process (compactions).
+# TYPE hummer_store_snapshots_total counter
+hummer_store_snapshots_total 0
+# HELP hummer_store_recovery_seconds Wall time of the most recent open+recover.
+# TYPE hummer_store_recovery_seconds gauge
+# HELP hummer_store_fsyncs_total WAL commit fsyncs issued.
+# TYPE hummer_store_fsyncs_total counter
+hummer_store_fsyncs_total 4
+# HELP hummer_store_group_commits_total WAL group-commit batches written.
+# TYPE hummer_store_group_commits_total counter
+hummer_store_group_commits_total 4
+# HELP hummer_store_fsync_enabled Whether WAL commits fsync (1) or not (0, --no-fsync).
+# TYPE hummer_store_fsync_enabled gauge
+hummer_store_fsync_enabled 1
+# HELP hummer_store_fsync_seconds WAL commit fsync latency.
+# TYPE hummer_store_fsync_seconds histogram
+hummer_store_fsync_seconds_count 4
+# HELP hummer_store_group_commit_records Records per WAL group-commit batch.
+# TYPE hummer_store_group_commit_records histogram
+hummer_store_group_commit_records_sum 4
+hummer_store_group_commit_records_count 4
+";
+
+const TAIL: &str = "\
+# HELP hummer_trace_spans Span records currently held in the trace ring.
+# TYPE hummer_trace_spans gauge
+hummer_trace_spans 0
+# HELP hummer_trace_spans_dropped_total Span records evicted from the trace ring.
+# TYPE hummer_trace_spans_dropped_total counter
+hummer_trace_spans_dropped_total 0
+";
+
+/// Run the pinned session — two uploads, a query miss, a hit, one delta,
+/// one delete — against a fresh untraced server and return its first
+/// `/metrics` body.
+fn exposition_after_session(data_dir: Option<PathBuf>) -> String {
+    let (addr, stop) = start_server_with(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        service: ServiceConfig::narrow_schema(),
+        data_dir,
+        ..ServerConfig::default()
+    });
+    let call = |method: &str, path: &str, body: &[u8]| {
+        let (status, text) = http_request(&addr, method, path, "text/plain", body).unwrap();
+        assert_eq!(status, 200, "{method} {path}: {text}");
+        text
+    };
+    call("PUT", "/tables/EE_Student", EE_CSV);
+    call("PUT", "/tables/CS_Students", CS_CSV);
+    assert!(call("POST", "/query", PAPER_QUERY).contains("\"cache\":\"miss\""));
+    assert!(call("POST", "/query", PAPER_QUERY).contains("\"cache\":\"hit\""));
+    call(
+        "POST",
+        "/tables/CS_Students/delta",
+        br#"{"insert": [["Grace Hopper", "37", "Arlington"]],
+             "update": [{"row": 0, "values": ["John Smith", 26, "Berlin"]}]}"#,
+    );
+    call("DELETE", "/tables/EE_Student", b"");
+    let text = call("GET", "/metrics", b"");
+    stop();
+    text
+}
+
+/// `text` is a clean exposition whose `# HELP` / `# TYPE` lines are those
+/// of `expected`, in order, and which holds every other line of it.
+fn assert_exposition(text: &str, expected: &[&str]) {
+    let expected = expected.concat();
+    let header = |l: &&str| l.starts_with("# HELP ") || l.starts_with("# TYPE ");
+    let headers = |doc: &str| doc.lines().filter(header).collect::<Vec<_>>().join("\n");
+    assert_eq!(headers(text), headers(&expected));
+    assert!(promlint::lint(text).ok(), "{text}");
+    for line in expected.lines().filter(|l| !header(l)) {
+        assert!(text.lines().any(|l| l == line), "no `{line}` in\n{text}");
+    }
+}
+
+#[test]
+fn in_memory_exposition_is_pinned() {
+    let text = exposition_after_session(None);
+    assert_exposition(&text, &[HEAD, TAIL]);
+}
+
+#[test]
+fn durable_exposition_is_pinned() {
+    let dir = hummer_store::scratch::dir("exposition");
+    let text = exposition_after_session(Some(dir.clone()));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_exposition(&text, &[HEAD, STORE, TAIL]);
 }
