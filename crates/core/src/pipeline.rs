@@ -17,9 +17,9 @@ use crate::error::Result;
 use crate::repository::MetadataRepository;
 use hummer_dupdetect::{
     annotate_object_ids, detect_duplicates, DeltaDetectionStats, DetectionIndex, DetectionResult,
-    DetectorConfig, RowMapping, OBJECT_ID_COLUMN,
+    DetectorConfig, RowMapping,
 };
-use hummer_engine::Table;
+use hummer_engine::{Table, OBJECT_ID_COLUMN, SOURCE_ID_COLUMN};
 use hummer_fusion::{
     fuse, FunctionRegistry, FusionSpec, Lineage, Parallelism, ResolutionSpec, SampleConflict,
 };
@@ -430,7 +430,7 @@ pub fn fuse_prepared_traced(
     let t0 = Instant::now();
     let mut spec = FusionSpec::by_key(vec![OBJECT_ID_COLUMN])
         .drop_column(OBJECT_ID_COLUMN)
-        .drop_column(hummer_matching::SOURCE_ID_COLUMN)
+        .drop_column(SOURCE_ID_COLUMN)
         .with_parallelism(par);
     for (col, rspec) in resolutions {
         spec = spec.resolve(col.clone(), rspec.clone());

@@ -10,7 +10,7 @@
 use crate::entities::EntityKind;
 use crate::noise::dirty_value;
 use hummer_engine::ops::{outer_union, rename_column};
-use hummer_engine::{Column, ColumnType, Row, Table, Value};
+use hummer_engine::{Column, ColumnType, Row, Table, Value, OBJECT_ID_COLUMN, SOURCE_ID_COLUMN};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -171,7 +171,7 @@ impl GeneratedWorld {
                     }
                 }
                 let alias = t.name().to_string();
-                t.add_column(Column::new("sourceID", ColumnType::Text), |_, _| {
+                t.add_column(Column::new(SOURCE_ID_COLUMN, ColumnType::Text), |_, _| {
                     Value::text(alias.clone())
                 })
                 .expect("sources carry no sourceID of their own");
@@ -182,7 +182,7 @@ impl GeneratedWorld {
         let mut union = outer_union(&refs, "Integrated").expect("canonical schemas align");
         let gold = self.gold_union_entity_ids();
         union
-            .add_column(Column::new("objectID", ColumnType::Int), |i, _| {
+            .add_column(Column::new(OBJECT_ID_COLUMN, ColumnType::Int), |i, _| {
                 Value::Int(gold[i] as i64)
             })
             .expect("sources carry no objectID of their own");

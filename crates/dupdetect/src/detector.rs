@@ -7,13 +7,8 @@ use crate::heuristics::{select_attributes, HeuristicConfig};
 use crate::measure::TupleSimilarity;
 use crate::unionfind::UnionFind;
 use hummer_engine::error::EngineError;
-use hummer_engine::{Column, ColumnType, Result, Row, Table, Value};
+use hummer_engine::{Column, ColumnType, Result, Row, Table, Value, OBJECT_ID_COLUMN};
 use hummer_par::Parallelism;
-
-/// Name of the cluster column the detector appends: "the output of
-/// duplicate detection is the same as the input relation, but enriched by
-/// an objectID column for identification" (paper §2.3).
-pub const OBJECT_ID_COLUMN: &str = "objectID";
 
 /// Detector configuration.
 #[derive(Debug, Clone)]

@@ -13,10 +13,7 @@
 
 use crate::incremental::RowChanges;
 use crate::renderings::Renderings;
-use hummer_engine::{Table, Value};
-
-/// Columns never used for comparison: pipeline bookkeeping.
-pub const BOOKKEEPING_COLUMNS: [&str; 2] = ["sourceID", "objectID"];
+use hummer_engine::{Table, Value, BOOKKEEPING_COLUMNS};
 
 /// Per-attribute heuristic scores.
 #[derive(Debug, Clone)]

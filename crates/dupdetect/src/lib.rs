@@ -70,7 +70,6 @@ pub use columnar::{score_candidates, PAIR_BLOCK};
 pub use detector::{
     annotate_object_ids, detect_duplicates, resolve_attributes, sort_pairs_canonical,
     DetectionResult, DetectionStats, DetectorConfig, DuplicatePair, ScoredCandidates,
-    OBJECT_ID_COLUMN,
 };
 pub use heuristics::{score_attributes, select_attributes, AttributeScore, HeuristicConfig};
 pub use hummer_par::Parallelism;

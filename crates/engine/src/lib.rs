@@ -59,3 +59,19 @@ pub use value::{Date, Value};
 
 /// Engine-wide result alias.
 pub type Result<T> = std::result::Result<T, EngineError>;
+
+/// Name of the provenance column the transformation adds to every source
+/// before the outer union. It stores the source alias and is what
+/// `CHOOSE(source)` and the lineage color-coding are built on.
+pub const SOURCE_ID_COLUMN: &str = "sourceID";
+
+/// Name of the cluster column duplicate detection appends: "the output of
+/// duplicate detection is the same as the input relation, but enriched by
+/// an objectID column for identification" (paper §2.3).
+pub const OBJECT_ID_COLUMN: &str = "objectID";
+
+/// The pipeline's bookkeeping columns: detection never compares them,
+/// fusion never counts their differences as data conflicts (`sourceID`
+/// differs by construction whenever sources merge, `objectID` is the
+/// grouping key itself), and `*` in a fusion query leaves them out.
+pub const BOOKKEEPING_COLUMNS: [&str; 2] = [SOURCE_ID_COLUMN, OBJECT_ID_COLUMN];

@@ -25,22 +25,13 @@ use crate::error::FusionError;
 use crate::functions::ResolutionFunction;
 use crate::lineage::{Cells, Lineage, NO_SOURCE};
 use crate::registry::{FunctionRegistry, ResolutionSpec};
-use hummer_engine::{Row, Table, Value};
+use hummer_engine::{Row, Table, Value, BOOKKEEPING_COLUMNS, SOURCE_ID_COLUMN};
 use hummer_par::{chunk_ranges, par_map, Parallelism};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Name of the provenance column consulted for source annotations (added by
-/// the transformation phase).
-pub const SOURCE_ID_COLUMN: &str = "sourceID";
-
-/// Bookkeeping columns whose cross-source differences are *not* data
-/// conflicts: `sourceID` differs by construction whenever sources merge,
-/// and `objectID` is the grouping key itself.
-const NON_DATA_COLUMNS: [&str; 2] = ["sourceID", "objectID"];
 
 /// Specification of one fusion run.
 #[derive(Debug, Clone)]
@@ -374,7 +365,7 @@ impl<'a> FusionSetup<'a> {
             .iter()
             .map(|&col| {
                 let name = &input.schema().column(col).name;
-                !NON_DATA_COLUMNS
+                !BOOKKEEPING_COLUMNS
                     .iter()
                     .any(|b| b.eq_ignore_ascii_case(name))
             })

@@ -12,10 +12,10 @@ use crate::functions::{
     ByLength, Choose, Coalesce, Concat, First, Group, Last, MostRecent, NumericAggregate,
     ResolutionFunction, TieBreak, Vote,
 };
-use crate::fuse::{FusionSpec, SampleConflict, MAX_SAMPLE_CONFLICTS, SOURCE_ID_COLUMN};
+use crate::fuse::{FusionSpec, SampleConflict, MAX_SAMPLE_CONFLICTS};
 use crate::lineage::CellLineage;
 use crate::registry::ResolutionSpec;
-use hummer_engine::{Row, Schema, Table, Value};
+use hummer_engine::{Row, Schema, Table, Value, SOURCE_ID_COLUMN};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 

@@ -71,6 +71,4 @@ pub use dumas::sniff_duplicates as sniff_duplicates_par;
 #[doc(hidden)]
 pub use matcher::match_star as match_star_par;
 pub use matrix::SimilarityMatrix;
-pub use transform::{
-    add_source_id, apply_renames, integrate, integrate_with_layout, SOURCE_ID_COLUMN,
-};
+pub use transform::{add_source_id, apply_renames, integrate, integrate_with_layout};

@@ -4,12 +4,7 @@
 
 use crate::correspondence::MatchResult;
 use hummer_engine::error::EngineError;
-use hummer_engine::{Column, ColumnType, Result, Row, Schema, Table, Value};
-
-/// Name of the provenance column added to every table before the union.
-/// It stores the source alias and is what `CHOOSE(source)` and the lineage
-/// color-coding are built on.
-pub const SOURCE_ID_COLUMN: &str = "sourceID";
+use hummer_engine::{Column, ColumnType, Result, Row, Schema, Table, Value, SOURCE_ID_COLUMN};
 
 /// Rename the matched columns of `table` to the preferred names recorded in
 /// `result` (which must have been produced with `table` on the right side).

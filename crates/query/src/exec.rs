@@ -23,16 +23,15 @@ use crate::parser::parse;
 use hummer_engine::ops::{
     cross_product, group_by, outer_union, select as filter_rows, sort, AggFunc, Aggregate, SortKey,
 };
-use hummer_engine::{Column, ColumnType, Expr, Schema, Table, Value};
+use hummer_engine::{
+    Column, ColumnType, Expr, Schema, Table, Value, BOOKKEEPING_COLUMNS, SOURCE_ID_COLUMN,
+};
 use hummer_fusion::{
     fuse as run_fusion, FunctionRegistry, FusedTable, FusionSpec, Lineage, Parallelism,
     ResolutionSpec, SampleConflict,
 };
 use std::borrow::Cow;
 use std::collections::HashMap;
-
-/// Bookkeeping columns excluded from `*` expansion in fusion queries.
-const BOOKKEEPING: [&str; 2] = ["sourceID", "objectID"];
 
 /// Detailed fusion by-products of a query (intermediate fused table,
 /// lineage, conflict samples) — what the demo GUI visualizes.
@@ -97,11 +96,11 @@ fn combine_tables(query: &FuseQuery, tables: &[Table]) -> Result<Table> {
         let tagged: Vec<Table> = tables
             .iter()
             .map(|t| {
-                if t.schema().contains("sourceID") {
+                if t.schema().contains(SOURCE_ID_COLUMN) {
                     Ok(t.clone())
                 } else {
                     let mut c = t.clone();
-                    c.add_column(Column::new("sourceID", ColumnType::Text), |_, _| {
+                    c.add_column(Column::new(SOURCE_ID_COLUMN, ColumnType::Text), |_, _| {
                         Value::text(t.name())
                     })?;
                     Ok::<Table, QueryError>(c)
@@ -396,7 +395,10 @@ fn project_select(query: &FuseQuery, table: Cow<'_, Table>) -> Result<Table> {
         match item {
             SelectItem::Wildcard => {
                 for name in table.schema().names() {
-                    if query.is_fusion() && BOOKKEEPING.iter().any(|b| b.eq_ignore_ascii_case(name))
+                    if query.is_fusion()
+                        && BOOKKEEPING_COLUMNS
+                            .iter()
+                            .any(|b| b.eq_ignore_ascii_case(name))
                     {
                         continue;
                     }

@@ -24,10 +24,24 @@ use hummer_fusion::ResolutionSpec;
 /// Aggregate function names recognized in plain queries.
 const AGGREGATES: [&str; 5] = ["min", "max", "sum", "avg", "count"];
 
+/// The deepest expression tree a statement may build. Every operator,
+/// `NOT`, unary minus, call and parenthesis counts one level; a deeper
+/// statement is a syntax error. Parsing, evaluating and dropping an
+/// expression recurse once per level, so this bounds the stack a query can
+/// ask of the thread that runs it. On x86-64, a 2 MiB thread (a server
+/// worker's) parses about 1,000 nested parentheses and evaluates and drops
+/// about 6,000 levels of operators in a release build; about 200 and 300
+/// in a debug build.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
 /// Parse a Fuse By statement.
 pub fn parse(input: &str) -> Result<FuseQuery> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        nesting: 0,
+    };
     let q = p.query()?;
     p.expect_eof()?;
     Ok(q)
@@ -36,6 +50,8 @@ pub fn parse(input: &str) -> Result<FuseQuery> {
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Parentheses and call argument lists open around the current token.
+    nesting: usize,
 }
 
 impl Parser {
@@ -315,48 +331,94 @@ impl Parser {
     }
 
     // -- expressions --------------------------------------------------------
+    //
+    // Each expression parser returns the expression with the depth of its
+    // tree, and no tree deeper than `MAX_EXPR_DEPTH` is ever built.
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        Ok(self.or_expr()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut left = self.and_expr()?;
+    /// `depth` if it is within [`MAX_EXPR_DEPTH`], else a syntax error.
+    fn level(&self, depth: usize) -> Result<usize> {
+        if depth > MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(depth)
+    }
+
+    /// Out of line, so its formatting takes no room in the frame of every
+    /// expression parser.
+    #[cold]
+    #[inline(never)]
+    fn too_deep(&self) -> QueryError {
+        self.error(format!(
+            "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+        ))
+    }
+
+    /// An expression inside parentheses or call arguments. The nesting is
+    /// bounded on the way down too, so the parse itself cannot recurse
+    /// past the limit before the depth of what it built is known.
+    fn nested(&mut self) -> Result<(Expr, usize)> {
+        self.nesting = self.level(self.nesting + 1)?;
+        let inner = self.or_expr()?;
+        self.nesting -= 1;
+        Ok(inner)
+    }
+
+    fn or_expr(&mut self) -> Result<(Expr, usize)> {
+        let (mut left, mut depth) = self.and_expr()?;
         while self.eat_keyword("or") {
-            let right = self.and_expr()?;
+            let (right, d) = self.and_expr()?;
+            depth = self.level(depth.max(d) + 1)?;
             left = left.or(right);
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut left = self.not_expr()?;
+    fn and_expr(&mut self) -> Result<(Expr, usize)> {
+        let (mut left, mut depth) = self.not_expr()?;
         while self.eat_keyword("and") {
-            let right = self.not_expr()?;
+            let (right, d) = self.not_expr()?;
+            depth = self.level(depth.max(d) + 1)?;
             left = left.and(right);
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn not_expr(&mut self) -> Result<Expr> {
-        if self.eat_keyword("not") {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
-        } else {
-            self.predicate()
+    fn not_expr(&mut self) -> Result<(Expr, usize)> {
+        let mut nots = 0;
+        while self.eat_keyword("not") {
+            nots += 1;
         }
+        let (mut e, depth) = self.predicate()?;
+        let depth = self.level(depth + nots)?;
+        for _ in 0..nots {
+            e = Expr::Not(Box::new(e));
+        }
+        Ok((e, depth))
     }
 
-    fn predicate(&mut self) -> Result<Expr> {
-        let left = self.additive()?;
+    fn predicate(&mut self) -> Result<(Expr, usize)> {
+        let (left, depth) = self.additive()?;
+        self.predicate_tail(left, depth)
+    }
+
+    /// What follows a predicate's left operand, if anything. Kept out of
+    /// [`Parser::predicate`], whose frame every nesting level stacks.
+    #[inline(never)]
+    fn predicate_tail(&mut self, left: Expr, depth: usize) -> Result<(Expr, usize)> {
         // IS [NOT] NULL
         if self.at_keyword("is") {
             self.advance();
             let negated = self.eat_keyword("not");
             self.expect_keyword("null")?;
+            let depth = self.level(depth + 1)?;
             return Ok(if negated {
-                Expr::IsNotNull(Box::new(left))
+                (Expr::IsNotNull(Box::new(left)), depth)
             } else {
-                Expr::IsNull(Box::new(left))
+                (Expr::IsNull(Box::new(left)), depth)
             });
         }
         // [NOT] LIKE / IN
@@ -369,6 +431,13 @@ impl Parser {
         if negated {
             self.advance();
         }
+        let negate = |e: Expr| {
+            if negated {
+                Expr::Not(Box::new(e))
+            } else {
+                e
+            }
+        };
         if self.at_keyword("like") {
             self.advance();
             let pattern = match self.advance() {
@@ -377,20 +446,23 @@ impl Parser {
                     return Err(self.error(format!("expected pattern string, found `{other}`")))
                 }
             };
-            let e = Expr::Like(Box::new(left), pattern);
-            return Ok(if negated { Expr::Not(Box::new(e)) } else { e });
+            let depth = self.level(depth + 1 + usize::from(negated))?;
+            return Ok((negate(Expr::Like(Box::new(left), pattern)), depth));
         }
         if self.at_keyword("in") {
             self.advance();
             self.expect(&Token::LParen, "`(` after IN")?;
-            let mut list = vec![self.additive()?];
+            let (first, mut deepest) = self.additive()?;
+            let mut list = vec![first];
             while matches!(self.peek(), Token::Comma) {
                 self.advance();
-                list.push(self.additive()?);
+                let (item, d) = self.additive()?;
+                deepest = deepest.max(d);
+                list.push(item);
             }
             self.expect(&Token::RParen, "`)` closing IN list")?;
-            let e = Expr::In(Box::new(left), list);
-            return Ok(if negated { Expr::Not(Box::new(e)) } else { e });
+            let depth = self.level(depth.max(deepest) + 1 + usize::from(negated))?;
+            return Ok((negate(Expr::In(Box::new(left), list)), depth));
         }
         if negated {
             return Err(self.error("expected LIKE or IN after NOT"));
@@ -407,14 +479,15 @@ impl Parser {
         };
         if let Some(op) = op {
             self.advance();
-            let right = self.additive()?;
-            return Ok(Expr::Cmp(op, Box::new(left), Box::new(right)));
+            let (right, d) = self.additive()?;
+            let depth = self.level(depth.max(d) + 1)?;
+            return Ok((Expr::Cmp(op, Box::new(left), Box::new(right)), depth));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn additive(&mut self) -> Result<Expr> {
-        let mut left = self.multiplicative()?;
+    fn additive(&mut self) -> Result<(Expr, usize)> {
+        let (mut left, mut depth) = self.multiplicative()?;
         loop {
             let op = match self.peek() {
                 Token::Plus => ArithOp::Add,
@@ -422,14 +495,15 @@ impl Parser {
                 _ => break,
             };
             self.advance();
-            let right = self.multiplicative()?;
+            let (right, d) = self.multiplicative()?;
+            depth = self.level(depth.max(d) + 1)?;
             left = Expr::Arith(op, Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn multiplicative(&mut self) -> Result<Expr> {
-        let mut left = self.unary()?;
+    fn multiplicative(&mut self) -> Result<(Expr, usize)> {
+        let (mut left, mut depth) = self.unary()?;
         loop {
             let op = match self.peek() {
                 Token::Star => ArithOp::Mul,
@@ -438,72 +512,85 @@ impl Parser {
                 _ => break,
             };
             self.advance();
-            let right = self.unary()?;
+            let (right, d) = self.unary()?;
+            depth = self.level(depth.max(d) + 1)?;
             left = Expr::Arith(op, Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn unary(&mut self) -> Result<Expr> {
-        if matches!(self.peek(), Token::Minus) {
+    fn unary(&mut self) -> Result<(Expr, usize)> {
+        let mut negations = 0;
+        while matches!(self.peek(), Token::Minus) {
             self.advance();
-            return Ok(Expr::Neg(Box::new(self.unary()?)));
+            negations += 1;
         }
-        self.primary()
+        let (mut e, depth) = self.primary()?;
+        let depth = self.level(depth + negations)?;
+        for _ in 0..negations {
+            e = Expr::Neg(Box::new(e));
+        }
+        Ok((e, depth))
     }
 
-    fn primary(&mut self) -> Result<Expr> {
-        match self.peek().clone() {
-            Token::Int(i) => {
-                self.advance();
-                Ok(Expr::lit(i))
+    /// A leaf, a parenthesized expression or a call. Each lives in a
+    /// function of its own, so the frame every nesting level stacks holds
+    /// none of their locals.
+    fn primary(&mut self) -> Result<(Expr, usize)> {
+        match self.peek() {
+            Token::LParen => self.parenthesized(),
+            Token::Ident(_)
+                if self.tokens.get(self.pos + 1).map(|s| &s.token) == Some(&Token::LParen) =>
+            {
+                self.call()
             }
-            Token::Float(f) => {
-                self.advance();
-                Ok(Expr::lit(f))
-            }
-            Token::Str(s) => {
-                self.advance();
-                Ok(Expr::lit(s.as_str()))
-            }
-            Token::LParen => {
-                self.advance();
-                let e = self.expr()?;
-                self.expect(&Token::RParen, "`)`")?;
-                Ok(e)
-            }
-            Token::Ident(name) => {
-                if name.eq_ignore_ascii_case("null") {
-                    self.advance();
-                    return Ok(Expr::Literal(Value::Null));
-                }
-                if name.eq_ignore_ascii_case("true") {
-                    self.advance();
-                    return Ok(Expr::lit(true));
-                }
-                if name.eq_ignore_ascii_case("false") {
-                    self.advance();
-                    return Ok(Expr::lit(false));
-                }
-                // Function call or column reference.
-                if self.tokens.get(self.pos + 1).map(|s| &s.token) == Some(&Token::LParen) {
-                    self.advance(); // name
-                    self.advance(); // (
-                    let mut args = Vec::new();
-                    if !matches!(self.peek(), Token::RParen) {
-                        args.push(self.expr()?);
-                        while matches!(self.peek(), Token::Comma) {
-                            self.advance();
-                            args.push(self.expr()?);
-                        }
-                    }
-                    self.expect(&Token::RParen, "`)` closing function call")?;
-                    return Ok(Expr::Call(name, args));
-                }
-                self.column_ref().map(Expr::Column)
-            }
-            other => Err(self.error(format!("expected expression, found `{other}`"))),
+            _ => self.leaf(),
         }
+    }
+
+    fn parenthesized(&mut self) -> Result<(Expr, usize)> {
+        self.advance(); // (
+        let (e, depth) = self.nested()?;
+        self.expect(&Token::RParen, "`)`")?;
+        Ok((e, self.level(depth + 1)?))
+    }
+
+    #[inline(never)]
+    fn call(&mut self) -> Result<(Expr, usize)> {
+        let Token::Ident(name) = self.advance() else {
+            unreachable!()
+        };
+        self.advance(); // (
+        let (mut args, mut deepest) = (Vec::new(), 0);
+        if !matches!(self.peek(), Token::RParen) {
+            loop {
+                let (arg, d) = self.nested()?;
+                deepest = deepest.max(d);
+                args.push(arg);
+                if !matches!(self.peek(), Token::Comma) {
+                    break;
+                }
+                self.advance();
+            }
+        }
+        self.expect(&Token::RParen, "`)` closing function call")?;
+        Ok((Expr::Call(name, args), self.level(deepest + 1)?))
+    }
+
+    #[inline(never)]
+    fn leaf(&mut self) -> Result<(Expr, usize)> {
+        let leaf = match self.peek().clone() {
+            Token::Int(i) => Expr::lit(i),
+            Token::Float(f) => Expr::lit(f),
+            Token::Str(s) => Expr::lit(s.as_str()),
+            Token::Ident(name) if name.eq_ignore_ascii_case("null") => Expr::Literal(Value::Null),
+            Token::Ident(name) if name.eq_ignore_ascii_case("true") => Expr::lit(true),
+            Token::Ident(name) if name.eq_ignore_ascii_case("false") => Expr::lit(false),
+            Token::Ident(_) => return Ok((Expr::Column(self.column_ref()?), 1)),
+            other => return Err(self.error(format!("expected expression, found `{other}`"))),
+        };
+        self.advance();
+        Ok((leaf, 1))
     }
 }
 
@@ -700,6 +787,77 @@ mod tests {
                 other => panic!("{other:?}"),
             },
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Runs `f` on a thread with the 2 MiB stack a server worker gets.
+    fn on_worker_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let thread = std::thread::Builder::new().stack_size(2 << 20);
+        thread.spawn(f).unwrap().join().unwrap()
+    }
+
+    /// `SELECT a FROM t WHERE` over each shape of deep expression, each
+    /// tree exactly `depth` levels deep: parentheses, an operator chain, a
+    /// `NOT` run, a unary-minus run, nested calls, `OR` and `AND` chains,
+    /// and mixed nesting.
+    fn deep_statements(depth: usize) -> Vec<String> {
+        // Every shape ends in a comparison of a leaf: two levels.
+        let n = depth - 2;
+        let chain = |op: &str| format!("a = 1{}", format!(" {op} a = 1").repeat(n));
+        let innermost = if n % 2 == 1 { "- 1" } else { "1" };
+        [
+            format!("{}1{} = 1", "(".repeat(n), ")".repeat(n)),
+            format!("1{} = 1", " + 1".repeat(n)),
+            format!("{}a = 1", "NOT ".repeat(n)),
+            format!("{}1 = 1", "- ".repeat(n)),
+            format!("{}a{} = 1", "abs(".repeat(n), ")".repeat(n)),
+            chain("OR"),
+            chain("AND"),
+            format!(
+                "{}{innermost}{} = 1",
+                "(1 * ".repeat(n / 2),
+                ")".repeat(n / 2)
+            ),
+        ]
+        .map(|e| format!("SELECT a FROM t WHERE {e}"))
+        .to_vec()
+    }
+
+    /// A request can nest as deep as its body is long; a stack cannot.
+    /// Each of these aborted the process (a stack overflow is no panic)
+    /// while parsing, or, for the chain, when the tree it built was
+    /// dropped.
+    #[test]
+    fn deep_expressions_are_syntax_errors() {
+        for sql in deep_statements(100_000) {
+            let head = sql[..40].to_string();
+            let outcome = on_worker_stack(move || parse(&sql).map(drop));
+            assert!(
+                matches!(outcome, Err(QueryError::Parse { .. })),
+                "{head}…: {outcome:?}"
+            );
+        }
+    }
+
+    /// At exactly [`MAX_EXPR_DEPTH`] every shape parses, evaluates in
+    /// `WHERE` and drops on a worker's stack; one level more is an error.
+    #[test]
+    fn expressions_at_the_depth_cap_parse_evaluate_and_drop() {
+        use crate::{execute, TableSet};
+        use hummer_fusion::FunctionRegistry;
+        for (at_cap, over) in deep_statements(MAX_EXPR_DEPTH)
+            .into_iter()
+            .zip(deep_statements(MAX_EXPR_DEPTH + 1))
+        {
+            assert!(parse(&over).is_err(), "{over}");
+            let rows = on_worker_stack(move || {
+                let q = parse(&at_cap).unwrap();
+                let mut catalog = TableSet::new();
+                catalog.add(hummer_engine::table! { "t" => ["a"]; [1], [2] });
+                let out = execute(&q, &catalog, &FunctionRegistry::standard()).unwrap();
+                out.table.len()
+            });
+            assert!(rows <= 2);
         }
     }
 

@@ -6,10 +6,15 @@
 //! select list, predicates, or resolution functions. So the cache keys on
 //! the ordered source-table set together with each table's content version:
 //! any repeat query over the same sources skips straight to fusion + query
-//! execution, and any re-upload changes a version and misses naturally.
+//! execution.
 //!
-//! Eviction is LRU over a fixed capacity. Entries are `Arc`-shared so a hit
-//! hands out the artifacts without copying tables under the lock.
+//! The cache holds only current pipelines, and compares no versions to
+//! keep it so: the service admits an entry only while every version in its
+//! key is current, and the commit that changes a table takes every entry
+//! naming it out with [`PreparedCache::take`] (see `FusionService::commit`
+//! in [`crate::catalog`]). What is left to the cache is LRU over a fixed
+//! capacity. Entries are `Arc`-shared so a hit hands out the artifacts
+//! without copying tables under the lock.
 //!
 //! Beside its artifacts an entry may hold their [`DeltaIndex`] — the match
 //! and detection indexes that carry the artifacts across a delta. A cold
@@ -30,7 +35,7 @@ pub type PreparedKey = Vec<(String, u64)>;
 pub struct CacheStats {
     /// Lookups that found a live entry.
     pub hits: u64,
-    /// Lookups that found nothing (or only a stale version).
+    /// Lookups that found nothing.
     pub misses: u64,
     /// Entries evicted to respect capacity.
     pub evictions: u64,
@@ -45,9 +50,9 @@ struct Entry {
     last_used: u64,
 }
 
-/// An entry a delta can upgrade: its key, its artifacts, and its delta
-/// index when it has one (taken out of the cache, not copied).
-pub type Upgradable = (PreparedKey, Arc<PreparedSources>, Option<DeltaIndex>);
+/// An entry taken out of the cache: its key, its artifacts, and its delta
+/// index when it has one.
+pub type Taken = (PreparedKey, Arc<PreparedSources>, Option<DeltaIndex>);
 
 /// An LRU map from source-set keys to prepared artifacts.
 #[derive(Debug)]
@@ -91,40 +96,14 @@ impl PreparedCache {
     }
 
     /// Insert artifacts (and their delta index, if known) under `key`,
-    /// evicting the least-recently-used entry beyond capacity and any
-    /// older versions of the same source names. A key that is itself an
-    /// older version of a cached entry is not inserted: a late upgrade
-    /// must not evict what a newer version's query already cached.
+    /// replacing what the key held and evicting the least-recently-used
+    /// entry beyond capacity.
     pub fn insert(
         &mut self,
         key: PreparedKey,
         artifacts: Arc<PreparedSources>,
         index: Option<DeltaIndex>,
     ) {
-        // `a` is `b` over the same names, at no older version of any.
-        let no_older = |a: &PreparedKey, b: &PreparedKey| {
-            a.len() == b.len()
-                && a.iter()
-                    .zip(b)
-                    .all(|((na, va), (nb, vb))| na == nb && va >= vb)
-        };
-        if self.entries.keys().any(|k| k != &key && no_older(k, &key)) {
-            return;
-        }
-        // A newer version of a source set makes the older entries over the
-        // same names dead weight; drop them eagerly rather than waiting for
-        // LRU.
-        let stale: Vec<PreparedKey> = self
-            .entries
-            .keys()
-            .filter(|k| *k != &key && no_older(&key, k))
-            .cloned()
-            .collect();
-        for k in stale {
-            self.entries.remove(&k);
-            self.evictions += 1;
-        }
-
         self.tick += 1;
         self.entries.insert(
             key,
@@ -134,7 +113,7 @@ impl PreparedCache {
                 last_used: self.tick,
             },
         );
-        while self.entries.len() > self.capacity {
+        if self.entries.len() > self.capacity {
             if let Some(oldest) = self
                 .entries
                 .iter()
@@ -147,16 +126,13 @@ impl PreparedCache {
         }
     }
 
-    /// The live entries whose key references source `name` at `version` —
-    /// the entries a delta to that table can *upgrade* in place instead of
-    /// invalidating — with their delta indexes moved out: the upgrade
-    /// hands each index on to the upgraded entry. Recency is not refreshed
-    /// (this is bookkeeping, not a query hit).
-    pub fn take_for_upgrade(&mut self, name: &str, version: u64) -> Vec<Upgradable> {
+    /// Take every entry whose key names source `alias` (lowercase) out of
+    /// the cache, delta indexes included: what a commit that changes the
+    /// table does. Not an eviction; no counter but `entries` moves.
+    pub fn take(&mut self, alias: &str) -> Vec<Taken> {
         self.entries
-            .iter_mut()
-            .filter(|(k, _)| k.iter().any(|(n, v)| n == name && *v == version))
-            .map(|(k, e)| (k.clone(), Arc::clone(&e.artifacts), e.index.take()))
+            .extract_if(|key, _| key.iter().any(|(name, _)| name == alias))
+            .map(|(key, entry)| (key, entry.artifacts, entry.index))
             .collect()
     }
 
@@ -196,42 +172,10 @@ mod tests {
         assert!(c.get(&k).is_none());
         c.insert(k.clone(), artifacts(), None);
         assert!(c.get(&k).is_some());
+        // Another version of the same sources is another key.
+        assert!(c.get(&key(&[("a", 1), ("b", 2)])).is_none());
         let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-    }
-
-    #[test]
-    fn version_bump_misses_and_supersedes() {
-        let mut c = PreparedCache::new(4);
-        c.insert(key(&[("a", 1)]), artifacts(), None);
-        assert!(c.get(&key(&[("a", 2)])).is_none());
-        // Inserting the new version drops the stale entry for the same name
-        // set instead of letting both linger.
-        c.insert(key(&[("a", 2)]), artifacts(), None);
-        let s = c.stats();
-        assert_eq!(s.entries, 1);
-        assert_eq!(s.evictions, 1);
-        assert!(c.get(&key(&[("a", 1)])).is_none());
-        assert!(c.get(&key(&[("a", 2)])).is_some());
-    }
-
-    /// A late upgrade (v2 passed its version check, then v3 landed and a
-    /// v3 query inserted) must not evict the newer entry.
-    #[test]
-    fn insert_a3_then_a2_a3_still_hits() {
-        let mut c = PreparedCache::new(4);
-        c.insert(key(&[("a", 3)]), artifacts(), None);
-        c.insert(key(&[("a", 2)]), artifacts(), None);
-        assert!(c.get(&key(&[("a", 3)])).is_some());
-        assert!(c.get(&key(&[("a", 2)])).is_none());
-        let s = c.stats();
-        assert_eq!((s.entries, s.evictions), (1, 0));
-        // Per source: an entry another one is newer than on one source and
-        // older on another dominates neither.
-        c.insert(key(&[("a", 3), ("b", 1)]), artifacts(), None);
-        c.insert(key(&[("a", 2), ("b", 2)]), artifacts(), None);
-        assert!(c.get(&key(&[("a", 3), ("b", 1)])).is_some());
-        assert!(c.get(&key(&[("a", 2), ("b", 2)])).is_some());
+        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 1));
     }
 
     #[test]
@@ -256,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn entries_for_source_matches_name_and_version() {
+    fn take_removes_every_entry_naming_the_alias() {
         let mut c = PreparedCache::new(4);
         c.insert(key(&[("a", 1), ("b", 2)]), artifacts(), None);
         c.insert(key(&[("b", 2)]), artifacts(), None);
@@ -272,18 +216,15 @@ mod tests {
                 &Span::noop(),
             )
             .unwrap();
-        c.insert(key(&[("a", 3)]), Arc::new(upgraded), index);
-        let hits = c.take_for_upgrade("b", 2);
-        assert_eq!(hits.len(), 2);
-        assert!(c.take_for_upgrade("b", 9).is_empty());
-        // The index moves out with the first taker; the entry stays.
-        let taken = c.take_for_upgrade("a", 3);
-        assert_eq!(taken.len(), 1);
-        assert!(taken[0].2.is_some());
-        let again = c.take_for_upgrade("a", 3);
-        assert!(again.len() == 1 && again[0].2.is_none());
-        // No recency refresh, no counter movement.
-        assert_eq!(c.stats().hits, 0);
-        assert_eq!(c.stats().entries, 3);
+        c.insert(key(&[("c", 3)]), Arc::new(upgraded), index);
+        assert_eq!(c.take("b").len(), 2);
+        assert!(c.take("b").is_empty(), "taken, not copied");
+        assert_eq!(c.stats().entries, 1);
+        // The index leaves with its entry.
+        let taken = c.take("c");
+        assert!(taken.len() == 1 && taken[0].2.is_some());
+        // No recency refresh, no eviction counted.
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.evictions, s.entries), (0, 0, 0, 0));
     }
 }

@@ -7,11 +7,11 @@
 //! *upgrades* them in place, so the next fusion query over the updated
 //! sources is a cache hit.
 
-use crate::cache::PreparedKey;
+use crate::cache::Taken;
 use crate::error::{Result, ServerError};
 use crate::json::Json;
 use crate::service::{FusionService, UNPOISONED};
-use hummer_core::{DeltaIndex, PreparedSources, RowMapping};
+use hummer_core::RowMapping;
 use hummer_delta::{concat_mappings, DeltaCounts, TableDelta};
 use hummer_engine::{csv, Table, Value};
 use hummer_obs::Span;
@@ -157,34 +157,45 @@ fn json_value(v: &Json) -> Result<Value> {
 enum Change<'d> {
     /// Register (or replace) a table.
     Register(Table),
-    /// Replace a table with what the delta made of it; the WAL logs the
-    /// delta, not the table.
-    Delta(Table, &'d TableDelta),
+    /// Replace a table with what the delta made of it; the mapping takes
+    /// its old rows to the new ones. The WAL logs the delta, not the table.
+    Delta(Table, &'d TableDelta, RowMapping),
     /// Deregister a table.
     Deregister,
 }
 
 impl FusionService {
-    /// Commit one catalog change: the path every mutation takes.
+    /// Commit one catalog change: the path every mutation takes, and the
+    /// one place a cached pipeline stops being current.
     ///
     /// Under the catalog write lock, `plan` validates the change against
     /// the catalog and names the alias it applies to. The change is then
     /// enqueued to the store's WAL (when one is attached) still under that
     /// lock, so WAL order always equals version order; then applied; then
-    /// the WAL is compacted if it crossed its threshold. Lock order: the
-    /// catalog write lock first, then the store — never the other way
-    /// around. Only after the catalog lock is released does the writer wait
-    /// for group durability, so one fsync covers every writer that queued
-    /// behind it; a durability failure poisons the store, so no later
-    /// mutation can commit on top of a non-durable one. Reads never touch
-    /// the store.
+    /// the WAL is compacted if it crossed its threshold; then every cached
+    /// pipeline naming the alias is taken out of the prepared cache. Lock
+    /// order: the catalog lock first, then the store or the cache — never
+    /// the other way around, and never both at once. Only after the
+    /// catalog lock is released does the writer wait for group
+    /// durability, so one fsync covers every writer that queued behind it;
+    /// a durability failure poisons the store, so no later mutation can
+    /// commit on top of a non-durable one. Reads never touch the store.
     ///
-    /// Returns the alias's catalog entry before and after the change.
+    /// So the cache holds only current pipelines: [`FusionService::admit`]
+    /// caches one only while its key is current, and whatever a change
+    /// supersedes leaves here. A delta upgrades what it took (see
+    /// [`FusionService::upgrade`]). Then the superseded table and
+    /// pipelines go to the reaper in one hand-over, so no change wakes it
+    /// more than once.
+    ///
+    /// Returns the alias's facts after the change (before it, for a
+    /// deregistration) and what the change did to the cache.
     fn commit<'d>(
         &self,
         plan: impl FnOnce(&VersionedTableSet) -> Result<(String, Change<'d>)>,
-    ) -> Result<(Option<VersionedTable>, Option<VersionedTable>)> {
-        let (before, after, ticket) = {
+        parent: &Span,
+    ) -> Result<(TableInfo, UpgradeTally)> {
+        let (alias, info, superseded, mut taken, delta, ticket) = {
             let mut catalog = self.catalog.write().expect(UNPOISONED);
             let (alias, change) = plan(&catalog)?;
             let version = catalog.upcoming_version();
@@ -193,25 +204,31 @@ impl FusionService {
                     let mut store = store.lock().expect(UNPOISONED);
                     Some(match &change {
                         Change::Register(table) => store.enqueue_register(&alias, version, table),
-                        Change::Delta(_, delta) => store.enqueue_delta(&alias, version, delta),
+                        Change::Delta(_, delta, _) => store.enqueue_delta(&alias, version, delta),
                         Change::Deregister => store.enqueue_deregister(&alias),
                     }?)
                 }
                 None => None,
             };
-            let before = catalog.get(&alias).cloned();
-            match change {
-                Change::Register(table) | Change::Delta(table, _) => {
-                    let assigned = catalog.register(alias.as_str(), table);
-                    debug_assert_eq!(assigned, version);
-                }
-                Change::Deregister => {
-                    catalog.remove(&alias);
-                }
+            let superseded = catalog.get(&alias).cloned();
+            let (table, mapping) = match change {
+                Change::Register(table) => (Some(table), None),
+                Change::Delta(table, _, mapping) => (Some(table), Some(mapping)),
+                Change::Deregister => (None, None),
+            };
+            if let Some(table) = table {
+                let assigned = catalog.register(alias.as_str(), table);
+                debug_assert_eq!(assigned, version);
+            } else {
+                catalog.remove(&alias);
             }
-            let after = catalog.get(&alias).cloned();
+            let entry = catalog.get(&alias).or(superseded.as_ref());
+            let info = TableInfo::of(entry.expect("a change names or registers its table"));
             self.compact_if_needed(&catalog);
-            (before, after, ticket)
+            let alias = alias.to_ascii_lowercase();
+            let taken = self.cache.lock().expect(UNPOISONED).take(&alias);
+            let delta = mapping.map(|mapping| (mapping, catalog.clone()));
+            (alias, info, superseded, taken, delta, ticket)
         };
         if let Some(ticket) = ticket {
             self.committer
@@ -219,7 +236,73 @@ impl FusionService {
                 .expect("a WAL ticket implies an attached store")
                 .wait(ticket)?;
         }
-        Ok((before, after))
+        let tally = match delta {
+            Some((mapping, catalog)) => {
+                self.upgrade(&alias, &mapping, &catalog, &mut taken, parent)
+            }
+            None => UpgradeTally::default(),
+        };
+        self.reaper.retire(Box::new((superseded, taken)));
+        Ok((info, tally))
+    }
+
+    /// Upgrade the pipelines a delta to table `alias` took out of the
+    /// cache over `catalog` — the catalog the delta's commit left —
+    /// moving each one's delta index (or building it when the entry had
+    /// none) into the upgraded entry, and admit the results, recording an
+    /// `upgrade` span under `parent`. `mapping` takes the table's old rows
+    /// to the new ones; every other source maps to itself. An upgrade a
+    /// later commit superseded first is not admitted; one that fails is
+    /// counted and dropped, and the next query over its sources prepares
+    /// cold.
+    fn upgrade(
+        &self,
+        alias: &str,
+        mapping: &RowMapping,
+        catalog: &VersionedTableSet,
+        taken: &mut [Taken],
+        parent: &Span,
+    ) -> UpgradeTally {
+        let mut tally = UpgradeTally::default();
+        let mut span = parent.child("upgrade");
+        for (key, artifacts, index) in taken {
+            let mut index = index.take();
+            let built = index.is_none();
+            // Every cached key was current until this delta, so its names
+            // resolve to the tables it was prepared over, this one's new
+            // version in place of its old.
+            let (mut tables, mut per_source, mut new_key) = (vec![], vec![], vec![]);
+            for (name, _) in key.iter() {
+                let source = catalog.get(name).expect("cached keys are current");
+                tables.push(source.table.as_ref());
+                per_source.push(if name == alias {
+                    mapping.clone()
+                } else {
+                    RowMapping::identity(source.table.len())
+                });
+                new_key.push((name.clone(), source.version));
+            }
+            let upgraded = concat_mappings(&per_source)
+                .map_err(Into::into)
+                .and_then(|union| {
+                    artifacts.apply_delta_traced(&tables, &union, &self.config, &mut index, &span)
+                });
+            match upgraded {
+                Ok((upgraded, report)) => {
+                    if self.admit(new_key, Arc::new(upgraded), index) {
+                        tally.upgraded += 1;
+                        tally.full_rescores += u64::from(report.detection.full_rescore);
+                        tally.index_builds += u64::from(built);
+                    }
+                }
+                Err(_) => tally.upgrade_failures += 1,
+            }
+        }
+        span.count("cache_upgrades", tally.upgraded);
+        span.count("cache_upgrade_failures", tally.upgrade_failures);
+        span.count("full_rescores", tally.full_rescores);
+        span.count("index_builds", tally.index_builds);
+        tally
     }
 
     /// Roll the WAL into a fresh snapshot if it crossed the threshold.
@@ -247,9 +330,10 @@ impl FusionService {
         }
     }
 
-    /// Parse and register CSV under `name` (re-upload replaces and bumps the
-    /// version, invalidating cached pipelines over the table). When durable,
-    /// the registration is WAL-logged before the catalog changes.
+    /// Parse and register CSV under `name`. A re-upload replaces the table
+    /// and bumps its version; the cached pipelines over the old version
+    /// leave the cache. When durable, the registration is WAL-logged
+    /// before the catalog changes.
     pub fn put_table(&self, name: &str, csv_text: &str) -> Result<TableInfo> {
         if name.is_empty()
             || !name
@@ -261,22 +345,21 @@ impl FusionService {
             )));
         }
         let table = csv::read_csv_str(name, csv_text)?;
-        let (_, after) = self.commit(|_| Ok((name.to_string(), Change::Register(table))))?;
-        Ok(TableInfo::of(&after.expect("just registered")))
+        let plan = |_: &VersionedTableSet| Ok((name.to_string(), Change::Register(table)));
+        Ok(self.commit(plan, &Span::noop())?.0)
     }
 
     /// Remove a table from the catalog; returns its final shape. When
-    /// durable, the removal is WAL-logged before it is applied. Prepared
-    /// cache entries over the removed table become unreachable (versions
-    /// are never reused) and age out via LRU.
+    /// durable, the removal is WAL-logged before it is applied. Every
+    /// cached pipeline over the table leaves the cache with it.
     pub fn delete_table(&self, name: &str) -> Result<TableInfo> {
-        let (before, _) = self.commit(|catalog| {
+        let plan = |catalog: &VersionedTableSet| {
             catalog
                 .get(name)
                 .ok_or_else(|| ServerError::UnknownTable(name.to_string()))?;
             Ok((name.to_string(), Change::Deregister))
-        })?;
-        Ok(TableInfo::of(&before.expect("checked under the lock")))
+        };
+        Ok(self.commit(plan, &Span::noop())?.0)
     }
 
     /// Apply a parsed delta batch to table `name`: update the catalog (new
@@ -293,60 +376,21 @@ impl FusionService {
         delta: &TableDelta,
         parent: &Span,
     ) -> Result<DeltaApplyResult> {
-        let mut mapping = None;
-        let (before, after) = self.commit(|catalog| {
+        let plan = |catalog: &VersionedTableSet| {
             let entry = catalog
                 .get(name)
                 .ok_or_else(|| ServerError::UnknownTable(name.to_string()))?;
-            let (table, rows) = delta
+            let (table, mapping) = delta
                 .apply(&entry.table)
                 .map_err(|e| ServerError::BadRequest(e.to_string()))?;
-            mapping = Some(rows);
             // Re-register under the table's canonical alias, not the
             // request's casing: a delta must never rename the table (and
             // WAL replay preserves the registered alias, so anything else
             // would break recovery's identity contract).
-            Ok((entry.table.name().to_string(), Change::Delta(table, delta)))
-        })?;
-        let (old, new) = (
-            before.expect("checked under the lock"),
-            after.expect("just registered"),
-        );
-        let mapping = mapping.expect("set by the committed plan");
-        // The superseded table dies on the reaper, off the ack path.
-        self.reaper.retire(Box::new(old.table));
-        let info = TableInfo::of(&new);
-
-        // Upgrade cached pipelines over the superseded version. The cache
-        // lock is not held while upgrading; the eventual insert's stale
-        // purge retires the old-version entry.
-        let candidates = self
-            .cache
-            .lock()
-            .expect("no cache operation panics while holding the lock")
-            .take_for_upgrade(&info.name.to_ascii_lowercase(), old.version);
-        let mut cache = UpgradeTally::default();
-        let mut upgrade_span = parent.child("upgrade");
-        for (key, artifacts, index) in candidates {
-            let built = index.is_none();
-            match self.upgrade_entry(&key, &artifacts, index, &new, &mapping, &upgrade_span) {
-                Ok(Some(full_rescore)) => {
-                    cache.upgraded += 1;
-                    cache.full_rescores += u64::from(full_rescore);
-                    cache.index_builds += u64::from(built);
-                }
-                Ok(None) => {} // another source in the entry went stale
-                Err(_) => cache.upgrade_failures += 1,
-            }
-            // The upgraded entry replaced these artifacts in the cache; this
-            // is usually the last reference.
-            self.reaper.retire(Box::new(artifacts));
-        }
-        upgrade_span.count("cache_upgrades", cache.upgraded);
-        upgrade_span.count("cache_upgrade_failures", cache.upgrade_failures);
-        upgrade_span.count("full_rescores", cache.full_rescores);
-        upgrade_span.count("index_builds", cache.index_builds);
-        drop(upgrade_span);
+            let alias = entry.table.name().to_string();
+            Ok((alias, Change::Delta(table, delta, mapping)))
+        };
+        let (info, cache) = self.commit(plan, parent)?;
         let applied = delta.counts();
         self.metrics.record_delta(&applied, &cache);
         Ok(DeltaApplyResult {
@@ -354,68 +398,6 @@ impl FusionService {
             applied,
             cache,
         })
-    }
-
-    /// Upgrade one cached entry to `new`, the delta'd table, carrying its
-    /// delta `index` (or building it when the entry had none) into the
-    /// upgraded entry. Returns `Ok(Some(full_rescore))` on success,
-    /// `Ok(None)` when the entry is unrecoverably stale (another referenced
-    /// source changed meanwhile, or a concurrent delta already superseded
-    /// `new`).
-    fn upgrade_entry(
-        &self,
-        key: &PreparedKey,
-        artifacts: &Arc<PreparedSources>,
-        mut index: Option<DeltaIndex>,
-        new: &VersionedTable,
-        mapping: &RowMapping,
-        parent: &Span,
-    ) -> Result<Option<bool>> {
-        let mut tables: Vec<Arc<Table>> = Vec::with_capacity(key.len());
-        let mut per_source: Vec<RowMapping> = Vec::with_capacity(key.len());
-        let mut new_key: PreparedKey = Vec::with_capacity(key.len());
-        {
-            let catalog = self.catalog.read().expect(UNPOISONED);
-            for (alias, version) in key {
-                let current = catalog
-                    .get(alias)
-                    .ok_or_else(|| ServerError::UnknownTable(alias.clone()))?;
-                if alias.eq_ignore_ascii_case(new.table.name()) {
-                    // Key the upgraded artifacts with the version *this*
-                    // delta produced — never the catalog's current version:
-                    // a concurrent delta may already have moved the table
-                    // past ours, and caching our (older) content under the
-                    // newest key would serve stale fusions as cache hits.
-                    if current.version != new.version {
-                        return Ok(None); // superseded while we upgraded
-                    }
-                    tables.push(Arc::clone(&new.table));
-                    per_source.push(mapping.clone());
-                    new_key.push((alias.clone(), new.version));
-                } else {
-                    if current.version != *version {
-                        return Ok(None); // entry stale beyond this delta
-                    }
-                    tables.push(Arc::clone(&current.table));
-                    per_source.push(RowMapping::identity(current.table.len()));
-                    new_key.push((alias.clone(), *version));
-                }
-            }
-        }
-        let union_mapping = concat_mappings(&per_source)?;
-        let refs: Vec<&Table> = tables.iter().map(|t| t.as_ref()).collect();
-        let (upgraded, report) = artifacts.apply_delta_traced(
-            &refs,
-            &union_mapping,
-            &self.config,
-            &mut index,
-            parent,
-        )?;
-        self.cache
-            .lock()
-            .expect("no cache operation panics while holding the lock")
-            .insert(new_key, Arc::new(upgraded), index);
-        Ok(Some(report.detection.full_rescore))
     }
 
     /// All registered tables, sorted by name.

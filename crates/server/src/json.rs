@@ -258,6 +258,12 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts; a
+/// deeper document is an error. Parsing, writing and dropping a value
+/// recurse once per level, so this bounds the stack a request body can ask
+/// of the worker thread that parses it (2 MiB).
+pub const MAX_DEPTH: usize = 128;
+
 impl Json {
     /// Parse a complete JSON document (rejects trailing garbage).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
@@ -265,6 +271,7 @@ impl Json {
             bytes: input.as_bytes(),
             input,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -280,6 +287,8 @@ struct Parser<'a> {
     bytes: &'a [u8],
     input: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -311,8 +320,11 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err(format!(
+                "arrays and objects nested deeper than {MAX_DEPTH} levels"
+            ))),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -321,6 +333,16 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let value = parse(self)?;
+        self.depth -= 1;
+        Ok(value)
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
@@ -658,6 +680,40 @@ mod tests {
             "{\"a\":1,}",
         ] {
             assert!(Json::parse(bad).is_err(), "expected error for {bad:?}");
+        }
+    }
+
+    /// Runs `f` on a thread with the 2 MiB stack a server worker gets.
+    fn on_worker_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let thread = std::thread::Builder::new().stack_size(2 << 20);
+        thread.spawn(f).unwrap().join().unwrap()
+    }
+
+    /// `levels` arrays, or objects, each holding the next.
+    fn nested(levels: usize, open: &str, close: &str) -> String {
+        format!("{}1{}", open.repeat(levels), close.repeat(levels))
+    }
+
+    /// 100,000 nested arrays or objects, a 200 KB body, aborted the
+    /// process (a stack overflow is no panic) while parsing.
+    #[test]
+    fn deep_documents_are_errors() {
+        for doc in [nested(100_000, "[", "]"), nested(100_000, "{\"a\":", "}")] {
+            let outcome = on_worker_stack(move || Json::parse(&doc).map(drop));
+            let message = outcome.unwrap_err().message;
+            assert!(message.contains("nested deeper"), "{message}");
+        }
+    }
+
+    /// At exactly [`MAX_DEPTH`] a document parses, writes and drops on a
+    /// worker's stack; one level more is an error.
+    #[test]
+    fn documents_at_the_depth_cap_parse_write_and_drop() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(Json::parse(&nested(MAX_DEPTH + 1, open, close)).is_err());
+            let doc = nested(MAX_DEPTH, open, close);
+            let written = on_worker_stack(move || Json::parse(&doc).unwrap().to_string_compact());
+            assert_eq!(written, nested(MAX_DEPTH, open, close));
         }
     }
 

@@ -31,9 +31,9 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Why taking the catalog or store lock cannot fail: no operation panics
-/// while holding either.
-pub(crate) const UNPOISONED: &str = "no catalog or store operation panics while holding its lock";
+/// Why taking the catalog, store or cache lock cannot fail: no operation
+/// panics while holding one.
+pub(crate) const UNPOISONED: &str = "no catalog, store or cache operation panics holding its lock";
 
 /// Service construction parameters.
 #[derive(Debug, Clone)]
@@ -194,7 +194,33 @@ impl FusionService {
 
     /// Prepared-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().unwrap().stats()
+        self.cache.lock().expect(UNPOISONED).stats()
+    }
+
+    /// Cache `artifacts` (and their delta `index`) under `key` if every
+    /// `(alias, version)` in it is current: the one rule that admits a
+    /// pipeline, for a cold prepare and a delta upgrade alike. The catalog
+    /// read lock, held from the check through the insert, keeps a commit
+    /// from superseding the key in between; one that lands later takes the
+    /// entry out again. Returns whether the entry was admitted.
+    pub(crate) fn admit(
+        &self,
+        key: PreparedKey,
+        artifacts: Arc<PreparedSources>,
+        index: Option<hummer_core::DeltaIndex>,
+    ) -> bool {
+        let catalog = self.catalog.read().expect(UNPOISONED);
+        let current = |(alias, version): &(String, u64)| {
+            catalog.get(alias).is_some_and(|e| e.version == *version)
+        };
+        let admitted = key.iter().all(current);
+        if admitted {
+            self.cache
+                .lock()
+                .expect(UNPOISONED)
+                .insert(key, artifacts, index);
+        }
+        admitted
     }
 
     /// Durable-store counters, when a store is attached.
@@ -280,18 +306,20 @@ impl FusionService {
         })
     }
 
-    /// Cache lookup, computing and inserting on a miss.
+    /// Cache lookup, computing and admitting on a miss.
     ///
     /// The cache lock is *not* held during preparation — concurrent misses
     /// on the same key may prepare twice, but a slow prepare never blocks
-    /// hits on other keys; the duplicate insert is idempotent.
+    /// hits on other keys; the duplicate insert is idempotent. A prepare
+    /// that a commit superseded meanwhile answers its query but is not
+    /// cached.
     fn prepared_for(
         &self,
         key: &PreparedKey,
         tables: &[Arc<Table>],
         parent: &Span,
     ) -> Result<(Arc<PreparedSources>, bool)> {
-        if let Some(found) = self.cache.lock().unwrap().get(key) {
+        if let Some(found) = self.cache.lock().expect(UNPOISONED).get(key) {
             if parent.is_recording() {
                 parent.child("prepare").count("cache_hits", 1);
             }
@@ -304,10 +332,7 @@ impl FusionService {
         drop(prepare_span);
         self.metrics
             .record_prepare(&prepared.timings, self.degree());
-        self.cache
-            .lock()
-            .expect("no cache operation panics while holding the lock")
-            .insert(key.clone(), Arc::clone(&prepared), None);
+        self.admit(key.clone(), Arc::clone(&prepared), None);
         Ok((prepared, false))
     }
 }
@@ -506,15 +531,15 @@ mod tests {
         TableDelta::new("CS_Students").update(0, row)
     }
 
-    /// `PAPER_QUERY` answered by a cold prepare over a copy of `s`'s
-    /// current catalog content.
-    fn cold_answer(s: &FusionService) -> QueryResult {
+    /// `sql` answered by a cold prepare over a copy of `s`'s current
+    /// catalog content.
+    fn cold_answer(s: &FusionService, sql: &str) -> Result<QueryResult> {
         let fresh = FusionService::new(ServiceConfig::narrow_schema());
         for entry in s.catalog.read().unwrap().entries() {
             let csv = csv::write_csv_str(&entry.table);
             fresh.put_table(entry.table.name(), &csv).unwrap();
         }
-        fresh.query(PAPER_QUERY, &Span::noop()).unwrap()
+        fresh.query(sql, &Span::noop())
     }
 
     #[test]
@@ -648,7 +673,7 @@ mod tests {
         // The carried entry answers what a cold prepare answers.
         let served = s.query(PAPER_QUERY, &Span::noop()).unwrap();
         assert_eq!(served.cache_hit, Some(true));
-        let cold = cold_answer(&s);
+        let cold = cold_answer(&s, PAPER_QUERY).unwrap();
         assert_eq!(served.output.table.rows(), cold.output.table.rows());
     }
 
@@ -801,12 +826,160 @@ mod tests {
             t.join().unwrap();
         }
         let served = s.query(PAPER_QUERY, &Span::noop()).unwrap();
-        let reference = cold_answer(&s);
+        let reference = cold_answer(&s, PAPER_QUERY).unwrap();
         assert_eq!(
             served.output.table.rows(),
             reference.output.table.rows(),
             "a cached entry served content that does not match the catalog"
         );
+    }
+
+    /// Seeded sequences of uploads, deltas, deletes, re-uploads and
+    /// queries over three tables and three source sets. After every step,
+    /// the cache holds only pipelines whose every `(alias, version)` is
+    /// current, and every query answers what a fresh service over the same
+    /// catalog content answers.
+    #[test]
+    fn cache_holds_only_current_pipelines() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const TABLES: [(&str, &str); 3] = [
+            ("EE_Student", "Name,Age,City"),
+            ("CS_Students", "FullName,Years,Town"),
+            ("Alumni", "Name,Age,City"),
+        ];
+        const SETS: [&[usize]; 3] = [&[0, 1], &[1, 2], &[2, 0, 1]];
+        const NAMES: [&str; 5] = [
+            "John Smith",
+            "Mary Jones",
+            "Peter Miller",
+            "Ada Lovelace",
+            "Jon Smith",
+        ];
+        const CITIES: [&str; 3] = ["Berlin", "Hamburg", "London"];
+        let row = |rng: &mut StdRng| {
+            let name = NAMES[rng.gen_range(0..NAMES.len())];
+            let city = CITIES[rng.gen_range(0..CITIES.len())];
+            vec![
+                Value::text(name),
+                Value::Int(rng.gen_range(20..30)),
+                Value::text(city),
+            ]
+        };
+        let sql = |set: &[usize]| {
+            let from: Vec<&str> = set.iter().map(|&t| TABLES[t].0).collect();
+            format!("SELECT * FUSE FROM {} FUSE BY (objectID)", from.join(", "))
+        };
+        // Answers compared, of them cache hits, and delta upgrades.
+        let (mut answers, mut hits, mut upgrades) = (0, 0, 0);
+        for seed in 0..12 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let s = FusionService::new(ServiceConfig::narrow_schema());
+            let rows = |s: &FusionService, t: usize| {
+                s.catalog
+                    .read()
+                    .unwrap()
+                    .get(TABLES[t].0)
+                    .map(|e| e.table.len())
+            };
+            for step in 0..30 {
+                let t = rng.gen_range(0..TABLES.len());
+                let (name, header) = TABLES[t];
+                match (rng.gen_range(0..8), rows(&s, t)) {
+                    // Upload, or re-upload over the old version.
+                    (0, _) | (1..=3, None) => {
+                        let mut csv = format!("{header}\n");
+                        for _ in 0..rng.gen_range(2..5) {
+                            let r = row(&mut rng);
+                            csv += &format!("{},{},{}\n", r[0], r[1], r[2]);
+                        }
+                        s.put_table(name, &csv).unwrap();
+                    }
+                    (1 | 2, Some(n)) => {
+                        let delta = match rng.gen_range(0..3) {
+                            0 => TableDelta::new(name).insert(row(&mut rng)),
+                            1 if n > 1 => TableDelta::new(name).delete(rng.gen_range(0..n)),
+                            _ => TableDelta::new(name).update(rng.gen_range(0..n), row(&mut rng)),
+                        };
+                        let outcome = s.apply_delta(name, &delta, &Span::noop()).unwrap();
+                        upgrades += outcome.cache.upgraded;
+                    }
+                    (3, Some(_)) => {
+                        s.delete_table(name).unwrap();
+                    }
+                    _ => {
+                        let sql = sql(SETS[rng.gen_range(0..SETS.len())]);
+                        let what = format!("seed {seed} step {step}: {sql}");
+                        match (s.query(&sql, &Span::noop()), cold_answer(&s, &sql)) {
+                            (Ok(served), Ok(fresh)) => {
+                                answers += 1;
+                                hits += usize::from(served.cache_hit == Some(true));
+                                let (served, fresh) = (&served.output.table, &fresh.output.table);
+                                assert_eq!(
+                                    served.schema().names(),
+                                    fresh.schema().names(),
+                                    "{what}"
+                                );
+                                assert_eq!(served.rows(), fresh.rows(), "{what}");
+                            }
+                            (Err(a), Err(b)) => assert_eq!((a.status(), b.status()), (404, 404)),
+                            (a, b) => panic!("{what}: served {a:?}, fresh {b:?}"),
+                        }
+                    }
+                }
+                // Every cached key is the current key of one of the sets.
+                let catalog = s.catalog.read().unwrap().clone();
+                let current = SETS
+                    .iter()
+                    .filter_map(|set| {
+                        let key = set.iter().map(|&t| {
+                            let entry = catalog.get(TABLES[t].0)?;
+                            Some((TABLES[t].0.to_ascii_lowercase(), entry.version))
+                        });
+                        key.collect::<Option<PreparedKey>>()
+                    })
+                    .filter(|key| s.cache.lock().unwrap().get(key).is_some())
+                    .count();
+                assert_eq!(
+                    s.cache_stats().entries,
+                    current,
+                    "seed {seed} step {step}: the cache holds a superseded pipeline"
+                );
+            }
+        }
+        // The sequences reach the paths they are meant to check.
+        assert!(
+            answers >= 40 && hits >= 20 && upgrades >= 20,
+            "{answers} {hits} {upgrades}"
+        );
+    }
+
+    /// A pipeline prepared or upgraded over a version a commit has since
+    /// superseded (a late upgrade racing a newer delta) is not cached, and
+    /// evicts nothing; one over current versions is.
+    #[test]
+    fn superseded_keys_are_not_admitted() {
+        let s = service();
+        let artifacts = || {
+            let catalog = s.catalog.read().unwrap();
+            let tables = [&*catalog.get("CS_Students").unwrap().table];
+            Arc::new(hummer_core::prepare_tables(&tables, &s.config).unwrap())
+        };
+        let old: PreparedKey = vec![("cs_students".into(), 2)];
+        assert!(s.admit(old.clone(), artifacts(), None));
+        let new = s.apply_delta("CS_Students", &johns_age(30), &Span::noop());
+        let new: PreparedKey = vec![("cs_students".into(), new.unwrap().info.version)];
+        assert!(
+            s.cache.lock().unwrap().get(&old).is_none(),
+            "the delta took it out"
+        );
+        assert!(s.admit(new.clone(), artifacts(), None));
+        assert!(!s.admit(old.clone(), artifacts(), None));
+        assert!(s.cache.lock().unwrap().get(&new).is_some());
+        assert!(s.cache.lock().unwrap().get(&old).is_none());
+        assert!(!s.admit(vec![("ghosts".into(), 1)], artifacts(), None));
+        let stats = s.cache_stats();
+        assert_eq!((stats.entries, stats.evictions), (1, 0));
     }
 
     #[test]

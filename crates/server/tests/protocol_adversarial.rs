@@ -140,6 +140,41 @@ fn serving_counter(addr: &str, name: &str) -> f64 {
         .unwrap_or_else(|| panic!("{name} missing from /metrics"))
 }
 
+/// Bodies nested deeper than a worker's stack can follow: each gets a 400
+/// and the server keeps serving. Each used to abort the whole process (a
+/// stack overflow is no panic, so the worker-panic guard never saw it).
+#[test]
+fn deeply_nested_bodies_get_400_and_the_server_keeps_serving() {
+    let (addr, stop) = start(tight_config());
+    let (status, _) = http_request(&addr, "PUT", "/tables/People", "text/csv", CSV).unwrap();
+    assert_eq!(status, 200);
+    let where_ = |e: String| format!("SELECT Name FROM People WHERE {e} = 1");
+    let parentheses = where_(format!("{}1{}", "(".repeat(5_000), ")".repeat(5_000)));
+    let chain = where_(format!("1{}", "+1".repeat(100_000)));
+    let brackets = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+    for (path, content_type, body) in [
+        ("/query", "text/plain", parentheses),
+        ("/query", "text/plain", chain),
+        (
+            "/query",
+            "application/json",
+            format!("{{\"sql\": {brackets}}}"),
+        ),
+        (
+            "/tables/People/delta",
+            "application/json",
+            format!("{{\"insert\": {brackets}}}"),
+        ),
+    ] {
+        let (status, text) = http_request(&addr, "POST", path, content_type, body.as_bytes())
+            .unwrap_or_else(|e| panic!("{path} ({} bytes): {e}", body.len()));
+        assert_eq!(status, 400, "{path} ({} bytes): {text}", body.len());
+        let (status, _) = http_request(&addr, "GET", "/healthz", "text/plain", b"").unwrap();
+        assert_eq!(status, 200, "after {path}");
+    }
+    stop();
+}
+
 #[test]
 fn slowloris_header_drip_gets_408_and_close() {
     let (addr, stop) = start(tight_config());

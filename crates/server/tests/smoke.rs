@@ -374,9 +374,9 @@ fn shutdown_endpoint_stops_the_server() {
 /// sample lines the pinned session leaves (byte for byte), up to where a
 /// durable server prints its store's families ([`STORE`]), then [`TAIL`].
 /// Two of four rows touched is a majority, so the delta's detection
-/// rescores in full; the upgraded cache entry supersedes (evicts) the one
-/// it was upgraded from; the delete leaves that entry unreachable, to age
-/// out by LRU.
+/// rescores in full; the upgraded cache entry replaces the one it was
+/// upgraded from, and the delete takes it out of the cache, so no entry is
+/// left and none was ever evicted.
 const HEAD: &str = r#"# HELP hummer_requests_total Requests served, by endpoint.
 # TYPE hummer_requests_total counter
 hummer_requests_total{endpoint="DELETE /tables/{name}"} 1
@@ -422,7 +422,7 @@ hummer_prepared_cache_hits_total 1
 hummer_prepared_cache_misses_total 1
 # HELP hummer_prepared_cache_evictions_total Prepared-pipeline cache LRU evictions.
 # TYPE hummer_prepared_cache_evictions_total counter
-hummer_prepared_cache_evictions_total 1
+hummer_prepared_cache_evictions_total 0
 # HELP hummer_prepared_cache_upgrades_total Prepared entries upgraded in place by deltas.
 # TYPE hummer_prepared_cache_upgrades_total counter
 hummer_prepared_cache_upgrades_total 1
@@ -452,7 +452,7 @@ hummer_delta_index_builds_total 1
 hummer_par_forks_total 0
 # HELP hummer_prepared_cache_entries Prepared-pipeline cache live entries.
 # TYPE hummer_prepared_cache_entries gauge
-hummer_prepared_cache_entries 1
+hummer_prepared_cache_entries 0
 "#;
 
 /// Four mutations, each acked alone: four records, four fsyncs, four

@@ -54,6 +54,25 @@ grep -q '"row_count":4' /tmp/query.json || { echo "unexpected fusion result:"; c
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://${ADDR}/query" -d 'SELECT * FROM Ghosts')
 [ "$code" = 404 ] || { echo "expected 404 for unknown table, got $code"; exit 1; }
 
+# Bodies nested deeper than a worker's stack can follow get a 400, and the
+# server keeps serving: 5,000 parentheses and a 100,000-term chain of SQL,
+# 10,000 JSON brackets on /query and on a delta.
+repeat() { printf "%.0s$1" $(seq 1 "$2"); }
+{ printf 'SELECT Name FROM EE_Student WHERE '; repeat '(' 5000; printf 1; repeat ')' 5000; printf ' = 1'; } \
+    > /tmp/deep_parens.sql
+{ printf 'SELECT Name FROM EE_Student WHERE 1'; repeat '+1' 100000; printf ' = 1'; } > /tmp/deep_chain.sql
+{ printf '{"sql": '; repeat '[' 10000; repeat ']' 10000; printf '}'; } > /tmp/deep_query.json
+{ printf '{"insert": '; repeat '[' 10000; repeat ']' 10000; printf '}'; } > /tmp/deep_delta.json
+for deep in "/query text/plain deep_parens.sql" "/query text/plain deep_chain.sql" \
+    "/query application/json deep_query.json" "/tables/CS_Students/delta application/json deep_delta.json"; do
+    read -r path type file <<< "$deep"
+    code=$(curl -s -o /tmp/deep_answer.json -w '%{http_code}' -X POST "http://${ADDR}${path}" \
+        -H "content-type: ${type}" --data-binary "@/tmp/${file}")
+    [ "$code" = 400 ] || { echo "POST ${path} with ${file} -> $code"; cat /tmp/deep_answer.json; exit 1; }
+    curl -sf "http://${ADDR}/healthz" >/dev/null \
+        || { echo "the server stopped serving after ${file} on ${path}"; exit 1; }
+done
+
 # Delta ingestion: insert a fifth student, which must *upgrade* the cached
 # prepared pipeline (not invalidate it) — the re-query reflects the insert
 # AND reports a cache hit, i.e. no cold re-prepare.
@@ -222,9 +241,14 @@ done
 "$PROMLINT_BIN" /tmp/durable_prom.txt \
     || { echo "promlint rejected the durable server's /metrics scrape"; exit 1; }
 
-# DELETE is durable too: deregister, restart, still gone.
+# DELETE is durable too: deregister, restart, still gone. The one cached
+# pipeline named the deleted table, so it leaves the cache with it.
+[ "$(metric "$ADDR3" hummer_prepared_cache_entries)" = 1 ] \
+    || { echo "expected the recovered query's pipeline in the cache"; exit 1; }
 code=$(curl -s -o /dev/null -w '%{http_code}' -X DELETE "http://${ADDR3}/tables/EE_Student")
 [ "$code" = 200 ] || { echo "DELETE /tables/EE_Student -> $code"; exit 1; }
+[ "$(metric "$ADDR3" hummer_prepared_cache_entries)" = 0 ] \
+    || { echo "DELETE left a pipeline over the deleted table in the cache"; exit 1; }
 curl -sf -X POST "http://${ADDR3}/shutdown" >/dev/null
 wait "$SERVER_PID"
 
