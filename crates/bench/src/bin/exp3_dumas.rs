@@ -124,7 +124,6 @@ fn main() {
                     one_to_one: true,
                 },
                 soft_theta: theta,
-                ..Default::default()
             };
             let m = match_tables(&w.sources[0].table, &w.sources[1].table, &cfg);
             let predicted: Vec<(String, String)> = m

@@ -3,7 +3,7 @@
 
 use crate::blocking::{candidate_pairs, resolve_candidate_strategy, CandidateSpec};
 use crate::columnar::score_candidates;
-use crate::heuristics::{select_attributes, HeuristicConfig};
+use crate::heuristics::select_attributes;
 use crate::measure::TupleSimilarity;
 use crate::unionfind::UnionFind;
 use hummer_engine::error::EngineError;
@@ -14,11 +14,9 @@ use hummer_par::Parallelism;
 #[derive(Debug, Clone)]
 pub struct DetectorConfig {
     /// Compare only these columns; `None` runs the attribute-selection
-    /// heuristics (the demo's "adjust duplicate definition" step overrides
-    /// this).
+    /// heuristics ([`select_attributes`], whose bars are fixed; the demo's
+    /// "adjust duplicate definition" step overrides this).
     pub attributes: Option<Vec<String>>,
-    /// Heuristic parameters used when `attributes` is `None`.
-    pub heuristics: HeuristicConfig,
     /// Candidate-pair strategy.
     pub candidates: CandidateSpec,
     /// Pairs scoring at or above this are duplicates.
@@ -36,7 +34,6 @@ impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
             attributes: None,
-            heuristics: HeuristicConfig::default(),
             candidates: CandidateSpec::AllPairs,
             // Calibrated against the generated scenario worlds (see
             // `tests/end_to_end.rs`): with the exact-vs-near numeric
@@ -145,7 +142,7 @@ impl DetectionResult {
 /// names, or the selection heuristics. Shared by the full detector and the
 /// incremental path so both always agree.
 pub fn resolve_attributes(table: &Table, cfg: &DetectorConfig) -> Result<Vec<usize>> {
-    attributes_from(table, cfg, || select_attributes(table, &cfg.heuristics))
+    attributes_from(table, cfg, || select_attributes(table))
 }
 
 /// [`resolve_attributes`] with the heuristics' answer supplied by `select`

@@ -31,26 +31,12 @@ pub struct AttributeScore {
     pub score: f64,
 }
 
-/// Configuration for attribute selection.
-#[derive(Debug, Clone)]
-pub struct HeuristicConfig {
-    /// Minimum coverage for an attribute to be considered at all.
-    pub min_coverage: f64,
-    /// Minimum combined score to be selected.
-    pub min_score: f64,
-    /// Upper bound on the number of selected attributes (best-first).
-    pub max_attributes: usize,
-}
-
-impl Default for HeuristicConfig {
-    fn default() -> Self {
-        HeuristicConfig {
-            min_coverage: 0.5,
-            min_score: 0.15,
-            max_attributes: 8,
-        }
-    }
-}
+/// Minimum coverage for an attribute to be considered at all.
+const MIN_COVERAGE: f64 = 0.5;
+/// Minimum combined score to be selected.
+const MIN_SCORE: f64 = 0.15;
+/// Upper bound on the number of selected attributes (best-first).
+const MAX_ATTRIBUTES: usize = 8;
 
 /// One column's score from its counts: `non_null` of `rows` cells present,
 /// `distinct` renderings among them.
@@ -100,12 +86,12 @@ pub fn score_attributes(table: &Table) -> Vec<AttributeScore> {
 
 /// Select interesting attribute indices by the heuristics, best-first.
 /// Bookkeeping columns are always excluded.
-pub fn select_attributes(table: &Table, cfg: &HeuristicConfig) -> Vec<usize> {
-    select_from_scores(score_attributes(table), cfg)
+pub fn select_attributes(table: &Table) -> Vec<usize> {
+    select_from_scores(score_attributes(table))
 }
 
 /// The selection rule over already computed scores.
-pub(crate) fn select_from_scores(scores: Vec<AttributeScore>, cfg: &HeuristicConfig) -> Vec<usize> {
+pub(crate) fn select_from_scores(scores: Vec<AttributeScore>) -> Vec<usize> {
     let mut scored: Vec<AttributeScore> = scores
         .into_iter()
         .filter(|s| {
@@ -113,10 +99,10 @@ pub(crate) fn select_from_scores(scores: Vec<AttributeScore>, cfg: &HeuristicCon
                 .iter()
                 .any(|b| b.eq_ignore_ascii_case(&s.name))
         })
-        .filter(|s| s.coverage >= cfg.min_coverage && s.score >= cfg.min_score)
+        .filter(|s| s.coverage >= MIN_COVERAGE && s.score >= MIN_SCORE)
         .collect();
     scored.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.index.cmp(&b.index)));
-    scored.truncate(cfg.max_attributes);
+    scored.truncate(MAX_ATTRIBUTES);
     let mut idx: Vec<usize> = scored.into_iter().map(|s| s.index).collect();
     idx.sort_unstable();
     idx
@@ -272,7 +258,7 @@ mod tests {
 
     #[test]
     fn selection_excludes_bookkeeping_and_weak_columns() {
-        let selected = select_attributes(&t(), &HeuristicConfig::default());
+        let selected = select_attributes(&t());
         // Name qualifies; Constant (distinctness .25 → score .25) also
         // clears the default bar; Sparse fails coverage; sourceID excluded.
         assert!(selected.contains(&0));
@@ -282,12 +268,17 @@ mod tests {
 
     #[test]
     fn max_attributes_truncates_best_first() {
-        let cfg = HeuristicConfig {
-            max_attributes: 1,
-            ..Default::default()
-        };
-        let selected = select_attributes(&t(), &cfg);
-        assert_eq!(selected, vec![0]); // Name has the top score
+        // Ten qualifying columns over ten rows; column `j` holds
+        // `distinct[j]` values, so its score is `distinct[j] / 10`.
+        let distinct = [4, 10, 2, 7, 9, 3, 6, 10, 5, 8];
+        let names: Vec<String> = (0..distinct.len()).map(|j| format!("c{j}")).collect();
+        let rows = (0..10)
+            .map(|i| distinct.iter().map(|d| Value::Int(i % d)).collect())
+            .collect();
+        let t = Table::from_rows("T", &names, rows).unwrap();
+        assert!(select_from_scores(score_attributes(&t)).len() <= MAX_ATTRIBUTES);
+        // The two weakest (2 and 3 distinct values) are cut.
+        assert_eq!(select_attributes(&t), vec![0, 1, 3, 4, 6, 7, 8, 9]);
     }
 
     #[test]
@@ -296,12 +287,12 @@ mod tests {
         let s = score_attributes(&t);
         assert_eq!(s[0].coverage, 0.0);
         assert_eq!(s[0].score, 0.0);
-        assert!(select_attributes(&t, &HeuristicConfig::default()).is_empty());
+        assert!(select_attributes(&t).is_empty());
     }
 
     #[test]
     fn indices_returned_sorted() {
-        let selected = select_attributes(&t(), &HeuristicConfig::default());
+        let selected = select_attributes(&t());
         let mut sorted = selected.clone();
         sorted.sort_unstable();
         assert_eq!(selected, sorted);

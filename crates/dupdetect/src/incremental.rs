@@ -19,8 +19,8 @@
 //!    of an attribute whose scale stepped. Everything else is provably
 //!    unchanged;
 //! 4. the blocking index moves too — the key of every row, in
-//!    `(key, row)` order for sorted neighbourhood, by key group for key
-//!    equality — and adds the rows whose candidate pairs may have changed:
+//!    `(key, row)` order for sorted neighbourhood — and adds the rows whose
+//!    candidate pairs may have changed:
 //!    rows whose key moved, and under sorted neighbourhood every row within
 //!    `window − 1` positions of a row's old position (deleted or moved) or
 //!    new position (inserted or moved). That suffices: two rows that kept
@@ -288,7 +288,7 @@ impl DetectionIndex {
             .then(|| SelectionCounts::new(table));
         let attrs = attributes_from(table, cfg, || {
             let scores = selection.as_ref().expect("counted above").scores();
-            select_from_scores(scores, &cfg.heuristics)
+            select_from_scores(scores)
         })?;
         let candidates = resolve_candidate_strategy(table, &cfg.candidates)?;
         let (measure, counts) = TupleSimilarity::with_counts(table, attrs);
@@ -370,7 +370,7 @@ impl DetectionIndex {
         if let Some(selection) = &mut self.selection {
             selection.apply(old_table, new_table, &changes);
             let attrs = attributes_from(new_table, &self.cfg, || {
-                select_from_scores(selection.scores(), &self.cfg.heuristics)
+                select_from_scores(selection.scores())
             })?;
             if attrs != self.measure.attrs() {
                 let (measure, counts) = TupleSimilarity::with_counts(new_table, attrs);

@@ -71,7 +71,7 @@ pub use detector::{
     annotate_object_ids, detect_duplicates, resolve_attributes, sort_pairs_canonical,
     DetectionResult, DetectionStats, DetectorConfig, DuplicatePair, ScoredCandidates,
 };
-pub use heuristics::{score_attributes, select_attributes, AttributeScore, HeuristicConfig};
+pub use heuristics::{score_attributes, select_attributes, AttributeScore};
 pub use hummer_par::Parallelism;
 pub use incremental::{detect_delta, DeltaDetectionStats, DetectionIndex, RowMapping};
 pub use measure::{

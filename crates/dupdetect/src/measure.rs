@@ -1731,7 +1731,7 @@ mod tests {
             // Every column but the bookkeeping one: text, numeric, dates.
             let all: Vec<usize> = (0..table.schema().len() - 1).collect();
             assert_equals_reference(name, &table, all);
-            let selected = crate::select_attributes(&table, &Default::default());
+            let selected = crate::select_attributes(&table);
             assert_equals_reference(name, &table, selected);
         }
     }

@@ -112,7 +112,6 @@ impl PairIndex {
             duplicates,
             sniffer.stats,
             matrix,
-            cfg,
         );
         PairIndex {
             sniffer,
@@ -414,7 +413,6 @@ impl MatchIndex {
                         duplicates,
                         pair.sniffer.stats,
                         matrix,
-                        cfg,
                     );
                 }
             }
@@ -618,7 +616,6 @@ mod tests {
                             min_similarity,
                             one_to_one,
                         },
-                        label_weight: if top_k == 2 { 0.3 } else { 0.0 },
                         ..MatcherConfig::default()
                     });
                 }

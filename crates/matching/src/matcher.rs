@@ -10,25 +10,22 @@ use crate::tokens::{Pair, Side};
 use hummer_engine::Table;
 use hummer_par::{par_map, Parallelism};
 use hummer_textsim::interned::{remap_table, IdVectors, InternedCorpus};
-use hummer_textsim::jaro::jaro_winkler;
 use hummer_textsim::softtfidf::similarity_of_interned;
 
-/// Configuration of the schema matcher.
+/// Correspondences with an averaged score below this are pruned (§2.2:
+/// "correspondences with a similarity score below a given threshold are
+/// pruned").
+const PRUNE_THRESHOLD: f64 = 0.35;
+
+/// Configuration of the schema matcher: the settings its callers vary.
+/// DUMAS is purely instance-based; column labels play no part.
 #[derive(Debug, Clone)]
 pub struct MatcherConfig {
     /// How duplicates are sniffed (top-k, minimum tuple similarity, 1:1).
     pub sniff: SniffConfig,
-    /// SoftTFIDF secondary-similarity threshold θ for field comparison.
+    /// SoftTFIDF secondary-similarity threshold θ for field comparison
+    /// (`exp3_dumas` sweeps it).
     pub soft_theta: f64,
-    /// Correspondences with an averaged score below this are pruned
-    /// (§2.2: "correspondences with a similarity score below a given
-    /// threshold are pruned").
-    pub prune_threshold: f64,
-    /// Blend factor `λ ∈ [0, 1]` for column-*label* similarity
-    /// (Jaro-Winkler of attribute names): the matrix entry becomes
-    /// `(1−λ)·instance + λ·label`. DUMAS is purely instance-based, so the
-    /// faithful default is 0; the ablation benches sweep it.
-    pub label_weight: f64,
 }
 
 impl Default for MatcherConfig {
@@ -36,8 +33,6 @@ impl Default for MatcherConfig {
         MatcherConfig {
             sniff: SniffConfig::default(),
             soft_theta: 0.9,
-            prune_threshold: 0.35,
-            label_weight: 0.0,
         }
     }
 }
@@ -222,32 +217,18 @@ impl Fields {
     }
 }
 
-/// Steps 3–5 of [`match_tables`] for one pair: blend in label similarity
-/// when asked, assign, prune.
+/// Steps 4–5 of [`match_tables`] for one pair: assign, prune.
 pub(crate) fn assign(
     left: &Source,
     right: &Source,
     duplicates: Vec<TupleMatch>,
     sniff: SniffStats,
-    mut matrix: SimilarityMatrix,
-    cfg: &MatcherConfig,
+    matrix: SimilarityMatrix,
 ) -> MatchResult {
-    // Optional label-similarity blend (ablation knob; default off).
-    if cfg.label_weight > 0.0 {
-        let lam = cfg.label_weight.clamp(0.0, 1.0);
-        for (i, lname) in left.columns.iter().enumerate() {
-            for (j, rname) in right.columns.iter().enumerate() {
-                let label = jaro_winkler(&lname.to_lowercase(), &rname.to_lowercase());
-                let inst = matrix.get(i, j);
-                matrix.set(i, j, (1.0 - lam) * inst + lam * label);
-            }
-        }
-    }
-
     let assignments = max_weight_matching(&matrix.to_nested());
     let correspondences: Vec<Correspondence> = assignments
         .into_iter()
-        .filter(|a| a.weight >= cfg.prune_threshold)
+        .filter(|a| a.weight >= PRUNE_THRESHOLD)
         .map(|a| Correspondence {
             left_column: left.columns[a.left].clone(),
             right_column: right.columns[a.right].clone(),
@@ -272,7 +253,7 @@ pub(crate) fn assign(
 /// 2. compare each pair field-wise with SoftTFIDF → one matrix per pair,
 /// 3. average the matrices,
 /// 4. maximum-weight bipartite matching → 1:1 correspondences,
-/// 5. prune below `prune_threshold`.
+/// 5. prune below a fixed threshold, 0.35.
 ///
 /// # Example
 ///
@@ -491,29 +472,30 @@ mod tests {
 
     #[test]
     fn pruning_threshold_filters_weak_matches() {
-        let mut c = cfg();
-        c.prune_threshold = 0.99;
-        let r = match_tables(&ee(), &cs(), &c);
-        // Nothing is that certain on noisy data.
-        assert!(r.correspondences.iter().all(|cc| cc.score >= 0.99));
-    }
-
-    #[test]
-    fn label_blend_can_rescue_instance_less_case() {
-        // No instance overlap at all, but identical labels.
-        let a = table! { "A" => ["Name", "City"]; ["aaa", "bbb"] };
-        let b = table! { "B" => ["Name", "City"]; ["ccc", "ddd"] };
-        let pure = match_tables(&a, &b, &MatcherConfig::default());
-        assert!(pure.correspondences.is_empty());
-        let blended = match_tables(
-            &a,
-            &b,
-            &MatcherConfig {
-                label_weight: 0.5,
-                ..Default::default()
-            },
-        );
-        assert_eq!(blended.correspondences.len(), 2);
+        // The notes of a person share a word or two across the sources.
+        let left = table! {
+            "L" => ["Name", "Note"];
+            ["John Smith", "red green blue black"],
+            ["Mary Jones", "one two three four"],
+            ["Peter Miller", "north south east west"],
+        };
+        let right = table! {
+            "R" => ["FullName", "Remark"];
+            ["John Smith", "red white pink gray"],
+            ["Mary Jones", "one five six seven"],
+            ["Peter Miller", "north up down left"],
+        };
+        let r = match_tables(&left, &right, &cfg());
+        let assignments = max_weight_matching(&r.matrix.to_nested());
+        // The assignment pairs some columns on weak evidence …
+        let weak = assignments
+            .iter()
+            .filter(|a| a.weight > 0.0 && a.weight < PRUNE_THRESHOLD)
+            .count();
+        assert!(weak > 0, "{assignments:?}");
+        // … which pruning drops, keeping only the confident ones.
+        assert_eq!(r.correspondences.len(), assignments.len() - weak);
+        assert!(r.correspondences.iter().all(|c| c.score >= PRUNE_THRESHOLD));
     }
 
     #[test]

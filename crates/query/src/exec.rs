@@ -72,51 +72,51 @@ pub fn execute(
     catalog: &dyn Catalog,
     registry: &FunctionRegistry,
 ) -> Result<QueryOutput> {
-    // 1. Fetch tables.
-    let mut tables: Vec<Table> = Vec::with_capacity(query.from.tables.len());
-    for alias in &query.from.tables {
-        let t = catalog
-            .table(alias)
-            .ok_or_else(|| QueryError::UnknownTable(alias.clone()))?;
-        tables.push(t.clone());
-    }
+    // 1. Fetch tables (borrowed from the catalog).
+    let tables = query
+        .from
+        .tables
+        .iter()
+        .map(|alias| {
+            catalog
+                .table(alias)
+                .ok_or_else(|| QueryError::UnknownTable(alias.clone()))
+        })
+        .collect::<Result<Vec<&Table>>>()?;
     let combined = combine_tables(query, &tables)?;
     execute_combined(query, &combined, registry, Parallelism::sequential())
 }
 
 /// Step 2 of execution: combine the fetched tables — `FUSE FROM` tags each
 /// with `sourceID` and takes the full outer union, plain `FROM` takes the
-/// cross product.
-fn combine_tables(query: &FuseQuery, tables: &[Table]) -> Result<Table> {
-    if tables.is_empty() {
+/// cross product. A single plain table is borrowed, not copied.
+fn combine_tables<'a>(query: &FuseQuery, tables: &[&'a Table]) -> Result<Cow<'a, Table>> {
+    let Some((&first, rest)) = tables.split_first() else {
         return Err(QueryError::Semantic("query references no tables".into()));
-    }
-    let combined: Table = if query.from.fuse {
-        // FUSE FROM: sourceID + full outer union.
-        let tagged: Vec<Table> = tables
-            .iter()
-            .map(|t| {
-                if t.schema().contains(SOURCE_ID_COLUMN) {
-                    Ok(t.clone())
-                } else {
-                    let mut c = t.clone();
-                    c.add_column(Column::new(SOURCE_ID_COLUMN, ColumnType::Text), |_, _| {
-                        Value::text(t.name())
-                    })?;
-                    Ok::<Table, QueryError>(c)
-                }
-            })
-            .collect::<Result<_>>()?;
-        let refs: Vec<&Table> = tagged.iter().collect();
-        outer_union(&refs, tables[0].name())?
-    } else {
-        let mut acc = tables[0].clone();
-        for t in &tables[1..] {
-            acc = cross_product(&acc, t)?;
-        }
-        acc
     };
-    Ok(combined)
+    if query.from.fuse {
+        // FUSE FROM: sourceID + full outer union.
+        let tagged = tables
+            .iter()
+            .map(|&t| {
+                if t.schema().contains(SOURCE_ID_COLUMN) {
+                    return Ok(Cow::Borrowed(t));
+                }
+                let mut c = t.clone();
+                c.add_column(Column::new(SOURCE_ID_COLUMN, ColumnType::Text), |_, _| {
+                    Value::text(t.name())
+                })?;
+                Ok(Cow::Owned(c))
+            })
+            .collect::<Result<Vec<Cow<'_, Table>>>>()?;
+        let refs: Vec<&Table> = tagged.iter().map(|t| t.as_ref()).collect();
+        return Ok(Cow::Owned(outer_union(&refs, first.name())?));
+    }
+    let mut acc = Cow::Borrowed(first);
+    for t in rest {
+        acc = Cow::Owned(cross_product(&acc, t)?);
+    }
+    Ok(acc)
 }
 
 /// Steps 3–6 of execution, starting from an already-combined table: `WHERE`,
@@ -671,11 +671,11 @@ mod tests {
         )
         .unwrap();
         let c = catalog();
-        let tables: Vec<Table> = vec![
-            c.table("EE_Student").unwrap().clone(),
-            c.table("CS_Students").unwrap().clone(),
+        let tables = [
+            c.table("EE_Student").unwrap(),
+            c.table("CS_Students").unwrap(),
         ];
-        let mut combined = combine_tables(&q, &tables).unwrap();
+        let mut combined = combine_tables(&q, &tables).unwrap().into_owned();
         combined
             .add_column(
                 hummer_engine::Column::new("objectID", ColumnType::Int),

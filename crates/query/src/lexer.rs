@@ -94,242 +94,117 @@ pub struct Spanned {
     pub offset: usize,
 }
 
+/// Operators and punctuation, two-character ones first so `<=` is not
+/// read as `<` `=`.
+const PUNCTUATION: [(&str, Token); 17] = [
+    ("<=", Token::Le),
+    ("<>", Token::Ne),
+    ("!=", Token::Ne),
+    (">=", Token::Ge),
+    ("(", Token::LParen),
+    (")", Token::RParen),
+    (",", Token::Comma),
+    (".", Token::Dot),
+    ("*", Token::Star),
+    (";", Token::Semicolon),
+    ("+", Token::Plus),
+    ("-", Token::Minus),
+    ("/", Token::Slash),
+    ("%", Token::Percent),
+    ("=", Token::Eq),
+    ("<", Token::Lt),
+    (">", Token::Gt),
+];
+
 /// Tokenize a query string. Comments (`-- …` to end of line) are skipped.
+///
+/// An identifier starts with an alphabetic character or `_` and goes on
+/// with alphanumeric characters or `_`; any other name must be quoted
+/// (`"€ price"`).
 pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
-    let bytes = input.as_bytes();
     let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        // Whitespace
-        if c.is_ascii_whitespace() {
-            i += 1;
-            continue;
-        }
-        // Comments
-        if c == '-' && bytes.get(i + 1) == Some(&b'-') {
-            while i < bytes.len() && bytes[i] != b'\n' {
-                i += 1;
-            }
-            continue;
-        }
-        let start = i;
-        let push = |out: &mut Vec<Spanned>, t: Token| {
-            out.push(Spanned {
-                token: t,
-                offset: start,
-            })
+    let mut chars = input.char_indices().peekable();
+    while let Some((offset, c)) = chars.next() {
+        let rest = &input[offset..];
+        let error = |message: String| QueryError::Lex {
+            position: offset,
+            message,
         };
-        match c {
-            '(' => {
-                push(&mut out, Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                push(&mut out, Token::RParen);
-                i += 1;
-            }
-            ',' => {
-                push(&mut out, Token::Comma);
-                i += 1;
-            }
-            '.' => {
-                push(&mut out, Token::Dot);
-                i += 1;
-            }
-            '*' => {
-                push(&mut out, Token::Star);
-                i += 1;
-            }
-            ';' => {
-                push(&mut out, Token::Semicolon);
-                i += 1;
-            }
-            '+' => {
-                push(&mut out, Token::Plus);
-                i += 1;
-            }
-            '-' => {
-                push(&mut out, Token::Minus);
-                i += 1;
-            }
-            '/' => {
-                push(&mut out, Token::Slash);
-                i += 1;
-            }
-            '%' => {
-                push(&mut out, Token::Percent);
-                i += 1;
-            }
-            '=' => {
-                push(&mut out, Token::Eq);
-                i += 1;
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    push(&mut out, Token::Ne);
-                    i += 2;
+        let digits = |s: &str| s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
+        // The token, if any, and the bytes it spans.
+        let (token, len) = if c.is_ascii_whitespace() {
+            continue;
+        } else if rest.starts_with("--") {
+            (None, rest.find('\n').unwrap_or(rest.len()))
+        } else if c == '\'' || c == '"' {
+            let Some((text, len)) = quoted(rest, c) else {
+                let what = if c == '"' {
+                    "quoted identifier"
                 } else {
-                    return Err(QueryError::Lex {
-                        position: i,
-                        message: "stray `!` (did you mean `!=`?)".into(),
-                    });
-                }
+                    "string literal"
+                };
+                return Err(error(format!("unterminated {what}")));
+            };
+            let token = if c == '"' {
+                Token::Ident(text)
+            } else {
+                Token::Str(text)
+            };
+            (Some(token), len)
+        } else if c.is_ascii_digit() {
+            // `1.5` is a float, `1.` an integer and a dot.
+            let whole = digits(rest);
+            let fraction = rest[whole..].strip_prefix('.').map_or(0, digits);
+            if fraction > 0 {
+                let text = &rest[..whole + 1 + fraction];
+                let value = text
+                    .parse()
+                    .map_err(|_| error(format!("bad float literal `{text}`")))?;
+                (Some(Token::Float(value)), text.len())
+            } else {
+                let text = &rest[..whole];
+                let value = text
+                    .parse()
+                    .map_err(|_| error(format!("bad integer literal `{text}`")))?;
+                (Some(Token::Int(value)), text.len())
             }
-            '<' => match bytes.get(i + 1) {
-                Some(b'=') => {
-                    push(&mut out, Token::Le);
-                    i += 2;
-                }
-                Some(b'>') => {
-                    push(&mut out, Token::Ne);
-                    i += 2;
-                }
-                _ => {
-                    push(&mut out, Token::Lt);
-                    i += 1;
-                }
-            },
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    push(&mut out, Token::Ge);
-                    i += 2;
-                } else {
-                    push(&mut out, Token::Gt);
-                    i += 1;
-                }
-            }
-            '\'' => {
-                // String literal with '' escaping.
-                let mut s = String::new();
-                let mut j = i + 1;
-                loop {
-                    match bytes.get(j) {
-                        None => {
-                            return Err(QueryError::Lex {
-                                position: i,
-                                message: "unterminated string literal".into(),
-                            })
-                        }
-                        Some(b'\'') => {
-                            if bytes.get(j + 1) == Some(&b'\'') {
-                                s.push('\'');
-                                j += 2;
-                            } else {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        Some(_) => {
-                            let ch_start = j;
-                            let mut ch_end = j + 1;
-                            while ch_end < bytes.len() && (bytes[ch_end] & 0xC0) == 0x80 {
-                                ch_end += 1;
-                            }
-                            s.push_str(&input[ch_start..ch_end]);
-                            j = ch_end;
-                        }
-                    }
-                }
-                push(&mut out, Token::Str(s));
-                i = j;
-            }
-            '"' => {
-                // Quoted identifier.
-                let mut s = String::new();
-                let mut j = i + 1;
-                loop {
-                    match bytes.get(j) {
-                        None => {
-                            return Err(QueryError::Lex {
-                                position: i,
-                                message: "unterminated quoted identifier".into(),
-                            })
-                        }
-                        Some(b'"') => {
-                            j += 1;
-                            break;
-                        }
-                        Some(_) => {
-                            let ch_start = j;
-                            let mut ch_end = j + 1;
-                            while ch_end < bytes.len() && (bytes[ch_end] & 0xC0) == 0x80 {
-                                ch_end += 1;
-                            }
-                            s.push_str(&input[ch_start..ch_end]);
-                            j = ch_end;
-                        }
-                    }
-                }
-                push(&mut out, Token::Ident(s));
-                i = j;
-            }
-            c if c.is_ascii_digit() => {
-                let mut j = i;
-                let mut is_float = false;
-                while j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
-                    j += 1;
-                }
-                if j < bytes.len()
-                    && bytes[j] == b'.'
-                    && j + 1 < bytes.len()
-                    && (bytes[j + 1] as char).is_ascii_digit()
-                {
-                    is_float = true;
-                    j += 1;
-                    while j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
-                        j += 1;
-                    }
-                }
-                let text = &input[i..j];
-                if is_float {
-                    let v: f64 = text.parse().map_err(|_| QueryError::Lex {
-                        position: i,
-                        message: format!("bad float literal `{text}`"),
-                    })?;
-                    push(&mut out, Token::Float(v));
-                } else {
-                    let v: i64 = text.parse().map_err(|_| QueryError::Lex {
-                        position: i,
-                        message: format!("bad integer literal `{text}`"),
-                    })?;
-                    push(&mut out, Token::Int(v));
-                }
-                i = j;
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let mut j = i;
-                while j < bytes.len() {
-                    let ch = bytes[j] as char;
-                    if ch.is_ascii_alphanumeric() || ch == '_' {
-                        j += 1;
-                    } else if bytes[j] >= 0x80 {
-                        // Allow non-ASCII identifier characters.
-                        let mut ch_end = j + 1;
-                        while ch_end < bytes.len() && (bytes[ch_end] & 0xC0) == 0x80 {
-                            ch_end += 1;
-                        }
-                        j = ch_end;
-                    } else {
-                        break;
-                    }
-                }
-                push(&mut out, Token::Ident(input[i..j].to_string()));
-                i = j;
-            }
-            other => {
-                return Err(QueryError::Lex {
-                    position: i,
-                    message: format!("unexpected character `{other}`"),
-                })
-            }
-        }
+        } else if c.is_alphabetic() || c == '_' {
+            let len = rest
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            (Some(Token::Ident(rest[..len].to_string())), len)
+        } else if let Some((text, token)) = PUNCTUATION.iter().find(|(p, _)| rest.starts_with(p)) {
+            (Some(token.clone()), text.len())
+        } else {
+            return Err(error(format!("unexpected character `{c}`")));
+        };
+        while chars.next_if(|&(i, _)| i < offset + len).is_some() {}
+        out.extend(token.map(|token| Spanned { token, offset }));
     }
     out.push(Spanned {
         token: Token::Eof,
         offset: input.len(),
     });
     Ok(out)
+}
+
+/// The text between `rest`'s opening `quote` and its closing one (a doubled
+/// `'` stands for one inside a string literal) and the bytes both quotes
+/// span; `None` if the quote is not closed.
+fn quoted(rest: &str, quote: char) -> Option<(String, usize)> {
+    let mut text = String::new();
+    let mut body = &rest[1..];
+    loop {
+        let end = body.find(quote)?;
+        text.push_str(&body[..end]);
+        body = &body[end + 1..];
+        if quote == '\'' && body.starts_with('\'') {
+            text.push('\'');
+            body = &body[1..];
+        } else {
+            return Some((text, rest.len() - body.len()));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -427,5 +302,30 @@ mod tests {
             toks("Straße"),
             vec![Token::Ident("Straße".into()), Token::Eof]
         );
+        assert_eq!(toks("אב"), vec![Token::Ident("אב".into()), Token::Eof]);
+        assert_eq!(toks("\"€\""), vec![Token::Ident("€".into()), Token::Eof]);
+    }
+
+    /// A character that is neither alphanumeric nor `_` ends an identifier
+    /// and cannot start one: it is an error at its offset, named as itself.
+    #[test]
+    fn symbols_are_not_identifiers() {
+        for (input, position, c) in [
+            ("€", 0, '€'),
+            ("×", 0, '×'),
+            ("a€b", 1, '€'),
+            ("x = \u{a0}", 4, '\u{a0}'),
+        ] {
+            match tokenize(input) {
+                Err(QueryError::Lex {
+                    position: p,
+                    message,
+                }) => {
+                    assert_eq!(p, position, "{input}");
+                    assert!(message.contains(c), "{input}: {message}");
+                }
+                other => panic!("{input}: {other:?}"),
+            }
+        }
     }
 }

@@ -8,8 +8,9 @@
 //! * [`lexer`] — tokenizer (contextual keywords, quoted identifiers,
 //!   `--` comments),
 //! * [`ast`] — the parsed statement,
-//! * [`parser`] — recursive descent over Fig. 1's grammar plus the SQL
-//!   subset (`WHERE`, `GROUP BY`, `HAVING`, `ORDER BY`, aggregates),
+//! * [`parser`] — Fig. 1's grammar plus the SQL subset (`WHERE`,
+//!   `GROUP BY`, `HAVING`, `ORDER BY`, aggregates): recursive descent for
+//!   the statement, one binding-power loop for expressions,
 //! * [`exec`] — execution against a [`catalog::Catalog`]: `FUSE FROM`
 //!   becomes a `sourceID`-tagged full outer union, `FUSE BY` drives the
 //!   fusion operator with the `RESOLVE` specifications, and plain queries

@@ -73,6 +73,16 @@ for deep in "/query text/plain deep_parens.sql" "/query text/plain deep_chain.sq
         || { echo "the server stopped serving after ${file} on ${path}"; exit 1; }
 done
 
+# At exactly 64 levels (hummer_query's MAX_EXPR_DEPTH) each shape is served:
+# a worker parses, evaluates and drops the deepest tree the cap admits. Each
+# ends in a comparison of a leaf (two levels) under 62 levels of its shape.
+for shape in "$(repeat '(' 62)1$(repeat ')' 62)" "1$(repeat ' + 1' 62)" \
+    "$(repeat 'NOT ' 62)Age" "$(repeat 'abs(' 62)Age$(repeat ')' 62)"; do
+    code=$(curl -s -o /tmp/cap_answer.json -w '%{http_code}' -X POST "http://${ADDR}/query" \
+        --data-binary "SELECT Name FROM EE_Student WHERE ${shape} = 1")
+    [ "$code" = 200 ] || { echo "POST /query at the depth cap (${shape:0:24}…) -> $code"; cat /tmp/cap_answer.json; exit 1; }
+done
+
 # Delta ingestion: insert a fifth student, which must *upgrade* the cached
 # prepared pipeline (not invalidate it) — the re-query reflects the insert
 # AND reports a cache hit, i.e. no cold re-prepare.
