@@ -7,13 +7,23 @@
 //!
 //! * [`CandidateSpec::AllPairs`] — exhaustive, recall 1.0.
 //! * [`CandidateSpec::SortedNeighborhood`] — the classic merge/purge
-//!   method: sort rows by a key, slide a window of width `w`, compare only
-//!   rows within a window. Near-linear, may miss pairs whose keys sort far
-//!   apart.
+//!   method (Hernández & Stolfo, SIGMOD 1995): sort rows by a key, slide a
+//!   window of width `w`, compare only rows within a window. Near-linear,
+//!   may miss pairs whose keys sort far apart.
+//!
+//! Sorted neighbourhood reads the key columns' interning passes (the one
+//! pass per column that attribute selection and the measure read too): a
+//! key is built once per distinct rendering, the distinct keys are sorted
+//! once, and the rows are counting-sorted by the rank of their key —
+//! exactly the `(key, row)` order of sorting every row's key string. The
+//! window pairs are then written straight into their `(left, right)`
+//! places, so they come out sorted without a sort.
 
 use crate::incremental::RowChanges;
+use crate::renderings::{push_lowercase, render, Renderings, NULL};
 use hummer_engine::error::EngineError;
 use hummer_engine::{Result, Table};
+use hummer_textsim::interned::Strings;
 
 /// Candidate generation specified by column *names* (resolved against the
 /// input table at detection time).
@@ -23,7 +33,10 @@ pub enum CandidateSpec {
     AllPairs,
     /// Sorted-neighborhood blocking over the given key columns.
     SortedNeighborhood {
-        /// Key column names (sort key is their concatenated rendering).
+        /// Key column names. The sort key is, per key column in order, the
+        /// cell's `Display` rendering lower-cased (the empty field for
+        /// `NULL`) and a `\u{1f}` separator, compared as a string — so an
+        /// `Int` key sorts by its decimal text (`10` before `9`).
         key: Vec<String>,
         /// Window width `w` (≥ 2): each row is paired with its `w − 1`
         /// successors in key order.
@@ -32,34 +45,14 @@ pub enum CandidateSpec {
 }
 
 /// Resolve a [`CandidateSpec`] against `table` into its blocking index:
-/// key columns looked up by name, every row's key rendered and sorted.
-/// Public so callers that generate candidates themselves (the incremental
-/// property tests, the hbench layer probes) get exactly the detector's set.
+/// key columns looked up by name, every row's key ranked and the rows
+/// sorted. Public so callers that generate candidates themselves (the
+/// incremental property tests, the hbench layer probes) get exactly the
+/// detector's set.
 ///
 /// Errors on an unknown key column and on a window below 2.
 pub fn resolve_candidate_strategy(table: &Table, spec: &CandidateSpec) -> Result<CandidateIndex> {
-    let sorted = match spec {
-        CandidateSpec::AllPairs => None,
-        CandidateSpec::SortedNeighborhood { key, window } => {
-            if *window < 2 {
-                return Err(EngineError::Expression(format!(
-                    "sorted-neighborhood window must be at least 2, got {window}"
-                )));
-            }
-            let key_attrs = key
-                .iter()
-                .map(|n| table.resolve(n))
-                .collect::<Result<Vec<usize>>>()?;
-            let keys = render_keys(table, &key_attrs);
-            Some(SortedKeys {
-                key_attrs,
-                window: *window,
-                order: sorted_order(&keys),
-                keys,
-            })
-        }
-    };
-    Ok(CandidateIndex { sorted })
+    CandidateIndex::build(&Renderings::new(table), spec)
 }
 
 /// Every candidate pair `(i, j)` with `i < j` of `table` under `index`
@@ -68,19 +61,20 @@ pub fn candidate_pairs(table: &Table, index: &CandidateIndex) -> Vec<(usize, usi
     index.pairs(table.len())
 }
 
-/// Render one row's blocking key: each key attribute's text rendering,
-/// lowercased, terminated by a `\u{1f}` field separator (nulls and
-/// non-text values render as the empty field).
-fn render_key(table: &Table, key_attrs: &[usize], row: usize) -> String {
-    let r = &table.rows()[row];
-    let mut k = String::new();
+/// Append one row's blocking key to `key`: per key attribute, the cell's
+/// rendering (`Value`'s `Display` form, as [`hummer_engine::Value::as_text`]
+/// gives it) lower-cased — the empty field for `NULL` — and a `\u{1f}`
+/// field separator. What the interning passes build once per distinct
+/// rendering, for one row of a delta.
+fn push_row_key(table: &Table, key_attrs: &[usize], row: usize, key: &mut String) {
+    let mut buf = String::new();
     for &a in key_attrs {
-        if let Some(t) = r[a].as_text() {
-            k.push_str(&t.to_lowercase());
+        let v = table.cell(row, a);
+        if !v.is_null() {
+            push_lowercase(render(v, &mut buf), key);
         }
-        k.push('\u{1f}'); // field separator
+        key.push('\u{1f}'); // field separator
     }
-    k
 }
 
 fn all_pairs(n: usize) -> Vec<(usize, usize)> {
@@ -93,30 +87,39 @@ fn all_pairs(n: usize) -> Vec<(usize, usize)> {
     out
 }
 
-fn render_keys(table: &Table, key_attrs: &[usize]) -> Vec<String> {
-    (0..table.len())
-        .map(|i| render_key(table, key_attrs, i))
-        .collect()
-}
-
-/// Rows sorted by `(key, row)` — the sorted-neighbourhood order.
-fn sorted_order(keys: &[String]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..keys.len()).collect();
-    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
-    order
-}
-
-/// Every pair of rows fewer than `window` positions apart in `order`, as
-/// `(smaller, larger)`, sorted.
+/// Every pair of rows fewer than `window` positions apart in `order` (a
+/// permutation of the rows), as `(smaller, larger)`, in sorted order
+/// without a sort: each row's pairs as the smaller endpoint get a range of
+/// slots (counted first), and the rows are then visited in ascending order
+/// as the larger endpoint, so every range fills in ascending order.
 fn window_pairs(order: &[usize], window: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for (pos, &i) in order.iter().enumerate() {
-        for &j in order.iter().skip(pos + 1).take(window - 1) {
-            out.push((i.min(j), i.max(j)));
+    let n = order.len();
+    let mut position = vec![0; n];
+    for (p, &r) in order.iter().enumerate() {
+        position[r] = p;
+    }
+    let mut starts = vec![0usize; n + 1];
+    for (p, &r) in order.iter().enumerate() {
+        for &q in &order[p + 1..(p + window).min(n)] {
+            starts[r.min(q) + 1] += 1;
         }
     }
-    out.sort_unstable();
-    out.dedup();
+    for i in 0..n {
+        starts[i + 1] += starts[i];
+    }
+    let total = starts[n];
+    // A spare last slot takes the writes for partners that are not the
+    // smaller row, so the loop does not branch on them.
+    let mut out = vec![(0, 0); total + 1];
+    for (j, &p) in position.iter().enumerate() {
+        for &i in &order[p.saturating_sub(window - 1)..(p + window).min(n)] {
+            let smaller = i < j;
+            let at = if smaller { starts[i] } else { total };
+            out[at] = (i, j);
+            starts[i] += usize::from(smaller);
+        }
+    }
+    out.truncate(total);
     out
 }
 
@@ -130,16 +133,116 @@ pub struct CandidateIndex {
     sorted: Option<SortedKeys>,
 }
 
-/// Sorted-neighbourhood state: rows in `(key, row)` order.
+/// Sorted-neighbourhood state: every row's key, and the rows in
+/// `(key, row)` order.
 #[derive(Debug)]
 struct SortedKeys {
     key_attrs: Vec<usize>,
     window: usize,
-    keys: Vec<String>,
+    /// The distinct keys. A delta adds the keys it renders and removes
+    /// none, so equal ids mean equal keys and a dead key costs only its
+    /// bytes.
+    keys: Strings,
+    /// Per row: its key.
+    key_of_row: Vec<u32>,
     order: Vec<usize>,
 }
 
+impl SortedKeys {
+    /// Rank the keys of the indexed table and sort its rows by them.
+    fn build(renderings: &Renderings<'_>, key_attrs: Vec<usize>, window: usize) -> Self {
+        let rows = renderings.table().len();
+        let columns: Vec<_> = key_attrs.iter().map(|&a| renderings.column(a)).collect();
+        let mut keys = Strings::new();
+        let mut key = String::new();
+        let mut key_of_row = Vec::with_capacity(rows);
+        if let [column] = columns[..] {
+            // One key column (as every caller has): a row's key is a
+            // function of its rendering, built once per distinct rendering
+            // (and once for `NULL`). Several columns are joined row by row.
+            let mut key_of = vec![NULL; column.len() + 1];
+            for &r in &column.of_row {
+                let slot = if r == NULL { column.len() } else { r as usize };
+                if key_of[slot] == NULL {
+                    key.clear();
+                    if r != NULL {
+                        push_lowercase(column.strings.get(r), &mut key);
+                    }
+                    key.push('\u{1f}');
+                    key_of[slot] = keys.intern(&key).0;
+                }
+                key_of_row.push(key_of[slot]);
+            }
+        } else {
+            for row in 0..rows {
+                key.clear();
+                for column in &columns {
+                    let r = column.of_row[row];
+                    if r != NULL {
+                        push_lowercase(column.strings.get(r), &mut key);
+                    }
+                    key.push('\u{1f}');
+                }
+                key_of_row.push(keys.intern(&key).0);
+            }
+        }
+
+        // Rank the distinct keys, then counting-sort the rows by rank: rows
+        // of one rank stay in row order, which is the `(key, row)` order.
+        let by_key = keys.sorted();
+        let mut starts = vec![0usize; keys.len() + 1];
+        for &k in &key_of_row {
+            starts[k as usize + 1] += 1;
+        }
+        let mut next = vec![0usize; keys.len()];
+        let mut at = 0;
+        for &k in &by_key {
+            next[k as usize] = at;
+            at += starts[k as usize + 1];
+        }
+        let mut order = vec![0usize; rows];
+        for (row, &k) in key_of_row.iter().enumerate() {
+            order[next[k as usize]] = row;
+            next[k as usize] += 1;
+        }
+        SortedKeys {
+            key_attrs,
+            window,
+            keys,
+            key_of_row,
+            order,
+        }
+    }
+
+    /// Row `r`'s key.
+    fn key(&self, r: usize) -> &str {
+        self.keys.get(self.key_of_row[r])
+    }
+}
+
 impl CandidateIndex {
+    /// Resolve `spec` against the table of `renderings` (see
+    /// [`resolve_candidate_strategy`]), reading the key columns' passes.
+    pub(crate) fn build(renderings: &Renderings<'_>, spec: &CandidateSpec) -> Result<Self> {
+        let sorted = match spec {
+            CandidateSpec::AllPairs => None,
+            CandidateSpec::SortedNeighborhood { key, window } => {
+                if *window < 2 {
+                    return Err(EngineError::Expression(format!(
+                        "sorted-neighborhood window must be at least 2, got {window}"
+                    )));
+                }
+                let table = renderings.table();
+                let key_attrs = key
+                    .iter()
+                    .map(|n| table.resolve(n))
+                    .collect::<Result<Vec<usize>>>()?;
+                Some(SortedKeys::build(renderings, key_attrs, *window))
+            }
+        };
+        Ok(CandidateIndex { sorted })
+    }
+
     /// Every candidate pair of the indexed table of `rows` rows, sorted.
     pub(crate) fn pairs(&self, rows: usize) -> Vec<(usize, usize)> {
         match &self.sorted {
@@ -168,29 +271,32 @@ impl CandidateIndex {
         changes: &RowChanges<'_>,
         dirty: &mut [bool],
     ) {
-        let Some(SortedKeys {
-            key_attrs,
-            window,
-            keys,
-            order,
-        }) = &mut self.sorted
-        else {
+        let Some(sn) = &mut self.sorted else {
             return;
         };
-        let reach = *window - 1;
-        // Rows leaving the order (old indices) and arriving (new).
+        let reach = sn.window - 1;
+        // Rows leaving the order (old indices) and arriving (new, with
+        // their keys). Keys are compared as strings, which a delta can
+        // afford: it renders only the rows it touched.
         let mut leaving: Vec<usize> = changes.deleted.clone();
-        let mut arriving: Vec<(String, usize)> = Vec::new();
+        let mut arriving: Vec<(usize, u32)> = Vec::new();
+        let mut key = String::new();
+        let mut key_of = |sn: &mut SortedKeys, n: usize| {
+            key.clear();
+            push_row_key(new, &sn.key_attrs, n, &mut key);
+            sn.keys.intern(&key).0
+        };
         for &(o, n) in &changes.updated {
-            let key = render_key(new, key_attrs, n);
-            if key != keys[o] {
+            let k = key_of(sn, n);
+            if k != sn.key_of_row[o] {
                 leaving.push(o);
-                arriving.push((key, n));
+                arriving.push((n, k));
                 dirty[n] = true;
             }
         }
         for &n in &changes.inserted {
-            arriving.push((render_key(new, key_attrs, n), n));
+            let k = key_of(sn, n);
+            arriving.push((n, k));
         }
         if leaving.is_empty() && arriving.is_empty() {
             return; // no delete, no insert: the row space is unchanged
@@ -199,48 +305,43 @@ impl CandidateIndex {
         let mut left = vec![false; old_to_new.len()];
         for &o in &leaving {
             left[o] = true;
-            let p = order
-                .binary_search_by(|&r| (keys[r].as_str(), r).cmp(&(keys[o].as_str(), o)))
+            let p = sn
+                .order
+                .binary_search_by(|&r| (sn.key(r), r).cmp(&(sn.key(o), o)))
                 .expect("an indexed row is in the order");
-            for &r in &order[p.saturating_sub(reach)..(p + reach + 1).min(order.len())] {
+            for &r in &sn.order[p.saturating_sub(reach)..(p + reach + 1).min(sn.order.len())] {
                 if let Some(n) = old_to_new[r] {
                     dirty[n] = true;
                 }
             }
         }
-        let staying: Vec<usize> = order
+        let staying: Vec<usize> = sn
+            .order
             .iter()
             .filter(|&&o| !left[o])
             .map(|&o| old_to_new[o].expect("a staying row survives"))
             .collect();
-        changes.remap(keys);
-        let mut arrived: Vec<usize> = Vec::with_capacity(arriving.len());
-        for (key, n) in arriving {
-            keys[n] = key;
-            arrived.push(n);
+        changes.remap(&mut sn.key_of_row);
+        for &(n, k) in &arriving {
+            sn.key_of_row[n] = k;
         }
-        arrived.sort_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
-        // Merge the two `(key, row)`-sorted runs.
-        let mut merged = Vec::with_capacity(staying.len() + arrived.len());
+        let mut arrived: Vec<usize> = arriving.iter().map(|&(n, _)| n).collect();
+        arrived.sort_by(|&a, &b| (sn.key(a), a).cmp(&(sn.key(b), b)));
+        // Place each arrival after the staying rows that sort before it.
+        let mut order = Vec::with_capacity(staying.len() + arrived.len());
         let mut positions = Vec::with_capacity(arrived.len());
-        let (mut s, mut a) = (0, 0);
-        while s < staying.len() || a < arrived.len() {
-            let take_arrived = a < arrived.len()
-                && (s == staying.len()
-                    || (keys[arrived[a]].as_str(), arrived[a])
-                        < (keys[staying[s]].as_str(), staying[s]));
-            if take_arrived {
-                positions.push(merged.len());
-                merged.push(arrived[a]);
-                a += 1;
-            } else {
-                merged.push(staying[s]);
-                s += 1;
-            }
+        let mut s = 0;
+        for &n in &arrived {
+            let at = s + staying[s..].partition_point(|&r| (sn.key(r), r) < (sn.key(n), n));
+            order.extend_from_slice(&staying[s..at]);
+            s = at;
+            positions.push(order.len());
+            order.push(n);
         }
-        *order = merged;
+        order.extend_from_slice(&staying[s..]);
+        sn.order = order;
         for p in positions {
-            for &r in &order[p.saturating_sub(reach)..(p + reach + 1).min(order.len())] {
+            for &r in &sn.order[p.saturating_sub(reach)..(p + reach + 1).min(sn.order.len())] {
                 dirty[r] = true;
             }
         }
@@ -293,7 +394,9 @@ impl CandidateIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hummer_engine::table;
+    use crate::incremental::{RowChanges, RowMapping};
+    use hummer_engine::{table, Date, Row, Value};
+    use proptest::test_runner::TestRng;
 
     fn t() -> Table {
         table! {
@@ -375,5 +478,146 @@ mod tests {
     fn empty_table_no_pairs() {
         let t = table! { "E" => ["a"]; };
         assert!(pairs(&t, &CandidateSpec::AllPairs).is_empty());
+    }
+
+    /// A key renders every non-null value with `Display`, so an `Int` key
+    /// sorts by its decimal text, and `NULL` is the empty field, which
+    /// sorts before any text of printable chars.
+    #[test]
+    fn int_keys_sort_as_text_and_null_first() {
+        let t = table! {
+            "T" => ["k"];
+            [9],
+            [10],
+            [()],
+        };
+        let spec = CandidateSpec::SortedNeighborhood {
+            key: vec!["k".into()],
+            window: 2,
+        };
+        // Key order: NULL (row 2), "10" (row 1), "9" (row 0).
+        assert_eq!(pairs(&t, &spec), vec![(0, 1), (1, 2)]);
+    }
+
+    /// The definition sorted neighbourhood had before the interning
+    /// passes: every row's key rendered into a `String` of its own, the
+    /// rows sorted by `(key, row)`, every pair within the window collected,
+    /// sorted and deduplicated.
+    fn oracle_pairs(table: &Table, key_attrs: &[usize], window: usize) -> Vec<(usize, usize)> {
+        let keys: Vec<String> = (0..table.len())
+            .map(|row| {
+                let mut k = String::new();
+                for &a in key_attrs {
+                    if let Some(t) = table.cell(row, a).as_text() {
+                        k.push_str(&t.to_lowercase());
+                    }
+                    k.push('\u{1f}');
+                }
+                k
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..table.len()).collect();
+        order.sort_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
+        let mut out = Vec::new();
+        for (pos, &i) in order.iter().enumerate() {
+            for &j in order.iter().skip(pos + 1).take(window - 1) {
+                out.push((i.min(j), i.max(j)));
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// A cell drawn from small pools, so keys tie often: case variants,
+    /// chars below and at the `\u{1f}` separator, a final sigma, digit
+    /// strings next to `Int` and `Float` values, dates, `NULL`.
+    fn random_value(rng: &mut TestRng) -> Value {
+        const PIECES: [&str; 16] = [
+            "a", "A", "b", "B", "ab", "\u{1}", "\u{1e}", "\u{1f}", " ", "é", "É", "ΑΣ", "ς", "9",
+            "10", "",
+        ];
+        match rng.below(6) {
+            0 => Value::Null,
+            1 => Value::Int(rng.below(24) as i64 - 4),
+            2 => Value::Float(rng.below(12) as f64 / 2.0),
+            3 => Value::Date(
+                Date::new(2000 + rng.below(3) as i32, 1, 1 + rng.below(3) as u8).unwrap(),
+            ),
+            _ => {
+                let pieces = rng.below(4);
+                let text: String = (0..pieces)
+                    .map(|_| PIECES[rng.below(PIECES.len() as u64) as usize])
+                    .collect();
+                Value::text(text)
+            }
+        }
+    }
+
+    fn random_row(rng: &mut TestRng, columns: usize) -> Row {
+        Row::from_values((0..columns).map(|_| random_value(rng)).collect())
+    }
+
+    /// The index's pairs equal the string-sort oracle on random tables of
+    /// 0–80 rows, one to three key columns and windows 2 to n + 2 — built
+    /// from scratch, and carried across a random delta.
+    #[test]
+    fn candidates_equal_the_string_sort_oracle() {
+        let mut rng = TestRng::deterministic();
+        let names = ["k0", "k1", "k2"];
+        for case in 0..400 {
+            let rows = rng.below(81) as usize;
+            let table = Table::from_rows(
+                "T",
+                &names,
+                (0..rows)
+                    .map(|_| random_row(&mut rng, names.len()))
+                    .collect(),
+            )
+            .unwrap();
+            let keys = 1 + rng.below(3) as usize;
+            let key_attrs: Vec<usize> = (0..keys).map(|_| rng.below(3) as usize).collect();
+            let window = 2 + rng.below(rows as u64 + 1) as usize;
+            let spec = CandidateSpec::SortedNeighborhood {
+                key: key_attrs.iter().map(|&a| names[a].to_string()).collect(),
+                window,
+            };
+            let mut index = resolve_candidate_strategy(&table, &spec).unwrap();
+            let want = oracle_pairs(&table, &key_attrs, window);
+            assert_eq!(index.pairs(rows), want, "case {case}: built");
+
+            // A delta: some rows deleted, some updated (often to another
+            // row's cells, so keys land inside runs of equal keys), a few
+            // inserted.
+            let mut old_to_new = Vec::with_capacity(rows);
+            let mut new_rows = Vec::new();
+            for r in 0..rows {
+                match rng.below(8) {
+                    0 => old_to_new.push(None),
+                    1 => {
+                        old_to_new.push(Some(new_rows.len()));
+                        new_rows.push(random_row(&mut rng, names.len()));
+                    }
+                    2 => {
+                        old_to_new.push(Some(new_rows.len()));
+                        let from = rng.below(rows as u64) as usize;
+                        new_rows.push(table.rows()[from].clone());
+                    }
+                    _ => {
+                        old_to_new.push(Some(new_rows.len()));
+                        new_rows.push(table.rows()[r].clone());
+                    }
+                }
+            }
+            for _ in 0..rng.below(4) {
+                new_rows.push(random_row(&mut rng, names.len()));
+            }
+            let next = Table::from_rows("T", &names, new_rows).unwrap();
+            let mapping = RowMapping::new(old_to_new, next.len()).unwrap();
+            let changes = RowChanges::new(&table, &next, &mapping);
+            index.apply_delta(&next, &changes, &mut vec![false; next.len()]);
+            let want = oracle_pairs(&next, &key_attrs, window);
+            assert_eq!(index.pairs(next.len()), want, "case {case}: carried");
+        }
     }
 }

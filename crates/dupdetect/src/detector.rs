@@ -1,10 +1,11 @@
 //! The duplicate detector: candidate generation → filter → pairwise
 //! comparison → threshold classification → transitive closure → `objectID`.
 
-use crate::blocking::{candidate_pairs, resolve_candidate_strategy, CandidateSpec};
+use crate::blocking::{CandidateIndex, CandidateSpec};
 use crate::columnar::score_candidates;
-use crate::heuristics::select_attributes;
+use crate::heuristics::{select_attributes, select_from};
 use crate::measure::TupleSimilarity;
+use crate::renderings::Renderings;
 use crate::unionfind::UnionFind;
 use hummer_engine::error::EngineError;
 use hummer_engine::{Column, ColumnType, Result, Row, Table, Value, OBJECT_ID_COLUMN};
@@ -146,17 +147,32 @@ pub fn resolve_attributes(table: &Table, cfg: &DetectorConfig) -> Result<Vec<usi
 }
 
 /// [`resolve_attributes`] with the heuristics' answer supplied by `select`
-/// (the incremental detector answers it from kept counts).
+/// (the detector answers it from the interning passes it shares, the
+/// incremental detector from kept counts).
+///
+/// Errors on an unknown column, on a column named twice (names resolve
+/// case-insensitively, and a repeated column would weigh twice), and when
+/// nothing is selected.
 pub(crate) fn attributes_from(
     table: &Table,
     cfg: &DetectorConfig,
     select: impl FnOnce() -> Vec<usize>,
 ) -> Result<Vec<usize>> {
     let attrs: Vec<usize> = match &cfg.attributes {
-        Some(names) => names
-            .iter()
-            .map(|n| table.resolve(n))
-            .collect::<Result<_>>()?,
+        Some(names) => {
+            let mut attrs = Vec::with_capacity(names.len());
+            for name in names {
+                let a = table.resolve(name)?;
+                if attrs.contains(&a) {
+                    return Err(EngineError::Expression(format!(
+                        "comparison attribute `{name}` names column `{}` a second time",
+                        table.schema().column(a).name
+                    )));
+                }
+                attrs.push(a);
+            }
+            attrs
+        }
         None => select(),
     };
     if attrs.is_empty() {
@@ -240,9 +256,13 @@ pub fn detect_duplicates(
     par: Parallelism,
 ) -> Result<DetectionResult> {
     check_thresholds(cfg)?;
-    let attrs = resolve_attributes(table, cfg)?;
-    let candidates = candidate_pairs(table, &resolve_candidate_strategy(table, &cfg.candidates)?);
-    let measure = TupleSimilarity::new(table, attrs);
+    // One interning pass per column, read by selection, blocking and the
+    // measure alike.
+    let renderings = Renderings::new(table);
+    let attrs = attributes_from(table, cfg, || select_from(&renderings))?;
+    let candidates = CandidateIndex::build(&renderings, &cfg.candidates)?.pairs(table.len());
+    let measure = TupleSimilarity::from_renderings(&renderings, attrs);
+    drop(renderings);
     Ok(detect_candidates(table, &measure, &candidates, cfg, par))
 }
 
@@ -452,6 +472,28 @@ mod tests {
             Parallelism::sequential(),
         );
         assert!(r.is_err());
+    }
+
+    /// A column named twice would weigh twice; names resolve
+    /// case-insensitively, so `Name` and `name` are the same column.
+    #[test]
+    fn repeated_attribute_errors() {
+        let t = people();
+        let cfg = DetectorConfig {
+            attributes: Some(vec!["Name".into(), "name".into(), "City".into()]),
+            ..cfg()
+        };
+        let err = detect_duplicates(&t, &cfg, Parallelism::sequential()).unwrap_err();
+        assert!(matches!(err, EngineError::Expression(_)), "{err:?}");
+        assert!(err.to_string().contains("`name`"), "{err}");
+        assert!(crate::DetectionIndex::build(&t, &cfg).is_err());
+        assert!(resolve_attributes(&t, &cfg).is_err());
+        // Each column once is fine.
+        let once = DetectorConfig {
+            attributes: Some(vec!["Name".into(), "City".into()]),
+            ..cfg
+        };
+        assert!(detect_duplicates(&t, &once, Parallelism::sequential()).is_ok());
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! are excluded by name.
 
 use crate::incremental::RowChanges;
-use crate::renderings::Renderings;
+use crate::renderings::{render, Renderings};
 use hummer_engine::{Table, Value, BOOKKEEPING_COLUMNS};
+use hummer_textsim::interned::Strings;
 
 /// Per-attribute heuristic scores.
 #[derive(Debug, Clone)]
@@ -67,38 +68,48 @@ fn attribute_score(
 
 /// Score every column of `table`. Distinct values are distinct renderings.
 pub fn score_attributes(table: &Table) -> Vec<AttributeScore> {
-    table
-        .schema()
-        .columns()
-        .iter()
-        .enumerate()
-        .map(|(idx, col)| {
-            let mut non_null = 0usize;
-            let mut distinct = Renderings::with_capacity(0);
-            for v in table.column_values(idx).filter(|v| !v.is_null()) {
-                non_null += 1;
-                distinct.intern(v);
-            }
-            attribute_score(idx, &col.name, non_null, distinct.len(), table.len())
-        })
+    let renderings = Renderings::new(table);
+    (0..table.schema().len())
+        .map(|idx| column_score(&renderings, idx))
         .collect()
+}
+
+/// Column `idx`'s score, from its interning pass.
+fn column_score(renderings: &Renderings<'_>, idx: usize) -> AttributeScore {
+    let table = renderings.table();
+    let column = renderings.column(idx);
+    let name = &table.schema().column(idx).name;
+    attribute_score(idx, name, column.non_null, column.len(), table.len())
+}
+
+fn is_bookkeeping(name: &str) -> bool {
+    BOOKKEEPING_COLUMNS
+        .iter()
+        .any(|b| b.eq_ignore_ascii_case(name))
 }
 
 /// Select interesting attribute indices by the heuristics, best-first.
 /// Bookkeeping columns are always excluded.
 pub fn select_attributes(table: &Table) -> Vec<usize> {
-    select_from_scores(score_attributes(table))
+    select_from(&Renderings::new(table))
+}
+
+/// [`select_attributes`] over the table's interning passes. Bookkeeping
+/// columns are never selected, so they are not interned either.
+pub(crate) fn select_from(renderings: &Renderings<'_>) -> Vec<usize> {
+    let names = renderings.table().schema().names();
+    let scores = (0..names.len())
+        .filter(|&idx| !is_bookkeeping(names[idx]))
+        .map(|idx| column_score(renderings, idx))
+        .collect();
+    select_from_scores(scores)
 }
 
 /// The selection rule over already computed scores.
 pub(crate) fn select_from_scores(scores: Vec<AttributeScore>) -> Vec<usize> {
     let mut scored: Vec<AttributeScore> = scores
         .into_iter()
-        .filter(|s| {
-            !BOOKKEEPING_COLUMNS
-                .iter()
-                .any(|b| b.eq_ignore_ascii_case(&s.name))
-        })
+        .filter(|s| !is_bookkeeping(&s.name))
         .filter(|s| s.coverage >= MIN_COVERAGE && s.score >= MIN_SCORE)
         .collect();
     scored.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.index.cmp(&b.index)));
@@ -118,9 +129,9 @@ pub(crate) struct SelectionCounts {
     rows: usize,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ColumnTally {
-    renderings: Renderings<'static>,
+    renderings: Strings,
     /// Rows holding each rendering (a rendering at zero stays numbered).
     rows_of: Vec<usize>,
     /// Renderings held by at least one row.
@@ -129,27 +140,27 @@ struct ColumnTally {
 }
 
 impl ColumnTally {
-    fn add(&mut self, v: &Value) {
+    fn add(&mut self, v: &Value, buf: &mut String) {
         if v.is_null() {
             return;
         }
-        let (r, _) = self.renderings.intern_owned(v);
-        let r = r as usize;
-        if r == self.rows_of.len() {
+        let (r, new) = self.renderings.intern(render(v, buf));
+        if new {
             self.rows_of.push(0);
         }
+        let r = r as usize;
         self.distinct += usize::from(self.rows_of[r] == 0);
         self.rows_of[r] += 1;
         self.non_null += 1;
     }
 
-    fn remove(&mut self, v: &Value) {
+    fn remove(&mut self, v: &Value, buf: &mut String) {
         if v.is_null() {
             return;
         }
         let r = self
             .renderings
-            .get(v)
+            .id(render(v, buf))
             .expect("a counted cell has a rendering") as usize;
         self.rows_of[r] -= 1;
         self.distinct -= usize::from(self.rows_of[r] == 0);
@@ -158,26 +169,17 @@ impl ColumnTally {
 }
 
 impl SelectionCounts {
-    /// Count every column of `table`.
-    pub(crate) fn new(table: &Table) -> Self {
+    /// The counts of every column, taken from its interning pass.
+    pub(crate) fn new(renderings: &Renderings<'_>) -> Self {
+        let table = renderings.table();
         let columns = (0..table.schema().len())
             .map(|idx| {
-                let mut renderings = Renderings::with_capacity(0);
-                let mut rows_of: Vec<usize> = Vec::new();
-                let mut non_null = 0;
-                for v in table.column_values(idx).filter(|v| !v.is_null()) {
-                    let (r, new) = renderings.intern(v);
-                    if new.is_some() {
-                        rows_of.push(0);
-                    }
-                    rows_of[r as usize] += 1;
-                    non_null += 1;
-                }
+                let column = renderings.column(idx);
                 ColumnTally {
-                    renderings: renderings.into_owned(),
-                    distinct: rows_of.len(),
-                    rows_of,
-                    non_null,
+                    renderings: column.strings.clone(),
+                    rows_of: column.rows.clone(),
+                    distinct: column.len(),
+                    non_null: column.non_null,
                 }
             })
             .collect();
@@ -195,19 +197,20 @@ impl SelectionCounts {
 
     /// Move the counts from `old` to `new` (same schema) across `changes`.
     pub(crate) fn apply(&mut self, old: &Table, new: &Table, changes: &RowChanges) {
+        let mut buf = String::new();
         for (c, tally) in self.columns.iter_mut().enumerate() {
             for &o in &changes.deleted {
-                tally.remove(old.cell(o, c));
+                tally.remove(old.cell(o, c), &mut buf);
             }
             for &(o, n) in &changes.updated {
                 let (before, after) = (old.cell(o, c), new.cell(n, c));
                 if !before.identical(after) {
-                    tally.remove(before);
-                    tally.add(after);
+                    tally.remove(before, &mut buf);
+                    tally.add(after, &mut buf);
                 }
             }
             for &n in &changes.inserted {
-                tally.add(new.cell(n, c));
+                tally.add(new.cell(n, c), &mut buf);
             }
         }
         self.rows = new.len();
@@ -310,32 +313,55 @@ mod tests {
     }
 
     /// Coverage and distinctness are ratios of integer counts, so counting
-    /// without allocating must reproduce every score exactly.
+    /// through the shared interning pass must reproduce every score
+    /// exactly — in [`score_attributes`], in the kept [`SelectionCounts`],
+    /// and in the selection the detector makes from the pass.
     #[test]
     fn scores_equal_per_cell_string_counting() {
         let mut tables = crate::testworlds::worlds();
         tables.push(("awkward", crate::testworlds::awkward()));
         for (name, table) in tables {
             let n = table.len().max(1) as f64;
-            for s in score_attributes(&table) {
-                let (non_null, distinct) = distinct_renderings(&table, s.index);
-                let at = format!("{name}.{}", s.name);
-                assert_eq!(
-                    s.coverage.to_bits(),
-                    (non_null as f64 / n).to_bits(),
-                    "{at}"
-                );
-                let distinctness = match non_null {
-                    0 => 0.0,
-                    _ => distinct as f64 / non_null as f64,
-                };
-                assert_eq!(s.distinctness.to_bits(), distinctness.to_bits(), "{at}");
-                assert_eq!(
-                    s.score.to_bits(),
-                    (s.coverage * distinctness).to_bits(),
-                    "{at}"
-                );
-            }
+            let reference: Vec<AttributeScore> = table
+                .schema()
+                .names()
+                .iter()
+                .enumerate()
+                .map(|(idx, column)| {
+                    let (non_null, distinct) = distinct_renderings(&table, idx);
+                    let coverage = non_null as f64 / n;
+                    let distinctness = match non_null {
+                        0 => 0.0,
+                        _ => distinct as f64 / non_null as f64,
+                    };
+                    AttributeScore {
+                        index: idx,
+                        name: column.to_string(),
+                        coverage,
+                        distinctness,
+                        score: coverage * distinctness,
+                    }
+                })
+                .collect();
+            let bits = |scores: &[AttributeScore]| -> Vec<(u64, u64, u64)> {
+                scores
+                    .iter()
+                    .map(|s| {
+                        (
+                            s.coverage.to_bits(),
+                            s.distinctness.to_bits(),
+                            s.score.to_bits(),
+                        )
+                    })
+                    .collect()
+            };
+            let renderings = Renderings::new(&table);
+            assert_eq!(bits(&score_attributes(&table)), bits(&reference), "{name}");
+            let kept = SelectionCounts::new(&renderings).scores();
+            assert_eq!(bits(&kept), bits(&reference), "{name}: kept counts");
+            let selected = select_from_scores(reference);
+            assert_eq!(select_from(&renderings), selected, "{name}: selection");
+            assert_eq!(select_attributes(&table), selected, "{name}: selection");
         }
     }
 }

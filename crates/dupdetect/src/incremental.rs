@@ -65,7 +65,7 @@
 //! The index remembers the [`DetectorConfig`] it was built with; the old
 //! result must come from that configuration.
 
-use crate::blocking::{resolve_candidate_strategy, CandidateIndex};
+use crate::blocking::CandidateIndex;
 use crate::columnar::score_candidates;
 use crate::detector::{
     attribute_names, attributes_from, check_thresholds, detect_candidates, sort_pairs_canonical,
@@ -73,6 +73,7 @@ use crate::detector::{
 };
 use crate::heuristics::{select_from_scores, AttributeScore, SelectionCounts};
 use crate::measure::{ColumnCounts, TupleSimilarity};
+use crate::renderings::Renderings;
 use crate::unionfind::UnionFind;
 use hummer_engine::error::EngineError;
 use hummer_engine::{Result, Row, Table};
@@ -282,16 +283,18 @@ impl DetectionIndex {
     /// that let a delta move it.
     pub fn build(table: &Table, cfg: &DetectorConfig) -> Result<Self> {
         check_thresholds(cfg)?;
+        // One interning pass per column, as the detector shares it.
+        let renderings = Renderings::new(table);
         let selection = cfg
             .attributes
             .is_none()
-            .then(|| SelectionCounts::new(table));
+            .then(|| SelectionCounts::new(&renderings));
         let attrs = attributes_from(table, cfg, || {
             let scores = selection.as_ref().expect("counted above").scores();
             select_from_scores(scores)
         })?;
-        let candidates = resolve_candidate_strategy(table, &cfg.candidates)?;
-        let (measure, counts) = TupleSimilarity::with_counts(table, attrs);
+        let candidates = CandidateIndex::build(&renderings, &cfg.candidates)?;
+        let (measure, counts) = TupleSimilarity::with_counts(&renderings, attrs);
         Ok(DetectionIndex {
             cfg: cfg.clone(),
             columns: column_names(table),
@@ -373,7 +376,8 @@ impl DetectionIndex {
                 select_from_scores(selection.scores())
             })?;
             if attrs != self.measure.attrs() {
-                let (measure, counts) = TupleSimilarity::with_counts(new_table, attrs);
+                let (measure, counts) =
+                    TupleSimilarity::with_counts(&Renderings::new(new_table), attrs);
                 (self.measure, self.counts) = (measure, counts);
                 self.candidates
                     .apply_delta(new_table, &changes, &mut vec![false; new_table.len()]);
@@ -687,7 +691,7 @@ mod tests {
             bits(scratch.attribute_scores())
         );
         assert_eq!(index.candidates(), scratch.candidates());
-        let fresh = resolve_candidate_strategy(table, &cfg.candidates).unwrap();
+        let fresh = crate::resolve_candidate_strategy(table, &cfg.candidates).unwrap();
         assert_eq!(index.candidates(), crate::candidate_pairs(table, &fresh));
     }
 

@@ -12,18 +12,26 @@
 //!   ingredients: matched vs. unmatched attributes, per-field edit/numeric
 //!   distance, identifying power via soft IDF, and the crucial asymmetry
 //!   that contradictions reduce similarity while missing values do not;
-//! * [`blocking`] — candidate generation (all pairs or sorted
-//!   neighborhood);
+//! * [`blocking`] — candidate generation (all pairs, or sorted
+//!   neighborhood: rows counting-sorted by the rank of their key, window
+//!   pairs born in `(left, right)` order);
 //! * [`detector`] — the filter (a cheap admissible upper bound on the
 //!   measure), threshold classification into sure / unsure / non-duplicates,
 //!   transitive closure via [`unionfind`], and the appended `objectID`
 //!   column;
 //! * [`incremental`] — delta detection: a [`DetectionIndex`] (the measure
 //!   with the counts behind its weights, the selection counts, the
-//!   blocking keys) moved across each delta, so only candidate pairs that
-//!   touch changed rows are re-scored, every other classification is
+//!   blocking keys — all taken from the same interning passes) moved
+//!   across each delta, so only candidate pairs that touch changed rows
+//!   are re-scored, every other classification is
 //!   carried over, and only the affected connected components re-cluster —
 //!   bit-identical to a from-scratch run over the updated table.
+//!
+//! Every column detection reads is interned once: one pass renders and
+//! hashes each cell and numbers the column's distinct renderings, and
+//! attribute selection, the measure and the sorted-neighbourhood key all
+//! read that pass, so their text work is paid per distinct value, not
+//! per row (see `ARCHITECTURE.md`).
 //!
 //! Pairwise comparison — the pipeline's hottest loop — can fan out over
 //! threads: [`detect_duplicates`] scores candidate chunks concurrently

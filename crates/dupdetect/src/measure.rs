@@ -44,10 +44,12 @@
 //! (the bound's input). A row's text is a `u32` id, and equal ids mean
 //! equal text.
 //!
-//! Construction renders each cell once (text is read in place, other values
-//! through one reused buffer) and looks the rendering up; lower-casing,
-//! tokenizing, the histogram and the soft-IDF weight are computed per
-//! distinct value, not per row. Document frequencies stay exact integers —
+//! Construction reads the attribute's interning pass — each row's
+//! rendering id and the distinct renderings, which the detector shares with
+//! attribute selection and blocking — and lower-cases (into one reused
+//! buffer), tokenizes and shapes each distinct rendering once; the soft-IDF
+//! weight too is computed per distinct value, not per row. Document
+//! frequencies stay exact integers —
 //! a value's distinct tokens count once per row holding it — and each
 //! weight is the same token-order sum over the same [`quantize_count`]ed
 //! statistics a per-row computation adds up, so every cached float is the
@@ -82,12 +84,11 @@
 //! case-expanding, non-ASCII, empty and long cells.
 
 use crate::incremental::RowChanges;
-use crate::renderings::Renderings;
+use crate::renderings::{push_lowercase, render, ColumnRenderings, Renderings, NULL};
 use hummer_engine::{Table, Value};
 use hummer_textsim::edit::{levenshtein_similarity, levenshtein_similarity_chars, EditScratch};
-use hummer_textsim::interned::Interner;
+use hummer_textsim::interned::{Interner, Strings};
 use hummer_textsim::numeric::relative_similarity;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// How many standard deviations of gap drive a numeric similarity to zero
@@ -218,11 +219,14 @@ struct TextShape {
 }
 
 impl TextShape {
-    fn of(text: &str) -> TextShape {
+    /// The shape of `text`, whose chars are appended to `chars` on the way.
+    fn of(text: &str, chars: &mut Vec<char>) -> TextShape {
         let mut hist = [[0u8; 16]; 3];
         let counts = hist.as_flattened_mut();
         let mut len = 0;
+        chars.reserve(text.len());
         for c in text.chars() {
+            chars.push(c);
             let bucket = match c {
                 'a'..='z' => (c as u8 - b'a') as usize,
                 '0'..='9' => 26 + (c as u8 - b'0') as usize,
@@ -318,11 +322,10 @@ impl AttrColumn {
     fn push_text(&mut self, text: &str) -> u32 {
         // No more texts than renderings, whose count fits.
         let t = self.shapes.len() as u32;
-        self.chars.extend(text.chars());
+        self.shapes.push(TextShape::of(text, &mut self.chars));
         let end = u32::try_from(self.chars.len())
             .expect("fewer than 2^32 chars of distinct text per attribute");
         self.text_starts.push(end);
-        self.shapes.push(TextShape::of(text));
         t
     }
 
@@ -475,11 +478,13 @@ impl TokenizedRenderings {
     }
 }
 
-/// Build one attribute's column and comparison scale — and, with `keep`,
-/// the counts its weights are computed from.
+/// Build one attribute's column and comparison scale from the attribute's
+/// interning pass — and, with `keep`, the counts its weights are computed
+/// from.
 fn build_column(
     table: &Table,
     attr: usize,
+    renderings: &ColumnRenderings,
     keep: bool,
 ) -> (AttrColumn, Option<f64>, Option<ColumnCounts>) {
     let rows = table.len();
@@ -501,52 +506,43 @@ fn build_column(
     }
     let scale = comparison_scale(&col);
     let present: Vec<usize> = (0..rows).filter(|&i| col.present[i]).collect();
-    let docs = present.len();
+    let docs = renderings.non_null;
 
-    // Intern. A *rendering* is a cell's canonical string; its word tokens
-    // (and so a text cell's weight) are a function of it. A *text* is a
-    // rendering lower-cased — what the edit distance compares. Several
-    // renderings can share a text ("Berlin", "BERLIN"), never the reverse.
-    // Rows look their rendering up; lower-casing, tokenizing and the
-    // histogram happen once per distinct rendering or text.
-    let mut renderings = Renderings::with_capacity(docs);
-    let mut text_ids: HashMap<String, u32> = HashMap::with_capacity(docs);
-    let mut rendering_of_row: Vec<u32> = Vec::with_capacity(rows);
-    let mut rendering_rows: Vec<usize> = Vec::new();
-    let mut rendering_text: Vec<u32> = Vec::new();
+    // A *rendering* is a cell's canonical string; its word tokens (and so
+    // a text cell's weight) are a function of it. A *text* is a rendering
+    // lower-cased — what the edit distance compares. Several renderings
+    // can share a text ("Berlin", "BERLIN"), never the reverse. The pass
+    // numbered the renderings; lower-casing, tokenizing and the histogram
+    // happen here once per distinct rendering or text.
+    let distinct = renderings.len();
+    let mut text_ids = Strings::new();
+    let mut rendering_text: Vec<u32> = Vec::with_capacity(distinct);
     let mut text_rows: Vec<usize> = Vec::new();
     // Only textual attributes weigh by token; kept counts tokenize every
     // attribute, since a delta can turn a numeric one textual.
     let tokenize = scale.is_none() || keep;
     let mut tokenized = TokenizedRenderings::default();
-    for v in table.column_values(attr) {
-        if v.is_null() {
-            rendering_of_row.push(0);
-            col.text_id.push(0);
-            continue;
+    let mut lower = String::new();
+    for (r, &rows_of_r) in renderings.rows.iter().enumerate() {
+        let rendering = renderings.strings.get(r as u32);
+        lower.clear();
+        push_lowercase(rendering, &mut lower);
+        let (t, new) = text_ids.intern(&lower);
+        if new {
+            col.push_text(&lower);
+            text_rows.push(0);
         }
-        let (r, new) = renderings.intern(v);
-        if let Some(rendering) = new {
-            let t = match text_ids.entry(rendering.to_lowercase()) {
-                Entry::Occupied(known) => *known.get(),
-                Entry::Vacant(new) => {
-                    text_rows.push(0);
-                    let t = col.push_text(new.key());
-                    *new.insert(t)
-                }
-            };
-            rendering_text.push(t);
-            rendering_rows.push(0);
-            if tokenize {
-                tokenized.push(rendering);
-            }
+        text_rows[t as usize] += rows_of_r;
+        rendering_text.push(t);
+        if tokenize {
+            tokenized.push(rendering);
         }
-        let t = rendering_text[r as usize];
-        rendering_rows[r as usize] += 1;
-        text_rows[t as usize] += 1;
-        rendering_of_row.push(r);
-        col.text_id.push(t);
     }
+    col.text_id
+        .extend(renderings.of_row.iter().map(|&r| match r {
+            NULL => 0,
+            r => rendering_text[r as usize],
+        }));
 
     // Identifying power. Textual attributes document each value's word
     // tokens. σ-scaled numeric attributes document the value's
@@ -558,7 +554,7 @@ fn build_column(
     // unconflicted duplicate's price) is strong evidence even though
     // closeness alone is weak.
     let df = if tokenize {
-        tokenized.df(&rendering_rows)
+        tokenized.df(&renderings.rows)
     } else {
         Vec::new()
     };
@@ -567,11 +563,11 @@ fn build_column(
     match scale {
         None => {
             let soft_idf: Vec<f64> = df.iter().map(|&df| stable_soft_idf(docs, df)).collect();
-            rendering_weight = (0..rendering_rows.len())
+            rendering_weight = (0..distinct)
                 .map(|r| tokenized.weight(r, |t| soft_idf[t as usize]))
                 .collect();
             for &i in &present {
-                col.weight[i] = rendering_weight[rendering_of_row[i] as usize];
+                col.weight[i] = rendering_weight[renderings.of_row[i] as usize];
                 col.near_weight[i] = col.weight[i];
             }
         }
@@ -592,18 +588,17 @@ fn build_column(
     let counts = keep.then(|| {
         // Rendering weights are maintained while the attribute is textual;
         // a numeric attribute's stay unset until a delta turns it textual.
-        rendering_weight.resize(rendering_rows.len(), 0.0);
+        rendering_weight.resize(distinct, 0.0);
         let mut postings: Vec<Vec<u32>> = vec![Vec::new(); df.len()];
-        let mut distinct = Vec::new();
-        for r in 0..rendering_rows.len() {
-            tokenized.distinct_tokens(r, &mut distinct);
-            for &t in &distinct {
+        let mut tokens = Vec::new();
+        for r in 0..distinct {
+            tokenized.distinct_tokens(r, &mut tokens);
+            for &t in &tokens {
                 postings[t as usize].push(r as u32);
             }
         }
         ColumnCounts {
-            renderings: renderings.into_owned(),
-            rendering_rows,
+            renderings: renderings.clone(),
             rendering_text,
             rendering_weight,
             tokenized,
@@ -611,8 +606,6 @@ fn build_column(
             postings,
             text_ids,
             text_rows,
-            rendering_of_row,
-            docs,
             bucket_rows,
         }
     });
@@ -653,10 +646,12 @@ impl Cell {
 /// like one built from scratch.
 #[derive(Debug)]
 pub(crate) struct ColumnCounts {
-    renderings: Renderings<'static>,
-    /// Per rendering: rows holding it, its text, and its weight as a token
-    /// mean (maintained while the attribute has no numeric scale).
-    rendering_rows: Vec<usize>,
+    /// The attribute's interning pass — the renderings, the rows holding
+    /// each, each row's rendering and the non-null rows — moved by every
+    /// delta.
+    renderings: ColumnRenderings,
+    /// Per rendering: its text, and its weight as a token mean (maintained
+    /// while the attribute has no numeric scale).
     rendering_text: Vec<u32>,
     rendering_weight: Vec<f64>,
     tokenized: TokenizedRenderings,
@@ -664,12 +659,8 @@ pub(crate) struct ColumnCounts {
     df: Vec<usize>,
     postings: Vec<Vec<u32>>,
     /// Distinct lower-cased texts and the rows holding each.
-    text_ids: HashMap<String, u32>,
+    text_ids: Strings,
     text_rows: Vec<usize>,
-    /// Per row: its rendering (`0` where the cell is null).
-    rendering_of_row: Vec<u32>,
-    /// Non-null rows.
-    docs: usize,
     /// Rows per noise bucket under the current scale (empty without one).
     bucket_rows: HashMap<u64, usize>,
 }
@@ -714,12 +705,12 @@ struct RowFlags {
 impl ColumnCounts {
     /// Take old row `o`'s cell out of the counts.
     fn uncount(&mut self, col: &AttrColumn, o: usize, scale: Option<f64>, touched: &mut Touched) {
-        let r = self.rendering_of_row[o] as usize;
-        self.rendering_rows[r] -= 1;
+        let r = self.renderings.of_row[o] as usize;
+        self.renderings.rows[r] -= 1;
         let t = col.text_id[o];
         touched.texts.push((t, self.text_rows[t as usize]));
         self.text_rows[t as usize] -= 1;
-        self.docs -= 1;
+        self.renderings.non_null -= 1;
         let mut distinct = Vec::new();
         self.tokenized.distinct_tokens(r, &mut distinct);
         for &tok in &distinct {
@@ -748,33 +739,31 @@ impl ColumnCounts {
         col.near_weight[n] = 0.0;
         if v.is_null() {
             col.text_id[n] = 0;
-            self.rendering_of_row[n] = 0;
+            self.renderings.of_row[n] = NULL;
             return;
         }
-        let (r, new) = self.renderings.intern_owned(v);
-        let new_rendering = new.is_some();
-        if let Some(rendering) = new {
-            let text = rendering.to_lowercase();
-            let t = match self.text_ids.get(&text) {
-                Some(&t) => t,
-                None => {
-                    let t = col.push_text(&text);
-                    self.text_ids.insert(text, t);
-                    self.text_rows.push(0);
-                    t
-                }
-            };
+        let mut buf = String::new();
+        let rendering = render(v, &mut buf);
+        let (r, new_rendering) = self.renderings.strings.intern(rendering);
+        if new_rendering {
+            let mut text = String::new();
+            push_lowercase(rendering, &mut text);
+            let (t, new_text) = self.text_ids.intern(&text);
+            if new_text {
+                col.push_text(&text);
+                self.text_rows.push(0);
+            }
             self.rendering_text.push(t);
-            self.rendering_rows.push(0);
+            self.renderings.rows.push(0);
             self.rendering_weight.push(0.0);
             self.tokenized.push(rendering);
         }
         let (r, r_id) = (r as usize, r);
         let t = self.rendering_text[r];
-        self.rendering_rows[r] += 1;
+        self.renderings.rows[r] += 1;
         touched.texts.push((t, self.text_rows[t as usize]));
         self.text_rows[t as usize] += 1;
-        self.docs += 1;
+        self.renderings.non_null += 1;
         let mut distinct = Vec::new();
         self.tokenized.distinct_tokens(r, &mut distinct);
         for &tok in &distinct {
@@ -790,7 +779,7 @@ impl ColumnCounts {
             self.df[tok] += 1;
         }
         col.text_id[n] = t;
-        self.rendering_of_row[n] = r_id;
+        self.renderings.of_row[n] = r_id;
     }
 
     /// Carry column `col` (attribute `attr`, comparison scale `range`)
@@ -805,7 +794,7 @@ impl ColumnCounts {
     ) {
         let DeltaRows { old, new, changes } = *rows;
         let scale_before = *range;
-        let docs_before = self.docs;
+        let docs_before = self.renderings.non_null;
         let mut touched = Touched::default();
         let updated: Vec<(usize, usize)> = changes
             .updated
@@ -834,7 +823,7 @@ impl ColumnCounts {
         changes.remap(&mut col.has_num);
         changes.remap(&mut col.num);
         changes.remap(&mut col.text_id);
-        changes.remap(&mut self.rendering_of_row);
+        changes.remap(&mut self.renderings.of_row);
 
         // 3. Cells arriving: the new side of updated cells, inserted rows.
         let mut arriving = vec![false; new.len()];
@@ -857,7 +846,8 @@ impl ColumnCounts {
         }
         let scale_moved = range.map(f64::to_bits) != scale_before.map(f64::to_bits);
         // A stepped document count or scale re-reads every weight.
-        let all = scale_moved || quantize_count(docs_before) != quantize_count(self.docs);
+        let all =
+            scale_moved || quantize_count(docs_before) != quantize_count(self.renderings.non_null);
         match *range {
             Some(scale) if !scale_moved => {
                 for n in (0..arriving.len()).filter(|&n| arriving[n] && col.present[n]) {
@@ -881,7 +871,7 @@ impl ColumnCounts {
 
         // 5. Weights: every row whose weight reads a count that stepped
         //    (every row, under `all`), and every arriving row.
-        let docs = self.docs;
+        let docs = self.renderings.non_null;
         let set = |col: &mut AttrColumn, i: usize, weight: f64, near: f64, dirty: &mut [bool]| {
             if !arriving[i]
                 && (weight.to_bits() != col.weight[i].to_bits()
@@ -900,23 +890,23 @@ impl ColumnCounts {
                     stepped(touched.tokens, |t| self.df[t as usize])
                 };
                 let scan = all || !stepped_tokens.is_empty();
-                let mut fresh = vec![all; self.rendering_rows.len()];
+                let mut fresh = vec![all; self.renderings.rows.len()];
                 for &t in &stepped_tokens {
                     for &r in &self.postings[t as usize] {
                         fresh[r as usize] = true;
                     }
                 }
                 for n in (0..arriving.len()).filter(|&n| arriving[n] && col.present[n]) {
-                    fresh[self.rendering_of_row[n] as usize] = true;
+                    fresh[self.renderings.of_row[n] as usize] = true;
                 }
                 let df = &self.df;
-                for r in (0..fresh.len()).filter(|&r| fresh[r] && self.rendering_rows[r] > 0) {
+                for r in (0..fresh.len()).filter(|&r| fresh[r] && self.renderings.rows[r] > 0) {
                     self.rendering_weight[r] = self
                         .tokenized
                         .weight(r, |t| stable_soft_idf(docs, df[t as usize]));
                 }
                 for i in (0..arriving.len()).filter(|&i| scan || arriving[i]) {
-                    let r = self.rendering_of_row[i] as usize;
+                    let r = self.renderings.of_row[i] as usize;
                     if col.present[i] && fresh[r] {
                         let w = self.rendering_weight[r];
                         set(col, i, w, w, &mut flags.dirty);
@@ -1009,10 +999,17 @@ impl TupleSimilarity {
     /// indices) — typically the output of the attribute-selection
     /// heuristics.
     pub fn new(table: &Table, attrs: Vec<usize>) -> Self {
+        TupleSimilarity::from_renderings(&Renderings::new(table), attrs)
+    }
+
+    /// [`TupleSimilarity::new`] over the table's interning passes (shared
+    /// with attribute selection and blocking).
+    pub(crate) fn from_renderings(renderings: &Renderings<'_>, attrs: Vec<usize>) -> Self {
+        let table = renderings.table();
         let (cols, ranges) = attrs
             .iter()
             .map(|&a| {
-                let (col, range, _) = build_column(table, a, false);
+                let (col, range, _) = build_column(table, a, renderings.column(a), false);
                 (col, range)
             })
             .unzip();
@@ -1024,9 +1021,14 @@ impl TupleSimilarity {
         }
     }
 
-    /// [`TupleSimilarity::new`] keeping the counts behind every weight, so
-    /// [`TupleSimilarity::apply_delta`] can carry the measure across deltas.
-    pub(crate) fn with_counts(table: &Table, attrs: Vec<usize>) -> (Self, Vec<ColumnCounts>) {
+    /// [`TupleSimilarity::from_renderings`] keeping the counts behind every
+    /// weight, so [`TupleSimilarity::apply_delta`] can carry the measure
+    /// across deltas.
+    pub(crate) fn with_counts(
+        renderings: &Renderings<'_>,
+        attrs: Vec<usize>,
+    ) -> (Self, Vec<ColumnCounts>) {
+        let table = renderings.table();
         let mut measure = TupleSimilarity {
             attrs,
             cols: Vec::new(),
@@ -1035,7 +1037,7 @@ impl TupleSimilarity {
         };
         let mut counts = Vec::with_capacity(measure.attrs.len());
         for &a in &measure.attrs {
-            let (col, range, kept) = build_column(table, a, true);
+            let (col, range, kept) = build_column(table, a, renderings.column(a), true);
             measure.cols.push(col);
             measure.ranges.push(range);
             counts.push(kept.expect("kept on request"));

@@ -1,100 +1,139 @@
-//! The distinct renderings of a column, counted without rendering every
-//! cell into a `String` of its own.
+//! One interning pass per column: every row's rendering, the distinct
+//! renderings and the rows holding each, counted once and read by
+//! everything detection derives from a column's text — attribute selection
+//! ([`crate::heuristics`]), the measure's columns ([`crate::measure`]) and
+//! the sorted-neighbourhood key ([`crate::blocking`]).
 
-use hummer_engine::Value;
-use std::borrow::Cow;
-use std::collections::HashMap;
+use hummer_engine::{Table, Value};
+use hummer_textsim::interned::Strings;
+use std::cell::OnceCell;
 use std::fmt::Write as _;
 
-/// Distinct renderings (`Value`'s `Display` form) of the non-null values
-/// handed to [`Renderings::intern`], numbered in first-seen order.
-///
-/// Text is looked up as it sits in the table and other values through one
-/// reused buffer, so a cell allocates only the first time a non-text
-/// rendering is seen, and text never. A `Renderings<'static>` owns its
-/// keys ([`Renderings::into_owned`], [`Renderings::intern_owned`]) and can
-/// outlive the table it was counted from.
-#[derive(Debug, Default)]
+/// The rendering id of a `NULL` cell in [`ColumnRenderings::of_row`].
+pub(crate) const NULL: u32 = u32::MAX;
+
+/// The rendering of non-null `v` — `Value`'s `Display` form: text as it
+/// sits in the table, any other value written into `buf`.
+pub(crate) fn render<'a>(v: &'a Value, buf: &'a mut String) -> &'a str {
+    debug_assert!(!v.is_null());
+    match v {
+        Value::Text(s) => s,
+        other => {
+            buf.clear();
+            write!(buf, "{other}").expect("writing to a String cannot fail");
+            buf
+        }
+    }
+}
+
+/// Append `s.to_lowercase()` to `out`, without a `String` of its own.
+pub(crate) fn push_lowercase(s: &str, out: &mut String) {
+    if s.is_ascii() {
+        let start = out.len();
+        out.push_str(s);
+        out[start..].make_ascii_lowercase();
+    } else if s.contains('Σ') {
+        // The one mapping that depends on its neighbours (a final sigma).
+        out.push_str(&s.to_lowercase());
+    } else {
+        out.extend(s.chars().flat_map(char::to_lowercase));
+    }
+}
+
+/// One column's cells interned by rendering.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ColumnRenderings {
+    /// The distinct renderings of the non-null cells, numbered in the
+    /// order rows first hold them.
+    pub(crate) strings: Strings,
+    /// Per row: its rendering, or [`NULL`].
+    pub(crate) of_row: Vec<u32>,
+    /// Per rendering: the rows holding it.
+    pub(crate) rows: Vec<usize>,
+    /// Rows with a non-null cell.
+    pub(crate) non_null: usize,
+}
+
+impl ColumnRenderings {
+    /// Intern every cell of column `column` of `table`: one hash per cell,
+    /// no allocation per cell.
+    fn of(table: &Table, column: usize) -> Self {
+        let mut pass = ColumnRenderings {
+            of_row: Vec::with_capacity(table.len()),
+            ..Default::default()
+        };
+        let mut buf = String::new();
+        for v in table.column_values(column) {
+            if v.is_null() {
+                pass.of_row.push(NULL);
+                continue;
+            }
+            let (r, new) = pass.strings.intern(render(v, &mut buf));
+            if new {
+                pass.rows.push(0);
+            }
+            pass.rows[r as usize] += 1;
+            pass.non_null += 1;
+            pass.of_row.push(r);
+        }
+        pass
+    }
+
+    /// Number of distinct renderings.
+    pub(crate) fn len(&self) -> usize {
+        self.strings.len()
+    }
+}
+
+/// A table's columns, each interned by [`ColumnRenderings`] the first time
+/// it is read, so a column is rendered and hashed once however many of
+/// selection, measure and blocking key read it.
 pub(crate) struct Renderings<'t> {
-    ids: HashMap<Cow<'t, str>, u32>,
-    buf: String,
+    table: &'t Table,
+    columns: Vec<OnceCell<ColumnRenderings>>,
 }
 
 impl<'t> Renderings<'t> {
-    /// Room for `capacity` distinct renderings before the map grows.
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
+    /// No column interned yet.
+    pub(crate) fn new(table: &'t Table) -> Self {
         Renderings {
-            ids: HashMap::with_capacity(capacity),
-            buf: String::new(),
+            table,
+            columns: (0..table.schema().len()).map(|_| OnceCell::new()).collect(),
         }
     }
 
-    /// The id of `v`'s rendering, if it has been seen. `v` must not be
-    /// `NULL`. A non-text rendering is left in the buffer.
-    pub(crate) fn get(&mut self, v: &Value) -> Option<u32> {
-        debug_assert!(!v.is_null());
-        let rendering: &str = match v {
-            Value::Text(s) => s,
-            other => {
-                self.buf.clear();
-                write!(self.buf, "{other}").expect("writing to a String cannot fail");
-                &self.buf
-            }
-        };
-        self.ids.get(rendering).copied()
+    /// The table the columns are read from.
+    pub(crate) fn table(&self) -> &'t Table {
+        self.table
     }
 
-    /// The id of `v`'s rendering — and the rendering itself the first time
-    /// it is seen. `v` must not be `NULL`.
-    pub(crate) fn intern<'a>(&'a mut self, v: &'t Value) -> (u32, Option<&'a str>) {
-        if let Some(id) = self.get(v) {
-            return (id, None);
-        }
-        let key = match v {
-            Value::Text(s) => Cow::Borrowed(s.as_str()),
-            _ => Cow::Owned(self.buf.clone()),
-        };
-        self.insert(v, key)
+    /// Column `column`, interned on first use.
+    pub(crate) fn column(&self, column: usize) -> &ColumnRenderings {
+        self.columns[column].get_or_init(|| ColumnRenderings::of(self.table, column))
     }
+}
 
-    /// [`Renderings::intern`] keeping a copy of a new rendering, so `v`
-    /// need not outlive the map.
-    pub(crate) fn intern_owned<'a>(&'a mut self, v: &'a Value) -> (u32, Option<&'a str>) {
-        if let Some(id) = self.get(v) {
-            return (id, None);
-        }
-        let key = match v {
-            Value::Text(s) => s.clone(),
-            _ => self.buf.clone(),
-        };
-        self.insert(v, Cow::Owned(key))
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    /// Number a new rendering; `get` has just rendered `v`.
-    fn insert<'a>(&'a mut self, v: &'a Value, key: Cow<'t, str>) -> (u32, Option<&'a str>) {
-        let id = u32::try_from(self.ids.len()).expect("fewer than 2^32 distinct renderings");
-        self.ids.insert(key, id);
-        let rendering = match v {
-            Value::Text(s) => s.as_str(),
-            _ => self.buf.as_str(),
-        };
-        (id, Some(rendering))
-    }
-
-    /// Number of distinct renderings seen.
-    pub(crate) fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// The same map with every key owned.
-    pub(crate) fn into_owned(self) -> Renderings<'static> {
-        Renderings {
-            ids: self
-                .ids
-                .into_iter()
-                .map(|(k, id)| (Cow::Owned(k.into_owned()), id))
-                .collect(),
-            buf: self.buf,
+    #[test]
+    fn push_lowercase_equals_to_lowercase() {
+        let texts = [
+            "",
+            "ABC def",
+            "ΑΣ",
+            "ΌΣΟΣ ΣΑΣ Σ",
+            "İstanbul",
+            "Straße ẞ",
+            "a\u{301}Σ\u{301}",
+            "😀 ǅ ǈ",
+            "\u{1}\u{1f}X",
+        ];
+        for text in texts {
+            let mut out = String::from("keep:");
+            push_lowercase(text, &mut out);
+            assert_eq!(out, format!("keep:{}", text.to_lowercase()), "{text:?}");
         }
     }
 }

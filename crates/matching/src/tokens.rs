@@ -316,14 +316,13 @@ impl StarTokens {
 
         // Where each freshly seen token goes: its old id, or a new one.
         let (seen, rank) = interner.finish_ranks();
-        let seen = seen.into_tokens();
         let mut seen_count = vec![0u32; seen.len()];
         for &(a, b) in &fresh {
             for &p in &ids[a..b] {
                 seen_count[rank[p as usize] as usize] += 1;
             }
         }
-        let (final_of_seen, remap) = self.place(seen, &seen_count);
+        let (final_of_seen, remap) = self.place(&seen, &seen_count);
 
         // Rewrite the ids: carried cells through the renumbering, fresh
         // cells from their provisional ids.
@@ -378,8 +377,10 @@ impl StarTokens {
     /// `seen_count` times) their ids, and drop the tokens no cell holds any
     /// more (occurrence 0). Returns each seen token's final id, and the
     /// renumbering of the old ids when the vocabulary changed.
-    fn place(&mut self, seen: Vec<String>, seen_count: &[u32]) -> (Vec<u32>, Option<Vec<u32>>) {
-        let seen_old: Vec<Option<u32>> = seen.iter().map(|t| self.vocabulary.id(t)).collect();
+    fn place(&mut self, seen: &Vocabulary, seen_count: &[u32]) -> (Vec<u32>, Option<Vec<u32>>) {
+        let seen_old: Vec<Option<u32>> = (0..seen.len() as u32)
+            .map(|m| self.vocabulary.id(seen.token(m)))
+            .collect();
         for (m, old) in seen_old.iter().enumerate() {
             if let Some(o) = old {
                 self.occurrences[*o as usize] += seen_count[m];
@@ -392,37 +393,38 @@ impl StarTokens {
             return (ids.collect(), None);
         }
         // Merge in string order: the old tokens still held, the new ones.
-        let old_tokens = std::mem::take(&mut self.vocabulary).into_tokens();
-        let mut merged: Vec<String> = Vec::with_capacity(old_tokens.len() + added);
-        let mut occurrences = Vec::with_capacity(old_tokens.len() + added);
-        let mut remap = vec![DROPPED; old_tokens.len()];
+        let old = std::mem::take(&mut self.vocabulary);
+        let mut merged: Vec<&str> = Vec::with_capacity(old.len() + added);
+        let mut occurrences = Vec::with_capacity(old.len() + added);
+        let mut remap = vec![DROPPED; old.len()];
         let mut final_of_seen = vec![0u32; seen.len()];
-        let mut new_tokens = (0..seen.len())
-            .filter(|&m| seen_old[m].is_none())
+        let mut new_tokens = (0..seen.len() as u32)
+            .filter(|&m| seen_old[m as usize].is_none())
             .peekable();
-        for (o, token) in old_tokens.into_iter().enumerate() {
-            while let Some(m) = new_tokens.next_if(|&m| seen[m] < token) {
-                final_of_seen[m] = merged.len() as u32;
-                merged.push(seen[m].clone());
-                occurrences.push(seen_count[m]);
+        for o in 0..old.len() as u32 {
+            let token = old.token(o);
+            while let Some(m) = new_tokens.next_if(|&m| seen.token(m) < token) {
+                final_of_seen[m as usize] = merged.len() as u32;
+                merged.push(seen.token(m));
+                occurrences.push(seen_count[m as usize]);
             }
-            if self.occurrences[o] > 0 {
-                remap[o] = merged.len() as u32;
+            if self.occurrences[o as usize] > 0 {
+                remap[o as usize] = merged.len() as u32;
                 merged.push(token);
-                occurrences.push(self.occurrences[o]);
+                occurrences.push(self.occurrences[o as usize]);
             }
         }
         for m in new_tokens {
-            final_of_seen[m] = merged.len() as u32;
-            merged.push(seen[m].clone());
-            occurrences.push(seen_count[m]);
+            final_of_seen[m as usize] = merged.len() as u32;
+            merged.push(seen.token(m));
+            occurrences.push(seen_count[m as usize]);
         }
         for (m, old) in seen_old.iter().enumerate() {
             if let Some(o) = old {
                 final_of_seen[m] = remap[*o as usize];
             }
         }
-        self.vocabulary = Vocabulary::from_sorted(merged);
+        self.vocabulary = Vocabulary::from_sorted(&merged);
         self.occurrences = occurrences;
         (final_of_seen, Some(remap))
     }

@@ -3,7 +3,9 @@
 //!
 //! A caller that weighs the same text more than once (DUMAS sniffing weighs
 //! every tuple as one document, then every cell as one) tokenizes it once
-//! through an [`Interner`]. [`Interner::finish`] numbers the tokens **in
+//! through an [`Interner`]. Tokens live in one arena ([`Strings`]: their
+//! bytes back to back, a keyed hash table of ids over them), so no token
+//! has a `String` of its own. [`Interner::finish`] numbers the tokens **in
 //! string order**, so sorting ids is sorting tokens: an [`IdVectors`] entry
 //! lists its weights in the order a [`crate::tfidf::TfIdfVector`] does, its norm adds the
 //! same squares in the same order, and [`IdVector::dot`] adds the same
@@ -12,7 +14,7 @@
 
 use crate::tfidf::{l2_normalize, merge_dot, smoothed_idf};
 use crate::tokenize::for_each_word;
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
 /// The entry of a renumbering (`remap[old] = new`) for a token that has no
 /// new id: no document holds it any more.
@@ -31,13 +33,175 @@ pub fn remap_table<T: Copy + Default>(table: &[T], remap: &[u32], len: usize) ->
     out
 }
 
+/// Strings back to back in one `String`: string `i` is
+/// `bytes[ends[i - 1]..ends[i]]` (from 0 for the first).
+#[derive(Debug, Clone, Default)]
+struct Arena {
+    bytes: String,
+    ends: Vec<usize>,
+}
+
+impl Arena {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+
+    fn push(&mut self, s: &str) {
+        self.bytes.push_str(s);
+        self.ends.push(self.bytes.len());
+    }
+}
+
+/// A slot of [`Strings`]' table that holds no string.
+const EMPTY: u64 = u64::MAX;
+
+/// Distinct strings, numbered in first-seen order, without a `String` each.
+///
+/// The bytes of every string sit back to back in one arena, and a hash
+/// table over the arena finds a string again. The hash is keyed per table
+/// (std's [`RandomState`]), because the text can come from an untrusted
+/// upload. A slot holds a string's id and the low 32 bits of its hash,
+/// which both place it when the table grows and stand in for most string
+/// comparisons.
+#[derive(Debug, Clone, Default)]
+pub struct Strings {
+    arena: Arena,
+    /// Open addressing with linear probing: `hash << 32 | id`, or
+    /// [`EMPTY`]. Its length is a power of two (or 0), and it is at most
+    /// half full.
+    slots: Vec<u64>,
+    state: RandomState,
+}
+
+impl Strings {
+    /// A table that holds no string.
+    pub fn new() -> Self {
+        Strings::default()
+    }
+
+    /// Number of distinct strings (ids are `0..len`).
+    pub fn len(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// True when no string was interned.
+    pub fn is_empty(&self) -> bool {
+        self.arena.len() == 0
+    }
+
+    /// The string with this id.
+    pub fn get(&self, id: u32) -> &str {
+        self.arena.get(id as usize)
+    }
+
+    /// The id of `s`, if it was interned.
+    pub fn id(&self, s: &str) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.find(s, self.state.hash_one(s) as u32).ok()
+    }
+
+    /// The id of `s`, numbering it if it is new; `true` when it is.
+    pub fn intern(&mut self, s: &str) -> (u32, bool) {
+        if 2 * (self.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let hash = self.state.hash_one(s) as u32;
+        match self.find(s, hash) {
+            Ok(id) => (id, false),
+            Err(slot) => {
+                // `u32::MAX` stays unused, so no slot can read as `EMPTY`.
+                let id = u32::try_from(self.len())
+                    .ok()
+                    .filter(|&id| id != u32::MAX)
+                    .expect("fewer than 2^32 - 1 distinct strings");
+                self.arena.push(s);
+                self.slots[slot] = u64::from(hash) << 32 | u64::from(id);
+                (id, true)
+            }
+        }
+    }
+
+    /// The id of `s` (whose hash is `hash`), or the empty slot where it goes.
+    fn find(&self, s: &str, hash: u32) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let entry = self.slots[slot];
+            if entry == EMPTY {
+                return Err(slot);
+            }
+            let id = entry as u32;
+            if (entry >> 32) as u32 == hash && self.get(id) == s {
+                return Ok(id);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Every id, in the order of the strings.
+    pub fn sorted(&self) -> Vec<u32> {
+        // Sort by the first eight bytes, read as a big-endian number (zero
+        // past the end), which orders as the strings' prefixes do; then
+        // sort each run of equal prefixes by the whole string.
+        let mut keyed: Vec<(u64, u32)> = (0..self.len() as u32)
+            .map(|id| (prefix_key(self.get(id)), id))
+            .collect();
+        keyed.sort_unstable();
+        let mut order: Vec<u32> = keyed.iter().map(|&(_, id)| id).collect();
+        let mut start = 0;
+        while start < keyed.len() {
+            let mut end = start + 1;
+            while end < keyed.len() && keyed[end].0 == keyed[start].0 {
+                end += 1;
+            }
+            if end - start > 1 {
+                order[start..end].sort_unstable_by(|&a, &b| self.get(a).cmp(self.get(b)));
+            }
+            start = end;
+        }
+        order
+    }
+
+    /// Double the table (16 slots at first) and place every string again.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; len]);
+        let mask = len - 1;
+        for entry in old.into_iter().filter(|&e| e != EMPTY) {
+            let mut slot = (entry >> 32) as usize & mask;
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = entry;
+        }
+    }
+}
+
+/// The first eight bytes of `s` as a big-endian number, zero-padded: if
+/// `prefix_key(a) < prefix_key(b)` then `a < b`.
+fn prefix_key(s: &str) -> u64 {
+    let mut bytes = [0u8; 8];
+    let n = s.len().min(8);
+    bytes[..n].copy_from_slice(&s.as_bytes()[..n]);
+    u64::from_be_bytes(bytes)
+}
+
 /// Tokenizes text into token ids, numbering tokens as it first sees them.
 ///
-/// The ids handed out while tokenizing are provisional; [`Interner::finish`]
-/// replaces them with the final, string-ordered ones.
+/// The tokens live in one [`Strings`] arena, so a new token costs no
+/// `String` of its own. The ids handed out while tokenizing are
+/// provisional; [`Interner::finish`] replaces them with the final,
+/// string-ordered ones.
 #[derive(Debug, Default)]
 pub struct Interner {
-    ids: HashMap<String, u32>,
+    tokens: Strings,
     word: String,
 }
 
@@ -50,18 +214,8 @@ impl Interner {
     /// Append the provisional ids of `text`'s word tokens (the tokens of
     /// [`crate::tokenize::word_tokens`], in order) to `out`.
     pub fn tokenize_into(&mut self, text: &str, out: &mut Vec<u32>) {
-        let ids = &mut self.ids;
-        for_each_word(text, &mut self.word, |word| {
-            let id = match ids.get(word) {
-                Some(&id) => id,
-                None => {
-                    let id = u32::try_from(ids.len()).expect("fewer than 2^32 distinct tokens");
-                    ids.insert(word.to_string(), id);
-                    id
-                }
-            };
-            out.push(id);
-        });
+        let tokens = &mut self.tokens;
+        for_each_word(text, &mut self.word, |word| out.push(tokens.intern(word).0));
     }
 
     /// Number the tokens in string order and rewrite `ids` — every id this
@@ -78,46 +232,57 @@ impl Interner {
     /// Number the tokens in string order; `rank[provisional]` is the final
     /// id of each id this interner handed out.
     pub fn finish_ranks(self) -> (Vocabulary, Vec<u32>) {
-        let mut by_token: Vec<(String, u32)> = self.ids.into_iter().collect();
-        by_token.sort_unstable();
-        let mut rank = vec![0u32; by_token.len()];
-        let tokens = by_token
-            .into_iter()
-            .enumerate()
-            .map(|(r, (token, provisional))| {
-                rank[provisional as usize] = r as u32;
-                token
-            })
-            .collect();
-        (Vocabulary { tokens }, rank)
+        let tokens = self.tokens;
+        let order = tokens.sorted();
+        let mut rank = vec![0u32; order.len()];
+        let mut sorted = Arena {
+            bytes: String::with_capacity(tokens.arena.bytes.len()),
+            ends: Vec::with_capacity(order.len()),
+        };
+        for (r, &provisional) in order.iter().enumerate() {
+            rank[provisional as usize] = r as u32;
+            sorted.push(tokens.get(provisional));
+        }
+        (Vocabulary { tokens: sorted }, rank)
     }
 }
 
-/// The distinct tokens of an [`Interner`], sorted; a token's id is its
-/// position.
+/// The distinct tokens of an [`Interner`], sorted, in one arena; a token's
+/// id is its position.
 #[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
-    tokens: Vec<String>,
+    tokens: Arena,
 }
 
 impl Vocabulary {
     /// A vocabulary of tokens already sorted and distinct.
-    pub fn from_sorted(tokens: Vec<String>) -> Self {
-        debug_assert!(tokens.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
-        Vocabulary { tokens }
-    }
-
-    /// The tokens, in id order.
-    pub fn into_tokens(self) -> Vec<String> {
-        self.tokens
+    pub fn from_sorted(tokens: &[&str]) -> Self {
+        let mut arena = Arena {
+            bytes: String::with_capacity(tokens.iter().map(|t| t.len()).sum()),
+            ends: Vec::with_capacity(tokens.len()),
+        };
+        for &token in tokens {
+            debug_assert!(
+                arena.len() == 0 || arena.get(arena.len() - 1) < token,
+                "sorted, distinct"
+            );
+            arena.push(token);
+        }
+        Vocabulary { tokens: arena }
     }
 
     /// The id of `token`, if it is in the vocabulary.
     pub fn id(&self, token: &str) -> Option<u32> {
-        self.tokens
-            .binary_search_by(|t| t.as_str().cmp(token))
-            .ok()
-            .map(|i| i as u32)
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.tokens.get(mid).cmp(token) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(mid as u32),
+            }
+        }
+        None
     }
 
     /// Number of distinct tokens (ids are `0..len`).
@@ -127,12 +292,12 @@ impl Vocabulary {
 
     /// True when no token was interned.
     pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
+        self.tokens.len() == 0
     }
 
     /// The token with this id.
     pub fn token(&self, id: u32) -> &str {
-        &self.tokens[id as usize]
+        self.tokens.get(id as usize)
     }
 }
 
@@ -421,5 +586,110 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Random text from pieces that stress case mapping and word
+    /// boundaries: final and medial sigma, dotted capital I, combining
+    /// marks, digit and punctuation runs, non-BMP chars, the empty string.
+    fn random_text(rng: &mut proptest::test_runner::TestRng) -> String {
+        const PIECES: [&str; 24] = [
+            "", " ", "Σ", "ΟΔΟΣ", "σς", "İ", "i\u{307}", "e\u{301}", "\u{300}", "0123", "42", "--",
+            "...", "!?", "ẞ", "ǅ", "😀", "ABC", "abc", "Käse", "\u{1f}", "_", "x9", "Straße",
+        ];
+        let pieces = rng.below(7);
+        (0..pieces)
+            .map(|_| PIECES[rng.below(PIECES.len() as u64) as usize])
+            .collect()
+    }
+
+    /// Per text, the interned tokens spell `word_tokens`; the vocabulary is
+    /// every token once, in string order; and `finish_ranks` sends each
+    /// provisional id to that token's place.
+    #[test]
+    fn interner_equals_word_tokens_and_a_sorted_reference() {
+        let mut rng = proptest::test_runner::TestRng::deterministic();
+        for case in 0..300 {
+            let texts: Vec<String> = (0..rng.below(12)).map(|_| random_text(&mut rng)).collect();
+            let mut interner = Interner::new();
+            let (mut ids, mut ends) = (Vec::new(), Vec::new());
+            for text in &texts {
+                interner.tokenize_into(text, &mut ids);
+                ends.push(ids.len());
+            }
+            let provisional = ids.clone();
+            let vocabulary = interner.finish(&mut ids);
+            let mut start = 0;
+            for (text, &end) in texts.iter().zip(&ends) {
+                let tokens: Vec<&str> = ids[start..end]
+                    .iter()
+                    .map(|&id| vocabulary.token(id))
+                    .collect();
+                assert_eq!(tokens, word_tokens(text), "case {case}: {text:?}");
+                start = end;
+            }
+            let mut reference: Vec<String> = texts.iter().flat_map(|t| word_tokens(t)).collect();
+            reference.sort_unstable();
+            reference.dedup();
+            let spelled: Vec<&str> = (0..vocabulary.len() as u32)
+                .map(|id| vocabulary.token(id))
+                .collect();
+            assert_eq!(spelled, reference, "case {case}");
+            for token in &reference {
+                assert_eq!(vocabulary.token(vocabulary.id(token).unwrap()), token);
+            }
+            assert_eq!(vocabulary.id("not a token"), None);
+
+            let mut interner = Interner::new();
+            let mut again = Vec::new();
+            for text in &texts {
+                interner.tokenize_into(text, &mut again);
+            }
+            assert_eq!(
+                again, provisional,
+                "case {case}: provisional ids are first-seen"
+            );
+            let (ranked, rank) = interner.finish_ranks();
+            assert_eq!(ranked.len(), vocabulary.len());
+            let final_ids: Vec<u32> = again.iter().map(|&p| rank[p as usize]).collect();
+            assert_eq!(final_ids, ids, "case {case}: ranks");
+        }
+    }
+
+    /// Ids are first-seen and stable while the table grows; lookups of
+    /// absent strings miss; the order covers every id once.
+    #[test]
+    fn strings_number_in_first_seen_order_and_sort() {
+        let mut strings = Strings::new();
+        assert_eq!(strings.id(""), None);
+        let words: Vec<String> = (0..500).map(|i| format!("w{}", (i * 7919) % 300)).collect();
+        let mut first_seen: Vec<&str> = Vec::new();
+        for w in &words {
+            let (id, new) = strings.intern(w);
+            assert_eq!(new, !first_seen.contains(&w.as_str()));
+            if new {
+                first_seen.push(w);
+            }
+            assert_eq!(strings.get(id), w);
+        }
+        assert_eq!(strings.len(), first_seen.len());
+        for (id, w) in first_seen.iter().enumerate() {
+            assert_eq!(strings.id(w), Some(id as u32));
+        }
+        assert_eq!(strings.id("absent"), None);
+        assert_eq!(strings.intern(""), (first_seen.len() as u32, true));
+        assert_eq!(strings.id(""), Some(first_seen.len() as u32));
+        // Shared eight-byte prefixes are ordered by the rest of the string.
+        for long in ["prefix12xyz", "prefix12", "prefix12abc", "prefix1"] {
+            strings.intern(long);
+        }
+        let order: Vec<&str> = strings
+            .sorted()
+            .into_iter()
+            .map(|id| strings.get(id))
+            .collect();
+        let mut reference = order.clone();
+        reference.sort_unstable();
+        assert_eq!(order, reference);
+        assert_eq!(order.len(), strings.len());
     }
 }

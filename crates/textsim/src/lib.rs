@@ -48,7 +48,7 @@ pub use edit::{
     levenshtein, levenshtein_chars, levenshtein_similarity, levenshtein_similarity_chars,
     levenshtein_similarity_chars_many, EditScratch,
 };
-pub use interned::{IdVector, IdVectors, InternedCorpus, Interner, Vocabulary};
+pub use interned::{IdVector, IdVectors, InternedCorpus, Interner, Strings, Vocabulary};
 pub use jaro::{jaro, jaro_winkler};
 pub use numeric::relative_similarity;
 pub use softtfidf::SoftTfIdf;

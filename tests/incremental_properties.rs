@@ -187,10 +187,9 @@ fn world(which: usize, entities: usize, seed: u64) -> GeneratedWorld {
     }
 }
 
-/// Apply `ops` to source `s` of `tables`; returns the new tables and the
-/// union-space mapping.
-fn step(tables: &[Table], s: usize, ops: &[OpPlan]) -> (Vec<Table>, RowMapping) {
-    let delta = build_delta(&tables[s], ops);
+/// Apply `delta` to source `s` of `tables`; returns the new tables and
+/// the union-space mapping.
+fn step(tables: &[Table], s: usize, delta: &TableDelta) -> (Vec<Table>, RowMapping) {
     let mut maps: Vec<RowMapping> = Vec::new();
     let mut next_tables: Vec<Table> = Vec::new();
     for (i, t) in tables.iter().enumerate() {
@@ -272,15 +271,36 @@ fn assert_index_identical(
     Ok(())
 }
 
+/// One edit of a chain: the source it edits, and the delta it makes of
+/// that source as the chain has left it.
+type Edit<'a> = (usize, Box<dyn Fn(&Table) -> TableDelta + 'a>);
+
+/// [`carried_edits`] over a generated plan.
+fn carried_chain(
+    tables: Vec<Table>,
+    config: &HummerConfig,
+    plan: &[DeltaPlan],
+    what: &str,
+) -> Result<usize, TestCaseError> {
+    let edits = plan
+        .iter()
+        .map(|(source_pick, ops)| -> Edit<'_> {
+            let edit = move |t: &Table| build_delta(t, ops);
+            (*source_pick, Box::new(edit))
+        })
+        .collect();
+    carried_edits(tables, config, edits, what)
+}
+
 /// One chain of deltas through carried delta indexes, one chain per
 /// degree 1–4: after every step the upgraded artifacts (match results
 /// included) equal `prepare_tables` from scratch and every carried
 /// detection index equals a fresh one. Returns how many
 /// steps were scored as a full rescore.
-fn carried_chain(
+fn carried_edits(
     tables: Vec<Table>,
     config: &HummerConfig,
-    plan: &[DeltaPlan],
+    edits: Vec<Edit<'_>>,
     what: &str,
 ) -> Result<usize, TestCaseError> {
     let at = |degree: usize| HummerConfig {
@@ -293,8 +313,9 @@ fn carried_chain(
         (1..=4).map(|_| (first.clone(), None)).collect();
     let mut tables = tables;
     let mut full_rescores = 0;
-    for (n, (source_pick, ops)) in plan.iter().enumerate() {
-        let (next_tables, mapping) = step(&tables, source_pick % tables.len(), ops);
+    for (n, (source_pick, edit)) in edits.iter().enumerate() {
+        let s = source_pick % tables.len();
+        let (next_tables, mapping) = step(&tables, s, &edit(&tables[s]));
         let next_refs: Vec<&Table> = next_tables.iter().collect();
         let scratch = prepare_tables(&next_refs, config).unwrap();
         for (d, (prepared, index)) in chains.iter_mut().enumerate() {
@@ -470,4 +491,76 @@ fn large_worlds_mostly_stay_incremental() {
         2 * full_rescores <= steps,
         "{full_rescores} of {steps} steps were full rescores"
     );
+}
+
+/// Sorted neighbourhood on a column of few values (a disaster registry's
+/// `Status`), where long runs of rows share a key and sort by row index
+/// within the run: an update moves a key into the middle of a run, one
+/// moves a key from inside a run to another run, and one only changes
+/// the case of a key, which leaves the key — and the order — as it was.
+/// After each, artifacts and the carried index equal fresh builds.
+#[test]
+fn sorted_neighbourhood_keys_move_inside_runs_of_equal_keys() {
+    let tables: Vec<Table> = disaster_registry(150, 2006)
+        .sources
+        .iter()
+        .map(|s| s.table.clone())
+        .collect();
+    let mut config = config(Parallelism::sequential());
+    config.detector.candidates = CandidateSpec::SortedNeighborhood {
+        key: vec!["Status".into()],
+        window: 5,
+    };
+    // The statuses of `t` by how many rows hold them, most first, and the
+    // rows holding each.
+    let runs = |t: &Table| -> Vec<(String, Vec<usize>)> {
+        let status = t.resolve("Status").unwrap();
+        let mut runs: Vec<(String, Vec<usize>)> = Vec::new();
+        for (row, v) in t.column_values(status).enumerate() {
+            let Value::Text(s) = v else { continue };
+            match runs.iter_mut().find(|(k, _)| k == s) {
+                Some((_, rows)) => rows.push(row),
+                None => runs.push((s.clone(), vec![row])),
+            }
+        }
+        runs.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
+        runs
+    };
+    let set_status = |t: &Table, row: usize, status: String| {
+        let mut values = t.rows()[row].values().to_vec();
+        values[t.resolve("Status").unwrap()] = Value::text(status);
+        TableDelta::new(t.name()).update(row, values)
+    };
+    let edits: Vec<Edit<'_>> = vec![
+        // A row of a small run takes the largest run's key.
+        (
+            0,
+            Box::new(|t: &Table| {
+                let runs = runs(t);
+                let (largest, small) = (&runs[0], runs.last().unwrap());
+                assert!(largest.1.len() > 4 * small.1.len());
+                set_status(t, small.1[0], largest.0.clone())
+            }),
+        ),
+        // The middle row of the largest run moves to the second run.
+        (
+            0,
+            Box::new(|t: &Table| {
+                let runs = runs(t);
+                let rows = &runs[0].1;
+                set_status(t, rows[rows.len() / 2], runs[1].0.clone())
+            }),
+        ),
+        // A row of the largest run upper-cases its key: the same key.
+        (
+            0,
+            Box::new(|t: &Table| {
+                let runs = runs(t);
+                let (key, rows) = &runs[0];
+                assert_ne!(key.to_uppercase(), *key);
+                set_status(t, rows[1], key.to_uppercase())
+            }),
+        ),
+    ];
+    carried_edits(tables, &config, edits, "status runs").unwrap();
 }
