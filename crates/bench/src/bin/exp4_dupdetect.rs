@@ -4,9 +4,7 @@
 
 use hummer_bench::{f3, render_table};
 use hummer_datagen::{cluster_pair_metrics, generate, pair_metrics, DirtyConfig, EntityKind};
-use hummer_dupdetect::{
-    detect_duplicates, DetectorConfig, Parallelism, TupleSimilarity, UnionFind,
-};
+use hummer_dupdetect::{cluster, detect_duplicates, DetectorConfig, Parallelism, TupleSimilarity};
 use hummer_engine::ops::outer_union;
 use hummer_engine::{table, Table};
 
@@ -104,11 +102,7 @@ fn main() {
         }
     }
     let raw_pr = pair_metrics(&raw, &gold_pairs);
-    let mut uf = UnionFind::new(u.len());
-    for &(a, b) in &raw {
-        uf.union(a, b);
-    }
-    let closed_pr = cluster_pair_metrics(&uf.cluster_ids(), &gold);
+    let closed_pr = cluster_pair_metrics(&cluster(u.len(), &det.pairs).0, &gold);
     let rows = vec![
         vec![
             "raw pairs".to_string(),

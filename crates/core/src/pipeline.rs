@@ -173,11 +173,10 @@ fn count_matching(span: &mut Span, results: &[MatchResult]) {
     span.count("sniff_rounds", sum(|m| m.sniff.rounds));
 }
 
-/// Attach detection counters to the `detect` span: blocking-window hits
-/// (candidates), filter rejections, pairs actually scored, `memo_hits`
-/// (always 0: nothing memoizes edit distances any more, and the field
-/// stays only because hbench reads it), and how many 512-pair blocks the
-/// scoring kernel processed.
+/// Attach detection counters to the `detect` span: candidate pairs,
+/// filter rejections, pairs actually scored, and how many 512-pair blocks
+/// the scoring kernel processed. (`DetectionStats::memo_hits` is always 0
+/// and is not reported.)
 fn count_detection(span: &mut Span, stats: &hummer_dupdetect::DetectionStats) {
     if !span.is_recording() {
         return;
@@ -185,7 +184,6 @@ fn count_detection(span: &mut Span, stats: &hummer_dupdetect::DetectionStats) {
     span.count("candidates", stats.candidates as u64);
     span.count("filtered_out", stats.filtered_out as u64);
     span.count("compared", stats.compared as u64);
-    span.count("memo_hits", stats.memo_hits as u64);
     span.count(
         "columnar_blocks",
         stats.compared.div_ceil(hummer_dupdetect::PAIR_BLOCK) as u64,
@@ -199,7 +197,7 @@ pub struct DeltaReport {
     /// again, field matrices reused, pairs rebuilt).
     pub matching: MatchDeltaStats,
     /// Incremental-detection counters (dirty rows, carried vs. rescored
-    /// pairs, affected components, full-rescore fallbacks).
+    /// pairs, full-rescore fallbacks).
     pub detection: DeltaDetectionStats,
     /// Wall-clock cost of *this* apply, by stage (`fusion` is zero).
     pub timings: StageTimings,
@@ -237,7 +235,7 @@ impl PreparedSources {
     /// tokenized again and only what they moved is re-matched; the
     /// transformation re-runs (linear); duplicate detection goes through a
     /// [`DetectionIndex`]: only pairs touching dirty rows are re-scored, and
-    /// only affected connected components re-cluster.
+    /// the clusters are formed from the carried and re-scored pairs.
     ///
     /// This builds both indexes and drops them afterwards; a caller that
     /// refreshes the same artifacts again and again keeps them through
@@ -364,10 +362,6 @@ impl PreparedSources {
             span.count("compared", delta_stats.compared as u64);
             span.count("carried_pairs", delta_stats.carried_pairs as u64);
             span.count("scored_pairs", delta_stats.scored_pairs as u64);
-            span.count(
-                "affected_components",
-                delta_stats.affected_components as u64,
-            );
             span.count("full_rescore", u64::from(delta_stats.full_rescore));
         }
         drop(span);

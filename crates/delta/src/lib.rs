@@ -13,9 +13,10 @@
 //! * [`mapping`] — lifting per-source mappings into the integrated
 //!   (outer-union) row space with [`concat_mappings`];
 //! * duplicate detection — `hummer_dupdetect::detect_delta` re-scores only
-//!   pairs touching dirty rows and re-clusters only affected components
-//!   (re-scoring runs the detector's one block kernel over the same
-//!   `TupleSimilarity`, keeping carry-over bit-compatible).
+//!   pairs touching dirty rows and clusters the carried and re-scored
+//!   pairs with the detector's one clustering function (re-scoring runs
+//!   the detector's one block kernel over the same `TupleSimilarity`,
+//!   keeping carry-over bit-compatible).
 //!
 //! Fusion is not maintained: like any query, a `FUSE BY` after a delta
 //! resolves the upgraded annotated union from scratch.

@@ -17,10 +17,11 @@
 //! once, and the rows are counting-sorted by the rank of their key —
 //! exactly the `(key, row)` order of sorting every row's key string. The
 //! window pairs are then written straight into their `(left, right)`
-//! places, so they come out sorted without a sort.
+//! places, so they come out sorted without a sort. A delta builds the key
+//! of a touched row from its rendering in the moved pass.
 
 use crate::incremental::RowChanges;
-use crate::renderings::{push_lowercase, render, Renderings, NULL};
+use crate::renderings::{push_lowercase, ColumnRenderings, Passes, Renderings, NULL};
 use hummer_engine::error::EngineError;
 use hummer_engine::{Result, Table};
 use hummer_textsim::interned::Strings;
@@ -61,17 +62,14 @@ pub fn candidate_pairs(table: &Table, index: &CandidateIndex) -> Vec<(usize, usi
     index.pairs(table.len())
 }
 
-/// Append one row's blocking key to `key`: per key attribute, the cell's
-/// rendering (`Value`'s `Display` form, as [`hummer_engine::Value::as_text`]
-/// gives it) lower-cased — the empty field for `NULL` — and a `\u{1f}`
-/// field separator. What the interning passes build once per distinct
-/// rendering, for one row of a delta.
-fn push_row_key(table: &Table, key_attrs: &[usize], row: usize, key: &mut String) {
-    let mut buf = String::new();
-    for &a in key_attrs {
-        let v = table.cell(row, a);
-        if !v.is_null() {
-            push_lowercase(render(v, &mut buf), key);
+/// Append row `row`'s blocking key to `key`: per key column, from its
+/// interning pass, the cell's rendering (`Value`'s `Display` form, as
+/// [`hummer_engine::Value::as_text`] gives it) lower-cased — the empty
+/// field for `NULL` — and a `\u{1f}` field separator.
+fn push_key(columns: &[&ColumnRenderings], row: usize, key: &mut String) {
+    for column in columns {
+        if let Some(rendering) = column.rendering(row) {
+            push_lowercase(rendering, key);
         }
         key.push('\u{1f}'); // field separator
     }
@@ -161,14 +159,11 @@ impl SortedKeys {
             // function of its rendering, built once per distinct rendering
             // (and once for `NULL`). Several columns are joined row by row.
             let mut key_of = vec![NULL; column.len() + 1];
-            for &r in &column.of_row {
+            for (row, &r) in column.of_row.iter().enumerate() {
                 let slot = if r == NULL { column.len() } else { r as usize };
                 if key_of[slot] == NULL {
                     key.clear();
-                    if r != NULL {
-                        push_lowercase(column.strings.get(r), &mut key);
-                    }
-                    key.push('\u{1f}');
+                    push_key(&columns, row, &mut key);
                     key_of[slot] = keys.intern(&key).0;
                 }
                 key_of_row.push(key_of[slot]);
@@ -176,13 +171,7 @@ impl SortedKeys {
         } else {
             for row in 0..rows {
                 key.clear();
-                for column in &columns {
-                    let r = column.of_row[row];
-                    if r != NULL {
-                        push_lowercase(column.strings.get(r), &mut key);
-                    }
-                    key.push('\u{1f}');
-                }
+                push_key(&columns, row, &mut key);
                 key_of_row.push(keys.intern(&key).0);
             }
         }
@@ -251,8 +240,9 @@ impl CandidateIndex {
         }
     }
 
-    /// Carry the index across a delta to `new`, and flag in `dirty` every
-    /// row whose candidate pairs may differ from its old ones. Under all
+    /// Carry the index across a delta, whose key columns' `passes` have
+    /// moved already, and flag in `dirty` every row whose candidate pairs
+    /// may differ from its old ones. Under all
     /// pairs there is nothing to carry or flag; under sorted neighbourhood
     /// those are a row whose key changed and every row within `window − 1`
     /// positions of a row's old position (deleted or moved) or new position
@@ -267,7 +257,7 @@ impl CandidateIndex {
     /// status, and its old classification may be carried.
     pub(crate) fn apply_delta(
         &mut self,
-        new: &Table,
+        passes: &Passes,
         changes: &RowChanges<'_>,
         dirty: &mut [bool],
     ) {
@@ -277,13 +267,15 @@ impl CandidateIndex {
         let reach = sn.window - 1;
         // Rows leaving the order (old indices) and arriving (new, with
         // their keys). Keys are compared as strings, which a delta can
-        // afford: it renders only the rows it touched.
+        // afford: it builds keys only for the rows it touched.
         let mut leaving: Vec<usize> = changes.deleted.clone();
         let mut arriving: Vec<(usize, u32)> = Vec::new();
+        let columns: Vec<&ColumnRenderings> =
+            sn.key_attrs.iter().map(|&a| passes.column(a)).collect();
         let mut key = String::new();
         let mut key_of = |sn: &mut SortedKeys, n: usize| {
             key.clear();
-            push_row_key(new, &sn.key_attrs, n, &mut key);
+            push_key(&columns, n, &mut key);
             sn.keys.intern(&key).0
         };
         for &(o, n) in &changes.updated {
@@ -582,7 +574,9 @@ mod tests {
                 key: key_attrs.iter().map(|&a| names[a].to_string()).collect(),
                 window,
             };
-            let mut index = resolve_candidate_strategy(&table, &spec).unwrap();
+            let renderings = Renderings::new(&table);
+            let mut index = CandidateIndex::build(&renderings, &spec).unwrap();
+            let mut passes = renderings.keep(&[]);
             let want = oracle_pairs(&table, &key_attrs, window);
             assert_eq!(index.pairs(rows), want, "case {case}: built");
 
@@ -615,7 +609,8 @@ mod tests {
             let next = Table::from_rows("T", &names, new_rows).unwrap();
             let mapping = RowMapping::new(old_to_new, next.len()).unwrap();
             let changes = RowChanges::new(&table, &next, &mapping);
-            index.apply_delta(&next, &changes, &mut vec![false; next.len()]);
+            passes.apply_delta(&table, &next, &changes);
+            index.apply_delta(&passes, &changes, &mut vec![false; next.len()]);
             let want = oracle_pairs(&next, &key_attrs, window);
             assert_eq!(index.pairs(next.len()), want, "case {case}: carried");
         }

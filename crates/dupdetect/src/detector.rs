@@ -6,7 +6,7 @@ use crate::columnar::score_candidates;
 use crate::heuristics::{select_attributes, select_from};
 use crate::measure::TupleSimilarity;
 use crate::renderings::Renderings;
-use crate::unionfind::UnionFind;
+use crate::unionfind::cluster;
 use hummer_engine::error::EngineError;
 use hummer_engine::{Column, ColumnType, Result, Row, Table, Value, OBJECT_ID_COLUMN};
 use hummer_par::Parallelism;
@@ -123,14 +123,10 @@ impl DetectionResult {
         self.pairs.len() != before
     }
 
-    /// Recompute the transitive closure from the current accepted pairs.
+    /// Recompute the transitive closure from the current accepted pairs
+    /// (by [`cluster`]).
     pub fn recluster(&mut self) {
-        let n = self.cluster_ids.len();
-        let mut uf = UnionFind::new(n);
-        for p in &self.pairs {
-            uf.union(p.left, p.right);
-        }
-        (self.cluster_ids, self.clusters) = uf.cluster_views();
+        (self.cluster_ids, self.clusters) = cluster(self.cluster_ids.len(), &self.pairs);
     }
 
     /// Number of detected real-world objects (clusters).
@@ -228,7 +224,7 @@ pub fn sort_pairs_canonical(pairs: &mut [DuplicatePair]) {
 /// on its own thread against the shared (read-only) [`TupleSimilarity`]
 /// caches, and the per-chunk accepted/unsure lists are concatenated in
 /// chunk order — exactly the order one thread produces. The transitive
-/// closure (union-find) then runs single-threaded over the merged pairs.
+/// closure ([`cluster`]) then runs single-threaded over the merged pairs.
 /// Output is therefore **bit-identical** at every degree;
 /// `tests/parallel_equivalence.rs::parallel_pipeline_matches_sequential`
 /// enforces this.
@@ -261,7 +257,7 @@ pub fn detect_duplicates(
     let renderings = Renderings::new(table);
     let attrs = attributes_from(table, cfg, || select_from(&renderings))?;
     let candidates = CandidateIndex::build(&renderings, &cfg.candidates)?.pairs(table.len());
-    let measure = TupleSimilarity::from_renderings(&renderings, attrs);
+    let (measure, _) = TupleSimilarity::build(table, attrs, |a| renderings.column(a), false);
     drop(renderings);
     Ok(detect_candidates(table, &measure, &candidates, cfg, par))
 }
@@ -312,17 +308,15 @@ pub(crate) fn detect_candidates(
     // the same comparator the incremental path uses.
     sort_pairs_canonical(&mut pairs);
     sort_pairs_canonical(&mut unsure);
-
-    let mut result = DetectionResult {
+    let (cluster_ids, clusters) = cluster(table.len(), &pairs);
+    DetectionResult {
         pairs,
         unsure,
-        cluster_ids: vec![0; table.len()],
-        clusters: Vec::new(),
+        cluster_ids,
+        clusters,
         stats,
         attributes_used: attribute_names(table, measure),
-    };
-    result.recluster();
-    result
+    }
 }
 
 /// Append the `objectID` column carrying each row's cluster id.
@@ -618,12 +612,7 @@ mod tests {
         for p in &mut r.pairs {
             std::mem::swap(&mut p.left, &mut p.right);
         }
-        let swapped: Vec<(usize, usize)> = r.pairs.iter().map(|p| (p.left, p.right)).collect();
-        let mut uf = UnionFind::new(t.len());
-        for (a, b) in swapped {
-            uf.union(a, b);
-        }
-        assert_eq!(uf.cluster_ids(), original_ids);
+        assert_eq!(cluster(t.len(), &r.pairs).0, original_ids);
     }
 
     /// The parallel scorer is bit-identical to the sequential one at every

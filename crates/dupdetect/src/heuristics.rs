@@ -11,10 +11,8 @@
 //! how diverse the values are. Bookkeeping columns (`sourceID`, `objectID`)
 //! are excluded by name.
 
-use crate::incremental::RowChanges;
-use crate::renderings::{render, Renderings};
-use hummer_engine::{Table, Value, BOOKKEEPING_COLUMNS};
-use hummer_textsim::interned::Strings;
+use crate::renderings::{ColumnRenderings, Renderings};
+use hummer_engine::{Table, BOOKKEEPING_COLUMNS};
 
 /// Per-attribute heuristic scores.
 #[derive(Debug, Clone)]
@@ -39,15 +37,14 @@ const MIN_SCORE: f64 = 0.15;
 /// Upper bound on the number of selected attributes (best-first).
 const MAX_ATTRIBUTES: usize = 8;
 
-/// One column's score from its counts: `non_null` of `rows` cells present,
-/// `distinct` renderings among them.
+/// Column `index`'s score from its interning pass over `rows` rows.
 fn attribute_score(
     index: usize,
     name: &str,
-    non_null: usize,
-    distinct: usize,
+    pass: &ColumnRenderings,
     rows: usize,
 ) -> AttributeScore {
+    let (non_null, distinct) = (pass.non_null, pass.distinct);
     let coverage = non_null as f64 / rows.max(1) as f64;
     let distinctness = if non_null == 0 {
         0.0
@@ -69,17 +66,10 @@ fn attribute_score(
 /// Score every column of `table`. Distinct values are distinct renderings.
 pub fn score_attributes(table: &Table) -> Vec<AttributeScore> {
     let renderings = Renderings::new(table);
-    (0..table.schema().len())
-        .map(|idx| column_score(&renderings, idx))
+    let names = table.schema().names();
+    (names.iter().enumerate())
+        .map(|(idx, name)| attribute_score(idx, name, renderings.column(idx), table.len()))
         .collect()
-}
-
-/// Column `idx`'s score, from its interning pass.
-fn column_score(renderings: &Renderings<'_>, idx: usize) -> AttributeScore {
-    let table = renderings.table();
-    let column = renderings.column(idx);
-    let name = &table.schema().column(idx).name;
-    attribute_score(idx, name, column.non_null, column.len(), table.len())
 }
 
 fn is_bookkeeping(name: &str) -> bool {
@@ -97,12 +87,25 @@ pub fn select_attributes(table: &Table) -> Vec<usize> {
 /// [`select_attributes`] over the table's interning passes. Bookkeeping
 /// columns are never selected, so they are not interned either.
 pub(crate) fn select_from(renderings: &Renderings<'_>) -> Vec<usize> {
-    let names = renderings.table().schema().names();
-    let scores = (0..names.len())
-        .filter(|&idx| !is_bookkeeping(names[idx]))
-        .map(|idx| column_score(renderings, idx))
-        .collect();
-    select_from_scores(scores)
+    let table = renderings.table();
+    let names = table.schema().names();
+    select_from_scores(selection_scores(&names, table.len(), |c| {
+        renderings.column(c)
+    }))
+}
+
+/// The scores of the non-bookkeeping columns among `names`, over `rows`
+/// rows, each read from its pass — the cold detector's and a carried
+/// index's alike.
+pub(crate) fn selection_scores<'p>(
+    names: &[impl AsRef<str>],
+    rows: usize,
+    pass: impl Fn(usize) -> &'p ColumnRenderings,
+) -> Vec<AttributeScore> {
+    (names.iter().enumerate())
+        .filter(|(_, name)| !is_bookkeeping(name.as_ref()))
+        .map(|(idx, name)| attribute_score(idx, name.as_ref(), pass(idx), rows))
+        .collect()
 }
 
 /// The selection rule over already computed scores.
@@ -119,120 +122,10 @@ pub(crate) fn select_from_scores(scores: Vec<AttributeScore>) -> Vec<usize> {
     idx
 }
 
-/// The counts [`score_attributes`] derives its scores from — per column,
-/// the rows holding each distinct rendering — kept so that a delta moves
-/// the counts of the cells it changed instead of re-reading the table.
-#[derive(Debug)]
-pub(crate) struct SelectionCounts {
-    names: Vec<String>,
-    columns: Vec<ColumnTally>,
-    rows: usize,
-}
-
-#[derive(Debug)]
-struct ColumnTally {
-    renderings: Strings,
-    /// Rows holding each rendering (a rendering at zero stays numbered).
-    rows_of: Vec<usize>,
-    /// Renderings held by at least one row.
-    distinct: usize,
-    non_null: usize,
-}
-
-impl ColumnTally {
-    fn add(&mut self, v: &Value, buf: &mut String) {
-        if v.is_null() {
-            return;
-        }
-        let (r, new) = self.renderings.intern(render(v, buf));
-        if new {
-            self.rows_of.push(0);
-        }
-        let r = r as usize;
-        self.distinct += usize::from(self.rows_of[r] == 0);
-        self.rows_of[r] += 1;
-        self.non_null += 1;
-    }
-
-    fn remove(&mut self, v: &Value, buf: &mut String) {
-        if v.is_null() {
-            return;
-        }
-        let r = self
-            .renderings
-            .id(render(v, buf))
-            .expect("a counted cell has a rendering") as usize;
-        self.rows_of[r] -= 1;
-        self.distinct -= usize::from(self.rows_of[r] == 0);
-        self.non_null -= 1;
-    }
-}
-
-impl SelectionCounts {
-    /// The counts of every column, taken from its interning pass.
-    pub(crate) fn new(renderings: &Renderings<'_>) -> Self {
-        let table = renderings.table();
-        let columns = (0..table.schema().len())
-            .map(|idx| {
-                let column = renderings.column(idx);
-                ColumnTally {
-                    renderings: column.strings.clone(),
-                    rows_of: column.rows.clone(),
-                    distinct: column.len(),
-                    non_null: column.non_null,
-                }
-            })
-            .collect();
-        SelectionCounts {
-            names: table
-                .schema()
-                .names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            columns,
-            rows: table.len(),
-        }
-    }
-
-    /// Move the counts from `old` to `new` (same schema) across `changes`.
-    pub(crate) fn apply(&mut self, old: &Table, new: &Table, changes: &RowChanges) {
-        let mut buf = String::new();
-        for (c, tally) in self.columns.iter_mut().enumerate() {
-            for &o in &changes.deleted {
-                tally.remove(old.cell(o, c), &mut buf);
-            }
-            for &(o, n) in &changes.updated {
-                let (before, after) = (old.cell(o, c), new.cell(n, c));
-                if !before.identical(after) {
-                    tally.remove(before, &mut buf);
-                    tally.add(after, &mut buf);
-                }
-            }
-            for &n in &changes.inserted {
-                tally.add(new.cell(n, c), &mut buf);
-            }
-        }
-        self.rows = new.len();
-    }
-
-    /// [`score_attributes`] of the counted table, bit for bit.
-    pub(crate) fn scores(&self) -> Vec<AttributeScore> {
-        self.columns
-            .iter()
-            .zip(&self.names)
-            .enumerate()
-            .map(|(idx, (tally, name))| {
-                attribute_score(idx, name, tally.non_null, tally.distinct, self.rows)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hummer_engine::table;
+    use hummer_engine::{table, Value};
     use std::collections::HashSet;
 
     fn t() -> Table {
@@ -314,8 +207,8 @@ mod tests {
 
     /// Coverage and distinctness are ratios of integer counts, so counting
     /// through the shared interning pass must reproduce every score
-    /// exactly — in [`score_attributes`], in the kept [`SelectionCounts`],
-    /// and in the selection the detector makes from the pass.
+    /// exactly — in [`score_attributes`], in the selection scores a kept
+    /// index reads, and in the selection the detector makes from the pass.
     #[test]
     fn scores_equal_per_cell_string_counting() {
         let mut tables = crate::testworlds::worlds();
@@ -357,8 +250,13 @@ mod tests {
             };
             let renderings = Renderings::new(&table);
             assert_eq!(bits(&score_attributes(&table)), bits(&reference), "{name}");
-            let kept = SelectionCounts::new(&renderings).scores();
-            assert_eq!(bits(&kept), bits(&reference), "{name}: kept counts");
+            let names = table.schema().names();
+            let kept = selection_scores(&names, table.len(), |c| renderings.column(c));
+            let selectable: Vec<AttributeScore> = (reference.iter())
+                .filter(|s| !is_bookkeeping(&s.name))
+                .cloned()
+                .collect();
+            assert_eq!(bits(&kept), bits(&selectable), "{name}: kept passes");
             let selected = select_from_scores(reference);
             assert_eq!(select_from(&renderings), selected, "{name}: selection");
             assert_eq!(select_attributes(&table), selected, "{name}: selection");

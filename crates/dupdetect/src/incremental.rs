@@ -7,20 +7,25 @@
 //! 1. the rows the delta touched are found by comparing each surviving
 //!    row with its old version (inserted and deleted rows come from the
 //!    [`RowMapping`]);
-//! 2. the per-column counts attribute selection reads, and the counts
-//!    behind the measure's weights (renderings, texts, token document
-//!    frequencies, noise buckets, non-null rows — see
-//!    [`crate::measure`]), are *moved* by the touched cells; only those
-//!    cells are rendered again, and each moved attribute's σ is re-run;
+//! 2. each kept interning pass — one per column that selection, the
+//!    measure or the blocking key reads — moves once: each touched cell is
+//!    rendered and interned there, once, and the pass reports which cells
+//!    left and arrived at which rendering and which renderings are new.
+//!    Attribute selection reads its scores off the passes (non-null rows
+//!    and live distinct renderings); the counts behind the measure's
+//!    weights (texts, token document frequencies, noise buckets — see
+//!    [`crate::measure`]) are *moved* by those renderings, and each moved
+//!    attribute's σ is re-run;
 //! 3. a row is *dirty* when one of its cells changed bit-wise: it was
 //!    inserted or updated, or it reads a count whose **quantized** value
 //!    stepped (a token's document frequency, a value's or bucket's row
 //!    count, the attribute's non-null count), or it holds a numeric cell
 //!    of an attribute whose scale stepped. Everything else is provably
 //!    unchanged;
-//! 4. the blocking index moves too — the key of every row, in
-//!    `(key, row)` order for sorted neighbourhood — and adds the rows whose
-//!    candidate pairs may have changed:
+//! 4. the blocking index moves too — the key of every row, built for a
+//!    touched row from its rendering in the pass, in `(key, row)` order for
+//!    sorted neighbourhood — and adds the rows whose candidate pairs may
+//!    have changed:
 //!    rows whose key moved, and under sorted neighbourhood every row within
 //!    `window − 1` positions of a row's old position (deleted or moved) or
 //!    new position (inserted or moved). That suffices: two rows that kept
@@ -33,12 +38,10 @@
 //!    pairs are **carried over** unchanged: the measure reads nothing but
 //!    the two rows' cells and the attribute scales, so bit-identical
 //!    inputs give bit-identical scores — carrying is not an approximation;
-//! 6. the transitive closure is maintained incrementally: connected
-//!    components untouched by the delta keep their union-find structure
-//!    (their members are re-linked directly, no pair is re-scored or
-//!    re-unioned), while components containing deleted or dirty rows are
-//!    dissolved and re-clustered from the merged pair list — the "scoped
-//!    re-clustering" of only the affected components.
+//! 6. the clusters are formed by [`crate::cluster`], the one clustering
+//!    function the full detector uses, over the merged (carried and
+//!    scored) accepted pairs; its views are normalized, so equal pair sets
+//!    give equal clusters.
 //!
 //! [`detect_delta`] is the same path for a caller that kept no index: it
 //! builds one over the old table first.
@@ -49,7 +52,8 @@
 //! `clusters`, and `attributes_used` are **bit-identical** to
 //! [`crate::detect_duplicates`] run from scratch over the updated table —
 //! at every parallelism degree — and the carried index equals one built
-//! from scratch over it (cells, scales, attribute scores, candidates). This
+//! from scratch over it (cells, scales, kept passes, attribute scores,
+//! candidates: [`DetectionIndex::difference_from_scratch`]). This
 //! leans on the quantized corpus statistics of [`crate::measure`]: weights
 //! are step functions of the corpus, so small deltas leave untouched rows'
 //! caches literally unchanged. Counts above 63 keep 6 significant bits, so
@@ -71,10 +75,10 @@ use crate::detector::{
     attribute_names, attributes_from, check_thresholds, detect_candidates, sort_pairs_canonical,
     DetectionResult, DetectionStats, DetectorConfig, DuplicatePair,
 };
-use crate::heuristics::{select_from_scores, AttributeScore, SelectionCounts};
+use crate::heuristics::{select_from, select_from_scores, selection_scores, AttributeScore};
 use crate::measure::{ColumnCounts, TupleSimilarity};
-use crate::renderings::Renderings;
-use crate::unionfind::UnionFind;
+use crate::renderings::{ColumnRenderings, Passes, Renderings};
+use crate::unionfind::cluster;
 use hummer_engine::error::EngineError;
 use hummer_engine::{Result, Row, Table};
 use hummer_par::Parallelism;
@@ -243,10 +247,6 @@ pub struct DeltaDetectionStats {
     pub scored_pairs: usize,
     /// Unsure pairs produced by delta scoring.
     pub scored_unsure: usize,
-    /// Old connected components dissolved and re-clustered.
-    pub affected_components: usize,
-    /// Old connected components whose union-find structure was preserved.
-    pub preserved_components: usize,
     /// True when the delta was scored as a full rescore (a quantization
     /// step dirtied a majority of rows, the attribute selection changed, or
     /// the table's columns did).
@@ -256,10 +256,11 @@ pub struct DeltaDetectionStats {
 }
 
 /// Everything incremental detection reads about one table besides the old
-/// result: the measure together with the counts behind its weights, the
-/// per-column counts attribute selection reads, and the blocking
-/// strategy's key order — kept across deltas so that a delta
-/// costs its delta (see the module docs).
+/// result: one interning pass per column that attribute selection, the
+/// measure or the blocking key reads, the measure together with the
+/// counts behind its weights, and the blocking strategy's key order —
+/// each fact once, kept across deltas so that a delta costs its delta (see
+/// the module docs).
 ///
 /// An index is built once ([`DetectionIndex::build`]) and then carried:
 /// [`DetectionIndex::apply_delta`] moves it to describe the new table. It
@@ -269,9 +270,10 @@ pub struct DetectionIndex {
     cfg: DetectorConfig,
     /// The indexed table's column names.
     columns: Vec<String>,
-    /// Per-column counts for the selection heuristics (`None` when the
-    /// configuration names its attributes).
-    selection: Option<SelectionCounts>,
+    /// The interning passes: of every non-bookkeeping column when the
+    /// heuristics select the attributes, of the measure's attributes and
+    /// of the key columns.
+    passes: Passes,
     measure: TupleSimilarity,
     counts: Vec<ColumnCounts>,
     candidates: CandidateIndex,
@@ -283,22 +285,17 @@ impl DetectionIndex {
     /// that let a delta move it.
     pub fn build(table: &Table, cfg: &DetectorConfig) -> Result<Self> {
         check_thresholds(cfg)?;
-        // One interning pass per column, as the detector shares it.
+        // One interning pass per column, as the detector shares it — and
+        // then keeps.
         let renderings = Renderings::new(table);
-        let selection = cfg
-            .attributes
-            .is_none()
-            .then(|| SelectionCounts::new(&renderings));
-        let attrs = attributes_from(table, cfg, || {
-            let scores = selection.as_ref().expect("counted above").scores();
-            select_from_scores(scores)
-        })?;
+        let attrs = attributes_from(table, cfg, || select_from(&renderings))?;
         let candidates = CandidateIndex::build(&renderings, &cfg.candidates)?;
-        let (measure, counts) = TupleSimilarity::with_counts(&renderings, attrs);
+        let passes = renderings.keep(&attrs);
+        let (measure, counts) = TupleSimilarity::build(table, attrs, |a| passes.column(a), true);
         Ok(DetectionIndex {
             cfg: cfg.clone(),
             columns: column_names(table),
-            selection,
+            passes,
             measure,
             counts,
             candidates,
@@ -310,16 +307,72 @@ impl DetectionIndex {
         &self.measure
     }
 
-    /// [`crate::score_attributes`] over the indexed table, from the kept
-    /// counts; `None` when the configuration names its attributes.
+    /// [`crate::score_attributes`] of the indexed table's non-bookkeeping
+    /// columns — the ones the heuristics select from — read off the kept
+    /// passes; `None` when the configuration names its attributes.
     pub fn attribute_scores(&self) -> Option<Vec<AttributeScore>> {
-        self.selection.as_ref().map(SelectionCounts::scores)
+        self.scores(self.measure.row_count())
+    }
+
+    /// The selection scores of the passes' `rows` rows.
+    fn scores(&self, rows: usize) -> Option<Vec<AttributeScore>> {
+        (self.cfg.attributes.is_none())
+            .then(|| selection_scores(&self.columns, rows, |c| self.passes.column(c)))
     }
 
     /// Every candidate pair of the indexed table, in the order
     /// [`crate::candidate_pairs`] produces them.
     pub fn candidates(&self) -> Vec<(usize, usize)> {
         self.candidates.pairs(self.measure.row_count())
+    }
+
+    /// The first way this index differs from [`DetectionIndex::build`] over
+    /// `table` under the same configuration, or `None`: the measure's
+    /// attributes, scales and every row's cells; which columns keep a
+    /// pass, and per pass the live distinct renderings, the non-null rows,
+    /// every row's rendering and its rows; the attribute scores; the
+    /// candidates. A carried index describes the table it was carried to,
+    /// so the tests hold it to `None` after every delta.
+    pub fn difference_from_scratch(&self, table: &Table) -> Option<String> {
+        let fresh = match DetectionIndex::build(table, &self.cfg) {
+            Ok(fresh) => fresh,
+            Err(e) => return Some(format!("no fresh index: {e}")),
+        };
+        let (a, b) = (&self.measure, &fresh.measure);
+        if (a.attrs(), a.row_count(), a.range_bits()) != (b.attrs(), b.row_count(), b.range_bits())
+        {
+            return Some("measure attributes, rows or scales".into());
+        }
+        if let Some(i) = (0..table.len()).find(|&i| !a.row_cells_identical(i, b, i)) {
+            return Some(format!("row {i}'s cells"));
+        }
+        let kept = |d: &DetectionIndex| -> Vec<_> {
+            let passes = d.passes.kept();
+            passes
+                .map(|(c, p)| (c, p.distinct, p.non_null, p.of_row.len()))
+                .collect()
+        };
+        if kept(self) != kept(&fresh) {
+            return Some("the kept passes' columns, distinct renderings or rows".into());
+        }
+        for ((c, p), (_, q)) in self.passes.kept().zip(fresh.passes.kept()) {
+            let row = |pass: &ColumnRenderings, i| pass.rows.get(pass.of_row[i] as usize).copied();
+            let same = |i| (p.rendering(i), row(p, i)) == (q.rendering(i), row(q, i));
+            if let Some(i) = (0..table.len()).find(|&i| !same(i)) {
+                return Some(format!("column {c}, row {i}: its rendering or its rows"));
+            }
+        }
+        let scores = |d: &DetectionIndex| -> Option<Vec<_>> {
+            let bits = |s: &AttributeScore| (s.coverage.to_bits(), s.score.to_bits());
+            Some(d.attribute_scores()?.iter().map(bits).collect())
+        };
+        if scores(self) != scores(&fresh) {
+            return Some("attribute scores".into());
+        }
+        if self.candidates() != fresh.candidates() {
+            return Some("candidates".into());
+        }
+        None
     }
 
     /// Update `old` — the result over `old_table`, which this index
@@ -370,27 +423,31 @@ impl DetectionIndex {
         }
 
         let changes = RowChanges::new(old_table, new_table, mapping);
-        if let Some(selection) = &mut self.selection {
-            selection.apply(old_table, new_table, &changes);
-            let attrs = attributes_from(new_table, &self.cfg, || {
-                select_from_scores(selection.scores())
-            })?;
+        let passes_moved = self.passes.apply_delta(old_table, new_table, &changes);
+        if let Some(scores) = self.scores(new_table.len()) {
+            let attrs = attributes_from(new_table, &self.cfg, || select_from_scores(scores))?;
             if attrs != self.measure.attrs() {
-                let (measure, counts) =
-                    TupleSimilarity::with_counts(&Renderings::new(new_table), attrs);
-                (self.measure, self.counts) = (measure, counts);
+                let passes = &self.passes;
+                (self.measure, self.counts) =
+                    TupleSimilarity::build(new_table, attrs, |a| passes.column(a), true);
+                let mut dirty = vec![false; new_table.len()];
                 self.candidates
-                    .apply_delta(new_table, &changes, &mut vec![false; new_table.len()]);
+                    .apply_delta(&self.passes, &changes, &mut dirty);
                 let reason = "attribute selection changed";
                 return Ok(self.full_rescore(new_table, mapping, par, reason, 0, 0));
             }
         }
 
-        let moved = self
-            .measure
-            .apply_delta(&mut self.counts, old_table, new_table, &changes);
+        let moved = self.measure.apply_delta(
+            &mut self.counts,
+            &self.passes,
+            &passes_moved,
+            new_table,
+            &changes,
+        );
         let mut dirty = moved.dirty;
-        self.candidates.apply_delta(new_table, &changes, &mut dirty);
+        self.candidates
+            .apply_delta(&self.passes, &changes, &mut dirty);
         let dirty_rows: Vec<usize> = (0..dirty.len()).filter(|&i| dirty[i]).collect();
 
         // When a corpus-statistics step dirties most of the table, carrying
@@ -434,7 +491,6 @@ impl DetectionIndex {
             filtered_out: result.stats.filtered_out,
             scored_pairs: result.pairs.len(),
             scored_unsure: result.unsure.len(),
-            affected_components: result.clusters.len(),
             full_rescore: true,
             fallback_reason: Some(reason.to_string()),
             ..Default::default()
@@ -443,8 +499,8 @@ impl DetectionIndex {
     }
 
     /// Score `candidates` (every candidate pair with a dirty endpoint),
-    /// carry every other classification of `old`, and re-cluster only the
-    /// affected components.
+    /// carry every other classification of `old`, and cluster the merged
+    /// accepted pairs.
     fn carry_over(
         &self,
         old: &DetectionResult,
@@ -459,9 +515,8 @@ impl DetectionIndex {
         // Carry over every classification whose endpoints are both clean;
         // their scores are bit-identical by construction, and — the
         // blocking index dirtied every row whose candidate pairs changed —
-        // they are still candidates. Accepted pairs remember their old
-        // component for the scoped re-clustering below.
-        let carry = |from: &[DuplicatePair]| -> Vec<(DuplicatePair, usize)> {
+        // they are still candidates.
+        let carry = |from: &[DuplicatePair]| -> Vec<DuplicatePair> {
             from.iter()
                 .filter_map(|p| {
                     let (l, r) = (mapping.old_to_new[p.left]?, mapping.old_to_new[p.right]?);
@@ -471,55 +526,12 @@ impl DetectionIndex {
                         right: r,
                         similarity: p.similarity,
                     };
-                    (!dirty[l] && !dirty[r]).then_some((pair, old.cluster_ids[p.left]))
+                    (!dirty[l] && !dirty[r]).then_some(pair)
                 })
                 .collect()
         };
-        let (mut pairs, carried_components): (Vec<DuplicatePair>, Vec<usize>) =
-            carry(&old.pairs).into_iter().unzip();
-        let mut unsure: Vec<DuplicatePair> =
-            carry(&old.unsure).into_iter().map(|(p, _)| p).collect();
+        let (mut pairs, mut unsure) = (carry(&old.pairs), carry(&old.unsure));
         let (carried_pairs, carried_unsure) = (pairs.len(), unsure.len());
-
-        // Incremental closure. An old component is *affected* when it lost a
-        // member or contains a dirty row; everything else keeps its structure.
-        let mut affected = vec![false; old.clusters.len()];
-        for (o, n) in mapping.old_to_new.iter().enumerate() {
-            let cid = old.cluster_ids[o];
-            match n {
-                None => affected[cid] = true,
-                Some(n) => affected[cid] |= dirty[*n],
-            }
-        }
-        let affected_components = affected.iter().filter(|a| **a).count();
-        let mut uf = UnionFind::new(table.len());
-        // Preserved components: unions applied directly along the member
-        // chain (no pair consulted). No merged pair can join two preserved
-        // components: accepted pairs lie within one old component by
-        // transitivity, and every delta-scored pair has a dirty endpoint.
-        for (cid, members) in old.clusters.iter().enumerate() {
-            if affected[cid] {
-                continue;
-            }
-            let mut prev: Option<usize> = None;
-            for &m in members {
-                let n = mapping.old_to_new[m].expect("unaffected components lose no members");
-                if let Some(p) = prev {
-                    uf.union(p, n);
-                }
-                prev = Some(n);
-            }
-        }
-        // Affected components re-cluster from scratch: carried pairs that
-        // lived in them, plus everything the delta scored.
-        for (p, cid) in pairs.iter().zip(&carried_components) {
-            if affected[*cid] {
-                uf.union(p.left, p.right);
-            }
-        }
-        for p in &scored.pairs {
-            uf.union(p.left, p.right);
-        }
 
         // Merge carried and scored classifications into the canonical order.
         let scored_pairs = scored.pairs.len();
@@ -529,7 +541,7 @@ impl DetectionIndex {
         sort_pairs_canonical(&mut pairs);
         sort_pairs_canonical(&mut unsure);
 
-        let (cluster_ids, clusters) = uf.cluster_views();
+        let (cluster_ids, clusters) = cluster(table.len(), &pairs);
         let stats = DeltaDetectionStats {
             old_rows: mapping.old_len(),
             new_rows: table.len(),
@@ -540,8 +552,6 @@ impl DetectionIndex {
             carried_unsure,
             scored_pairs,
             scored_unsure,
-            affected_components,
-            preserved_components: old.clusters.len() - affected_components,
             ..Default::default()
         };
         let result = DetectionResult {
@@ -662,35 +672,11 @@ mod tests {
         assert_eq!(incremental.attributes_used, scratch.attributes_used);
     }
 
-    /// The carried index equals one built from scratch over `table`: every
-    /// row's cells, the scales, the attribute scores and the candidates.
+    /// The carried index equals one built from scratch over `table` (see
+    /// [`DetectionIndex::difference_from_scratch`]), and its candidates
+    /// those of the public blocking entry points.
     fn assert_index_matches_scratch(index: &DetectionIndex, table: &Table, cfg: &DetectorConfig) {
-        let scratch = DetectionIndex::build(table, cfg).unwrap();
-        let (carried, fresh) = (index.measure(), scratch.measure());
-        assert_eq!(carried.attrs(), fresh.attrs());
-        assert_eq!(carried.row_count(), fresh.row_count());
-        assert_eq!(carried.range_bits(), fresh.range_bits());
-        for i in 0..table.len() {
-            assert!(carried.row_cells_identical(i, fresh, i), "row {i}");
-        }
-        let bits = |scores: Option<Vec<AttributeScore>>| -> Option<Vec<(u64, u64, u64)>> {
-            scores.map(|s| {
-                s.iter()
-                    .map(|a| {
-                        (
-                            a.coverage.to_bits(),
-                            a.distinctness.to_bits(),
-                            a.score.to_bits(),
-                        )
-                    })
-                    .collect()
-            })
-        };
-        assert_eq!(
-            bits(index.attribute_scores()),
-            bits(scratch.attribute_scores())
-        );
-        assert_eq!(index.candidates(), scratch.candidates());
+        assert_eq!(index.difference_from_scratch(table), None);
         let fresh = crate::resolve_candidate_strategy(table, &cfg.candidates).unwrap();
         assert_eq!(index.candidates(), crate::candidate_pairs(table, &fresh));
     }
@@ -749,9 +735,14 @@ mod tests {
         let attrs = index.measure.attrs().to_vec();
         if crate::resolve_attributes(after, cfg).unwrap() == attrs {
             let changes = RowChanges::new(before, after, mapping);
-            let moved = index
-                .measure
-                .apply_delta(&mut index.counts, before, after, &changes);
+            let passes = index.passes.apply_delta(before, after, &changes);
+            let moved = index.measure.apply_delta(
+                &mut index.counts,
+                &index.passes,
+                &passes,
+                after,
+                &changes,
+            );
             let oracle = oracle_dirty(before, after, mapping, &attrs);
             for (i, (&got, &want)) in moved.dirty.iter().zip(&oracle).enumerate() {
                 assert!(
@@ -880,7 +871,11 @@ mod tests {
             Parallelism::sequential(),
         )
         .unwrap();
-        assert!(stats.affected_components >= 1);
+        assert_eq!((stats.old_rows, stats.new_rows), (6, 5));
+        assert!(
+            result.clusters.contains(&vec![2]),
+            "the other Mary stands alone"
+        );
         assert_matches_scratch(&result, &after);
     }
 
@@ -919,8 +914,7 @@ mod tests {
 
     /// A corpus large enough for the quantized-count window: deleting one
     /// row leaves every other row's caches bit-identical, so the delta
-    /// carries all surviving pairs, dissolves only the deleted row's
-    /// component, and skips the quadratic work.
+    /// carries all surviving pairs and skips the quadratic work.
     #[test]
     fn delete_inside_stats_window_carries_pairs() {
         // 71 rows: q(71) == q(70) == 70 for the document count, so the
@@ -958,9 +952,8 @@ mod tests {
         assert!(!stats.full_rescore, "{:?}", stats.fallback_reason);
         assert_eq!(stats.dirty_rows, 0, "window held: nothing to re-score");
         assert_eq!(stats.candidates, 0);
-        assert!(stats.carried_pairs >= 1, "twin pair carried");
-        assert_eq!(stats.affected_components, 1, "only the deleted singleton");
-        assert!(stats.preserved_components > 60);
+        assert_eq!(stats.carried_pairs, old.pairs.len(), "twin pair carried");
+        assert_eq!(stats.scored_pairs, 0);
         let scratch = detect_duplicates(&after, &cfg, Parallelism::sequential()).unwrap();
         assert_eq!(result.pairs, scratch.pairs);
         assert_eq!(result.unsure, scratch.unsure);
@@ -984,7 +977,7 @@ mod tests {
         assert_eq!(stats.dirty_rows, 0);
         assert_eq!(stats.candidates, 0);
         assert_eq!(stats.compared, 0);
-        assert_eq!(stats.preserved_components, old.clusters.len());
+        assert_eq!(stats.carried_pairs, old.pairs.len());
         assert_matches_scratch(&result, &before);
     }
 
@@ -1241,6 +1234,52 @@ mod tests {
             stats.fallback_reason.as_deref(),
             Some("attribute selection changed")
         );
+    }
+
+    /// A delta that changes only a column nothing compares — neither
+    /// selected nor a blocking key — moves that column's pass and the
+    /// selection scores read off it, and nothing else: no row is dirty and
+    /// no pair is scored again.
+    #[test]
+    fn delta_to_an_unread_column_moves_only_the_scores() {
+        // "Code" holds 4 distinct values over 60 rows: 4/60 < 0.15.
+        let rows: Vec<Row> = (0..60)
+            .map(|i| {
+                Row::from_values(vec![
+                    Value::text(format!("name{i} family{}", i % 7)),
+                    Value::text(format!("c{}", i % 4)),
+                ])
+            })
+            .collect();
+        let before = Table::from_rows("T", &["Name", "Code"], rows).unwrap();
+        let cfg = DetectorConfig {
+            candidates: CandidateSpec::SortedNeighborhood {
+                key: vec!["Name".into()],
+                window: 4,
+            },
+            ..cfg()
+        };
+        assert_eq!(crate::resolve_attributes(&before, &cfg).unwrap(), vec![0]);
+        // A fifth code: 5/60 stays below the bar.
+        let values = vec![Value::text("name10 family3"), Value::text("c9")];
+        let (after, mapping) = update(&before, 10, values);
+        let stats = check_delta(&before, &after, &mapping, &cfg);
+        assert!(!stats.full_rescore, "{stats:?}");
+        assert_eq!(stats.dirty_rows, 0, "{stats:?}");
+        assert_eq!((stats.rows_rerendered, stats.rows_reweighted), (0, 0));
+        assert_eq!((stats.candidates, stats.compared), (0, 0));
+        assert_eq!((stats.scored_pairs, stats.scored_unsure), (0, 0));
+
+        let old = detect_duplicates(&before, &cfg, Parallelism::sequential()).unwrap();
+        let mut index = DetectionIndex::build(&before, &cfg).unwrap();
+        let scores_before = index.attribute_scores().unwrap();
+        index
+            .apply_delta(&before, &old, &after, &mapping, Parallelism::sequential())
+            .unwrap();
+        let scores_after = index.attribute_scores().unwrap();
+        assert_eq!(scores_after[0].score, scores_before[0].score);
+        assert_eq!(scores_before[1].distinctness, 4.0 / 60.0);
+        assert_eq!(scores_after[1].distinctness, 5.0 / 60.0);
     }
 
     /// A key moving across a sorted-neighbourhood window: the rows around

@@ -17,21 +17,22 @@
 //!   pairs born in `(left, right)` order);
 //! * [`detector`] — the filter (a cheap admissible upper bound on the
 //!   measure), threshold classification into sure / unsure / non-duplicates,
-//!   transitive closure via [`unionfind`], and the appended `objectID`
-//!   column;
-//! * [`incremental`] — delta detection: a [`DetectionIndex`] (the measure
-//!   with the counts behind its weights, the selection counts, the
-//!   blocking keys — all taken from the same interning passes) moved
-//!   across each delta, so only candidate pairs that touch changed rows
-//!   are re-scored, every other classification is
-//!   carried over, and only the affected connected components re-cluster —
+//!   transitive closure via [`cluster`] (the one clustering function), and
+//!   the appended `objectID` column;
+//! * [`incremental`] — delta detection: a [`DetectionIndex`] (one kept
+//!   interning pass per column it reads, and beside them the measure with
+//!   the counts behind its weights and the blocking keys) moved across
+//!   each delta, so only candidate pairs that touch changed rows are
+//!   re-scored, every other classification is carried over, and the
+//!   clusters are formed by [`cluster`] over the merged pairs —
 //!   bit-identical to a from-scratch run over the updated table.
 //!
 //! Every column detection reads is interned once: one pass renders and
 //! hashes each cell and numbers the column's distinct renderings, and
 //! attribute selection, the measure and the sorted-neighbourhood key all
 //! read that pass, so their text work is paid per distinct value, not
-//! per row (see `ARCHITECTURE.md`).
+//! per row. The index keeps that one pass per column, and a delta renders
+//! and interns each touched cell there once (see `ARCHITECTURE.md`).
 //!
 //! Pairwise comparison — the pipeline's hottest loop — can fan out over
 //! threads: [`detect_duplicates`] scores candidate chunks concurrently
@@ -71,7 +72,7 @@ pub mod measure;
 mod renderings;
 #[cfg(test)]
 mod testworlds;
-pub mod unionfind;
+mod unionfind;
 
 pub use blocking::{candidate_pairs, resolve_candidate_strategy, CandidateIndex, CandidateSpec};
 pub use columnar::{score_candidates, PAIR_BLOCK};
@@ -87,4 +88,4 @@ pub use measure::{
     quantize_scale, TupleSimilarity, EVIDENCE_PRIOR, NUMERIC_SIGMA_SCALE,
     SIGMA_SMALL_SAMPLE_INFLATION,
 };
-pub use unionfind::UnionFind;
+pub use unionfind::cluster;

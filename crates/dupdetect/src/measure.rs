@@ -65,12 +65,16 @@
 //! non-null row count; the scale is a pass over the numeric views. A cold
 //! build drops them. A [`crate::DetectionIndex`] keeps them (every
 //! rendering tokenized, since a delta can turn a numeric attribute
-//! textual) and carries the measure across a delta: the touched cells are
-//! rendered again and move their counts, a moved attribute's σ pass runs
-//! again, and exactly the rows that read a count whose *quantized* value
-//! stepped are re-weighed — each with the float a fresh build computes,
-//! from the same counts. Ids are never reused, so a patched column may
-//! hold dead texts; nothing reads ids but for equality.
+//! textual) beside the interning passes, which hold the rows per rendering
+//! and the non-null count once for every reader, and carries the measure
+//! across a delta: the passes render and intern the touched cells, the
+//! measure moves its counts by the renderings they left and arrived at
+//! (lower-casing and tokenizing only renderings new to the column), a
+//! moved attribute's σ pass runs again, and exactly the rows that read a
+//! count whose *quantized* value stepped are re-weighed — each with the
+//! float a fresh build computes, from the same counts. Ids are never
+//! reused, so a patched column may hold dead texts; nothing reads ids but
+//! for equality.
 //!
 //! ## The bound
 //!
@@ -84,7 +88,7 @@
 //! case-expanding, non-ASCII, empty and long cells.
 
 use crate::incremental::RowChanges;
-use crate::renderings::{push_lowercase, render, ColumnRenderings, Renderings, NULL};
+use crate::renderings::{push_lowercase, ColumnRenderings, PassDelta, Passes, Renderings, NULL};
 use hummer_engine::{Table, Value};
 use hummer_textsim::edit::{levenshtein_similarity, levenshtein_similarity_chars, EditScratch};
 use hummer_textsim::interned::{Interner, Strings};
@@ -515,33 +519,18 @@ fn build_column(
     // numbered the renderings; lower-casing, tokenizing and the histogram
     // happen here once per distinct rendering or text.
     let distinct = renderings.len();
-    let mut text_ids = Strings::new();
-    let mut rendering_text: Vec<u32> = Vec::with_capacity(distinct);
-    let mut text_rows: Vec<usize> = Vec::new();
+    let mut counts = ColumnCounts::default();
     // Only textual attributes weigh by token; kept counts tokenize every
     // attribute, since a delta can turn a numeric one textual.
     let tokenize = scale.is_none() || keep;
-    let mut tokenized = TokenizedRenderings::default();
-    let mut lower = String::new();
-    for (r, &rows_of_r) in renderings.rows.iter().enumerate() {
-        let rendering = renderings.strings.get(r as u32);
-        lower.clear();
-        push_lowercase(rendering, &mut lower);
-        let (t, new) = text_ids.intern(&lower);
-        if new {
-            col.push_text(&lower);
-            text_rows.push(0);
-        }
-        text_rows[t as usize] += rows_of_r;
-        rendering_text.push(t);
-        if tokenize {
-            tokenized.push(rendering);
-        }
+    counts.add_renderings(&mut col, renderings, tokenize);
+    for (&t, &rows_of_r) in counts.rendering_text.iter().zip(&renderings.rows) {
+        counts.text_rows[t as usize] += rows_of_r;
     }
     col.text_id
         .extend(renderings.of_row.iter().map(|&r| match r {
             NULL => 0,
-            r => rendering_text[r as usize],
+            r => counts.rendering_text[r as usize],
         }));
 
     // Identifying power. Textual attributes document each value's word
@@ -553,33 +542,32 @@ fn build_column(
     // *exact* value, because exact agreement on a rare value (an
     // unconflicted duplicate's price) is strong evidence even though
     // closeness alone is weak.
-    let df = if tokenize {
-        tokenized.df(&renderings.rows)
-    } else {
-        Vec::new()
-    };
-    let mut rendering_weight: Vec<f64> = Vec::new();
-    let mut bucket_rows: HashMap<u64, usize> = HashMap::new();
+    if tokenize {
+        counts.df = counts.tokenized.df(&renderings.rows);
+    }
     match scale {
         None => {
-            let soft_idf: Vec<f64> = df.iter().map(|&df| stable_soft_idf(docs, df)).collect();
-            rendering_weight = (0..distinct)
-                .map(|r| tokenized.weight(r, |t| soft_idf[t as usize]))
+            let soft_idf: Vec<f64> = (counts.df.iter())
+                .map(|&df| stable_soft_idf(docs, df))
+                .collect();
+            counts.rendering_weight = (0..distinct)
+                .map(|r| counts.tokenized.weight(r, |t| soft_idf[t as usize]))
                 .collect();
             for &i in &present {
-                col.weight[i] = rendering_weight[renderings.of_row[i] as usize];
+                col.weight[i] = counts.rendering_weight[renderings.of_row[i] as usize];
                 col.near_weight[i] = col.weight[i];
             }
         }
         Some(scale) => {
             for &i in &present {
-                *bucket_rows
+                *counts
+                    .bucket_rows
                     .entry(numeric_bucket(col.num[i], scale))
                     .or_default() += 1;
             }
             for &i in &present {
-                let exact = text_rows[col.text_id[i] as usize];
-                let near = bucket_rows[&numeric_bucket(col.num[i], scale)];
+                let exact = counts.text_rows[col.text_id[i] as usize];
+                let near = counts.bucket_rows[&numeric_bucket(col.num[i], scale)];
                 col.weight[i] = stable_soft_idf(docs, exact).max(MIN_WEIGHT);
                 col.near_weight[i] = stable_soft_idf(docs, near).max(MIN_WEIGHT);
             }
@@ -588,26 +576,9 @@ fn build_column(
     let counts = keep.then(|| {
         // Rendering weights are maintained while the attribute is textual;
         // a numeric attribute's stay unset until a delta turns it textual.
-        rendering_weight.resize(distinct, 0.0);
-        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); df.len()];
-        let mut tokens = Vec::new();
-        for r in 0..distinct {
-            tokenized.distinct_tokens(r, &mut tokens);
-            for &t in &tokens {
-                postings[t as usize].push(r as u32);
-            }
-        }
-        ColumnCounts {
-            renderings: renderings.clone(),
-            rendering_text,
-            rendering_weight,
-            tokenized,
-            df,
-            postings,
-            text_ids,
-            text_rows,
-            bucket_rows,
-        }
+        counts.rendering_weight.resize(distinct, 0.0);
+        counts.post_tokens(0);
+        counts
     });
     (col, scale, counts)
 }
@@ -634,22 +605,19 @@ impl Cell {
     }
 }
 
-/// The integer counts one attribute's weights are computed from — the
-/// renderings and texts with their row counts, each token's document
-/// frequency, the rows per noise bucket, the non-null row count — kept by
-/// a [`crate::DetectionIndex`] so that a delta *moves* them (see
+/// The integer counts one attribute's weights are computed from beyond
+/// its interning pass (which a [`crate::DetectionIndex`] keeps once, for
+/// every reader, with the rows per rendering and the non-null rows): the
+/// texts with their row counts, each token's document frequency, the rows
+/// per noise bucket — kept so that a delta *moves* them (see
 /// [`TupleSimilarity::apply_delta`]) instead of recounting the column.
 ///
 /// Ids are never reused: a rendering or text whose rows drop to zero keeps
 /// its id and its pooled chars, and comes back under it. Text ids are only
 /// ever compared for equality, so a column with dead texts scores exactly
 /// like one built from scratch.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ColumnCounts {
-    /// The attribute's interning pass — the renderings, the rows holding
-    /// each, each row's rendering and the non-null rows — moved by every
-    /// delta.
-    renderings: ColumnRenderings,
     /// Per rendering: its text, and its weight as a token mean (maintained
     /// while the attribute has no numeric scale).
     rendering_text: Vec<u32>,
@@ -686,11 +654,14 @@ fn stepped<K: Ord + Copy>(mut touched: Vec<(K, usize)>, now: impl Fn(K) -> usize
         .collect()
 }
 
-/// The rows of one delta, as the measure patch reads them.
-struct DeltaRows<'a> {
-    old: &'a Table,
+/// One attribute's side of a delta, as the measure patch reads it.
+struct AttrDelta<'a> {
+    attr: usize,
     new: &'a Table,
     changes: &'a RowChanges<'a>,
+    /// The attribute's pass, moved already, and what the delta did to it.
+    pass: &'a ColumnRenderings,
+    moved: &'a PassDelta,
 }
 
 /// Per new row: the patch's verdicts.
@@ -703,20 +674,16 @@ struct RowFlags {
 }
 
 impl ColumnCounts {
-    /// Take old row `o`'s cell out of the counts.
-    fn uncount(&mut self, col: &AttrColumn, o: usize, scale: Option<f64>, touched: &mut Touched) {
-        let r = self.renderings.of_row[o] as usize;
-        self.renderings.rows[r] -= 1;
-        let t = col.text_id[o];
-        touched.texts.push((t, self.text_rows[t as usize]));
-        self.text_rows[t as usize] -= 1;
-        self.renderings.non_null -= 1;
-        let mut distinct = Vec::new();
-        self.tokenized.distinct_tokens(r, &mut distinct);
-        for &tok in &distinct {
-            touched.tokens.push((tok, self.df[tok as usize]));
-            self.df[tok as usize] -= 1;
-        }
+    /// Take old row `o`'s cell, of rendering `r`, out of the counts.
+    fn uncount(
+        &mut self,
+        col: &AttrColumn,
+        o: usize,
+        r: u32,
+        scale: Option<f64>,
+        touched: &mut Touched,
+    ) {
+        self.move_text(col.text_id[o], r, -1, touched);
         if let Some(scale) = scale {
             let b = numeric_bucket(col.num[o], scale);
             let rows = self
@@ -728,25 +695,15 @@ impl ColumnCounts {
         }
     }
 
-    /// Render value `v` into new row `n` and count it (buckets aside: they
-    /// wait for the new scale). Weights are set afterwards.
-    fn count(&mut self, col: &mut AttrColumn, n: usize, v: &Value, touched: &mut Touched) {
-        let num = v.as_f64();
-        col.present[n] = !v.is_null();
-        col.has_num[n] = num.is_some();
-        col.num[n] = num.unwrap_or(0.0);
-        col.weight[n] = 0.0;
-        col.near_weight[n] = 0.0;
-        if v.is_null() {
-            col.text_id[n] = 0;
-            self.renderings.of_row[n] = NULL;
-            return;
-        }
-        let mut buf = String::new();
-        let rendering = render(v, &mut buf);
-        let (r, new_rendering) = self.renderings.strings.intern(rendering);
-        if new_rendering {
-            let mut text = String::new();
+    /// Lower-case and pool every rendering of `pass` not added yet, and
+    /// with `tokenize` tokenize it — once per distinct rendering.
+    fn add_renderings(&mut self, col: &mut AttrColumn, pass: &ColumnRenderings, tokenize: bool) {
+        let mut text = String::new();
+        self.rendering_text
+            .reserve(pass.len() - self.rendering_text.len());
+        for r in self.rendering_text.len()..pass.len() {
+            let rendering = pass.strings.get(r as u32);
+            text.clear();
             push_lowercase(rendering, &mut text);
             let (t, new_text) = self.text_ids.intern(&text);
             if new_text {
@@ -754,32 +711,64 @@ impl ColumnCounts {
                 self.text_rows.push(0);
             }
             self.rendering_text.push(t);
-            self.renderings.rows.push(0);
-            self.rendering_weight.push(0.0);
-            self.tokenized.push(rendering);
+            if tokenize {
+                self.tokenized.push(rendering);
+            }
         }
-        let (r, r_id) = (r as usize, r);
-        let t = self.rendering_text[r];
-        self.renderings.rows[r] += 1;
-        touched.texts.push((t, self.text_rows[t as usize]));
-        self.text_rows[t as usize] += 1;
-        self.renderings.non_null += 1;
-        let mut distinct = Vec::new();
-        self.tokenized.distinct_tokens(r, &mut distinct);
-        for &tok in &distinct {
-            let tok = tok as usize;
-            if new_rendering {
-                if tok >= self.df.len() {
-                    self.df.resize(tok + 1, 0);
+    }
+
+    /// Post each distinct token of every rendering from `first` on,
+    /// making room for tokens new to the attribute.
+    fn post_tokens(&mut self, first: usize) {
+        let mut tokens = Vec::new();
+        for r in first..self.rendering_text.len() {
+            self.tokenized.distinct_tokens(r, &mut tokens);
+            for &tok in &tokens {
+                let tok = tok as usize;
+                if tok >= self.postings.len() {
+                    self.df.resize(self.df.len().max(tok + 1), 0);
                     self.postings.resize_with(tok + 1, Vec::new);
                 }
-                self.postings[tok].push(r_id);
+                self.postings[tok].push(r as u32);
             }
-            touched.tokens.push((tok as u32, self.df[tok]));
-            self.df[tok] += 1;
         }
+    }
+
+    /// Set new row `n`'s cell from value `v`, of rendering `r`, and count
+    /// it (buckets aside: they wait for the new scale). Weights are set
+    /// afterwards.
+    fn count(&mut self, col: &mut AttrColumn, n: usize, v: &Value, r: u32, touched: &mut Touched) {
+        let num = v.as_f64();
+        col.present[n] = r != NULL;
+        col.has_num[n] = num.is_some();
+        col.num[n] = num.unwrap_or(0.0);
+        col.weight[n] = 0.0;
+        col.near_weight[n] = 0.0;
+        if r == NULL {
+            col.text_id[n] = 0;
+            return;
+        }
+        let t = self.rendering_text[r as usize];
+        self.move_text(t, r, 1, touched);
         col.text_id[n] = t;
-        self.renderings.of_row[n] = r_id;
+    }
+
+    /// Count `by` (one row more or one fewer) the rows holding text `t`
+    /// and the tokens of rendering `r`, noting each count as it was before.
+    fn move_text(&mut self, t: u32, r: u32, by: isize, touched: &mut Touched) {
+        let step = |count: &mut usize| {
+            *count = count
+                .checked_add_signed(by)
+                .expect("a count of counted cells");
+        };
+        touched.texts.push((t, self.text_rows[t as usize]));
+        step(&mut self.text_rows[t as usize]);
+        let mut distinct = Vec::new();
+        self.tokenized.distinct_tokens(r as usize, &mut distinct);
+        for &tok in &distinct {
+            touched.tokens.push((tok, self.df[tok as usize]));
+            step(&mut self.df[tok as usize]);
+        }
     }
 
     /// Carry column `col` (attribute `attr`, comparison scale `range`)
@@ -788,33 +777,25 @@ impl ColumnCounts {
         &mut self,
         col: &mut AttrColumn,
         range: &mut Option<f64>,
-        attr: usize,
-        rows: &DeltaRows<'_>,
+        delta: &AttrDelta<'_>,
         flags: &mut RowFlags,
     ) {
-        let DeltaRows { old, new, changes } = *rows;
+        let AttrDelta {
+            attr,
+            new,
+            changes,
+            pass,
+            moved,
+        } = *delta;
         let scale_before = *range;
-        let docs_before = self.renderings.non_null;
+        let docs_before = moved.non_null_before;
         let mut touched = Touched::default();
-        let updated: Vec<(usize, usize)> = changes
-            .updated
-            .iter()
-            .copied()
-            .filter(|&(o, n)| !old.cell(o, attr).identical(new.cell(n, attr)))
-            .collect();
 
         // 1. Cells leaving: deleted rows, and the old side of updated cells.
-        for o in changes
-            .deleted
-            .iter()
-            .copied()
-            .chain(updated.iter().map(|&(o, _)| o))
-        {
-            if col.present[o] {
-                self.uncount(col, o, scale_before, &mut touched);
-            }
+        for &(o, r) in moved.left.iter().filter(|&&(_, r)| r != NULL) {
+            self.uncount(col, o, r, scale_before, &mut touched);
         }
-        let before: Vec<Cell> = updated.iter().map(|&(o, _)| col.cell(o)).collect();
+        let before: Vec<Cell> = moved.updated.iter().map(|&(o, _)| col.cell(o)).collect();
 
         // 2. Per-row arrays into the new row space.
         changes.remap(&mut col.present);
@@ -823,31 +804,27 @@ impl ColumnCounts {
         changes.remap(&mut col.has_num);
         changes.remap(&mut col.num);
         changes.remap(&mut col.text_id);
-        changes.remap(&mut self.renderings.of_row);
 
-        // 3. Cells arriving: the new side of updated cells, inserted rows.
+        // 3. Cells arriving, at the renderings the pass gave them: the new
+        //    side of updated cells, inserted rows.
+        self.add_renderings(col, pass, true);
+        self.rendering_weight.resize(pass.len(), 0.0);
+        self.post_tokens(moved.first_new);
         let mut arriving = vec![false; new.len()];
-        for n in updated
-            .iter()
-            .map(|&(_, n)| n)
-            .chain(changes.inserted.iter().copied())
-        {
+        for &(n, r) in &moved.arrived {
             arriving[n] = true;
             flags.rerendered[n] = true;
-            self.count(col, n, new.cell(n, attr), &mut touched);
+            self.count(col, n, new.cell(n, attr), r, &mut touched);
         }
 
         // 4. The scale: today's row-order pass over the floats, whenever a
         //    cell of this attribute left or arrived.
-        let moved_cells =
-            !(updated.is_empty() && changes.deleted.is_empty() && changes.inserted.is_empty());
-        if moved_cells {
+        if !(moved.left.is_empty() && moved.arrived.is_empty()) {
             *range = comparison_scale(col);
         }
         let scale_moved = range.map(f64::to_bits) != scale_before.map(f64::to_bits);
         // A stepped document count or scale re-reads every weight.
-        let all =
-            scale_moved || quantize_count(docs_before) != quantize_count(self.renderings.non_null);
+        let all = scale_moved || quantize_count(docs_before) != quantize_count(pass.non_null);
         match *range {
             Some(scale) if !scale_moved => {
                 for n in (0..arriving.len()).filter(|&n| arriving[n] && col.present[n]) {
@@ -871,7 +848,7 @@ impl ColumnCounts {
 
         // 5. Weights: every row whose weight reads a count that stepped
         //    (every row, under `all`), and every arriving row.
-        let docs = self.renderings.non_null;
+        let docs = pass.non_null;
         let set = |col: &mut AttrColumn, i: usize, weight: f64, near: f64, dirty: &mut [bool]| {
             if !arriving[i]
                 && (weight.to_bits() != col.weight[i].to_bits()
@@ -890,23 +867,23 @@ impl ColumnCounts {
                     stepped(touched.tokens, |t| self.df[t as usize])
                 };
                 let scan = all || !stepped_tokens.is_empty();
-                let mut fresh = vec![all; self.renderings.rows.len()];
+                let mut fresh = vec![all; pass.len()];
                 for &t in &stepped_tokens {
                     for &r in &self.postings[t as usize] {
                         fresh[r as usize] = true;
                     }
                 }
                 for n in (0..arriving.len()).filter(|&n| arriving[n] && col.present[n]) {
-                    fresh[self.renderings.of_row[n] as usize] = true;
+                    fresh[pass.of_row[n] as usize] = true;
                 }
                 let df = &self.df;
-                for r in (0..fresh.len()).filter(|&r| fresh[r] && self.renderings.rows[r] > 0) {
+                for r in (0..fresh.len()).filter(|&r| fresh[r] && pass.rows[r] > 0) {
                     self.rendering_weight[r] = self
                         .tokenized
                         .weight(r, |t| stable_soft_idf(docs, df[t as usize]));
                 }
                 for i in (0..arriving.len()).filter(|&i| scan || arriving[i]) {
-                    let r = self.renderings.of_row[i] as usize;
+                    let r = pass.of_row[i] as usize;
                     if col.present[i] && fresh[r] {
                         let w = self.rendering_weight[r];
                         set(col, i, w, w, &mut flags.dirty);
@@ -952,7 +929,7 @@ impl ColumnCounts {
         // 6. Updated cells are dirty where they differ from their old cell;
         //    inserted rows are dirty already. A moved scale re-reads every
         //    numeric comparison of the attribute.
-        for (&(_, n), before) in updated.iter().zip(&before) {
+        for (&(_, n), before) in moved.updated.iter().zip(&before) {
             if !col.cell(n).same_as(before) {
                 flags.dirty[n] = true;
             }
@@ -999,59 +976,45 @@ impl TupleSimilarity {
     /// indices) — typically the output of the attribute-selection
     /// heuristics.
     pub fn new(table: &Table, attrs: Vec<usize>) -> Self {
-        TupleSimilarity::from_renderings(&Renderings::new(table), attrs)
+        let renderings = Renderings::new(table);
+        TupleSimilarity::build(table, attrs, |a| renderings.column(a), false).0
     }
 
-    /// [`TupleSimilarity::new`] over the table's interning passes (shared
-    /// with attribute selection and blocking).
-    pub(crate) fn from_renderings(renderings: &Renderings<'_>, attrs: Vec<usize>) -> Self {
-        let table = renderings.table();
-        let (cols, ranges) = attrs
-            .iter()
-            .map(|&a| {
-                let (col, range, _) = build_column(table, a, renderings.column(a), false);
-                (col, range)
-            })
-            .unzip();
-        TupleSimilarity {
-            attrs,
-            cols,
-            ranges,
-            row_count: table.len(),
-        }
-    }
-
-    /// [`TupleSimilarity::from_renderings`] keeping the counts behind every
-    /// weight, so [`TupleSimilarity::apply_delta`] can carry the measure
-    /// across deltas.
-    pub(crate) fn with_counts(
-        renderings: &Renderings<'_>,
+    /// [`TupleSimilarity::new`] with every attribute's column built from
+    /// its interning pass, `pass(attr)` (shared with attribute selection
+    /// and blocking); with `keep`, also the counts behind every weight, so
+    /// [`TupleSimilarity::apply_delta`] can carry the measure across
+    /// deltas.
+    pub(crate) fn build<'p>(
+        table: &Table,
         attrs: Vec<usize>,
+        pass: impl Fn(usize) -> &'p ColumnRenderings,
+        keep: bool,
     ) -> (Self, Vec<ColumnCounts>) {
-        let table = renderings.table();
         let mut measure = TupleSimilarity {
             attrs,
             cols: Vec::new(),
             ranges: Vec::new(),
             row_count: table.len(),
         };
-        let mut counts = Vec::with_capacity(measure.attrs.len());
+        let mut counts = Vec::new();
         for &a in &measure.attrs {
-            let (col, range, kept) = build_column(table, a, renderings.column(a), true);
+            let (col, range, kept) = build_column(table, a, pass(a), keep);
             measure.cols.push(col);
             measure.ranges.push(range);
-            counts.push(kept.expect("kept on request"));
+            counts.extend(kept);
         }
         (measure, counts)
     }
 
-    /// Carry a measure built over `old` (with its `counts`) across a delta
-    /// to `new`: re-render only the cells `changes` touched and move their
-    /// counts, re-run each moved attribute's σ pass, and re-weigh exactly
-    /// the rows that read a count whose quantized value stepped. Afterwards
-    /// every row's cells and every scale equal, bit for bit, those of
-    /// [`TupleSimilarity::new`] over `new`; only text ids differ, which
-    /// nothing but equality reads.
+    /// Carry a measure built over the old table (with its `counts`) across
+    /// a delta to `new`: its attributes' `passes` have moved already
+    /// (`moved` says how, per column); move the counts of the cells that
+    /// left and arrived, re-run each moved attribute's σ pass, and re-weigh
+    /// exactly the rows that read a count whose quantized value stepped.
+    /// Afterwards every row's cells and every scale equal, bit for bit,
+    /// those of [`TupleSimilarity::new`] over `new`; only text ids differ,
+    /// which nothing but equality reads.
     ///
     /// Returns, per new row, whether any of its cells differs from its old
     /// cell — exactly the rows a [`TupleSimilarity::row_cells_identical`]
@@ -1060,11 +1023,11 @@ impl TupleSimilarity {
     pub(crate) fn apply_delta(
         &mut self,
         counts: &mut [ColumnCounts],
-        old: &Table,
+        passes: &Passes,
+        moved: &[Option<PassDelta>],
         new: &Table,
         changes: &RowChanges<'_>,
     ) -> MeasureDelta {
-        let rows = DeltaRows { old, new, changes };
         let mut flags = RowFlags {
             dirty: vec![false; new.len()],
             rerendered: vec![false; new.len()],
@@ -1074,13 +1037,14 @@ impl TupleSimilarity {
         }
         for (k, counts) in counts.iter_mut().enumerate() {
             let attr = self.attrs[k];
-            counts.patch(
-                &mut self.cols[k],
-                &mut self.ranges[k],
+            let delta = AttrDelta {
                 attr,
-                &rows,
-                &mut flags,
-            );
+                new,
+                changes,
+                pass: passes.column(attr),
+                moved: moved[attr].as_ref().expect("a kept column moved"),
+            };
+            counts.patch(&mut self.cols[k], &mut self.ranges[k], &delta, &mut flags);
         }
         self.row_count = new.len();
         let rerendered = flags.rerendered.iter().filter(|r| **r).count();

@@ -1,32 +1,49 @@
-//! Disjoint-set forest (union-find) with path compression and union by
-//! rank — the transitive closure over duplicate pairs (paper §2.3: "the
-//! transitive closure over duplicate pairs is formed to obtain clusters of
-//! objects that all represent a single real-world entity").
+//! The one clustering function, [`cluster`]: the transitive closure over
+//! duplicate pairs (paper §2.3: "the transitive closure over duplicate
+//! pairs is formed to obtain clusters of objects that all represent a
+//! single real-world entity"), formed by a private disjoint-set forest
+//! (union-find) with path compression and union by rank. The cold
+//! detector, the incremental one, [`crate::DetectionResult::recluster`]
+//! and the experiment binaries all cluster through it.
 //!
 //! ## Determinism
 //!
-//! The internal *representative* of a set (what [`UnionFind::find`]
+//! The internal *representative* of a set (what `UnionFind::find`
 //! returns) depends on the order unions were applied in — union-by-rank
 //! picks whichever root happens to be taller. That order varies with pair
 //! scoring order, so representatives must never leak into user-visible
-//! output. The public cluster views are therefore **normalized**:
-//! [`UnionFind::clusters`] orders members ascending and clusters by their
-//! smallest member, and [`UnionFind::cluster_ids`] numbers clusters densely
-//! in that same order. Both are invariant under any permutation of the
-//! union sequence (pinned by the `representative_independence_*` regression
-//! tests below), which is what lets the parallel detector score pairs in
-//! any partition and still produce bit-identical `objectID`s.
+//! output. The cluster views are therefore **normalized**: clusters list
+//! their members ascending and are ordered by their smallest member, and
+//! the cluster ids number them densely in that same order. Both are
+//! invariant under any permutation of the pairs (pinned by the
+//! `representative_independence_*` regression tests below), which is what
+//! lets the parallel detector score pairs in any partition and still
+//! produce bit-identical `objectID`s.
+
+use crate::detector::DuplicatePair;
+
+/// The transitive closure of `accepted_pairs` over rows `0..n`, normalized:
+/// every row's dense cluster id, and the clusters (singletons included),
+/// each listing its rows ascending, ordered by their smallest row. The
+/// same for any order of the pairs and of each pair's two rows.
+pub fn cluster(n: usize, accepted_pairs: &[DuplicatePair]) -> (Vec<usize>, Vec<Vec<usize>>) {
+    let mut uf = UnionFind::new(n);
+    for p in accepted_pairs {
+        uf.union(p.left, p.right);
+    }
+    uf.cluster_views()
+}
 
 /// A disjoint-set forest over `0..n`.
-#[derive(Debug, Clone)]
-pub struct UnionFind {
+#[derive(Debug)]
+struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
 }
 
 impl UnionFind {
     /// `n` singleton sets.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         UnionFind {
             parent: (0..n).collect(),
             rank: vec![0; n],
@@ -34,22 +51,16 @@ impl UnionFind {
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.parent.len()
-    }
-
-    /// True when the structure is empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
     }
 
     /// The representative of `x`'s set (with path compression).
     ///
     /// The representative is an implementation detail that depends on the
     /// order unions were applied — do not expose it; derive output from
-    /// the normalized [`UnionFind::clusters`]/[`UnionFind::cluster_ids`]
-    /// views instead.
-    pub fn find(&mut self, x: usize) -> usize {
+    /// the normalized [`UnionFind::cluster_views`] instead.
+    fn find(&mut self, x: usize) -> usize {
         let mut root = x;
         while self.parent[root] != root {
             root = self.parent[root];
@@ -65,7 +76,7 @@ impl UnionFind {
     }
 
     /// Merge the sets of `a` and `b`; returns true if they were separate.
-    pub fn union(&mut self, a: usize, b: usize) -> bool {
+    fn union(&mut self, a: usize, b: usize) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
@@ -81,11 +92,6 @@ impl UnionFind {
         true
     }
 
-    /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
     /// Both normalized views in one walk over `0..n`: the dense cluster id
     /// of every element, and the clusters' members.
     ///
@@ -93,7 +99,7 @@ impl UnionFind {
     /// smallest member, so numbering clusters as they are met orders them
     /// by smallest member, and appending each element to its cluster lists
     /// the members ascending — no map, no sort.
-    pub fn cluster_views(&mut self) -> (Vec<usize>, Vec<Vec<usize>>) {
+    fn cluster_views(&mut self) -> (Vec<usize>, Vec<Vec<usize>>) {
         let n = self.len();
         let mut id_of_root = vec![usize::MAX; n];
         let mut ids = Vec::with_capacity(n);
@@ -110,29 +116,26 @@ impl UnionFind {
         }
         (ids, clusters)
     }
-
-    /// The clusters, each sorted ascending, ordered by their smallest
-    /// member. Singletons are included.
-    pub fn clusters(&mut self) -> Vec<Vec<usize>> {
-        self.cluster_views().1
-    }
-
-    /// Cluster ids: `ids[x]` is the dense id (0-based, ordered by smallest
-    /// member) of `x`'s cluster — this becomes the `objectID` column.
-    pub fn cluster_ids(&mut self) -> Vec<usize> {
-        self.cluster_views().0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Pairs as [`cluster`] takes them (the similarity is not read).
+    fn pairs(pairs: &[(usize, usize)]) -> Vec<DuplicatePair> {
+        (pairs.iter())
+            .map(|&(left, right)| DuplicatePair {
+                left,
+                right,
+                similarity: 1.0,
+            })
+            .collect()
+    }
+
     #[test]
     fn singletons_initially() {
-        let mut uf = UnionFind::new(3);
-        assert_eq!(uf.clusters(), vec![vec![0], vec![1], vec![2]]);
-        assert!(!uf.connected(0, 1));
+        assert_eq!(cluster(3, &[]).1, vec![vec![0], vec![1], vec![2]]);
     }
 
     #[test]
@@ -141,36 +144,29 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2)); // already connected transitively
-        assert!(uf.connected(0, 2));
-        assert!(!uf.connected(0, 3));
-        assert_eq!(uf.clusters(), vec![vec![0, 1, 2], vec![3], vec![4]]);
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_ne!(uf.find(0), uf.find(3));
+        let clusters = cluster(5, &pairs(&[(0, 1), (1, 2), (0, 2)])).1;
+        assert_eq!(clusters, vec![vec![0, 1, 2], vec![3], vec![4]]);
     }
 
     #[test]
     fn cluster_ids_are_dense_and_ordered() {
-        let mut uf = UnionFind::new(4);
-        uf.union(2, 3);
-        let ids = uf.cluster_ids();
-        assert_eq!(ids, vec![0, 1, 2, 2]);
+        assert_eq!(cluster(4, &pairs(&[(2, 3)])).0, vec![0, 1, 2, 2]);
     }
 
     #[test]
     fn large_chain_compresses() {
         let n = 10_000;
-        let mut uf = UnionFind::new(n);
-        for i in 0..n - 1 {
-            uf.union(i, i + 1);
-        }
-        assert!(uf.connected(0, n - 1));
-        assert_eq!(uf.clusters().len(), 1);
+        let chain: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        let (ids, clusters) = cluster(n, &pairs(&chain));
+        assert_eq!(clusters.len(), 1);
+        assert!(ids.iter().all(|&id| id == 0));
     }
 
     #[test]
     fn empty_structure() {
-        let mut uf = UnionFind::new(0);
-        assert!(uf.is_empty());
-        assert!(uf.clusters().is_empty());
-        assert!(uf.cluster_ids().is_empty());
+        assert_eq!(cluster(0, &[]), (Vec::new(), Vec::new()));
     }
 
     /// A tiny deterministic shuffle (multiplicative LCG indexing) so the
@@ -196,7 +192,7 @@ mod tests {
     #[test]
     fn representative_independence_under_pair_reordering() {
         // A mix of chains, stars, and singletons over 24 elements.
-        let pairs: Vec<(usize, usize)> = vec![
+        let edges: Vec<(usize, usize)> = vec![
             (0, 1),
             (1, 2),
             (2, 3),
@@ -211,27 +207,15 @@ mod tests {
             (20, 21),
             (22, 21),
         ];
-        let mut reference = UnionFind::new(24);
-        for &(a, b) in &pairs {
-            reference.union(a, b);
-        }
-        let ref_clusters = reference.clusters();
-        let ref_ids = reference.cluster_ids();
+        let reference = cluster(24, &pairs(&edges));
         for seed in 0..32 {
-            let mut uf = UnionFind::new(24);
-            for &(a, b) in &permuted(&pairs, seed) {
-                uf.union(a, b);
-            }
-            assert_eq!(uf.clusters(), ref_clusters, "seed {seed}");
-            assert_eq!(uf.cluster_ids(), ref_ids, "seed {seed}");
+            let shuffled = pairs(&permuted(&edges, seed));
+            assert_eq!(cluster(24, &shuffled), reference, "seed {seed}");
         }
-        // Reversed insertion, and each pair flipped, too.
-        let mut uf = UnionFind::new(24);
-        for &(a, b) in pairs.iter().rev() {
-            uf.union(b, a);
-        }
-        assert_eq!(uf.clusters(), ref_clusters);
-        assert_eq!(uf.cluster_ids(), ref_ids);
+        // Reversed order, and each pair flipped, too.
+        let flipped: Vec<(usize, usize)> = edges.iter().rev().map(|&(a, b)| (b, a)).collect();
+        assert_eq!(cluster(24, &pairs(&flipped)), reference);
+        assert_eq!(reference.1[0], vec![0, 1, 2, 3]);
     }
 
     /// The views as they were computed before the single walk: members
@@ -255,8 +239,8 @@ mod tests {
         (ids, clusters)
     }
 
-    /// The single walk against the map-and-sort oracle over random union
-    /// sequences: chains, stars and singletons mixed, sizes 0–2000.
+    /// The single walk against the map-and-sort oracle over random pair
+    /// sets: chains, stars and singletons mixed, sizes 0–2000.
     #[test]
     fn cluster_views_equal_the_map_and_sort_oracle() {
         let mut state = 0x2005u64;
@@ -268,17 +252,14 @@ mod tests {
         };
         for n in [0, 1, 2, 3, 10, 64, 257, 2000] {
             for round in 0..4 {
-                let mut uf = UnionFind::new(n);
                 let unions = [n / 3, n, n / 10, 0][round];
-                for _ in 0..unions {
-                    let (a, b) = (next(n), next(n));
+                let edges: Vec<(usize, usize)> = (0..unions).map(|_| (next(n), next(n))).collect();
+                let mut uf = UnionFind::new(n);
+                for &(a, b) in &edges {
                     uf.union(a, b);
                 }
-                let mut copy = uf.clone();
-                let views = uf.cluster_views();
-                assert_eq!(views, oracle_views(&mut copy), "n {n}, round {round}");
-                assert_eq!(uf.clusters(), views.1);
-                assert_eq!(uf.cluster_ids(), views.0);
+                let views = cluster(n, &pairs(&edges));
+                assert_eq!(views, oracle_views(&mut uf), "n {n}, round {round}");
             }
         }
     }
@@ -287,17 +268,12 @@ mod tests {
     /// cluster's smallest member, and members are listed ascending.
     #[test]
     fn cluster_views_are_normalized() {
-        let mut uf = UnionFind::new(10);
-        uf.union(7, 2);
-        uf.union(9, 4);
-        uf.union(4, 2);
-        let clusters = uf.clusters();
+        let (ids, clusters) = cluster(10, &pairs(&[(7, 2), (9, 4), (4, 2)]));
         for c in &clusters {
             assert!(c.windows(2).all(|w| w[0] < w[1]), "members ascending");
         }
         let firsts: Vec<usize> = clusters.iter().map(|c| c[0]).collect();
         assert!(firsts.windows(2).all(|w| w[0] < w[1]), "ordered by min");
-        let ids = uf.cluster_ids();
         let max = *ids.iter().max().unwrap();
         for id in 0..=max {
             assert!(ids.contains(&id), "ids dense: missing {id}");

@@ -167,13 +167,18 @@ done
 builds_after=$(index_builds)
 [ $((builds_after - builds_before)) -le "$entries" ] \
     || { echo "3 updates built $((builds_after - builds_before)) indexes for $entries cache entries"; exit 1; }
-# The last update's trace: its match span re-matched from the carried index.
+# The last update's trace: its match and detect spans carried their indexes,
+# and detection rendered the one updated row again.
 delta_trace=$(tr -d '\r' < /tmp/update_headers.txt | awk 'tolower($1) == "x-hummer-trace:" {print $2}')
 [ -n "$delta_trace" ] || { echo "delta response missing X-Hummer-Trace header"; exit 1; }
 curl -sf "http://${ADDR}/trace/${delta_trace}" -o /tmp/delta_trace.json \
     || { echo "GET /trace/${delta_trace} failed"; exit 1; }
 grep -q '"name":"match","start_us":[0-9]*,"duration_us":[0-9]*,"counters":{[^}]*"index_reused":1' /tmp/delta_trace.json \
     || { echo "the update's match span did not reuse its index:"; cat /tmp/delta_trace.json; exit 1; }
+for counter in '"index_reused":1' '"rows_rerendered":1'; do
+    grep -q '"name":"detect","start_us":[0-9]*,"duration_us":[0-9]*,"counters":{[^}]*'"${counter}"'[,}]' /tmp/delta_trace.json \
+        || { echo "the update's detect span lacks ${counter}:"; cat /tmp/delta_trace.json; exit 1; }
+done
 
 # Graceful shutdown: the endpoint answers, then the process exits 0.
 curl -sf -X POST "http://${ADDR}/shutdown" >/dev/null

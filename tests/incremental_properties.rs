@@ -227,45 +227,22 @@ fn blocking_configs(tables: &[Table]) -> Vec<(&'static str, HummerConfig)> {
     ]
 }
 
-/// The carried index equals one built from scratch over the same union:
-/// every row's cells, the scales, the attribute scores and the candidates
-/// (in [`candidate_pairs`] order).
+/// The carried index equals one built from scratch over the same union
+/// (`DetectionIndex::difference_from_scratch`: the measure's cells and
+/// scales, every kept interning pass — live distinct renderings, non-null
+/// rows, each row's rendering — the attribute scores and the candidates),
+/// and its candidates are those of the public blocking entry points.
 fn assert_index_identical(
     carried: &DetectionIndex,
     integrated: &Table,
     config: &HummerConfig,
     context: &str,
 ) -> Result<(), TestCaseError> {
-    let cfg = config.detector_config();
-    let scratch = DetectionIndex::build(integrated, &cfg).unwrap();
-    let (a, b) = (carried.measure(), scratch.measure());
-    prop_assert!(a.attrs() == b.attrs(), "attributes: {context}");
-    prop_assert!(a.range_bits() == b.range_bits(), "scales: {context}");
-    prop_assert!(a.row_count() == integrated.len(), "rows: {context}");
-    for i in 0..integrated.len() {
-        prop_assert!(a.row_cells_identical(i, b, i), "row {i} cells: {context}");
-    }
-    let bits = |d: &DetectionIndex| {
-        d.attribute_scores().map(|scores| {
-            scores
-                .iter()
-                .map(|s| {
-                    (
-                        s.coverage.to_bits(),
-                        s.distinctness.to_bits(),
-                        s.score.to_bits(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        })
-    };
+    let difference = carried.difference_from_scratch(integrated);
+    prop_assert!(difference.is_none(), "{difference:?}: {context}");
+    let fresh = resolve_candidate_strategy(integrated, &config.detector_config().candidates);
     prop_assert!(
-        bits(carried) == bits(&scratch),
-        "attribute scores: {context}"
-    );
-    let fresh = resolve_candidate_strategy(integrated, &cfg.candidates).unwrap();
-    prop_assert!(
-        carried.candidates() == candidate_pairs(integrated, &fresh),
+        carried.candidates() == candidate_pairs(integrated, &fresh.unwrap()),
         "candidates: {context}"
     );
     Ok(())
